@@ -74,11 +74,15 @@ class BSplineBasis:
         return BSpline.design_matrix(x, self.knots, self.order - 1).toarray()
 
     def spline(self, coef: np.ndarray) -> BSpline:
-        """Callable spline with the given coefficient vector."""
+        """Callable spline with the given coefficients.
+
+        A (q,) vector gives a scalar spline; a (k, q) array gives a
+        k-valued one whose values at x are (len(x), k).
+        """
         coef = np.asarray(coef, dtype=float)
-        if coef.shape != (self.size,):
+        if coef.ndim not in (1, 2) or coef.shape[-1] != self.size:
             raise DataError(f"expected {self.size} coefficients, got {coef.shape}")
-        return BSpline(self.knots, coef, self.order - 1, extrapolate=True)
+        return BSpline(self.knots, coef.T, self.order - 1, extrapolate=True)
 
 
 def bspline_design(grid, basis: BSplineBasis) -> np.ndarray:
@@ -146,29 +150,48 @@ class MonotoneInterpolant:
     slopes: np.ndarray
 
     def __call__(self, t) -> np.ndarray:
-        x, y, d = self.anchors, self.values, self.slopes
-        t = _check_domain(t, x[0], x[-1], "monotone interpolant")
-        idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-        h = x[idx + 1] - x[idx]
-        s = (t - x[idx]) / h
-        s2 = s * s
-        s3 = s2 * s
-        return (
-            y[idx] * (2.0 * s3 - 3.0 * s2 + 1.0)
-            + h * d[idx] * (s3 - 2.0 * s2 + s)
-            + y[idx + 1] * (-2.0 * s3 + 3.0 * s2)
-            + h * d[idx + 1] * (s3 - s2)
-        )
+        y, d = self.values, self.slopes
+        idx, h, (h00, h10, h01, h11) = _hermite_cells(self.anchors, t)
+        return y[idx] * h00 + h * d[idx] * h10 + y[idx + 1] * h01 + h * d[idx + 1] * h11
 
 
-def hyman_interp(anchors, values) -> MonotoneInterpolant:
-    """Monotonicity-preserving cubic Hermite interpolation.
+def _hermite_cells(x: np.ndarray, t) -> tuple:
+    """Cell index, cell width and the four cubic Hermite basis values at ``t``."""
+    t = _check_domain(t, x[0], x[-1], "monotone interpolant")
+    idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    h = x[idx + 1] - x[idx]
+    s = (t - x[idx]) / h
+    s2 = s * s
+    s3 = s2 * s
+    return idx, h, (2.0 * s3 - 3.0 * s2 + 1.0, s3 - 2.0 * s2 + s, -2.0 * s3 + 3.0 * s2, s3 - s2)
+
+
+def hermite_weights(anchors, t) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices (W_y, W_d) with interpolant(t) = W_y @ values + W_d @ slopes.
+
+    Both are (len(t), len(anchors)) and depend only on the anchors and
+    ``t``, so a warp evaluated many times at fixed times reuses them.
+    """
+    x = np.asarray(anchors, dtype=float)
+    idx, h, (h00, h10, h01, h11) = _hermite_cells(x, t)
+    rows = np.arange(len(idx))
+    wy = np.zeros((len(idx), len(x)))
+    wd = np.zeros((len(idx), len(x)))
+    wy[rows, idx] = h00
+    wy[rows, idx + 1] = h01
+    wd[rows, idx] = h * h10
+    wd[rows, idx + 1] = h * h11
+    return wy, wd
+
+
+def hyman_slopes(anchors, values) -> tuple[np.ndarray, np.ndarray]:
+    """Filtered Hermite slopes at the anchors and their Jacobian in the values.
 
     Initial slopes are three-point parabolic estimates; each is then
     limited to the monotone region of its two adjacent secants (zeroed at
-    data extrema, capped at 3x the smaller neighbouring secant).  Data
-    that is monotone yields a monotone interpolant; identity data is
-    reproduced exactly.
+    data extrema, capped at 3x the smaller neighbouring secant).  Between
+    branch switches every filtered slope is a fixed linear combination of
+    the secants, so the Jacobian (m, m) is exact away from the switches.
     """
     x = np.asarray(anchors, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -179,35 +202,64 @@ def hyman_interp(anchors, values) -> MonotoneInterpolant:
     h = np.diff(x)
     if np.any(h <= 0):
         raise DataError("anchors must be strictly increasing")
-    delta = np.diff(y) / h
-
+    # Plain floats: m is a handful of anchors, and the warp solver calls this
+    # once per residual evaluation.
     m = len(x)
-    d = np.empty(m)
+    hs, ys = h.tolist(), y.tolist()
+    delta = [(ys[i + 1] - ys[i]) / hs[i] for i in range(m - 1)]
     if m == 2:
-        d[:] = delta[0]
+        d = [delta[0], delta[0]]
+        weights = [{0: 1.0}, {0: 1.0}]
     else:
-        d[1:-1] = (h[1:] * delta[:-1] + h[:-1] * delta[1:]) / (h[:-1] + h[1:])
-        d[0] = ((2.0 * h[0] + h[1]) * delta[0] - h[0] * delta[1]) / (h[0] + h[1])
-        d[-1] = ((2.0 * h[-1] + h[-2]) * delta[-1] - h[-1] * delta[-2]) / (
-            h[-1] + h[-2]
+        # d[j] = sum_k weights[j][k] * delta[k]
+        d = [((2.0 * hs[0] + hs[1]) * delta[0] - hs[0] * delta[1]) / (hs[0] + hs[1])]
+        weights = [{0: (2.0 * hs[0] + hs[1]) / (hs[0] + hs[1]), 1: -hs[0] / (hs[0] + hs[1])}]
+        for j in range(1, m - 1):
+            d.append((hs[j] * delta[j - 1] + hs[j - 1] * delta[j]) / (hs[j - 1] + hs[j]))
+            weights.append(
+                {j - 1: hs[j] / (hs[j - 1] + hs[j]), j: hs[j - 1] / (hs[j - 1] + hs[j])}
+            )
+        d.append(((2.0 * hs[-1] + hs[-2]) * delta[-1] - hs[-1] * delta[-2]) / (hs[-1] + hs[-2]))
+        weights.append(
+            {m - 3: -hs[-1] / (hs[-1] + hs[-2]), m - 2: (2.0 * hs[-1] + hs[-2]) / (hs[-1] + hs[-2])}
         )
 
-    # Slope filter: zero at extrema, sign-matched and capped elsewhere.
+    # Slope filter: zero at extrema, sign-matched and capped elsewhere.  At
+    # the two ends both neighbouring secants are the one adjacent secant.
+    slopes = np.zeros(m)
+    jac = np.zeros((m, m))
     for j in range(m):
-        left = delta[j - 1] if j > 0 else delta[0]
-        right = delta[j] if j < m - 1 else delta[-1]
-        if left * right <= 0.0 and 0 < j < m - 1:
-            d[j] = 0.0
+        lo, hi = max(j - 1, 0), min(j, m - 2)
+        left, right = delta[lo], delta[hi]
+        if right == 0.0 or (left * right <= 0.0 and 0 < j < m - 1):
             continue
-        ref = right if j < m - 1 else left
-        sign = np.sign(ref)
-        if sign == 0.0:
-            d[j] = 0.0
+        sign = 1.0 if right > 0.0 else -1.0
+        cap = 3.0 * min(abs(left), abs(right))
+        unfiltered = sign * d[j]
+        slopes[j] = sign * min(max(unfiltered, 0.0), cap)
+        if unfiltered > cap:
+            row = {lo if abs(left) <= abs(right) else hi: 3.0}  # 3x the smaller secant
+        elif unfiltered > 0.0:
+            row = weights[j]
+        else:
             continue
-        cap = 3.0 * min(abs(left), abs(right)) if 0 < j < m - 1 else 3.0 * abs(ref)
-        d[j] = sign * min(max(sign * d[j], 0.0), cap)
+        # chain through delta_k = (y_{k+1} - y_k) / h_k
+        for k, c in row.items():
+            jac[j, k] -= c / hs[k]
+            jac[j, k + 1] += c / hs[k]
+    return slopes, jac
 
-    return MonotoneInterpolant(anchors=x, values=y, slopes=d)
+
+def hyman_interp(anchors, values) -> MonotoneInterpolant:
+    """Monotonicity-preserving cubic Hermite interpolation.
+
+    Slopes come from ``hyman_slopes``.  Data that is monotone yields a
+    monotone interpolant; identity data is reproduced exactly.
+    """
+    d, _ = hyman_slopes(anchors, values)
+    return MonotoneInterpolant(
+        anchors=np.asarray(anchors, dtype=float), values=np.asarray(values, dtype=float), slopes=d
+    )
 
 
 def quad_weights(grid) -> np.ndarray:

@@ -9,8 +9,9 @@ interpolated monotonically, with boundary anchors pinned so g(0) = 0 and
 g(1) = 1.
 
 Fitting alternates three conditional steps: generalized least squares for
-the basis weights, penalized quasi-Newton descent for the warp anchors,
-and maximum likelihood for the variance parameters on a linearized model.
+the basis weights, Levenberg-Marquardt for the warp anchors (the warp part
+of the objective is a sum of squares whose Jacobian is analytic), and
+maximum likelihood for the variance parameters on a linearized model.
 The alternation is coordinate descent on one penalized objective
 (residual Mahalanobis norms + warp prior + ridge on group deviations), so
 its trace is non-increasing once the variance parameters are frozen.
@@ -18,12 +19,14 @@ its trace is non-increasing once the variance parameters are frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
+from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
-from .basis import BSplineBasis, hyman_interp
+from .basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
 from .curves import CurvePanel, SubjectCurve
 from .errors import DataError, NumericalError
 from .gp import CholFactor, MaternParams, matern_cov, profile_loglik_parts
@@ -31,6 +34,13 @@ from .gp import CholFactor, MaternParams, matern_cov, profile_loglik_parts
 _BIG = 1e12
 _MONO_EPS = 1e-10
 _INVERT_ITERS = 50
+# Warp solver stopping rules: gradient size and relative objective decrease.
+# Near the minimum LM steps are cheap and converge fast, so the tight decrease
+# bound costs about two extra residual evaluations per solve.
+_FTOL = 1e-13
+_GTOL = 1e-5
+# Held-out grid factors kept per fitted model (see _kernel_factors).
+_GRID_FACTORS_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,10 @@ class MeanWeights:
 
     def coef(self, a: int, label: int) -> np.ndarray:
         return self.shared[a] + self.group[label][a]
+
+    def coefs(self, label: int) -> np.ndarray:
+        """Both coordinates' weights (2, q) for one group."""
+        return self.shared + self.group[label]
 
 
 @dataclass
@@ -278,31 +292,123 @@ def estimate_d(
 
 
 # ---------------------------------------------------------------------------
-# Conditional step 2: warp anchors by penalized quasi-Newton descent.
+# Conditional step 2: warp anchors by Levenberg-Marquardt.
 
 
-def _mean_splines(means: MeanWeights, basis: BSplineBasis, groups) -> dict:
-    return {(a, k): basis.spline(means.coef(a, k)) for a in (0, 1) for k in groups}
+@dataclass(frozen=True)
+class WarpProblem:
+    """One subject's warp residual with everything but the free offsets fixed.
+
+    The ordinates are ``base`` plus the free interior offsets u.
+    ``hermite`` holds the Hermite weights at the subject's times, ``mean``
+    the group's 2-valued mean spline and ``dmean`` its derivative.
+    ``s_factor`` (the factor of I + S) whitens the curve rows and
+    ``prior`` (sqrt(2) L_H^{-1}) adds the warp-prior rows; either may be
+    None to leave that part out.
+    """
+
+    anchors: np.ndarray
+    base: np.ndarray
+    hermite: tuple
+    values: np.ndarray
+    mean: BSpline
+    dmean: BSpline
+    s_factor: CholFactor | None = None
+    prior: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, anchors, base, times, values, basis, coefs, s_factor=None, h_factor=None):
+        """Problem for one curve under the (2, q) mean weights ``coefs``.
+
+        ``h_factor`` is the factor of the warp prior H, or None for no
+        prior rows.
+        """
+        spl = basis.spline(coefs)
+        prior = None if h_factor is None else np.sqrt(2.0) * h_factor.half_solve(np.eye(h_factor.n))
+        return cls(
+            anchors, base, hermite_weights(anchors, times), values, spl, spl.derivative(),
+            s_factor, prior,
+        )
 
 
-def _subject_objective(ctx: GlsContext, curve: SubjectCurve, splines, label):
-    """Objective in the subject's interior offsets, group part held in base."""
-    anchors = ctx.anchors
-    x = curve.values
-    times = curve.times
-    spl1 = splines[(0, label)]
-    spl2 = splines[(1, label)]
+def subject_warp_residuals(prob: WarpProblem, u: np.ndarray):
+    """Residual vector r(u) and its Jacobian J (len(r), len(u)).
 
-    def objective(u, base):
-        ords = base.copy()
-        ords[1:-1] += u
-        if np.any(np.diff(ords) <= _MONO_EPS):
-            return _BIG
-        g = warp_values(anchors, ords, times)
-        resid = np.column_stack([x[:, 0] - spl1(g), x[:, 1] - spl2(g)])
-        return ctx.resid_quad(curve.subject_id, resid) + 2.0 * ctx.warp_quad(u)
+    ``r = [L_S^{-1}(x_1 - mu_1(g)), L_S^{-1}(x_2 - mu_2(g)), sqrt(2) L_H^{-1} u]``,
+    so ``r @ r`` is the subject's term of the penalized objective.  The
+    warp g is linear in the ordinates and the Hyman slopes, which are
+    piecewise linear in the ordinates, so J is analytic.  Returns None
+    when the ordinates are not strictly increasing.
+    """
+    ords = prob.base.copy()
+    ords[1:-1] += u
+    if np.any(np.diff(ords) <= _MONO_EPS):
+        return None
+    d, dd = hyman_slopes(prob.anchors, ords)
+    wy, wd = prob.hermite
+    g = wy @ ords + wd @ d
+    dg = (wy + wd @ dd)[:, 1:-1]
+    slope = prob.dmean(g)
+    cols = np.hstack([prob.values - prob.mean(g), -slope[:, :1] * dg, -slope[:, 1:] * dg])
+    if prob.s_factor is not None:
+        cols = prob.s_factor.half_solve(cols)
+    m = dg.shape[1]
+    r = np.concatenate([cols[:, 0], cols[:, 1]])
+    jac = np.vstack([cols[:, 2 : 2 + m], cols[:, 2 + m :]])
+    if prob.prior is not None:
+        r = np.concatenate([r, prob.prior @ u])
+        jac = np.vstack([jac, prob.prior])
+    return r, jac
 
-    return objective
+
+def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
+    """Minimize ||r(u)||^2 by damped Gauss-Newton steps (More, 1978).
+
+    ``residuals(u)`` returns (r, J), or None where u is infeasible.  A trial
+    that is infeasible or does not lower the objective is rejected and the
+    damping raised, so every accepted step descends.  Damping is scaled by
+    diag(J'J) (Marquardt) and updated by the gain ratio (Nielsen).  It has
+    converged when the gradient of f is below ``_GTOL``, or when an accepted
+    step, or the model's promise for a rejected one, lowers f by at most
+    ``_FTOL * max(f, 1)``; it stops short after ``max_evals`` evaluations of
+    ``residuals``.  Returns (u, f, converged); f is inf for an infeasible
+    start.
+    """
+    out = residuals(u0)
+    if out is None:
+        return u0, np.inf, False
+    r, jac = out
+    u, f = u0, float(r @ r)
+    lam, nu = 1e-3, 2.0
+    for _ in range(max_evals - 1):
+        grad = jac.T @ r
+        if 2.0 * np.max(np.abs(grad), initial=0.0) <= _GTOL:
+            return u, f, True
+        jtj = jac.T @ jac
+        diag = np.maximum(np.diag(jtj), 1e-12 * np.max(np.diag(jtj)))
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+        except np.linalg.LinAlgError:
+            lam, nu = lam * nu, 2.0 * nu
+            continue
+        pred = -float(2.0 * step @ grad + step @ jtj @ step)
+        tol = _FTOL * max(f, 1.0)
+        trial = residuals(u + step)
+        f_new = np.inf if trial is None else float(trial[0] @ trial[0])
+        if not f_new < f:
+            if pred <= tol:
+                return u, f, True
+            lam, nu = lam * nu, 2.0 * nu
+            continue
+        gain = (f - f_new) / pred if pred > 0 else 0.0
+        lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        nu = 2.0
+        done = f - f_new <= tol
+        u, f = u + step, f_new
+        r, jac = trial
+        if done:
+            return u, f, True
+    return u, f, False
 
 
 def fit_warps(
@@ -311,31 +417,47 @@ def fit_warps(
     ctx: GlsContext,
     warps_init: WarpState,
     maxfun: int = 500,
-    fd_step: float = 1e-5,
 ) -> tuple[WarpState, dict]:
     """Minimize the warp part of the penalized objective.
 
     Per-subject interior offsets are independent given the group offsets
-    and are optimized as separate quasi-Newton problems with
-    finite-difference gradients; group offsets get their own pass.
-    Non-monotone proposals are rejected through a barrier, subjects are
-    re-centered within each group, and every accepted update is checked
-    for descent, so the objective never increases.
+    and are fit as separate Levenberg-Marquardt problems; group offsets
+    get their own pass on their members' stacked residuals (no prior, as
+    they are fixed effects).  ``maxfun`` caps the residual evaluations of
+    each solve.  Subjects are re-centered within each group, updates are
+    kept only if they do not raise their solve's objective, and the whole
+    step is reverted if the total rose, so the objective never increases.
     """
     warps = warps_init.copy()
+    anchors = warps.anchors
     groups = sorted(set(warps.group_of.values()))
-    splines = _mean_splines(means, ctx.basis, groups)
     stats = {"n_opt": 0, "n_converged": 0}
-    opts = {"maxfun": maxfun, "eps": fd_step}
+
+    def problem(curve, base, with_prior=True):
+        sid = curve.subject_id
+        return WarpProblem.build(
+            anchors, base, curve.times, curve.values, ctx.basis,
+            means.coefs(warps.group_of[sid]), ctx.s_factors[sid],
+            ctx.warp_prior if with_prior else None,
+        )
 
     def total_objective(state: WarpState) -> float:
         total = 0.0
         for curve in panel.curves:
-            k = state.group_of[curve.subject_id]
-            obj = _subject_objective(ctx, curve, splines, k)
-            base = state.anchors + state.group_offsets[k]
-            total += obj(state.subject_offsets[curve.subject_id][1:-1], base)
+            base = anchors + state.group_offsets[state.group_of[curve.subject_id]]
+            out = subject_warp_residuals(
+                problem(curve, base), state.subject_offsets[curve.subject_id][1:-1]
+            )
+            if out is None:
+                return np.inf
+            total += float(out[0] @ out[0])
         return total
+
+    def solve(residuals, u0):
+        u, _, converged = _levenberg_marquardt(residuals, u0, maxfun)
+        stats["n_opt"] += 1
+        stats["n_converged"] += int(converged)
+        return u
 
     before = total_objective(warps)
 
@@ -344,18 +466,13 @@ def fit_warps(
         by_group[warps.group_of[curve.subject_id]].append(curve)
 
     for k in groups:
-        base = warps.anchors + warps.group_offsets[k]
+        base = anchors + warps.group_offsets[k]
         for curve in by_group[k]:
-            sid = curve.subject_id
-            obj = _subject_objective(ctx, curve, splines, k)
-            u0 = warps.subject_offsets[sid][1:-1].copy()
-            f0 = obj(u0, base)
-            res = minimize(obj, u0, args=(base,), method="L-BFGS-B", options=opts)
-            stats["n_opt"] += 1
-            if res.status == 0:
-                stats["n_converged"] += 1
-            if np.isfinite(res.fun) and res.fun <= f0:
-                warps.subject_offsets[sid][1:-1] = res.x
+            # never worse than the start: LM accepts only descending steps
+            offsets = warps.subject_offsets[curve.subject_id]
+            offsets[1:-1] = solve(
+                partial(subject_warp_residuals, problem(curve, base)), offsets[1:-1].copy()
+            )
 
         # Re-center the random offsets; the shift moves into the group part.
         members = [warps.subject_offsets[c.subject_id] for c in by_group[k]]
@@ -365,32 +482,19 @@ def fit_warps(
             warps.subject_offsets[c.subject_id][:] -= shift
         warps.group_offsets[k] = warps.group_offsets[k] + shift
 
-        # Group offsets are fixed effects: only the residual part moves.
-        def group_cost(uk, label=k):
-            ords_k = warps.anchors.copy()
-            ords_k[1:-1] += uk
-            spl1 = splines[(0, label)]
-            spl2 = splines[(1, label)]
-            total = 0.0
-            for curve in by_group[label]:
-                ords = ords_k + warps.subject_offsets[curve.subject_id]
-                if np.any(np.diff(ords) <= _MONO_EPS):
-                    return _BIG
-                g = warp_values(warps.anchors, ords, curve.times)
-                resid = np.column_stack(
-                    [curve.values[:, 0] - spl1(g), curve.values[:, 1] - spl2(g)]
-                )
-                total += ctx.resid_quad(curve.subject_id, resid)
-            return total
+        # Group offsets are fixed effects: only the residual rows move.
+        probs = [
+            problem(c, anchors + warps.subject_offsets[c.subject_id], with_prior=False)
+            for c in by_group[k]
+        ]
 
-        uk0 = warps.group_offsets[k][1:-1].copy()
-        fk0 = group_cost(uk0)
-        res = minimize(group_cost, uk0, method="L-BFGS-B", options=opts)
-        stats["n_opt"] += 1
-        if res.status == 0:
-            stats["n_converged"] += 1
-        if np.isfinite(res.fun) and res.fun <= fk0:
-            warps.group_offsets[k][1:-1] = res.x
+        def group_residuals(v, probs=probs):
+            outs = [subject_warp_residuals(prob, v) for prob in probs]
+            if any(out is None for out in outs):
+                return None
+            return np.concatenate([o[0] for o in outs]), np.vstack([o[1] for o in outs])
+
+        warps.group_offsets[k][1:-1] = solve(group_residuals, warps.group_offsets[k][1:-1].copy())
 
     after = total_objective(warps)
     if not after <= before + 1e-9 * max(1.0, abs(before)):
@@ -438,41 +542,31 @@ def build_linearization(
     means: MeanWeights,
     warps: WarpState,
     basis: BSplineBasis,
-    fd_step: float = 1e-6,
 ) -> tuple[dict, dict, dict]:
     """First-order expansion of the fitted curves in the random warp offsets.
 
     Returns per-subject fitted values (n, 2), the Jacobian with respect to
     the interior anchor offsets (2, n, n_int), and the current offsets.
-    The Jacobian chains the analytic spline derivative with a central
-    finite-difference sensitivity of the warp to each anchor ordinate.
+    Both come from ``subject_warp_residuals`` on zero data without
+    whitening, where the residual is minus the fitted curves.
     """
-    groups = sorted(set(warps.group_of.values()))
-    splines = _mean_splines(means, basis, groups)
-    dsplines = {key: spl.derivative() for key, spl in splines.items()}
     anchors = warps.anchors
-    n_int = len(anchors) - 2
     fitted, jac, w0 = {}, {}, {}
     for curve in panel.curves:
         sid = curve.subject_id
         k = warps.group_of[sid]
-        ords = warps.ordinates(sid)
-        g0 = warp_values(anchors, ords, curve.times)
-        sens = np.empty((len(curve.times), n_int))
-        for m in range(n_int):
-            up = ords.copy()
-            up[1 + m] += fd_step
-            dn = ords.copy()
-            dn[1 + m] -= fd_step
-            sens[:, m] = (
-                warp_values(anchors, up, curve.times)
-                - warp_values(anchors, dn, curve.times)
-            ) / (2.0 * fd_step)
-        fitted[sid] = np.column_stack([splines[(0, k)](g0), splines[(1, k)](g0)])
-        jac[sid] = np.stack(
-            [dsplines[(0, k)](g0)[:, None] * sens, dsplines[(1, k)](g0)[:, None] * sens]
+        n = len(curve.times)
+        prob = WarpProblem.build(
+            anchors, anchors + warps.group_offsets[k], curve.times, np.zeros((n, 2)),
+            basis, means.coefs(k),
         )
         w0[sid] = warps.subject_offsets[sid][1:-1].copy()
+        out = subject_warp_residuals(prob, w0[sid])
+        if out is None:
+            raise NumericalError(f"non-monotone warp ordinates for subject {sid}")
+        r, dr = out
+        fitted[sid] = -r.reshape(2, n).T
+        jac[sid] = -dr.reshape(2, n, -1)
     return fitted, jac, w0
 
 
@@ -635,7 +729,11 @@ def fit_variance(
 
 @dataclass(frozen=True)
 class RegistrationConfig:
-    """Tuning constants of the alternating fit; defaults match the studies."""
+    """Tuning constants of the alternating fit; defaults match the studies.
+
+    ``warp_maxfun`` caps the residual evaluations of each warp solve (one
+    subject, one group, or one start of a held-out subject's fit).
+    """
 
     n_interior_knots: int = 8
     spline_order: int = 4
@@ -645,7 +743,6 @@ class RegistrationConfig:
     curve_cov_init: tuple = (1.0, 0.3, 3.0)
     warp_cov_init: tuple = (1.0, 0.3, 3.0)
     warp_maxfun: int = 500
-    warp_fd_step: float = 1e-5
     variance_maxiter: int = 100
     n_variance_updates: int = 2
     max_outer: int = 20
@@ -658,6 +755,20 @@ class RegistrationConfig:
             MaternParams(*self.curve_cov_init),
             MaternParams(*self.warp_cov_init),
         )
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "RegistrationConfig":
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise DataError(f"unknown registration config keys: {sorted(unknown)}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()})
 
 
 @dataclass
@@ -674,6 +785,8 @@ class RegistrationFit:
     n_outer: int
     warp_opt_total: int
     warp_opt_converged: int
+    # Kernel factors reused by fit_subject_warp; never serialized.
+    _factors: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def trace(self) -> list:
@@ -719,12 +832,7 @@ class RegistrationFit:
                     self.var.warp_cov.smoothness,
                 ],
             },
-            "config": {
-                "ridge_lambda": self.config.ridge_lambda,
-                "n_interior_knots": self.config.n_interior_knots,
-                "spline_order": self.config.spline_order,
-                "n_align_grid": self.config.n_align_grid,
-            },
+            "config": self.config.to_dict(),
             "trace_phases": self.trace_phases,
             "converged": bool(self.converged),
             "n_outer": int(self.n_outer),
@@ -763,13 +871,8 @@ class RegistrationFit:
             MaternParams(*v["curve_cov"]),
             MaternParams(*v["warp_cov"]),
         )
-        cfg = RegistrationConfig(
-            n_interior_knots=int(payload["config"]["n_interior_knots"]),
-            spline_order=int(payload["config"]["spline_order"]),
-            warp_anchors=tuple(payload["anchors"]),
-            ridge_lambda=float(payload["config"]["ridge_lambda"]),
-            n_align_grid=int(payload["config"]["n_align_grid"]),
-        )
+        # artifacts written before the whole config was stored lack warp_anchors
+        cfg = RegistrationConfig.from_dict({"warp_anchors": payload["anchors"], **payload["config"]})
         return cls(
             basis=basis,
             means=means,
@@ -838,7 +941,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
         )
         means = MeanWeights(c_hat, d_hat)
 
-        warps, stats = fit_warps(panel, means, ctx, warps, cfg.warp_maxfun, cfg.warp_fd_step)
+        warps, stats = fit_warps(panel, means, ctx, warps, cfg.warp_maxfun)
         opt_total += stats["n_opt"]
         opt_conv += stats["n_converged"]
 
@@ -907,84 +1010,70 @@ def align_curves(panel: CurvePanel, fit: RegistrationFit, n_grid: int | None = N
     return AlignedPanel(grid=grid, subject_ids=ids, values=values)
 
 
+def _kernel_factors(fit: RegistrationFit, times: np.ndarray) -> tuple:
+    """Factors of I + S on ``times`` and of the warp prior H, from a cache.
+
+    The cache is an immutable snapshot on the fit, replaced by one
+    attribute assignment, so concurrent predictions never see it half
+    built.  It is keyed by the variance parameters and anchors, holds at
+    most ``_GRID_FACTORS_KEPT`` grids (oldest dropped first), and a hit
+    returns the factor a miss would compute.
+    """
+    key = (fit.var, fit.warps.anchors.tobytes())
+    snap = fit._factors
+    if snap is None or snap[0] != key:
+        snap = (key, CholFactor(matern_cov(fit.var.warp_cov, fit.warps.anchors[1:-1])), {})
+    grid = times.tobytes()
+    s_fac = snap[2].get(grid)
+    if s_fac is None:
+        s_fac = CholFactor(np.eye(len(times)) + matern_cov(fit.var.curve_cov, times))
+        kept = list(snap[2].items())[-(_GRID_FACTORS_KEPT - 1) :]
+        snap = (key, snap[1], dict(kept + [(grid, s_fac)]))
+    fit._factors = snap
+    return s_fac, snap[1]
+
+
 def fit_subject_warp(
     curve: SubjectCurve,
     fit: RegistrationFit,
     label: int,
     maxfun: int = 500,
-    fd_step: float = 1e-5,
 ) -> tuple[np.ndarray, bool]:
     """Estimate random warp offsets for a subject not in the training fit.
 
     Group offsets and all model parameters stay at their fitted values;
-    only the subject's interior anchor offsets are optimized.  Returns
-    the full offset vector (boundaries zero) and a success flag.
+    only the subject's interior anchor offsets are optimized, with at
+    most ``maxfun`` residual evaluations per start.  Returns the full
+    offset vector (boundaries zero) and a success flag.
     """
     anchors = fit.warps.anchors
     if label not in fit.warps.group_offsets:
         raise DataError(f"unknown group label {label!r}")
     try:
-        s_fac = CholFactor(
-            np.eye(len(curve.times)) + matern_cov(fit.var.curve_cov, curve.times)
-        )
-        h_fac = CholFactor(matern_cov(fit.var.warp_cov, anchors[1:-1]))
+        s_fac, h_fac = _kernel_factors(fit, curve.times)
     except NumericalError:
         return np.zeros(len(anchors)), False
-    spl1 = fit.basis.spline(fit.means.coef(0, label))
-    spl2 = fit.basis.spline(fit.means.coef(1, label))
-    base = anchors + fit.warps.group_offsets[label]
-    x = curve.values
+    prob = WarpProblem.build(
+        anchors, anchors + fit.warps.group_offsets[label], curve.times, curve.values,
+        fit.basis, fit.means.coefs(label), s_fac, h_fac,
+    )
 
-    def objective(u):
-        ords = base.copy()
-        ords[1:-1] += u
-        if np.any(np.diff(ords) <= _MONO_EPS):
-            return _BIG
-        g = warp_values(anchors, ords, curve.times)
-        resid = np.column_stack([x[:, 0] - spl1(g), x[:, 1] - spl2(g)])
-        z = s_fac.half_solve(resid)
-        return float(np.sum(z * z)) + 2.0 * h_fac.quad(u)
-
+    residuals = partial(subject_warp_residuals, prob)
     m = len(anchors) - 2
     u0 = np.zeros(m)
-    f0 = objective(u0)
     out = np.zeros(len(anchors))
-    if not np.isfinite(f0) or f0 >= _BIG:
+    start = residuals(u0)
+    if start is None:
         return out, False
+    f0 = float(start[0] @ start[0])
 
     # Cold-started and one-shot, unlike the training pass, so hedge with a
-    # few fixed alternative starts and polish abnormal line-search exits
-    # with a coarser difference step before giving up on them.
+    # few fixed alternative starts.
     best_f, best_u, best_clean = f0, u0, False
     for u_start in (u0, np.full(m, 0.015), np.full(m, -0.015)):
-        try:
-            res = minimize(
-                objective,
-                u_start,
-                method="L-BFGS-B",
-                options={"maxfun": maxfun, "eps": fd_step},
-            )
-            clean = res.status == 0
-            if not clean and np.all(np.isfinite(res.x)):
-                res2 = minimize(
-                    objective,
-                    res.x,
-                    method="L-BFGS-B",
-                    options={"maxfun": maxfun, "eps": 1e-4},
-                )
-                if np.isfinite(res2.fun) and res2.fun <= res.fun:
-                    # Agreement across the two difference scales counts as
-                    # convergence; the line search also exits abnormally when
-                    # the objective is already flat at machine scale.
-                    clean = res2.status == 0 or (
-                        res.fun - res2.fun <= 1e-9 * max(1.0, abs(res.fun))
-                        and np.max(np.abs(res2.x - res.x)) <= 1e-5
-                    )
-                    res = res2
-        except (ValueError, FloatingPointError):
-            continue
-        if np.isfinite(res.fun) and (res.fun < best_f or (res.fun <= best_f and not best_clean)):
-            best_f, best_u, best_clean = res.fun, res.x, clean
+        u, f, clean = _levenberg_marquardt(residuals, u_start, maxfun)
+        if f < best_f or (f <= best_f and not best_clean):
+            best_f, best_u, best_clean = f, u, clean
     if best_f < f0:
         out[1:-1] = best_u
     return out, best_clean

@@ -1,6 +1,7 @@
 """First-level registration: GLS steps, warp fitting, variance, outer loop."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -481,6 +482,29 @@ def test_fit_round_trips_through_dict(small_fit):
     a = align_curves(panel, fit)
     b = align_curves(panel, back)
     assert np.array_equal(a.values, b.values)
+
+
+def test_fit_config_round_trips_through_dict():
+    cfg = RegistrationConfig(
+        n_interior_knots=5,
+        spline_order=3,
+        warp_anchors=(0.0, 0.4, 1.0),
+        ridge_lambda=0.25,
+        noise_sd_init=0.07,
+        curve_cov_init=(2.0, 0.2, 2.5),
+        warp_cov_init=(0.5, 0.4, 1.5),
+        warp_maxfun=40,
+        variance_maxiter=12,
+        n_variance_updates=1,
+        max_outer=3,
+        tol_rel=1e-6,
+        n_align_grid=51,
+    )
+    defaults = RegistrationConfig()
+    assert all(getattr(cfg, f) != getattr(defaults, f) for f in cfg.to_dict())
+    fit = replace(_handmade_fit(), config=cfg)
+    back = RegistrationFit.from_dict(json.loads(json.dumps(fit.to_dict())))
+    assert back.config == fit.config
 
 
 def test_registration_requires_labels_and_two_groups():

@@ -1,0 +1,271 @@
+"""The warp residual, its analytic Jacobian, and the held-out warp fit."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from warpclass.basis import BSplineBasis, hyman_interp, hyman_slopes
+from warpclass.curves import CurvePanel, ScalarRecord, SubjectCurve
+from warpclass.gp import CholFactor, MaternParams, matern_cov
+from warpclass.registration import (
+    MeanWeights,
+    RegistrationConfig,
+    RegistrationFit,
+    VarianceParams,
+    WarpProblem,
+    WarpState,
+    _levenberg_marquardt,
+    build_context,
+    fit_subject_warp,
+    penalized_objective,
+    subject_warp_residuals,
+    warp_values,
+)
+
+ANCHORS = np.array([0.0, 0.33, 0.67, 1.0])
+# Strictly increasing ordinates on ANCHORS whose Hyman slopes take the
+# zero branch at the first anchor and the capped branch at the second.
+BRANCHY = np.array([0.0, 0.05, 0.67, 1.0])
+
+
+def _coefs(basis):
+    grid = np.linspace(0.0, 1.0, 400)
+    psi = basis.design(grid)
+    targets = np.column_stack(
+        [np.sin(2 * np.pi * grid) + 2 * grid, np.exp(np.cos(2 * np.pi * grid))]
+    )
+    return np.linalg.lstsq(psi, targets, rcond=None)[0].T
+
+
+def _var(curve_amp=0.5, warp_amp=0.2, noise=0.05):
+    return VarianceParams(noise, MaternParams(curve_amp, 0.3, 3.0), MaternParams(warp_amp, 0.3, 1.5))
+
+
+def _problem(ords, n=30, seed=0):
+    """Whitened problem with prior rows whose free offsets at zero give ``ords``."""
+    rng = np.random.default_rng(seed)
+    basis = BSplineBasis.uniform(4, 4)
+    t = np.linspace(0.0, 1.0, n)
+    var = _var()
+    s_fac = CholFactor(np.eye(n) + matern_cov(var.curve_cov, t))
+    h_fac = CholFactor(matern_cov(var.warp_cov, ANCHORS[1:-1]))
+    values = rng.standard_normal((n, 2))
+    return WarpProblem.build(ANCHORS, ords, t, values, basis, _coefs(basis), s_fac, h_fac)
+
+
+def _check_jacobian(base, u) -> int:
+    """Compare J with central differences; returns the columns compared.
+
+    A column is skipped where the forward and backward differences
+    disagree, i.e. a slope-filter branch switches inside the stencil.
+    """
+    prob = _problem(base)
+    out = subject_warp_residuals(prob, u)
+    if out is None:
+        return 0  # u pushed the ordinates out of order
+    r, jac = out
+    eps = 1e-6
+    checked = 0
+    for m in range(len(u)):
+        e = np.zeros(len(u))
+        e[m] = eps
+        up = subject_warp_residuals(prob, u + e)
+        dn = subject_warp_residuals(prob, u - e)
+        if up is None or dn is None:
+            continue
+        forward = (up[0] - r) / eps
+        backward = (r - dn[0]) / eps
+        if np.max(np.abs(forward - backward)) > 1e-3 * max(1.0, np.max(np.abs(forward))):
+            continue
+        central = (up[0] - dn[0]) / (2 * eps)
+        scale = max(1.0, np.max(np.abs(central)))
+        assert np.max(np.abs(jac[:, m] - central)) < 1e-6 * scale
+        checked += 1
+    return checked
+
+
+def test_jacobian_on_the_zero_and_capped_slope_branches():
+    d, _ = hyman_slopes(ANCHORS, BRANCHY)
+    secants = np.diff(BRANCHY) / np.diff(ANCHORS)
+    assert d[0] == 0.0
+    assert d[1] == 3.0 * secants[0]
+    assert _check_jacobian(BRANCHY, np.zeros(2)) == 2
+    assert _check_jacobian(BRANCHY, np.array([0.004, -0.006])) == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(st.floats(0.02, 1.0), min_size=3, max_size=3),
+    u=st.lists(st.floats(-0.01, 0.01), min_size=2, max_size=2),
+)
+@example(steps=list(np.diff(BRANCHY)), u=[0.0, 0.0])
+def test_warp_jacobian_matches_central_differences(steps, u):
+    base = np.concatenate([[0.0], np.cumsum(steps)])
+    _check_jacobian(base / base[-1], np.asarray(u))
+
+
+def test_residual_norm_equals_the_subjects_objective_term():
+    basis = BSplineBasis.uniform(4, 4)
+    coefs = _coefs(basis)
+    rng = np.random.default_rng(7)
+    t = np.linspace(0.0, 1.0, 40)
+    values = np.column_stack([np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)])
+    values = values + 0.05 * rng.standard_normal(values.shape)
+    panel = CurvePanel(
+        (SubjectCurve("s1", t, values),), (ScalarRecord("s1", np.array([1.0]), 0),)
+    )
+    warps = WarpState.identity(ANCHORS, {"s1": 0})
+    warps.group_offsets[0][1:-1] = [0.02, -0.01]
+    warps.subject_offsets["s1"][1:-1] = [0.03, 0.015]
+    means = MeanWeights(coefs, {0: 0.1 * rng.standard_normal(coefs.shape)})
+    ctx = build_context(panel, basis, ANCHORS, _var())
+    want = penalized_objective(panel, means, warps, ctx, ridge_lambda=0.0)
+
+    prob = WarpProblem.build(
+        ANCHORS, ANCHORS + warps.group_offsets[0], t, values, basis, means.coefs(0),
+        ctx.s_factors["s1"], ctx.warp_prior,
+    )
+    r, _ = subject_warp_residuals(prob, warps.subject_offsets["s1"][1:-1])
+    assert abs(r @ r - want) <= 1e-10 * abs(want)
+
+
+def test_levenberg_marquardt_descends_and_respects_infeasibility():
+    seen = []
+
+    def rosenbrock(u, bound=np.inf):
+        if u[0] > bound:
+            return None
+        r = np.array([10.0 * (u[1] - u[0] ** 2), 1.0 - u[0]])
+        seen.append(float(r @ r))
+        return r, np.array([[-20.0 * u[0], 10.0], [-1.0, 0.0]])
+
+    u, f, converged = _levenberg_marquardt(rosenbrock, np.array([-1.2, 1.0]), 200)
+    assert converged and f < 1e-12 and np.allclose(u, 1.0, atol=1e-6)
+    assert f == min(seen)  # only descending steps are accepted
+
+    # past u_0 = 0.5 the residual is undefined: the solver stays feasible
+    seen.clear()
+    u, f, _ = _levenberg_marquardt(lambda v: rosenbrock(v, 0.5), np.array([-1.2, 1.0]), 200)
+    assert u[0] <= 0.5 and f == min(seen) and f < 0.3
+    u, f, converged = _levenberg_marquardt(lambda v: rosenbrock(v, -2.0), np.array([0.0, 0.0]), 5)
+    assert f == np.inf and not converged
+
+
+# ---------------------------------------------------------------------------
+# Held-out warp fit.
+
+
+def _fit(group_offsets):
+    basis = BSplineBasis.uniform(4, 4)
+    coefs = _coefs(basis)
+    means = MeanWeights(coefs, {0: np.zeros_like(coefs), 1: np.zeros_like(coefs)})
+    warps = WarpState.identity(ANCHORS, {"tr0": 0, "tr1": 1})
+    for k, off in group_offsets.items():
+        warps.group_offsets[k][1:-1] = off
+    return RegistrationFit(
+        basis=basis,
+        means=means,
+        warps=warps,
+        var=_var(curve_amp=0.3, warp_amp=0.05, noise=0.05),
+        config=RegistrationConfig(n_interior_knots=4),
+        trace_phases=[[1.0]],
+        converged=True,
+        n_outer=1,
+        warp_opt_total=0,
+        warp_opt_converged=0,
+    )
+
+
+def _subjects(fit, n_subjects, seed, jitter=0.0):
+    """Noisy warped curves; some warps extreme, grids optionally jittered."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n_subjects):
+        t = np.linspace(0.0, 1.0, 50)
+        if jitter:
+            t[1:-1] += rng.uniform(-jitter, jitter, 48)
+        label = i % 2
+        off = np.zeros(4)
+        off[1:-1] = rng.uniform(-0.12, 0.12, 2) if i % 3 == 0 else rng.normal(0, 0.04, 2)
+        ords = ANCHORS + fit.warps.group_offsets[label] + off
+        if np.any(np.diff(ords) <= 0.05):
+            ords = ANCHORS + fit.warps.group_offsets[label]
+        g = hyman_interp(ANCHORS, ords)(t)
+        spl = fit.basis.spline(fit.means.coefs(label))
+        values = spl(g) + 0.05 * rng.standard_normal((len(t), 2))
+        out.append((SubjectCurve(f"new{i}", t, values), label))
+    return out
+
+
+def _objective(fit, curve, label, offsets):
+    """The held-out subject's objective, written out independently."""
+    s_fac = CholFactor(np.eye(len(curve.times)) + matern_cov(fit.var.curve_cov, curve.times))
+    h_fac = CholFactor(matern_cov(fit.var.warp_cov, ANCHORS[1:-1]))
+    ords = ANCHORS + fit.warps.group_offsets[label] + offsets
+    g = warp_values(ANCHORS, ords, curve.times)
+    resid = curve.values - fit.basis.spline(fit.means.coefs(label))(g)
+    z = s_fac.half_solve(resid)
+    return float(np.sum(z * z)) + 2.0 * h_fac.quad(offsets[1:-1])
+
+
+def test_fit_subject_warp_is_monotone_and_never_worse_than_the_start():
+    fit = _fit({0: [0.03, -0.02], 1: [-0.05, 0.04]})
+    n_converged = 0
+    for curve, label in _subjects(fit, 12, seed=11):
+        for k in (label, 1 - label):  # predict_new also tries the other label
+            offsets, ok = fit_subject_warp(curve, fit, k)
+            ords = ANCHORS + fit.warps.group_offsets[k] + offsets
+            assert np.all(np.diff(ords) > 0)
+            assert offsets[0] == offsets[-1] == 0.0
+            before = _objective(fit, curve, k, np.zeros(4))
+            assert _objective(fit, curve, k, offsets) <= before * (1 + 1e-12)
+            n_converged += ok
+    assert n_converged == 24
+
+
+def test_fit_subject_warp_is_identical_with_a_cold_or_warm_factor_cache():
+    fit = _fit({0: [0.03, -0.02], 1: [-0.05, 0.04]})
+    subjects = _subjects(fit, 6, seed=13) + _subjects(fit, 20, seed=17, jitter=0.004)
+    cold = []
+    for curve, label in subjects:
+        fit._factors = None
+        cold.append(fit_subject_warp(curve, fit, label))
+    # the shared grid hits after its first subject; the 20 jittered grids
+    # miss, and overflow the cache so that it drops its oldest entries
+    warm = [fit_subject_warp(curve, fit, label) for curve, label in subjects]
+    for (a, ok_a), (b, ok_b) in zip(cold, warm):
+        assert a.tobytes() == b.tobytes() and ok_a == ok_b
+
+
+def test_factor_cache_follows_a_change_of_variance_parameters():
+    fit = _fit({0: [0.0, 0.0], 1: [0.0, 0.0]})
+    (curve, label), = _subjects(fit, 1, seed=19)
+    fit_subject_warp(curve, fit, label)
+    fit.var = _var(curve_amp=2.0, warp_amp=0.05, noise=0.05)
+    warm, _ = fit_subject_warp(curve, fit, label)
+    fit._factors = None
+    cold, _ = fit_subject_warp(curve, fit, label)
+    assert warm.tobytes() == cold.tobytes()
+
+
+def test_concurrent_fits_share_the_factor_cache_safely():
+    fit = _fit({0: [0.03, -0.02], 1: [-0.05, 0.04]})
+    subjects = _subjects(fit, 8, seed=23) + _subjects(fit, 16, seed=29, jitter=0.004)
+    want = []
+    for curve, label in subjects:
+        fit._factors = None
+        want.append(fit_subject_warp(curve, fit, label))
+    fit._factors = None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fit_subject_warp, c, fit, k) for c, k in subjects * 2]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (a, ok_a), (b, ok_b) in zip(want * 2, got):
+        assert a.tobytes() == b.tobytes() and ok_a == ok_b
