@@ -15,14 +15,14 @@ repeat until the label and probability stop moving.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import TruncatedPowerBasis, cross_gram, quad_weights
 from .curves import CurvePanel, SubjectCurve
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_format_version
 from .registration import (
     RegistrationFit,
     align_curves,
@@ -31,7 +31,11 @@ from .registration import (
 )
 from .rng import substream
 
+_log = logging.getLogger(__name__)
+
 _PROB_FLOOR = 1e-15
+# Version of the ClassifierModel dict layout; from_dict accepts only this one.
+_MODEL_FORMAT_VERSION = 1
 DEFAULT_CV_GRID = ((12, 6), (12, 10), (18, 6), (18, 10))
 
 
@@ -193,7 +197,7 @@ class ClassifierModel:
             "n_passes": int(self.n_passes),
             "deviance_trace": [[float(v) for v in inner] for inner in self.deviance_trace],
             "scalar_b": None if self.scalar_b is None else self.scalar_b.tolist(),
-            "format_version": 1,
+            "format_version": _MODEL_FORMAT_VERSION,
         }
         if self.coef_basis is not None:
             out["coef_basis"] = {
@@ -216,6 +220,7 @@ class ClassifierModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ClassifierModel":
+        check_format_version(payload, _MODEL_FORMAT_VERSION, "classifier model")
         model = cls(
             b0=float(payload["b0"]),
             b1=np.asarray(payload["b1"], dtype=float),
@@ -548,7 +553,7 @@ def cross_validate_K(
         train_mask = ~val_mask
         y_train = labels[train_mask]
         if len(np.unique(y_train)) < 2 or val_mask.sum() == 0:
-            warnings.warn(f"fold {fold} skipped: single-class training split")
+            _log.warning("fold %d skipped: single-class training split", fold)
             continue
         fpca_pair = []
         for a in (0, 1):
@@ -575,7 +580,7 @@ def cross_validate_K(
                     scalar_design[train_mask], func_design[train_mask], y_train
                 )
             except NumericalError:
-                warnings.warn(f"fold {fold} pair ({kx},{ke}) skipped: fit failure")
+                _log.warning("fold %d pair (%d,%d) skipped: fit failure", fold, kx, ke)
                 continue
             eta = (
                 model.b0

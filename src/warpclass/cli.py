@@ -35,7 +35,7 @@ from .curves import (
     save_curves,
     save_scalars,
 )
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_format_version
 from .registration import RegistrationFit, align_curves, fit_registration
 from .simeval import (
     MetricsReport,
@@ -264,11 +264,11 @@ def cmd_fit(args) -> int:
 
 def _load_fit(fit_dir) -> tuple[RegistrationFit, ClassifierModel]:
     fit_dir = Path(fit_dir)
-    reg_payload = _read_json(fit_dir / "registration.json")
-    cls_payload = _read_json(fit_dir / "classifier.json")
-    reg_fit = RegistrationFit.from_dict(reg_payload["fit"])
-    model = ClassifierModel.from_dict(cls_payload["model"])
-    return reg_fit, model
+    reg_fit = _load_registration_only(fit_dir)
+    path = fit_dir / "classifier.json"
+    cls_payload = _read_json(path)
+    check_format_version(cls_payload, FORMAT_VERSION, str(path))
+    return reg_fit, ClassifierModel.from_dict(cls_payload["model"])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +346,9 @@ def cmd_register(args) -> int:
 
 
 def _load_registration_only(fit_dir) -> RegistrationFit:
-    payload = _read_json(Path(fit_dir) / "registration.json")
+    path = Path(fit_dir) / "registration.json"
+    payload = _read_json(path)
+    check_format_version(payload, FORMAT_VERSION, str(path))
     return RegistrationFit.from_dict(payload["fit"])
 
 

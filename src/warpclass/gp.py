@@ -1,20 +1,35 @@
 """Matern covariance kernels and Gaussian linear algebra.
 
+The Matern correlation ``2^(1-nu)/Gamma(nu) x^nu K_nu(x)`` is evaluated
+without the general Bessel routine whenever the order allows.  For an
+integer order the scaled functions ``f_j = x^j K_j(x)`` start from
+``K_0`` and ``x K_1`` and follow the upward recurrence
+``f_(j+1) = x^2 f_(j-1) + 2j f_j``; for a half-integer order the same
+loop starts from the elementary ``f_(1/2)`` and ``f_(3/2)``.  Every term
+is positive, so nothing cancels, and no factor 1/x can overflow near
+zero.  Other orders call ``scipy.special.kv``.  A kernel on one grid is
+evaluated on its strict upper triangle only and mirrored, with the
+diagonal set to the amplitude, so it is exactly symmetric.
+
 Every SPD solve in the package goes through a Cholesky factorization with
 escalating diagonal jitter; explicit matrix inverses are never formed.
+A factorization that needed jitter keeps the step it used and logs it.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.special import gamma as gamma_fn
-from scipy.special import kv
+from scipy.special import k0, k1, kv
 
 from .errors import DataError, NumericalError
+
+_log = logging.getLogger(__name__)
 
 # Jitter ladder, applied relative to the mean diagonal of the matrix.
 JITTER_STEPS = (0.0, 1e-10, 1e-8, 1e-6)
@@ -46,31 +61,69 @@ class CovSpec:
             raise DataError(f"unsupported kernel kind {self.kind!r}")
 
 
+def _scaled_bessel(nu: float, x: np.ndarray) -> np.ndarray:
+    """``x^nu K_nu(x)``; integer and half-integer orders by the recurrence."""
+    if float(nu).is_integer():
+        lo, hi, order = k0(x), x * k1(x), 1.0
+    elif (2.0 * nu).is_integer():
+        lo = math.sqrt(0.5 * math.pi) * np.exp(-x)
+        hi, order = (1.0 + x) * lo, 1.5
+        if nu == 0.5:
+            return lo
+    else:
+        return x**nu * kv(nu, x)
+    x2 = x * x
+    while order < nu:
+        lo, hi = hi, x2 * lo + (2.0 * order) * hi
+        order += 1.0
+    return hi
+
+
+def _matern_corr(nu: float, x: np.ndarray) -> np.ndarray:
+    """Matern correlation at scaled distances ``x``; exactly 1 at x = 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = _scaled_bessel(nu, x)
+    # At x = 0, and where x is so small that a Bessel factor overflows, the
+    # correlation is 1 to double precision.
+    return np.where((x > 0.0) & np.isfinite(val), (2.0 ** (1.0 - nu) / gamma_fn(nu)) * val, 1.0)
+
+
 def matern_cov(spec, s_grid, t_grid=None) -> np.ndarray:
     """Matern covariance matrix between two point sets.
 
     Entry (i, j) is ``amplitude * m_nu(|s_i - t_j| / length_scale)`` where
-    ``m_nu`` is the standard Matern correlation with m_nu(0) = 1.
+    ``m_nu`` is the standard Matern correlation with m_nu(0) = 1, at scaled
+    distance ``x = sqrt(2 nu) |s_i - t_j| / length_scale``.  Integer and
+    half-integer orders ``nu`` use the recurrence of the module docstring,
+    other orders ``scipy.special.kv``.  Without ``t_grid`` only the strict
+    upper triangle is evaluated; the result is exactly symmetric with the
+    amplitude on its diagonal.
     """
     params = spec.params if isinstance(spec, CovSpec) else spec
-    s = np.asarray(s_grid, dtype=float)
-    t = s if t_grid is None else np.asarray(t_grid, dtype=float)
     nu = params.smoothness
-    d = np.abs(s[:, None] - t[None, :]) / params.length_scale
-    x = math.sqrt(2.0 * nu) * d
-    corr = np.ones_like(x)
-    pos = x > 1e-8
-    if np.any(pos):
-        xp = x[pos]
-        corr[pos] = (2.0 ** (1.0 - nu) / gamma_fn(nu)) * (xp**nu) * kv(nu, xp)
-    return params.amplitude * corr
+    scale = math.sqrt(2.0 * nu)
+    s = np.asarray(s_grid, dtype=float)
+    if t_grid is not None:
+        t = np.asarray(t_grid, dtype=float)
+        x = scale * (np.abs(s[:, None] - t[None, :]) / params.length_scale)
+        return params.amplitude * _matern_corr(nu, x)
+    n = len(s)
+    rows, cols = np.triu_indices(n, 1)
+    x = scale * (np.abs(s[rows] - s[cols]) / params.length_scale)
+    upper = params.amplitude * _matern_corr(nu, x)
+    out = np.empty((n, n))
+    out[rows, cols] = upper
+    out[cols, rows] = upper
+    np.fill_diagonal(out, params.amplitude)
+    return out
 
 
 class CholFactor:
     """Cholesky factor of an SPD matrix with jitter escalation.
 
     Factorization retries with diagonal jitter 1e-10, 1e-8, 1e-6 (scaled
-    by the mean diagonal) before giving up.
+    by the mean diagonal) before giving up.  ``jitter`` is the step that
+    succeeded (0.0 when none was needed); a nonzero step is logged.
     """
 
     def __init__(self, mat: np.ndarray):
@@ -86,6 +139,9 @@ class CholFactor:
                 bumped = mat if eps == 0.0 else mat + (eps * scale) * np.eye(len(mat))
                 self._cf = sla.cho_factor(bumped, lower=True, check_finite=False)
                 self.n = len(mat)
+                self.jitter = eps
+                if eps > 0.0:
+                    _log.debug("Cholesky needed jitter %g on a %d x %d matrix", eps, self.n, self.n)
                 return
             except np.linalg.LinAlgError as exc:  # pragma: no cover - rethrown below
                 err = exc

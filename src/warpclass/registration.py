@@ -22,6 +22,7 @@ fixed point each time the variance parameters are, and frozen with them.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -33,6 +34,8 @@ from .basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
 from .curves import CurvePanel, SubjectCurve
 from .errors import DataError, NumericalError
 from .gp import CholFactor, MaternParams, matern_cov, profile_loglik_parts
+
+_log = logging.getLogger(__name__)
 
 _BIG = 1e12
 _MONO_EPS = 1e-10
@@ -635,6 +638,7 @@ def build_linearization(
 # above ~5 on the unit interval only pushes correlations towards one.
 _LOG_LO = np.log([1e-3, 0.02, 1e-3, 0.02])
 _LOG_HI = np.log([1e3, 5.0, 1e3, 5.0])
+_VARIANCE_NAMES = ("curve amplitude", "curve length scale", "warp amplitude", "warp length scale")
 
 
 def _variance_negloglik(
@@ -645,11 +649,14 @@ def _variance_negloglik(
     Block covariance per subject and coordinate is S + B H B' + I (times
     the profiled-out noise variance).  The low-rank warp term is handled
     by the Woodbury identity so only one dense factorization per distinct
-    observation grid is needed per evaluation.
+    observation grid is needed per evaluation.  Returns the value and the
+    profiled noise variance; where the likelihood cannot be evaluated the
+    value is ``_BIG`` and the variance NaN.
     """
+    failed = (_BIG, float("nan"))
     lp = np.asarray(log_params, dtype=float)
     if not np.all(np.isfinite(lp)):
-        return _BIG
+        return failed
     excess = np.maximum(lp - _LOG_HI, 0.0) + np.maximum(_LOG_LO - lp, 0.0)
     penalty = 1e3 * float(excess @ excess)
     amp_s, rg_s, amp_h, rg_h = np.exp(np.clip(lp, _LOG_LO, _LOG_HI))
@@ -663,7 +670,7 @@ def _variance_negloglik(
         h_inv = h_fac.solve(np.eye(len(interior)))
         h_logdet = h_fac.logdet()
     except (NumericalError, DataError):
-        return _BIG
+        return failed
     quad_sum = 0.0
     logdet_sum = 0.0
     n_tot = 0
@@ -680,15 +687,15 @@ def _variance_negloglik(
             cap = h_inv + bmat.T @ cinv_b
             sign, cap_logdet = np.linalg.slogdet(cap)
             if sign <= 0:
-                return _BIG
+                return failed
             quad = float(r @ cinv_r - cross @ np.linalg.solve(cap, cross))
             quad_sum += max(quad, 0.0)
             logdet_sum += c_logdet + cap_logdet + h_logdet
             n_tot += len(r)
-    loglik, _ = profile_loglik_parts(quad_sum, logdet_sum, n_tot)
+    loglik, sigma2 = profile_loglik_parts(quad_sum, logdet_sum, n_tot)
     if not np.isfinite(loglik):
-        return _BIG
-    return -loglik + penalty
+        return failed
+    return -loglik + penalty, sigma2
 
 
 def fit_variance(
@@ -705,7 +712,8 @@ def fit_variance(
     Nelder-Mead in log space over (curve amplitude, curve range, warp
     amplitude, warp range); the two smoothness orders stay fixed and the
     noise variance is profiled out in closed form.  Returns the updated
-    parameters and the (initial, final) log likelihood.
+    parameters and the (initial, final) log likelihood.  Each parameter
+    that ends on its box bound (``_LOG_LO``, ``_LOG_HI``) is logged.
     """
     anchors = np.asarray(anchors, dtype=float)
     interior = anchors[1:-1]
@@ -718,8 +726,12 @@ def fit_variance(
         back = np.stack([jac[sid][0] @ w0[sid], jac[sid][1] @ w0[sid]], axis=1)
         resid[sid] = curve.values - fitted[sid] + back
 
+    # profiled noise variance at every evaluated point, so the chosen one
+    # needs no further evaluation
+    sigma2_at = {}
+
     def objective(log_params):
-        return _variance_negloglik(
+        value, sigma2 = _variance_negloglik(
             log_params,
             var_init.curve_cov.smoothness,
             var_init.warp_cov.smoothness,
@@ -729,6 +741,8 @@ def fit_variance(
             jac,
             interior,
         )
+        sigma2_at[np.asarray(log_params, dtype=float).tobytes()] = sigma2
+        return value
 
     # Data-driven start for the curve amplitude: residual variance in excess
     # of the assumed noise floor, in units of the noise variance.
@@ -755,31 +769,14 @@ def fit_variance(
         options={"maxiter": maxiter, "xatol": 1e-2, "fatol": 1e-3, "initial_simplex": simplex},
     )
     best = res.x if np.isfinite(res.fun) and res.fun <= f0 else x0
+    for name, value, lo, hi in zip(_VARIANCE_NAMES, best, _LOG_LO, _LOG_HI):
+        if value <= lo or value >= hi:
+            bound = np.exp(lo if value <= lo else hi)
+            _log.warning("variance parameter %s ends on its box bound %g", name, bound)
     amp_s, rg_s, amp_h, rg_h = np.exp(np.clip(best, _LOG_LO, _LOG_HI))
     curve_cov = replace(var_init.curve_cov, amplitude=amp_s, length_scale=rg_s)
     warp_cov = replace(var_init.warp_cov, amplitude=amp_h, length_scale=rg_h)
-
-    # Recover the profiled noise variance at the chosen parameters.
-    s_facs = {
-        key: CholFactor(np.eye(len(g)) + matern_cov(curve_cov, g))
-        for key, g in grids.items()
-    }
-    h_fac = CholFactor(matern_cov(warp_cov, interior))
-    h_inv = h_fac.solve(np.eye(len(interior)))
-    quad_sum = 0.0
-    n_tot = 0
-    for sid, r_cols in resid.items():
-        cf = s_facs[grid_of[sid]]
-        for a in (0, 1):
-            r = r_cols[:, a]
-            bmat = jac[sid][a]
-            solved = cf.solve(np.column_stack([r, bmat]))
-            cross = bmat.T @ solved[:, 0]
-            cap = h_inv + bmat.T @ solved[:, 1:]
-            quad_sum += max(float(r @ solved[:, 0] - cross @ np.linalg.solve(cap, cross)), 0.0)
-            n_tot += len(r)
-    sigma2 = max(quad_sum / n_tot, 1e-12)
-    out = VarianceParams(float(np.sqrt(sigma2)), curve_cov, warp_cov)
+    out = VarianceParams(float(np.sqrt(sigma2_at[best.tobytes()])), curve_cov, warp_cov)
     return out, (-f0, -float(min(res.fun, f0)))
 
 

@@ -1,6 +1,7 @@
 """Second level: FPCA, penalized logistic GLMM, prediction."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -356,6 +357,16 @@ def test_classifier_model_round_trips_through_json(small_pipeline):
         )
 
 
+def test_classifier_model_rejects_other_format_versions(small_pipeline):
+    payload = small_pipeline[3].to_dict()
+    payload["format_version"] = 2
+    with pytest.raises(DataError, match="format_version 2; expected 1"):
+        ClassifierModel.from_dict(payload)
+    del payload["format_version"]
+    with pytest.raises(DataError, match="no format_version; expected 1"):
+        ClassifierModel.from_dict(payload)
+
+
 def test_classifier_refit_is_bit_identical(small_pipeline):
     panel, _, reg, model = small_pipeline
     again = fit_classifier(reg, panel, k_x=5, k_e=3, sigma_init=1.0)
@@ -416,6 +427,40 @@ def test_cross_validation_contract_on_small_panel(small_pipeline):
         cross_validate_K(reg, panel, pairs=())
     with pytest.raises(DataError, match="n_folds"):
         cross_validate_K(reg, panel, pairs=pairs, n_folds=1)
+
+
+def test_skipped_folds_are_logged(small_pipeline, caplog, monkeypatch):
+    panel, _, reg, _ = small_pipeline
+    pairs = ((4, 3), (5, 3))
+
+    def messages():
+        return [r.getMessage() for r in caplog.records if r.name == "warpclass.classify"]
+
+    # a single subject of class 1: the fold holding it trains on one class
+    ones = [sid for sid, y in zip(panel.subject_ids, panel.labels) if y == 1]
+    zeros = [sid for sid, y in zip(panel.subject_ids, panel.labels) if y == 0]
+    sub = panel.subset(sorted(ones[:1] + zeros))
+    with caplog.at_level(logging.WARNING, logger="warpclass.classify"):
+        _, table = cross_validate_K(reg, sub, pairs=pairs, n_folds=3, return_table=True)
+    assert messages() == ["fold 0 skipped: single-class training split"]
+    assert sorted(n for _, _, n in table) == [2, 2]
+
+    # a failed fit skips only its fold and pair
+    caplog.clear()
+    real_fit = classify.fit_glmm
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericalError("no convergence")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "fit_glmm", fail_first)
+    with caplog.at_level(logging.WARNING, logger="warpclass.classify"):
+        _, table = cross_validate_K(reg, panel, pairs=pairs, n_folds=4, return_table=True)
+    assert messages() == ["fold 0 pair (4,3) skipped: fit failure"]
+    assert {pair: n for pair, _, n in table} == {(4, 3): 3, (5, 3): 4}
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,38 @@ def test_predict_empty_input_writes_only_the_header(pipeline, tmp_path):
     assert out.read_text() == ",".join(PREDICTIONS_HEADER) + "\n"
 
 
+@pytest.mark.parametrize("artifact", ["registration.json", "classifier.json"])
+def test_predict_rejects_a_fit_of_another_format_version(pipeline, tmp_path, capsys, artifact):
+    args = ["--curves", str(pipeline.data / "curves_test.csv"),
+            "--scalars", str(pipeline.data / "scalars_test.csv"),
+            "--out", str(tmp_path / "pred.csv")]
+    fit2 = tmp_path / "fit_old"
+    shutil.copytree(pipeline.fit, fit2)
+    payload = json.loads((fit2 / artifact).read_text())
+    payload["format_version"] = 0
+    (fit2 / artifact).write_text(json.dumps(payload))
+    assert main(["predict", "--fit", str(fit2)] + args) == 3
+    assert "format_version 0; expected 1" in capsys.readouterr().err
+    del payload["format_version"]
+    (fit2 / artifact).write_text(json.dumps(payload))
+    assert main(["predict", "--fit", str(fit2)] + args) == 3
+    assert "no format_version; expected 1" in capsys.readouterr().err
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_register_rejects_a_fit_of_another_format_version(pipeline, tmp_path, capsys):
+    fit2 = tmp_path / "fit_old"
+    shutil.copytree(pipeline.fit, fit2)
+    payload = json.loads((fit2 / "registration.json").read_text())
+    payload["format_version"] = 2
+    (fit2 / "registration.json").write_text(json.dumps(payload))
+    rc = main(["register", "--fit", str(fit2),
+               "--curves", str(pipeline.data / "curves_train.csv"),
+               "--out", str(tmp_path / "a.csv")])
+    assert rc == 3
+    assert "format_version 2; expected 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # register
 

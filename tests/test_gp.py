@@ -1,9 +1,14 @@
 """Matern kernels, Cholesky solves, profiled Gaussian likelihood."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gamma as gamma_fn
+from scipy.special import kv
 
 from warpclass.errors import DataError, NumericalError
 from warpclass.gp import (
@@ -16,6 +21,7 @@ from warpclass.gp import (
     mahalanobis_norm,
     matern_cov,
 )
+from warpclass.registration import _LOG_HI, _LOG_LO
 
 
 def _random_spd(rng, n):
@@ -69,6 +75,55 @@ def test_matern_rejects_nonpositive_params():
     for bad in [(0.0, 1, 1), (1, -0.1, 1), (1, 1, 0.0)]:
         with pytest.raises(DataError):
             MaternParams(*bad)
+
+
+def _kv_reference(params, s, t):
+    """Matern covariance straight from the general Bessel routine.
+
+    Where ``kv`` overflows the scaled distance x is below 1e-20; for the
+    orders tested the correlation there is within x of its limit 1.
+    """
+    nu = params.smoothness
+    x = math.sqrt(2.0 * nu) * (np.abs(s[:, None] - t[None, :]) / params.length_scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        corr = 2.0 ** (1.0 - nu) / gamma_fn(nu) * x**nu * kv(nu, x)
+    limit = ~np.isfinite(corr)
+    assert np.all(x[limit] < 1e-20)
+    corr[limit] = 1.0
+    return params.amplitude * corr
+
+
+@st.composite
+def _grids(draw):
+    """Points in [0, 1] plus exact repeats and near-repeats of some of them."""
+    base = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=25))
+    near = draw(
+        st.lists(
+            st.tuples(st.integers(0, 24), st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6])),
+            max_size=6,
+        )
+    )
+    return np.array(base + [base[i % len(base)] + eps for i, eps in near])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nu=st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 1.3]),
+    log_amp=st.floats(_LOG_LO[0], _LOG_HI[0]),
+    log_range=st.floats(_LOG_LO[1], _LOG_HI[1]),
+    s=_grids(),
+    t=_grids(),
+)
+def test_matern_matches_the_bessel_reference(nu, log_amp, log_range, s, t):
+    params = MaternParams(math.exp(log_amp), math.exp(log_range), nu)
+    cov = matern_cov(params, s)
+    want = _kv_reference(params, s, s)
+    assert np.max(np.abs(cov - want)) <= 1e-13 * params.amplitude
+    assert np.array_equal(cov, cov.T)
+    assert np.all(np.diag(cov) == params.amplitude)
+    cross = matern_cov(params, s, t)
+    assert np.max(np.abs(cross - _kv_reference(params, s, t))) <= 1e-13 * params.amplitude
+    assert np.array_equal(cross, matern_cov(params, t, s).T)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +197,17 @@ def test_jitter_ladder_handles_near_singular():
     mat = v @ v.T
     factor = CholFactor(mat)
     assert factor.n == 5
+
+
+def test_jitter_step_is_kept_and_logged(caplog):
+    with caplog.at_level(logging.DEBUG, logger="warpclass.gp"):
+        assert CholFactor(np.eye(4)).jitter == 0.0
+        assert not caplog.records
+        factor = CholFactor(np.ones((5, 5)))
+    assert factor.jitter > 0.0
+    (record,) = caplog.records
+    assert record.name == "warpclass.gp"
+    assert f"{factor.jitter:g}" in record.getMessage()
 
 
 def test_indefinite_matrix_raises():

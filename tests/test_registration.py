@@ -1,6 +1,7 @@
 """First-level registration: GLS steps, warp fitting, variance, outer loop."""
 
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,8 @@ from warpclass.curves import CurvePanel, ScalarRecord, SubjectCurve
 from warpclass.errors import DataError, NumericalError
 from warpclass.gp import MaternParams, matern_cov
 from warpclass.registration import (
+    _LOG_HI,
+    _LOG_LO,
     MeanWeights,
     RegistrationConfig,
     RegistrationFit,
@@ -455,6 +458,33 @@ def test_fit_variance_recovers_noise_scale():
     assert 0.01 <= float(np.median(estimates)) <= 0.04
 
 
+def test_fit_variance_noise_is_the_dense_profiled_estimate(caplog):
+    # the Woodbury likelihood's noise variance against explicit covariances
+    panel, means, warps, basis = _variance_fixture(73)
+    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+    with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
+        var, _ = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=80)
+    h_mat = matern_cov(var.warp_cov, ANCHORS[1:-1])
+    quad, n_tot = 0.0, 0
+    for c in panel.curves:
+        s_mat = matern_cov(var.curve_cov, c.times)
+        for a in (0, 1):
+            b = jac[c.subject_id][a]
+            r = c.values[:, a] - fitted[c.subject_id][:, a] + b @ w0[c.subject_id]
+            quad += float(r @ np.linalg.solve(np.eye(len(r)) + s_mat + b @ h_mat @ b.T, r))
+            n_tot += len(r)
+    assert var.noise_sd**2 == pytest.approx(quad / n_tot, rel=1e-9)
+    log_params = np.log(
+        [var.curve_cov.amplitude, var.curve_cov.length_scale,
+         var.warp_cov.amplitude, var.warp_cov.length_scale]
+    )
+    on_bound = np.isclose(log_params, _LOG_LO, rtol=0, atol=1e-12) | np.isclose(
+        log_params, _LOG_HI, rtol=0, atol=1e-12
+    )
+    logged = [r for r in caplog.records if r.name == "warpclass.registration"]
+    assert len(logged) == int(on_bound.sum())
+
+
 # ---------------------------------------------------------------------------
 # Outer loop on a small simulated panel.
 
@@ -548,9 +578,12 @@ def test_registration_requires_labels_and_two_groups():
         fit_registration(one_group)
 
 
-def test_noiseless_panel_is_reproduced_by_the_fit():
-    # truth generated inside the default spline space, so zero error is
-    # attainable and any residual is the fit's own
+def _noiseless_panel():
+    """Two groups of four identical noiseless curves.
+
+    The truth is generated inside the default spline space, so zero error
+    is attainable and any residual is the fit's own.
+    """
     basis = BSplineBasis.uniform(8, 4)
     t = np.linspace(0, 1, 40)
     psi = basis.design(t)
@@ -562,9 +595,14 @@ def test_noiseless_panel_is_reproduced_by_the_fit():
                 _coef_for(basis, lambda s, sh=shift: np.exp(np.sin(2 * np.pi * s + sh))),
             ]
         )
-    curves = {f"s{i}": (t, psi @ coef[i // 4].T) for i in range(8)}
-    labels = {f"s{i}": i // 4 for i in range(8)}
-    panel = _panel_from(curves, labels)
+    return _panel_from(
+        {f"s{i}": (t, psi @ coef[i // 4].T) for i in range(8)},
+        {f"s{i}": i // 4 for i in range(8)},
+    )
+
+
+def test_noiseless_panel_is_reproduced_by_the_fit():
+    panel = _noiseless_panel()
     cfg = RegistrationConfig(max_outer=4, n_variance_updates=1, variance_maxiter=40)
     fit = fit_registration(panel, cfg)
     for c in panel.curves:
@@ -579,22 +617,7 @@ def test_noiseless_panel_is_reproduced_by_the_fit():
 
 
 def test_ridge_weight_is_estimated_whatever_its_start():
-    # the noiseless panel above: two groups of four identical curves
-    basis = BSplineBasis.uniform(8, 4)
-    t = np.linspace(0, 1, 40)
-    psi = basis.design(t)
-    coef = {}
-    for k, shift in ((0, 0.0), (1, 0.18)):
-        coef[k] = np.vstack(
-            [
-                _coef_for(basis, lambda s, sh=shift: np.exp(np.cos(2 * np.pi * s - sh))),
-                _coef_for(basis, lambda s, sh=shift: np.exp(np.sin(2 * np.pi * s + sh))),
-            ]
-        )
-    panel = _panel_from(
-        {f"s{i}": (t, psi @ coef[i // 4].T) for i in range(8)},
-        {f"s{i}": i // 4 for i in range(8)},
-    )
+    panel = _noiseless_panel()
     fits = [
         fit_registration(
             panel,
@@ -618,6 +641,18 @@ def test_ridge_weight_is_estimated_whatever_its_start():
     # artifacts without the field were fitted with the configured weight
     del payload["ridge_lambda"]
     assert RegistrationFit.from_dict(payload).ridge_lambda == back.config.ridge_lambda == 1.0
+
+
+def test_variance_parameters_on_their_bounds_are_logged(caplog):
+    # the curve amplitude of the noiseless panel ends on its upper bound
+    panel = _noiseless_panel()
+    cfg = RegistrationConfig(max_outer=4, n_variance_updates=1, variance_maxiter=40)
+    with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
+        fit = fit_registration(panel, cfg)
+    assert fit.var.curve_cov.amplitude == pytest.approx(np.exp(_LOG_HI[0]), rel=1e-12)
+    messages = [r.getMessage() for r in caplog.records if r.name == "warpclass.registration"]
+    # one event per variance fit: the initial pass and the single refresh
+    assert messages == ["variance parameter curve amplitude ends on its box bound 1000"] * 2
 
 
 # ---------------------------------------------------------------------------
