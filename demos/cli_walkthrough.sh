@@ -14,7 +14,7 @@ warpclass simulate --study 2 --scenario A --seed 9 \
 # 2. fit registration + classifier on the training half;
 #    the config pins a small spline basis and truncation pair
 cat > "$DIR/config.json" <<EOF
-{"n_mean_knots": 4, "k_x": 5, "k_e": 3, "max_outer": 4}
+{"n_interior_knots": 4, "k_x": 5, "k_e": 3, "max_outer": 4}
 EOF
 warpclass fit --curves "$DIR/data/curves_train.csv" \
   --scalars "$DIR/data/scalars_train.csv" \

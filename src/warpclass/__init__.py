@@ -10,11 +10,9 @@ from .basis import (
     BSplineBasis,
     MonotoneInterpolant,
     TruncatedPowerBasis,
-    bspline_design,
     cross_gram,
     hyman_interp,
     quad_weights,
-    tpower_design,
 )
 from .classify import (
     ClassifierModel,
@@ -46,11 +44,7 @@ from .curves import (
 from .errors import DataError, NumericalError
 from .gp import (
     CholFactor,
-    CovSpec,
     MaternParams,
-    chol_solve,
-    gauss_profile_loglik,
-    mahalanobis_norm,
     matern_cov,
 )
 from .registration import (

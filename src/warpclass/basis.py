@@ -60,6 +60,8 @@ class BSplineBasis:
     @classmethod
     def uniform(cls, n_interior: int = 8, order: int = 4) -> "BSplineBasis":
         """Basis with ``n_interior`` equally spaced knots in (0, 1)."""
+        if n_interior < 0:
+            raise DataError(f"number of interior knots must be >= 0, got {n_interior}")
         ik = np.linspace(0.0, 1.0, n_interior + 2)[1:-1]
         return cls(interior_knots=tuple(ik.tolist()), order=order)
 
@@ -83,11 +85,6 @@ class BSplineBasis:
         if coef.ndim not in (1, 2) or coef.shape[-1] != self.size:
             raise DataError(f"expected {self.size} coefficients, got {coef.shape}")
         return BSpline(self.knots, coef.T, self.order - 1, extrapolate=True)
-
-
-def bspline_design(grid, basis: BSplineBasis) -> np.ndarray:
-    """Evaluate ``basis`` at every grid point; rows sum to 1 on [0, 1]."""
-    return basis.design(grid)
 
 
 @dataclass(frozen=True)
@@ -129,11 +126,6 @@ class TruncatedPowerBasis:
         for k in self.knots:
             cols.append(np.maximum(x - k, 0.0))
         return np.column_stack(cols)
-
-
-def tpower_design(grid, basis: TruncatedPowerBasis) -> np.ndarray:
-    """Design matrix of the truncated power basis at the grid points."""
-    return basis.design(grid)
 
 
 @dataclass(frozen=True)

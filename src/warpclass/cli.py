@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -176,9 +177,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        cfg = RunConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
-    if args.threads is not None:
-        cfg = RunConfig.from_dict({**cfg.to_dict(), "threads": args.threads})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     panel = _load_panel(args.curves, args.scalars)
     if not panel.has_labels:
         raise DataError("fitting requires a label for every subject")
@@ -186,8 +185,7 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
-    # thread count never changes results, so it stays out of the artifacts
-    provenance = {k: v for k, v in cfg.to_dict().items() if k != "threads"}
+    provenance = cfg.to_dict()
 
     t0 = time.perf_counter()
     reg_fit = fit_registration(panel, cfg.registration())
@@ -461,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scalars", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--timings", action="store_true", help="include wall times in the report")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)

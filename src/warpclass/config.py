@@ -1,8 +1,9 @@
-"""Run-level configuration: defaults, JSON round trip, validation.
+"""Run-level configuration: the registration settings plus the run fields.
 
-A RunConfig collects every tunable of the two-level pipeline in one
-place so command-line runs can persist their effective settings next to
-the artifacts they produce.
+A RunConfig is a RegistrationConfig with the settings of the second
+level and of the command-line run added, so one field list names every
+tunable and one codec (``RegistrationConfig.to_dict``/``from_dict``)
+reads and writes it.  A fit's ``fit.config`` is itself a valid config.
 """
 
 from __future__ import annotations
@@ -16,85 +17,39 @@ from .registration import RegistrationConfig
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Every pipeline setting; ``registration()`` derives the level-one config.
+class RunConfig(RegistrationConfig):
+    """Registration settings plus the classifier and cross-validation fields.
 
-    ``ridge_lambda`` only starts the fixed point that estimates the ridge
-    weight on the group deviations with the variance parameters (see
-    ``registration.estimate_ridge``).
+    ``k_x``/``k_e`` fix the truncation pair; when both are None it is
+    chosen by ``cv_folds``-fold cross-validation over ``cv_grid``.
     """
 
-    spline_order: int = 4
-    n_mean_knots: int = 8
-    anchors: tuple = (0.0, 0.33, 0.67, 1.0)
-    ridge_lambda: float = 1.0
-    k_x: int | None = None  # None for both: choose by cross-validation
+    k_x: int | None = None
     k_e: int | None = None
     cv_grid: tuple = DEFAULT_CV_GRID
     cv_folds: int = 5
-    max_outer: int = 20
-    tol_rel: float = 1e-4
-    n_variance_updates: int = 2
-    warp_maxfun: int = 500
-    variance_maxiter: int = 100
-    n_align_grid: int = 101
     smoothing_window: int = 11
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
+        super().__post_init__()
         if (self.k_x is None) != (self.k_e is None):
             raise DataError("k_x and k_e must be given together or both omitted")
         if self.k_x is not None and self.k_x < self.k_e:
             raise DataError(
                 f"identifiability requires k_x >= k_e, got ({self.k_x}, {self.k_e})"
             )
-        if self.threads < 1:
-            raise DataError(f"threads must be >= 1, got {self.threads}")
         if self.cv_folds < 2:
             raise DataError(f"cv_folds must be >= 2, got {self.cv_folds}")
         for kx, ke in self.cv_grid:
             if kx < ke:
                 raise DataError(f"cv_grid pair ({kx}, {ke}) violates k_x >= k_e")
-        # the remaining constraints are re-checked by the owning modules;
-        # building the registration config triggers them early
-        self.registration()
 
     def registration(self) -> RegistrationConfig:
+        """The level-one settings alone."""
         return RegistrationConfig(
-            n_interior_knots=self.n_mean_knots,
-            spline_order=self.spline_order,
-            warp_anchors=tuple(self.anchors),
-            ridge_lambda=self.ridge_lambda,
-            warp_maxfun=self.warp_maxfun,
-            variance_maxiter=self.variance_maxiter,
-            n_variance_updates=self.n_variance_updates,
-            max_outer=self.max_outer,
-            tol_rel=self.tol_rel,
-            n_align_grid=self.n_align_grid,
+            **{f.name: getattr(self, f.name) for f in fields(RegistrationConfig)}
         )
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if isinstance(val, tuple):
-                val = [list(v) if isinstance(v, tuple) else v for v in val]
-            out[f.name] = val
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise DataError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(payload)
-        if "anchors" in kwargs:
-            kwargs["anchors"] = tuple(float(a) for a in kwargs["anchors"])
-        if "cv_grid" in kwargs:
-            kwargs["cv_grid"] = tuple((int(kx), int(ke)) for kx, ke in kwargs["cv_grid"])
-        return cls(**kwargs)
 
 
 def load_config(path) -> RunConfig:

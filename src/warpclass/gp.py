@@ -49,18 +49,6 @@ class MaternParams:
                 raise DataError(f"Matern {name} must be positive, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class CovSpec:
-    """Kernel family tag plus its parameters; only 'matern' is supported."""
-
-    params: MaternParams
-    kind: str = "matern"
-
-    def __post_init__(self):
-        if self.kind != "matern":
-            raise DataError(f"unsupported kernel kind {self.kind!r}")
-
-
 def _scaled_bessel(nu: float, x: np.ndarray) -> np.ndarray:
     """``x^nu K_nu(x)``; integer and half-integer orders by the recurrence."""
     if float(nu).is_integer():
@@ -88,7 +76,7 @@ def _matern_corr(nu: float, x: np.ndarray) -> np.ndarray:
     return np.where((x > 0.0) & np.isfinite(val), (2.0 ** (1.0 - nu) / gamma_fn(nu)) * val, 1.0)
 
 
-def matern_cov(spec, s_grid, t_grid=None) -> np.ndarray:
+def matern_cov(params: MaternParams, s_grid, t_grid=None) -> np.ndarray:
     """Matern covariance matrix between two point sets.
 
     Entry (i, j) is ``amplitude * m_nu(|s_i - t_j| / length_scale)`` where
@@ -99,7 +87,6 @@ def matern_cov(spec, s_grid, t_grid=None) -> np.ndarray:
     upper triangle is evaluated; the result is exactly symmetric with the
     amplitude on its diagonal.
     """
-    params = spec.params if isinstance(spec, CovSpec) else spec
     nu = params.smoothness
     scale = math.sqrt(2.0 * nu)
     s = np.asarray(s_grid, dtype=float)
@@ -194,31 +181,15 @@ def chol_lower(mat: np.ndarray) -> np.ndarray:
     )
 
 
-def chol_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``mat @ out = rhs`` for SPD ``mat`` via Cholesky."""
-    return CholFactor(mat).solve(rhs)
-
-
-def mahalanobis_norm(vec: np.ndarray, mat: np.ndarray) -> float:
-    """Covariance-weighted squared norm vec' mat^{-1} vec."""
-    vec = np.asarray(vec, dtype=float)
-    return CholFactor(mat).quad(vec)
-
-
-def gauss_profile_loglik(resid: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
+def profile_loglik_parts(quad_sum: float, logdet_sum: float, n: int) -> tuple[float, float]:
     """Gaussian log-likelihood with the noise variance profiled out.
 
-    For resid ~ N(0, sigma^2 V) the profile maximizer is
-    ``sigma2_hat = resid' V^{-1} resid / n`` and the profiled value (up to
-    an additive constant) is ``-(log det V + n log sigma2_hat + n) / 2``.
+    For residuals r ~ N(0, sigma^2 V), summed over independent blocks, the
+    arguments are the sums of r' V^{-1} r and of log det V and the total
+    length n.  The profile maximizer is ``sigma2_hat = quad_sum / n`` and
+    the profiled value (up to an additive constant) is
+    ``-(logdet_sum + n log sigma2_hat + n) / 2``.
     """
-    resid = np.asarray(resid, dtype=float)
-    factor = CholFactor(cov)
-    return profile_loglik_parts(factor.quad(resid), factor.logdet(), len(resid))
-
-
-def profile_loglik_parts(quad_sum: float, logdet_sum: float, n: int) -> tuple[float, float]:
-    """Profiled log-likelihood from accumulated quadratic forms and log-dets."""
     sigma2 = max(quad_sum / n, 1e-12)
     loglik = -0.5 * (logdet_sum + n * math.log(sigma2) + n)
     return loglik, sigma2

@@ -184,6 +184,10 @@ class GlsContext:
             raise DataError("need at least 3 warp anchors (one interior)")
         if abs(self.anchors[0]) > 1e-12 or abs(self.anchors[-1] - 1.0) > 1e-12:
             raise DataError("warp anchors must span [0, 1]")
+        if np.any(np.diff(self.anchors) <= 0):
+            raise DataError(
+                f"warp anchors must be strictly increasing, got {self.anchors.tolist()}"
+            )
         self.interior = self.anchors[1:-1]
         self.warp_prior_mat = matern_cov(var.warp_cov, self.interior)
         self.warp_prior = CholFactor(self.warp_prior_mat)
@@ -809,6 +813,10 @@ class RegistrationConfig:
     tol_rel: float = 1e-4
     n_align_grid: int = 101
 
+    def __post_init__(self):
+        if self.max_outer < 1:
+            raise DataError(f"max_outer must be >= 1, got {self.max_outer}")
+
     def initial_variance(self) -> VarianceParams:
         return VarianceParams(
             self.noise_sd_init,
@@ -817,18 +825,20 @@ class RegistrationConfig:
         )
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        """Field values by name; JSON writes the tuples as arrays."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RegistrationConfig":
+        """Inverse of ``to_dict`` for this class or a subclass; lists become tuples."""
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
-            raise DataError(f"unknown registration config keys: {sorted(unknown)}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()})
+            raise DataError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**{k: _lists_to_tuples(v) for k, v in payload.items()})
+
+
+def _lists_to_tuples(value):
+    return tuple(_lists_to_tuples(v) for v in value) if isinstance(value, list) else value
 
 
 @dataclass

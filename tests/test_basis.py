@@ -7,11 +7,9 @@ from warpclass.basis import (
     BSplineBasis,
     MonotoneInterpolant,
     TruncatedPowerBasis,
-    bspline_design,
     cross_gram,
     hyman_interp,
     quad_weights,
-    tpower_design,
 )
 from warpclass.errors import DataError
 
@@ -125,7 +123,7 @@ def test_tpower_matches_direct_formula():
     rng = np.random.default_rng(11)
     basis = TruncatedPowerBasis.from_quantiles(rng.uniform(0, 1, 200), 7)
     x = np.sort(rng.uniform(0, 1, 50))
-    got = tpower_design(x, basis)
+    got = basis.design(x)
     want = np.column_stack(
         [np.ones_like(x), x] + [np.maximum(x - k, 0.0) for k in basis.knots]
     )

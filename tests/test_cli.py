@@ -10,6 +10,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,11 +18,12 @@ import pytest
 
 from warpclass.classify import ClassifierModel, predict_new
 from warpclass.cli import PREDICTIONS_HEADER, main
+from warpclass.config import RunConfig
 from warpclass.curves import join_panel, load_curves, load_scalars
 from warpclass.registration import RegistrationFit
 
 SMALL_CONFIG = {
-    "n_mean_knots": 4,
+    "n_interior_knots": 4,
     "k_x": 5,
     "k_e": 3,
     "max_outer": 4,
@@ -133,21 +135,62 @@ def test_fit_writes_artifacts_and_report(pipeline):
     assert report["classifier"]["chosen_by"] == "config"
     assert report["registration"]["n_outer"] >= 1
     assert 0.0 <= report["registration"]["warp_opt_converged_fraction"] <= 1.0
-    # execution details stay out of the persisted config
-    assert "threads" not in report["run_config"]
+    # the persisted config holds exactly the run's settings
+    assert set(report["run_config"]) == {f.name for f in fields(RunConfig)}
     assert report["run_config"]["k_e"] == 3
 
 
-def test_fit_artifacts_do_not_depend_on_thread_count(pipeline, tmp_path):
-    fit2 = tmp_path / "fit2"
-    rc = main([
+def _fit(pipeline, cfg_path, out):
+    return main([
         "fit", "--curves", str(pipeline.data / "curves_train.csv"),
         "--scalars", str(pipeline.data / "scalars_train.csv"),
-        "--config", str(pipeline.cfg), "--threads", "2", "--out", str(fit2),
+        "--config", str(cfg_path), "--out", str(out),
     ])
-    assert rc == 0
+
+
+def test_fit_artifacts_are_byte_identical_across_runs(pipeline, tmp_path):
+    fit2 = tmp_path / "fit2"
+    assert _fit(pipeline, pipeline.cfg, fit2) == 0
     for name in ("registration.json", "classifier.json", "fit_report.json"):
         assert (fit2 / name).read_bytes() == (pipeline.fit / name).read_bytes()
+
+
+def test_fitted_config_is_a_valid_config_file(pipeline, tmp_path):
+    reg = json.loads((pipeline.fit / "registration.json").read_text())
+    cfg = tmp_path / "fitted.json"
+    cfg.write_text(json.dumps(reg["fit"]["config"]))
+    assert _fit(pipeline, cfg, tmp_path / "refit") == 0
+    again = json.loads((tmp_path / "refit" / "registration.json").read_text())
+    assert json.dumps(again["fit"], sort_keys=True) == json.dumps(reg["fit"], sort_keys=True)
+
+
+def test_fit_rejects_the_old_config_spellings(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"n_mean_knots": 4, "anchors": [0.0, 0.5, 1.0]}))
+    assert _fit(pipeline, cfg, tmp_path / "f") == 3
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err
+    assert "n_mean_knots" in err and "anchors" in err
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"max_outer": 0}, "max_outer must be >= 1, got 0"),
+        ({"n_interior_knots": -1}, "interior knots must be >= 0, got -1"),
+        (
+            {"warp_anchors": [0.0, 0.67, 0.33, 1.0]},
+            "warp anchors must be strictly increasing, got [0.0, 0.67, 0.33, 1.0]",
+        ),
+    ],
+)
+def test_fit_rejects_edge_settings(pipeline, tmp_path, capsys, setting, message):
+    cfg = tmp_path / "edge.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, **setting}))
+    assert _fit(pipeline, cfg, tmp_path / "f") == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "f" / "registration.json").exists()
 
 
 def test_fit_missing_file_reports_the_path(tmp_path, capsys):

@@ -13,13 +13,10 @@ from scipy.special import kv
 from warpclass.errors import DataError, NumericalError
 from warpclass.gp import (
     CholFactor,
-    CovSpec,
     MaternParams,
     chol_lower,
-    chol_solve,
-    gauss_profile_loglik,
-    mahalanobis_norm,
     matern_cov,
+    profile_loglik_parts,
 )
 from warpclass.registration import _LOG_HI, _LOG_LO
 
@@ -60,15 +57,6 @@ def test_matern_cross_grid_transpose():
     s = np.linspace(0, 1, 5)
     t = np.linspace(0.1, 0.9, 7)
     assert np.array_equal(matern_cov(spec, s, t), matern_cov(spec, t, s).T)
-
-
-def test_matern_accepts_covspec_wrapper():
-    params = MaternParams(1.0, 0.5, 1.5)
-    direct = matern_cov(params, np.array([0.0, 0.5]))
-    wrapped = matern_cov(CovSpec(params), np.array([0.0, 0.5]))
-    assert np.array_equal(direct, wrapped)
-    with pytest.raises(DataError):
-        CovSpec(params, kind="rbf")
 
 
 def test_matern_rejects_nonpositive_params():
@@ -131,15 +119,15 @@ def test_matern_matches_the_bessel_reference(nu, log_amp, log_range, s, t):
 
 
 def test_mahalanobis_zero_vector():
-    assert mahalanobis_norm(np.zeros(4), np.eye(4)) == 0.0
+    assert CholFactor(np.eye(4)).quad(np.zeros(4)) == 0.0
 
 
 def test_mahalanobis_identity():
-    assert mahalanobis_norm(np.array([3.0, 4.0]), np.eye(2)) == pytest.approx(25.0)
+    assert CholFactor(np.eye(2)).quad(np.array([3.0, 4.0])) == pytest.approx(25.0)
 
 
 def test_mahalanobis_diagonal_closed_form():
-    got = mahalanobis_norm(np.array([1.0, 1.0]), np.diag([2.0, 4.0]))
+    got = CholFactor(np.diag([2.0, 4.0])).quad(np.array([1.0, 1.0]))
     assert got == pytest.approx(0.75, abs=1e-12)
 
 
@@ -147,15 +135,15 @@ def test_mahalanobis_scaling_property():
     rng = np.random.default_rng(2)
     mat = _random_spd(rng, 6)
     vec = rng.standard_normal(6)
-    base = mahalanobis_norm(vec, mat)
+    base = CholFactor(mat).quad(vec)
     for c in (0.5, 3.0, 100.0):
-        scaled = mahalanobis_norm(vec, c * mat)
+        scaled = CholFactor(c * mat).quad(vec)
         assert scaled == pytest.approx(base / c, rel=1e-10)
 
 
 def test_chol_solve_identity_returns_rhs():
     rhs = np.arange(12.0).reshape(4, 3)
-    assert np.allclose(chol_solve(np.eye(4), rhs), rhs, atol=1e-14)
+    assert np.allclose(CholFactor(np.eye(4)).solve(rhs), rhs, atol=1e-14)
 
 
 def test_chol_solve_matches_lu_oracle():
@@ -166,14 +154,14 @@ def test_chol_solve_matches_lu_oracle():
     mat = _random_spd(rng, 5)
     rhs = rng.standard_normal((5, 2))
     want = sla.lu_solve(sla.lu_factor(mat), rhs)
-    assert np.max(np.abs(chol_solve(mat, rhs) - want)) < 1e-9
+    assert np.max(np.abs(CholFactor(mat).solve(rhs) - want)) < 1e-9
 
 
 def test_chol_solve_residual_bound():
     rng = np.random.default_rng(9)
     mat = _random_spd(rng, 8)
     rhs = rng.standard_normal(8)
-    out = chol_solve(mat, rhs)
+    out = CholFactor(mat).solve(rhs)
     assert np.max(np.abs(mat @ out - rhs)) < 1e-8 * np.max(np.abs(rhs))
 
 
@@ -222,8 +210,13 @@ def test_indefinite_matrix_raises():
 # Profiled likelihood.
 
 
+def _profile(resid, cov):
+    factor = CholFactor(cov)
+    return factor, profile_loglik_parts(factor.quad(resid), factor.logdet(), len(resid))
+
+
 def test_profile_zero_residual_is_finite():
-    loglik, sigma2 = gauss_profile_loglik(np.zeros(10), np.eye(10))
+    _, (loglik, sigma2) = _profile(np.zeros(10), np.eye(10))
     assert math.isfinite(loglik)
     assert sigma2 == pytest.approx(1e-12)
 
@@ -231,7 +224,7 @@ def test_profile_zero_residual_is_finite():
 def test_profile_identity_cov_gives_mean_square():
     rng = np.random.default_rng(8)
     resid = rng.standard_normal(50)
-    _, sigma2 = gauss_profile_loglik(resid, np.eye(50))
+    _, (_, sigma2) = _profile(resid, np.eye(50))
     assert sigma2 == pytest.approx(float(np.mean(resid**2)), rel=1e-12)
 
 
@@ -240,8 +233,7 @@ def test_profile_maximizes_over_sigma_grid():
     rng = np.random.default_rng(12)
     cov = _random_spd(rng, 20) / 20.0
     resid = rng.standard_normal(20)
-    loglik, sigma2_hat = gauss_profile_loglik(resid, cov)
-    factor = CholFactor(cov)
+    factor, (loglik, sigma2_hat) = _profile(resid, cov)
     quad, logdet, n = factor.quad(resid), factor.logdet(), 20
     for sigma2 in np.geomspace(sigma2_hat / 50, sigma2_hat * 50, 20):
         full = -0.5 * (logdet + n * math.log(sigma2) + quad / sigma2)
