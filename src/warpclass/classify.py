@@ -636,8 +636,9 @@ def predict_new(
     Starts from the scalar-only fit, then alternates: fit the subject's
     random warp under the currently assumed group, align, score, and
     reclassify.  Stops when the label is stable and the probability moves
-    less than 1e-6.  Warp failures fall back to the identity warp and
-    mark the result as not converged.
+    less than 1e-6.  A warp solve that does not converge marks the result
+    as not converged; its ordinates fall back to the identity warp only
+    when they are not increasing.
     """
     if model.fpca is None or model.j_mats is None:
         raise DataError("classifier lacks the functional part needed for prediction")
@@ -658,11 +659,10 @@ def predict_new(
         if label not in cache:
             offsets, ok = fit_subject_warp(curve, reg_fit, label)
             ords = anchors + reg_fit.warps.group_offsets[label] + offsets
-            if not ok and np.any(np.diff(ords) <= 0):
-                ords = anchors.copy()
+            if not ok:
                 degraded = True
-            elif not ok:
-                degraded = True
+                if np.any(np.diff(ords) <= 0):
+                    ords = anchors.copy()
             aligned = align_single(curve, anchors, ords, grid)
             scores = np.stack(
                 [project_scores(aligned[:, a], model.fpca[a]) for a in (0, 1)]

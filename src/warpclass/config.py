@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, fields
 
 from .classify import DEFAULT_CV_GRID
-from .errors import DataError
+from .errors import DataError, check_int
 from .registration import RegistrationConfig
 
 
@@ -35,15 +35,28 @@ class RunConfig(RegistrationConfig):
         super().__post_init__()
         if (self.k_x is None) != (self.k_e is None):
             raise DataError("k_x and k_e must be given together or both omitted")
-        if self.k_x is not None and self.k_x < self.k_e:
-            raise DataError(
-                f"identifiability requires k_x >= k_e, got ({self.k_x}, {self.k_e})"
-            )
-        if self.cv_folds < 2:
-            raise DataError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        for kx, ke in self.cv_grid:
+        if self.k_x is not None:
+            check_int("k_x", self.k_x, 1)
+            check_int("k_e", self.k_e, 1)
+            if self.k_x < self.k_e:
+                raise DataError(
+                    f"identifiability requires k_x >= k_e, got ({self.k_x}, {self.k_e})"
+                )
+        if not isinstance(self.cv_grid, (tuple, list)) or not self.cv_grid:
+            raise DataError(f"cv_grid must be a non-empty list of pairs, got {self.cv_grid!r}")
+        for pair in self.cv_grid:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise DataError(f"cv_grid entries must be [k_x, k_e] pairs, got {pair!r}")
+            kx, ke = pair
+            check_int("cv_grid k_x", kx, 1)
+            check_int("cv_grid k_e", ke, 1)
             if kx < ke:
                 raise DataError(f"cv_grid pair ({kx}, {ke}) violates k_x >= k_e")
+        check_int("cv_folds", self.cv_folds, 2)
+        check_int("smoothing_window", self.smoothing_window, 1)
+        if self.smoothing_window % 2 == 0:
+            raise DataError(f"smoothing_window must be odd, got {self.smoothing_window}")
+        check_int("seed", self.seed)
 
     def registration(self) -> RegistrationConfig:
         """The level-one settings alone."""

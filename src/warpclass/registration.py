@@ -32,7 +32,7 @@ from scipy.optimize import minimize
 
 from .basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
 from .curves import CurvePanel, SubjectCurve
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_int, check_real, check_reals
 from .gp import CholFactor, MaternParams, matern_cov, profile_loglik_parts
 
 _log = logging.getLogger(__name__)
@@ -796,7 +796,7 @@ class RegistrationConfig:
     (``estimate_ridge``); the weight itself is estimated with the
     variance parameters and stored on the fit.  ``warp_maxfun`` caps the
     residual evaluations of each warp solve (one subject, one group, or
-    one start of a held-out subject's fit).
+    one held-out subject's fit).
     """
 
     n_interior_knots: int = 8
@@ -814,8 +814,21 @@ class RegistrationConfig:
     n_align_grid: int = 101
 
     def __post_init__(self):
-        if self.max_outer < 1:
-            raise DataError(f"max_outer must be >= 1, got {self.max_outer}")
+        # BSplineBasis.uniform and GlsContext check the ranges of the basis
+        # sizes and the anchors when the fit starts; only their types here.
+        check_int("n_interior_knots", self.n_interior_knots)
+        check_int("spline_order", self.spline_order)
+        check_reals("warp_anchors", self.warp_anchors)
+        for name, low in (
+            ("warp_maxfun", 1), ("variance_maxiter", 1), ("n_variance_updates", 0),
+            ("max_outer", 1), ("n_align_grid", 2),
+        ):
+            check_int(name, getattr(self, name), low)
+        check_real("ridge_lambda", self.ridge_lambda, 0.0)
+        check_real("tol_rel", self.tol_rel, 0.0)
+        check_real("noise_sd_init", self.noise_sd_init, 0.0, strict=True)
+        check_reals("curve_cov_init", self.curve_cov_init, 3, low=0.0, strict=True)
+        check_reals("warp_cov_init", self.warp_cov_init, 3, low=0.0, strict=True)
 
     def initial_variance(self) -> VarianceParams:
         return VarianceParams(
@@ -1118,43 +1131,29 @@ def fit_subject_warp(
     curve: SubjectCurve,
     fit: RegistrationFit,
     label: int,
-    maxfun: int = 500,
 ) -> tuple[np.ndarray, bool]:
     """Estimate random warp offsets for a subject not in the training fit.
 
     Group offsets and all model parameters stay at their fitted values;
-    only the subject's interior anchor offsets are optimized, with at
-    most ``maxfun`` residual evaluations per start.  Returns the full
-    offset vector (boundaries zero) and a success flag.
+    only the subject's interior anchor offsets are optimized, by one
+    Levenberg-Marquardt solve from zero offsets with at most
+    ``fit.config.warp_maxfun`` residual evaluations.  Returns the full
+    offset vector (boundaries zero) and whether the solve converged; the
+    offsets stay zero where the zero start is infeasible.
     """
     anchors = fit.warps.anchors
     if label not in fit.warps.group_offsets:
         raise DataError(f"unknown group label {label!r}")
+    out = np.zeros(len(anchors))
     try:
         s_fac, h_fac = _kernel_factors(fit, curve.times)
     except NumericalError:
-        return np.zeros(len(anchors)), False
+        return out, False
     prob = WarpProblem.build(
         anchors, anchors + fit.warps.group_offsets[label], curve.times, curve.values,
         fit.basis, fit.means.coefs(label), s_fac, h_fac,
     )
-
-    residuals = partial(subject_warp_residuals, prob)
-    m = len(anchors) - 2
-    u0 = np.zeros(m)
-    out = np.zeros(len(anchors))
-    start = residuals(u0)
-    if start is None:
-        return out, False
-    f0 = float(start[0] @ start[0])
-
-    # Cold-started and one-shot, unlike the training pass, so hedge with a
-    # few fixed alternative starts.
-    best_f, best_u, best_clean = f0, u0, False
-    for u_start in (u0, np.full(m, 0.015), np.full(m, -0.015)):
-        u, f, clean = _levenberg_marquardt(residuals, u_start, maxfun)
-        if f < best_f or (f <= best_f and not best_clean):
-            best_f, best_u, best_clean = f, u, clean
-    if best_f < f0:
-        out[1:-1] = best_u
-    return out, best_clean
+    out[1:-1], _, converged = _levenberg_marquardt(
+        partial(subject_warp_residuals, prob), np.zeros(len(anchors) - 2), fit.config.warp_maxfun
+    )
+    return out, converged

@@ -2,6 +2,7 @@
 
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from warpclass.classify import (
 from warpclass.curves import SubjectCurve
 from warpclass.errors import DataError, NumericalError
 from warpclass.gp import MaternParams, matern_cov
-from warpclass.registration import RegistrationConfig, align_curves, fit_registration
+from warpclass.registration import (
+    RegistrationConfig,
+    align_curves,
+    align_single,
+    fit_registration,
+    fit_subject_warp,
+)
 from warpclass.simeval import Study2Config, metric_ca, simulate_study2
 
 
@@ -399,6 +406,29 @@ def test_predict_with_zero_functional_part_reduces_to_scalars(small_pipeline):
     assert abs(res.pi_hat - want) < 1e-12
     assert res.label == int(want >= 0.5)
     assert res.iterations <= 3
+
+
+def test_infeasible_group_warp_falls_back_to_the_identity(small_pipeline):
+    panel, _, reg, model = small_pipeline
+    warps = reg.warps.copy()
+    for k in warps.group_offsets:
+        # anchors + offsets is not increasing, so the zero start is infeasible
+        warps.group_offsets[k] = np.array([0.0, 0.4, -0.4, 0.0])
+    bent = replace(reg, warps=warps)
+    # a covariate that zeroes the scalar part, so that pi_hat is not
+    # saturated and depends on the alignment
+    curve, v = panel.curves[0], np.array([-model.b0 / model.b1[0]])
+    for k in warps.group_offsets:
+        offsets, ok = fit_subject_warp(curve, bent, k)
+        assert not ok
+        assert not np.any(offsets)
+    res = predict_new(bent, model, curve, v)
+    assert not res.converged
+    anchors = reg.warps.anchors
+    aligned = align_single(curve, anchors, anchors, model.fpca[0].grid)
+    scores = np.stack([project_scores(aligned[:, a], model.fpca[a]) for a in (0, 1)])
+    assert 0.01 < res.pi_hat < 0.99
+    assert res.pi_hat == classify_prob(model, scores, v)
 
 
 def test_predict_requires_functional_model(small_pipeline):

@@ -183,6 +183,11 @@ def test_fit_rejects_the_old_config_spellings(pipeline, tmp_path, capsys):
             {"warp_anchors": [0.0, 0.67, 0.33, 1.0]},
             "warp anchors must be strictly increasing, got [0.0, 0.67, 0.33, 1.0]",
         ),
+        ({"cv_grid": [[4]]}, "cv_grid entries must be [k_x, k_e] pairs, got (4,)"),
+        ({"k_x": "5", "k_e": 3}, "k_x must be an integer, got '5'"),
+        ({"warp_anchors": 5}, "warp_anchors must be a list of numbers, got 5"),
+        ({"warp_maxfun": 0}, "warp_maxfun must be >= 1, got 0"),
+        ({"n_variance_updates": -1}, "n_variance_updates must be >= 0, got -1"),
     ],
 )
 def test_fit_rejects_edge_settings(pipeline, tmp_path, capsys, setting, message):

@@ -703,16 +703,31 @@ def _handmade_fit(warp_amp=50.0):
     )
 
 
-def test_fit_subject_warp_recovers_known_offsets():
-    fit = _handmade_fit()
-    off = np.array([0.0, 0.05, -0.04, 0.0])
+def _warped_curve(fit, off):
+    """Group 0's mean curves of a handmade fit, warped by ``off``."""
     t = np.linspace(0, 1, 60)
     g = hyman_interp(ANCHORS, ANCHORS + off)(t)
     spl = [fit.basis.spline(fit.means.coef(a, 0)) for a in (0, 1)]
-    curve = SubjectCurve("new", t, np.column_stack([spl[0](g), spl[1](g)]))
-    got, ok = fit_subject_warp(curve, fit, label=0)
+    return SubjectCurve("new", t, np.column_stack([spl[0](g), spl[1](g)]))
+
+
+def test_fit_subject_warp_recovers_known_offsets():
+    fit = _handmade_fit()
+    off = np.array([0.0, 0.05, -0.04, 0.0])
+    got, ok = fit_subject_warp(_warped_curve(fit, off), fit, label=0)
     assert ok
     assert np.max(np.abs(got - off)) < 5e-3
+
+
+def test_fit_subject_warp_obeys_the_fits_warp_maxfun():
+    fit = _handmade_fit()
+    curve = _warped_curve(fit, np.array([0.0, 0.05, -0.04, 0.0]))
+    capped = replace(fit, config=replace(fit.config, warp_maxfun=1))
+    # one residual evaluation is the start itself: no step can be taken
+    got, ok = fit_subject_warp(curve, capped, label=0)
+    assert not ok
+    assert not np.any(got)
+    assert fit_subject_warp(curve, fit, label=0)[1]
 
 
 def test_fit_subject_warp_identity_for_unwarped_curve():
