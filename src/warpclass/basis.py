@@ -14,10 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import BSpline
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 # Points this far outside a domain are treated as round-off and clipped.
 DOMAIN_TOL = 1e-12
+# MonotoneInterpolant.inverse: a point is solved once its Newton step in the
+# cell coordinate is this small or its residual is at rounding level.  The
+# bracket keeps every step inside the cell; the cap only guards the loop.
+_INVERSE_STEP_TOL = 1e-12
+_INVERSE_MAX_ITERS = 100
 
 
 def _check_domain(x: np.ndarray, lo: float, hi: float, what: str) -> np.ndarray:
@@ -145,6 +150,50 @@ class MonotoneInterpolant:
         y, d = self.values, self.slopes
         idx, h, (h00, h10, h01, h11) = _hermite_cells(self.anchors, t)
         return y[idx] * h00 + h * d[idx] * h10 + y[idx + 1] * h01 + h * d[idx + 1] * h11
+
+    def inverse(self, values) -> np.ndarray:
+        """Abscissae t with self(t) = values, for strictly increasing values.
+
+        Each target's cell is found once from the ordinates; the cell's
+        cubic p(s) on s in [0, 1] is then solved by Newton from the
+        cell-linear guess.  A bracket [lo, hi] follows the sign of
+        p(s) - target, and a Newton step that leaves the closed bracket is
+        replaced by the bracket midpoint.  Targets equal to an ordinate map
+        exactly to its anchor.
+        """
+        x, y, d = self.anchors, self.values, self.slopes
+        if np.any(np.diff(y) <= 0):
+            raise DataError("interpolant values must be strictly increasing to invert")
+        v = _check_domain(values, y[0], y[-1], "monotone interpolant inverse")
+        idx = np.clip(np.searchsorted(y, v, side="right") - 1, 0, len(y) - 2)
+        h = x[idx + 1] - x[idx]
+        dy = y[idx + 1] - y[idx]
+        # p(s) - y[idx] = s * (m0 + s * (c2 + s * c3)), the Hermite cubic
+        m0, m1 = h * d[idx], h * d[idx + 1]
+        c2 = 3.0 * dy - 2.0 * m0 - m1
+        c3 = m0 + m1 - 2.0 * dy
+        r = v - y[idx]
+        ftol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(y[idx]), np.abs(y[idx + 1]))
+        s = r / dy
+        lo, hi = np.zeros_like(s), np.ones_like(s)
+        for _ in range(_INVERSE_MAX_ITERS):
+            f = s * (m0 + s * (c2 + s * c3)) - r
+            lo = np.where(f < 0.0, s, lo)
+            hi = np.where(f > 0.0, s, hi)
+            # a zero residual stays put, also where the slope is zero
+            fp = m0 + s * (2.0 * c2 + 3.0 * s * c3)
+            with np.errstate(divide="ignore"):
+                newton = s - np.divide(f, fp, out=np.zeros_like(f), where=f != 0.0)
+            s_next = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+            done = (np.abs(s_next - s) <= _INVERSE_STEP_TOL) | (np.abs(f) <= ftol)
+            s = s_next
+            if done.all():
+                break
+        else:
+            raise NumericalError(
+                f"monotone interpolant inverse did not converge in {_INVERSE_MAX_ITERS} steps"
+            )
+        return np.where(v == y[-1], x[-1], np.minimum(x[idx] + h * s, x[idx + 1]))
 
 
 def _hermite_cells(x: np.ndarray, t) -> tuple:

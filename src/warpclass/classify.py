@@ -639,6 +639,14 @@ def predict_new(
     less than 1e-6.  A warp solve that does not converge marks the result
     as not converged; its ordinates fall back to the identity warp only
     when they are not increasing.
+
+    When the alignment under each label classifies the subject into the
+    other one, the labels would alternate for ever.  The loop stops as
+    soon as it is about to return to a label whose alignment already
+    pointed away, and reports ``converged=False``.  In that case
+    ``pi_hat`` comes from the alignment under the label tried last, and
+    ``label`` is the one that probability points to (the other label),
+    so ``label == int(pi_hat >= 0.5)`` holds in every result.
     """
     if model.fpca is None or model.j_mats is None:
         raise DataError("classifier lacks the functional part needed for prediction")
@@ -672,6 +680,10 @@ def predict_new(
         new_label = int(pi >= 0.5)
         if new_label == label and pi_prev is not None and abs(pi - pi_prev) < 1e-6:
             converged = True
+            break
+        if new_label != label and new_label in cache:
+            # the two labels point at each other: a cycle
+            label = new_label
             break
         pi_prev = pi
         label = new_label

@@ -39,7 +39,6 @@ _log = logging.getLogger(__name__)
 
 _BIG = 1e12
 _MONO_EPS = 1e-10
-_INVERT_ITERS = 50
 # Warp solver stopping rules: gradient size and relative objective decrease.
 # Near the minimum LM steps are cheap and converge fast, so the tight decrease
 # bound costs about two extra residual evaluations per solve.
@@ -142,21 +141,19 @@ def eval_warp(warps: WarpState, group, subject, times) -> np.ndarray:
 
 
 def warp_inverse_values(anchors, ordinates, times) -> np.ndarray:
-    """Invert the monotone warp by bisection to 1e-10 abscissa tolerance."""
-    fn = hyman_interp(anchors, ordinates)
-    t = np.asarray(times, dtype=float)
-    lo = np.zeros_like(t)
-    hi = np.ones_like(t)
-    for _ in range(_INVERT_ITERS):
-        mid = 0.5 * (lo + hi)
-        below = fn(mid) < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    """g^{-1}(times) for the monotone warp through (anchors, ordinates).
+
+    Solved cell by cell (``MonotoneInterpolant.inverse``), so that
+    g(g^{-1}(t)) = t to rounding and the ends map exactly.  Raises
+    NumericalError unless the ordinates strictly increase.
+    """
+    if np.any(np.diff(ordinates) <= 0):
+        raise NumericalError("non-monotone warp ordinates: the warp has no inverse")
+    return hyman_interp(anchors, ordinates).inverse(times)
 
 
 def invert_warp(warps: WarpState, group, subject, times) -> np.ndarray:
-    """g^{-1}(t) for one subject; g(g^{-1}(t)) = t within 1e-8."""
+    """g^{-1}(t) for one subject; g(g^{-1}(t)) = t within 1e-12."""
     if warps.group_of.get(subject) != group:
         raise DataError(f"subject {subject!r} is not in group {group!r}")
     ords = warps.ordinates(subject)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from warpclass import basis
 from warpclass.basis import (
     BSplineBasis,
     MonotoneInterpolant,
@@ -11,7 +14,7 @@ from warpclass.basis import (
     hyman_interp,
     quad_weights,
 )
-from warpclass.errors import DataError
+from warpclass.errors import DataError, NumericalError
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +168,48 @@ def test_hyman_interpolates_anchor_values():
     assert np.max(np.abs(f(anchors) - values)) == 0.0
 
 
-def test_hyman_monotone_on_dense_scan():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        anchors = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 3)), [1.0]])
-        values = np.concatenate([[0.0], np.sort(rng.uniform(0.02, 0.98, 3)), [1.0]])
-        f = hyman_interp(anchors, values)
-        diffs = np.diff(f(np.linspace(0, 1, 10_000)))
-        assert diffs.min() >= -1e-12
+def _increasing(steps, lo=0.0, hi=1.0):
+    """Strictly increasing points from lo to hi with gaps in proportion to ``steps``."""
+    cum = np.concatenate([[0.0], np.cumsum(steps)])
+    return lo + (hi - lo) * cum / cum[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x_steps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
+    y_steps=st.lists(st.floats(1e-4, 1.0), min_size=7, max_size=7),
+    lo=st.floats(-2.0, 2.0),
+    span=st.floats(0.01, 5.0),
+)
+def test_hyman_monotone_on_dense_scan(x_steps, y_steps, lo, span):
+    anchors = _increasing(x_steps)
+    values = _increasing(y_steps[: len(anchors) - 1], lo, lo + span)
+    f = hyman_interp(anchors, values)
+    # a dense grid inside every cell, ends included
+    s = np.linspace(0.0, 1.0, 201)
+    for j in range(len(anchors) - 1):
+        t = np.minimum(anchors[j] + s * (anchors[j + 1] - anchors[j]), anchors[j + 1])
+        vals = f(t)
+        rounding = 4.0 * np.finfo(float).eps * np.abs(vals).max()
+        assert np.diff(vals).min() >= -rounding
+        assert vals[0] == values[j]
+    # identity data is reproduced to rounding
+    identity = hyman_interp(anchors, anchors)
+    t = np.linspace(0.0, 1.0, 501)
+    assert np.max(np.abs(identity(t) - t)) <= 4.0 * np.finfo(float).eps
+
+
+def test_inverse_rejects_what_it_cannot_invert(monkeypatch):
+    with pytest.raises(DataError, match="strictly increasing"):
+        hyman_interp([0.0, 0.5, 1.0], [0.0, 0.6, 0.6]).inverse(np.array([0.3]))
+    f = hyman_interp([0.0, 0.5, 1.0], [0.0, 0.6, 1.0])
+    with pytest.raises(DataError, match="outside"):
+        f.inverse(np.array([1.5]))
+    # a flat end cell needs many Newton steps; a loop cut short says so
+    monkeypatch.setattr(basis, "_INVERSE_MAX_ITERS", 3)
+    flat = hyman_interp([0.0, 0.33, 0.67, 1.0], [0.0, 0.01, 0.9, 1.0])
+    with pytest.raises(NumericalError, match="did not converge"):
+        flat.inverse(np.array([1e-6]))
 
 
 def test_hyman_rejects_bad_anchors():

@@ -431,6 +431,44 @@ def test_infeasible_group_warp_falls_back_to_the_identity(small_pipeline):
     assert res.pi_hat == classify_prob(model, scores, v)
 
 
+def _cycling_model(reg, model, curve, v, start):
+    """A copy of ``model`` under which ``curve`` aligned as either label
+    classifies as the other one (pi = 0.73 under label 0, 0.27 under label
+    1), and whose scalar-only start is ``start``."""
+    grid, anchors = model.fpca[0].grid, reg.warps.anchors
+    z = []
+    for k in (0, 1):
+        offsets, ok = fit_subject_warp(curve, reg, k)
+        assert ok
+        ords = anchors + reg.warps.group_offsets[k] + offsets
+        aligned = align_single(curve, anchors, ords, grid)
+        z.append(np.concatenate(
+            [project_scores(aligned[:, a], model.fpca[a]) @ model.j_mats[a] for a in (0, 1)]
+        ))
+    gap = z[0] - z[1]
+    cycling = ClassifierModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    e = 2.0 * gap / (gap @ gap)  # eta(label 0) - eta(label 1) = 2
+    cycling.e = e.reshape(2, -1)
+    cycling.b0 = -float(v @ model.b1) - 0.5 * float(e @ (z[0] + z[1]))
+    cycling.scalar_b = np.concatenate([[5.0 if start else -5.0], np.zeros_like(model.b1)])
+    return cycling
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_two_label_cycle_stops_independently_of_max_iter(small_pipeline, start):
+    panel, _, reg, model = small_pipeline
+    curve, v = panel.curves[0], panel.covariates[0]
+    cycling = _cycling_model(reg, model, curve, v, start)
+    results = [predict_new(reg, cycling, curve, v, max_iter=n) for n in (9, 10, 11)]
+    assert results[0] == results[1] == results[2]
+    res = results[0]
+    assert not res.converged and res.iterations == 2
+    # the last alignment tried is the other label's; its probability
+    # points back to the start
+    assert res.label == start == int(res.pi_hat >= 0.5)
+    assert abs(res.pi_hat - 1.0 / (1.0 + np.exp(-1.0 if start else 1.0))) < 1e-9
+
+
 def test_predict_requires_functional_model(small_pipeline):
     panel, _, reg, model = small_pipeline
     bare = ClassifierModel(

@@ -6,8 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicHermiteSpline
 
-from warpclass.basis import BSplineBasis, hyman_interp
+from warpclass.basis import BSplineBasis, hyman_interp, hyman_slopes
 from warpclass.curves import CurvePanel, ScalarRecord, SubjectCurve
 from warpclass.errors import DataError, NumericalError
 from warpclass.gp import MaternParams, matern_cov
@@ -102,7 +105,74 @@ def test_invert_warp_round_trip():
         ords = ANCHORS + np.concatenate([[0.0], rng.uniform(-0.1, 0.1, 2), [0.0]])
         ginv = warp_inverse_values(ANCHORS, ords, t)
         back = warp_values(ANCHORS, ords, ginv)
-        assert np.max(np.abs(back - t)) < 1e-8
+        assert np.max(np.abs(back - t)) < 1e-12
+
+
+def test_warp_inverse_rejects_non_increasing_ordinates():
+    t = np.linspace(0.0, 1.0, 11)
+    for ords in ([0.0, 0.5, 0.4, 1.0], [0.0, 0.5, 0.5, 1.0]):
+        with pytest.raises(NumericalError, match="non-monotone warp ordinates"):
+            warp_inverse_values(ANCHORS, np.array(ords), t)
+
+
+def test_warp_inverse_maps_ends_and_ordinates_exactly():
+    ords = np.array([0.0, 0.3, 0.71, 1.0])
+    ginv = warp_inverse_values(ANCHORS, ords, np.concatenate([[0.0, 1.0], ords]))
+    assert ginv[0] == 0.0 and ginv[1] == 1.0
+    assert np.array_equal(ginv[2:], ANCHORS)
+
+
+def _increasing(steps):
+    """Strictly increasing points from 0 to 1 with gaps in proportion to ``steps``."""
+    cum = np.concatenate([[0.0], np.cumsum(steps)])
+    return cum / cum[-1]
+
+
+def _bisect_inverse(g, targets, iters=80):
+    """Reference inverse of an increasing g on [0, 1] by plain bisection."""
+    lo, hi = np.zeros_like(targets), np.ones_like(targets)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        below = g(mid) < targets
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+# Hyman filters the first slope to 0: the first secant is much smaller than
+# the second, so the cubic is flat at t = 0 and Newton converges only linearly.
+FLAT_START = np.array([0.0, 0.01, 0.9, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x_steps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+    y_steps=st.lists(st.floats(1e-3, 1.0), min_size=7, max_size=7),
+    extra=st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+@example(x_steps=list(np.diff(ANCHORS)), y_steps=list(np.diff(FLAT_START)) + [1.0] * 4, extra=[])
+def test_warp_inverse_properties(x_steps, y_steps, extra):
+    anchors = _increasing(x_steps)
+    ords = _increasing(y_steps[: len(anchors) - 1])
+    targets = np.sort(np.concatenate([np.linspace(0.0, 1.0, 101), ords, extra]))
+    ginv = warp_inverse_values(anchors, ords, targets)
+    # a right inverse to rounding, and increasing with the target
+    assert np.max(np.abs(warp_values(anchors, ords, ginv) - targets)) <= 1e-12
+    assert np.all(np.diff(ginv) >= 0.0)
+    assert np.array_equal(warp_inverse_values(anchors, ords, ords), anchors)
+    # equal to a bisection reference wherever g is not flat: where
+    # g' >= 1e-3 an abscissa error is at most 1e3 times the residual
+    g = CubicHermiteSpline(anchors, ords, hyman_slopes(anchors, ords)[0])
+    steep = g(ginv, 1) >= 1e-3
+    ref = _bisect_inverse(lambda t: warp_values(anchors, ords, t), targets)
+    assert np.max(np.abs(ginv - ref)[steep], initial=0.0) <= 1e-10
+
+
+def test_warp_inverse_on_a_flat_end_cell():
+    assert hyman_slopes(ANCHORS, FLAT_START)[0][0] == 0.0
+    t = np.concatenate([[0.0, 1e-14, 1e-10, 1e-6], np.linspace(0.0, 1.0, 101)])
+    ginv = warp_inverse_values(ANCHORS, FLAT_START, t)
+    assert np.max(np.abs(warp_values(ANCHORS, FLAT_START, ginv) - t)) <= 1e-15
+    assert ginv[0] == 0.0 and np.all(np.diff(ginv[:4]) > 0.0)
 
 
 def test_warp_design_at_identity_matches_plain_design():
