@@ -26,7 +26,6 @@ from .classify import (
     fpca_decompose,
     functional_coefficient,
     predict_new,
-    predict_panel,
     project_scores,
     smooth_covariance,
 )
@@ -65,7 +64,6 @@ from .registration import (
     fit_subject_warp,
     fit_variance,
     fit_warps,
-    invert_warp,
     penalized_objective,
     warp_design,
 )

@@ -47,7 +47,7 @@ class BSplineBasis:
         Polynomial order (degree + 1); 4 gives cubic splines.
     """
 
-    interior_knots: tuple
+    interior_knots: tuple[float, ...]
     order: int = 4
     knots: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -101,7 +101,7 @@ class TruncatedPowerBasis:
     """
 
     size: int
-    knots: tuple
+    knots: tuple[float, ...]
 
     def __post_init__(self):
         if self.size < 2:
@@ -185,9 +185,12 @@ class MonotoneInterpolant:
             with np.errstate(divide="ignore"):
                 newton = s - np.divide(f, fp, out=np.zeros_like(f), where=f != 0.0)
             s_next = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
-            done = (np.abs(s_next - s) <= _INVERSE_STEP_TOL) | (np.abs(f) <= ftol)
-            s = s_next
-            if done.all():
+            small = np.abs(s_next - s) <= _INVERSE_STEP_TOL
+            solved = np.abs(f) <= ftol
+            # a solved point keeps its iterate: where the slope is near zero
+            # the Newton step from a tiny residual can still cross the cell
+            s = np.where(solved & ~small, s, s_next)
+            if (small | solved).all():
                 break
         else:
             raise NumericalError(

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TruncatedPowerBasis, cross_gram, quad_weights
+from .codec import decode, encode
 from .curves import CurvePanel, SubjectCurve
 from .errors import DataError, NumericalError, check_format_version
 from .registration import (
@@ -175,12 +176,12 @@ class ClassifierModel:
     b1: np.ndarray  # (p,)
     e: np.ndarray  # (2, k_e) spline coefficients of the functional terms
     sigma_e: float
-    deviance_trace: list  # one inner IRLS deviance list per outer pass
+    deviance_trace: list[list[float]]  # one inner IRLS deviance list per outer pass
     converged: bool
     scalar_b: np.ndarray | None = None  # scalar-only refit, for initialization
     coef_basis: TruncatedPowerBasis | None = None
     j_mats: np.ndarray | None = None  # (2, k_x, k_e)
-    fpca: tuple | None = None  # per-coordinate FpcaModel
+    fpca: tuple[FpcaModel, ...] | None = None  # one per coordinate
     n_passes: int = 0
 
     @property
@@ -188,68 +189,12 @@ class ClassifierModel:
         return self.e.shape[1]
 
     def to_dict(self) -> dict:
-        out = {
-            "b0": float(self.b0),
-            "b1": self.b1.tolist(),
-            "e": self.e.tolist(),
-            "sigma_e": float(self.sigma_e),
-            "converged": bool(self.converged),
-            "n_passes": int(self.n_passes),
-            "deviance_trace": [[float(v) for v in inner] for inner in self.deviance_trace],
-            "scalar_b": None if self.scalar_b is None else self.scalar_b.tolist(),
-            "format_version": _MODEL_FORMAT_VERSION,
-        }
-        if self.coef_basis is not None:
-            out["coef_basis"] = {
-                "size": self.coef_basis.size,
-                "knots": list(self.coef_basis.knots),
-            }
-        if self.j_mats is not None:
-            out["j_mats"] = self.j_mats.tolist()
-        if self.fpca is not None:
-            out["fpca"] = [
-                {
-                    "grid": f.grid.tolist(),
-                    "mean": f.mean.tolist(),
-                    "eigenfunctions": f.eigenfunctions.tolist(),
-                    "eigenvalues": f.eigenvalues.tolist(),
-                }
-                for f in self.fpca
-            ]
-        return out
+        return {**encode(self), "format_version": _MODEL_FORMAT_VERSION}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ClassifierModel":
         check_format_version(payload, _MODEL_FORMAT_VERSION, "classifier model")
-        model = cls(
-            b0=float(payload["b0"]),
-            b1=np.asarray(payload["b1"], dtype=float),
-            e=np.asarray(payload["e"], dtype=float),
-            sigma_e=float(payload["sigma_e"]),
-            deviance_trace=[list(map(float, t)) for t in payload["deviance_trace"]],
-            converged=bool(payload["converged"]),
-            n_passes=int(payload.get("n_passes", 0)),
-        )
-        if payload.get("scalar_b") is not None:
-            model.scalar_b = np.asarray(payload["scalar_b"], dtype=float)
-        if "coef_basis" in payload:
-            model.coef_basis = TruncatedPowerBasis(
-                size=int(payload["coef_basis"]["size"]),
-                knots=tuple(payload["coef_basis"]["knots"]),
-            )
-        if "j_mats" in payload:
-            model.j_mats = np.asarray(payload["j_mats"], dtype=float)
-        if "fpca" in payload:
-            model.fpca = tuple(
-                FpcaModel(
-                    grid=np.asarray(f["grid"], dtype=float),
-                    mean=np.asarray(f["mean"], dtype=float),
-                    eigenfunctions=np.asarray(f["eigenfunctions"], dtype=float),
-                    eigenvalues=np.asarray(f["eigenvalues"], dtype=float),
-                )
-                for f in payload["fpca"]
-            )
-        return model
+        return decode(cls, {k: v for k, v in payload.items() if k != "format_version"}, "model")
 
 
 def _deviance(labels, eta, penalty_vec, theta) -> float:
@@ -697,17 +642,3 @@ def predict_new(
         converged=converged,
     )
 
-
-def predict_panel(
-    reg_fit: RegistrationFit,
-    model: ClassifierModel,
-    panel: CurvePanel,
-    max_iter: int = 10,
-) -> list:
-    """predict_new over a panel, in subject-id order."""
-    out = []
-    for i, sid in enumerate(panel.subject_ids):
-        out.append(
-            predict_new(reg_fit, model, panel.curve(sid), panel.covariates[i], max_iter)
-        )
-    return out

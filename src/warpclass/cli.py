@@ -25,6 +25,7 @@ from .classify import (
     fit_classifier,
     predict_new,
 )
+from .codec import encode
 from .config import RunConfig, load_config
 from .curves import (
     CurvePanel,
@@ -37,7 +38,7 @@ from .curves import (
     save_scalars,
 )
 from .errors import DataError, NumericalError, check_format_version
-from .registration import RegistrationFit, align_curves, fit_registration
+from .registration import RegistrationFit, align_curves, fit_registration, warp_values
 from .simeval import (
     MetricsReport,
     Study1Config,
@@ -65,7 +66,13 @@ def _read_json(path) -> dict:
     if not path.exists():
         raise DataError(f"file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path} must hold a JSON object")
+    return payload
 
 
 def _fmt(x: float) -> str:
@@ -110,9 +117,9 @@ def cmd_simulate(args) -> int:
         }
         grid = panel.curves[0].times
         study_payload["beta_grids"] = {
-            "t": grid.tolist(),
-            "beta1": study1_beta(0, grid).tolist(),
-            "beta2": study1_beta(1, grid).tolist(),
+            "t": grid,
+            "beta1": study1_beta(0, grid),
+            "beta2": study1_beta(1, grid),
         }
     else:
         if args.scenario is None:
@@ -140,24 +147,11 @@ def cmd_simulate(args) -> int:
         }
 
     subjects = panel.subject_ids
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "subjects": subjects,
-        "labels": truth.labels.tolist(),
-        "groups": truth.groups.tolist(),
-        "v": truth.v.tolist(),
-        "eta": None if truth.eta is None else truth.eta.tolist(),
-        "train_mask": None if truth.train_mask is None else truth.train_mask.tolist(),
-        "anchors": truth.anchors.tolist(),
-        "warp_offsets": {sid: truth.warp_offsets[sid].tolist() for sid in subjects},
-        "b0": truth.b0,
-        "b1": truth.b1,
-    }
-    payload.update(study_payload)
+    payload = {"format_version": FORMAT_VERSION, "subjects": subjects, **study_payload}
 
     save_curves(out / "curves.csv", panel.curves)
     save_scalars(out / "scalars.csv", panel.scalars)
-    _write_json(out / "truth.json", payload)
+    _write_json(out / "truth.json", encode(payload) | encode(truth))
 
     if args.split_files:
         if truth.train_mask is None:
@@ -266,7 +260,7 @@ def _load_fit(fit_dir) -> tuple[RegistrationFit, ClassifierModel]:
     path = fit_dir / "classifier.json"
     cls_payload = _read_json(path)
     check_format_version(cls_payload, FORMAT_VERSION, str(path))
-    return reg_fit, ClassifierModel.from_dict(cls_payload["model"])
+    return reg_fit, ClassifierModel.from_dict(cls_payload.get("model"))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +341,7 @@ def _load_registration_only(fit_dir) -> RegistrationFit:
     path = Path(fit_dir) / "registration.json"
     payload = _read_json(path)
     check_format_version(payload, FORMAT_VERSION, str(path))
-    return RegistrationFit.from_dict(payload["fit"])
+    return RegistrationFit.from_dict(payload.get("fit"))
 
 
 # ---------------------------------------------------------------------------
@@ -389,26 +383,11 @@ def cmd_evaluate(args) -> int:
     y_true = [label_of[p["subject_id"]] for p in preds]
     y_pred = [p["label"] for p in preds]
 
-    report = MetricsReport(
-        ca=metric_ca(y_true, y_pred),
-        ri=metric_rand(y_true, y_pred),
-        ari=metric_ari(y_true, y_pred),
-    )
-
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": "metrics",
-        "n_scored": len(preds),
-        "metrics": report.to_dict(),
-    }
-
+    grid = np.linspace(0.0, 1.0, 101)
+    est, true = {}, {}
     if args.fit:
         reg_fit = _load_registration_only(args.fit)
         anchors = np.asarray(truth["anchors"], dtype=float)
-        grid = np.linspace(0.0, 1.0, 101)
-        est, true = {}, {}
-        from .registration import warp_values
-
         for sid, offs in truth["warp_offsets"].items():
             if sid not in reg_fit.warps.subject_offsets:
                 continue
@@ -416,9 +395,18 @@ def cmd_evaluate(args) -> int:
                 reg_fit.warps.anchors, reg_fit.warps.ordinates(sid), grid
             )
             true[sid] = warp_values(anchors, anchors + np.asarray(offs, dtype=float), grid)
-        if est:
-            payload["metrics"]["warp_imse"] = warp_imse(est, true, grid)
-
+    report = MetricsReport(
+        ca=metric_ca(y_true, y_pred),
+        ri=metric_rand(y_true, y_pred),
+        ari=metric_ari(y_true, y_pred),
+        warp_imse=warp_imse(est, true, grid) if est else None,
+    )
+    payload = {
+        "format_version": FORMAT_VERSION,
+        "kind": "metrics",
+        "n_scored": len(preds),
+        "metrics": report.to_dict(),
+    }
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out_path, payload)

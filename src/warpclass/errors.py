@@ -16,7 +16,7 @@ class NumericalError(RuntimeError):
 
 def check_format_version(payload: dict, expected: int, what: str) -> None:
     """Raise DataError unless ``payload`` carries ``format_version == expected``."""
-    if "format_version" not in payload:
+    if not isinstance(payload, dict) or "format_version" not in payload:
         raise DataError(f"{what} has no format_version; expected {expected}")
     found = payload["format_version"]
     if found != expected:

@@ -31,6 +31,7 @@ from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
 from .basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
+from .codec import decode, encode
 from .curves import CurvePanel, SubjectCurve
 from .errors import DataError, NumericalError, check_int, check_real, check_reals
 from .gp import CholFactor, MaternParams, matern_cov, profile_loglik_parts
@@ -51,6 +52,8 @@ _GRID_FACTORS_KEPT = 8
 _RIDGE_ITERS = 200
 _RIDGE_TOL = 1e-10
 _RIDGE_MAX = 1e12
+# Format 1 stores each Matern kernel as this list of its parameters.
+_MATERN = tuple(f.name for f in fields(MaternParams))
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ class MeanWeights:
     """Shared basis weights (2 x q) and per-group deviations summing to zero."""
 
     shared: np.ndarray
-    group: dict  # label -> (2, q)
+    group: dict[int, np.ndarray]  # label -> (2, q)
 
     def coef(self, a: int, label: int) -> np.ndarray:
         return self.shared[a] + self.group[label][a]
@@ -91,9 +94,9 @@ class WarpState:
     """Anchor grid plus fixed (group) and random (subject) ordinate offsets."""
 
     anchors: np.ndarray
-    group_offsets: dict  # label -> (n_w,), boundary entries 0
-    subject_offsets: dict  # subject_id -> (n_w,), boundary entries 0
-    group_of: dict  # subject_id -> label
+    group_offsets: dict[int, np.ndarray]  # label -> (n_w,), boundary entries 0
+    subject_offsets: dict[str, np.ndarray]  # subject_id -> (n_w,), boundary entries 0
+    group_of: dict[str, int]  # subject_id -> label
 
     @classmethod
     def identity(cls, anchors, group_of: dict) -> "WarpState":
@@ -150,15 +153,6 @@ def warp_inverse_values(anchors, ordinates, times) -> np.ndarray:
     if np.any(np.diff(ordinates) <= 0):
         raise NumericalError("non-monotone warp ordinates: the warp has no inverse")
     return hyman_interp(anchors, ordinates).inverse(times)
-
-
-def invert_warp(warps: WarpState, group, subject, times) -> np.ndarray:
-    """g^{-1}(t) for one subject; g(g^{-1}(t)) = t within 1e-12."""
-    if warps.group_of.get(subject) != group:
-        raise DataError(f"subject {subject!r} is not in group {group!r}")
-    ords = warps.ordinates(subject)
-    _check_increasing(ords, f"subject {subject}")
-    return warp_inverse_values(warps.anchors, ords, times)
 
 
 # ---------------------------------------------------------------------------
@@ -835,20 +829,13 @@ class RegistrationConfig:
         )
 
     def to_dict(self) -> dict:
-        """Field values by name; JSON writes the tuples as arrays."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """Field values by name, tuples as lists."""
+        return encode(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RegistrationConfig":
-        """Inverse of ``to_dict`` for this class or a subclass; lists become tuples."""
-        unknown = set(payload) - {f.name for f in fields(cls)}
-        if unknown:
-            raise DataError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: _lists_to_tuples(v) for k, v in payload.items()})
-
-
-def _lists_to_tuples(value):
-    return tuple(_lists_to_tuples(v) for v in value) if isinstance(value, list) else value
+        """Inverse of ``to_dict`` for this class or a subclass; absent keys take defaults."""
+        return decode(cls, payload, "config")
 
 
 @dataclass
@@ -860,7 +847,7 @@ class RegistrationFit:
     warps: WarpState
     var: VarianceParams
     config: RegistrationConfig
-    trace_phases: list
+    trace_phases: list[list[float]]
     converged: bool
     n_outer: int
     warp_opt_total: int
@@ -887,93 +874,31 @@ class RegistrationFit:
         return self.warp_opt_converged / self.warp_opt_total
 
     def to_dict(self) -> dict:
-        return {
-            "basis": {
-                "interior_knots": list(self.basis.interior_knots),
-                "order": self.basis.order,
-            },
-            "anchors": self.warps.anchors.tolist(),
-            "means": {
-                "shared": self.means.shared.tolist(),
-                "group": {str(k): v.tolist() for k, v in self.means.group.items()},
-            },
-            "warps": {
-                "group_offsets": {
-                    str(k): v.tolist() for k, v in self.warps.group_offsets.items()
-                },
-                "subject_offsets": {
-                    s: v.tolist() for s, v in self.warps.subject_offsets.items()
-                },
-                "group_of": {s: int(k) for s, k in self.warps.group_of.items()},
-            },
-            "variance": {
-                "noise_sd": self.var.noise_sd,
-                "curve_cov": [
-                    self.var.curve_cov.amplitude,
-                    self.var.curve_cov.length_scale,
-                    self.var.curve_cov.smoothness,
-                ],
-                "warp_cov": [
-                    self.var.warp_cov.amplitude,
-                    self.var.warp_cov.length_scale,
-                    self.var.warp_cov.smoothness,
-                ],
-            },
-            "config": self.config.to_dict(),
-            "trace_phases": self.trace_phases,
-            "converged": bool(self.converged),
-            "n_outer": int(self.n_outer),
-            "warp_opt_total": int(self.warp_opt_total),
-            "warp_opt_converged": int(self.warp_opt_converged),
-            "ridge_lambda": float(self.ridge_lambda),
-        }
+        """Format 1: ``anchors`` beside ``warps``, Matern triples as lists under ``variance``."""
+        out = encode(self)
+        out["anchors"] = out["warps"].pop("anchors")
+        var = out.pop("var")
+        out["variance"] = {k: v if k == "noise_sd" else list(v.values()) for k, v in var.items()}
+        return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RegistrationFit":
-        basis = BSplineBasis(
-            interior_knots=tuple(payload["basis"]["interior_knots"]),
-            order=int(payload["basis"]["order"]),
-        )
-        means = MeanWeights(
-            shared=np.asarray(payload["means"]["shared"], dtype=float),
-            group={
-                int(k): np.asarray(v, dtype=float)
-                for k, v in payload["means"]["group"].items()
-            },
-        )
-        warps = WarpState(
-            anchors=np.asarray(payload["anchors"], dtype=float),
-            group_offsets={
-                int(k): np.asarray(v, dtype=float)
-                for k, v in payload["warps"]["group_offsets"].items()
-            },
-            subject_offsets={
-                s: np.asarray(v, dtype=float)
-                for s, v in payload["warps"]["subject_offsets"].items()
-            },
-            group_of={s: int(k) for s, k in payload["warps"]["group_of"].items()},
-        )
-        v = payload["variance"]
-        var = VarianceParams(
-            float(v["noise_sd"]),
-            MaternParams(*v["curve_cov"]),
-            MaternParams(*v["warp_cov"]),
-        )
-        # artifacts written before the whole config was stored lack warp_anchors
-        cfg = RegistrationConfig.from_dict({"warp_anchors": payload["anchors"], **payload["config"]})
-        return cls(
-            basis=basis,
-            means=means,
-            warps=warps,
-            var=var,
-            config=cfg,
-            trace_phases=[list(map(float, t)) for t in payload["trace_phases"]],
-            converged=bool(payload["converged"]),
-            n_outer=int(payload["n_outer"]),
-            warp_opt_total=int(payload["warp_opt_total"]),
-            warp_opt_converged=int(payload["warp_opt_converged"]),
-            ridge_lambda=payload.get("ridge_lambda"),
-        )
+        """Inverse of ``to_dict``; a malformed payload raises DataError naming the field."""
+        if not isinstance(payload, dict):
+            raise DataError("fit must be an object")
+        fit = dict(payload)
+        if "anchors" in fit:
+            anchors = fit.pop("anchors")
+            # artifacts written before the whole config was stored lack warp_anchors
+            for block, key in (("warps", "anchors"), ("config", "warp_anchors")):
+                if isinstance(fit.get(block), dict):
+                    fit[block] = {key: anchors, **fit[block]}
+        if isinstance(fit.get("variance"), dict):
+            fit["var"] = {
+                k: dict(zip(_MATERN, v)) if isinstance(v, list) and len(v) == len(_MATERN) else v
+                for k, v in fit.pop("variance").items()
+            }
+        return decode(cls, fit, "fit")
 
 
 def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None) -> RegistrationFit:

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .basis import BSplineBasis, hyman_interp, quad_weights
+from .codec import encode
 from .curves import CurvePanel, ScalarRecord, SubjectCurve
 from .errors import DataError
 from .gp import MaternParams, chol_lower, matern_cov
@@ -136,7 +137,7 @@ class SimTruth:
     labels: np.ndarray  # outcome used for supervision
     v: np.ndarray
     anchors: np.ndarray
-    warp_offsets: dict  # subject_id -> full anchor ordinate offsets
+    warp_offsets: dict[str, np.ndarray]  # subject_id -> full anchor ordinate offsets
     b0: float
     b1: float
     eta: np.ndarray | None = None
@@ -493,8 +494,8 @@ class MetricsReport:
     bias: np.ndarray | None = None
     ssd: np.ndarray | None = None
     signed_bias: np.ndarray | None = None
-    isbias: dict = field(default_factory=dict)  # coordinate -> value
-    imse: dict = field(default_factory=dict)
+    isbias: dict[int, float] = field(default_factory=dict)  # coordinate -> value
+    imse: dict[int, float] = field(default_factory=dict)
     warp_imse: float | None = None
 
     def __post_init__(self):
@@ -506,21 +507,4 @@ class MetricsReport:
             raise DataError(f"ari must lie in [-1, 1], got {self.ari}")
 
     def to_dict(self) -> dict:
-        def conv(x):
-            if x is None:
-                return None
-            if isinstance(x, np.ndarray):
-                return x.tolist()
-            return x
-
-        return {
-            "ca": conv(self.ca),
-            "ri": conv(self.ri),
-            "ari": conv(self.ari),
-            "bias": conv(self.bias),
-            "ssd": conv(self.ssd),
-            "signed_bias": conv(self.signed_bias),
-            "isbias": {str(k): float(v) for k, v in self.isbias.items()},
-            "imse": {str(k): float(v) for k, v in self.imse.items()},
-            "warp_imse": conv(self.warp_imse),
-        }
+        return encode(self)

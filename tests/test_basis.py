@@ -212,6 +212,17 @@ def test_inverse_rejects_what_it_cannot_invert(monkeypatch):
         flat.inverse(np.array([1e-6]))
 
 
+def test_inverse_keeps_points_solved_in_a_flat_first_cell():
+    # the first slope is filtered to 0, so at these targets g' is ~0 and a
+    # Newton step from the solved iterate would jump across the cell
+    f = hyman_interp([0.0, 0.5, 1.0], [0.0, 0.2, 1.0])
+    assert f.slopes[0] == 0.0
+    t = np.array([1e-300, 1e-20, 1e-17])
+    x = f.inverse(t)
+    assert np.all(x < 1e-8)
+    assert np.max(np.abs(f(x) - t)) <= 1e-15
+
+
 def test_hyman_rejects_bad_anchors():
     with pytest.raises(DataError):
         hyman_interp([0.0, 0.5, 0.5, 1.0], [0.0, 0.4, 0.6, 1.0])

@@ -21,7 +21,6 @@ from warpclass.classify import (
     fpca_decompose,
     functional_coefficient,
     predict_new,
-    predict_panel,
     project_scores,
     scalar_only_prob,
     smooth_covariance,
@@ -383,18 +382,6 @@ def test_classifier_refit_is_bit_identical(small_pipeline):
     assert again.sigma_e == model.sigma_e
 
 
-def test_predict_matches_panel_wrapper(small_pipeline):
-    panel, _, reg, model = small_pipeline
-    sids = panel.subject_ids[:2]
-    sub = panel.subset(sids)
-    from_panel = predict_panel(reg, model, sub)
-    for i, sid in enumerate(sids):
-        one = predict_new(reg, model, panel.curve(sid), panel.covariates[i])
-        assert one.subject_id == from_panel[i].subject_id == sid
-        assert one.pi_hat == from_panel[i].pi_hat
-        assert one.label == from_panel[i].label
-
-
 def test_predict_with_zero_functional_part_reduces_to_scalars(small_pipeline):
     panel, _, reg, model = small_pipeline
     stripped = ClassifierModel.from_dict(json.loads(json.dumps(model.to_dict())))
@@ -582,7 +569,10 @@ def test_held_out_subjects_classify_accurately(scenario_a_fit):
     panel, truth, test_ids, reg, model = scenario_a_fit
     label_of = dict(zip(panel.subject_ids, truth.labels))
     subset = panel.subset(test_ids[:10] + test_ids[-10:])
-    preds = predict_panel(reg, model, subset)
+    preds = [
+        predict_new(reg, model, subset.curve(sid), subset.covariates[i])
+        for i, sid in enumerate(subset.subject_ids)
+    ]
     y = np.array([label_of[p.subject_id] for p in preds])
     yhat = np.array([p.label for p in preds])
     assert metric_ca(y, yhat) >= 0.75

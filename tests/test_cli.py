@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from warpclass.classify import ClassifierModel, predict_new
-from warpclass.cli import PREDICTIONS_HEADER, main
+from warpclass.cli import PREDICTIONS_HEADER, _write_json, main
 from warpclass.config import RunConfig
 from warpclass.curves import join_panel, load_curves, load_scalars
 from warpclass.registration import RegistrationFit
@@ -327,6 +327,61 @@ def test_register_rejects_a_fit_of_another_format_version(pipeline, tmp_path, ca
                "--out", str(tmp_path / "a.csv")])
     assert rc == 3
     assert "format_version 2; expected 1" in capsys.readouterr().err
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "command, artifact, path, value, message",
+    [
+        ("register", "registration.json", ("fit", "means"), _DROP, "fit.means is missing"),
+        ("register", "registration.json", ("fit", "means", "group", "x"), [[0.0]],
+         "fit.means.group key 'x' must be an integer"),
+        ("register", "registration.json", ("fit", "n_outer"), 2.5,
+         "fit.n_outer must be an integer, got 2.5"),
+        ("predict", "classifier.json", ("model", "b0"), "abc",
+         "model.b0 must be a number, got 'abc'"),
+        ("predict", "classifier.json", ("model", "e"), [["a"]],
+         "model.e must be an array of numbers"),
+        ("predict", "classifier.json", ("model", "fpca"), [{}], "model.fpca[0].grid is missing"),
+        ("predict", "classifier.json", ("model", "extra"), 1, "unknown model keys: ['extra']"),
+    ],
+)
+def test_malformed_artifacts_exit_3_naming_the_field(
+    pipeline, tmp_path, capsys, command, artifact, path, value, message
+):
+    fit2 = tmp_path / "fit_bad"
+    shutil.copytree(pipeline.fit, fit2)
+    payload = json.loads((fit2 / artifact).read_text())
+    *outer, last = path
+    block = payload
+    for key in outer:
+        block = block[key]
+    if value is _DROP:
+        del block[last]
+    else:
+        block[last] = value
+    (fit2 / artifact).write_text(json.dumps(payload))
+    args = [command, "--fit", str(fit2), "--curves", str(pipeline.data / "curves_train.csv"),
+            "--out", str(tmp_path / "out.csv")]
+    if command == "predict":
+        args += ["--scalars", str(pipeline.data / "scalars_train.csv")]
+    assert main(args) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "artifact, block, cls",
+    [("registration.json", "fit", RegistrationFit), ("classifier.json", "model", ClassifierModel)],
+)
+def test_fit_artifacts_re_encode_byte_for_byte(pipeline, tmp_path, artifact, block, cls):
+    written = (pipeline.fit / artifact).read_bytes()
+    payload = json.loads(written)
+    payload[block] = cls.from_dict(payload[block]).to_dict()
+    _write_json(tmp_path / artifact, payload)
+    assert (tmp_path / artifact).read_bytes() == written
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from warpclass.registration import (
     fit_subject_warp,
     fit_variance,
     fit_warps,
-    invert_warp,
     penalized_objective,
     warp_design,
     warp_inverse_values,
@@ -82,7 +81,7 @@ def test_identity_warp_state_is_identity():
     warps = WarpState.identity(ANCHORS, {"s1": 0, "s2": 1})
     t = np.linspace(0, 1, 50)
     assert np.allclose(eval_warp(warps, 0, "s1", t), t, atol=1e-14)
-    assert np.allclose(invert_warp(warps, 1, "s2", t), t, atol=1e-9)
+    assert np.allclose(warp_inverse_values(ANCHORS, warps.ordinates("s2"), t), t, atol=1e-9)
 
 
 def test_eval_warp_checks_group_membership():
@@ -150,6 +149,12 @@ FLAT_START = np.array([0.0, 0.01, 0.9, 1.0])
     extra=st.lists(st.floats(0.0, 1.0), max_size=20),
 )
 @example(x_steps=list(np.diff(ANCHORS)), y_steps=list(np.diff(FLAT_START)) + [1.0] * 4, extra=[])
+# targets just above 0 in a first cell whose start slope is filtered to 0
+@example(
+    x_steps=[1.0, 1.0],
+    y_steps=[0.125, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0],
+    extra=[1.1125369292536007e-308, 2.2250738585e-313],
+)
 def test_warp_inverse_properties(x_steps, y_steps, extra):
     anchors = _increasing(x_steps)
     ords = _increasing(y_steps[: len(anchors) - 1])
