@@ -64,6 +64,7 @@ from .registration import (
     fit_subject_warp,
     fit_variance,
     fit_warps,
+    gls_normals,
     penalized_objective,
     warp_design,
 )

@@ -23,7 +23,7 @@ import numpy as np
 from .basis import TruncatedPowerBasis, cross_gram, quad_weights
 from .codec import decode, encode
 from .curves import CurvePanel, SubjectCurve
-from .errors import DataError, NumericalError, check_format_version
+from .errors import DataError, NumericalError, check_format_version, check_shape
 from .registration import (
     RegistrationFit,
     align_curves,
@@ -62,6 +62,13 @@ class FpcaModel:
     mean: np.ndarray  # (n_grid,)
     eigenfunctions: np.ndarray  # (n_grid, k_x), quadrature-orthonormal
     eigenvalues: np.ndarray  # (k_x,), non-increasing, >= 0
+
+    def __post_init__(self):
+        n_grid = self.grid.shape[:1]
+        check_shape("grid", self.grid, ("n_grid",))
+        check_shape("mean", self.mean, n_grid)
+        check_shape("eigenfunctions", self.eigenfunctions, n_grid + ("k_x",))
+        check_shape("eigenvalues", self.eigenvalues, self.eigenfunctions.shape[1:])
 
     @property
     def k_x(self) -> int:
@@ -183,6 +190,25 @@ class ClassifierModel:
     j_mats: np.ndarray | None = None  # (2, k_x, k_e)
     fpca: tuple[FpcaModel, ...] | None = None  # one per coordinate
     n_passes: int = 0
+
+    def __post_init__(self):
+        # a decoded artifact is checked here, before any array broadcasts;
+        # fit_classifier sets the optional parts after construction
+        check_shape("e", self.e, (2, "k_e"))
+        check_shape("b1", self.b1, ("p",))
+        if self.scalar_b is not None:
+            check_shape("scalar_b", self.scalar_b, (1 + len(self.b1),))
+        if self.coef_basis is not None and self.coef_basis.size != self.k_e:
+            raise DataError(f"coef_basis.size is {self.coef_basis.size}, expected k_e = {self.k_e}")
+        if self.j_mats is not None:
+            check_shape("j_mats", self.j_mats, (2, "k_x", self.k_e))
+        if self.fpca is not None:
+            if len(self.fpca) != 2:
+                raise DataError(f"fpca has {len(self.fpca)} entries, expected 2")
+            n_grid = len(self.fpca[0].grid)
+            k_x = "k_x" if self.j_mats is None else self.j_mats.shape[1]
+            for a, f in enumerate(self.fpca):
+                check_shape(f"fpca[{a}].eigenfunctions", f.eigenfunctions, (n_grid, k_x))
 
     @property
     def k_e(self) -> int:
@@ -456,12 +482,15 @@ def cross_validate_K(
     n_folds: int = 5,
     seed: int = 0,
     return_table: bool = False,
+    smoothing_window: int = 11,
 ):
     """Pick (k_x, k_e) by stratified K-fold validation deviance.
 
     Registration is not refit per fold: warps do not depend on the
     truncation pair, so only the second level is re-estimated on each
-    training fold.  Ties break toward the smaller k_e, then smaller k_x.
+    training fold, with the covariance smoother ``fit_classifier`` is
+    given (``smoothing_window``).  Ties break toward the smaller k_e, then
+    smaller k_x.
     """
     pairs = [(int(kx), int(ke)) for kx, ke in pairs]
     if not pairs:
@@ -503,7 +532,7 @@ def cross_validate_K(
         fpca_pair = []
         for a in (0, 1):
             vals = values[train_mask, :, a]
-            cov = smooth_covariance(vals)
+            cov = smooth_covariance(vals, window=smoothing_window)
             fpca_pair.append(fpca_decompose(cov, grid, k_x_max, mean=vals.mean(axis=0)))
         scores_all = _score_panel(values, tuple(fpca_pair))
         y_val = labels[val_mask]

@@ -198,6 +198,7 @@ def cmd_fit(args) -> int:
             n_folds=cfg.cv_folds,
             seed=cfg.seed,
             return_table=True,
+            smoothing_window=cfg.smoothing_window,
         )
         chosen_by = "cv"
     model = fit_classifier(
@@ -374,7 +375,13 @@ def _read_predictions(path) -> list[dict]:
 def cmd_evaluate(args) -> int:
     preds = _read_predictions(args.predictions)
     truth = _read_json(args.truth)
-    label_of = dict(zip(truth["subjects"], truth["labels"]))
+
+    def entry(key: str):
+        if key not in truth:
+            raise DataError(f"{args.truth} has no {key!r}")
+        return truth[key]
+
+    label_of = dict(zip(entry("subjects"), entry("labels")))
     missing = [p["subject_id"] for p in preds if p["subject_id"] not in label_of]
     if missing:
         raise DataError(f"predicted subjects missing from truth: {missing[:5]}")
@@ -387,8 +394,8 @@ def cmd_evaluate(args) -> int:
     est, true = {}, {}
     if args.fit:
         reg_fit = _load_registration_only(args.fit)
-        anchors = np.asarray(truth["anchors"], dtype=float)
-        for sid, offs in truth["warp_offsets"].items():
+        anchors = np.asarray(entry("anchors"), dtype=float)
+        for sid, offs in entry("warp_offsets").items():
             if sid not in reg_fit.warps.subject_offsets:
                 continue
             est[sid] = warp_values(

@@ -4,8 +4,9 @@
 numpy scalars Python numbers, dict keys strings, tuples lists, and a
 nested dataclass a dict.  ``decode`` reverses it, driven by the class's
 type hints, and raises DataError naming the field path for a missing
-required field, an unknown key or a value of the wrong type.  A missing
-field with a default takes the default.
+required field, an unknown key, a value of the wrong type or a failed
+check of the class's own.  A missing field with a default takes the
+default.
 """
 
 from __future__ import annotations
@@ -58,7 +59,10 @@ def decode(cls, payload, path: str):
             kwargs[f.name] = _value(hints[f.name], payload[f.name], where)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise DataError(f"{where} is missing")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except DataError as exc:  # the class's own checks, e.g. of array shapes
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _value(hint, value, where: str):

@@ -49,3 +49,13 @@ def check_reals(
         raise DataError(f"{name} must be {want}, got {value!r}")
     for i, entry in enumerate(value):
         check_real(f"{name}[{i}]", entry, low, strict)
+
+
+def check_shape(name: str, value: np.ndarray, shape: tuple) -> None:
+    """Raise DataError unless ``value`` has ``shape``; a str entry names a free length."""
+    got = np.shape(value)
+    if len(got) != len(shape) or any(
+        not isinstance(want, str) and have != want for have, want in zip(got, shape)
+    ):
+        want = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise DataError(f"{name} has shape {got}, expected ({want})")

@@ -12,6 +12,9 @@ Fitting alternates three conditional steps: generalized least squares for
 the basis weights, Levenberg-Marquardt for the warp anchors (the warp part
 of the objective is a sum of squares whose Jacobian is analytic), and
 maximum likelihood for the variance parameters on a linearized model.
+The basis-weight step is one GLS pass: each warp and variance state
+gets one set of per-group normal equations (``gls_normals``), from which
+the shared weights, the group deviations and the ridge weight are solved.
 The alternation is coordinate descent on one penalized objective
 (residual Mahalanobis norms + warp prior + ridge on group deviations), so
 its trace is non-increasing once the variance parameters are frozen.
@@ -33,7 +36,7 @@ from scipy.optimize import minimize
 from .basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
 from .codec import decode, encode
 from .curves import CurvePanel, SubjectCurve
-from .errors import DataError, NumericalError, check_int, check_real, check_reals
+from .errors import DataError, NumericalError, check_int, check_real, check_reals, check_shape
 from .gp import CholFactor, MaternParams, matern_cov, profile_loglik_parts
 
 _log = logging.getLogger(__name__)
@@ -156,48 +159,34 @@ def warp_inverse_values(anchors, ordinates, times) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# GLS context: everything static across one outer iteration.
+# GLS context: everything static across one variance state.
 
 
 class GlsContext:
     """Cached per-subject GLS weights and the warp prior factor.
 
-    Holds Cholesky factors of (I + S_i) per distinct observation grid and
-    of the warp covariance H restricted to the interior anchors.
+    Holds Cholesky factors of (I + S_i), one per distinct observation
+    grid, and of the warp covariance H restricted to the interior anchors.
     """
 
     def __init__(self, panel: CurvePanel, basis: BSplineBasis, anchors, var: VarianceParams):
-        self.panel = panel
         self.basis = basis
-        self.anchors = np.asarray(anchors, dtype=float)
-        self.var = var
-        if len(self.anchors) < 3:
+        anchors = np.asarray(anchors, dtype=float)
+        if len(anchors) < 3:
             raise DataError("need at least 3 warp anchors (one interior)")
-        if abs(self.anchors[0]) > 1e-12 or abs(self.anchors[-1] - 1.0) > 1e-12:
+        if abs(anchors[0]) > 1e-12 or abs(anchors[-1] - 1.0) > 1e-12:
             raise DataError("warp anchors must span [0, 1]")
-        if np.any(np.diff(self.anchors) <= 0):
-            raise DataError(
-                f"warp anchors must be strictly increasing, got {self.anchors.tolist()}"
-            )
-        self.interior = self.anchors[1:-1]
-        self.warp_prior_mat = matern_cov(var.warp_cov, self.interior)
-        self.warp_prior = CholFactor(self.warp_prior_mat)
-        self._grid_factors: dict = {}
+        if np.any(np.diff(anchors) <= 0):
+            raise DataError(f"warp anchors must be strictly increasing, got {anchors.tolist()}")
+        self.warp_prior = CholFactor(matern_cov(var.warp_cov, anchors[1:-1]))
+        grid_factors: dict = {}
         self.s_factors: dict = {}
         for c in panel.curves:
             key = c.times.tobytes()
-            if key not in self._grid_factors:
+            if key not in grid_factors:
                 s_mat = matern_cov(var.curve_cov, c.times)
-                self._grid_factors[key] = CholFactor(np.eye(len(c.times)) + s_mat)
-            self.s_factors[c.subject_id] = self._grid_factors[key]
-
-    def resid_quad(self, subject_id: str, resid_cols: np.ndarray) -> float:
-        """Sum of (I + S)^{-1}-weighted squared norms over residual columns."""
-        z = self.s_factors[subject_id].half_solve(resid_cols)
-        return float(np.sum(z * z))
-
-    def warp_quad(self, interior_offsets: np.ndarray) -> float:
-        return self.warp_prior.quad(interior_offsets)
+                grid_factors[key] = CholFactor(np.eye(len(c.times)) + s_mat)
+            self.s_factors[c.subject_id] = grid_factors[key]
 
 
 def build_context(panel, basis, anchors, var) -> GlsContext:
@@ -217,117 +206,79 @@ def warp_design(panel: CurvePanel, warps: WarpState, basis: BSplineBasis) -> dic
 # Conditional step 1: basis weights by blockwise GLS.
 
 
-def estimate_c(
-    panel: CurvePanel,
-    warps: WarpState,
-    ctx: GlsContext,
-    basis: BSplineBasis,
-    group_weights: dict | None = None,
-    designs: dict | None = None,
-) -> np.ndarray:
-    """GLS estimate of the shared weights with block weights (I + S_i)^{-1}.
+def gls_normals(panel: CurvePanel, warps: WarpState, ctx: GlsContext, designs: dict) -> dict:
+    """Per-group GLS normal equations of the basis weights.
 
-    When current group deviations are supplied, they are subtracted from
-    the response first, which makes the pair (shared step, deviation
-    step) an exact block coordinate descent on the penalized objective.
+    Maps each label k to (A_k, b_k): A_k (q, q) sums Psi' (I + S)^{-1} Psi
+    over the group's members, shared by both coordinates, and b_k (q, 2)
+    sums Psi' (I + S)^{-1} x with one column per coordinate.  ``designs``
+    are the members' ``warp_design`` matrices.  The shared-weight,
+    deviation and ridge steps all read these, so one warp and variance
+    state costs one solve per subject.
     """
-    if designs is None:
-        designs = warp_design(panel, warps, basis)
-    q = basis.size
-    out = np.empty((2, q))
-    for a in (0, 1):
-        normal = np.zeros((q, q))
-        rhs = np.zeros(q)
-        for c in panel.curves:
-            sid = c.subject_id
-            psi = designs[sid]
-            x = c.values[:, a]
-            if group_weights is not None:
-                x = x - psi @ group_weights[warps.group_of[sid]][a]
-            solved = ctx.s_factors[sid].solve(np.column_stack([psi, x]))
-            normal += psi.T @ solved[:, :q]
-            rhs += psi.T @ solved[:, q]
-        vals = np.linalg.eigvalsh(normal)
-        if vals[0] <= 1e-10 * max(vals[-1], 1.0):
-            raise DataError(
-                "stacked design is rank deficient; reduce the number of mean-curve knots"
-            )
-        out[a] = np.linalg.solve(normal, rhs)
-    return out
-
-
-def _deviation_normals(panel, warps, ctx, basis, c_hat, designs) -> dict:
-    """Per-group GLS normal equations for the deviations from ``c_hat``.
-
-    Maps each label k to (A_k, B_k): A_k (q, q) sums Psi' (I + S)^{-1} Psi
-    over the group's members, shared by both coordinates, and B_k (q, 2)
-    sums Psi' (I + S)^{-1} (x - Psi c) with one column per coordinate.
-    """
-    q = basis.size
+    q = ctx.basis.size
     out = {k: (np.zeros((q, q)), np.zeros((q, 2))) for k in sorted(set(warps.group_of.values()))}
     for c in panel.curves:
         sid = c.subject_id
         psi = designs[sid]
-        solved = ctx.s_factors[sid].solve(np.column_stack([psi, c.values - psi @ c_hat.T]))
+        solved = ctx.s_factors[sid].solve(np.column_stack([psi, c.values]))
         normal, rhs = out[warps.group_of[sid]]
         normal += psi.T @ solved[:, :q]
         rhs += psi.T @ solved[:, q:]
     return out
 
 
-def estimate_d(
-    panel: CurvePanel,
-    warps: WarpState,
-    ctx: GlsContext,
-    basis: BSplineBasis,
-    c_hat: np.ndarray,
-    ridge_lambda: float,
-    designs: dict | None = None,
-) -> tuple[dict, np.ndarray]:
+def estimate_c(normals: dict, group_weights: dict) -> np.ndarray:
+    """GLS estimate of the shared weights (2, q) given the group deviations.
+
+    Solves (sum_k A_k) c' = sum_k (b_k - A_k d_k') for both coordinates at
+    once.  Subtracting the current deviations makes the pair (shared step,
+    deviation step) an exact block coordinate descent on the penalized
+    objective.
+    """
+    normal = sum(a for a, _ in normals.values())
+    rhs = sum(b - a @ group_weights[k].T for k, (a, b) in normals.items())
+    vals = np.linalg.eigvalsh(normal)
+    if vals[0] <= 1e-10 * max(vals[-1], 1.0):
+        raise DataError(
+            "stacked design is rank deficient; reduce the number of mean-curve knots"
+        )
+    return np.linalg.solve(normal, rhs).T
+
+
+def estimate_d(normals: dict, c_hat: np.ndarray, ridge_lambda: float) -> tuple[dict, np.ndarray]:
     """Ridge-GLS group deviations, centered so they sum to zero over groups.
 
+    Group k's deviations solve (A_k + lambda I) d_k' = b_k - A_k c'.
     ``ridge_lambda`` is the current ridge weight; ``fit_registration``
     estimates it with ``estimate_ridge``.  Returns the deviations and the
     shared weights with the centering shift absorbed.
     """
     if ridge_lambda < 0:
         raise DataError(f"ridge penalty must be >= 0, got {ridge_lambda}")
-    if designs is None:
-        designs = warp_design(panel, warps, basis)
-    ridge = ridge_lambda * np.eye(basis.size)
-    normals = _deviation_normals(panel, warps, ctx, basis, c_hat, designs)
-    d = {k: np.linalg.solve(normal + ridge, rhs).T for k, (normal, rhs) in normals.items()}
+    ridge = ridge_lambda * np.eye(c_hat.shape[1])
+    d = {k: np.linalg.solve(a + ridge, b - a @ c_hat.T).T for k, (a, b) in normals.items()}
     shift = np.mean(list(d.values()), axis=0)
     return {k: v - shift for k, v in d.items()}, c_hat + shift
 
 
-def estimate_ridge(
-    panel: CurvePanel,
-    warps: WarpState,
-    ctx: GlsContext,
-    basis: BSplineBasis,
-    c_hat: np.ndarray,
-    start: float,
-    designs: dict | None = None,
-) -> float:
+def estimate_ridge(normals: dict, c_hat: np.ndarray, noise_sd: float, start: float) -> float:
     """Ridge weight on the group deviations as a variance ratio.
 
     The group deviations are fixed effects with a Gaussian prior of
     variance tau^2, so in the sigma^2-scaled objective their weight is
-    lambda = sigma^2 / tau^2, with sigma = ``ctx.var.noise_sd``.  tau^2 is
-    found by the effective-degrees-of-freedom fixed point (Schall, 1991):
+    lambda = sigma^2 / tau^2, with sigma = ``noise_sd``.  tau^2 is found by
+    the effective-degrees-of-freedom fixed point (Schall, 1991):
     tau^2 = sum_k ||d_k||^2 / edf with edf = sum_k tr((A_k + lambda I)^{-1} A_k)
     over both coordinates, where d_k are the centered ridge-GLS deviations
     from ``c_hat`` and A_k is group k's GLS normal matrix.  Iterates from
     ``start``; the result does not depend on it.
     """
-    if designs is None:
-        designs = warp_design(panel, warps, basis)
-    noise_var = ctx.var.noise_sd**2
+    noise_var = noise_sd**2
     eigs = []
-    for normal, rhs in _deviation_normals(panel, warps, ctx, basis, c_hat, designs).values():
-        vals, vecs = np.linalg.eigh(normal)
-        eigs.append((np.maximum(vals, 0.0), vecs, vecs.T @ rhs))
+    for a, b in normals.values():
+        vals, vecs = np.linalg.eigh(a)
+        eigs.append((np.maximum(vals, 0.0), vecs, vecs.T @ (b - a @ c_hat.T)))
     lam = float(start)
     for _ in range(_RIDGE_ITERS):
         # a zero eigenvalue at lam = 0 contributes nothing (pseudo-inverse)
@@ -564,7 +515,7 @@ def penalized_objective(
     warps: WarpState,
     ctx: GlsContext,
     ridge_lambda: float,
-    designs: dict | None = None,
+    designs: dict,
 ) -> float:
     """The single objective all conditional steps descend.
 
@@ -572,10 +523,9 @@ def penalized_objective(
     twice the H^{-1} quadratic form of the random warp offsets, plus the
     ridge penalty ``ridge_lambda * ||d||^2`` on group deviations.  The sum
     is sigma^2 times a negative log posterior, so the ridge weight is the
-    variance ratio sigma^2 / tau^2 (see ``estimate_ridge``).
+    variance ratio sigma^2 / tau^2 (see ``estimate_ridge``).  ``designs``
+    are the ``warp_design`` matrices of ``warps``.
     """
-    if designs is None:
-        designs = warp_design(panel, warps, ctx.basis)
     total = 0.0
     for curve in panel.curves:
         sid = curve.subject_id
@@ -584,8 +534,9 @@ def penalized_objective(
         resid = np.column_stack(
             [curve.values[:, a] - psi @ means.coef(a, k) for a in (0, 1)]
         )
-        total += ctx.resid_quad(sid, resid)
-        total += 2.0 * ctx.warp_quad(warps.subject_offsets[sid][1:-1])
+        z = ctx.s_factors[sid].half_solve(resid)
+        total += float(np.sum(z * z))
+        total += 2.0 * ctx.warp_prior.quad(warps.subject_offsets[sid][1:-1])
     for dev in means.group.values():
         total += ridge_lambda * float(np.sum(dev * dev))
     return total
@@ -861,6 +812,24 @@ class RegistrationFit:
     def __post_init__(self):
         if self.ridge_lambda is None:
             self.ridge_lambda = self.config.ridge_lambda
+        # a decoded artifact is checked here, before any array broadcasts
+        means, warps, q = self.means, self.warps, self.basis.size
+        labels = sorted(warps.group_offsets)
+        if sorted(means.group) != labels:
+            raise DataError(
+                f"means.group labels {sorted(means.group)} differ from warps.group_offsets {labels}"
+            )
+        if not set(warps.group_of.values()) <= set(labels):
+            raise DataError(f"warps.group_of has labels outside {labels}")
+        if set(warps.subject_offsets) != set(warps.group_of):
+            raise DataError("warps.subject_offsets and warps.group_of name different subjects")
+        check_shape("warps.anchors", warps.anchors, ("n_anchors",))
+        check_shape("means.shared", means.shared, (2, q))
+        for k, v in means.group.items():
+            check_shape(f"means.group.{k}", v, (2, q))
+        for name in ("group_offsets", "subject_offsets"):
+            for key, v in getattr(warps, name).items():
+                check_shape(f"warps.{name}.{key}", v, warps.anchors.shape)
 
     @property
     def trace(self) -> list:
@@ -904,6 +873,10 @@ class RegistrationFit:
 def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None) -> RegistrationFit:
     """Alternating conditional estimation of the full first-level model.
 
+    Each warp state gets its designs once (at identity, then after each
+    warp step), and each warp and variance state its GLS normal equations
+    once (``gls_normals``); the shared-weight, deviation and ridge steps
+    all solve from those, and the objective reuses the designs.
     Variance parameters are refreshed only during the first
     ``n_variance_updates`` outer iterations, and the ridge weight on the
     group deviations is re-estimated with them (``estimate_ridge``,
@@ -924,23 +897,27 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
     var = cfg.initial_variance()
     warps = WarpState.identity(anchors, group_of)
     ctx = build_context(panel, basis, anchors, var)
-    means = MeanWeights(
-        np.zeros((2, basis.size)), {k: np.zeros((2, basis.size)) for k in groups}
-    )
+    designs = warp_design(panel, warps, basis)
+    normals = gls_normals(panel, warps, ctx, designs)
+
+    def refresh_variance():
+        """Variance step at the current means and warps, then what depends on it."""
+        nonlocal var, ctx, normals, lam
+        fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+        var, _ = fit_variance(panel, fitted, jac, w0, var, anchors, cfg.variance_maxiter)
+        ctx = build_context(panel, basis, anchors, var)
+        normals = gls_normals(panel, warps, ctx, designs)
+        lam = estimate_ridge(normals, means.shared, var.noise_sd, lam)
 
     # Initialization pass: means and variance at identity warps, so the first
     # warp fit already works under a realistic GLS metric.  Otherwise warps
     # chase smooth curve-level deviations that the process term should absorb.
     # The ridge weight is re-estimated whenever the variance parameters change.
-    init_designs = warp_design(panel, warps, basis)
-    c_init = estimate_c(panel, warps, ctx, basis, group_weights=means.group, designs=init_designs)
-    lam = estimate_ridge(panel, warps, ctx, basis, c_init, cfg.ridge_lambda, init_designs)
-    d_init, c_init = estimate_d(panel, warps, ctx, basis, c_init, lam, designs=init_designs)
+    c_init = estimate_c(normals, {k: np.zeros((2, basis.size)) for k in groups})
+    lam = estimate_ridge(normals, c_init, var.noise_sd, cfg.ridge_lambda)
+    d_init, c_init = estimate_d(normals, c_init, lam)
     means = MeanWeights(c_init, d_init)
-    fitted0, jac0, w00 = build_linearization(panel, means, warps, basis)
-    var, _ = fit_variance(panel, fitted0, jac0, w00, var, anchors, cfg.variance_maxiter)
-    ctx = build_context(panel, basis, anchors, var)
-    lam = estimate_ridge(panel, warps, ctx, basis, means.shared, lam, init_designs)
+    refresh_variance()
 
     trace_phases: list = [[]]
     n_var_done = 0
@@ -950,24 +927,23 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
     opt_conv = 0
     for _ in range(cfg.max_outer):
         n_outer += 1
-        designs = warp_design(panel, warps, basis)
-        c_hat = estimate_c(panel, warps, ctx, basis, group_weights=means.group, designs=designs)
-        d_hat, c_hat = estimate_d(panel, warps, ctx, basis, c_hat, lam, designs=designs)
+        c_hat = estimate_c(normals, means.group)
+        d_hat, c_hat = estimate_d(normals, c_hat, lam)
         means = MeanWeights(c_hat, d_hat)
 
         warps, stats = fit_warps(panel, means, ctx, warps, cfg.warp_maxfun)
         opt_total += stats["n_opt"]
         opt_conv += stats["n_converged"]
+        designs = warp_design(panel, warps, basis)
 
         if n_var_done < cfg.n_variance_updates:
-            fitted, jac, w0 = build_linearization(panel, means, warps, basis)
-            var, _ = fit_variance(panel, fitted, jac, w0, var, anchors, cfg.variance_maxiter)
-            ctx = build_context(panel, basis, anchors, var)
-            lam = estimate_ridge(panel, warps, ctx, basis, means.shared, lam)
+            refresh_variance()
             n_var_done += 1
             trace_phases.append([])
+        else:
+            normals = gls_normals(panel, warps, ctx, designs)
 
-        value = penalized_objective(panel, means, warps, ctx, lam)
+        value = penalized_objective(panel, means, warps, ctx, lam, designs)
         phase = trace_phases[-1]
         if phase and abs(phase[-1] - value) <= cfg.tol_rel * max(1.0, abs(phase[-1])):
             phase.append(value)

@@ -1,0 +1,50 @@
+"""CLI artifacts are byte-identical whatever number of BLAS threads computes them.
+
+The fit and the predictions run in fresh interpreters, because OpenBLAS
+reads its thread count once, when numpy is first imported.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import warpclass
+from warpclass.cli import main
+
+SRC = Path(warpclass.__file__).resolve().parent.parent
+CONFIG = {"n_interior_knots": 4, "k_x": 5, "k_e": 3, "max_outer": 4, "variance_maxiter": 40}
+
+
+def _cli(args, blas_threads: int) -> None:
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "warpclass.cli", *map(str, args)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_artifacts_are_identical_across_blas_thread_counts(tmp_path):
+    data = tmp_path / "data"
+    assert main([
+        "simulate", "--study", "2", "--scenario", "A", "--seed", "4",
+        "--n-subjects", "40", "--n-obs", "30", "--split-files", "--out", str(data),
+    ]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    for threads in (1, 2):
+        out = tmp_path / f"blas{threads}"
+        _cli([
+            "fit", "--curves", data / "curves_train.csv", "--scalars", data / "scalars_train.csv",
+            "--config", cfg, "--out", out,
+        ], threads)
+        _cli([
+            "predict", "--fit", out, "--curves", data / "curves_test.csv",
+            "--scalars", data / "scalars_test.csv", "--out", out / "predictions.csv",
+        ], threads)
+    for name in ("registration.json", "classifier.json", "fit_report.json", "predictions.csv"):
+        one, two = ((tmp_path / f"blas{n}" / name).read_bytes() for n in (1, 2))
+        assert one == two, name

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from warpclass.classify import ClassifierModel, predict_new
+from warpclass.classify import ClassifierModel, cross_validate_K, predict_new
 from warpclass.cli import PREDICTIONS_HEADER, _write_json, main
 from warpclass.config import RunConfig
 from warpclass.curves import join_panel, load_curves, load_scalars
@@ -153,6 +153,30 @@ def test_fit_artifacts_are_byte_identical_across_runs(pipeline, tmp_path):
     assert _fit(pipeline, pipeline.cfg, fit2) == 0
     for name in ("registration.json", "classifier.json", "fit_report.json"):
         assert (fit2 / name).read_bytes() == (pipeline.fit / name).read_bytes()
+
+
+def test_cross_validation_uses_the_configured_smoothing_window(pipeline, tmp_path):
+    grid = [[4, 3], [5, 3], [5, 4]]
+    settings = {k: v for k, v in SMALL_CONFIG.items() if k not in ("k_x", "k_e")}
+    cfg = tmp_path / "cv.json"
+    cfg.write_text(json.dumps({**settings, "cv_grid": grid, "cv_folds": 2, "smoothing_window": 5}))
+    assert _fit(pipeline, cfg, tmp_path / "fit") == 0
+    report = json.loads((tmp_path / "fit" / "fit_report.json").read_text())
+    reg = json.loads((tmp_path / "fit" / "registration.json").read_text())
+    reg_fit = RegistrationFit.from_dict(reg["fit"])
+    panel = join_panel(
+        load_curves(pipeline.data / "curves_train.csv"),
+        load_scalars(pipeline.data / "scalars_train.csv"),
+    )
+    tables = {
+        window: cross_validate_K(
+            reg_fit, panel, pairs=grid, n_folds=2, seed=report["run_config"]["seed"],
+            return_table=True, smoothing_window=window,
+        )[1]
+        for window in (5, 11)
+    }
+    assert report["classifier"]["cv_table"] == [[list(p), dev, n] for p, dev, n in tables[5]]
+    assert tables[5] != tables[11]
 
 
 def test_fitted_config_is_a_valid_config_file(pipeline, tmp_path):
@@ -346,6 +370,14 @@ _DROP = object()
          "model.e must be an array of numbers"),
         ("predict", "classifier.json", ("model", "fpca"), [{}], "model.fpca[0].grid is missing"),
         ("predict", "classifier.json", ("model", "extra"), 1, "unknown model keys: ['extra']"),
+        ("predict", "registration.json", ("fit", "means", "shared"), [[0.0]],
+         "fit: means.shared has shape (1, 1), expected (2, 8)"),
+        ("register", "registration.json", ("fit", "warps", "group_offsets", "0"), [0.0, 0.0],
+         "fit: warps.group_offsets.0 has shape (2,), expected (4,)"),
+        ("predict", "classifier.json", ("model", "fpca", 1, "eigenvalues"), [1.0],
+         "model.fpca[1]: eigenvalues has shape (1,), expected (5,)"),
+        ("predict", "classifier.json", ("model", "scalar_b"), [0.0],
+         "model: scalar_b has shape (1,), expected"),
     ],
 )
 def test_malformed_artifacts_exit_3_naming_the_field(
@@ -480,6 +512,24 @@ def test_evaluate_perfect_and_flipped_predictions(pipeline, tmp_path):
                  "--truth", str(pipeline.data / "truth.json"), "--out", str(out2)]) == 0
     m = json.loads(out2.read_text())["metrics"]
     assert m["ca"] == 0.0 and m["ri"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "key, with_fit", [("subjects", False), ("labels", False), ("anchors", True),
+                      ("warp_offsets", True)],
+)
+def test_evaluate_names_a_missing_truth_entry(pipeline, tmp_path, capsys, key, with_fit):
+    truth = json.loads((pipeline.data / "truth.json").read_text())
+    del truth[key]
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    args = ["evaluate", "--predictions", str(pipeline.pred), "--truth", str(path),
+            "--out", str(tmp_path / "m.json")]
+    if with_fit:
+        args += ["--fit", str(pipeline.fit)]
+    assert main(args) == 3
+    assert f"has no '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_evaluate_rejects_unknown_subjects_and_bad_headers(pipeline, tmp_path, capsys):

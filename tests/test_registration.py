@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
+from warpclass import registration
 from warpclass.basis import BSplineBasis, hyman_interp, hyman_slopes
 from warpclass.curves import CurvePanel, ScalarRecord, SubjectCurve
 from warpclass.errors import DataError, NumericalError
@@ -34,6 +35,7 @@ from warpclass.registration import (
     fit_subject_warp,
     fit_variance,
     fit_warps,
+    gls_normals,
     penalized_objective,
     warp_design,
     warp_inverse_values,
@@ -210,6 +212,16 @@ def _dense_gls_oracle(panel, basis, curve_cov):
     return out
 
 
+def _normals(panel, basis, var, warps):
+    """GLS normal equations of ``panel`` under ``warps`` and ``var``."""
+    ctx = build_context(panel, basis, ANCHORS, var)
+    return gls_normals(panel, warps, ctx, warp_design(panel, warps, basis))
+
+
+def _no_deviations(basis, warps):
+    return {k: np.zeros((2, basis.size)) for k in set(warps.group_of.values())}
+
+
 def test_estimate_c_matches_dense_gls_oracle():
     rng = np.random.default_rng(17)
     basis = BSplineBasis.uniform(2, 4)
@@ -221,8 +233,7 @@ def test_estimate_c_matches_dense_gls_oracle():
     panel = _panel_from(curves, {sid: 0 for sid in curves})
     warps = WarpState.identity(ANCHORS, {sid: 0 for sid in curves})
     var = _var(curve_amp=0.8)
-    ctx = build_context(panel, basis, ANCHORS, var)
-    got = estimate_c(panel, warps, ctx, basis)
+    got = estimate_c(_normals(panel, basis, var, warps), _no_deviations(basis, warps))
     want = _dense_gls_oracle(panel, basis, var.curve_cov)
     assert np.max(np.abs(got - want)) < 1e-8
 
@@ -236,8 +247,8 @@ def test_estimate_c_recovers_noiseless_truth():
     curves = {f"s{i}": (t, psi @ c_true.T) for i in range(2)}
     panel = _panel_from(curves, {sid: 0 for sid in curves})
     warps = WarpState.identity(ANCHORS, {sid: 0 for sid in curves})
-    ctx = build_context(panel, basis, ANCHORS, _var(curve_amp=1e-8))
-    got = estimate_c(panel, warps, ctx, basis)
+    normals = _normals(panel, basis, _var(curve_amp=1e-8), warps)
+    got = estimate_c(normals, _no_deviations(basis, warps))
     assert np.max(np.abs(got - c_true)) < 1e-10
 
 
@@ -246,9 +257,9 @@ def test_estimate_c_rejects_rank_deficient_design():
     t = np.linspace(0, 1, 4)
     panel = _panel_from({"s1": (t, np.zeros((4, 2)))}, {"s1": 0})
     warps = WarpState.identity(ANCHORS, {"s1": 0})
-    ctx = build_context(panel, basis, ANCHORS, _var())
+    normals = _normals(panel, basis, _var(), warps)
     with pytest.raises(DataError, match="rank deficient"):
-        estimate_c(panel, warps, ctx, basis)
+        estimate_c(normals, _no_deviations(basis, warps))
 
 
 def _two_group_panel(rng, basis, n=14):
@@ -271,9 +282,9 @@ def test_estimate_d_matches_ols_oracle_without_penalty():
     panel, _ = _two_group_panel(rng, basis)
     group_of = panel.group_of
     warps = WarpState.identity(ANCHORS, group_of)
-    ctx = build_context(panel, basis, ANCHORS, _var(curve_amp=1e-8))
-    c_hat = estimate_c(panel, warps, ctx, basis)
-    d, c_out = estimate_d(panel, warps, ctx, basis, c_hat, ridge_lambda=0.0)
+    normals = _normals(panel, basis, _var(curve_amp=1e-8), warps)
+    c_hat = estimate_c(normals, _no_deviations(basis, warps))
+    d, c_out = estimate_d(normals, c_hat, ridge_lambda=0.0)
 
     # oracle: per-group OLS of the residual, then the same centering
     raw = {}
@@ -299,9 +310,9 @@ def test_estimate_d_huge_penalty_kills_deviations():
     basis = BSplineBasis.uniform(2, 4)
     panel, _ = _two_group_panel(rng, basis)
     warps = WarpState.identity(ANCHORS, panel.group_of)
-    ctx = build_context(panel, basis, ANCHORS, _var())
-    c_hat = estimate_c(panel, warps, ctx, basis)
-    d, _ = estimate_d(panel, warps, ctx, basis, c_hat, ridge_lambda=1e12)
+    normals = _normals(panel, basis, _var(), warps)
+    c_hat = estimate_c(normals, _no_deviations(basis, warps))
+    d, _ = estimate_d(normals, c_hat, ridge_lambda=1e12)
     assert max(np.max(np.abs(d[k])) for k in (0, 1)) < 1e-6
 
 
@@ -314,9 +325,9 @@ def test_estimate_d_zero_for_identical_groups():
     labels = {f"s{i}": i // 2 for i in range(4)}
     panel = _panel_from(curves, labels)
     warps = WarpState.identity(ANCHORS, labels)
-    ctx = build_context(panel, basis, ANCHORS, _var())
-    c_hat = estimate_c(panel, warps, ctx, basis)
-    d, _ = estimate_d(panel, warps, ctx, basis, c_hat, ridge_lambda=1e-4)
+    normals = _normals(panel, basis, _var(), warps)
+    c_hat = estimate_c(normals, _no_deviations(basis, warps))
+    d, _ = estimate_d(normals, c_hat, ridge_lambda=1e-4)
     assert max(np.max(np.abs(d[k])) for k in (0, 1)) < 1e-10
 
 
@@ -325,12 +336,12 @@ def test_estimate_d_centers_deviations():
     basis = BSplineBasis.uniform(2, 4)
     panel, _ = _two_group_panel(rng, basis)
     warps = WarpState.identity(ANCHORS, panel.group_of)
-    ctx = build_context(panel, basis, ANCHORS, _var())
-    c_hat = estimate_c(panel, warps, ctx, basis)
-    d, _ = estimate_d(panel, warps, ctx, basis, c_hat, ridge_lambda=0.5)
+    normals = _normals(panel, basis, _var(), warps)
+    c_hat = estimate_c(normals, _no_deviations(basis, warps))
+    d, _ = estimate_d(normals, c_hat, ridge_lambda=0.5)
     assert np.max(np.abs(d[0] + d[1])) < 1e-12
     with pytest.raises(DataError, match=">= 0"):
-        estimate_d(panel, warps, ctx, basis, c_hat, ridge_lambda=-1.0)
+        estimate_d(normals, c_hat, ridge_lambda=-1.0)
 
 
 def test_estimate_ridge_solves_its_fixed_point_equation():
@@ -339,14 +350,14 @@ def test_estimate_ridge_solves_its_fixed_point_equation():
     panel, _ = _two_group_panel(rng, basis)
     warps = WarpState.identity(ANCHORS, panel.group_of)
     var = _var()
-    ctx = build_context(panel, basis, ANCHORS, var)
+    normals = _normals(panel, basis, var, warps)
     # shared weights off the pooled fit, so the raw deviations need centering
-    c_hat = estimate_c(panel, warps, ctx, basis) + 0.5
-    lam = estimate_ridge(panel, warps, ctx, basis, c_hat, 1.0)
-    assert estimate_ridge(panel, warps, ctx, basis, c_hat, 1e-3) == pytest.approx(lam, rel=1e-8)
+    c_hat = estimate_c(normals, _no_deviations(basis, warps)) + 0.5
+    lam = estimate_ridge(normals, c_hat, var.noise_sd, 1.0)
+    assert estimate_ridge(normals, c_hat, var.noise_sd, 1e-3) == pytest.approx(lam, rel=1e-8)
 
     # oracle: lambda = sigma^2 * edf / ||d||^2 with explicit inverses and traces
-    d, _ = estimate_d(panel, warps, ctx, basis, c_hat, lam)
+    d, _ = estimate_d(normals, c_hat, lam)
     edf = 0.0
     for k in (0, 1):
         normal = np.zeros((basis.size, basis.size))
@@ -370,16 +381,18 @@ def test_mean_steps_never_increase_the_objective():
     for sid in warps.subject_offsets:
         warps.subject_offsets[sid][1:-1] = rng.uniform(-0.05, 0.05, 2)
     ctx = build_context(panel, basis, ANCHORS, _var())
+    designs = warp_design(panel, warps, basis)
+    normals = gls_normals(panel, warps, ctx, designs)
     lam = 0.3
     means = MeanWeights(
         c_true + 0.5, {k: 0.1 * rng.standard_normal(c_true.shape) - 0.0 for k in (0, 1)}
     )
     dev_sum = sum(means.group.values())
     means = MeanWeights(c_true + 0.5, {k: means.group[k] - dev_sum / 2 for k in (0, 1)})
-    before = penalized_objective(panel, means, warps, ctx, lam)
-    c_hat = estimate_c(panel, warps, ctx, basis, group_weights=means.group)
-    d_hat, c_hat = estimate_d(panel, warps, ctx, basis, c_hat, lam)
-    after = penalized_objective(panel, MeanWeights(c_hat, d_hat), warps, ctx, lam)
+    before = penalized_objective(panel, means, warps, ctx, lam, designs)
+    c_hat = estimate_c(normals, means.group)
+    d_hat, c_hat = estimate_d(normals, c_hat, lam)
+    after = penalized_objective(panel, MeanWeights(c_hat, d_hat), warps, ctx, lam, designs)
     assert after <= before + 1e-9 * max(1.0, abs(before))
 
 
@@ -438,9 +451,10 @@ def test_fit_warps_never_increases_the_objective():
     panel, means, ctx = _warp_fixture(rng, {"s1": off, "s2": -0.5 * off}, warp_amp=1.0)
     lam = 1e-4
     warps0 = WarpState.identity(ANCHORS, {"s1": 0, "s2": 0})
-    before = penalized_objective(panel, means, warps0, ctx, lam)
+    basis = ctx.basis
+    before = penalized_objective(panel, means, warps0, ctx, lam, warp_design(panel, warps0, basis))
     warps, _ = fit_warps(panel, means, ctx, warps0)
-    after = penalized_objective(panel, means, warps, ctx, lam)
+    after = penalized_objective(panel, means, warps, ctx, lam, warp_design(panel, warps, basis))
     assert after <= before + 1e-9 * max(1.0, abs(before))
 
 
@@ -581,6 +595,22 @@ def test_outer_trace_is_monotone_within_phases(small_fit):
     assert 0.0 <= fit.warp_opt_converged_fraction <= 1.0
 
 
+def test_designs_are_built_once_per_warp_state(monkeypatch):
+    # one design at identity, then one after each outer iteration's warp step
+    panel, _ = simulate_study2(Study2Config(scenario="A", seed=5, n_subjects=10, n_obs=24))
+    calls = []
+    original = registration.warp_design
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(registration, "warp_design", counted)
+    cfg = RegistrationConfig(n_interior_knots=4, variance_maxiter=20, max_outer=3)
+    fit = fit_registration(panel, cfg)
+    assert len(calls) == 1 + fit.n_outer
+
+
 def test_fitted_warps_satisfy_identifiability(small_fit):
     panel, fit = small_fit
     groups = sorted(fit.warps.group_offsets)
@@ -711,7 +741,8 @@ def test_ridge_weight_is_estimated_whatever_its_start():
     back = RegistrationFit.from_dict(payload)
     assert back.ridge_lambda == lam
     ctx = build_context(panel, back.basis, back.warps.anchors, back.var)
-    value = penalized_objective(panel, back.means, back.warps, ctx, back.ridge_lambda)
+    designs = warp_design(panel, back.warps, back.basis)
+    value = penalized_objective(panel, back.means, back.warps, ctx, back.ridge_lambda, designs)
     assert value == pytest.approx(back.trace[-1], rel=1e-9)
     # artifacts without the field were fitted with the configured weight
     del payload["ridge_lambda"]

@@ -22,6 +22,7 @@ from warpclass.registration import (
     fit_subject_warp,
     penalized_objective,
     subject_warp_residuals,
+    warp_design,
     warp_values,
 )
 
@@ -122,7 +123,8 @@ def test_residual_norm_equals_the_subjects_objective_term():
     warps.subject_offsets["s1"][1:-1] = [0.03, 0.015]
     means = MeanWeights(coefs, {0: 0.1 * rng.standard_normal(coefs.shape)})
     ctx = build_context(panel, basis, ANCHORS, _var())
-    want = penalized_objective(panel, means, warps, ctx, ridge_lambda=0.0)
+    designs = warp_design(panel, warps, basis)
+    want = penalized_objective(panel, means, warps, ctx, ridge_lambda=0.0, designs=designs)
 
     prob = WarpProblem.build(
         ANCHORS, ANCHORS + warps.group_offsets[0], t, values, basis, means.coefs(0),
