@@ -17,6 +17,7 @@ from .basis import (
 from .classify import (
     ClassifierModel,
     FpcaModel,
+    LogisticFit,
     PredictionResult,
     classify_prob,
     compute_J,

@@ -159,7 +159,7 @@ class MonotoneInterpolant:
         cell-linear guess.  A bracket [lo, hi] follows the sign of
         p(s) - target, and a Newton step that leaves the closed bracket is
         replaced by the bracket midpoint.  Targets equal to an ordinate map
-        exactly to its anchor.
+        exactly to its anchor, and a larger target never maps lower.
         """
         x, y, d = self.anchors, self.values, self.slopes
         if np.any(np.diff(y) <= 0):
@@ -196,7 +196,12 @@ class MonotoneInterpolant:
             raise NumericalError(
                 f"monotone interpolant inverse did not converge in {_INVERSE_MAX_ITERS} steps"
             )
-        return np.where(v == y[-1], x[-1], np.minimum(x[idx] + h * s, x[idx + 1]))
+        t = np.where(v == y[-1], x[-1], np.minimum(x[idx] + h * s, x[idx + 1]))
+        # each solve stops within a residual tolerance, so targets a few ulps
+        # apart can come back an ulp out of order; put them back in order
+        order = np.argsort(v, kind="stable")
+        t[order] = np.maximum.accumulate(t[order])
+        return t
 
 
 def _hermite_cells(x: np.ndarray, t) -> tuple:

@@ -16,7 +16,7 @@ repeat until the label and probability stop moving.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +48,11 @@ def _sigmoid(eta):
     ex = np.exp(eta[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _prob(eta):
+    """Class-1 probability at linear predictor ``eta``, kept off 0 and 1."""
+    return np.clip(_sigmoid(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +94,9 @@ def smooth_covariance(values: np.ndarray, window: int = 11) -> np.ndarray:
     if window < 1 or window % 2 == 0:
         raise DataError(f"window must be odd and positive, got {window}")
     centered = vals - vals.mean(axis=0)
-    cov = centered.T @ centered / vals.shape[0]
+    # einsum sums in one fixed order; a BLAS product splits the sum across
+    # threads, so its last bits would depend on the BLAS thread count
+    cov = np.einsum("ki,kj->ij", centered, centered) / vals.shape[0]
     out = np.empty_like(cov)
     g = cov.shape[0]
     half = window // 2
@@ -176,8 +183,8 @@ def compute_J(fpca: FpcaModel, tpbasis: TruncatedPowerBasis) -> np.ndarray:
 
 
 @dataclass
-class ClassifierModel:
-    """Fitted classifier: scalar part, coefficient splines, and FPCA refs."""
+class LogisticFit:
+    """Penalized logistic fit: scalar coefficients and coefficient splines."""
 
     b0: float
     b1: np.ndarray  # (p,)
@@ -185,34 +192,38 @@ class ClassifierModel:
     sigma_e: float
     deviance_trace: list[list[float]]  # one inner IRLS deviance list per outer pass
     converged: bool
-    scalar_b: np.ndarray | None = None  # scalar-only refit, for initialization
-    coef_basis: TruncatedPowerBasis | None = None
-    j_mats: np.ndarray | None = None  # (2, k_x, k_e)
-    fpca: tuple[FpcaModel, ...] | None = None  # one per coordinate
     n_passes: int = 0
 
     def __post_init__(self):
-        # a decoded artifact is checked here, before any array broadcasts;
-        # fit_classifier sets the optional parts after construction
+        # a decoded artifact is checked here, before any array broadcasts
         check_shape("e", self.e, (2, "k_e"))
         check_shape("b1", self.b1, ("p",))
-        if self.scalar_b is not None:
-            check_shape("scalar_b", self.scalar_b, (1 + len(self.b1),))
-        if self.coef_basis is not None and self.coef_basis.size != self.k_e:
-            raise DataError(f"coef_basis.size is {self.coef_basis.size}, expected k_e = {self.k_e}")
-        if self.j_mats is not None:
-            check_shape("j_mats", self.j_mats, (2, "k_x", self.k_e))
-        if self.fpca is not None:
-            if len(self.fpca) != 2:
-                raise DataError(f"fpca has {len(self.fpca)} entries, expected 2")
-            n_grid = len(self.fpca[0].grid)
-            k_x = "k_x" if self.j_mats is None else self.j_mats.shape[1]
-            for a, f in enumerate(self.fpca):
-                check_shape(f"fpca[{a}].eigenfunctions", f.eigenfunctions, (n_grid, k_x))
 
     @property
     def k_e(self) -> int:
         return self.e.shape[1]
+
+
+@dataclass(kw_only=True)
+class ClassifierModel(LogisticFit):
+    """Fitted classifier: the logistic fit plus what scoring a subject needs."""
+
+    scalar_b: np.ndarray  # scalar-only refit, for initialization
+    coef_basis: TruncatedPowerBasis
+    j_mats: np.ndarray  # (2, k_x, k_e)
+    fpca: tuple[FpcaModel, ...]  # one per coordinate
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_shape("scalar_b", self.scalar_b, (1 + len(self.b1),))
+        if self.coef_basis.size != self.k_e:
+            raise DataError(f"coef_basis.size is {self.coef_basis.size}, expected k_e = {self.k_e}")
+        check_shape("j_mats", self.j_mats, (2, "k_x", self.k_e))
+        if len(self.fpca) != 2:
+            raise DataError(f"fpca has {len(self.fpca)} entries, expected 2")
+        n_grid, k_x = len(self.fpca[0].grid), self.j_mats.shape[1]
+        for a, f in enumerate(self.fpca):
+            check_shape(f"fpca[{a}].eigenfunctions", f.eigenfunctions, (n_grid, k_x))
 
     def to_dict(self) -> dict:
         return {**encode(self), "format_version": _MODEL_FORMAT_VERSION}
@@ -223,10 +234,14 @@ class ClassifierModel:
         return decode(cls, {k: v for k, v in payload.items() if k != "format_version"}, "model")
 
 
-def _deviance(labels, eta, penalty_vec, theta) -> float:
-    pi = np.clip(_sigmoid(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    dev = -2.0 * float(labels @ np.log(pi) + (1.0 - labels) @ np.log(1.0 - pi))
-    return dev + float(theta @ (penalty_vec * theta))
+def _deviance(labels, eta) -> float:
+    """Binomial deviance of 0/1 ``labels`` at linear predictor ``eta``."""
+    pi = _prob(eta)
+    return -2.0 * float(labels @ np.log(pi) + (1.0 - labels) @ np.log(1.0 - pi))
+
+
+def _penalized_deviance(labels, eta, penalty_vec, theta) -> float:
+    return _deviance(labels, eta) + float(theta @ (penalty_vec * theta))
 
 
 def _irls_pass(design, labels, penalty_vec, theta, max_newton=25):
@@ -237,11 +252,11 @@ def _irls_pass(design, labels, penalty_vec, theta, max_newton=25):
     """
     trace = []
     eta = design @ theta
-    current = _deviance(labels, eta, penalty_vec, theta)
+    current = _penalized_deviance(labels, eta, penalty_vec, theta)
     trace.append(current)
     weights = None
     for _ in range(max_newton):
-        pi = np.clip(_sigmoid(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+        pi = _prob(eta)
         weights = np.maximum(pi * (1.0 - pi), 1e-10)
         grad = design.T @ (labels - pi) - penalty_vec * theta
         hess = (design.T * weights) @ design + np.diag(penalty_vec)
@@ -254,7 +269,7 @@ def _irls_pass(design, labels, penalty_vec, theta, max_newton=25):
         scale = 1.0
         for _ in range(30):
             cand = theta + scale * step
-            cand_dev = _deviance(labels, design @ cand, penalty_vec, cand)
+            cand_dev = _penalized_deviance(labels, design @ cand, penalty_vec, cand)
             if cand_dev <= current + 1e-12:
                 break
             scale *= 0.5
@@ -268,7 +283,7 @@ def _irls_pass(design, labels, penalty_vec, theta, max_newton=25):
         if moved <= 1e-10 * max(1.0, abs(current)):
             break
     if weights is None:
-        pi = np.clip(_sigmoid(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+        pi = _prob(eta)
         weights = np.maximum(pi * (1.0 - pi), 1e-10)
     return theta, trace, weights
 
@@ -280,7 +295,7 @@ def fit_glmm(
     sigma_init: float = 1.0,
     max_passes: int = 50,
     tol: float = 1e-5,
-) -> ClassifierModel:
+) -> LogisticFit:
     """Penalized logistic regression with a ridge variance fixed point.
 
     ``scalar_design`` is (N, 1+p) including the intercept column;
@@ -362,7 +377,7 @@ def fit_glmm(
     for a in (0, 1):
         block = n_scalar + a * k_e
         e[a] = theta[block : block + k_e]
-    return ClassifierModel(
+    return LogisticFit(
         b0=b0,
         b1=b1,
         e=e,
@@ -377,18 +392,14 @@ def classify_prob(model: ClassifierModel, scores, scalars) -> float:
     """Class-1 probability for one subject's scores and scalar covariates."""
     v = np.atleast_1d(np.asarray(scalars, dtype=float))
     eta = model.b0 + float(v @ model.b1)
-    if model.j_mats is not None and scores is not None:
-        sc = np.asarray(scores, dtype=float)
-        for a in (0, 1):
-            eta += float(sc[a] @ model.j_mats[a] @ model.e[a])
-    pi = float(_sigmoid(np.array([eta]))[0])
-    return float(np.clip(pi, _PROB_FLOOR, 1.0 - _PROB_FLOOR))
+    sc = np.asarray(scores, dtype=float)
+    for a in (0, 1):
+        eta += float(sc[a] @ model.j_mats[a] @ model.e[a])
+    return float(_prob(eta))
 
 
 def functional_coefficient(model: ClassifierModel, coordinate: int, times) -> np.ndarray:
     """Reconstruct the functional coefficient curve at the given times."""
-    if model.coef_basis is None:
-        raise DataError("model was fit without a functional part")
     if coordinate not in (0, 1):
         raise DataError(f"coordinate must be 0 or 1, got {coordinate}")
     return model.coef_basis.design(np.asarray(times, dtype=float)) @ model.e[coordinate]
@@ -400,6 +411,16 @@ def functional_coefficient(model: ClassifierModel, coordinate: int, times) -> np
 
 def _panel_scalar_design(panel: CurvePanel) -> np.ndarray:
     return np.hstack([np.ones((panel.n_subjects, 1)), panel.covariates])
+
+
+def _fpca_pair(values, grid, k_x: int, window: int) -> tuple[FpcaModel, FpcaModel]:
+    """One decomposition per coordinate of aligned curves (N, n_grid, 2)."""
+    pair = []
+    for a in (0, 1):
+        vals = values[:, :, a]
+        cov = smooth_covariance(vals, window=window)
+        pair.append(fpca_decompose(cov, grid, k_x, mean=vals.mean(axis=0)))
+    return tuple(pair)
 
 
 def _score_panel(aligned_values, fpca_pair):
@@ -438,12 +459,7 @@ def fit_classifier(
     if k_x < k_e:
         raise DataError(f"identifiability requires k_x >= k_e, got ({k_x}, {k_e})")
     aligned = align_curves(panel, reg_fit)
-    fpca_pair = []
-    for a in (0, 1):
-        vals = aligned.values[:, :, a]
-        cov = smooth_covariance(vals, window=smoothing_window)
-        fpca_pair.append(fpca_decompose(cov, aligned.grid, k_x, mean=vals.mean(axis=0)))
-    fpca_pair = tuple(fpca_pair)
+    fpca_pair = _fpca_pair(aligned.values, aligned.grid, k_x, smoothing_window)
 
     coef_basis = TruncatedPowerBasis.from_quantiles(_pooled_times(panel), k_e)
     j_mats = np.stack([compute_J(fpca_pair[a], coef_basis) for a in (0, 1)])
@@ -451,24 +467,24 @@ def fit_classifier(
     scalar_design = _panel_scalar_design(panel)
     labels = panel.labels
 
-    model = fit_glmm(
+    fit = fit_glmm(
         scalar_design, _functional_design(scores, j_mats), labels, sigma_init=sigma_init
     )
     scalar_only = fit_glmm(scalar_design, None, labels)
-    model.scalar_b = np.concatenate([[scalar_only.b0], scalar_only.b1])
-    model.coef_basis = coef_basis
-    model.j_mats = j_mats
-    model.fpca = fpca_pair
-    return model
+    return ClassifierModel(
+        **vars(fit),
+        scalar_b=np.concatenate([[scalar_only.b0], scalar_only.b1]),
+        coef_basis=coef_basis,
+        j_mats=j_mats,
+        fpca=fpca_pair,
+    )
 
 
 def scalar_only_prob(model: ClassifierModel, scalars) -> float:
     """Probability from the stored scalar-only logistic refit."""
-    if model.scalar_b is None:
-        raise DataError("model carries no scalar-only refit")
     v = np.atleast_1d(np.asarray(scalars, dtype=float))
     eta = float(model.scalar_b[0] + v @ model.scalar_b[1:])
-    return float(np.clip(_sigmoid(np.array([eta]))[0], _PROB_FLOOR, 1.0 - _PROB_FLOOR))
+    return float(_prob(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -529,22 +545,13 @@ def cross_validate_K(
         if len(np.unique(y_train)) < 2 or val_mask.sum() == 0:
             _log.warning("fold %d skipped: single-class training split", fold)
             continue
-        fpca_pair = []
-        for a in (0, 1):
-            vals = values[train_mask, :, a]
-            cov = smooth_covariance(vals, window=smoothing_window)
-            fpca_pair.append(fpca_decompose(cov, grid, k_x_max, mean=vals.mean(axis=0)))
-        scores_all = _score_panel(values, tuple(fpca_pair))
+        fpca_pair = _fpca_pair(values[train_mask], grid, k_x_max, smoothing_window)
+        scores_all = _score_panel(values, fpca_pair)
         y_val = labels[val_mask]
         for kx, ke in pairs:
             coef_basis = TruncatedPowerBasis.from_quantiles(pooled, ke)
             trunc = [
-                FpcaModel(
-                    grid=f.grid,
-                    mean=f.mean,
-                    eigenfunctions=f.eigenfunctions[:, :kx],
-                    eigenvalues=f.eigenvalues[:kx],
-                )
+                replace(f, eigenfunctions=f.eigenfunctions[:, :kx], eigenvalues=f.eigenvalues[:kx])
                 for f in fpca_pair
             ]
             j_mats = np.stack([compute_J(trunc[a], coef_basis) for a in (0, 1)])
@@ -561,9 +568,7 @@ def cross_validate_K(
                 + scalar_design[val_mask, 1:] @ model.b1
                 + func_design[val_mask] @ np.concatenate([model.e[0], model.e[1]])
             )
-            pi = np.clip(_sigmoid(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-            dev = -2.0 * float(y_val @ np.log(pi) + (1.0 - y_val) @ np.log(1.0 - pi))
-            sums[(kx, ke)] += dev / val_mask.sum()
+            sums[(kx, ke)] += _deviance(y_val, eta) / val_mask.sum()
             used[(kx, ke)] += 1
 
     scored = []
@@ -622,8 +627,6 @@ def predict_new(
     ``label`` is the one that probability points to (the other label),
     so ``label == int(pi_hat >= 0.5)`` holds in every result.
     """
-    if model.fpca is None or model.j_mats is None:
-        raise DataError("classifier lacks the functional part needed for prediction")
     v = np.atleast_1d(np.asarray(scalars, dtype=float))
     grid = model.fpca[0].grid
     anchors = reg_fit.warps.anchors
@@ -646,10 +649,7 @@ def predict_new(
                 if np.any(np.diff(ords) <= 0):
                     ords = anchors.copy()
             aligned = align_single(curve, anchors, ords, grid)
-            scores = np.stack(
-                [project_scores(aligned[:, a], model.fpca[a]) for a in (0, 1)]
-            )
-            cache[label] = scores
+            cache[label] = _score_panel(aligned[None], model.fpca)[0]
         pi = classify_prob(model, cache[label], v)
         new_label = int(pi >= 0.5)
         if new_label == label and pi_prev is not None and abs(pi - pi_prev) < 1e-6:

@@ -25,7 +25,7 @@ from .classify import (
     fit_classifier,
     predict_new,
 )
-from .codec import encode
+from .codec import encode, read_json
 from .config import RunConfig, load_config
 from .curves import (
     CurvePanel,
@@ -59,20 +59,6 @@ PREDICTIONS_HEADER = ["subject_id", "pi_hat", "label", "iterations", "converged"
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     path.write_text(text + "\n", encoding="utf-8")
-
-
-def _read_json(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"{path} must hold a JSON object")
-    return payload
 
 
 def _fmt(x: float) -> str:
@@ -259,7 +245,7 @@ def _load_fit(fit_dir) -> tuple[RegistrationFit, ClassifierModel]:
     fit_dir = Path(fit_dir)
     reg_fit = _load_registration_only(fit_dir)
     path = fit_dir / "classifier.json"
-    cls_payload = _read_json(path)
+    cls_payload = read_json(path)
     check_format_version(cls_payload, FORMAT_VERSION, str(path))
     return reg_fit, ClassifierModel.from_dict(cls_payload.get("model"))
 
@@ -340,7 +326,7 @@ def cmd_register(args) -> int:
 
 def _load_registration_only(fit_dir) -> RegistrationFit:
     path = Path(fit_dir) / "registration.json"
-    payload = _read_json(path)
+    payload = read_json(path)
     check_format_version(payload, FORMAT_VERSION, str(path))
     return RegistrationFit.from_dict(payload.get("fit"))
 
@@ -358,23 +344,34 @@ def _read_predictions(path) -> list[dict]:
         header = next(reader, None)
         if header != PREDICTIONS_HEADER:
             raise DataError(f"unexpected predictions header: {header}")
-        rows = []
+        rows, seen = [], set()
         for line in reader:
             if len(line) != len(PREDICTIONS_HEADER):
                 raise DataError(f"malformed predictions row: {line}")
-            rows.append(
-                {
-                    "subject_id": line[0],
-                    "pi_hat": float(line[1]),
-                    "label": int(line[2]),
-                }
-            )
+            sid, pi_text, label, iterations, converged = line
+            where = f"{path} line {reader.line_num}"
+            try:
+                pi_hat = float(pi_text)
+            except ValueError:
+                raise DataError(f"{where}: pi_hat must be a number, got {pi_text!r}") from None
+            if not 0.0 <= pi_hat <= 1.0:
+                raise DataError(f"{where}: pi_hat must lie in [0, 1], got {pi_text}")
+            if label not in ("0", "1"):
+                raise DataError(f"{where}: label must be 0 or 1, got {label!r}")
+            if not iterations.isdecimal() or converged not in ("0", "1"):
+                raise DataError(
+                    f"{where}: iterations must be a count and converged 0 or 1, got {line[3:]}"
+                )
+            if sid in seen:
+                raise DataError(f"{where}: subject {sid!r} is predicted twice")
+            seen.add(sid)
+            rows.append({"subject_id": sid, "pi_hat": pi_hat, "label": int(label)})
     return rows
 
 
 def cmd_evaluate(args) -> int:
     preds = _read_predictions(args.predictions)
-    truth = _read_json(args.truth)
+    truth = read_json(args.truth)
 
     def entry(key: str):
         if key not in truth:

@@ -6,12 +6,14 @@ nested dataclass a dict.  ``decode`` reverses it, driven by the class's
 type hints, and raises DataError naming the field path for a missing
 required field, an unknown key, a value of the wrong type or a failed
 check of the class's own.  A missing field with a default takes the
-default.
+default.  ``read_json`` reads the JSON object that an artifact, truth or
+config file holds.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import numbers
 import reprlib
 import types
@@ -27,6 +29,22 @@ _SCALARS = {
     float: (numbers.Real, "a number"),
     str: (str, "a string"),
 }
+
+
+def read_json(path) -> dict:
+    """The JSON object held by file ``path``; DataError if missing, invalid or not an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise DataError(f"cannot open {path}: {exc}") from None
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path} must hold a JSON object")
+    return payload
 
 
 def encode(obj):

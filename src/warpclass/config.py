@@ -8,10 +8,10 @@ reads and writes it.  A fit's ``fit.config`` is itself a valid config.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 from .classify import DEFAULT_CV_GRID
+from .codec import read_json
 from .errors import DataError, check_int
 from .registration import RegistrationConfig
 
@@ -66,13 +66,4 @@ class RunConfig(RegistrationConfig):
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
-    return RunConfig.from_dict(payload)
+    return RunConfig.from_dict(read_json(path))

@@ -17,21 +17,12 @@ import numpy as np
 from scipy import stats
 
 from .basis import BSplineBasis, hyman_interp, quad_weights
+from .classify import _sigmoid
 from .codec import encode
 from .curves import CurvePanel, ScalarRecord, SubjectCurve
 from .errors import DataError
 from .gp import MaternParams, chol_lower, matern_cov
 from .rng import substream
-
-
-def _sigmoid(x):
-    out = np.empty_like(np.asarray(x, dtype=float))
-    x = np.asarray(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 # ---------------------------------------------------------------------------

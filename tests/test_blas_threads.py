@@ -1,7 +1,7 @@
 """CLI artifacts are byte-identical whatever number of BLAS threads computes them.
 
-The fit and the predictions run in fresh interpreters, because OpenBLAS
-reads its thread count once, when numpy is first imported.
+The fit, the predictions and the FPCA probe run in fresh interpreters,
+because OpenBLAS reads its thread count once, when numpy is first imported.
 """
 
 import json
@@ -15,16 +15,35 @@ from warpclass.cli import main
 
 SRC = Path(warpclass.__file__).resolve().parent.parent
 CONFIG = {"n_interior_knots": 4, "k_x": 5, "k_e": 3, "max_outer": 4, "variance_maxiter": 40}
+# The FPCA of 60 curves on 101 points, the benchmark's training size: a
+# covariance product this large is one OpenBLAS splits across threads.
+FPCA_PROBE = """
+import hashlib
+import numpy as np
+from warpclass.classify import fpca_decompose, smooth_covariance
+vals = np.random.default_rng(0).standard_normal((60, 101))
+cov = smooth_covariance(vals)
+fpca = fpca_decompose(cov, np.linspace(0.0, 1.0, 101), 18, mean=vals.mean(axis=0))
+print(hashlib.sha256(cov.tobytes() + fpca.eigenfunctions.tobytes()).hexdigest())
+"""
 
 
-def _cli(args, blas_threads: int) -> None:
+def _python(args, blas_threads: int) -> str:
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(blas_threads)}
     proc = subprocess.run(
-        [sys.executable, "-m", "warpclass.cli", *map(str, args)],
-        env=env, capture_output=True, text=True,
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _cli(args, blas_threads: int) -> None:
+    _python(["-m", "warpclass.cli", *args], blas_threads)
+
+
+def test_fpca_at_benchmark_size_is_identical_across_blas_thread_counts():
+    assert _python(["-c", FPCA_PROBE], 1) == _python(["-c", FPCA_PROBE], 2)
 
 
 def test_artifacts_are_identical_across_blas_thread_counts(tmp_path):

@@ -268,16 +268,30 @@ def test_variance_fixed_point_stall_raises(monkeypatch):
         fit_glmm(scalar, func, y)
 
 
-def test_classify_prob_round_trips_the_logit():
-    rng = np.random.default_rng(23)
-    model = ClassifierModel(
+def _model(b1, e, j_mats, coef_basis=None, scalar_b=None):
+    """A complete ClassifierModel around the given coefficients; the FPCA
+    pair is a consistent placeholder."""
+    k_x, k_e = j_mats.shape[1:]
+    grid = np.linspace(0.0, 1.0, 11)
+    fpca = FpcaModel(grid, np.zeros(11), np.zeros((11, k_x)), np.zeros(k_x))
+    return ClassifierModel(
         b0=0.4,
-        b1=np.array([-0.7, 0.2]),
-        e=rng.standard_normal((2, 3)),
+        b1=b1,
+        e=e,
         sigma_e=1.0,
         deviance_trace=[],
         converged=True,
-        j_mats=rng.standard_normal((2, 4, 3)),
+        scalar_b=np.zeros(1 + len(b1)) if scalar_b is None else scalar_b,
+        coef_basis=coef_basis or TruncatedPowerBasis.from_quantiles(grid, k_e),
+        j_mats=j_mats,
+        fpca=(fpca, fpca),
+    )
+
+
+def test_classify_prob_round_trips_the_logit():
+    rng = np.random.default_rng(23)
+    model = _model(
+        np.array([-0.7, 0.2]), rng.standard_normal((2, 3)), rng.standard_normal((2, 4, 3))
     )
     scores = rng.standard_normal((2, 4))
     v = np.array([0.3, -1.1])
@@ -291,25 +305,12 @@ def test_classify_prob_round_trips_the_logit():
 def test_functional_coefficient_evaluates_the_spline():
     tp = TruncatedPowerBasis(4, knots=(0.4, 0.7))
     e = np.array([[0.5, -1.0, 2.0, 3.0], [0.0, 1.0, 0.0, -2.0]])
-    model = ClassifierModel(
-        b0=0.0,
-        b1=np.zeros(1),
-        e=e,
-        sigma_e=1.0,
-        deviance_trace=[],
-        converged=True,
-        coef_basis=tp,
-    )
+    model = _model(np.zeros(1), e, np.zeros((2, 5, 4)), coef_basis=tp)
     t = np.linspace(0, 1, 9)
     want = tp.design(t) @ e[1]
     assert np.max(np.abs(functional_coefficient(model, 1, t) - want)) < 1e-12
     with pytest.raises(DataError, match="coordinate"):
         functional_coefficient(model, 2, t)
-    bare = ClassifierModel(
-        b0=0.0, b1=np.zeros(1), e=e, sigma_e=1.0, deviance_trace=[], converged=True
-    )
-    with pytest.raises(DataError, match="functional part"):
-        functional_coefficient(bare, 0, t)
 
 
 def test_prediction_result_validates_probability():
@@ -318,12 +319,14 @@ def test_prediction_result_validates_probability():
 
 
 def test_scalar_only_prob_requires_refit():
-    model = ClassifierModel(
-        b0=0.0, b1=np.zeros(1), e=np.zeros((2, 2)), sigma_e=1.0,
-        deviance_trace=[], converged=True,
-    )
-    with pytest.raises(DataError, match="scalar-only"):
-        scalar_only_prob(model, np.array([1.0]))
+    scalar_b = np.array([0.3, -1.2])
+    model = _model(np.zeros(1), np.zeros((2, 2)), np.zeros((2, 3, 2)), scalar_b=scalar_b)
+    pi = scalar_only_prob(model, np.array([0.5]))
+    assert abs(np.log(pi / (1 - pi)) - (0.3 - 0.6)) < 1e-12
+    payload = model.to_dict()
+    del payload["scalar_b"]
+    with pytest.raises(DataError, match="model.scalar_b is missing"):
+        ClassifierModel.from_dict(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +460,13 @@ def test_two_label_cycle_stops_independently_of_max_iter(small_pipeline, start):
 
 
 def test_predict_requires_functional_model(small_pipeline):
-    panel, _, reg, model = small_pipeline
-    bare = ClassifierModel(
-        b0=model.b0, b1=model.b1, e=model.e, sigma_e=model.sigma_e,
-        deviance_trace=[], converged=True, scalar_b=model.scalar_b,
-    )
-    with pytest.raises(DataError, match="functional part"):
-        predict_new(reg, bare, panel.curves[0], panel.covariates[0])
+    # a model without its functional part cannot be built, so predict_new
+    # never sees one
+    for part in ("coef_basis", "j_mats", "fpca"):
+        payload = small_pipeline[3].to_dict()
+        del payload[part]
+        with pytest.raises(DataError, match=f"model.{part} is missing"):
+            ClassifierModel.from_dict(payload)
 
 
 def test_cross_validation_contract_on_small_panel(small_pipeline):

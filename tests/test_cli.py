@@ -378,6 +378,11 @@ _DROP = object()
          "model.fpca[1]: eigenvalues has shape (1,), expected (5,)"),
         ("predict", "classifier.json", ("model", "scalar_b"), [0.0],
          "model: scalar_b has shape (1,), expected"),
+        ("predict", "classifier.json", ("model", "scalar_b"), _DROP, "model.scalar_b is missing"),
+        ("predict", "classifier.json", ("model", "coef_basis"), _DROP,
+         "model.coef_basis is missing"),
+        ("predict", "classifier.json", ("model", "j_mats"), _DROP, "model.j_mats is missing"),
+        ("predict", "classifier.json", ("model", "fpca"), _DROP, "model.fpca is missing"),
     ],
 )
 def test_malformed_artifacts_exit_3_naming_the_field(
@@ -529,6 +534,35 @@ def test_evaluate_names_a_missing_truth_entry(pipeline, tmp_path, capsys, key, w
         args += ["--fit", str(pipeline.fit)]
     assert main(args) == 3
     assert f"has no '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (1, "abc", "line 3: pi_hat must be a number, got 'abc'"),
+        (1, "1.5", "line 3: pi_hat must lie in [0, 1], got 1.5"),
+        (1, "nan", "line 3: pi_hat must lie in [0, 1], got nan"),
+        (2, "x", "line 3: label must be 0 or 1, got 'x'"),
+        (2, "7", "line 3: label must be 0 or 1, got '7'"),
+        (3, "abc", "line 3: iterations must be a count and converged 0 or 1, got ['abc', '1']"),
+        (4, "yes", "line 3: iterations must be a count and converged 0 or 1, got ['1', 'yes']"),
+        (0, None, "is predicted twice"),  # None: the subject of line 2
+    ],
+    ids=["pi_hat-text", "pi_hat-range", "pi_hat-nan", "label-text", "label-7", "iterations",
+         "converged", "duplicate"],
+)
+def test_evaluate_rejects_bad_prediction_rows(pipeline, tmp_path, capsys, column, value, message):
+    truth = json.loads((pipeline.data / "truth.json").read_text())
+    rows = [[s, "0.5", y, 1, 1] for s, y in zip(truth["subjects"], truth["labels"])]
+    rows[1][column] = rows[0][0] if value is None else value
+    path = tmp_path / "predictions.csv"
+    _write_predictions(path, rows)
+    assert main(["evaluate", "--predictions", str(path),
+                 "--truth", str(pipeline.data / "truth.json"),
+                 "--out", str(tmp_path / "m.json")]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "line 3" in err
     assert not (tmp_path / "m.json").exists()
 
 

@@ -71,3 +71,8 @@ def test_load_config_reads_a_file_and_rejects_bad_ones(tmp_path):
             load_config(path)
     with pytest.raises(DataError, match="not found"):
         load_config(tmp_path / "missing.json")
+    with pytest.raises(DataError, match="cannot open"):
+        load_config(tmp_path)
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(DataError, match="not valid JSON"):
+        load_config(path)
