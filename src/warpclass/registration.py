@@ -184,9 +184,13 @@ class GlsContext:
         for c in panel.curves:
             key = c.times.tobytes()
             if key not in grid_factors:
-                s_mat = matern_cov(var.curve_cov, c.times)
-                grid_factors[key] = CholFactor(np.eye(len(c.times)) + s_mat)
+                grid_factors[key] = _curve_factor(var.curve_cov, c.times)
             self.s_factors[c.subject_id] = grid_factors[key]
+
+
+def _curve_factor(curve_cov: MaternParams, times: np.ndarray) -> CholFactor:
+    """Factor of I + S on one observation grid: the curve block over the noise."""
+    return CholFactor(np.eye(len(times)) + matern_cov(curve_cov, times))
 
 
 def build_context(panel, basis, anchors, var) -> GlsContext:
@@ -587,17 +591,21 @@ _LOG_HI = np.log([1e3, 5.0, 1e3, 5.0])
 _VARIANCE_NAMES = ("curve amplitude", "curve length scale", "warp amplitude", "warp length scale")
 
 
-def _variance_negloglik(
-    log_params, smooth_curve, smooth_warp, grids, grid_of, resid, jac, interior
-):
+def _variance_negloglik(log_params, smooth_curve, smooth_warp, grids, blocks, interior):
     """Profiled negative Gaussian log likelihood of the linearized model.
 
-    Block covariance per subject and coordinate is S + B H B' + I (times
-    the profiled-out noise variance).  The low-rank warp term is handled
-    by the Woodbury identity so only one dense factorization per distinct
-    observation grid is needed per evaluation.  Returns the value and the
-    profiled noise variance; where the likelihood cannot be evaluated the
-    value is ``_BIG`` and the variance NaN.
+    Block covariance per subject and coordinate is C + B H B' with
+    C = I + S (times the profiled-out noise variance).  ``blocks`` holds,
+    per distinct observation grid in ``grids``, the columns [r, B] of
+    every subject and coordinate on it side by side.  One evaluation
+    factors C once per grid and whitens that grid's block with one
+    triangular solve.  The Gram matrix of each whitened [r, B] gives
+    r' C^-1 r, B' C^-1 r and B' C^-1 B, and the warp term enters by the
+    Woodbury identity through one batched determinant and solve over the
+    caps H^-1 + B' C^-1 B.  Grids are summed in the order of ``blocks``.
+    Returns the value and the profiled noise variance; where the
+    likelihood cannot be evaluated the value is ``_BIG`` and the variance
+    NaN.
     """
     failed = (_BIG, float("nan"))
     lp = np.asarray(log_params, dtype=float)
@@ -607,12 +615,9 @@ def _variance_negloglik(
     penalty = 1e3 * float(excess @ excess)
     amp_s, rg_s, amp_h, rg_h = np.exp(np.clip(lp, _LOG_LO, _LOG_HI))
     try:
-        c_factors = {}
-        for key, grid in grids.items():
-            s_mat = matern_cov(MaternParams(amp_s, rg_s, smooth_curve), grid)
-            c_factors[key] = CholFactor(np.eye(len(grid)) + s_mat)
-        h_mat = matern_cov(MaternParams(amp_h, rg_h, smooth_warp), interior)
-        h_fac = CholFactor(h_mat)
+        curve_cov = MaternParams(amp_s, rg_s, smooth_curve)
+        c_factors = {key: _curve_factor(curve_cov, grid) for key, grid in grids.items()}
+        h_fac = CholFactor(matern_cov(MaternParams(amp_h, rg_h, smooth_warp), interior))
         h_inv = h_fac.solve(np.eye(len(interior)))
         h_logdet = h_fac.logdet()
     except (NumericalError, DataError):
@@ -620,24 +625,19 @@ def _variance_negloglik(
     quad_sum = 0.0
     logdet_sum = 0.0
     n_tot = 0
-    for sid, r_cols in resid.items():
-        cf = c_factors[grid_of[sid]]
-        c_logdet = cf.logdet()
-        for a in (0, 1):
-            r = r_cols[:, a]
-            bmat = jac[sid][a]
-            solved = cf.solve(np.column_stack([r, bmat]))
-            cinv_r = solved[:, 0]
-            cinv_b = solved[:, 1:]
-            cross = bmat.T @ cinv_r
-            cap = h_inv + bmat.T @ cinv_b
-            sign, cap_logdet = np.linalg.slogdet(cap)
-            if sign <= 0:
-                return failed
-            quad = float(r @ cinv_r - cross @ np.linalg.solve(cap, cross))
-            quad_sum += max(quad, 0.0)
-            logdet_sum += c_logdet + cap_logdet + h_logdet
-            n_tot += len(r)
+    for key, block in blocks.items():
+        n = len(block)
+        z = c_factors[key].half_solve(block).reshape(n, -1, 1 + len(interior))
+        gram = np.einsum("nki,nkj->kij", z, z)
+        caps = h_inv + gram[:, 1:, 1:]
+        signs, cap_logdets = np.linalg.slogdet(caps)
+        if np.any(signs <= 0):
+            return failed
+        cross = gram[:, 1:, :1]
+        quads = gram[:, 0, 0] - np.sum(cross * np.linalg.solve(caps, cross), axis=(1, 2))
+        quad_sum += float(np.sum(np.maximum(quads, 0.0)))
+        logdet_sum += len(quads) * (c_factors[key].logdet() + h_logdet) + float(np.sum(cap_logdets))
+        n_tot += n * len(quads)
     loglik, sigma2 = profile_loglik_parts(quad_sum, logdet_sum, n_tot)
     if not np.isfinite(loglik):
         return failed
@@ -657,35 +657,35 @@ def fit_variance(
 
     Nelder-Mead in log space over (curve amplitude, curve range, warp
     amplitude, warp range); the two smoothness orders stay fixed and the
-    noise variance is profiled out in closed form.  Returns the updated
-    parameters and the (initial, final) log likelihood.  Each parameter
-    that ends on its box bound (``_LOG_LO``, ``_LOG_HI``) is logged.
+    noise variance is profiled out in closed form.  The residuals and
+    Jacobians are stacked once per call into one [r, B] block per distinct
+    grid, in panel order, so each likelihood evaluation makes one whitening
+    solve per grid and batches the caps (``_variance_negloglik``).  Returns
+    the updated parameters and the (initial, final) log likelihood.  Each
+    parameter that ends on its box bound (``_LOG_LO``, ``_LOG_HI``) is logged.
     """
     anchors = np.asarray(anchors, dtype=float)
     interior = anchors[1:-1]
-    grids, grid_of, resid = {}, {}, {}
+    grids, cols, resid = {}, {}, {}
     for curve in panel.curves:
         sid = curve.subject_id
         key = curve.times.tobytes()
         grids.setdefault(key, curve.times)
-        grid_of[sid] = key
         back = np.stack([jac[sid][0] @ w0[sid], jac[sid][1] @ w0[sid]], axis=1)
         resid[sid] = curve.values - fitted[sid] + back
+        cols.setdefault(key, []).extend(
+            np.column_stack([resid[sid][:, a], jac[sid][a]]) for a in (0, 1)
+        )
+    blocks = {key: np.hstack(c) for key, c in cols.items()}
 
     # profiled noise variance at every evaluated point, so the chosen one
     # needs no further evaluation
     sigma2_at = {}
+    smooth_curve, smooth_warp = var_init.curve_cov.smoothness, var_init.warp_cov.smoothness
 
     def objective(log_params):
         value, sigma2 = _variance_negloglik(
-            log_params,
-            var_init.curve_cov.smoothness,
-            var_init.warp_cov.smoothness,
-            grids,
-            grid_of,
-            resid,
-            jac,
-            interior,
+            log_params, smooth_curve, smooth_warp, grids, blocks, interior
         )
         sigma2_at[np.asarray(log_params, dtype=float).tobytes()] = sigma2
         return value
@@ -1018,7 +1018,7 @@ def _kernel_factors(fit: RegistrationFit, times: np.ndarray) -> tuple:
     grid = times.tobytes()
     s_fac = snap[2].get(grid)
     if s_fac is None:
-        s_fac = CholFactor(np.eye(len(times)) + matern_cov(fit.var.curve_cov, times))
+        s_fac = _curve_factor(fit.var.curve_cov, times)
         kept = list(snap[2].items())[-(_GRID_FACTORS_KEPT - 1) :]
         snap = (key, snap[1], dict(kept + [(grid, s_fac)]))
     fit._factors = snap

@@ -27,6 +27,22 @@ fpca = fpca_decompose(cov, np.linspace(0.0, 1.0, 101), 18, mean=vals.mean(axis=0
 print(hashlib.sha256(cov.tobytes() + fpca.eigenfunctions.tobytes()).hexdigest())
 """
 
+# The variance likelihood on the benchmark's shared grid: 60 subjects on 100
+# points whiten 360 right-hand-side columns in one triangular solve.
+VARIANCE_PROBE = """
+import hashlib
+import numpy as np
+from warpclass.registration import _BIG, _variance_negloglik
+rng = np.random.default_rng(0)
+grids = {b"shared": np.linspace(0.0, 1.0, 100)}
+blocks = {b"shared": rng.standard_normal((100, 60 * 2 * 3))}
+points = np.log([[1.0, 0.3, 1.0, 0.3], [40.0, 0.1, 0.02, 1.5], [0.05, 2.0, 5.0, 0.05]])
+interior = np.array([0.33, 0.67])
+out = np.array([_variance_negloglik(p, 3.0, 1.5, grids, blocks, interior) for p in points])
+assert np.all(out[:, 0] < _BIG), out
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
 
 def _python(args, blas_threads: int) -> str:
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
@@ -44,6 +60,10 @@ def _cli(args, blas_threads: int) -> None:
 
 def test_fpca_at_benchmark_size_is_identical_across_blas_thread_counts():
     assert _python(["-c", FPCA_PROBE], 1) == _python(["-c", FPCA_PROBE], 2)
+
+
+def test_variance_likelihood_at_benchmark_size_is_identical_across_blas_thread_counts():
+    assert _python(["-c", VARIANCE_PROBE], 1) == _python(["-c", VARIANCE_PROBE], 2)
 
 
 def test_artifacts_are_identical_across_blas_thread_counts(tmp_path):

@@ -14,7 +14,7 @@ from warpclass import registration
 from warpclass.basis import BSplineBasis, hyman_interp, hyman_slopes
 from warpclass.curves import CurvePanel, ScalarRecord, SubjectCurve
 from warpclass.errors import DataError, NumericalError
-from warpclass.gp import MaternParams, matern_cov
+from warpclass.gp import CholFactor, MaternParams, matern_cov
 from warpclass.registration import (
     _LOG_HI,
     _LOG_LO,
@@ -575,6 +575,103 @@ def test_fit_variance_noise_is_the_dense_profiled_estimate(caplog):
     )
     logged = [r for r in caplog.records if r.name == "warpclass.registration"]
     assert len(logged) == int(on_bound.sum())
+
+
+def _mixed_grid_panel(order):
+    """Four subjects on one grid, one on a jittered copy, one on a shorter grid.
+
+    ``order`` assigns the data sets to subject ids, so a permutation gives
+    the same subjects in another panel order.  Every subject carries a
+    small random warp offset, so the linearization's back term is nonzero.
+    """
+    _, means, _, basis = _variance_fixture(79)
+    rng = np.random.default_rng(79)
+    shared = np.linspace(0.0, 1.0, 30)
+    jittered = np.clip(shared + 0.004 * rng.uniform(-1.0, 1.0, 30), 0.0, 1.0)
+    grids = [shared] * 4 + [jittered, np.linspace(0.0, 1.0, 18)]
+    noise = [0.1 * rng.standard_normal((len(t), 2)) for t in grids]
+    data = [(t, np.column_stack([np.cos(3 * t), t * t]) + e) for t, e in zip(grids, noise)]
+    offsets = [np.r_[0.0, 0.02 * rng.standard_normal(2), 0.0] for _ in grids]
+    sids = {f"s{j}": i for j, i in enumerate(order)}
+    panel = _panel_from({sid: data[i] for sid, i in sids.items()}, {sid: 0 for sid in sids})
+    warps = WarpState.identity(ANCHORS, {sid: 0 for sid in sids})
+    warps.subject_offsets.update({sid: offsets[i] for sid, i in sids.items()})
+    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+    return panel, fitted, jac, w0
+
+
+def _likelihood_args(monkeypatch, panel, fitted, jac, w0):
+    """The arguments ``fit_variance`` hands to the likelihood, after the log parameters."""
+    seen = []
+    original = registration._variance_negloglik
+
+    def recorded(*args):
+        seen.append(args[1:])
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(registration, "_variance_negloglik", recorded)
+        fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=1)
+    return seen[0]
+
+
+_LOG_POINTS = np.log([[1.0, 0.3, 1.0, 0.3], [40.0, 0.1, 0.02, 1.5], [0.05, 2.0, 5.0, 0.05]])
+
+
+@pytest.mark.parametrize("log_params", _LOG_POINTS)
+def test_variance_negloglik_is_the_dense_likelihood(monkeypatch, log_params):
+    # the per-grid Woodbury evaluation against sigma^2 (I + S + B H B') per block
+    panel, fitted, jac, w0 = _mixed_grid_panel(range(6))
+    args = _likelihood_args(monkeypatch, panel, fitted, jac, w0)
+    value, sigma2 = registration._variance_negloglik(log_params, *args)
+    amp_s, rg_s, amp_h, rg_h = np.exp(log_params)
+    h_mat = matern_cov(MaternParams(amp_h, rg_h, 1.5), ANCHORS[1:-1])
+    quad = logdet = 0.0
+    n_tot = 0
+    for c in panel.curves:
+        s_mat = matern_cov(MaternParams(amp_s, rg_s, 3.0), c.times)
+        for a in (0, 1):
+            b = jac[c.subject_id][a]
+            r = c.values[:, a] - fitted[c.subject_id][:, a] + b @ w0[c.subject_id]
+            cov = np.eye(len(r)) + s_mat + b @ h_mat @ b.T
+            sign, block_logdet = np.linalg.slogdet(cov)
+            assert sign > 0
+            quad += float(r @ np.linalg.solve(cov, r))
+            logdet += block_logdet
+            n_tot += len(r)
+    dense_sigma2 = quad / n_tot
+    dense_value = 0.5 * (logdet + n_tot * np.log(dense_sigma2) + n_tot)
+    assert sigma2 == pytest.approx(dense_sigma2, rel=1e-10)
+    assert value == pytest.approx(dense_value, rel=1e-10)
+
+
+def test_variance_negloglik_ignores_the_panel_order(monkeypatch):
+    base = _likelihood_args(monkeypatch, *_mixed_grid_panel(range(6)))
+    permuted = _likelihood_args(monkeypatch, *_mixed_grid_panel([4, 2, 5, 0, 3, 1]))
+    assert list(permuted[2]) != list(base[2])  # the grids come in another order too
+    for log_params in _LOG_POINTS:
+        one = registration._variance_negloglik(log_params, *base)
+        two = registration._variance_negloglik(log_params, *permuted)
+        assert two[0] == pytest.approx(one[0], rel=1e-12)
+        assert two[1] == pytest.approx(one[1], rel=1e-12)
+
+
+def test_variance_negloglik_whitens_once_per_grid(monkeypatch):
+    # one triangular solve per distinct grid, and one solve for H^-1
+    panel, fitted, jac, w0 = _mixed_grid_panel(range(6))
+    args = _likelihood_args(monkeypatch, panel, fitted, jac, w0)
+    calls = {"half_solve": 0, "solve": 0}
+    for name in calls:
+        original = getattr(CholFactor, name)
+
+        def counted(self, rhs, name=name, original=original):
+            calls[name] += 1
+            return original(self, rhs)
+
+        monkeypatch.setattr(CholFactor, name, counted)
+    value, _ = registration._variance_negloglik(_LOG_POINTS[0], *args)
+    assert value < registration._BIG
+    assert calls == {"half_solve": 3, "solve": 1}
 
 
 # ---------------------------------------------------------------------------
