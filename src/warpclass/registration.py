@@ -11,7 +11,8 @@ g(1) = 1.
 Fitting alternates three conditional steps: generalized least squares for
 the basis weights, Levenberg-Marquardt for the warp anchors (the warp part
 of the objective is a sum of squares whose Jacobian is analytic), and
-maximum likelihood for the variance parameters on a linearized model.
+maximum likelihood for the variance parameters on a linearized model
+(bounded L-BFGS-B on the analytic gradient of the profiled likelihood).
 The basis-weight step is one GLS pass: each warp and variance state
 gets one set of per-group normal equations (``gls_normals``), from which
 the shared weights, the group deviations and the ridge weight are solved.
@@ -37,10 +38,19 @@ from .basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
 from .codec import decode, encode
 from .curves import CurvePanel, SubjectCurve
 from .errors import DataError, NumericalError, check_int, check_real, check_reals, check_shape
-from .gp import CholFactor, MaternParams, matern_cov, profile_loglik_parts
+from .gp import (
+    CholFactor,
+    GridDistances,
+    MaternParams,
+    matern_cov,
+    matern_cov_grad,
+    profile_loglik_parts,
+)
 
 _log = logging.getLogger(__name__)
 
+# Likelihood value where a factorization fails (CholFactor gives up after
+# its jitter ladder, or a Woodbury cap loses definiteness in rounding).
 _BIG = 1e12
 _MONO_EPS = 1e-10
 # Warp solver stopping rules: gradient size and relative objective decrease.
@@ -184,13 +194,13 @@ class GlsContext:
         for c in panel.curves:
             key = c.times.tobytes()
             if key not in grid_factors:
-                grid_factors[key] = _curve_factor(var.curve_cov, c.times)
+                grid_factors[key] = _curve_factor(matern_cov(var.curve_cov, c.times))
             self.s_factors[c.subject_id] = grid_factors[key]
 
 
-def _curve_factor(curve_cov: MaternParams, times: np.ndarray) -> CholFactor:
-    """Factor of I + S on one observation grid: the curve block over the noise."""
-    return CholFactor(np.eye(len(times)) + matern_cov(curve_cov, times))
+def _curve_factor(s_mat: np.ndarray) -> CholFactor:
+    """Factor of I + S for the curve kernel S on one grid: the curve block over the noise."""
+    return CholFactor(np.eye(len(s_mat)) + s_mat)
 
 
 def build_context(panel, basis, anchors, var) -> GlsContext:
@@ -591,57 +601,101 @@ _LOG_HI = np.log([1e3, 5.0, 1e3, 5.0])
 _VARIANCE_NAMES = ("curve amplitude", "curve length scale", "warp amplitude", "warp length scale")
 
 
-def _variance_negloglik(log_params, smooth_curve, smooth_warp, grids, blocks, interior):
+def _variance_negloglik(
+    log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad=None
+):
     """Profiled negative Gaussian log likelihood of the linearized model.
 
-    Block covariance per subject and coordinate is C + B H B' with
+    Block covariance per subject and coordinate is V = C + B H B' with
     C = I + S (times the profiled-out noise variance).  ``blocks`` holds,
-    per distinct observation grid in ``grids``, the columns [r, B] of
-    every subject and coordinate on it side by side.  One evaluation
-    factors C once per grid and whitens that grid's block with one
-    triangular solve.  The Gram matrix of each whitened [r, B] gives
-    r' C^-1 r, B' C^-1 r and B' C^-1 B, and the warp term enters by the
-    Woodbury identity through one batched determinant and solve over the
-    caps H^-1 + B' C^-1 B.  Grids are summed in the order of ``blocks``.
-    Returns the value and the profiled noise variance; where the
-    likelihood cannot be evaluated the value is ``_BIG`` and the variance
-    NaN.
+    per distinct observation grid, the columns [r, B] of every subject and
+    coordinate on it side by side; ``grids`` holds the same grids'
+    ``GridDistances`` and ``anchor_dists`` those of the interior anchors.
+    One evaluation factors C once per grid and whitens that grid's block,
+    together with S and dS, in one triangular solve.  The Gram matrix of
+    each whitened [r, B] gives r' C^-1 r, g = B' C^-1 r and G = B' C^-1 B,
+    and the warp term enters by the Woodbury identity through one batched
+    determinant and solve over the caps H^-1 + G.
+
+    The derivative in a log parameter is ``1/2 sum tr((V^-1 - a a' /
+    sigma2) dV)`` with ``a = V^-1 r`` (Rasmussen & Williams 2006, 5.4.1).
+    A curve parameter has the same dV = dS on every block of a grid: the
+    blocks' sums of V^-1 and a a' are formed in whitened coordinates and
+    traced against L^-1 dS L^-T, one more triangular solve per grid.  A
+    warp parameter has dV = B dH B', whose traces need only the m x m
+    matrices B' V^-1 B = G - G cap^-1 G and B' a = g - G cap^-1 g.  Grids
+    are summed in the order of ``blocks``.
+
+    Returns the value and the profiled noise variance, and writes the
+    gradient in the four log parameters into ``grad`` when it is given.
+    Where a factorization fails the value is ``_BIG``, the variance NaN
+    and the gradient zero.
     """
+    amp_s, rg_s, amp_h, rg_h = np.exp(np.asarray(log_params, dtype=float))
+    if grad is not None:
+        grad[:] = 0.0
     failed = (_BIG, float("nan"))
-    lp = np.asarray(log_params, dtype=float)
-    if not np.all(np.isfinite(lp)):
-        return failed
-    excess = np.maximum(lp - _LOG_HI, 0.0) + np.maximum(_LOG_LO - lp, 0.0)
-    penalty = 1e3 * float(excess @ excess)
-    amp_s, rg_s, amp_h, rg_h = np.exp(np.clip(lp, _LOG_LO, _LOG_HI))
+    curve_cov = MaternParams(amp_s, rg_s, smooth_curve)
+    h_kernels = matern_cov_grad(MaternParams(amp_h, rg_h, smooth_warp), anchor_dists)
     try:
-        curve_cov = MaternParams(amp_s, rg_s, smooth_curve)
-        c_factors = {key: _curve_factor(curve_cov, grid) for key, grid in grids.items()}
-        h_fac = CholFactor(matern_cov(MaternParams(amp_h, rg_h, smooth_warp), interior))
-        h_inv = h_fac.solve(np.eye(len(interior)))
-        h_logdet = h_fac.logdet()
-    except (NumericalError, DataError):
+        h_fac = CholFactor(h_kernels[0])
+    except NumericalError:
         return failed
+    m = len(h_kernels[0])
+    h_inv = h_fac.solve(np.eye(m))
+    h_logdet = h_fac.logdet()
     quad_sum = 0.0
     logdet_sum = 0.0
     n_tot = 0
+    # Traces of the grids' summed V^-1 (row 0) and a a' (row 1) against dS
+    # for each log curve parameter (column), and the m x m sums of
+    # B' V^-1 B and B' a a' B that the warp parameters trace against dH.
+    curve_terms = np.zeros((2, 2))
+    warp_inv = np.zeros((m, m))
+    warp_outer = np.zeros((m, m))
     for key, block in blocks.items():
+        s_kernels = matern_cov_grad(curve_cov, grids[key])
+        try:
+            c_fac = _curve_factor(s_kernels[0])
+        except NumericalError:
+            return failed
         n = len(block)
-        z = c_factors[key].half_solve(block).reshape(n, -1, 1 + len(interior))
+        solved = c_fac.half_solve(np.hstack([block, *s_kernels]))
+        z = solved[:, : block.shape[1]].reshape(n, -1, 1 + m)
         gram = np.einsum("nki,nkj->kij", z, z)
         caps = h_inv + gram[:, 1:, 1:]
         signs, cap_logdets = np.linalg.slogdet(caps)
         if np.any(signs <= 0):
             return failed
         cross = gram[:, 1:, :1]
-        quads = gram[:, 0, 0] - np.sum(cross * np.linalg.solve(caps, cross), axis=(1, 2))
+        beta = np.linalg.solve(caps, cross)
+        quads = gram[:, 0, 0] - np.sum(cross * beta, axis=(1, 2))
         quad_sum += float(np.sum(np.maximum(quads, 0.0)))
-        logdet_sum += len(quads) * (c_factors[key].logdet() + h_logdet) + float(np.sum(cap_logdets))
+        logdet_sum += len(quads) * (c_fac.logdet() + h_logdet) + float(np.sum(cap_logdets))
         n_tot += n * len(quads)
+
+        cap_inv = np.linalg.inv(caps)
+        zb = z[:, :, 1:]
+        u = z[:, :, 0] - np.einsum("nki,ki->nk", zb, beta[:, :, 0])
+        inner = len(quads) * np.eye(n) - (
+            np.einsum("nki,kij->nkj", zb, cap_inv).reshape(n, -1) @ zb.reshape(n, -1).T
+        )
+        outer = u @ u.T
+        half = solved[:, block.shape[1] :]
+        white = c_fac.half_solve(np.hstack([half[:, :n].T, half[:, n:].T])).reshape(n, 2, n)
+        curve_terms += np.einsum("aij,ipj->ap", np.stack([inner, outer]), white)
+        g_mat = gram[:, 1:, 1:]
+        warp_inv += np.einsum("kij->ij", g_mat - g_mat @ cap_inv @ g_mat)
+        proj = gram[:, 1:, 0] - (g_mat @ beta)[:, :, 0]
+        warp_outer += np.einsum("ki,kj->ij", proj, proj)
     loglik, sigma2 = profile_loglik_parts(quad_sum, logdet_sum, n_tot)
     if not np.isfinite(loglik):
         return failed
-    return -loglik + penalty, sigma2
+    if grad is not None:
+        grad[:2] = 0.5 * (curve_terms[0] - curve_terms[1] / sigma2)
+        warp = 0.5 * (warp_inv - warp_outer / sigma2)
+        grad[2:] = np.einsum("ij,pij->p", warp, np.stack(h_kernels))
+    return -loglik, sigma2
 
 
 def fit_variance(
@@ -655,46 +709,56 @@ def fit_variance(
 ) -> tuple[VarianceParams, tuple]:
     """Maximize the profiled likelihood over the four covariance parameters.
 
-    Nelder-Mead in log space over (curve amplitude, curve range, warp
-    amplitude, warp range); the two smoothness orders stay fixed and the
-    noise variance is profiled out in closed form.  The residuals and
-    Jacobians are stacked once per call into one [r, B] block per distinct
-    grid, in panel order, so each likelihood evaluation makes one whitening
-    solve per grid and batches the caps (``_variance_negloglik``).  Returns
-    the updated parameters and the (initial, final) log likelihood.  Each
-    parameter that ends on its box bound (``_LOG_LO``, ``_LOG_HI``) is logged.
+    Bounded L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) in log space over
+    (curve amplitude, curve range, warp amplitude, warp range) on the box
+    ``_LOG_LO``..``_LOG_HI``, with the analytic gradient of
+    ``_variance_negloglik`` and at most ``maxiter`` iterations.  The two
+    smoothness orders stay fixed and the noise variance is profiled out in
+    closed form.  The residuals and Jacobians are stacked once per call
+    into one [r, B] block per distinct grid, in panel order, and each
+    grid's pair distances are grouped once (``GridDistances``), so each
+    evaluation makes one whitening solve per grid, batches the caps and
+    evaluates the kernels once per distinct distance.  The start is
+    data-driven and projected into the box.  Returns the updated parameters
+    and the (initial, final) log likelihood.  A stop short of convergence
+    (at ``maxiter`` or on a failed line search) is logged, and so is each
+    parameter that ends on its box bound.
     """
     anchors = np.asarray(anchors, dtype=float)
-    interior = anchors[1:-1]
     grids, cols, resid = {}, {}, {}
     for curve in panel.curves:
         sid = curve.subject_id
         key = curve.times.tobytes()
-        grids.setdefault(key, curve.times)
+        if key not in grids:
+            grids[key] = GridDistances.of(curve.times)
         back = np.stack([jac[sid][0] @ w0[sid], jac[sid][1] @ w0[sid]], axis=1)
         resid[sid] = curve.values - fitted[sid] + back
         cols.setdefault(key, []).extend(
             np.column_stack([resid[sid][:, a], jac[sid][a]]) for a in (0, 1)
         )
     blocks = {key: np.hstack(c) for key, c in cols.items()}
-
-    # profiled noise variance at every evaluated point, so the chosen one
-    # needs no further evaluation
-    sigma2_at = {}
+    anchor_dists = GridDistances.of(anchors[1:-1])
     smooth_curve, smooth_warp = var_init.curve_cov.smoothness, var_init.warp_cov.smoothness
 
+    # The latest evaluation, so that the start (which L-BFGS-B evaluates
+    # again) and the returned point are not evaluated twice.
+    last = {}
+
     def objective(log_params):
-        value, sigma2 = _variance_negloglik(
-            log_params, smooth_curve, smooth_warp, grids, blocks, interior
-        )
-        sigma2_at[np.asarray(log_params, dtype=float).tobytes()] = sigma2
-        return value
+        x = np.asarray(log_params, dtype=float)
+        if "x" not in last or not np.array_equal(x, last["x"]):
+            grad = np.empty(4)
+            value, sigma2 = _variance_negloglik(
+                x, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad
+            )
+            last.update(x=x.copy(), value=value, grad=grad, sigma2=sigma2)
+        return last["value"], last["grad"].copy()
 
     # Data-driven start for the curve amplitude: residual variance in excess
     # of the assumed noise floor, in units of the noise variance.
     sig0 = max(var_init.noise_sd, 1e-6)
     resid_var = float(np.mean([np.mean(r * r) for r in resid.values()]))
-    amp0 = np.clip(resid_var / sig0**2 - 1.0, 0.5, np.exp(_LOG_HI[0]))
+    amp0 = max(resid_var / sig0**2 - 1.0, 0.5)
     x0 = np.log(
         [
             amp0,
@@ -703,26 +767,32 @@ def fit_variance(
             var_init.warp_cov.length_scale,
         ]
     )
-    f0 = objective(x0)
-    if not np.isfinite(f0) or f0 >= _BIG:
+    x0 = np.clip(x0, _LOG_LO, _LOG_HI)
+    f0, _ = objective(x0)
+    if f0 >= _BIG:
         raise NumericalError("variance likelihood is not finite at the initial point")
-    # explicit simplex: 0.5 log-unit steps, immune to zero entries in x0
-    simplex = np.vstack([x0, x0 + 0.5 * np.eye(4)])
     res = minimize(
         objective,
         x0,
-        method="Nelder-Mead",
-        options={"maxiter": maxiter, "xatol": 1e-2, "fatol": 1e-3, "initial_simplex": simplex},
+        jac=True,
+        method="L-BFGS-B",
+        bounds=list(zip(_LOG_LO, _LOG_HI)),
+        options={"maxiter": maxiter},
     )
-    best = res.x if np.isfinite(res.fun) and res.fun <= f0 else x0
+    if res.status != 0:
+        _log.warning(
+            "variance step stopped short after %d L-BFGS-B iterations: %s", res.nit, res.message
+        )
+    best = res.x if res.fun <= f0 else x0
+    objective(best)  # leaves the noise variance at ``best`` in ``last``
     for name, value, lo, hi in zip(_VARIANCE_NAMES, best, _LOG_LO, _LOG_HI):
         if value <= lo or value >= hi:
             bound = np.exp(lo if value <= lo else hi)
             _log.warning("variance parameter %s ends on its box bound %g", name, bound)
-    amp_s, rg_s, amp_h, rg_h = np.exp(np.clip(best, _LOG_LO, _LOG_HI))
+    amp_s, rg_s, amp_h, rg_h = np.exp(best)
     curve_cov = replace(var_init.curve_cov, amplitude=amp_s, length_scale=rg_s)
     warp_cov = replace(var_init.warp_cov, amplitude=amp_h, length_scale=rg_h)
-    out = VarianceParams(float(np.sqrt(sigma2_at[best.tobytes()])), curve_cov, warp_cov)
+    out = VarianceParams(float(np.sqrt(last["sigma2"])), curve_cov, warp_cov)
     return out, (-f0, -float(min(res.fun, f0)))
 
 
@@ -738,7 +808,8 @@ class RegistrationConfig:
     (``estimate_ridge``); the weight itself is estimated with the
     variance parameters and stored on the fit.  ``warp_maxfun`` caps the
     residual evaluations of each warp solve (one subject, one group, or
-    one held-out subject's fit).
+    one held-out subject's fit).  ``variance_maxiter`` caps the L-BFGS-B
+    iterations of each variance step (``fit_variance``).
     """
 
     n_interior_knots: int = 8
@@ -1018,7 +1089,7 @@ def _kernel_factors(fit: RegistrationFit, times: np.ndarray) -> tuple:
     grid = times.tobytes()
     s_fac = snap[2].get(grid)
     if s_fac is None:
-        s_fac = _curve_factor(fit.var.curve_cov, times)
+        s_fac = _curve_factor(matern_cov(fit.var.curve_cov, times))
         kept = list(snap[2].items())[-(_GRID_FACTORS_KEPT - 1) :]
         snap = (key, snap[1], dict(kept + [(grid, s_fac)]))
     fit._factors = snap
@@ -1037,7 +1108,9 @@ def fit_subject_warp(
     Levenberg-Marquardt solve from zero offsets with at most
     ``fit.config.warp_maxfun`` residual evaluations.  Returns the full
     offset vector (boundaries zero) and whether the solve converged; the
-    offsets stay zero where the zero start is infeasible.
+    offsets stay zero where the zero start is infeasible.  They also stay
+    zero, leaving the subject on its group's warp, where the kernels cannot
+    be factored on its grid; a warning then names the subject.
     """
     anchors = fit.warps.anchors
     if label not in fit.warps.group_offsets:
@@ -1045,7 +1118,8 @@ def fit_subject_warp(
     out = np.zeros(len(anchors))
     try:
         s_fac, h_fac = _kernel_factors(fit, curve.times)
-    except NumericalError:
+    except NumericalError as exc:
+        _log.warning("subject %s keeps zero warp offsets: %s", curve.subject_id, exc)
         return out, False
     prob = WarpProblem.build(
         anchors, anchors + fit.warps.group_offsets[label], curve.times, curve.values,

@@ -27,19 +27,26 @@ fpca = fpca_decompose(cov, np.linspace(0.0, 1.0, 101), 18, mean=vals.mean(axis=0
 print(hashlib.sha256(cov.tobytes() + fpca.eigenfunctions.tobytes()).hexdigest())
 """
 
-# The variance likelihood on the benchmark's shared grid: 60 subjects on 100
-# points whiten 360 right-hand-side columns in one triangular solve.
+# The variance likelihood and its gradient on the benchmark's shared grid:
+# 60 subjects on 100 points whiten 360 right-hand-side columns in one
+# triangular solve, and the gradient sums 100 x 100 products over them.
 VARIANCE_PROBE = """
 import hashlib
 import numpy as np
+from warpclass.gp import GridDistances
 from warpclass.registration import _BIG, _variance_negloglik
 rng = np.random.default_rng(0)
-grids = {b"shared": np.linspace(0.0, 1.0, 100)}
+grids = {b"shared": GridDistances.of(np.linspace(0.0, 1.0, 100))}
 blocks = {b"shared": rng.standard_normal((100, 60 * 2 * 3))}
 points = np.log([[1.0, 0.3, 1.0, 0.3], [40.0, 0.1, 0.02, 1.5], [0.05, 2.0, 5.0, 0.05]])
-interior = np.array([0.33, 0.67])
-out = np.array([_variance_negloglik(p, 3.0, 1.5, grids, blocks, interior) for p in points])
+anchors = GridDistances.of(np.array([0.33, 0.67]))
+out = []
+for p in points:
+    grad = np.empty(4)
+    out.append([*_variance_negloglik(p, 3.0, 1.5, grids, blocks, anchors, grad), *grad])
+out = np.array(out)
 assert np.all(out[:, 0] < _BIG), out
+assert np.all(np.isfinite(out)), out
 print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 

@@ -13,9 +13,11 @@ from scipy.special import kv
 from warpclass.errors import DataError, NumericalError
 from warpclass.gp import (
     CholFactor,
+    GridDistances,
     MaternParams,
     chol_lower,
     matern_cov,
+    matern_cov_grad,
     profile_loglik_parts,
 )
 from warpclass.registration import _LOG_HI, _LOG_LO
@@ -112,6 +114,33 @@ def test_matern_matches_the_bessel_reference(nu, log_amp, log_range, s, t):
     cross = matern_cov(params, s, t)
     assert np.max(np.abs(cross - _kv_reference(params, s, t))) <= 1e-13 * params.amplitude
     assert np.array_equal(cross, matern_cov(params, t, s).T)
+
+
+def _uniform_and_jittered():
+    uniform = np.linspace(0.0, 1.0, 100)
+    jitter = np.random.default_rng(3).uniform(-0.002, 0.002, 60)
+    return uniform, np.linspace(0.0, 1.0, 60) + jitter
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 3.0, 2.2])
+def test_kernel_from_distinct_distances_is_matern_cov(nu):
+    for grid in _uniform_and_jittered():
+        dists = GridDistances.of(grid)
+        assert np.array_equal(dists.distinct[dists.index], np.abs(grid[:, None] - grid[None, :]))
+        for amp, length_scale in ((2.5, 0.02), (0.7, 0.3), (40.0, 5.0)):
+            params = MaternParams(amp, length_scale, nu)
+            cov, slope = matern_cov_grad(params, dists)
+            assert np.array_equal(cov, matern_cov(params, grid))
+            assert np.array_equal(slope, slope.T)
+            assert np.all(np.diag(slope) == 0.0)
+            # against central differences in the log length scale
+            h = 1e-6
+            up, down = (
+                matern_cov(MaternParams(amp, length_scale * math.exp(e), nu), grid) for e in (h, -h)
+            )
+            assert np.max(np.abs((up - down) / (2 * h) - slope)) <= 1e-7 * amp
+    # a uniform grid repeats its distances: 337 distinct of 100 x 100, zero included
+    assert len(GridDistances.of(_uniform_and_jittered()[0]).distinct) == 337
 
 
 # ---------------------------------------------------------------------------

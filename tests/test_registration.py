@@ -1,5 +1,6 @@
 """First-level registration: GLS steps, warp fitting, variance, outer loop."""
 
+import functools
 import json
 import logging
 from dataclasses import replace
@@ -657,7 +658,8 @@ def test_variance_negloglik_ignores_the_panel_order(monkeypatch):
 
 
 def test_variance_negloglik_whitens_once_per_grid(monkeypatch):
-    # one triangular solve per distinct grid, and one solve for H^-1
+    # per distinct grid one triangular solve whitens [r, B, S, dS] and one
+    # more gives L^-1 dS L^-T for the curve gradient; one solve for H^-1
     panel, fitted, jac, w0 = _mixed_grid_panel(range(6))
     args = _likelihood_args(monkeypatch, panel, fitted, jac, w0)
     calls = {"half_solve": 0, "solve": 0}
@@ -671,7 +673,96 @@ def test_variance_negloglik_whitens_once_per_grid(monkeypatch):
         monkeypatch.setattr(CholFactor, name, counted)
     value, _ = registration._variance_negloglik(_LOG_POINTS[0], *args)
     assert value < registration._BIG
-    assert calls == {"half_solve": 3, "solve": 1}
+    assert calls == {"half_solve": 6, "solve": 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    unit=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    smooth_curve=st.sampled_from([0.5, 1.5, 2.2, 3.0]),
+    smooth_warp=st.sampled_from([0.5, 1.5, 2.2, 3.0]),
+)
+def test_variance_negloglik_gradient_matches_central_differences(unit, smooth_curve, smooth_warp):
+    # log parameters anywhere in the box, orders on the recurrence and kv paths
+    args = _mixed_grid_args()
+    args = (smooth_curve, smooth_warp, *args[2:5])
+    log_params = _LOG_LO + np.array(unit) * (_LOG_HI - _LOG_LO)
+    grad = np.empty(4)
+    value, _ = registration._variance_negloglik(log_params, *args, grad)
+    assert value < registration._BIG
+    h = 1e-5
+    for p, e in enumerate(np.eye(4)):
+        up, down = (
+            registration._variance_negloglik(log_params + d, *args)[0] for d in (h * e, -h * e)
+        )
+        assert abs((up - down) / (2 * h) - grad[p]) <= 1e-6 * (abs(grad[p]) + 1.0)
+
+
+@functools.cache
+def _mixed_grid_args():
+    """``_likelihood_args`` of the six-subject mixed-grid panel, built once."""
+    with pytest.MonkeyPatch.context() as patch:
+        return _likelihood_args(patch, *_mixed_grid_panel(range(6)))
+
+
+def _recorded_minimize(monkeypatch) -> list:
+    """Results of every ``minimize`` call the registration module makes."""
+    results = []
+    original = registration.minimize
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(registration, "minimize", recorded)
+    return results
+
+
+def test_fit_variance_logs_a_short_stop(monkeypatch, caplog):
+    results = _recorded_minimize(monkeypatch)
+    panel, means, warps, basis = _variance_fixture(73)
+    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+    with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
+        fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=1)
+    (res,) = results
+    assert res.status == 1 and res.nit == 1  # the iteration cap
+    short = [r.getMessage() for r in caplog.records if "stopped short" in r.getMessage()]
+    assert short == [f"variance step stopped short after 1 L-BFGS-B iterations: {res.message}"]
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 5])
+def test_fit_variance_obeys_its_iteration_cap(monkeypatch, maxiter):
+    results = _recorded_minimize(monkeypatch)
+    panel, means, warps, basis = _variance_fixture(61)
+    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+    fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=maxiter)
+    assert len(results) == 1
+    assert 1 <= results[0].nit <= maxiter
+
+
+def test_a_start_outside_the_box_fits_inside_it(monkeypatch):
+    # a curve length scale of 10 lies above the box's 5: the start is projected
+    starts = []
+    original = registration.minimize
+
+    def recorded(fun, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return original(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(registration, "minimize", recorded)
+    panel, _ = simulate_study2(Study2Config(scenario="A", seed=5, n_subjects=10, n_obs=24))
+    cfg = RegistrationConfig(
+        n_interior_knots=4, variance_maxiter=20, max_outer=2, curve_cov_init=(1.0, 10.0, 3.0)
+    )
+    fit = fit_registration(panel, cfg)
+    assert starts and all(np.all((_LOG_LO <= x) & (x <= _LOG_HI)) for x in starts)
+    assert starts[0][1] == _LOG_HI[1]
+    var = fit.var
+    log_params = np.log(
+        [var.curve_cov.amplitude, var.curve_cov.length_scale,
+         var.warp_cov.amplitude, var.warp_cov.length_scale]
+    )
+    assert np.all((_LOG_LO <= log_params) & (log_params <= _LOG_HI))
 
 
 # ---------------------------------------------------------------------------
@@ -850,15 +941,20 @@ def test_ridge_weight_is_estimated_whatever_its_start():
 
 
 def test_variance_parameters_on_their_bounds_are_logged(caplog):
-    # the curve amplitude of the noiseless panel ends on its upper bound
+    # the curve amplitude and the warp length scale of the noiseless panel
+    # end on their upper bounds
     panel = _noiseless_panel()
     cfg = RegistrationConfig(max_outer=4, n_variance_updates=1, variance_maxiter=40)
     with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
         fit = fit_registration(panel, cfg)
     assert fit.var.curve_cov.amplitude == pytest.approx(np.exp(_LOG_HI[0]), rel=1e-12)
+    assert fit.var.warp_cov.length_scale == pytest.approx(np.exp(_LOG_HI[3]), rel=1e-12)
     messages = [r.getMessage() for r in caplog.records if r.name == "warpclass.registration"]
-    # one event per variance fit: the initial pass and the single refresh
-    assert messages == ["variance parameter curve amplitude ends on its box bound 1000"] * 2
+    # two events per variance fit: the initial pass and the single refresh
+    assert messages == [
+        "variance parameter curve amplitude ends on its box bound 1000",
+        "variance parameter warp length scale ends on its box bound 5",
+    ] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -944,6 +1040,23 @@ def test_fit_subject_warp_identity_for_unwarped_curve():
     got, ok = fit_subject_warp(curve, fit, label=1)
     assert ok
     assert np.max(np.abs(got)) < 1e-3
+
+
+def test_fit_subject_warp_logs_the_fallback_to_zero_offsets(monkeypatch, caplog):
+    fit = _handmade_fit()
+    curve = _warped_curve(fit, np.array([0.0, 0.05, -0.04, 0.0]))
+
+    def unfactorable(s_mat):
+        raise NumericalError("matrix not positive definite")
+
+    monkeypatch.setattr(registration, "_curve_factor", unfactorable)
+    with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
+        got, ok = fit_subject_warp(curve, fit, label=0)
+    assert not ok
+    assert np.array_equal(got, np.zeros(len(ANCHORS)))
+    assert [r.getMessage() for r in caplog.records] == [
+        "subject new keeps zero warp offsets: matrix not positive definite"
+    ]
 
 
 def test_fit_subject_warp_rejects_unknown_label():
