@@ -23,7 +23,7 @@ import numpy as np
 from .basis import TruncatedPowerBasis, cross_gram, quad_weights
 from .codec import decode, encode
 from .curves import CurvePanel, SubjectCurve
-from .errors import DataError, NumericalError, check_format_version, check_shape
+from .errors import DataError, NumericalError, check_format_version, check_int, check_shape
 from .registration import (
     RegistrationFit,
     align_curves,
@@ -542,7 +542,10 @@ def cross_validate_K(
         val_mask = fold_of == fold
         train_mask = ~val_mask
         y_train = labels[train_mask]
-        if len(np.unique(y_train)) < 2 or val_mask.sum() == 0:
+        if val_mask.sum() == 0:
+            _log.warning("fold %d skipped: empty validation split", fold)
+            continue
+        if len(np.unique(y_train)) < 2:
             _log.warning("fold %d skipped: single-class training split", fold)
             continue
         fpca_pair = _fpca_pair(values[train_mask], grid, k_x_max, smoothing_window)
@@ -625,8 +628,10 @@ def predict_new(
     pointed away, and reports ``converged=False``.  In that case
     ``pi_hat`` comes from the alignment under the label tried last, and
     ``label`` is the one that probability points to (the other label),
-    so ``label == int(pi_hat >= 0.5)`` holds in every result.
+    so ``label == int(pi_hat >= 0.5)`` holds in every result.  ``max_iter``
+    must be at least 1.
     """
+    check_int("max_iter", max_iter, 1)
     v = np.atleast_1d(np.asarray(scalars, dtype=float))
     grid = model.fpca[0].grid
     anchors = reg_fit.warps.anchors

@@ -255,6 +255,9 @@ def _load_fit(fit_dir) -> tuple[RegistrationFit, ClassifierModel]:
 
 
 def cmd_predict(args) -> int:
+    for flag, value in (("--max-iter", args.max_iter), ("--threads", args.threads)):
+        if value is not None and value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     reg_fit, model = _load_fit(args.fit)
     if not Path(args.curves).exists():
         raise DataError(f"file not found: {args.curves}")

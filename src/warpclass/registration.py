@@ -16,6 +16,9 @@ maximum likelihood for the variance parameters on a linearized model
 The basis-weight step is one GLS pass: each warp and variance state
 gets one set of per-group normal equations (``gls_normals``), from which
 the shared weights, the group deviations and the ridge weight are solved.
+A warp problem is assembled from parts built once where they are fixed:
+per grid and per variance state in ``GlsContext``, per group in each warp
+step.
 The alternation is coordinate descent on one penalized objective
 (residual Mahalanobis norms + warp prior + ridge on group deviations), so
 its trace is non-increasing once the variance parameters are frozen.
@@ -173,10 +176,13 @@ def warp_inverse_values(anchors, ordinates, times) -> np.ndarray:
 
 
 class GlsContext:
-    """Cached per-subject GLS weights and the warp prior factor.
+    """Everything static across one variance state.
 
-    Holds Cholesky factors of (I + S_i), one per distinct observation
-    grid, and of the warp covariance H restricted to the interior anchors.
+    Per distinct observation grid, the Cholesky factor of (I + S_i) and the
+    warp's Hermite weights (``_grid_parts``), mapped to each subject by
+    ``s_factors`` and ``hermite``.  For the warp covariance H on the
+    interior anchors, its factor ``warp_prior`` and the warp-prior rows
+    ``prior_rows`` (``_prior_rows``).
     """
 
     def __init__(self, panel: CurvePanel, basis: BSplineBasis, anchors, var: VarianceParams):
@@ -189,18 +195,30 @@ class GlsContext:
         if np.any(np.diff(anchors) <= 0):
             raise DataError(f"warp anchors must be strictly increasing, got {anchors.tolist()}")
         self.warp_prior = CholFactor(matern_cov(var.warp_cov, anchors[1:-1]))
-        grid_factors: dict = {}
+        self.prior_rows = _prior_rows(self.warp_prior)
+        grids: dict = {}
         self.s_factors: dict = {}
+        self.hermite: dict = {}
         for c in panel.curves:
             key = c.times.tobytes()
-            if key not in grid_factors:
-                grid_factors[key] = _curve_factor(matern_cov(var.curve_cov, c.times))
-            self.s_factors[c.subject_id] = grid_factors[key]
+            if key not in grids:
+                grids[key] = _grid_parts(var.curve_cov, anchors, c.times)
+            self.s_factors[c.subject_id], self.hermite[c.subject_id] = grids[key]
 
 
 def _curve_factor(s_mat: np.ndarray) -> CholFactor:
     """Factor of I + S for the curve kernel S on one grid: the curve block over the noise."""
     return CholFactor(np.eye(len(s_mat)) + s_mat)
+
+
+def _grid_parts(curve_cov: MaternParams, anchors, times) -> tuple:
+    """One grid's constants: the factor of I + S and the Hermite weights at ``times``."""
+    return _curve_factor(matern_cov(curve_cov, times)), hermite_weights(anchors, times)
+
+
+def _prior_rows(h_factor: CholFactor) -> np.ndarray:
+    """Warp-prior rows sqrt(2) L_H^{-1}: their squared norm at u is 2 u' H^{-1} u."""
+    return np.sqrt(2.0) * h_factor.half_solve(np.eye(h_factor.n))
 
 
 def build_context(panel, basis, anchors, var) -> GlsContext:
@@ -320,12 +338,14 @@ def estimate_ridge(normals: dict, c_hat: np.ndarray, noise_sd: float, start: flo
 class WarpProblem:
     """One subject's warp residual with everything but the free offsets fixed.
 
-    The ordinates are ``base`` plus the free interior offsets u.
-    ``hermite`` holds the Hermite weights at the subject's times, ``mean``
-    the group's 2-valued mean spline and ``dmean`` its derivative.
-    ``s_factor`` (the factor of I + S) whitens the curve rows and
-    ``prior`` (sqrt(2) L_H^{-1}) adds the warp-prior rows; either may be
-    None to leave that part out.
+    The ordinates are ``base`` plus the free interior offsets u.  The other
+    fields are shared, built once where they are fixed: per grid, the
+    Hermite weights ``hermite`` at the subject's times and the factor of
+    I + S ``s_factor`` that whitens the curve rows (``_grid_parts``); per
+    group, the 2-valued mean spline ``mean`` and its derivative ``dmean``
+    (``_mean_splines``); per variance state, the warp-prior rows ``prior``
+    (``_prior_rows``).  ``s_factor`` or ``prior`` may be None to leave
+    that part out.
     """
 
     anchors: np.ndarray
@@ -337,19 +357,11 @@ class WarpProblem:
     s_factor: CholFactor | None = None
     prior: np.ndarray | None = None
 
-    @classmethod
-    def build(cls, anchors, base, times, values, basis, coefs, s_factor=None, h_factor=None):
-        """Problem for one curve under the (2, q) mean weights ``coefs``.
 
-        ``h_factor`` is the factor of the warp prior H, or None for no
-        prior rows.
-        """
-        spl = basis.spline(coefs)
-        prior = None if h_factor is None else np.sqrt(2.0) * h_factor.half_solve(np.eye(h_factor.n))
-        return cls(
-            anchors, base, hermite_weights(anchors, times), values, spl, spl.derivative(),
-            s_factor, prior,
-        )
+def _mean_splines(basis: BSplineBasis, coefs: np.ndarray) -> tuple[BSpline, BSpline]:
+    """A group's 2-valued mean spline under the (2, q) weights ``coefs``, and its derivative."""
+    spl = basis.spline(coefs)
+    return spl, spl.derivative()
 
 
 def subject_warp_residuals(prob: WarpProblem, u: np.ndarray):
@@ -392,19 +404,20 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
     converged when the gradient of f is below ``_GTOL``, or when an accepted
     step, or the model's promise for a rejected one, lowers f by at most
     ``_FTOL * max(f, 1)``; it stops short after ``max_evals`` evaluations of
-    ``residuals``.  Returns (u, f, converged); f is inf for an infeasible
-    start.
+    ``residuals``.  Returns (u, f, converged, f0), where f0 is the value at
+    ``u0``; f and f0 are inf for an infeasible start.
     """
     out = residuals(u0)
     if out is None:
-        return u0, np.inf, False
+        return u0, np.inf, False, np.inf
     r, jac = out
-    u, f = u0, float(r @ r)
+    f0 = float(r @ r)
+    u, f = u0, f0
     lam, nu = 1e-3, 2.0
     for _ in range(max_evals - 1):
         grad = jac.T @ r
         if 2.0 * np.max(np.abs(grad), initial=0.0) <= _GTOL:
-            return u, f, True
+            return u, f, True, f0
         jtj = jac.T @ jac
         diag = np.maximum(np.diag(jtj), 1e-12 * np.max(np.diag(jtj)))
         try:
@@ -418,7 +431,7 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
         f_new = np.inf if trial is None else float(trial[0] @ trial[0])
         if not f_new < f:
             if pred <= tol:
-                return u, f, True
+                return u, f, True, f0
             lam, nu = lam * nu, 2.0 * nu
             continue
         gain = (f - f_new) / pred if pred > 0 else 0.0
@@ -428,8 +441,8 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
         u, f = u + step, f_new
         r, jac = trial
         if done:
-            return u, f, True
-    return u, f, False
+            return u, f, True, f0
+    return u, f, False, f0
 
 
 def fit_warps(
@@ -445,69 +458,58 @@ def fit_warps(
     and are fit as separate Levenberg-Marquardt problems; group offsets
     get their own pass on their members' stacked residuals (no prior, as
     they are fixed effects).  ``maxfun`` caps the residual evaluations of
-    each solve.  Subjects are re-centered within each group, updates are
-    kept only if they do not raise their solve's objective, and the whole
-    step is reverted if the total rose, so the objective never increases.
+    each solve.  Each subject's problem is built once, from the context's
+    parts and its group's mean splines; the group pass reuses it with the
+    subject offsets as ``base`` and no prior rows.  Subjects are re-centered
+    within each group, and updates are kept only if they do not raise their
+    solve's objective.  The step is reverted, with a warning, if the total
+    rose: before it, the sum of the subject solves' start values; after
+    it, the group solves' final values plus each subject's prior term at
+    its re-centered offsets.  So the objective never increases.
     """
     warps = warps_init.copy()
     anchors = warps.anchors
-    groups = sorted(set(warps.group_of.values()))
     stats = {"n_opt": 0, "n_converged": 0}
 
-    def problem(curve, base, with_prior=True):
-        sid = curve.subject_id
-        return WarpProblem.build(
-            anchors, base, curve.times, curve.values, ctx.basis,
-            means.coefs(warps.group_of[sid]), ctx.s_factors[sid],
-            ctx.warp_prior if with_prior else None,
-        )
-
-    def total_objective(state: WarpState) -> float:
-        total = 0.0
-        for curve in panel.curves:
-            base = anchors + state.group_offsets[state.group_of[curve.subject_id]]
-            out = subject_warp_residuals(
-                problem(curve, base), state.subject_offsets[curve.subject_id][1:-1]
-            )
-            if out is None:
-                return np.inf
-            total += float(out[0] @ out[0])
-        return total
-
     def solve(residuals, u0):
-        u, _, converged = _levenberg_marquardt(residuals, u0, maxfun)
+        u, f, converged, f0 = _levenberg_marquardt(residuals, u0, maxfun)
         stats["n_opt"] += 1
         stats["n_converged"] += int(converged)
-        return u
+        return u, f, f0
 
-    before = total_objective(warps)
-
-    by_group: dict = {k: [] for k in groups}
+    by_group: dict = {k: [] for k in sorted(set(warps.group_of.values()))}
     for curve in panel.curves:
         by_group[warps.group_of[curve.subject_id]].append(curve)
 
-    for k in groups:
+    before = after = 0.0
+    for k, curves in by_group.items():
+        splines = _mean_splines(ctx.basis, means.coefs(k))
         base = anchors + warps.group_offsets[k]
-        for curve in by_group[k]:
-            # never worse than the start: LM accepts only descending steps
-            offsets = warps.subject_offsets[curve.subject_id]
-            offsets[1:-1] = solve(
-                partial(subject_warp_residuals, problem(curve, base)), offsets[1:-1].copy()
+        probs = []
+        for curve in curves:
+            sid = curve.subject_id
+            prob = WarpProblem(
+                anchors, base, ctx.hermite[sid], curve.values, *splines,
+                ctx.s_factors[sid], ctx.prior_rows,
             )
+            # never worse than the start: LM accepts only descending steps
+            offsets = warps.subject_offsets[sid]
+            offsets[1:-1], _, start = solve(
+                partial(subject_warp_residuals, prob), offsets[1:-1].copy()
+            )
+            before += start
+            probs.append(prob)
 
         # Re-center the random offsets; the shift moves into the group part.
-        members = [warps.subject_offsets[c.subject_id] for c in by_group[k]]
+        members = [warps.subject_offsets[c.subject_id] for c in curves]
         shift = np.mean(members, axis=0)
         shift[0] = shift[-1] = 0.0
-        for c in by_group[k]:
-            warps.subject_offsets[c.subject_id][:] -= shift
+        for offsets in members:
+            offsets -= shift
         warps.group_offsets[k] = warps.group_offsets[k] + shift
 
         # Group offsets are fixed effects: only the residual rows move.
-        probs = [
-            problem(c, anchors + warps.subject_offsets[c.subject_id], with_prior=False)
-            for c in by_group[k]
-        ]
+        probs = [replace(p, base=anchors + u, prior=None) for p, u in zip(probs, members)]
 
         def group_residuals(v, probs=probs):
             outs = [subject_warp_residuals(prob, v) for prob in probs]
@@ -515,10 +517,13 @@ def fit_warps(
                 return None
             return np.concatenate([o[0] for o in outs]), np.vstack([o[1] for o in outs])
 
-        warps.group_offsets[k][1:-1] = solve(group_residuals, warps.group_offsets[k][1:-1].copy())
+        group = warps.group_offsets[k]
+        group[1:-1], value, _ = solve(group_residuals, group[1:-1].copy())
+        prior = np.array(members)[:, 1:-1] @ ctx.prior_rows.T
+        after += value + float(np.sum(prior * prior))
 
-    after = total_objective(warps)
     if not after <= before + 1e-9 * max(1.0, abs(before)):
+        _log.warning("warp step reverted: objective %.12g before, %.12g after", before, after)
         return warps_init.copy(), stats
     return warps, stats
 
@@ -574,14 +579,15 @@ def build_linearization(
     whitening, where the residual is minus the fitted curves.
     """
     anchors = warps.anchors
+    splines = {k: _mean_splines(basis, means.coefs(k)) for k in warps.group_offsets}
     fitted, jac, w0 = {}, {}, {}
     for curve in panel.curves:
         sid = curve.subject_id
         k = warps.group_of[sid]
         n = len(curve.times)
-        prob = WarpProblem.build(
-            anchors, anchors + warps.group_offsets[k], curve.times, np.zeros((n, 2)),
-            basis, means.coefs(k),
+        prob = WarpProblem(
+            anchors, anchors + warps.group_offsets[k], hermite_weights(anchors, curve.times),
+            np.zeros((n, 2)), *splines[k],
         )
         w0[sid] = warps.subject_offsets[sid][1:-1].copy()
         out = subject_warp_residuals(prob, w0[sid])
@@ -1074,26 +1080,28 @@ def align_curves(panel: CurvePanel, fit: RegistrationFit, n_grid: int | None = N
 
 
 def _kernel_factors(fit: RegistrationFit, times: np.ndarray) -> tuple:
-    """Factors of I + S on ``times`` and of the warp prior H, from a cache.
+    """Factor of I + S and Hermite weights on ``times``, and the prior rows, from a cache.
 
     The cache is an immutable snapshot on the fit, replaced by one
     attribute assignment, so concurrent predictions never see it half
-    built.  It is keyed by the variance parameters and anchors, holds at
-    most ``_GRID_FACTORS_KEPT`` grids (oldest dropped first), and a hit
-    returns the factor a miss would compute.
+    built.  It is keyed by the variance parameters and anchors, holds the
+    prior rows (``_prior_rows``) and at most ``_GRID_FACTORS_KEPT`` grids'
+    ``_grid_parts`` (oldest dropped first), and a hit returns the parts a
+    miss would compute.
     """
-    key = (fit.var, fit.warps.anchors.tobytes())
+    anchors = fit.warps.anchors
+    key = (fit.var, anchors.tobytes())
     snap = fit._factors
     if snap is None or snap[0] != key:
-        snap = (key, CholFactor(matern_cov(fit.var.warp_cov, fit.warps.anchors[1:-1])), {})
+        snap = (key, _prior_rows(CholFactor(matern_cov(fit.var.warp_cov, anchors[1:-1]))), {})
     grid = times.tobytes()
-    s_fac = snap[2].get(grid)
-    if s_fac is None:
-        s_fac = _curve_factor(matern_cov(fit.var.curve_cov, times))
+    parts = snap[2].get(grid)
+    if parts is None:
+        parts = _grid_parts(fit.var.curve_cov, anchors, times)
         kept = list(snap[2].items())[-(_GRID_FACTORS_KEPT - 1) :]
-        snap = (key, snap[1], dict(kept + [(grid, s_fac)]))
+        snap = (key, snap[1], dict(kept + [(grid, parts)]))
     fit._factors = snap
-    return s_fac, snap[1]
+    return (*parts, snap[1])
 
 
 def fit_subject_warp(
@@ -1117,15 +1125,15 @@ def fit_subject_warp(
         raise DataError(f"unknown group label {label!r}")
     out = np.zeros(len(anchors))
     try:
-        s_fac, h_fac = _kernel_factors(fit, curve.times)
+        s_fac, hermite, prior = _kernel_factors(fit, curve.times)
     except NumericalError as exc:
         _log.warning("subject %s keeps zero warp offsets: %s", curve.subject_id, exc)
         return out, False
-    prob = WarpProblem.build(
-        anchors, anchors + fit.warps.group_offsets[label], curve.times, curve.values,
-        fit.basis, fit.means.coefs(label), s_fac, h_fac,
+    prob = WarpProblem(
+        anchors, anchors + fit.warps.group_offsets[label], hermite, curve.values,
+        *_mean_splines(fit.basis, fit.means.coefs(label)), s_fac, prior,
     )
-    out[1:-1], _, converged = _levenberg_marquardt(
+    out[1:-1], _, converged, _ = _levenberg_marquardt(
         partial(subject_warp_residuals, prob), np.zeros(len(anchors) - 2), fit.config.warp_maxfun
     )
     return out, converged

@@ -503,6 +503,14 @@ def test_skipped_folds_are_logged(small_pipeline, caplog, monkeypatch):
     assert messages() == ["fold 0 skipped: single-class training split"]
     assert sorted(n for _, _, n in table) == [2, 2]
 
+    # five subjects in four stratified folds: the last fold validates no one,
+    # although its training split holds both classes
+    caplog.clear()
+    sub = panel.subset(sorted(zeros[:2] + ones[:3]))
+    with caplog.at_level(logging.WARNING, logger="warpclass.classify"):
+        cross_validate_K(reg, sub, pairs=pairs[:1], n_folds=4)
+    assert messages() == ["fold 3 skipped: empty validation split"]
+
     # a failed fit skips only its fold and pair
     caplog.clear()
     real_fit = classify.fit_glmm

@@ -20,6 +20,7 @@ from warpclass.classify import ClassifierModel, cross_validate_K, predict_new
 from warpclass.cli import PREDICTIONS_HEADER, _write_json, main
 from warpclass.config import RunConfig
 from warpclass.curves import join_panel, load_curves, load_scalars
+from warpclass.errors import DataError
 from warpclass.registration import RegistrationFit
 
 SMALL_CONFIG = {
@@ -319,6 +320,32 @@ def test_predict_empty_input_writes_only_the_header(pipeline, tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert out.read_text() == ",".join(PREDICTIONS_HEADER) + "\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-iter", "0"), ("--max-iter", "-3"), ("--threads", "0"), ("--threads", "-2")],
+)
+def test_predict_rejects_counts_below_one(pipeline, tmp_path, capsys, flag, value):
+    out = tmp_path / "pred.csv"
+    rc = main(["predict", "--fit", str(pipeline.fit),
+               "--curves", str(pipeline.data / "curves_test.csv"),
+               "--scalars", str(pipeline.data / "scalars_test.csv"),
+               flag, value, "--out", str(out)])
+    assert rc == 2
+    assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_new_rejects_max_iter_below_one(pipeline):
+    reg_payload = json.loads((pipeline.fit / "registration.json").read_text())
+    cls_payload = json.loads((pipeline.fit / "classifier.json").read_text())
+    reg_fit = RegistrationFit.from_dict(reg_payload["fit"])
+    model = ClassifierModel.from_dict(cls_payload["model"])
+    curves = load_curves(pipeline.data / "curves_test.csv")
+    for max_iter in (0, -3):
+        with pytest.raises(DataError, match="max_iter must be >= 1"):
+            predict_new(reg_fit, model, curves[0], [1.0], max_iter)
 
 
 @pytest.mark.parametrize("artifact", ["registration.json", "classifier.json"])

@@ -3,6 +3,7 @@
 import functools
 import json
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -460,6 +461,102 @@ def test_fit_warps_never_increases_the_objective():
     warps, _ = fit_warps(panel, means, ctx, warps0)
     after = penalized_objective(panel, means, warps, ctx, lam, warp_design(panel, warps, basis))
     assert after <= before + 1e-9 * max(1.0, abs(before))
+
+
+def test_a_warp_step_that_raises_the_objective_is_reverted_and_logged(monkeypatch, caplog):
+    rng = np.random.default_rng(53)
+    off = np.array([0.0, 0.04, 0.02, 0.0])
+    panel, means, ctx = _warp_fixture(rng, {"s1": off, "s2": -0.5 * off}, warp_amp=1.0)
+    warps0 = WarpState.identity(ANCHORS, {"s1": 0, "s2": 0})
+    original = registration._levenberg_marquardt
+    solved = []  # the subject solves' offsets, then the group's
+
+    def worse_group_offsets(residuals, u0, max_evals):
+        u, f, converged, f0 = original(residuals, u0, max_evals)
+        if not isinstance(residuals, functools.partial):
+            # the group solve ends on a feasible point far from its optimum
+            u = u + np.array([0.08, -0.08])
+            r, _ = residuals(u)
+            f = float(r @ r)
+        solved.append(u)
+        return u, f, converged, f0
+
+    monkeypatch.setattr(registration, "_levenberg_marquardt", worse_group_offsets)
+    with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
+        warps, stats = fit_warps(panel, means, ctx, warps0)
+    assert stats["n_opt"] == 3
+    for sid in ("s1", "s2"):
+        assert np.array_equal(warps.subject_offsets[sid], warps0.subject_offsets[sid])
+    assert np.array_equal(warps.group_offsets[0], warps0.group_offsets[0])
+    (record,) = [r for r in caplog.records if r.name == "warpclass.registration"]
+    match = re.fullmatch(
+        r"warp step reverted: objective (\S+) before, (\S+) after", record.getMessage()
+    )
+    before, after = map(float, match.groups())
+    # the state that was rejected: re-centered subject offsets, worse group offsets
+    rejected = warps0.copy()
+    shift = np.mean(solved[:2], axis=0)
+    for sid, u in zip(("s1", "s2"), solved):
+        rejected.subject_offsets[sid][1:-1] = u - shift
+    rejected.group_offsets[0][1:-1] = solved[2]
+
+    def objective(state):
+        designs = warp_design(panel, state, ctx.basis)
+        return penalized_objective(panel, means, state, ctx, 0.0, designs)
+
+    assert before == pytest.approx(objective(warps0), rel=1e-9)
+    assert after == pytest.approx(objective(rejected), rel=1e-9)
+    assert after > before
+
+
+def test_warp_step_parts_are_built_once(monkeypatch):
+    # the context computes Hermite weights once per distinct grid; a warp
+    # step builds one mean spline per group and evaluates residuals only
+    # inside its solves
+    rng = np.random.default_rng(59)
+    basis = BSplineBasis.uniform(4, 4)
+    shared = np.linspace(0.0, 1.0, 20)
+    grids = [shared, shared, np.linspace(0.0, 1.0, 16), shared, shared]
+    curves = {}
+    for i, t in enumerate(grids):
+        noise = 0.05 * rng.standard_normal((len(t), 2))
+        curves[f"s{i}"] = (t, np.column_stack([np.sin(3 * t), t * t]) + noise)
+    panel = _panel_from(curves, {f"s{i}": i % 2 for i in range(len(grids))})
+    calls = {"hermite_weights": 0, "spline": 0, "subject_warp_residuals": 0, "outside": 0}
+    solving = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            calls["outside"] += name == "subject_warp_residuals" and not solving
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(registration, "hermite_weights")
+    ctx = build_context(panel, basis, ANCHORS, _var())
+    assert calls["hermite_weights"] == 2
+
+    original_solve = registration._levenberg_marquardt
+
+    def solve(*args):
+        solving.append(1)
+        try:
+            return original_solve(*args)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(registration, "_levenberg_marquardt", solve)
+    counted(BSplineBasis, "spline")
+    counted(registration, "subject_warp_residuals")
+    coef = np.vstack([_coef_for(basis, np.sin), _coef_for(basis, np.square)])
+    means = MeanWeights(coef, {0: np.zeros_like(coef), 1: np.zeros_like(coef)})
+    calls["hermite_weights"] = 0
+    fit_warps(panel, means, ctx, WarpState.identity(ANCHORS, panel.group_of))
+    assert calls["spline"] == 2 and calls["hermite_weights"] == 0
+    assert calls["subject_warp_residuals"] > 0 and calls["outside"] == 0
 
 
 # ---------------------------------------------------------------------------

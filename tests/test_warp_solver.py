@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from warpclass.basis import BSplineBasis, hyman_interp, hyman_slopes
+from warpclass.basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
 from warpclass.curves import CurvePanel, ScalarRecord, SubjectCurve
 from warpclass.gp import CholFactor, MaternParams, matern_cov
 from warpclass.registration import (
@@ -54,7 +54,11 @@ def _problem(ords, n=30, seed=0):
     s_fac = CholFactor(np.eye(n) + matern_cov(var.curve_cov, t))
     h_fac = CholFactor(matern_cov(var.warp_cov, ANCHORS[1:-1]))
     values = rng.standard_normal((n, 2))
-    return WarpProblem.build(ANCHORS, ords, t, values, basis, _coefs(basis), s_fac, h_fac)
+    spl = basis.spline(_coefs(basis))
+    prior = np.sqrt(2.0) * h_fac.half_solve(np.eye(h_fac.n))
+    return WarpProblem(
+        ANCHORS, ords, hermite_weights(ANCHORS, t), values, spl, spl.derivative(), s_fac, prior
+    )
 
 
 def _check_jacobian(base, u) -> int:
@@ -126,9 +130,10 @@ def test_residual_norm_equals_the_subjects_objective_term():
     designs = warp_design(panel, warps, basis)
     want = penalized_objective(panel, means, warps, ctx, ridge_lambda=0.0, designs=designs)
 
-    prob = WarpProblem.build(
-        ANCHORS, ANCHORS + warps.group_offsets[0], t, values, basis, means.coefs(0),
-        ctx.s_factors["s1"], ctx.warp_prior,
+    spl = basis.spline(means.coefs(0))
+    prob = WarpProblem(
+        ANCHORS, ANCHORS + warps.group_offsets[0], ctx.hermite["s1"], values, spl,
+        spl.derivative(), ctx.s_factors["s1"], ctx.prior_rows,
     )
     r, _ = subject_warp_residuals(prob, warps.subject_offsets["s1"][1:-1])
     assert abs(r @ r - want) <= 1e-10 * abs(want)
@@ -144,16 +149,20 @@ def test_levenberg_marquardt_descends_and_respects_infeasibility():
         seen.append(float(r @ r))
         return r, np.array([[-20.0 * u[0], 10.0], [-1.0, 0.0]])
 
-    u, f, converged = _levenberg_marquardt(rosenbrock, np.array([-1.2, 1.0]), 200)
+    u, f, converged, f0 = _levenberg_marquardt(rosenbrock, np.array([-1.2, 1.0]), 200)
     assert converged and f < 1e-12 and np.allclose(u, 1.0, atol=1e-6)
     assert f == min(seen)  # only descending steps are accepted
+    assert f0 == seen[0]  # the start value, from the first evaluation
 
     # past u_0 = 0.5 the residual is undefined: the solver stays feasible
     seen.clear()
-    u, f, _ = _levenberg_marquardt(lambda v: rosenbrock(v, 0.5), np.array([-1.2, 1.0]), 200)
+    u, f, _, _ = _levenberg_marquardt(lambda v: rosenbrock(v, 0.5), np.array([-1.2, 1.0]), 200)
     assert u[0] <= 0.5 and f == min(seen) and f < 0.3
-    u, f, converged = _levenberg_marquardt(lambda v: rosenbrock(v, -2.0), np.array([0.0, 0.0]), 5)
+    u, f, converged, f0 = _levenberg_marquardt(
+        lambda v: rosenbrock(v, -2.0), np.array([0.0, 0.0]), 5
+    )
     assert f == np.inf and not converged
+    assert f0 == np.inf
 
 
 # ---------------------------------------------------------------------------
