@@ -9,6 +9,7 @@ quadrature helpers realize every integral in the pipeline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +90,10 @@ class BSplineBasis:
         coef = np.asarray(coef, dtype=float)
         if coef.ndim not in (1, 2) or coef.shape[-1] != self.size:
             raise DataError(f"expected {self.size} coefficients, got {coef.shape}")
-        return BSpline(self.knots, coef.T, self.order - 1, extrapolate=True)
+        # the knots were checked when the basis was built, the shape here
+        return BSpline.construct_fast(
+            self.knots, np.ascontiguousarray(coef.T), self.order - 1, extrapolate=True
+        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,9 @@ class MonotoneInterpolant:
 
     Slopes are limited so that the interpolant is monotone on every
     interval where the data is monotone; evaluation outside the anchor
-    span raises.
+    span raises.  ``values`` and ``slopes`` may be (..., m), several
+    interpolants on the same anchors evaluated together; ``inverse`` takes
+    one.
     """
 
     anchors: np.ndarray
@@ -149,7 +155,9 @@ class MonotoneInterpolant:
     def __call__(self, t) -> np.ndarray:
         y, d = self.values, self.slopes
         idx, h, (h00, h10, h01, h11) = _hermite_cells(self.anchors, t)
-        return y[idx] * h00 + h * d[idx] * h10 + y[idx + 1] * h01 + h * d[idx + 1] * h11
+        y0, y1 = y.take(idx, axis=-1), y.take(idx + 1, axis=-1)
+        d0, d1 = d.take(idx, axis=-1), d.take(idx + 1, axis=-1)
+        return y0 * h00 + h * d0 * h10 + y1 * h01 + h * d1 * h11
 
     def inverse(self, values) -> np.ndarray:
         """Abscissae t with self(t) = values, for strictly increasing values.
@@ -162,6 +170,8 @@ class MonotoneInterpolant:
         exactly to its anchor, and a larger target never maps lower.
         """
         x, y, d = self.anchors, self.values, self.slopes
+        if y.ndim != 1:
+            raise DataError("only a single interpolant can be inverted")
         if np.any(np.diff(y) <= 0):
             raise DataError("interpolant values must be strictly increasing to invert")
         v = _check_domain(values, y[0], y[-1], "monotone interpolant inverse")
@@ -233,70 +243,96 @@ def hermite_weights(anchors, t) -> tuple[np.ndarray, np.ndarray]:
     return wy, wd
 
 
-def hyman_slopes(anchors, values) -> tuple[np.ndarray, np.ndarray]:
-    """Filtered Hermite slopes at the anchors and their Jacobian in the values.
+@functools.lru_cache(maxsize=16)
+def _hyman_constants(anchor_bytes: bytes) -> tuple:
+    """What ``hyman_slopes`` needs of one anchor grid, computed once per grid.
 
-    Initial slopes are three-point parabolic estimates; each is then
-    limited to the monotone region of its two adjacent secants (zeroed at
-    data extrema, capped at 3x the smaller neighbouring secant).  Between
-    branch switches every filtered slope is a fixed linear combination of
-    the secants, so the Jacobian (m, m) is exact away from the switches.
+    The grid's spacings h; the three-point slope of anchor j as
+    ``(w[j] * delta[at[j]] + w[m + j] * delta[at[m + j]]) / den[j]`` in the
+    secants delta; ``near``, the indices of the left secants of all anchors
+    and then of their right ones; whether each anchor is interior; and
+    ``rows`` (m, 4, m), its Jacobian row in the values on each filter
+    branch: zero, unfiltered, capped at the left secant and capped at the
+    right one.  The arrays are read-only.
     """
-    x = np.asarray(anchors, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise DataError("anchors and values must be 1-D with equal lengths")
-    if len(x) < 2:
+    x = np.frombuffer(anchor_bytes)
+    m = len(x)
+    if m < 2:
         raise DataError("need at least two anchors")
     h = np.diff(x)
     if np.any(h <= 0):
         raise DataError("anchors must be strictly increasing")
-    # Plain floats: m is a handful of anchors, and the warp solver calls this
-    # once per residual evaluation.
-    m = len(x)
-    hs, ys = h.tolist(), y.tolist()
-    delta = [(ys[i + 1] - ys[i]) / hs[i] for i in range(m - 1)]
     if m == 2:
-        d = [delta[0], delta[0]]
-        weights = [{0: 1.0}, {0: 1.0}]
+        wa, ia, wb, ib, den = np.ones(2), [0, 0], np.zeros(2), [0, 0], np.ones(2)
     else:
-        # d[j] = sum_k weights[j][k] * delta[k]
-        d = [((2.0 * hs[0] + hs[1]) * delta[0] - hs[0] * delta[1]) / (hs[0] + hs[1])]
-        weights = [{0: (2.0 * hs[0] + hs[1]) / (hs[0] + hs[1]), 1: -hs[0] / (hs[0] + hs[1])}]
-        for j in range(1, m - 1):
-            d.append((hs[j] * delta[j - 1] + hs[j - 1] * delta[j]) / (hs[j - 1] + hs[j]))
-            weights.append(
-                {j - 1: hs[j] / (hs[j - 1] + hs[j]), j: hs[j - 1] / (hs[j - 1] + hs[j])}
-            )
-        d.append(((2.0 * hs[-1] + hs[-2]) * delta[-1] - hs[-1] * delta[-2]) / (hs[-1] + hs[-2]))
-        weights.append(
-            {m - 3: -hs[-1] / (hs[-1] + hs[-2]), m - 2: (2.0 * hs[-1] + hs[-2]) / (hs[-1] + hs[-2])}
-        )
+        h0, h1, hl, hm = h[0], h[1], h[-1], h[-2]
+        inner = np.arange(1, m - 1)
+        wa = np.concatenate([[2.0 * h0 + h1], h[1:], [2.0 * hl + hm]])
+        wb = np.concatenate([[-h0], h[:-1], [-hl]])
+        ia = np.concatenate([[0], inner - 1, [m - 2]])
+        ib = np.concatenate([[1], inner, [m - 3]])
+        den = np.concatenate([[h0 + h1], h[:-1] + h[1:], [hl + hm]])
+    # The unfiltered slope's weights on the secants, chained through
+    # delta_k = (y_{k+1} - y_k) / h_k into rows in the values.
+    weights = np.zeros((m, m - 1))
+    np.add.at(weights, (np.arange(m), ia), wa / den)
+    np.add.at(weights, (np.arange(m), ib), wb / den)
+    chained = weights / h
+    unfiltered = np.zeros((m, m))
+    unfiltered[:, :-1] -= chained
+    unfiltered[:, 1:] += chained
+    # 3x one secant, for the capped branch
+    secant = np.zeros((m - 1, m))
+    secant[np.arange(m - 1), np.arange(m - 1)] = -3.0 / h
+    secant[np.arange(m - 1), np.arange(1, m)] = 3.0 / h
+    lo = np.maximum(np.arange(m) - 1, 0)
+    hi = np.minimum(np.arange(m), m - 2)
+    rows = np.stack([np.zeros((m, m)), unfiltered, secant[lo], secant[hi]], axis=1)
+    interior = (np.arange(m) > 0) & (np.arange(m) < m - 1)
+    w, at = np.concatenate([wa, wb]), np.concatenate([ia, ib])
+    out = (h, w, at, den, np.concatenate([lo, hi]), interior, np.arange(m), rows)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
+
+def hyman_slopes(anchors, values) -> tuple[np.ndarray, np.ndarray]:
+    """Filtered Hermite slopes at the anchors and their Jacobian in the values.
+
+    ``values`` is (..., m) for m anchors: each slice along the last axis is
+    one set of ordinates, and the slopes (..., m) and Jacobians (..., m, m)
+    keep the leading shape.  Initial slopes are three-point parabolic
+    estimates; each is then limited to the monotone region of its two
+    adjacent secants (zeroed at data extrema, capped at 3x the smaller
+    neighbouring secant).  Between branch switches every filtered slope is
+    a fixed linear combination of the secants, so the Jacobian is exact
+    away from the switches: each anchor's row is the constant row of its
+    branch (``_hyman_constants``).
+    """
+    x = np.asarray(anchors, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if x.ndim != 1 or y.ndim < 1 or y.shape[-1] != len(x):
+        raise DataError("anchors must be 1-D and values (..., len(anchors))")
+    h, w, at, den, near, interior, index, rows = _hyman_constants(x.tobytes())
+    m = len(index)
+    delta = (y[..., 1:] - y[..., :-1]) / h
+    terms = w * delta.take(at, axis=-1)
+    d = (terms[..., :m] + terms[..., m:]) / den
     # Slope filter: zero at extrema, sign-matched and capped elsewhere.  At
     # the two ends both neighbouring secants are the one adjacent secant.
-    slopes = np.zeros(m)
-    jac = np.zeros((m, m))
-    for j in range(m):
-        lo, hi = max(j - 1, 0), min(j, m - 2)
-        left, right = delta[lo], delta[hi]
-        if right == 0.0 or (left * right <= 0.0 and 0 < j < m - 1):
-            continue
-        sign = 1.0 if right > 0.0 else -1.0
-        cap = 3.0 * min(abs(left), abs(right))
-        unfiltered = sign * d[j]
-        slopes[j] = sign * min(max(unfiltered, 0.0), cap)
-        if unfiltered > cap:
-            row = {lo if abs(left) <= abs(right) else hi: 3.0}  # 3x the smaller secant
-        elif unfiltered > 0.0:
-            row = weights[j]
-        else:
-            continue
-        # chain through delta_k = (y_{k+1} - y_k) / h_k
-        for k, c in row.items():
-            jac[j, k] -= c / hs[k]
-            jac[j, k + 1] += c / hs[k]
-    return slopes, jac
+    secants = delta.take(near, axis=-1)
+    sizes = np.abs(secants)
+    left, right = secants[..., :m], secants[..., m:]
+    abs_left, abs_right = sizes[..., :m], sizes[..., m:]
+    sign = np.copysign(1.0, right)
+    unfiltered = sign * d
+    cap = 3.0 * np.minimum(abs_left, abs_right)
+    zero = np.where(interior, left * right <= 0.0, right == 0.0)
+    slopes = np.where(zero, 0.0, sign * np.minimum(np.maximum(unfiltered, 0.0), cap))
+    # branch 0 zero, 1 unfiltered, 2 capped at the left secant, 3 at the right
+    branch = np.where(unfiltered > cap, 2 + (abs_left > abs_right), unfiltered > 0.0)
+    branch[zero] = 0
+    return slopes, rows[index, branch]
 
 
 def hyman_interp(anchors, values) -> MonotoneInterpolant:

@@ -38,6 +38,7 @@ from scipy.special import k0, k1, kv
 from .errors import DataError, NumericalError
 
 _log = logging.getLogger(__name__)
+_trtrs = sla.lapack.dtrtrs
 
 # Jitter ladder, applied relative to the mean diagonal of the matrix.
 JITTER_STEPS = (0.0, 1e-10, 1e-8, 1e-6)
@@ -178,7 +179,8 @@ class CholFactor:
         for eps in JITTER_STEPS:
             try:
                 bumped = mat if eps == 0.0 else mat + (eps * scale) * np.eye(len(mat))
-                self._cf = sla.cho_factor(bumped, lower=True, check_finite=False)
+                factor, lower = sla.cho_factor(bumped, lower=True, check_finite=False)
+                self._cf = (np.asfortranarray(factor), lower)
                 self.n = len(mat)
                 self.jitter = eps
                 if eps > 0.0:
@@ -196,10 +198,16 @@ class CholFactor:
         return sla.cho_solve(self._cf, np.asarray(rhs, dtype=float), check_finite=False)
 
     def half_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve L z = rhs with the lower triangular factor."""
-        return sla.solve_triangular(
-            self._cf[0], np.asarray(rhs, dtype=float), lower=True, check_finite=False
-        )
+        """Solve L z = rhs with the lower triangular factor.
+
+        Calls LAPACK ``trtrs`` directly, as ``solve_triangular`` does for a
+        Fortran-ordered factor, without its per-call checks: the warp
+        solver whitens a few hundred small blocks per step.
+        """
+        z, info = _trtrs(self._cf[0], np.asarray(rhs, dtype=float), lower=1)
+        if info != 0:
+            raise NumericalError(f"triangular solve failed (LAPACK info {info})")
+        return z
 
     def quad(self, vec: np.ndarray) -> float:
         """Quadratic form vec' M^{-1} vec (Mahalanobis square)."""

@@ -18,7 +18,13 @@ gets one set of per-group normal equations (``gls_normals``), from which
 the shared weights, the group deviations and the ridge weight are solved.
 A warp problem is assembled from parts built once where they are fixed:
 per grid and per variance state in ``GlsContext``, per group in each warp
-step.
+step.  It holds many subjects of one group: one residual call evaluates
+all of them (the Hyman slopes of all at once, the mean spline once on all
+their warped times, one whitening solve per grid), and the
+Levenberg-Marquardt solver runs a batch of problems in lock step, each
+deciding as if solved alone.  A warp step solves each group's subjects as
+one batch, then the group's offsets on all members at once; a held-out
+subject is a batch of one.
 The alternation is coordinate descent on one penalized objective
 (residual Mahalanobis norms + warp prior + ridge on group deviations), so
 its trace is non-increasing once the variance parameters are frozen.
@@ -61,7 +67,7 @@ _MONO_EPS = 1e-10
 # bound costs about two extra residual evaluations per solve.
 _FTOL = 1e-13
 _GTOL = 1e-5
-# Held-out grid factors kept per fitted model (see _kernel_factors).
+# Held-out grid factors kept per fitted model (see _held_out_parts).
 _GRID_FACTORS_KEPT = 8
 # Ridge-weight fixed point (estimate_ridge): iteration cap, relative
 # tolerance, and the weight used once the deviations vanish.
@@ -179,10 +185,10 @@ class GlsContext:
     """Everything static across one variance state.
 
     Per distinct observation grid, the Cholesky factor of (I + S_i) and the
-    warp's Hermite weights (``_grid_parts``), mapped to each subject by
-    ``s_factors`` and ``hermite``.  For the warp covariance H on the
-    interior anchors, its factor ``warp_prior`` and the warp-prior rows
-    ``prior_rows`` (``_prior_rows``).
+    warp's Hermite weights (``_grid_parts``), in ``grids`` by the grid's
+    bytes and mapped to each subject by ``s_factors`` and ``hermite``.  For
+    the warp covariance H on the interior anchors, its factor
+    ``warp_prior`` and the warp-prior rows ``prior_rows`` (``_prior_rows``).
     """
 
     def __init__(self, panel: CurvePanel, basis: BSplineBasis, anchors, var: VarianceParams):
@@ -196,14 +202,14 @@ class GlsContext:
             raise DataError(f"warp anchors must be strictly increasing, got {anchors.tolist()}")
         self.warp_prior = CholFactor(matern_cov(var.warp_cov, anchors[1:-1]))
         self.prior_rows = _prior_rows(self.warp_prior)
-        grids: dict = {}
+        self.grids: dict = {}
         self.s_factors: dict = {}
         self.hermite: dict = {}
         for c in panel.curves:
             key = c.times.tobytes()
-            if key not in grids:
-                grids[key] = _grid_parts(var.curve_cov, anchors, c.times)
-            self.s_factors[c.subject_id], self.hermite[c.subject_id] = grids[key]
+            if key not in self.grids:
+                self.grids[key] = _grid_parts(var.curve_cov, anchors, c.times)
+            self.s_factors[c.subject_id], self.hermite[c.subject_id] = self.grids[key]
 
 
 def _curve_factor(s_mat: np.ndarray) -> CholFactor:
@@ -226,12 +232,30 @@ def build_context(panel, basis, anchors, var) -> GlsContext:
 
 
 def warp_design(panel: CurvePanel, warps: WarpState, basis: BSplineBasis) -> dict:
-    """Per-subject B-spline design evaluated at the warped times g(t_ij)."""
-    out = {}
+    """Per-subject B-spline design evaluated at the warped times g(t_ij).
+
+    The subjects on one grid are warped together, by one ``hyman_interp``
+    on their stacked ordinates, and the designs of all warped times come
+    from one design-matrix call, split back per subject.  Each design
+    equals ``basis.design(eval_warp(...))`` of its subject.
+    """
+    by_grid: dict = {}
     for c in panel.curves:
-        g = eval_warp(warps, warps.group_of[c.subject_id], c.subject_id, c.times)
-        out[c.subject_id] = basis.design(g)
-    return out
+        by_grid.setdefault(c.times.tobytes(), []).append(c)
+    warped, rows, start = [], {}, 0
+    for curves in by_grid.values():
+        ords = np.array([warps.ordinates(c.subject_id) for c in curves])
+        bad = np.flatnonzero(np.any(np.diff(ords, axis=1) <= _MONO_EPS, axis=1))
+        if len(bad):
+            sid = curves[bad[0]].subject_id
+            raise NumericalError(f"non-monotone warp ordinates for subject {sid}")
+        g = np.clip(hyman_interp(warps.anchors, ords)(curves[0].times), 0.0, 1.0)
+        warped.append(g.ravel())
+        for c in curves:
+            rows[c.subject_id] = slice(start, start + len(c.times))
+            start += len(c.times)
+    design = basis.design(np.concatenate(warped))
+    return {c.subject_id: design[rows[c.subject_id]] for c in panel.curves}
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +359,66 @@ def estimate_ridge(normals: dict, c_hat: np.ndarray, noise_sd: float, start: flo
 
 
 @dataclass(frozen=True)
-class WarpProblem:
-    """One subject's warp residual with everything but the free offsets fixed.
+class WarpGrid:
+    """The subjects of a warp problem that share one observation grid.
 
-    The ordinates are ``base`` plus the free interior offsets u.  The other
-    fields are shared, built once where they are fixed: per grid, the
-    Hermite weights ``hermite`` at the subject's times and the factor of
-    I + S ``s_factor`` that whitens the curve rows (``_grid_parts``); per
-    group, the 2-valued mean spline ``mean`` and its derivative ``dmean``
+    ``values`` holds their curves (subjects, 2, n), one row per coordinate,
+    in the order of the problem's ``slot``.  ``weights`` are the grid's
+    Hermite weights (W_y, W_d) (``_grid_parts``) stacked and transposed to
+    (2 n_w, n), and ``s_factor`` its factor of I + S, or None to leave the
+    whitening out.
+    """
+
+    weights: np.ndarray
+    s_factor: CholFactor | None
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
+class WarpProblem:
+    """The warp residuals of S subjects of one group, all but the free offsets fixed.
+
+    Subject i's ordinates are ``base[i]`` plus its free interior offsets.
+    The other fields are shared, built once where they are fixed: per grid,
+    ``grids`` (``WarpGrid``), with ``grid_of`` and ``slot`` giving each
+    subject's grid and its place in that grid's ``values``; per group, the
+    2-valued mean spline ``mean`` and its derivative ``dmean``
     (``_mean_splines``); per variance state, the warp-prior rows ``prior``
-    (``_prior_rows``).  ``s_factor`` or ``prior`` may be None to leave
-    that part out.
+    (``_prior_rows``), or None to leave them out.  ``of`` builds one.
     """
 
     anchors: np.ndarray
-    base: np.ndarray
-    hermite: tuple
-    values: np.ndarray
+    base: np.ndarray  # (S, n_w)
+    grids: tuple
+    grid_of: np.ndarray
+    slot: np.ndarray
     mean: BSpline
     dmean: BSpline
-    s_factor: CholFactor | None = None
     prior: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, anchors, base, times, values, grid_parts, splines, prior=None) -> "WarpProblem":
+        """The problem of the subjects observed at ``times`` with curves ``values``.
+
+        ``base`` (S, n_w) are their fixed ordinates.  ``grid_parts(times)``
+        gives a grid's factor of I + S (or None) and Hermite weights, and
+        is called once per distinct grid; ``splines`` is the group's
+        ``_mean_splines`` pair.
+        """
+        members: dict = {}
+        for i, t in enumerate(times):
+            members.setdefault(t.tobytes(), []).append(i)
+        grid_of, slot = np.zeros(len(times), dtype=int), np.zeros(len(times), dtype=int)
+        grids = []
+        for g, idx in enumerate(members.values()):
+            s_factor, hermite = grid_parts(times[idx[0]])
+            weights = np.concatenate(hermite, axis=1).T.copy()
+            stacked = np.array([values[i].T for i in idx])
+            grids.append(WarpGrid(weights, s_factor, stacked))
+            grid_of[idx], slot[idx] = g, range(len(idx))
+        anchors = np.asarray(anchors, dtype=float)
+        base = np.asarray(base, dtype=float)
+        return cls(anchors, base, tuple(grids), grid_of, slot, *splines, prior)
 
 
 def _mean_splines(basis: BSplineBasis, coefs: np.ndarray) -> tuple[BSpline, BSpline]:
@@ -364,85 +427,209 @@ def _mean_splines(basis: BSplineBasis, coefs: np.ndarray) -> tuple[BSpline, BSpl
     return spl, spl.derivative()
 
 
-def subject_warp_residuals(prob: WarpProblem, u: np.ndarray):
-    """Residual vector r(u) and its Jacobian J (len(r), len(u)).
+def subject_warp_residuals(prob: WarpProblem, u: np.ndarray, members=None) -> tuple:
+    """Residuals, Jacobians and feasibility of the problem's subjects at free offsets ``u``.
 
-    ``r = [L_S^{-1}(x_1 - mu_1(g)), L_S^{-1}(x_2 - mu_2(g)), sqrt(2) L_H^{-1} u]``,
-    so ``r @ r`` is the subject's term of the penalized objective.  The
+    ``u`` (k, m) holds the free offsets of the subjects ``members``, by
+    default all S in order.  Returns r (k, rows), J (k, rows, m) and ok (k,).
+    Subject i's row of r is
+    ``[L_S^{-1}(x_1 - mu_1(g_i)), L_S^{-1}(x_2 - mu_2(g_i)), sqrt(2) L_H^{-1} u_i]``,
+    so ``r_i @ r_i`` is its term of the penalized objective; a subject on a
+    grid shorter than the problem's longest gets trailing zero rows.  The
     warp g is linear in the ordinates and the Hyman slopes, which are
-    piecewise linear in the ordinates, so J is analytic.  Returns None
-    when the ordinates are not strictly increasing.
+    piecewise linear in the ordinates, so J is analytic.  ``ok`` is False
+    where the ordinates are not strictly increasing; those rows mean nothing.
+
+    One call takes the Hyman slopes of all k subjects at once, evaluates the
+    mean spline and its derivative once on all their warped times, and
+    whitens the subjects of each grid in one triangular solve.
     """
-    ords = prob.base.copy()
-    ords[1:-1] += u
-    if np.any(np.diff(ords) <= _MONO_EPS):
-        return None
+    if members is None:
+        members = np.arange(len(prob.base))
+    ords = prob.base[members]
+    ords[:, 1:-1] += u
+    ok = (ords[:, 1:] - ords[:, :-1]).min(axis=1) > _MONO_EPS
     d, dd = hyman_slopes(prob.anchors, ords)
-    wy, wd = prob.hermite
-    g = wy @ ords + wd @ d
-    dg = (wy + wd @ dd)[:, 1:-1]
-    slope = prob.dmean(g)
-    cols = np.hstack([prob.values - prob.mean(g), -slope[:, :1] * dg, -slope[:, 1:] * dg])
-    if prob.s_factor is not None:
-        cols = prob.s_factor.half_solve(cols)
-    m = dg.shape[1]
-    r = np.concatenate([cols[:, 0], cols[:, 1]])
-    jac = np.vstack([cols[:, 2 : 2 + m], cols[:, 2 + m :]])
-    if prob.prior is not None:
-        r = np.concatenate([r, prob.prior @ u])
-        jac = np.vstack([jac, prob.prior])
-    return r, jac
+    k, m = u.shape
+    n_w = len(prob.anchors)
+    ords_slopes = np.concatenate((ords, d), axis=1)
+    if len(prob.grids) == 1:
+        split = [(slice(None), prob.grids[0], members)]
+    else:
+        grid_of = prob.grid_of[members]
+        split = []
+        for g in np.unique(grid_of):
+            pos = np.flatnonzero(grid_of == g)
+            split.append((pos, prob.grids[g], prob.slot[members[pos]]))
+    # Warped times (k_g, n) and their derivatives in the free offsets
+    # (k_g, m, n), grid by grid; then the mean curve on all of them at once.
+    # Each subject's numbers do not depend on which others are evaluated
+    # with it: g is summed term by term (einsum), and the derivatives take
+    # n_w columns of one product per subject.
+    warped = []
+    for pos, grid, _ in split:
+        wy, wd = grid.weights[:n_w], grid.weights[n_w:]
+        n = wy.shape[1]
+        g = np.einsum("kj,jn->kn", ords_slopes[pos], grid.weights)
+        dg = (dd[pos].transpose(0, 2, 1).reshape(-1, n_w) @ wd).reshape(-1, n_w, n)
+        warped.append((g, dg[:, 1:-1] + wy[1:-1]))
+    times = np.concatenate([g.ravel() for g, _ in warped])
+    mean, slope = prob.mean(times), prob.dmean(times)
+    n_max = max(grid.values.shape[2] for grid in prob.grids)
+    rows = 2 * n_max + (0 if prob.prior is None else m)
+    r, jac = np.zeros((k, rows)), np.zeros((k, rows, m))
+    start = 0
+    for (pos, grid, slots), (g, dg) in zip(split, warped):
+        kg, n = g.shape
+        stop = start + kg * n
+        # one column per subject, coordinate and [residual, Jacobian column]
+        cols = np.empty((kg, 2, 1 + m, n))
+        np.subtract(
+            grid.values[slots], mean[start:stop].reshape(kg, n, 2).transpose(0, 2, 1),
+            out=cols[:, :, 0],
+        )
+        np.multiply(
+            -slope[start:stop].reshape(kg, n, 2).transpose(0, 2, 1)[:, :, None],
+            dg[:, None],
+            out=cols[:, :, 1:],
+        )
+        if grid.s_factor is not None:
+            cols = grid.s_factor.half_solve(cols.reshape(-1, n).T).T.reshape(cols.shape)
+        r[pos, : 2 * n] = cols[:, :, 0].reshape(kg, 2 * n)
+        jac[pos, : 2 * n] = cols[:, :, 1:].transpose(0, 1, 3, 2).reshape(kg, 2 * n, m)
+        if prob.prior is not None:
+            r[pos, 2 * n : 2 * n + m] = (prob.prior * u[pos, None]).sum(axis=2)
+            jac[pos, 2 * n : 2 * n + m] = prob.prior
+        start = stop
+    return r, jac, ok
 
 
-def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
-    """Minimize ||r(u)||^2 by damped Gauss-Newton steps (More, 1978).
+def _damped_steps(damped: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Solutions of the damped systems, and which of them could be solved.
 
-    ``residuals(u)`` returns (r, J), or None where u is infeasible.  A trial
-    that is infeasible or does not lower the objective is rejected and the
-    damping raised, so every accepted step descends.  Damping is scaled by
-    diag(J'J) (Marquardt) and updated by the gain ratio (Nielsen).  It has
-    converged when the gradient of f is below ``_GTOL``, or when an accepted
-    step, or the model's promise for a rejected one, lowers f by at most
-    ``_FTOL * max(f, 1)``; it stops short after ``max_evals`` evaluations of
-    ``residuals``.  Returns (u, f, converged, f0), where f0 is the value at
-    ``u0``; f and f0 are inf for an infeasible start.
+    One batched solve; if it finds a singular system, each is solved alone
+    so that only the singular ones fail.  ``solved`` is a list of bools.
     """
-    out = residuals(u0)
-    if out is None:
-        return u0, np.inf, False, np.inf
-    r, jac = out
-    f0 = float(r @ r)
-    u, f = u0, f0
-    lam, nu = 1e-3, 2.0
-    for _ in range(max_evals - 1):
-        grad = jac.T @ r
-        if 2.0 * np.max(np.abs(grad), initial=0.0) <= _GTOL:
-            return u, f, True, f0
-        jtj = jac.T @ jac
-        diag = np.maximum(np.diag(jtj), 1e-12 * np.max(np.diag(jtj)))
-        try:
-            step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
-        except np.linalg.LinAlgError:
-            lam, nu = lam * nu, 2.0 * nu
-            continue
-        pred = -float(2.0 * step @ grad + step @ jtj @ step)
-        tol = _FTOL * max(f, 1.0)
-        trial = residuals(u + step)
-        f_new = np.inf if trial is None else float(trial[0] @ trial[0])
-        if not f_new < f:
-            if pred <= tol:
-                return u, f, True, f0
-            lam, nu = lam * nu, 2.0 * nu
-            continue
-        gain = (f - f_new) / pred if pred > 0 else 0.0
-        lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-        nu = 2.0
-        done = f - f_new <= tol
-        u, f = u + step, f_new
-        r, jac = trial
-        if done:
-            return u, f, True, f0
-    return u, f, False, f0
+    try:
+        return np.linalg.solve(damped, rhs[..., None])[..., 0], [True] * len(rhs)
+    except np.linalg.LinAlgError:
+        steps, solved = np.zeros_like(rhs), [True] * len(rhs)
+        for i in range(len(rhs)):
+            try:
+                steps[i] = np.linalg.solve(damped[i : i + 1], rhs[i : i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return steps, solved
+
+
+def _gauss_newton_parts(r: np.ndarray, jac: np.ndarray, ok: np.ndarray) -> tuple:
+    """Per problem: f = r'r (inf where infeasible), the half gradient J'r and J'J.
+
+    One Gram matrix of [J, r] per problem, so each problem's numbers do not
+    depend on the others in the batch.
+    """
+    aug = np.concatenate([jac, r[..., None]], axis=2)
+    gram = aug.transpose(0, 2, 1) @ aug
+    return np.where(ok, gram[:, -1, -1], np.inf), gram[:, :-1, -1], gram[:, :-1, :-1]
+
+
+def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals) -> tuple:
+    """Minimize ||r_i(u_i)||^2 for a batch of problems by damped Gauss-Newton steps.
+
+    Each problem is solved as by itself (More, 1978), the batch in lock
+    step.  ``residuals(u, members)`` returns (r, J, ok) for the problems
+    ``members`` at the points ``u`` (len(members), m), with ``ok`` False
+    where a point is infeasible.  A round makes one residual call for the
+    trial points of all problems still running, one batched damped solve,
+    and one Gram product [J, r]'[J, r] per problem for f, J'r and J'J; each
+    problem then decides on its own numbers.  A trial that is infeasible or
+    does not lower its objective is rejected and its damping raised, so
+    every accepted step descends.  Damping is scaled by diag(J'J)
+    (Marquardt) and updated by the gain ratio (Nielsen); a damped system
+    that cannot be solved raises that problem's damping without an
+    evaluation.  A problem has converged when the gradient of its f is
+    below ``_GTOL``, or when an accepted step, or the model's promise for a
+    rejected one, lowers f by at most ``_FTOL * max(f, 1)``; it stops short
+    after ``max_evals`` (an int, or one per problem) rounds counting its
+    first evaluation.  ``u0`` is (S, m).  Returns arrays (u, f, converged,
+    f0), where f0 is the value at ``u0``; f and f0 are inf for an
+    infeasible start.
+    """
+    u_out = np.array(u0, dtype=float)
+    size, m = u_out.shape
+    f0, grad, jtj = _gauss_newton_parts(*residuals(u_out, np.arange(size)))
+    f_out, converged = f0.copy(), np.zeros(size, dtype=bool)
+    # The running problems' state, in the order of their indices ``idx``:
+    # arrays for the linear algebra, lists for each problem's scalars.
+    idx = np.arange(size)
+    u = u_out.copy()
+    f = f0.tolist()
+    left = (np.zeros(size, dtype=int) + max_evals - 1).tolist()  # rounds, per problem
+    lam, nu = [1e-3] * size, [2.0] * size
+    # an infeasible start, or no round left, ends the solve at once
+    finished = {j: False for j in range(size) if not (f[j] < np.inf and left[j] > 0)}
+    eye = np.eye(m)
+    while len(idx):
+        if finished:
+            ended = np.array(list(finished))
+            u_out[idx[ended]], f_out[idx[ended]] = u[ended], [f[j] for j in finished]
+            converged[idx[ended]] = list(finished.values())
+            if len(finished) == len(idx):
+                break
+            keep = [j for j in range(len(idx)) if j not in finished]
+            idx, u, grad, jtj = idx[keep], u[keep], grad[keep], jtj[keep]
+            f, left, lam, nu = ([a[j] for j in keep] for a in (f, left, lam, nu))
+            finished = {}
+        diag = jtj.diagonal(0, 1, 2)
+        diag = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True))
+        damping = np.array(lam)[:, None] * diag
+        step, solved = _damped_steps(jtj + damping[..., None] * eye, -grad)
+        # the model's decrease -(2 s'g + s'J'Js), with J'Js = -g - damping * s
+        pred = ((damping * step - grad) * step).sum(axis=1).tolist()
+        small = [2.0 * max(map(abs, g)) <= _GTOL for g in grad.tolist()]
+        trial = [ok and not tiny for ok, tiny in zip(solved, small)]
+        point = u + step
+        tried = np.flatnonzero(trial)  # positions of the problems evaluated
+        values = iter(())
+        if len(tried):
+            whole = len(tried) == len(idx)
+            out = residuals(point, idx) if whole else residuals(point[tried], idx[tried])
+            f_new, grad_new, jtj_new = _gauss_newton_parts(*out)
+            values = iter(f_new.tolist())
+        accepted = []
+        for j, (is_small, is_tried) in enumerate(zip(small, trial)):
+            left[j] -= 1
+            if is_small:
+                finished[j] = True
+                continue
+            if is_tried:
+                value, tol = next(values), _FTOL * max(f[j], 1.0)
+                if value < f[j]:
+                    gain = (f[j] - value) / pred[j] if pred[j] > 0 else 0.0
+                    lam[j] *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                    nu[j] = 2.0
+                    accepted.append(j)
+                    done = f[j] - value <= tol
+                    f[j] = value
+                    if done:
+                        finished[j] = True
+                        continue
+                elif pred[j] <= tol:
+                    finished[j] = True
+                    continue
+                else:
+                    lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
+            else:
+                lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
+            if left[j] == 0:
+                finished[j] = False
+        if len(accepted) == len(idx):
+            u, grad, jtj = point, grad_new, jtj_new
+        elif accepted:
+            at = np.searchsorted(tried, accepted)
+            u[accepted] = point[accepted]
+            grad[accepted], jtj[accepted] = grad_new[at], jtj_new[at]
+    return u_out, f_out, converged, f0
 
 
 def fit_warps(
@@ -454,54 +641,56 @@ def fit_warps(
 ) -> tuple[WarpState, dict]:
     """Minimize the warp part of the penalized objective.
 
-    Per-subject interior offsets are independent given the group offsets
-    and are fit as separate Levenberg-Marquardt problems; group offsets
-    get their own pass on their members' stacked residuals (no prior, as
-    they are fixed effects).  ``maxfun`` caps the residual evaluations of
-    each solve.  Each subject's problem is built once, from the context's
-    parts and its group's mean splines; the group pass reuses it with the
-    subject offsets as ``base`` and no prior rows.  Subjects are re-centered
-    within each group, and updates are kept only if they do not raise their
-    solve's objective.  The step is reverted, with a warning, if the total
-    rose: before it, the sum of the subject solves' start values; after
-    it, the group solves' final values plus each subject's prior term at
-    its re-centered offsets.  So the objective never increases.
+    Per-subject interior offsets are independent given the group offsets.
+    Each group's subjects are one ``WarpProblem``, built once from the
+    context's per-grid parts and the group's mean splines, and solved in
+    lock step by one batched Levenberg-Marquardt call, so each round
+    evaluates all of the group's running subjects in one residual call.
+    Group offsets then get their own solve on the members' stacked
+    residuals (no prior, as they are fixed effects): the same problem with
+    the subject offsets as ``base``, all members evaluated at the shared
+    offsets in one call.  ``maxfun`` caps the residual evaluations of each
+    subject's and each group's solve.  Subjects are re-centered within each
+    group, and updates are kept only if they do not raise their solve's
+    objective.  The step is reverted, with a warning, if the total rose:
+    before it, the sum of the subject solves' start values; after it, the
+    group solves' final values plus each subject's prior term at its
+    re-centered offsets.  So the objective never increases.  The stats
+    count the solves (``n_opt``), those that converged (``n_converged``)
+    and whether the step was reverted (``n_reverted``, 0 or 1).
     """
     warps = warps_init.copy()
     anchors = warps.anchors
-    stats = {"n_opt": 0, "n_converged": 0}
+    stats = {"n_opt": 0, "n_converged": 0, "n_reverted": 0}
 
     def solve(residuals, u0):
         u, f, converged, f0 = _levenberg_marquardt(residuals, u0, maxfun)
-        stats["n_opt"] += 1
-        stats["n_converged"] += int(converged)
+        stats["n_opt"] += len(u)
+        stats["n_converged"] += int(np.sum(converged))
         return u, f, f0
 
     by_group: dict = {k: [] for k in sorted(set(warps.group_of.values()))}
     for curve in panel.curves:
         by_group[warps.group_of[curve.subject_id]].append(curve)
 
+    def grid_parts(times):
+        return ctx.grids[times.tobytes()]
+
     before = after = 0.0
     for k, curves in by_group.items():
-        splines = _mean_splines(ctx.basis, means.coefs(k))
-        base = anchors + warps.group_offsets[k]
-        probs = []
-        for curve in curves:
-            sid = curve.subject_id
-            prob = WarpProblem(
-                anchors, base, ctx.hermite[sid], curve.values, *splines,
-                ctx.s_factors[sid], ctx.prior_rows,
-            )
-            # never worse than the start: LM accepts only descending steps
-            offsets = warps.subject_offsets[sid]
-            offsets[1:-1], _, start = solve(
-                partial(subject_warp_residuals, prob), offsets[1:-1].copy()
-            )
-            before += start
-            probs.append(prob)
+        members = [warps.subject_offsets[c.subject_id] for c in curves]
+        prob = WarpProblem.of(
+            anchors, np.tile(anchors + warps.group_offsets[k], (len(curves), 1)),
+            [c.times for c in curves], [c.values for c in curves], grid_parts,
+            _mean_splines(ctx.basis, means.coefs(k)), ctx.prior_rows,
+        )
+        # never worse than the start: LM accepts only descending steps
+        u, _, start = solve(partial(subject_warp_residuals, prob), [w[1:-1] for w in members])
+        before += float(np.sum(start))
+        for offsets, new in zip(members, u):
+            offsets[1:-1] = new
 
         # Re-center the random offsets; the shift moves into the group part.
-        members = [warps.subject_offsets[c.subject_id] for c in curves]
         shift = np.mean(members, axis=0)
         shift[0] = shift[-1] = 0.0
         for offsets in members:
@@ -509,22 +698,23 @@ def fit_warps(
         warps.group_offsets[k] = warps.group_offsets[k] + shift
 
         # Group offsets are fixed effects: only the residual rows move.
-        probs = [replace(p, base=anchors + u, prior=None) for p, u in zip(probs, members)]
+        shared = replace(prob, base=anchors + np.array(members), prior=None)
 
-        def group_residuals(v, probs=probs):
-            outs = [subject_warp_residuals(prob, v) for prob in probs]
-            if any(out is None for out in outs):
-                return None
-            return np.concatenate([o[0] for o in outs]), np.vstack([o[1] for o in outs])
+        def group_residuals(v, _one, prob=shared):
+            # one problem: every member's rows at the shared offsets v (1, m)
+            each = np.broadcast_to(v, (len(prob.base), v.shape[1]))
+            r, jac, ok = subject_warp_residuals(prob, each)
+            return r.reshape(1, -1), jac.reshape(1, -1, v.shape[1]), ok.all(keepdims=True)
 
         group = warps.group_offsets[k]
-        group[1:-1], value, _ = solve(group_residuals, group[1:-1].copy())
+        v, value, _ = solve(group_residuals, group[None, 1:-1])
+        group[1:-1] = v[0]
         prior = np.array(members)[:, 1:-1] @ ctx.prior_rows.T
-        after += value + float(np.sum(prior * prior))
+        after += float(value[0]) + float(np.sum(prior * prior))
 
     if not after <= before + 1e-9 * max(1.0, abs(before)):
         _log.warning("warp step reverted: objective %.12g before, %.12g after", before, after)
-        return warps_init.copy(), stats
+        return warps_init.copy(), {**stats, "n_reverted": 1}
     return warps, stats
 
 
@@ -576,27 +766,43 @@ def build_linearization(
     Returns per-subject fitted values (n, 2), the Jacobian with respect to
     the interior anchor offsets (2, n, n_int), and the current offsets.
     Both come from ``subject_warp_residuals`` on zero data without
-    whitening, where the residual is minus the fitted curves.
+    whitening, where the residual is minus the fitted curves: one call per
+    group, with the Hermite weights computed once per distinct grid.
     """
     anchors = warps.anchors
-    splines = {k: _mean_splines(basis, means.coefs(k)) for k in warps.group_offsets}
-    fitted, jac, w0 = {}, {}, {}
+    hermite: dict = {}
+
+    def grid_parts(times):
+        key = times.tobytes()
+        if key not in hermite:
+            hermite[key] = hermite_weights(anchors, times)
+        return None, hermite[key]
+
+    by_group: dict = {}
+    for curve in panel.curves:
+        by_group.setdefault(warps.group_of[curve.subject_id], []).append(curve)
+    out = {}
+    for k, curves in by_group.items():
+        times = [c.times for c in curves]
+        prob = WarpProblem.of(
+            anchors, np.tile(anchors + warps.group_offsets[k], (len(curves), 1)), times,
+            [np.zeros((len(t), 2)) for t in times], grid_parts,
+            _mean_splines(basis, means.coefs(k)),
+        )
+        w0 = np.array([warps.subject_offsets[c.subject_id][1:-1] for c in curves])
+        r, dr, ok = subject_warp_residuals(prob, w0)
+        for i, c in enumerate(curves):
+            out[c.subject_id] = (r[i], dr[i], w0[i], ok[i])
+    fitted, jac, offsets = {}, {}, {}
     for curve in panel.curves:
         sid = curve.subject_id
-        k = warps.group_of[sid]
-        n = len(curve.times)
-        prob = WarpProblem(
-            anchors, anchors + warps.group_offsets[k], hermite_weights(anchors, curve.times),
-            np.zeros((n, 2)), *splines[k],
-        )
-        w0[sid] = warps.subject_offsets[sid][1:-1].copy()
-        out = subject_warp_residuals(prob, w0[sid])
-        if out is None:
+        r, dr, offsets[sid], ok = out[sid]
+        if not ok:
             raise NumericalError(f"non-monotone warp ordinates for subject {sid}")
-        r, dr = out
-        fitted[sid] = -r.reshape(2, n).T
-        jac[sid] = -dr.reshape(2, n, -1)
-    return fitted, jac, w0
+        n = len(curve.times)
+        fitted[sid] = -r[: 2 * n].reshape(2, n).T
+        jac[sid] = -dr[: 2 * n].reshape(2, n, -1)
+    return fitted, jac, offsets
 
 
 # Log-scale boxes for (curve amp, curve range, warp amp, warp range); outside
@@ -883,7 +1089,10 @@ class RegistrationFit:
     # Estimated ridge weight on the group deviations; None means the
     # config's start value, which older artifacts were fitted with.
     ridge_lambda: float | None = None
-    # Kernel factors reused by fit_subject_warp; never serialized.
+    # Warp steps that fit_warps reverted because they raised the objective;
+    # older artifacts did not count them.
+    warp_steps_reverted: int = 0
+    # Kernel factors and mean splines reused by fit_subject_warp; never serialized.
     _factors: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -1002,6 +1211,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
     n_outer = 0
     opt_total = 0
     opt_conv = 0
+    n_reverted = 0
     for _ in range(cfg.max_outer):
         n_outer += 1
         c_hat = estimate_c(normals, means.group)
@@ -1011,6 +1221,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
         warps, stats = fit_warps(panel, means, ctx, warps, cfg.warp_maxfun)
         opt_total += stats["n_opt"]
         opt_conv += stats["n_converged"]
+        n_reverted += stats["n_reverted"]
         designs = warp_design(panel, warps, basis)
 
         if n_var_done < cfg.n_variance_updates:
@@ -1041,6 +1252,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
         warp_opt_total=opt_total,
         warp_opt_converged=opt_conv,
         ridge_lambda=lam,
+        warp_steps_reverted=n_reverted,
     )
 
 
@@ -1079,29 +1291,33 @@ def align_curves(panel: CurvePanel, fit: RegistrationFit, n_grid: int | None = N
     return AlignedPanel(grid=grid, subject_ids=ids, values=values)
 
 
-def _kernel_factors(fit: RegistrationFit, times: np.ndarray) -> tuple:
-    """Factor of I + S and Hermite weights on ``times``, and the prior rows, from a cache.
+def _held_out_parts(fit: RegistrationFit, times: np.ndarray, label) -> tuple:
+    """A held-out warp problem's fixed parts, from a cache on the fit.
 
-    The cache is an immutable snapshot on the fit, replaced by one
-    attribute assignment, so concurrent predictions never see it half
-    built.  It is keyed by the variance parameters and anchors, holds the
-    prior rows (``_prior_rows``) and at most ``_GRID_FACTORS_KEPT`` grids'
-    ``_grid_parts`` (oldest dropped first), and a hit returns the parts a
-    miss would compute.
+    Returns the factor of I + S and the Hermite weights on ``times``
+    (``_grid_parts``), the prior rows (``_prior_rows``) and the mean
+    splines of group ``label`` (``_mean_splines``).  The cache is an
+    immutable snapshot on the fit, replaced by one attribute assignment, so
+    concurrent predictions never see it half built.  It is keyed by the
+    variance parameters and anchors, and holds the prior rows, at most
+    ``_GRID_FACTORS_KEPT`` grids' parts (oldest dropped first) and each
+    label's splines with the weights they were built from; a hit returns
+    the parts a miss would compute.
     """
     anchors = fit.warps.anchors
     key = (fit.var, anchors.tobytes())
     snap = fit._factors
     if snap is None or snap[0] != key:
-        snap = (key, _prior_rows(CholFactor(matern_cov(fit.var.warp_cov, anchors[1:-1]))), {})
-    grid = times.tobytes()
-    parts = snap[2].get(grid)
-    if parts is None:
-        parts = _grid_parts(fit.var.curve_cov, anchors, times)
-        kept = list(snap[2].items())[-(_GRID_FACTORS_KEPT - 1) :]
-        snap = (key, snap[1], dict(kept + [(grid, parts)]))
-    fit._factors = snap
-    return (*parts, snap[1])
+        snap = (key, _prior_rows(CholFactor(matern_cov(fit.var.warp_cov, anchors[1:-1]))), {}, {})
+    _, prior, grids, splines = snap
+    grid, coefs = times.tobytes(), fit.means.coefs(label)
+    if grid not in grids:
+        kept = list(grids.items())[-(_GRID_FACTORS_KEPT - 1) :]
+        grids = dict(kept + [(grid, _grid_parts(fit.var.curve_cov, anchors, times))])
+    if label not in splines or splines[label][0] != coefs.tobytes():
+        splines = {**splines, label: (coefs.tobytes(), _mean_splines(fit.basis, coefs))}
+    fit._factors = (key, prior, grids, splines)
+    return (*grids[grid], prior, splines[label][1])
 
 
 def fit_subject_warp(
@@ -1112,9 +1328,9 @@ def fit_subject_warp(
     """Estimate random warp offsets for a subject not in the training fit.
 
     Group offsets and all model parameters stay at their fitted values;
-    only the subject's interior anchor offsets are optimized, by one
-    Levenberg-Marquardt solve from zero offsets with at most
-    ``fit.config.warp_maxfun`` residual evaluations.  Returns the full
+    only the subject's interior anchor offsets are optimized, by the warp
+    step's Levenberg-Marquardt solver on a batch of one, from zero offsets
+    with at most ``fit.config.warp_maxfun`` residual evaluations.  Returns the full
     offset vector (boundaries zero) and whether the solve converged; the
     offsets stay zero where the zero start is infeasible.  They also stay
     zero, leaving the subject on its group's warp, where the kernels cannot
@@ -1125,15 +1341,17 @@ def fit_subject_warp(
         raise DataError(f"unknown group label {label!r}")
     out = np.zeros(len(anchors))
     try:
-        s_fac, hermite, prior = _kernel_factors(fit, curve.times)
+        s_fac, hermite, prior, splines = _held_out_parts(fit, curve.times, label)
     except NumericalError as exc:
         _log.warning("subject %s keeps zero warp offsets: %s", curve.subject_id, exc)
         return out, False
-    prob = WarpProblem(
-        anchors, anchors + fit.warps.group_offsets[label], hermite, curve.values,
-        *_mean_splines(fit.basis, fit.means.coefs(label)), s_fac, prior,
+    prob = WarpProblem.of(
+        anchors, [anchors + fit.warps.group_offsets[label]], [curve.times], [curve.values],
+        lambda _: (s_fac, hermite), splines, prior,
     )
-    out[1:-1], _, converged, _ = _levenberg_marquardt(
-        partial(subject_warp_residuals, prob), np.zeros(len(anchors) - 2), fit.config.warp_maxfun
+    u, _, converged, _ = _levenberg_marquardt(
+        partial(subject_warp_residuals, prob), np.zeros((1, len(anchors) - 2)),
+        fit.config.warp_maxfun,
     )
-    return out, converged
+    out[1:-1] = u[0]
+    return out, bool(converged[0])

@@ -51,6 +51,34 @@ print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
+# One warp step at the benchmark's size: 60 subjects on one 100-point grid,
+# so each group of 30 whitens 180 columns in one triangular solve.
+WARP_PROBE = """
+import hashlib, json
+import numpy as np
+from warpclass.basis import BSplineBasis
+from warpclass.registration import (
+    MeanWeights, RegistrationConfig, WarpState, build_context, estimate_c, estimate_d,
+    fit_warps, gls_normals, warp_design,
+)
+from warpclass.simeval import Study2Config, simulate_study2
+panel, _ = simulate_study2(Study2Config(scenario="A", seed=0, n_subjects=60, n_obs=100))
+cfg = RegistrationConfig()
+basis = BSplineBasis.uniform(cfg.n_interior_knots, cfg.spline_order)
+anchors = np.asarray(cfg.warp_anchors)
+warps = WarpState.identity(anchors, panel.group_of)
+ctx = build_context(panel, basis, anchors, cfg.initial_variance())
+normals = gls_normals(panel, warps, ctx, warp_design(panel, warps, basis))
+shared = estimate_c(normals, {k: np.zeros((2, basis.size)) for k in (0, 1)})
+deviations, shared = estimate_d(normals, shared, 1.0)
+warps, stats = fit_warps(panel, MeanWeights(shared, deviations), ctx, warps)
+h = hashlib.sha256(json.dumps(stats, sort_keys=True).encode())
+for offsets in [*warps.group_offsets.values(), *warps.subject_offsets.values()]:
+    h.update(offsets.tobytes())
+print(stats["n_opt"], h.hexdigest())
+"""
+
+
 def _python(args, blas_threads: int) -> str:
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(blas_threads)}
@@ -71,6 +99,12 @@ def test_fpca_at_benchmark_size_is_identical_across_blas_thread_counts():
 
 def test_variance_likelihood_at_benchmark_size_is_identical_across_blas_thread_counts():
     assert _python(["-c", VARIANCE_PROBE], 1) == _python(["-c", VARIANCE_PROBE], 2)
+
+
+def test_warp_step_at_benchmark_size_is_identical_across_blas_thread_counts():
+    one = _python(["-c", WARP_PROBE], 1)
+    assert one.split()[0] == "62"  # 60 subject solves and 2 group solves
+    assert one == _python(["-c", WARP_PROBE], 2)
 
 
 def test_artifacts_are_identical_across_blas_thread_counts(tmp_path):

@@ -197,6 +197,26 @@ def test_warp_design_at_identity_matches_plain_design():
     assert np.allclose(designs["s1"], basis.design(t), atol=1e-13)
 
 
+def test_warp_design_equals_each_subjects_design():
+    # grids shared within and across groups, and grids of their own
+    rng = np.random.default_rng(61)
+    basis = BSplineBasis.uniform(5, 4)
+    shared, short = np.linspace(0.0, 1.0, 25), np.linspace(0.0, 1.0, 13)
+    grids = [shared, short, shared, np.sort(rng.uniform(0, 1, 19)), shared, short, shared]
+    curves = {f"s{i}": (t, rng.standard_normal((len(t), 2))) for i, t in enumerate(grids)}
+    panel = _panel_from(curves, {f"s{i}": i % 2 for i in range(len(grids))})
+    warps = WarpState.identity(ANCHORS, panel.group_of)
+    for k in (0, 1):
+        warps.group_offsets[k][1:-1] = rng.normal(0, 0.03, 2)
+    for sid in panel.subject_ids:
+        warps.subject_offsets[sid][1:-1] = rng.normal(0, 0.03, 2)
+    designs = warp_design(panel, warps, basis)
+    assert list(designs) == list(panel.subject_ids)
+    for c in panel.curves:
+        g = eval_warp(warps, warps.group_of[c.subject_id], c.subject_id, c.times)
+        assert np.allclose(designs[c.subject_id], basis.design(g), rtol=0.0, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Basis-weight GLS steps against a dense stacked oracle.
 
@@ -458,9 +478,10 @@ def test_fit_warps_never_increases_the_objective():
     warps0 = WarpState.identity(ANCHORS, {"s1": 0, "s2": 0})
     basis = ctx.basis
     before = penalized_objective(panel, means, warps0, ctx, lam, warp_design(panel, warps0, basis))
-    warps, _ = fit_warps(panel, means, ctx, warps0)
+    warps, stats = fit_warps(panel, means, ctx, warps0)
     after = penalized_objective(panel, means, warps, ctx, lam, warp_design(panel, warps, basis))
     assert after <= before + 1e-9 * max(1.0, abs(before))
+    assert stats["n_reverted"] == 0
 
 
 def test_a_warp_step_that_raises_the_objective_is_reverted_and_logged(monkeypatch, caplog):
@@ -476,15 +497,16 @@ def test_a_warp_step_that_raises_the_objective_is_reverted_and_logged(monkeypatc
         if not isinstance(residuals, functools.partial):
             # the group solve ends on a feasible point far from its optimum
             u = u + np.array([0.08, -0.08])
-            r, _ = residuals(u)
-            f = float(r @ r)
-        solved.append(u)
+            r, _, _ = residuals(u, np.arange(1))
+            f = np.array([float(r[0] @ r[0])])
+        solved.extend(u)
         return u, f, converged, f0
 
     monkeypatch.setattr(registration, "_levenberg_marquardt", worse_group_offsets)
     with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
         warps, stats = fit_warps(panel, means, ctx, warps0)
     assert stats["n_opt"] == 3
+    assert stats["n_reverted"] == 1
     for sid in ("s1", "s2"):
         assert np.array_equal(warps.subject_offsets[sid], warps0.subject_offsets[sid])
     assert np.array_equal(warps.group_offsets[0], warps0.group_offsets[0])
@@ -509,10 +531,26 @@ def test_a_warp_step_that_raises_the_objective_is_reverted_and_logged(monkeypatc
     assert after > before
 
 
+def test_the_fit_counts_reverted_warp_steps(monkeypatch):
+    panel, _ = simulate_study2(Study2Config(scenario="A", seed=5, n_subjects=10, n_obs=24))
+    original = registration.fit_warps
+
+    def reverted(panel, means, ctx, warps, maxfun):
+        _, stats = original(panel, means, ctx, warps, maxfun)
+        return warps.copy(), {**stats, "n_reverted": 1}
+
+    monkeypatch.setattr(registration, "fit_warps", reverted)
+    cfg = RegistrationConfig(n_interior_knots=4, variance_maxiter=20, max_outer=3)
+    fit = fit_registration(panel, cfg)
+    assert fit.warp_steps_reverted == fit.n_outer
+
+
 def test_warp_step_parts_are_built_once(monkeypatch):
     # the context computes Hermite weights once per distinct grid; a warp
     # step builds one mean spline per group and evaluates residuals only
-    # inside its solves
+    # inside its solves, once per Levenberg-Marquardt round of each group's
+    # two solves (its subjects in lock step, then its offsets), never per
+    # subject; a linearization computes Hermite weights once per distinct grid
     rng = np.random.default_rng(59)
     basis = BSplineBasis.uniform(4, 4)
     shared = np.linspace(0.0, 1.0, 20)
@@ -540,23 +578,42 @@ def test_warp_step_parts_are_built_once(monkeypatch):
     assert calls["hermite_weights"] == 2
 
     original_solve = registration._levenberg_marquardt
+    solves = []  # per solve: the batch size and the residual calls of each round
 
-    def solve(*args):
+    def solve(residuals, u0, max_evals):
+        rounds = []
+
+        def round_(u, members):
+            start = calls["subject_warp_residuals"]
+            out = residuals(u, members)
+            rounds.append(calls["subject_warp_residuals"] - start)
+            return out
+
         solving.append(1)
         try:
-            return original_solve(*args)
+            return original_solve(round_, u0, max_evals)
         finally:
             solving.pop()
+            solves.append((len(u0), rounds))
 
     monkeypatch.setattr(registration, "_levenberg_marquardt", solve)
     counted(BSplineBasis, "spline")
     counted(registration, "subject_warp_residuals")
     coef = np.vstack([_coef_for(basis, np.sin), _coef_for(basis, np.square)])
     means = MeanWeights(coef, {0: np.zeros_like(coef), 1: np.zeros_like(coef)})
-    calls["hermite_weights"] = 0
-    fit_warps(panel, means, ctx, WarpState.identity(ANCHORS, panel.group_of))
+    calls["hermite_weights"] = calls["subject_warp_residuals"] = 0
+    warps, _ = fit_warps(panel, means, ctx, WarpState.identity(ANCHORS, panel.group_of))
     assert calls["spline"] == 2 and calls["hermite_weights"] == 0
     assert calls["subject_warp_residuals"] > 0 and calls["outside"] == 0
+    # group 0 has s0, s2, s4 and group 1 s1, s3: a subject solve over the
+    # whole group, then the group solve, each round one residual call
+    assert [size for size, _ in solves] == [3, 1, 2, 1]
+    assert calls["subject_warp_residuals"] == sum(len(rounds) for _, rounds in solves)
+    assert all(rounds == [1] * len(rounds) for _, rounds in solves)
+
+    calls["hermite_weights"] = 0
+    build_linearization(panel, means, warps, basis)
+    assert calls["hermite_weights"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +989,10 @@ def test_fit_round_trips_through_dict(small_fit):
     assert back.var.noise_sd == fit.var.noise_sd
     assert back.var.curve_cov == fit.var.curve_cov
     assert back.converged == fit.converged
+    assert back.warp_steps_reverted == fit.warp_steps_reverted == 0
+    # an artifact written before reverted warp steps were counted reads 0
+    del payload["warp_steps_reverted"]
+    assert RegistrationFit.from_dict(payload).warp_steps_reverted == 0
     a = align_curves(panel, fit)
     b = align_curves(panel, back)
     assert np.array_equal(a.values, b.values)

@@ -2,6 +2,7 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -46,19 +47,33 @@ def _var(curve_amp=0.5, warp_amp=0.2, noise=0.05):
 
 
 def _problem(ords, n=30, seed=0):
-    """Whitened problem with prior rows whose free offsets at zero give ``ords``."""
-    rng = np.random.default_rng(seed)
+    """Whitened problem with prior rows whose free offsets at zero give ``ords``.
+
+    ``ords`` (n_w,) gives one subject.  (S, n_w) gives S subjects with the
+    curves of ``seed`` (one per subject) on grids of ``n`` points (one per
+    subject): subjects with equal ``n`` share their grid.
+    """
+    base = np.atleast_2d(ords)
+    seeds, sizes = np.broadcast_to(seed, len(base)), np.broadcast_to(n, len(base))
     basis = BSplineBasis.uniform(4, 4)
-    t = np.linspace(0.0, 1.0, n)
     var = _var()
-    s_fac = CholFactor(np.eye(n) + matern_cov(var.curve_cov, t))
     h_fac = CholFactor(matern_cov(var.warp_cov, ANCHORS[1:-1]))
-    values = rng.standard_normal((n, 2))
+    times = [np.linspace(0.0, 1.0, size) for size in sizes]
+    values = [np.random.default_rng(s).standard_normal((size, 2)) for s, size in zip(seeds, sizes)]
     spl = basis.spline(_coefs(basis))
     prior = np.sqrt(2.0) * h_fac.half_solve(np.eye(h_fac.n))
-    return WarpProblem(
-        ANCHORS, ords, hermite_weights(ANCHORS, t), values, spl, spl.derivative(), s_fac, prior
-    )
+
+    def grid_parts(t):
+        s_fac = CholFactor(np.eye(len(t)) + matern_cov(var.curve_cov, t))
+        return s_fac, hermite_weights(ANCHORS, t)
+
+    return WarpProblem.of(ANCHORS, base, times, values, grid_parts, (spl, spl.derivative()), prior)
+
+
+def _residuals(prob, u):
+    """(r, J) of a one-subject problem at offsets u, or None where u is infeasible."""
+    r, jac, ok = subject_warp_residuals(prob, np.asarray(u, dtype=float)[None])
+    return (r[0], jac[0]) if ok[0] else None
 
 
 def _check_jacobian(base, u) -> int:
@@ -68,7 +83,7 @@ def _check_jacobian(base, u) -> int:
     disagree, i.e. a slope-filter branch switches inside the stencil.
     """
     prob = _problem(base)
-    out = subject_warp_residuals(prob, u)
+    out = _residuals(prob, u)
     if out is None:
         return 0  # u pushed the ordinates out of order
     r, jac = out
@@ -77,8 +92,8 @@ def _check_jacobian(base, u) -> int:
     for m in range(len(u)):
         e = np.zeros(len(u))
         e[m] = eps
-        up = subject_warp_residuals(prob, u + e)
-        dn = subject_warp_residuals(prob, u - e)
+        up = _residuals(prob, u + e)
+        dn = _residuals(prob, u - e)
         if up is None or dn is None:
             continue
         forward = (up[0] - r) / eps
@@ -131,38 +146,136 @@ def test_residual_norm_equals_the_subjects_objective_term():
     want = penalized_objective(panel, means, warps, ctx, ridge_lambda=0.0, designs=designs)
 
     spl = basis.spline(means.coefs(0))
-    prob = WarpProblem(
-        ANCHORS, ANCHORS + warps.group_offsets[0], ctx.hermite["s1"], values, spl,
-        spl.derivative(), ctx.s_factors["s1"], ctx.prior_rows,
+    prob = WarpProblem.of(
+        ANCHORS, [ANCHORS + warps.group_offsets[0]], [t], [values],
+        lambda _: (ctx.s_factors["s1"], ctx.hermite["s1"]), (spl, spl.derivative()),
+        ctx.prior_rows,
     )
-    r, _ = subject_warp_residuals(prob, warps.subject_offsets["s1"][1:-1])
+    r, _ = _residuals(prob, warps.subject_offsets["s1"][1:-1])
     assert abs(r @ r - want) <= 1e-10 * abs(want)
 
 
 def test_levenberg_marquardt_descends_and_respects_infeasibility():
     seen = []
 
-    def rosenbrock(u, bound=np.inf):
+    def rosenbrock(u, members, bound=np.inf):
+        (u,) = u  # a batch of one
         if u[0] > bound:
-            return None
+            return np.zeros((1, 2)), np.zeros((1, 2, 2)), np.array([False])
         r = np.array([10.0 * (u[1] - u[0] ** 2), 1.0 - u[0]])
         seen.append(float(r @ r))
-        return r, np.array([[-20.0 * u[0], 10.0], [-1.0, 0.0]])
+        return r[None], np.array([[[-20.0 * u[0], 10.0], [-1.0, 0.0]]]), np.array([True])
 
-    u, f, converged, f0 = _levenberg_marquardt(rosenbrock, np.array([-1.2, 1.0]), 200)
+    (u,), (f,), (converged,), (f0,) = _levenberg_marquardt(rosenbrock, [[-1.2, 1.0]], 200)
     assert converged and f < 1e-12 and np.allclose(u, 1.0, atol=1e-6)
     assert f == min(seen)  # only descending steps are accepted
     assert f0 == seen[0]  # the start value, from the first evaluation
 
     # past u_0 = 0.5 the residual is undefined: the solver stays feasible
     seen.clear()
-    u, f, _, _ = _levenberg_marquardt(lambda v: rosenbrock(v, 0.5), np.array([-1.2, 1.0]), 200)
+    (u,), (f,), _, _ = _levenberg_marquardt(
+        lambda v, m: rosenbrock(v, m, 0.5), [[-1.2, 1.0]], 200
+    )
     assert u[0] <= 0.5 and f == min(seen) and f < 0.3
-    u, f, converged, f0 = _levenberg_marquardt(
-        lambda v: rosenbrock(v, -2.0), np.array([0.0, 0.0]), 5
+    (u,), (f,), (converged,), (f0,) = _levenberg_marquardt(
+        lambda v, m: rosenbrock(v, m, -2.0), [[0.0, 0.0]], 5
     )
     assert f == np.inf and not converged
     assert f0 == np.inf
+
+
+def test_batched_residuals_equal_each_subjects_alone():
+    # five subjects on three grids, two of them shared, of two lengths
+    rng = np.random.default_rng(3)
+    base = ANCHORS + np.column_stack([np.zeros(5), rng.normal(0, 0.03, (5, 2)), np.zeros(5)])
+    seeds, sizes = [1, 2, 3, 4, 5], [30, 24, 30, 24, 17]
+    batch = _problem(base, n=sizes, seed=seeds)
+    assert len(batch.grids) == 3
+    u = rng.normal(0, 0.02, (5, 2))
+    u[3] = [0.5, -0.5]  # out of order
+    r, jac, ok = subject_warp_residuals(batch, u)
+    assert r.shape == (5, 2 * 30 + 2) and jac.shape == (5, 2 * 30 + 2, 2)
+    assert ok.tolist() == [True, True, True, False, True]
+    for i in range(5):
+        alone = _problem(base[i], n=sizes[i], seed=seeds[i])
+        r1, jac1, ok1 = subject_warp_residuals(alone, u[i : i + 1])
+        rows = 2 * sizes[i] + 2
+        assert ok1[0] == ok[i]
+        assert r[i, :rows].tobytes() == r1[0].tobytes()
+        assert jac[i, :rows].tobytes() == jac1[0].tobytes()
+        assert not r[i, rows:].any() and not jac[i, rows:].any()
+    # a subset of the members, in any grids, gives the same rows
+    some = np.array([1, 4])
+    r2, jac2, _ = subject_warp_residuals(batch, u[some], some)
+    assert r2.tobytes() == r[some].tobytes() and jac2.tobytes() == jac[some].tobytes()
+
+
+def _counted(residuals, counts, calls):
+    """``residuals`` counting each problem's evaluations and recording each call's members."""
+
+    def wrapped(u, members):
+        counts[members] += 1
+        calls.append(members.tolist())
+        return residuals(u, members)
+
+    return wrapped
+
+
+def _singular(residuals, member):
+    """``residuals`` with problem ``member``'s damped system made singular.
+
+    Its Jacobian is zero but for a tiny first entry, whose square is below
+    the damping floor's underflow, and its residual is large enough for the
+    gradient to pass the stopping test; so the damped matrix has an exact
+    zero row.
+    """
+
+    def wrapped(u, members):
+        r, jac, ok = residuals(u, members)
+        at = members == member
+        r[at], jac[at] = 0.0, 0.0
+        r[at, 0], jac[at, 0, 0] = 1e151, 1e-156
+        return r, jac, ok
+
+    return wrapped
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(2, 8), seed=st.integers(0, 2**16), data=st.data())
+def test_lock_step_solve_equals_each_problem_solved_alone(size, seed, data):
+    rng = np.random.default_rng(seed)
+    base = ANCHORS + np.column_stack(
+        [np.zeros(size), rng.normal(0, 0.04, (size, 2)), np.zeros(size)]
+    )
+    seeds = rng.integers(0, 2**16, size)
+    u0 = rng.normal(0, 0.05, (size, 2))
+    roles = data.draw(st.permutations(range(size)))
+    infeasible, singular = roles[:2]
+    capped = roles[2] if size > 2 else None
+    u0[infeasible] = [0.5, -0.5]  # the ordinates start out of order
+    max_evals = np.full(size, 40)
+    if capped is not None:
+        max_evals[capped] = data.draw(st.integers(1, 4))
+
+    counts, calls = np.zeros(size, dtype=int), []
+    residuals = _singular(partial(subject_warp_residuals, _problem(base, seed=seeds)), singular)
+    got = _levenberg_marquardt(_counted(residuals, counts, calls), u0, max_evals)
+    for i in range(size):
+        alone = np.zeros(1, dtype=int)
+        residuals = partial(subject_warp_residuals, _problem(base[i], seed=seeds[i]))
+        if i == singular:
+            residuals = _singular(residuals, 0)
+        want = _levenberg_marquardt(_counted(residuals, alone, []), u0[i : i + 1], max_evals[i])
+        for a, b in zip(got, want):
+            assert np.allclose(a[i], b[0], rtol=1e-12, atol=0.0)
+        assert counts[i] == alone[0]
+    # each round evaluates the running problems in one call
+    assert all(members == sorted(set(members)) for members in calls)
+    assert calls[0] == list(range(size)) and len(calls) >= counts.max()
+    assert got[1][infeasible] == got[3][infeasible] == np.inf and counts[infeasible] == 1
+    assert counts[singular] == 1 and not got[2][singular]
+    assert np.array_equal(got[0][singular], u0[singular])
+    assert np.all(counts <= max_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +369,17 @@ def test_factor_cache_follows_a_change_of_variance_parameters():
     (curve, label), = _subjects(fit, 1, seed=19)
     fit_subject_warp(curve, fit, label)
     fit.var = _var(curve_amp=2.0, warp_amp=0.05, noise=0.05)
+    warm, _ = fit_subject_warp(curve, fit, label)
+    fit._factors = None
+    cold, _ = fit_subject_warp(curve, fit, label)
+    assert warm.tobytes() == cold.tobytes()
+
+
+def test_factor_cache_follows_a_change_of_mean_weights():
+    fit = _fit({0: [0.0, 0.0], 1: [0.0, 0.0]})
+    (curve, label), = _subjects(fit, 1, seed=19)
+    fit_subject_warp(curve, fit, label)
+    fit.means.group[label] = fit.means.group[label] + 0.05
     warm, _ = fit_subject_warp(curve, fit, label)
     fit._factors = None
     cold, _ = fit_subject_warp(curve, fit, label)
