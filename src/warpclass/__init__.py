@@ -60,7 +60,6 @@ from .registration import (
     build_linearization,
     estimate_c,
     estimate_d,
-    eval_warp,
     fit_registration,
     fit_subject_warp,
     fit_variance,

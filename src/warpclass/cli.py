@@ -37,7 +37,7 @@ from .curves import (
     save_curves,
     save_scalars,
 )
-from .errors import DataError, NumericalError, check_format_version
+from .errors import DataError, NumericalError, check_format_version, check_int, check_reals
 from .registration import RegistrationFit, align_curves, fit_registration, warp_values
 from .simeval import (
     MetricsReport,
@@ -382,7 +382,18 @@ def cmd_evaluate(args) -> int:
             raise DataError(f"{args.truth} has no {key!r}")
         return truth[key]
 
-    label_of = dict(zip(entry("subjects"), entry("labels")))
+    subjects, labels = entry("subjects"), entry("labels")
+    if not isinstance(subjects, list) or not all(isinstance(s, str) for s in subjects):
+        raise DataError(f"{args.truth}: 'subjects' must be a list of strings")
+    if len(set(subjects)) != len(subjects):
+        raise DataError(f"{args.truth}: 'subjects' lists a subject twice")
+    if not isinstance(labels, list) or len(labels) != len(subjects):
+        raise DataError(f"{args.truth}: 'labels' must be a list of {len(subjects)} labels")
+    for i, label in enumerate(labels):
+        check_int(f"{args.truth}: labels[{i}]", label, 0)
+        if label > 1:
+            raise DataError(f"{args.truth}: labels[{i}] must be 0 or 1, got {label}")
+    label_of = dict(zip(subjects, labels))
     missing = [p["subject_id"] for p in preds if p["subject_id"] not in label_of]
     if missing:
         raise DataError(f"predicted subjects missing from truth: {missing[:5]}")
@@ -395,8 +406,13 @@ def cmd_evaluate(args) -> int:
     est, true = {}, {}
     if args.fit:
         reg_fit = _load_registration_only(args.fit)
-        anchors = np.asarray(entry("anchors"), dtype=float)
-        for sid, offs in entry("warp_offsets").items():
+        anchors, offsets = entry("anchors"), entry("warp_offsets")
+        check_reals(f"{args.truth}: anchors", anchors)
+        if not isinstance(offsets, dict):
+            raise DataError(f"{args.truth}: 'warp_offsets' must map subjects to offsets")
+        anchors = np.asarray(anchors, dtype=float)
+        for sid, offs in offsets.items():
+            check_reals(f"{args.truth}: warp_offsets[{sid!r}]", offs, len(anchors))
             if sid not in reg_fit.warps.subject_offsets:
                 continue
             est[sid] = warp_values(

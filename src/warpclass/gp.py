@@ -169,30 +169,11 @@ class CholFactor:
     """
 
     def __init__(self, mat: np.ndarray):
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DataError(f"expected a square matrix, got shape {mat.shape}")
-        scale = float(np.mean(np.diag(mat)))
-        if scale <= 0:
-            scale = 1.0
-        err = None
-        for eps in JITTER_STEPS:
-            try:
-                bumped = mat if eps == 0.0 else mat + (eps * scale) * np.eye(len(mat))
-                factor, lower = sla.cho_factor(bumped, lower=True, check_finite=False)
-                self._cf = (np.asfortranarray(factor), lower)
-                self.n = len(mat)
-                self.jitter = eps
-                if eps > 0.0:
-                    _log.debug("Cholesky needed jitter %g on a %d x %d matrix", eps, self.n, self.n)
-                return
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - rethrown below
-                err = exc
-            except ValueError as exc:
-                raise NumericalError(f"cannot factor matrix: {exc}") from exc
-        raise NumericalError(
-            f"matrix not positive definite after jitter up to {JITTER_STEPS[-1]}: {err}"
-        )
+        (factor, lower), self.jitter = _jittered(mat, _cho_factor)
+        self._cf = (np.asfortranarray(factor), lower)
+        self.n = len(factor)
+        if self.jitter > 0.0:
+            _log.debug("Cholesky needed jitter %g on a %d x %d matrix", self.jitter, self.n, self.n)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return sla.cho_solve(self._cf, np.asarray(rhs, dtype=float), check_finite=False)
@@ -225,6 +206,24 @@ def chol_lower(mat: np.ndarray) -> np.ndarray:
     numerically rank deficient, and the small diagonal bump changes the
     drawn paths by far less than the kernel amplitude.
     """
+    return _jittered(mat, np.linalg.cholesky)[0]
+
+
+def _cho_factor(mat: np.ndarray) -> tuple:
+    try:
+        return sla.cho_factor(mat, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise  # not positive definite: the caller tries the next jitter step
+    except ValueError as exc:
+        raise NumericalError(f"cannot factor matrix: {exc}") from exc
+
+
+def _jittered(mat, factor) -> tuple:
+    """``factor(mat)``, retried up ``JITTER_STEPS`` while it raises LinAlgError.
+
+    Each step adds its multiple of the mean diagonal (1 if that is not
+    positive) to the diagonal.  Returns the factor and the step used.
+    """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DataError(f"expected a square matrix, got shape {mat.shape}")
@@ -235,7 +234,7 @@ def chol_lower(mat: np.ndarray) -> np.ndarray:
     for eps in JITTER_STEPS:
         bumped = mat if eps == 0.0 else mat + (eps * scale) * np.eye(len(mat))
         try:
-            return np.linalg.cholesky(bumped)
+            return factor(bumped), eps
         except np.linalg.LinAlgError as exc:
             err = exc
     raise NumericalError(

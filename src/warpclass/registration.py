@@ -156,15 +156,6 @@ def _check_increasing(ordinates, who: str) -> None:
         raise NumericalError(f"non-monotone warp ordinates for {who}")
 
 
-def eval_warp(warps: WarpState, group, subject, times) -> np.ndarray:
-    """Warp g(t) for one subject; strictly increasing with g(0)=0, g(1)=1."""
-    if warps.group_of.get(subject) != group:
-        raise DataError(f"subject {subject!r} is not in group {group!r}")
-    ords = warps.ordinates(subject)
-    _check_increasing(ords, f"subject {subject}")
-    return np.clip(warp_values(warps.anchors, ords, times), 0.0, 1.0)
-
-
 def warp_inverse_values(anchors, ordinates, times) -> np.ndarray:
     """g^{-1}(times) for the monotone warp through (anchors, ordinates).
 
@@ -186,7 +177,7 @@ class GlsContext:
 
     Per distinct observation grid, the Cholesky factor of (I + S_i) and the
     warp's Hermite weights (``_grid_parts``), in ``grids`` by the grid's
-    bytes and mapped to each subject by ``s_factors`` and ``hermite``.  For
+    bytes, with each subject's factor in ``s_factors``.  For
     the warp covariance H on the interior anchors, its factor
     ``warp_prior`` and the warp-prior rows ``prior_rows`` (``_prior_rows``).
     """
@@ -204,12 +195,11 @@ class GlsContext:
         self.prior_rows = _prior_rows(self.warp_prior)
         self.grids: dict = {}
         self.s_factors: dict = {}
-        self.hermite: dict = {}
         for c in panel.curves:
             key = c.times.tobytes()
             if key not in self.grids:
                 self.grids[key] = _grid_parts(var.curve_cov, anchors, c.times)
-            self.s_factors[c.subject_id], self.hermite[c.subject_id] = self.grids[key]
+            self.s_factors[c.subject_id] = self.grids[key][0]
 
 
 def _curve_factor(s_mat: np.ndarray) -> CholFactor:
@@ -237,7 +227,9 @@ def warp_design(panel: CurvePanel, warps: WarpState, basis: BSplineBasis) -> dic
     The subjects on one grid are warped together, by one ``hyman_interp``
     on their stacked ordinates, and the designs of all warped times come
     from one design-matrix call, split back per subject.  Each design
-    equals ``basis.design(eval_warp(...))`` of its subject.
+    equals ``basis.design`` at its subject's warp values clipped to [0, 1].
+    Raises NumericalError if a subject's ordinates are not strictly
+    increasing.
     """
     by_grid: dict = {}
     for c in panel.curves:
@@ -533,7 +525,7 @@ def _gauss_newton_parts(r: np.ndarray, jac: np.ndarray, ok: np.ndarray) -> tuple
     return np.where(ok, gram[:, -1, -1], np.inf), gram[:, :-1, -1], gram[:, :-1, :-1]
 
 
-def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals) -> tuple:
+def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
     """Minimize ||r_i(u_i)||^2 for a batch of problems by damped Gauss-Newton steps.
 
     Each problem is solved as by itself (More, 1978), the batch in lock
@@ -549,87 +541,57 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals) -> tuple:
     that cannot be solved raises that problem's damping without an
     evaluation.  A problem has converged when the gradient of its f is
     below ``_GTOL``, or when an accepted step, or the model's promise for a
-    rejected one, lowers f by at most ``_FTOL * max(f, 1)``; it stops short
-    after ``max_evals`` (an int, or one per problem) rounds counting its
-    first evaluation.  ``u0`` is (S, m).  Returns arrays (u, f, converged,
-    f0), where f0 is the value at ``u0``; f and f0 are inf for an
-    infeasible start.
+    rejected one, lowers f by at most ``_FTOL * max(f, 1)``; the batch
+    stops short after ``max_evals`` rounds, counting the first evaluation,
+    so no problem is evaluated more than ``max_evals`` times.  ``u0`` is
+    (S, m).  Returns arrays (u, f, converged, f0), where f0 is the value at
+    ``u0``; f and f0 are inf for an infeasible start.
     """
-    u_out = np.array(u0, dtype=float)
-    size, m = u_out.shape
-    f0, grad, jtj = _gauss_newton_parts(*residuals(u_out, np.arange(size)))
-    f_out, converged = f0.copy(), np.zeros(size, dtype=bool)
-    # The running problems' state, in the order of their indices ``idx``:
-    # arrays for the linear algebra, lists for each problem's scalars.
-    idx = np.arange(size)
-    u = u_out.copy()
-    f = f0.tolist()
-    left = (np.zeros(size, dtype=int) + max_evals - 1).tolist()  # rounds, per problem
+    u = np.array(u0, dtype=float)
+    size, m = u.shape
+    f0, grad, jtj = _gauss_newton_parts(*residuals(u, np.arange(size)))
+    f, converged = f0.tolist(), [False] * size
     lam, nu = [1e-3] * size, [2.0] * size
-    # an infeasible start, or no round left, ends the solve at once
-    finished = {j: False for j in range(size) if not (f[j] < np.inf and left[j] > 0)}
+    running = [j for j in range(size) if f[j] < np.inf]  # an infeasible start ends at once
     eye = np.eye(m)
-    while len(idx):
-        if finished:
-            ended = np.array(list(finished))
-            u_out[idx[ended]], f_out[idx[ended]] = u[ended], [f[j] for j in finished]
-            converged[idx[ended]] = list(finished.values())
-            if len(finished) == len(idx):
-                break
-            keep = [j for j in range(len(idx)) if j not in finished]
-            idx, u, grad, jtj = idx[keep], u[keep], grad[keep], jtj[keep]
-            f, left, lam, nu = ([a[j] for j in keep] for a in (f, left, lam, nu))
-            finished = {}
-        diag = jtj.diagonal(0, 1, 2)
+    for _ in range(max_evals - 1):
+        if not running:
+            break
+        idx = np.array(running)
+        g, a = grad[idx], jtj[idx]
+        diag = a.diagonal(0, 1, 2)
         diag = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True))
-        damping = np.array(lam)[:, None] * diag
-        step, solved = _damped_steps(jtj + damping[..., None] * eye, -grad)
+        damping = np.array([lam[j] for j in running])[:, None] * diag
+        step, solved = _damped_steps(a + damping[..., None] * eye, -g)
         # the model's decrease -(2 s'g + s'J'Js), with J'Js = -g - damping * s
-        pred = ((damping * step - grad) * step).sum(axis=1).tolist()
-        small = [2.0 * max(map(abs, g)) <= _GTOL for g in grad.tolist()]
-        trial = [ok and not tiny for ok, tiny in zip(solved, small)]
-        point = u + step
-        tried = np.flatnonzero(trial)  # positions of the problems evaluated
-        values = iter(())
-        if len(tried):
-            whole = len(tried) == len(idx)
-            out = residuals(point, idx) if whole else residuals(point[tried], idx[tried])
-            f_new, grad_new, jtj_new = _gauss_newton_parts(*out)
-            values = iter(f_new.tolist())
-        accepted = []
-        for j, (is_small, is_tried) in enumerate(zip(small, trial)):
-            left[j] -= 1
-            if is_small:
-                finished[j] = True
-                continue
-            if is_tried:
-                value, tol = next(values), _FTOL * max(f[j], 1.0)
-                if value < f[j]:
-                    gain = (f[j] - value) / pred[j] if pred[j] > 0 else 0.0
-                    lam[j] *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-                    nu[j] = 2.0
-                    accepted.append(j)
-                    done = f[j] - value <= tol
-                    f[j] = value
-                    if done:
-                        finished[j] = True
-                        continue
-                elif pred[j] <= tol:
-                    finished[j] = True
-                    continue
-                else:
-                    lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
+        pred = ((damping * step - g) * step).sum(axis=1).tolist()
+        small = [2.0 * max(map(abs, row)) <= _GTOL for row in g.tolist()]
+        point = u[idx] + step
+        tried = []  # positions in ``running`` of the problems evaluated
+        for p, j in enumerate(running):
+            if small[p]:
+                converged[j] = True
+            elif solved[p]:
+                tried.append(p)
             else:
                 lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
-            if left[j] == 0:
-                finished[j] = False
-        if len(accepted) == len(idx):
-            u, grad, jtj = point, grad_new, jtj_new
-        elif accepted:
-            at = np.searchsorted(tried, accepted)
-            u[accepted] = point[accepted]
-            grad[accepted], jtj[accepted] = grad_new[at], jtj_new[at]
-    return u_out, f_out, converged, f0
+        if tried:
+            f_new, grad_new, jtj_new = _gauss_newton_parts(*residuals(point[tried], idx[tried]))
+        for q, p in enumerate(tried):
+            j, value = running[p], float(f_new[q])
+            tol = _FTOL * max(f[j], 1.0)
+            if value < f[j]:
+                gain = (f[j] - value) / pred[p] if pred[p] > 0 else 0.0
+                lam[j] *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                nu[j] = 2.0
+                converged[j] = f[j] - value <= tol
+                u[j], f[j], grad[j], jtj[j] = point[p], value, grad_new[q], jtj_new[q]
+            elif pred[p] <= tol:
+                converged[j] = True
+            else:
+                lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
+        running = [j for j in running if not converged[j]]
+    return u, np.array(f), np.array(converged), f0
 
 
 def fit_warps(

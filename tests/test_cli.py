@@ -565,6 +565,45 @@ def test_evaluate_names_a_missing_truth_entry(pipeline, tmp_path, capsys, key, w
     assert not (tmp_path / "m.json").exists()
 
 
+def _first_fitted_subject(pipeline):
+    with open(pipeline.data / "curves_train.csv", newline="") as fh:
+        return next(csv.DictReader(fh))["subject_id"]
+
+
+@pytest.mark.parametrize(
+    "change, with_fit, message",
+    [
+        (lambda t, sid: {"labels": [str(y) for y in t["labels"]]}, False,
+         "labels[0] must be an integer, got '"),
+        (lambda t, sid: {"subjects": 5}, False, "'subjects' must be a list of strings"),
+        (lambda t, sid: {"labels": 1}, False, "'labels' must be a list of"),
+        (lambda t, sid: {"anchors": "abc"}, True, "anchors must be a list of numbers, got 'abc'"),
+        (lambda t, sid: {"warp_offsets": {**t["warp_offsets"], sid: "zz"}}, True,
+         "warp_offsets[SID] must be a list of 4 numbers, got 'zz'"),
+        (lambda t, sid: {"warp_offsets": {**t["warp_offsets"], sid: t["warp_offsets"][sid][:2]}},
+         True, "warp_offsets[SID] must be a list of 4 numbers, got ["),
+    ],
+    ids=["labels-text", "subjects-int", "labels-int", "anchors-text", "offsets-text",
+         "offsets-short"],
+)
+def test_evaluate_rejects_malformed_truth_entries(
+    pipeline, tmp_path, capsys, change, with_fit, message
+):
+    truth = json.loads((pipeline.data / "truth.json").read_text())
+    sid = _first_fitted_subject(pipeline)
+    assert len(truth["anchors"]) == 4 and sid in truth["warp_offsets"]
+    truth.update(change(truth, sid))
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    args = ["evaluate", "--predictions", str(pipeline.pred), "--truth", str(path),
+            "--out", str(tmp_path / "m.json")]
+    if with_fit:
+        args += ["--fit", str(pipeline.fit)]
+    assert main(args) == 3
+    assert f"{path}: " + message.replace("SID", repr(sid)) in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize(
     "column, value, message",
     [

@@ -214,6 +214,10 @@ def test_jitter_ladder_handles_near_singular():
     mat = v @ v.T
     factor = CholFactor(mat)
     assert factor.n == 5
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(mat)
+    low = chol_lower(mat)
+    assert np.allclose(low @ low.T, mat, atol=1e-6) and np.all(np.isfinite(low))
 
 
 def test_jitter_step_is_kept_and_logged(caplog):

@@ -32,7 +32,6 @@ from warpclass.registration import (
     estimate_c,
     estimate_d,
     estimate_ridge,
-    eval_warp,
     fit_registration,
     fit_subject_warp,
     fit_variance,
@@ -84,21 +83,18 @@ def test_variance_params_reject_nonpositive_noise():
 def test_identity_warp_state_is_identity():
     warps = WarpState.identity(ANCHORS, {"s1": 0, "s2": 1})
     t = np.linspace(0, 1, 50)
-    assert np.allclose(eval_warp(warps, 0, "s1", t), t, atol=1e-14)
+    g = np.clip(warp_values(ANCHORS, warps.ordinates("s1"), t), 0.0, 1.0)
+    assert np.allclose(g, t, atol=1e-14)
     assert np.allclose(warp_inverse_values(ANCHORS, warps.ordinates("s2"), t), t, atol=1e-9)
 
 
-def test_eval_warp_checks_group_membership():
-    warps = WarpState.identity(ANCHORS, {"s1": 0})
-    with pytest.raises(DataError, match="not in group"):
-        eval_warp(warps, 1, "s1", np.array([0.5]))
-
-
-def test_eval_warp_rejects_nonmonotone_ordinates():
+def test_warp_design_rejects_nonmonotone_ordinates():
+    t = np.linspace(0.0, 1.0, 5)
+    panel = _panel_from({"s1": (t, np.zeros((5, 2)))}, {"s1": 0})
     warps = WarpState.identity(ANCHORS, {"s1": 0})
     warps.subject_offsets["s1"][1] = 0.5  # pushes ordinate past the next anchor
-    with pytest.raises(NumericalError, match="non-monotone"):
-        eval_warp(warps, 0, "s1", np.array([0.5]))
+    with pytest.raises(NumericalError, match="non-monotone warp ordinates for subject s1"):
+        warp_design(panel, warps, BSplineBasis.uniform(4, 4))
 
 
 def test_invert_warp_round_trip():
@@ -213,7 +209,7 @@ def test_warp_design_equals_each_subjects_design():
     designs = warp_design(panel, warps, basis)
     assert list(designs) == list(panel.subject_ids)
     for c in panel.curves:
-        g = eval_warp(warps, warps.group_of[c.subject_id], c.subject_id, c.times)
+        g = np.clip(warp_values(ANCHORS, warps.ordinates(c.subject_id), c.times), 0.0, 1.0)
         assert np.allclose(designs[c.subject_id], basis.design(g), rtol=0.0, atol=1e-14)
 
 
@@ -972,7 +968,7 @@ def test_fitted_warps_satisfy_identifiability(small_fit):
     # every fitted warp is strictly increasing over a dense scan
     t = np.linspace(0.0, 1.0, 10_001)
     for sid in panel.subject_ids:
-        g = eval_warp(fit.warps, fit.warps.group_of[sid], sid, t)
+        g = np.clip(warp_values(fit.warps.anchors, fit.warps.ordinates(sid), t), 0.0, 1.0)
         assert np.all(np.diff(g) >= -1e-12)
         assert np.all(np.diff(fit.warps.ordinates(sid)) > 0)
 
@@ -1061,7 +1057,8 @@ def test_noiseless_panel_is_reproduced_by_the_fit():
     fit = fit_registration(panel, cfg)
     for c in panel.curves:
         k = fit.warps.group_of[c.subject_id]
-        g = eval_warp(fit.warps, k, c.subject_id, c.times)
+        ords = fit.warps.ordinates(c.subject_id)
+        g = np.clip(warp_values(fit.warps.anchors, ords, c.times), 0.0, 1.0)
         pred = np.column_stack(
             [fit.basis.spline(fit.means.coef(a, k))(g) for a in (0, 1)]
         )
