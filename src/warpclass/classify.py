@@ -97,21 +97,24 @@ def smooth_covariance(values: np.ndarray, window: int = 11) -> np.ndarray:
     # einsum sums in one fixed order; a BLAS product splits the sum across
     # threads, so its last bits would depend on the BLAS thread count
     cov = np.einsum("ki,kj->ij", centered, centered) / vals.shape[0]
-    out = np.empty_like(cov)
+    # Row d of the sheared array holds diagonal j - i = d - (g - 1) from its
+    # start, zero-padded; one row-wise cumsum gives every diagonal's running sums.
     g = cov.shape[0]
     half = window // 2
-    for off in range(-(g - 1), g):
-        diag = np.diagonal(cov, offset=off)
-        m = len(diag)
-        csum = np.concatenate([[0.0], np.cumsum(diag)])
-        idx = np.arange(m)
-        hi = np.minimum(idx + half + 1, m)
-        lo = np.maximum(idx - half, 0)
-        sm = (csum[hi] - csum[lo]) / (hi - lo)
-        if off >= 0:
-            out[idx, idx + off] = sm
-        else:
-            out[idx - off, idx] = sm
+    offset = np.arange(1 - g, g)[:, None]
+    pos = np.arange(g)
+    length = g - np.abs(offset)
+    row, col = pos - np.minimum(offset, 0), pos + np.maximum(offset, 0)
+    on = pos < length
+    sheared = np.zeros((2 * g - 1, g))
+    sheared[on] = cov[row[on], col[on]]
+    csum = np.zeros((2 * g - 1, g + 1))
+    np.cumsum(sheared, axis=1, out=csum[:, 1:])
+    diag, place = np.nonzero(on)
+    hi = np.minimum(place + half + 1, length[diag, 0])
+    lo = np.maximum(place - half, 0)
+    out = np.empty_like(cov)
+    out[row[on], col[on]] = (csum[diag, hi] - csum[diag, lo]) / (hi - lo)
     return 0.5 * (out + out.T)
 
 

@@ -411,6 +411,8 @@ def cmd_evaluate(args) -> int:
         if not isinstance(offsets, dict):
             raise DataError(f"{args.truth}: 'warp_offsets' must map subjects to offsets")
         anchors = np.asarray(anchors, dtype=float)
+        if len(anchors) < 2 or anchors[0] != 0.0 or anchors[-1] != 1.0:
+            raise DataError(f"{args.truth}: anchors must span [0, 1], got {anchors.tolist()}")
         for sid, offs in offsets.items():
             check_reals(f"{args.truth}: warp_offsets[{sid!r}]", offs, len(anchors))
             if sid not in reg_fit.warps.subject_offsets:

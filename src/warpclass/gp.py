@@ -15,13 +15,16 @@ Since ``d/dx f_nu = -x f_(nu-1)``, the derivative of a kernel in its log
 length scale is ``amplitude * c * x^2 f_(nu-1)(x)`` with the norming
 constant ``c = 2^(1-nu)/Gamma(nu)``.  The recurrence leaves ``f_(nu-1)``
 as its previous term, so the derivative costs no further Bessel
-evaluation.  ``GridDistances`` holds one grid's distinct pair distances, so
-that a likelihood evaluated many times on a fixed grid computes the
-kernel and its derivative once per distinct distance (``matern_cov_grad``).
+evaluation.  ``GridDistances`` holds the distinct pair distances of one
+grid, or of a stack of grids of one length, so that a likelihood evaluated
+many times on fixed grids computes the kernel and its derivative once per
+distinct distance (``matern_distinct``, ``matern_cov_grad``).
 
 Every SPD solve in the package goes through a Cholesky factorization with
-escalating diagonal jitter; explicit matrix inverses are never formed.
-A factorization that needed jitter keeps the step it used and logs it.
+escalating diagonal jitter, and a factorization that needed jitter logs
+the step it used.  Explicit inverses are formed only of small matrices,
+and of a stack of kernel matrices whose entries a trace needs
+(``spd_inverses``).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .errors import DataError, NumericalError
 
 _log = logging.getLogger(__name__)
 _trtrs = sla.lapack.dtrtrs
+_potrs = sla.lapack.dpotrs
 
 # Jitter ladder, applied relative to the mean diagonal of the matrix.
 JITTER_STEPS = (0.0, 1e-10, 1e-8, 1e-6)
@@ -145,6 +149,33 @@ class GridDistances:
         distinct, inverse = np.unique(dist, return_inverse=True)
         return cls(distinct, inverse.reshape(dist.shape))
 
+    @classmethod
+    def stack(cls, grids) -> "GridDistances":
+        """Several grids of one length: their distinct distances one after the
+        other, and an index of shape (grids, n, n) into them."""
+        n = len(grids[0])
+        index = np.empty((len(grids), n, n), dtype=np.intp)
+        distinct = []
+        start = 0
+        for grid, out in zip(grids, index):
+            part = cls.of(grid)
+            np.add(part.index, start, out=out)
+            distinct.append(part.distinct)
+            start += len(part.distinct)
+        return cls(np.concatenate(distinct), index)
+
+
+def matern_distinct(params: MaternParams, dists: GridDistances) -> tuple[np.ndarray, np.ndarray]:
+    """Matern covariance and its log-length-scale derivative at ``dists.distinct``.
+
+    Indexed by ``dists.index`` they give ``matern_cov_grad``.  The
+    derivative in the log amplitude is the covariance itself.
+    """
+    nu = params.smoothness
+    x = math.sqrt(2.0 * nu) * (dists.distinct / params.length_scale)
+    corr, slope = _matern_corr(nu, x)
+    return params.amplitude * corr, params.amplitude * slope
+
 
 def matern_cov_grad(params: MaternParams, dists: GridDistances) -> tuple[np.ndarray, np.ndarray]:
     """Matern covariance on one grid and its derivative in the log length scale.
@@ -152,12 +183,9 @@ def matern_cov_grad(params: MaternParams, dists: GridDistances) -> tuple[np.ndar
     The covariance equals ``matern_cov(params, grid)`` byte for byte; the
     derivative is ``amplitude * c x^2 f_(nu-1)(x)``, zero on the diagonal
     (module docstring).  Both are evaluated once per distinct distance.
-    The derivative in the log amplitude is the covariance itself.
     """
-    nu = params.smoothness
-    x = math.sqrt(2.0 * nu) * (dists.distinct / params.length_scale)
-    corr, slope = _matern_corr(nu, x)
-    return (params.amplitude * corr)[dists.index], (params.amplitude * slope)[dists.index]
+    cov, slope = matern_distinct(params, dists)
+    return cov[dists.index], slope[dists.index]
 
 
 class CholFactor:
@@ -172,8 +200,6 @@ class CholFactor:
         (factor, lower), self.jitter = _jittered(mat, _cho_factor)
         self._cf = (np.asfortranarray(factor), lower)
         self.n = len(factor)
-        if self.jitter > 0.0:
-            _log.debug("Cholesky needed jitter %g on a %d x %d matrix", self.jitter, self.n, self.n)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return sla.cho_solve(self._cf, np.asarray(rhs, dtype=float), check_finite=False)
@@ -209,6 +235,33 @@ def chol_lower(mat: np.ndarray) -> np.ndarray:
     return _jittered(mat, np.linalg.cholesky)[0]
 
 
+def spd_inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses and log determinants of a stack of SPD matrices, shape (k, n, n).
+
+    One batched Cholesky factors the stack.  If any matrix fails, each is
+    factored alone through the jitter ladder, as ``CholFactor`` does.  Each
+    inverse is solved from its factor against the identity by LAPACK
+    ``potrs``: triangular solves, whose results do not depend on the number
+    of BLAS threads (``potri``'s do, and so does OpenBLAS's Cholesky from
+    n = 128).  It is symmetric up to rounding.  The inverses are written
+    over ``mats`` when it is a C-ordered float array.
+    """
+    mats = np.ascontiguousarray(mats, dtype=float)
+    try:
+        low = np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        low = np.stack([_jittered(mat, np.linalg.cholesky)[0] for mat in mats])
+    diag = np.arange(low.shape[-1])
+    logdets = 2.0 * np.sum(np.log(low[:, diag, diag]), axis=1)
+    mats[...] = 0.0
+    mats[:, diag, diag] = 1.0
+    for factor, out in zip(low, mats):
+        # transposed, the factor is the Fortran-ordered upper one, and the
+        # identity is overwritten in place with the solution
+        _potrs(factor.T, out.T, lower=0, overwrite_b=1)
+    return mats, logdets
+
+
 def _cho_factor(mat: np.ndarray) -> tuple:
     try:
         return sla.cho_factor(mat, lower=True, check_finite=False)
@@ -222,7 +275,8 @@ def _jittered(mat, factor) -> tuple:
     """``factor(mat)``, retried up ``JITTER_STEPS`` while it raises LinAlgError.
 
     Each step adds its multiple of the mean diagonal (1 if that is not
-    positive) to the diagonal.  Returns the factor and the step used.
+    positive) to the diagonal.  Returns the factor and the step used, and
+    logs a nonzero step.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -234,9 +288,13 @@ def _jittered(mat, factor) -> tuple:
     for eps in JITTER_STEPS:
         bumped = mat if eps == 0.0 else mat + (eps * scale) * np.eye(len(mat))
         try:
-            return factor(bumped), eps
+            out = factor(bumped)
         except np.linalg.LinAlgError as exc:
             err = exc
+            continue
+        if eps > 0.0:
+            _log.debug("Cholesky needed jitter %g on a %d x %d matrix", eps, len(mat), len(mat))
+        return out, eps
     raise NumericalError(
         f"matrix not positive definite after jitter up to {JITTER_STEPS[-1]}: {err}"
     )

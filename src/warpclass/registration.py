@@ -24,7 +24,10 @@ their warped times, one whitening solve per grid), and the
 Levenberg-Marquardt solver runs a batch of problems in lock step, each
 deciding as if solved alone.  A warp step solves each group's subjects as
 one batch, then the group's offsets on all members at once; a held-out
-subject is a batch of one.
+subject is a batch of one.  The variance likelihood is evaluated one
+stack at a time: the grids of one length with the same number of
+subjects, whose kernels, factors and gradient traces are batched, and
+whose sums run in a fixed order whatever the number of BLAS threads.
 The alternation is coordinate descent on one penalized objective
 (residual Mahalanobis norms + warp prior + ridge on group deviations), so
 its trace is non-increasing once the variance parameters are frozen.
@@ -53,7 +56,9 @@ from .gp import (
     MaternParams,
     matern_cov,
     matern_cov_grad,
+    matern_distinct,
     profile_loglik_parts,
+    spd_inverses,
 )
 
 _log = logging.getLogger(__name__)
@@ -74,6 +79,9 @@ _GRID_FACTORS_KEPT = 8
 _RIDGE_ITERS = 200
 _RIDGE_TOL = 1e-10
 _RIDGE_MAX = 1e12
+# Bytes of one n x n array over a stack of grids in the variance likelihood;
+# more grids of one shape make several stacks, which bounds its memory.
+_STACK_BYTES = 2**18
 # Format 1 stores each Matern kernel as this list of its parameters.
 _MATERN = tuple(f.name for f in fields(MaternParams))
 
@@ -781,24 +789,35 @@ def _variance_negloglik(
     """Profiled negative Gaussian log likelihood of the linearized model.
 
     Block covariance per subject and coordinate is V = C + B H B' with
-    C = I + S (times the profiled-out noise variance).  ``blocks`` holds,
-    per distinct observation grid, the columns [r, B] of every subject and
-    coordinate on it side by side; ``grids`` holds the same grids'
-    ``GridDistances`` and ``anchor_dists`` those of the interior anchors.
-    One evaluation factors C once per grid and whitens that grid's block,
-    together with S and dS, in one triangular solve.  The Gram matrix of
-    each whitened [r, B] gives r' C^-1 r, g = B' C^-1 r and G = B' C^-1 B,
-    and the warp term enters by the Woodbury identity through one batched
-    determinant and solve over the caps H^-1 + G.
+    C = I + S (times the profiled-out noise variance).  ``grids`` and
+    ``blocks`` are keyed by stack: observation grids of one length that
+    carry the same number of blocks (``fit_variance``).  ``grids`` holds
+    each stack's ``GridDistances.stack`` and ``blocks`` its [r, B]
+    columns, one block per subject and coordinate, stored as rows:
+    (grids, blocks, 1 + m, n) for m interior anchors, whose
+    ``GridDistances`` are ``anchor_dists``.  One pass per stack evaluates
+    the curve kernel once on all its grids' distinct distances, and
+    factors and inverts every C of the stack at once (``spd_inverses``).
+    Each block's X = C^-1 [r, B] and Gram matrix [r, B]' X give r' C^-1 r,
+    g = B' C^-1 r and G = B' C^-1 B, and the warp term enters by the
+    Woodbury identity through one batched determinant and inverse of the
+    caps H^-1 + G.
 
     The derivative in a log parameter is ``1/2 sum tr((V^-1 - a a' /
-    sigma2) dV)`` with ``a = V^-1 r`` (Rasmussen & Williams 2006, 5.4.1).
-    A curve parameter has the same dV = dS on every block of a grid: the
-    blocks' sums of V^-1 and a a' are formed in whitened coordinates and
-    traced against L^-1 dS L^-T, one more triangular solve per grid.  A
-    warp parameter has dV = B dH B', whose traces need only the m x m
-    matrices B' V^-1 B = G - G cap^-1 G and B' a = g - G cap^-1 g.  Grids
-    are summed in the order of ``blocks``.
+    sigma2) dV)`` with ``a = V^-1 r`` (Rasmussen & Williams 2006, 5.4.1),
+    and a = X e with e = [1, -cap^-1 g].  With Y = C^-1 B, a block gives
+    tr(V^-1 D) = tr(C^-1 D) - tr(cap^-1 Y' D Y) for a curve derivative D.
+    The length scale's D = dS enters through X' dS X, one small product of
+    each block's rows with dS.  The amplitude's D = S = C - I needs no
+    product with S: tr(V^-1 S) = n - tr(C^-1) - tr(cap^-1 (G - Y'Y)), and
+    a' S a = a' C a - a'a, where a' C a = r' V^-1 r - (cap^-1 g)'(g - G
+    cap^-1 g).  A warp parameter has dV = B dH B', whose traces need only
+    the m x m matrices B' V^-1 B = G - G cap^-1 G and B' a = g - G cap^-1 g.
+    Sums over observations run in LAPACK's Cholesky and triangular solves,
+    in ``einsum``, or in one BLAS product per block of 1 + m rows.  None of
+    these depends on the number of BLAS threads, except OpenBLAS's Cholesky
+    on grids of 128 points or more.  A stack sums its grids and blocks in
+    one fixed order, and the stacks are summed in the order of ``blocks``.
 
     Returns the value and the profiled noise variance, and writes the
     gradient in the four log parameters into ``grad`` when it is given.
@@ -821,52 +840,69 @@ def _variance_negloglik(
     quad_sum = 0.0
     logdet_sum = 0.0
     n_tot = 0
-    # Traces of the grids' summed V^-1 (row 0) and a a' (row 1) against dS
-    # for each log curve parameter (column), and the m x m sums of
-    # B' V^-1 B and B' a a' B that the warp parameters trace against dH.
-    curve_terms = np.zeros((2, 2))
+    # Traces of the summed V^-1 and of the summed a a' against S and dS,
+    # and the m x m sums of B' V^-1 B and B' a a' B that the warp
+    # parameters trace against dH.
+    inv_traces = np.zeros(2)
+    outer_traces = np.zeros(2)
     warp_inv = np.zeros((m, m))
     warp_outer = np.zeros((m, m))
-    for key, block in blocks.items():
-        s_kernels = matern_cov_grad(curve_cov, grids[key])
+    for key, cols in blocks.items():
+        n_grids, n_blocks, _, n = cols.shape
+        # The stack's n x n arrays dominate its memory: at most two are alive.
+        kernel, slope = matern_distinct(curve_cov, grids[key])
+        index = grids[key].index
+        c_inv = kernel[index]
+        del kernel
+        diag = np.arange(n)
+        c_inv[:, diag, diag] += 1.0
         try:
-            c_fac = _curve_factor(s_kernels[0])
+            c_inv, c_logdets = spd_inverses(c_inv)
         except NumericalError:
             return failed
-        n = len(block)
-        solved = c_fac.half_solve(np.hstack([block, *s_kernels]))
-        z = solved[:, : block.shape[1]].reshape(n, -1, 1 + m)
-        gram = np.einsum("nki,nkj->kij", z, z)
-        caps = h_inv + gram[:, 1:, 1:]
+        solved = cols @ c_inv[:, None]
+        gram = np.einsum("gkin,gkjn->gkij", cols, solved)
+        g_mat = gram[:, :, 1:, 1:]
+        caps = h_inv + g_mat
         signs, cap_logdets = np.linalg.slogdet(caps)
         if np.any(signs <= 0):
             return failed
-        cross = gram[:, 1:, :1]
-        beta = np.linalg.solve(caps, cross)
-        quads = gram[:, 0, 0] - np.sum(cross * beta, axis=(1, 2))
-        quad_sum += float(np.sum(np.maximum(quads, 0.0)))
-        logdet_sum += len(quads) * (c_fac.logdet() + h_logdet) + float(np.sum(cap_logdets))
-        n_tot += n * len(quads)
-
         cap_inv = np.linalg.inv(caps)
-        zb = z[:, :, 1:]
-        u = z[:, :, 0] - np.einsum("nki,ki->nk", zb, beta[:, :, 0])
-        inner = len(quads) * np.eye(n) - (
-            np.einsum("nki,kij->nkj", zb, cap_inv).reshape(n, -1) @ zb.reshape(n, -1).T
+        cross = gram[:, :, 1:, 0]
+        beta = np.einsum("gkij,gkj->gki", cap_inv, cross)
+        quads = gram[:, :, 0, 0] - np.einsum("gki,gki->gk", cross, beta)
+        quad_sum += float(np.sum(np.maximum(quads, 0.0)))
+        logdet_sum += (
+            n_blocks * float(np.sum(c_logdets))
+            + quads.size * h_logdet
+            + float(np.sum(cap_logdets))
         )
-        outer = u @ u.T
-        half = solved[:, block.shape[1] :]
-        white = c_fac.half_solve(np.hstack([half[:, :n].T, half[:, n:].T])).reshape(n, 2, n)
-        curve_terms += np.einsum("aij,ipj->ap", np.stack([inner, outer]), white)
-        g_mat = gram[:, 1:, 1:]
-        warp_inv += np.einsum("kij->ij", g_mat - g_mat @ cap_inv @ g_mat)
-        proj = gram[:, 1:, 0] - (g_mat @ beta)[:, :, 0]
-        warp_outer += np.einsum("ki,kj->ij", proj, proj)
+        n_tot += quads.size * n
+
+        d_s = slope[index]
+        x_gram = np.einsum("gkin,gkjn->gkij", solved, solved)
+        d_gram = np.einsum("gkin,gkjn->gkij", solved, solved @ d_s[:, None])
+        e = np.concatenate([np.ones((n_grids, n_blocks, 1)), -beta], axis=2)
+        proj = cross - np.einsum("gkij,gkj->gki", g_mat, beta)
+        inv_traces += (
+            n_blocks * float(np.sum(n - np.einsum("gii->g", c_inv)))
+            - float(np.einsum("gkij,gkji->", cap_inv, g_mat - x_gram[:, :, 1:, 1:])),
+            n_blocks * float(np.einsum("gij,gij->", c_inv, d_s))
+            - float(np.einsum("gkij,gkji->", cap_inv, d_gram[:, :, 1:, 1:])),
+        )
+        outer_traces += (
+            float(np.sum(quads - np.einsum("gki,gki->gk", beta, proj)))
+            - float(np.einsum("gki,gkij,gkj->", e, x_gram, e)),
+            float(np.einsum("gki,gkij,gkj->", e, d_gram, e)),
+        )
+        warp_inv += np.einsum("gkij->ij", g_mat - g_mat @ cap_inv @ g_mat)
+        warp_outer += np.einsum("gki,gkj->ij", proj, proj)
+        del c_inv, d_s, slope
     loglik, sigma2 = profile_loglik_parts(quad_sum, logdet_sum, n_tot)
     if not np.isfinite(loglik):
         return failed
     if grad is not None:
-        grad[:2] = 0.5 * (curve_terms[0] - curve_terms[1] / sigma2)
+        grad[:2] = 0.5 * (inv_traces - outer_traces / sigma2)
         warp = 0.5 * (warp_inv - warp_outer / sigma2)
         grad[2:] = np.einsum("ij,pij->p", warp, np.stack(h_kernels))
     return -loglik, sigma2
@@ -888,29 +924,37 @@ def fit_variance(
     ``_LOG_LO``..``_LOG_HI``, with the analytic gradient of
     ``_variance_negloglik`` and at most ``maxiter`` iterations.  The two
     smoothness orders stay fixed and the noise variance is profiled out in
-    closed form.  The residuals and Jacobians are stacked once per call
-    into one [r, B] block per distinct grid, in panel order, and each
-    grid's pair distances are grouped once (``GridDistances``), so each
-    evaluation makes one whitening solve per grid, batches the caps and
-    evaluates the kernels once per distinct distance.  The start is
-    data-driven and projected into the box.  Returns the updated parameters
+    closed form.  The residuals and Jacobians are gathered once per call
+    into stacks: the distinct grids of one length that carry the same
+    number of [r, B] blocks (subjects x 2 coordinates), as many as fit
+    ``_STACK_BYTES`` per n x n array, with the grids in order of first
+    appearance in the panel, each grid's blocks in panel order, and the
+    stacks in order of their first grid.  Each stack's pair distances are
+    grouped once (``GridDistances.stack``), so an evaluation makes one
+    kernel evaluation and one batched factorization per stack.  The start
+    is data-driven and projected into the box.  Returns the updated parameters
     and the (initial, final) log likelihood.  A stop short of convergence
     (at ``maxiter`` or on a failed line search) is logged, and so is each
     parameter that ends on its box bound.
     """
     anchors = np.asarray(anchors, dtype=float)
-    grids, cols, resid = {}, {}, {}
+    by_grid, resid = {}, {}
     for curve in panel.curves:
         sid = curve.subject_id
-        key = curve.times.tobytes()
-        if key not in grids:
-            grids[key] = GridDistances.of(curve.times)
         back = np.stack([jac[sid][0] @ w0[sid], jac[sid][1] @ w0[sid]], axis=1)
         resid[sid] = curve.values - fitted[sid] + back
-        cols.setdefault(key, []).extend(
-            np.column_stack([resid[sid][:, a], jac[sid][a]]) for a in (0, 1)
-        )
-    blocks = {key: np.hstack(c) for key, c in cols.items()}
+        cols = by_grid.setdefault(curve.times.tobytes(), (curve.times, []))[1]
+        cols.extend(np.vstack([resid[sid][:, a], jac[sid][a].T]) for a in (0, 1))
+    by_shape: dict = {}
+    for times, cols in by_grid.values():
+        by_shape.setdefault((len(times), len(cols)), []).append((times, cols))
+    stacks = {}
+    for (n, n_blocks), members in by_shape.items():
+        size = max(1, _STACK_BYTES // (8 * n * n))
+        for start in range(0, len(members), size):
+            stacks[n, n_blocks, start // size] = members[start : start + size]
+    grids = {key: GridDistances.stack([t for t, _ in stack]) for key, stack in stacks.items()}
+    blocks = {key: np.array([c for _, c in stack]) for key, stack in stacks.items()}
     anchor_dists = GridDistances.of(anchors[1:-1])
     smooth_curve, smooth_warp = var_init.curve_cov.smoothness, var_init.warp_cov.smoothness
 

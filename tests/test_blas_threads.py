@@ -27,23 +27,35 @@ fpca = fpca_decompose(cov, np.linspace(0.0, 1.0, 101), 18, mean=vals.mean(axis=0
 print(hashlib.sha256(cov.tobytes() + fpca.eigenfunctions.tobytes()).hexdigest())
 """
 
-# The variance likelihood and its gradient on the benchmark's shared grid:
-# 60 subjects on 100 points whiten 360 right-hand-side columns in one
-# triangular solve, and the gradient sums 100 x 100 products over them.
+# The variance likelihood and its gradient on the benchmark's two kinds of
+# stack: one shared 100-point grid with 60 subjects (120 blocks), and 30
+# jittered 60-point grids with one subject each, as in the irregular
+# workload (whose fits split them into stacks of 9).  Per stack,
+# C^-1 [r, B] and dS C^-1 [r, B] are batched BLAS products over
+# observations, one per block.  Four draws of the blocks: a sum that
+# depends on the thread count can still round alike on one.
 VARIANCE_PROBE = """
 import hashlib
 import numpy as np
 from warpclass.gp import GridDistances
 from warpclass.registration import _BIG, _variance_negloglik
 rng = np.random.default_rng(0)
-grids = {b"shared": GridDistances.of(np.linspace(0.0, 1.0, 100))}
-blocks = {b"shared": rng.standard_normal((100, 60 * 2 * 3))}
+jittered = np.linspace(0.0, 1.0, 60) + rng.uniform(-0.002, 0.002, (30, 60))
+grids = {
+    (100, 120): GridDistances.stack([np.linspace(0.0, 1.0, 100)]),
+    (60, 2): GridDistances.stack(jittered),
+}
 points = np.log([[1.0, 0.3, 1.0, 0.3], [40.0, 0.1, 0.02, 1.5], [0.05, 2.0, 5.0, 0.05]])
 anchors = GridDistances.of(np.array([0.33, 0.67]))
 out = []
-for p in points:
-    grad = np.empty(4)
-    out.append([*_variance_negloglik(p, 3.0, 1.5, grids, blocks, anchors, grad), *grad])
+for _ in range(4):
+    blocks = {
+        (100, 120): rng.standard_normal((1, 120, 3, 100)),
+        (60, 2): rng.standard_normal((30, 2, 3, 60)),
+    }
+    for p in points:
+        grad = np.empty(4)
+        out.append([*_variance_negloglik(p, 3.0, 1.5, grids, blocks, anchors, grad), *grad])
 out = np.array(out)
 assert np.all(out[:, 0] < _BIG), out
 assert np.all(np.isfinite(out)), out

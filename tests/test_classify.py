@@ -67,6 +67,35 @@ def test_smooth_covariance_preserves_flat_diagonals():
     assert np.max(np.abs(smoothed - raw)) < 1e-12
 
 
+def _loop_smoothed_covariance(vals, window):
+    """The diagonal smoother as one loop over the diagonals, the reference."""
+    centered = vals - vals.mean(axis=0)
+    cov = np.einsum("ki,kj->ij", centered, centered) / vals.shape[0]
+    out = np.empty_like(cov)
+    g = cov.shape[0]
+    half = window // 2
+    for off in range(-(g - 1), g):
+        diag = np.diagonal(cov, offset=off)
+        m = len(diag)
+        csum = np.concatenate([[0.0], np.cumsum(diag)])
+        idx = np.arange(m)
+        hi = np.minimum(idx + half + 1, m)
+        lo = np.maximum(idx - half, 0)
+        sm = (csum[hi] - csum[lo]) / (hi - lo)
+        if off >= 0:
+            out[idx, idx + off] = sm
+        else:
+            out[idx - off, idx] = sm
+    return 0.5 * (out + out.T)
+
+
+@pytest.mark.parametrize("window", [1, 3, 11, 45])
+def test_smooth_covariance_equals_the_diagonal_loop(window):
+    # 45 is wider than the 21-point grid: every diagonal is averaged whole
+    vals = np.random.default_rng(11).standard_normal((9, 21))
+    assert np.array_equal(smooth_covariance(vals, window), _loop_smoothed_covariance(vals, window))
+
+
 def test_smooth_covariance_validates_input():
     with pytest.raises(DataError, match="window"):
         smooth_covariance(np.zeros((5, 8)), window=4)

@@ -578,13 +578,15 @@ def _first_fitted_subject(pipeline):
         (lambda t, sid: {"subjects": 5}, False, "'subjects' must be a list of strings"),
         (lambda t, sid: {"labels": 1}, False, "'labels' must be a list of"),
         (lambda t, sid: {"anchors": "abc"}, True, "anchors must be a list of numbers, got 'abc'"),
+        (lambda t, sid: {"anchors": [0.0, 0.33, 0.67, 2.0]}, True,
+         "anchors must span [0, 1], got [0.0, 0.33, 0.67, 2.0]"),
         (lambda t, sid: {"warp_offsets": {**t["warp_offsets"], sid: "zz"}}, True,
          "warp_offsets[SID] must be a list of 4 numbers, got 'zz'"),
         (lambda t, sid: {"warp_offsets": {**t["warp_offsets"], sid: t["warp_offsets"][sid][:2]}},
          True, "warp_offsets[SID] must be a list of 4 numbers, got ["),
     ],
-    ids=["labels-text", "subjects-int", "labels-int", "anchors-text", "offsets-text",
-         "offsets-short"],
+    ids=["labels-text", "subjects-int", "labels-int", "anchors-text", "anchors-span",
+         "offsets-text", "offsets-short"],
 )
 def test_evaluate_rejects_malformed_truth_entries(
     pipeline, tmp_path, capsys, change, with_fit, message

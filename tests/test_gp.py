@@ -18,7 +18,9 @@ from warpclass.gp import (
     chol_lower,
     matern_cov,
     matern_cov_grad,
+    matern_distinct,
     profile_loglik_parts,
+    spd_inverses,
 )
 from warpclass.registration import _LOG_HI, _LOG_LO
 
@@ -143,6 +145,19 @@ def test_kernel_from_distinct_distances_is_matern_cov(nu):
     assert len(GridDistances.of(_uniform_and_jittered()[0]).distinct) == 337
 
 
+def test_stacked_distances_index_each_grids_own():
+    grids = [np.linspace(0.0, 1.0, 60), *_uniform_and_jittered()[1:], np.linspace(0.0, 0.5, 60)]
+    stacked = GridDistances.stack(grids)
+    assert stacked.index.shape == (3, 60, 60)
+    params = MaternParams(2.5, 0.3, 3.0)
+    cov, slope = matern_distinct(params, stacked)
+    for g, grid in enumerate(grids):
+        alone = GridDistances.of(grid)
+        assert np.array_equal(stacked.distinct[stacked.index[g]], alone.distinct[alone.index])
+        assert np.array_equal(cov[stacked.index[g]], matern_cov(params, grid))
+        assert np.array_equal(slope[stacked.index[g]], matern_cov_grad(params, alone)[1])
+
+
 # ---------------------------------------------------------------------------
 # Mahalanobis norm and solves.
 
@@ -218,6 +233,37 @@ def test_jitter_ladder_handles_near_singular():
         np.linalg.cholesky(mat)
     low = chol_lower(mat)
     assert np.allclose(low @ low.T, mat, atol=1e-6) and np.all(np.isfinite(low))
+
+
+def test_spd_inverses_of_a_stack():
+    rng = np.random.default_rng(8)
+    mats = np.stack([_random_spd(rng, 7) for _ in range(4)])
+    want, want_logdets = np.linalg.inv(mats), np.linalg.slogdet(mats)[1]
+    inv, logdets = spd_inverses(mats)
+    assert inv is mats  # written in place
+    assert np.max(np.abs(inv - want)) <= 1e-14
+    assert np.allclose(logdets, want_logdets, rtol=1e-13, atol=0)
+    # a stack that is not C-ordered is inverted too, into a new array
+    fortran = np.asfortranarray(np.stack([_random_spd(rng, 7) for _ in range(4)]))
+    assert np.max(np.abs(spd_inverses(fortran)[0] - np.linalg.inv(fortran))) <= 1e-14
+
+
+def test_spd_inverses_fall_back_to_the_jitter_ladder(caplog):
+    # the rank-deficient member fails the batched Cholesky; alone it takes jitter
+    ones = np.ones((5, 5))
+    mats = np.stack([np.eye(5) + ones, ones])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(mats)
+    with caplog.at_level(logging.DEBUG, logger="warpclass.gp"):
+        inv, logdets = spd_inverses(mats)
+    (record,) = caplog.records
+    assert "jitter" in record.getMessage()
+    assert np.allclose(inv[0], np.linalg.inv(np.eye(5) + ones), atol=1e-14)
+    bumped = ones + CholFactor(ones).jitter * np.eye(5)  # the mean diagonal is 1
+    assert np.allclose(inv[1], np.linalg.inv(bumped), rtol=1e-4, atol=0)
+    assert np.all(np.isfinite(logdets))
+    with pytest.raises(NumericalError):
+        spd_inverses(np.stack([np.eye(3), -np.eye(3)]))
 
 
 def test_jitter_step_is_kept_and_logged(caplog):

@@ -735,11 +735,28 @@ def _mixed_grid_panel(order):
     the same subjects in another panel order.  Every subject carries a
     small random warp offset, so the linearization's back term is nonzero.
     """
-    _, means, _, basis = _variance_fixture(79)
     rng = np.random.default_rng(79)
     shared = np.linspace(0.0, 1.0, 30)
     jittered = np.clip(shared + 0.004 * rng.uniform(-1.0, 1.0, 30), 0.0, 1.0)
-    grids = [shared] * 4 + [jittered, np.linspace(0.0, 1.0, 18)]
+    return _panel_on_grids([shared] * 4 + [jittered, np.linspace(0.0, 1.0, 18)], order, rng)
+
+
+def _stacked_grid_panel(order):
+    """Three subjects on their own jittered 24-point grids, three on two 16-point grids.
+
+    The likelihood stacks the three jittered grids together.  The 16-point
+    grids hold one and two subjects, so each is a stack of its own.
+    """
+    rng = np.random.default_rng(83)
+    base = np.linspace(0.0, 1.0, 24)
+    jittered = [np.clip(base + 0.004 * rng.uniform(-1.0, 1.0, 24), 0.0, 1.0) for _ in range(3)]
+    short = np.linspace(0.0, 1.0, 16)
+    return _panel_on_grids([*jittered, short, short**1.3, short**1.3], order, rng)
+
+
+def _panel_on_grids(grids, order, rng):
+    """One subject per grid, in group 0, with noisy smooth curves and small warp offsets."""
+    _, means, _, basis = _variance_fixture(79)
     noise = [0.1 * rng.standard_normal((len(t), 2)) for t in grids]
     data = [(t, np.column_stack([np.cos(3 * t), t * t]) + e) for t, e in zip(grids, noise)]
     offsets = [np.r_[0.0, 0.02 * rng.standard_normal(2), 0.0] for _ in grids]
@@ -807,11 +824,90 @@ def test_variance_negloglik_ignores_the_panel_order(monkeypatch):
         assert two[1] == pytest.approx(one[1], rel=1e-12)
 
 
-def test_variance_negloglik_whitens_once_per_grid(monkeypatch):
-    # per distinct grid one triangular solve whitens [r, B, S, dS] and one
-    # more gives L^-1 dS L^-T for the curve gradient; one solve for H^-1
-    panel, fitted, jac, w0 = _mixed_grid_panel(range(6))
+def _dense_negloglik(panel, fitted, jac, w0, log_params):
+    """The profiled likelihood from sigma^2 (I + S + B H B') per block, and its sigma^2."""
+    amp_s, rg_s, amp_h, rg_h = np.exp(log_params)
+    h_mat = matern_cov(MaternParams(amp_h, rg_h, 1.5), ANCHORS[1:-1])
+    quad = logdet = 0.0
+    n_tot = 0
+    for c in panel.curves:
+        s_mat = matern_cov(MaternParams(amp_s, rg_s, 3.0), c.times)
+        for a in (0, 1):
+            b = jac[c.subject_id][a]
+            r = c.values[:, a] - fitted[c.subject_id][:, a] + b @ w0[c.subject_id]
+            cov = np.eye(len(r)) + s_mat + b @ h_mat @ b.T
+            sign, block_logdet = np.linalg.slogdet(cov)
+            assert sign > 0
+            quad += float(r @ np.linalg.solve(cov, r))
+            logdet += block_logdet
+            n_tot += len(r)
+    return 0.5 * (logdet + n_tot * np.log(quad / n_tot) + n_tot), quad / n_tot
+
+
+@pytest.mark.parametrize("log_params", _LOG_POINTS)
+def test_stacked_variance_negloglik_is_the_dense_likelihood(monkeypatch, log_params):
+    # several grids per stack, and two stacks of one length
+    panel, fitted, jac, w0 = _stacked_grid_panel(range(6))
     args = _likelihood_args(monkeypatch, panel, fitted, jac, w0)
+    assert {key: cols.shape[:2] for key, cols in args[3].items()} == {
+        (24, 2, 0): (3, 2), (16, 2, 0): (1, 2), (16, 4, 0): (1, 4)
+    }
+    value, sigma2 = registration._variance_negloglik(log_params, *args)
+    dense_value, dense_sigma2 = _dense_negloglik(panel, fitted, jac, w0, log_params)
+    assert sigma2 == pytest.approx(dense_sigma2, rel=1e-10)
+    assert value == pytest.approx(dense_value, rel=1e-10)
+
+
+def test_stacked_variance_negloglik_ignores_the_panel_order(monkeypatch):
+    base = _likelihood_args(monkeypatch, *_stacked_grid_panel(range(6)))
+    permuted = _likelihood_args(monkeypatch, *_stacked_grid_panel([4, 2, 5, 0, 3, 1]))
+    # the stacks come in another order, and so do the grids inside one
+    assert list(permuted[2]) == [(16, 4, 0), (24, 2, 0), (16, 2, 0)]
+    assert not np.array_equal(permuted[3][24, 2, 0], base[3][24, 2, 0])
+    for log_params in _LOG_POINTS:
+        one_grad, two_grad = np.empty(4), np.empty(4)
+        one = registration._variance_negloglik(log_params, *base[:5], one_grad)
+        two = registration._variance_negloglik(log_params, *permuted[:5], two_grad)
+        assert two[0] == pytest.approx(one[0], rel=1e-12)
+        assert two[1] == pytest.approx(one[1], rel=1e-12)
+        assert np.allclose(two_grad, one_grad, rtol=1e-9, atol=1e-9)
+
+
+def test_a_long_stack_is_split_at_the_byte_budget(monkeypatch):
+    # room for two 24-point grids per stack: the three jittered grids make two
+    whole = _likelihood_args(monkeypatch, *_stacked_grid_panel(range(6)))
+    monkeypatch.setattr(registration, "_STACK_BYTES", 2 * 8 * 24 * 24)
+    split = _likelihood_args(monkeypatch, *_stacked_grid_panel(range(6)))
+    assert {key: cols.shape[0] for key, cols in split[3].items()} == {
+        (24, 2, 0): 2, (24, 2, 1): 1, (16, 2, 0): 1, (16, 4, 0): 1
+    }
+    for log_params in _LOG_POINTS:
+        one_grad, two_grad = np.empty(4), np.empty(4)
+        one = registration._variance_negloglik(log_params, *whole[:5], one_grad)
+        two = registration._variance_negloglik(log_params, *split[:5], two_grad)
+        assert two == pytest.approx(one, rel=1e-12)
+        assert np.allclose(two_grad, one_grad, rtol=1e-9, atol=1e-9)
+
+
+def test_variance_negloglik_evaluates_each_stack_once(monkeypatch):
+    # one kernel evaluation per stack, one Cholesky factor per grid in one
+    # batched call per stack, and no whitening solve: CholFactor only
+    # inverts the warp kernel H
+    panel, fitted, jac, w0 = _stacked_grid_panel(range(6))
+    args = _likelihood_args(monkeypatch, panel, fitted, jac, w0)
+    kernels, factored = [], []
+    matern_distinct, cholesky = registration.matern_distinct, np.linalg.cholesky
+
+    def counted_kernel(params, dists):
+        kernels.append(dists.index.shape)
+        return matern_distinct(params, dists)
+
+    def counted_cholesky(mats):
+        factored.append(mats.shape)
+        return cholesky(mats)
+
+    monkeypatch.setattr(registration, "matern_distinct", counted_kernel)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     calls = {"half_solve": 0, "solve": 0}
     for name in calls:
         original = getattr(CholFactor, name)
@@ -821,9 +917,11 @@ def test_variance_negloglik_whitens_once_per_grid(monkeypatch):
             return original(self, rhs)
 
         monkeypatch.setattr(CholFactor, name, counted)
-    value, _ = registration._variance_negloglik(_LOG_POINTS[0], *args)
+    grad = np.empty(4)
+    value, _ = registration._variance_negloglik(_LOG_POINTS[0], *args[:5], grad)
     assert value < registration._BIG
-    assert calls == {"half_solve": 6, "solve": 1}
+    assert kernels == factored == [(3, 24, 24), (1, 16, 16), (1, 16, 16)]
+    assert calls == {"half_solve": 0, "solve": 1}
 
 
 @settings(max_examples=40, deadline=None)
@@ -848,11 +946,39 @@ def test_variance_negloglik_gradient_matches_central_differences(unit, smooth_cu
         assert abs((up - down) / (2 * h) - grad[p]) <= 1e-6 * (abs(grad[p]) + 1.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    unit=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    smooth_curve=st.sampled_from([0.5, 1.5, 2.2, 3.0]),
+    smooth_warp=st.sampled_from([0.5, 1.5, 2.2, 3.0]),
+)
+def test_stacked_variance_negloglik_gradient_matches_central_differences(
+    unit, smooth_curve, smooth_warp
+):
+    args = (smooth_curve, smooth_warp, *_stacked_grid_args()[2:5])
+    log_params = _LOG_LO + np.array(unit) * (_LOG_HI - _LOG_LO)
+    grad = np.empty(4)
+    assert registration._variance_negloglik(log_params, *args, grad)[0] < registration._BIG
+    h = 1e-5
+    for p, e in enumerate(np.eye(4)):
+        up, down = (
+            registration._variance_negloglik(log_params + d, *args)[0] for d in (h * e, -h * e)
+        )
+        assert abs((up - down) / (2 * h) - grad[p]) <= 1e-6 * (abs(grad[p]) + 1.0)
+
+
 @functools.cache
 def _mixed_grid_args():
     """``_likelihood_args`` of the six-subject mixed-grid panel, built once."""
     with pytest.MonkeyPatch.context() as patch:
         return _likelihood_args(patch, *_mixed_grid_panel(range(6)))
+
+
+@functools.cache
+def _stacked_grid_args():
+    """``_likelihood_args`` of the six-subject stacked-grid panel, built once."""
+    with pytest.MonkeyPatch.context() as patch:
+        return _likelihood_args(patch, *_stacked_grid_panel(range(6)))
 
 
 def _recorded_minimize(monkeypatch) -> list:
