@@ -632,10 +632,16 @@ def predict_new(
     ``pi_hat`` comes from the alignment under the label tried last, and
     ``label`` is the one that probability points to (the other label),
     so ``label == int(pi_hat >= 0.5)`` holds in every result.  ``max_iter``
-    must be at least 1.
+    must be at least 1, and ``scalars`` must hold as many covariates as the
+    model was fitted with (DataError otherwise).
     """
     check_int("max_iter", max_iter, 1)
     v = np.atleast_1d(np.asarray(scalars, dtype=float))
+    if v.shape != model.b1.shape:
+        raise DataError(
+            f"subject {curve.subject_id} has {v.size} scalar covariates; "
+            f"the model was fitted with {model.b1.size}"
+        )
     grid = model.fpca[0].grid
     anchors = reg_fit.warps.anchors
 

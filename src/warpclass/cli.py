@@ -14,7 +14,6 @@ import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -256,9 +255,8 @@ def _load_fit(fit_dir) -> tuple[RegistrationFit, ClassifierModel]:
 
 
 def cmd_predict(args) -> int:
-    for flag, value in (("--max-iter", args.max_iter), ("--threads", args.threads)):
-        if value is not None and value < 1:
-            raise UsageError(f"{flag} must be at least 1, got {value}")
+    if args.max_iter < 1:
+        raise UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
     reg_fit, model = _load_fit(args.fit)
     if not Path(args.curves).exists():
         raise DataError(f"file not found: {args.curves}")
@@ -272,20 +270,10 @@ def cmd_predict(args) -> int:
     scalars = load_scalars(args.scalars)
     panel = join_panel(curves, scalars)
 
-    threads = args.threads or 1
-
-    def one(i_sid):
-        i, sid = i_sid
-        return predict_new(
-            reg_fit, model, panel.curve(sid), panel.covariates[i], args.max_iter
-        )
-
-    items = list(enumerate(panel.subject_ids))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, items))
-    else:
-        results = [one(it) for it in items]
+    results = [
+        predict_new(reg_fit, model, panel.curve(sid), panel.covariates[i], args.max_iter)
+        for i, sid in enumerate(panel.subject_ids)
+    ]
 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -482,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves", required=True)
     p.add_argument("--scalars", required=True)
     p.add_argument("--max-iter", type=int, default=10)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

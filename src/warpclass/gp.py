@@ -100,24 +100,20 @@ def _matern_corr(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(keep, norm * val, 1.0), np.where(keep & np.isfinite(slope), norm * slope, 0.0)
 
 
-def matern_cov(params: MaternParams, s_grid, t_grid=None) -> np.ndarray:
-    """Matern covariance matrix between two point sets.
+def matern_cov(params: MaternParams, s_grid) -> np.ndarray:
+    """Matern covariance matrix of one point set.
 
-    Entry (i, j) is ``amplitude * m_nu(|s_i - t_j| / length_scale)`` where
+    Entry (i, j) is ``amplitude * m_nu(|s_i - s_j| / length_scale)`` where
     ``m_nu`` is the standard Matern correlation with m_nu(0) = 1, at scaled
-    distance ``x = sqrt(2 nu) |s_i - t_j| / length_scale``.  Integer and
+    distance ``x = sqrt(2 nu) |s_i - s_j| / length_scale``.  Integer and
     half-integer orders ``nu`` use the recurrence of the module docstring,
-    other orders ``scipy.special.kv``.  Without ``t_grid`` only the strict
-    upper triangle is evaluated; the result is exactly symmetric with the
-    amplitude on its diagonal.
+    other orders ``scipy.special.kv``.  Only the strict upper triangle is
+    evaluated; the result is exactly symmetric with the amplitude on its
+    diagonal.
     """
     nu = params.smoothness
     scale = math.sqrt(2.0 * nu)
     s = np.asarray(s_grid, dtype=float)
-    if t_grid is not None:
-        t = np.asarray(t_grid, dtype=float)
-        x = scale * (np.abs(s[:, None] - t[None, :]) / params.length_scale)
-        return params.amplitude * _matern_corr(nu, x)[0]
     n = len(s)
     rows, cols = np.triu_indices(n, 1)
     x = scale * (np.abs(s[rows] - s[cols]) / params.length_scale)

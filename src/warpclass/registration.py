@@ -39,8 +39,8 @@ fixed point each time the variance parameters are, and frozen with them.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -72,7 +72,8 @@ _MONO_EPS = 1e-10
 # bound costs about two extra residual evaluations per solve.
 _FTOL = 1e-13
 _GTOL = 1e-5
-# Held-out grid factors kept per fitted model (see _held_out_parts).
+# Entries kept by each held-out parts cache (_held_out_grid, _held_out_group),
+# which outlive a fit; this bounds their memory.
 _GRID_FACTORS_KEPT = 8
 # Ridge-weight fixed point (estimate_ridge): iteration cap, relative
 # tolerance, and the weight used once the deviations vanish.
@@ -1098,8 +1099,6 @@ class RegistrationFit:
     # Warp steps that fit_warps reverted because they raised the objective;
     # older artifacts did not count them.
     warp_steps_reverted: int = 0
-    # Kernel factors and mean splines reused by fit_subject_warp; never serialized.
-    _factors: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ridge_lambda is None:
@@ -1297,33 +1296,23 @@ def align_curves(panel: CurvePanel, fit: RegistrationFit, n_grid: int | None = N
     return AlignedPanel(grid=grid, subject_ids=ids, values=values)
 
 
-def _held_out_parts(fit: RegistrationFit, times: np.ndarray, label) -> tuple:
-    """A held-out warp problem's fixed parts, from a cache on the fit.
+@lru_cache(maxsize=_GRID_FACTORS_KEPT)
+def _held_out_grid(curve_cov: MaternParams, anchor_bytes: bytes, time_bytes: bytes) -> tuple:
+    """A held-out grid's ``_grid_parts`` (Hermite weights read-only), cached by their inputs."""
+    times = np.frombuffer(time_bytes)
+    s_factor, hermite = _grid_parts(curve_cov, np.frombuffer(anchor_bytes), times)
+    for w in hermite:
+        w.flags.writeable = False
+    return s_factor, hermite
 
-    Returns the factor of I + S and the Hermite weights on ``times``
-    (``_grid_parts``), the prior rows (``_prior_rows``) and the mean
-    splines of group ``label`` (``_mean_splines``).  The cache is an
-    immutable snapshot on the fit, replaced by one attribute assignment, so
-    concurrent predictions never see it half built.  It is keyed by the
-    variance parameters and anchors, and holds the prior rows, at most
-    ``_GRID_FACTORS_KEPT`` grids' parts (oldest dropped first) and each
-    label's splines with the weights they were built from; a hit returns
-    the parts a miss would compute.
-    """
-    anchors = fit.warps.anchors
-    key = (fit.var, anchors.tobytes())
-    snap = fit._factors
-    if snap is None or snap[0] != key:
-        snap = (key, _prior_rows(CholFactor(matern_cov(fit.var.warp_cov, anchors[1:-1]))), {}, {})
-    _, prior, grids, splines = snap
-    grid, coefs = times.tobytes(), fit.means.coefs(label)
-    if grid not in grids:
-        kept = list(grids.items())[-(_GRID_FACTORS_KEPT - 1) :]
-        grids = dict(kept + [(grid, _grid_parts(fit.var.curve_cov, anchors, times))])
-    if label not in splines or splines[label][0] != coefs.tobytes():
-        splines = {**splines, label: (coefs.tobytes(), _mean_splines(fit.basis, coefs))}
-    fit._factors = (key, prior, grids, splines)
-    return (*grids[grid], prior, splines[label][1])
+
+@lru_cache(maxsize=_GRID_FACTORS_KEPT)
+def _held_out_group(warp_cov: MaternParams, anchor_bytes: bytes, basis, coef_bytes: bytes):
+    """The warp-prior rows (read-only) and a group's ``_mean_splines``, cached by their inputs."""
+    anchors = np.frombuffer(anchor_bytes)
+    prior = _prior_rows(CholFactor(matern_cov(warp_cov, anchors[1:-1])))
+    prior.flags.writeable = False
+    return prior, _mean_splines(basis, np.frombuffer(coef_bytes).reshape(2, basis.size))
 
 
 def fit_subject_warp(
@@ -1341,13 +1330,22 @@ def fit_subject_warp(
     offsets stay zero where the zero start is infeasible.  They also stay
     zero, leaving the subject on its group's warp, where the kernels cannot
     be factored on its grid; a warning then names the subject.
+
+    The problem's fixed parts are cached by the values they are built from,
+    not on the fit: the grid's (``_held_out_grid``) and the group's
+    (``_held_out_group``).  A hit gives the parts a miss would build, so
+    the offsets do not depend on what any fit predicted before.
     """
     anchors = fit.warps.anchors
     if label not in fit.warps.group_offsets:
         raise DataError(f"unknown group label {label!r}")
     out = np.zeros(len(anchors))
     try:
-        s_fac, hermite, prior, splines = _held_out_parts(fit, curve.times, label)
+        anchor_bytes = anchors.tobytes()
+        s_fac, hermite = _held_out_grid(fit.var.curve_cov, anchor_bytes, curve.times.tobytes())
+        prior, splines = _held_out_group(
+            fit.var.warp_cov, anchor_bytes, fit.basis, fit.means.coefs(label).tobytes()
+        )
     except NumericalError as exc:
         _log.warning("subject %s keeps zero warp offsets: %s", curve.subject_id, exc)
         return out, False

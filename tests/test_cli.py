@@ -287,16 +287,6 @@ def test_predictions_match_the_library_calls(pipeline):
         assert int(rows[sid][2]) == res.label
 
 
-def test_predictions_are_thread_invariant(pipeline, tmp_path):
-    out = tmp_path / "p2.csv"
-    rc = main(["predict", "--fit", str(pipeline.fit),
-               "--curves", str(pipeline.data / "curves_test.csv"),
-               "--scalars", str(pipeline.data / "scalars_test.csv"),
-               "--threads", "3", "--out", str(out)])
-    assert rc == 0
-    assert out.read_bytes() == pipeline.pred.read_bytes()
-
-
 def test_predicting_the_training_half_recovers_most_labels(pipeline):
     out = pipeline.root / "pred_train.csv"
     rc = main(["predict", "--fit", str(pipeline.fit),
@@ -323,10 +313,7 @@ def test_predict_empty_input_writes_only_the_header(pipeline, tmp_path):
     assert out.read_text() == ",".join(PREDICTIONS_HEADER) + "\n"
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--max-iter", "0"), ("--max-iter", "-3"), ("--threads", "0"), ("--threads", "-2")],
-)
+@pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--max-iter", "-3")])
 def test_predict_rejects_counts_below_one(pipeline, tmp_path, capsys, flag, value):
     out = tmp_path / "pred.csv"
     rc = main(["predict", "--fit", str(pipeline.fit),
@@ -335,6 +322,24 @@ def test_predict_rejects_counts_below_one(pipeline, tmp_path, capsys, flag, valu
                flag, value, "--out", str(out)])
     assert rc == 2
     assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_rejects_another_number_of_covariates(pipeline, tmp_path, capsys):
+    # the model was fitted with one covariate, v1; the test file gains a v2
+    rows = _read_rows(pipeline.data / "scalars_test.csv")
+    assert rows[0][2:] == ["v1"]
+    scalars = tmp_path / "scalars_v2.csv"
+    with open(scalars, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for i, row in enumerate(rows):
+            writer.writerow(row + ["v2" if i == 0 else str(i)])
+    out = tmp_path / "pred.csv"
+    rc = main(["predict", "--fit", str(pipeline.fit),
+               "--curves", str(pipeline.data / "curves_test.csv"),
+               "--scalars", str(scalars), "--out", str(out)])
+    assert rc == 3
+    assert "has 2 scalar covariates; the model was fitted with 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1331,6 +1331,8 @@ def test_fit_subject_warp_logs_the_fallback_to_zero_offsets(monkeypatch, caplog)
         raise NumericalError("matrix not positive definite")
 
     monkeypatch.setattr(registration, "_curve_factor", unfactorable)
+    # a grid already cached by another prediction would never reach the patch
+    registration._held_out_grid.cache_clear()
     with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
         got, ok = fit_subject_warp(curve, fit, label=0)
     assert not ok

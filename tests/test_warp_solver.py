@@ -1,5 +1,6 @@
 """The warp residual, its analytic Jacobian, and the held-out warp fit."""
 
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -18,6 +19,8 @@ from warpclass.registration import (
     VarianceParams,
     WarpProblem,
     WarpState,
+    _held_out_grid,
+    _held_out_group,
     _levenberg_marquardt,
     build_context,
     fit_subject_warp,
@@ -330,6 +333,11 @@ def _fit(group_offsets):
     )
 
 
+def _clear_held_out_caches():
+    _held_out_grid.cache_clear()
+    _held_out_group.cache_clear()
+
+
 def _subjects(fit, n_subjects, seed, jitter=0.0):
     """Noisy warped curves; some warps extreme, grids optionally jittered."""
     rng = np.random.default_rng(seed)
@@ -382,7 +390,7 @@ def test_fit_subject_warp_is_identical_with_a_cold_or_warm_factor_cache():
     subjects = _subjects(fit, 6, seed=13) + _subjects(fit, 20, seed=17, jitter=0.004)
     cold = []
     for curve, label in subjects:
-        fit._factors = None
+        _clear_held_out_caches()
         cold.append(fit_subject_warp(curve, fit, label))
     # the shared grid hits after its first subject; the 20 jittered grids
     # miss, and overflow the cache so that it drops its oldest entries
@@ -397,7 +405,7 @@ def test_factor_cache_follows_a_change_of_variance_parameters():
     fit_subject_warp(curve, fit, label)
     fit.var = _var(curve_amp=2.0, warp_amp=0.05, noise=0.05)
     warm, _ = fit_subject_warp(curve, fit, label)
-    fit._factors = None
+    _clear_held_out_caches()
     cold, _ = fit_subject_warp(curve, fit, label)
     assert warm.tobytes() == cold.tobytes()
 
@@ -408,7 +416,7 @@ def test_factor_cache_follows_a_change_of_mean_weights():
     fit_subject_warp(curve, fit, label)
     fit.means.group[label] = fit.means.group[label] + 0.05
     warm, _ = fit_subject_warp(curve, fit, label)
-    fit._factors = None
+    _clear_held_out_caches()
     cold, _ = fit_subject_warp(curve, fit, label)
     assert warm.tobytes() == cold.tobytes()
 
@@ -418,9 +426,9 @@ def test_concurrent_fits_share_the_factor_cache_safely():
     subjects = _subjects(fit, 8, seed=23) + _subjects(fit, 16, seed=29, jitter=0.004)
     want = []
     for curve, label in subjects:
-        fit._factors = None
+        _clear_held_out_caches()
         want.append(fit_subject_warp(curve, fit, label))
-    fit._factors = None
+    _clear_held_out_caches()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -431,3 +439,23 @@ def test_concurrent_fits_share_the_factor_cache_safely():
         sys.setswitchinterval(interval)
     for (a, ok_a), (b, ok_b) in zip(want * 2, got):
         assert a.tobytes() == b.tobytes() and ok_a == ok_b
+
+
+def test_prediction_leaves_the_artifact_alone_and_shares_the_cache_across_fits():
+    payload = _fit({0: [0.03, -0.02], 1: [-0.05, 0.04]}).to_dict()
+    first, second = RegistrationFit.from_dict(payload), RegistrationFit.from_dict(payload)
+    # one shared grid and four jittered ones: five grids, within the cache
+    subjects = _subjects(first, 4, seed=31) + _subjects(first, 4, seed=37, jitter=0.004)
+    cold = []
+    for curve, label in subjects:
+        _clear_held_out_caches()
+        cold.append(fit_subject_warp(curve, second, label))
+    for curve, label in subjects:
+        fit_subject_warp(curve, first, label)
+    misses = _held_out_grid.cache_info().misses, _held_out_group.cache_info().misses
+    warm = [fit_subject_warp(curve, second, label) for curve, label in subjects]
+    assert (_held_out_grid.cache_info().misses, _held_out_group.cache_info().misses) == misses
+    for (a, ok_a), (b, ok_b) in zip(cold, warm):
+        assert a.tobytes() == b.tobytes() and ok_a == ok_b
+    for fit in (first, second):
+        assert json.dumps(fit.to_dict(), sort_keys=True) == json.dumps(payload, sort_keys=True)
