@@ -200,14 +200,14 @@ class CholFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return sla.cho_solve(self._cf, np.asarray(rhs, dtype=float), check_finite=False)
 
-    def half_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve L z = rhs with the lower triangular factor.
+    def half_solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """Solve L z = rhs with the lower triangular factor, or L' z = rhs if ``transposed``.
 
         Calls LAPACK ``trtrs`` directly, as ``solve_triangular`` does for a
         Fortran-ordered factor, without its per-call checks: the warp
         solver whitens a few hundred small blocks per step.
         """
-        z, info = _trtrs(self._cf[0], np.asarray(rhs, dtype=float), lower=1)
+        z, info = _trtrs(self._cf[0], np.asarray(rhs, dtype=float), lower=1, trans=int(transposed))
         if info != 0:
             raise NumericalError(f"triangular solve failed (LAPACK info {info})")
         return z

@@ -9,25 +9,27 @@ interpolated monotonically, with boundary anchors pinned so g(0) = 0 and
 g(1) = 1.
 
 Fitting alternates three conditional steps: generalized least squares for
-the basis weights, Levenberg-Marquardt for the warp anchors (the warp part
-of the objective is a sum of squares whose Jacobian is analytic), and
-maximum likelihood for the variance parameters on a linearized model
-(bounded L-BFGS-B on the analytic gradient of the profiled likelihood).
+the basis weights, damped Newton steps for the warp anchors (the warp part
+of the objective is a sum of squares whose Jacobian and second-order term
+are analytic, so the solver has the exact Hessian), and maximum likelihood
+for the variance parameters on a linearized model (bounded L-BFGS-B on the
+analytic gradient of the profiled likelihood).
 The basis-weight step is one GLS pass: each warp and variance state
 gets one set of per-group normal equations (``gls_normals``), from which
 the shared weights, the group deviations and the ridge weight are solved.
 A warp problem is assembled from parts built once where they are fixed:
 per grid and per variance state in ``GlsContext``, per group in each warp
 step.  It holds many subjects of one group: one residual call evaluates
-all of them (the Hyman slopes of all at once, the mean spline once on all
-their warped times, one whitening solve per grid), and the
-Levenberg-Marquardt solver runs a batch of problems in lock step, each
-deciding as if solved alone.  A warp step solves each group's subjects as
-one batch, then the group's offsets on all members at once; a held-out
-subject is a batch of one.  The variance likelihood is evaluated one
-stack at a time: the grids of one length with the same number of
-subjects, whose kernels, factors and gradient traces are batched, and
-whose sums run in a fixed order whatever the number of BLAS threads.
+all of them (the Hyman slopes of all at once, the mean spline and its two
+derivatives once on all their warped times, two triangular solves per
+grid), and the Levenberg-Marquardt solver runs a batch of problems in
+lock step, each deciding as if solved alone.  A warp step solves each
+group's subjects as one batch, then the group's offsets on all members at
+once; a held-out subject is a batch of one, solved by the same solver.
+The variance likelihood is evaluated one stack at a time: the grids of one
+length with the same number of subjects, whose kernels, factors and
+gradient traces are batched, and whose sums run in a fixed order whatever
+the number of BLAS threads.
 The alternation is coordinate descent on one penalized objective
 (residual Mahalanobis norms + warp prior + ridge on group deviations), so
 its trace is non-increasing once the variance parameters are frozen.
@@ -68,8 +70,9 @@ _log = logging.getLogger(__name__)
 _BIG = 1e12
 _MONO_EPS = 1e-10
 # Warp solver stopping rules: gradient size and relative objective decrease.
-# Near the minimum LM steps are cheap and converge fast, so the tight decrease
-# bound costs about two extra residual evaluations per solve.
+# Near the minimum the solver's Newton steps converge quadratically, so the
+# tight decrease bound costs little: held-out solves on Study 2 draws took as
+# many residual evaluations with a bound of 1e-10.
 _FTOL = 1e-13
 _GTOL = 1e-5
 # Entries kept by each held-out parts cache (_held_out_grid, _held_out_group),
@@ -383,9 +386,11 @@ class WarpProblem:
     The other fields are shared, built once where they are fixed: per grid,
     ``grids`` (``WarpGrid``), with ``grid_of`` and ``slot`` giving each
     subject's grid and its place in that grid's ``values``; per group, the
-    2-valued mean spline ``mean`` and its derivative ``dmean``
-    (``_mean_splines``); per variance state, the warp-prior rows ``prior``
-    (``_prior_rows``), or None to leave them out.  ``of`` builds one.
+    2-valued mean spline ``mean`` and its first and second derivatives
+    ``dmean`` and ``ddmean`` (``_mean_splines``), which give the residuals'
+    Jacobian and their second-order term; per variance state, the
+    warp-prior rows ``prior`` (``_prior_rows``), or None to leave them out.
+    ``of`` builds one.
     """
 
     anchors: np.ndarray
@@ -395,6 +400,7 @@ class WarpProblem:
     slot: np.ndarray
     mean: BSpline
     dmean: BSpline
+    ddmean: BSpline
     prior: np.ndarray | None = None
 
     @classmethod
@@ -404,7 +410,7 @@ class WarpProblem:
         ``base`` (S, n_w) are their fixed ordinates.  ``grid_parts(times)``
         gives a grid's factor of I + S (or None) and Hermite weights, and
         is called once per distinct grid; ``splines`` is the group's
-        ``_mean_splines`` pair.
+        ``_mean_splines`` triple.
         """
         members: dict = {}
         for i, t in enumerate(times):
@@ -422,28 +428,39 @@ class WarpProblem:
         return cls(anchors, base, tuple(grids), grid_of, slot, *splines, prior)
 
 
-def _mean_splines(basis: BSplineBasis, coefs: np.ndarray) -> tuple[BSpline, BSpline]:
-    """A group's 2-valued mean spline under the (2, q) weights ``coefs``, and its derivative."""
+def _mean_splines(basis: BSplineBasis, coefs: np.ndarray) -> tuple[BSpline, BSpline, BSpline]:
+    """A group's 2-valued mean spline under the (2, q) weights ``coefs``, and its two derivatives.
+
+    The second derivative of a piecewise linear spline is zero.
+    """
     spl = basis.spline(coefs)
-    return spl, spl.derivative()
+    slope = spl.derivative()
+    curvature = slope.derivative() if slope.k else BSpline(slope.t, 0.0 * slope.c, 0)
+    return spl, slope, curvature
 
 
 def subject_warp_residuals(prob: WarpProblem, u: np.ndarray, members=None) -> tuple:
-    """Residuals, Jacobians and feasibility of the problem's subjects at free offsets ``u``.
+    """Residuals, Jacobians, feasibility and second-order terms of the problem's subjects.
 
     ``u`` (k, m) holds the free offsets of the subjects ``members``, by
-    default all S in order.  Returns r (k, rows), J (k, rows, m) and ok (k,).
-    Subject i's row of r is
+    default all S in order.  Returns r (k, rows), J (k, rows, m), ok (k,)
+    and S (k, m, m).  Subject i's row of r is
     ``[L_S^{-1}(x_1 - mu_1(g_i)), L_S^{-1}(x_2 - mu_2(g_i)), sqrt(2) L_H^{-1} u_i]``,
     so ``r_i @ r_i`` is its term of the penalized objective; a subject on a
     grid shorter than the problem's longest gets trailing zero rows.  The
     warp g is linear in the ordinates and the Hyman slopes, which are
-    piecewise linear in the ordinates, so J is analytic.  ``ok`` is False
-    where the ordinates are not strictly increasing; those rows mean nothing.
+    piecewise linear in the ordinates, so J is analytic and the second
+    derivatives of g vanish.  So the second-order term of the Hessian of
+    ``r_i @ r_i / 2``, ``S_i = sum_k r_ik (d^2 r_ik / du^2)``, is
+    ``-sum_j w_j dg_j dg_j'`` with ``w = sum_a (L_S^{-T} r_a) * mu_a''(g)``,
+    exact away from the slope filter's branch switches, as J is; the prior
+    rows are linear and add nothing.  ``ok`` is False where the ordinates
+    are not strictly increasing; those rows mean nothing.
 
     One call takes the Hyman slopes of all k subjects at once, evaluates the
-    mean spline and its derivative once on all their warped times, and
-    whitens the subjects of each grid in one triangular solve.
+    mean spline and its two derivatives once on all their warped times, and
+    whitens the subjects of each grid in one triangular solve and weights
+    their residuals by (I + S)^{-1} in one transposed one.
     """
     if members is None:
         members = np.arange(len(prob.base))
@@ -475,91 +492,107 @@ def subject_warp_residuals(prob: WarpProblem, u: np.ndarray, members=None) -> tu
         dg = (dd[pos].transpose(0, 2, 1).reshape(-1, n_w) @ wd).reshape(-1, n_w, n)
         warped.append((g, dg[:, 1:-1] + wy[1:-1]))
     times = np.concatenate([g.ravel() for g, _ in warped])
-    mean, slope = prob.mean(times), prob.dmean(times)
+    mean, slope, curvature = prob.mean(times), prob.dmean(times), prob.ddmean(times)
     n_max = max(grid.values.shape[2] for grid in prob.grids)
     rows = 2 * n_max + (0 if prob.prior is None else m)
-    r, jac = np.zeros((k, rows)), np.zeros((k, rows, m))
+    r, jac, second = np.zeros((k, rows)), np.zeros((k, rows, m)), np.empty((k, m, m))
     start = 0
     for (pos, grid, slots), (g, dg) in zip(split, warped):
         kg, n = g.shape
         stop = start + kg * n
+        # the grid's spline values and derivatives as (kg, 2, n)
+        mu, dmu, ddmu = (
+            v[start:stop].reshape(kg, n, 2).transpose(0, 2, 1) for v in (mean, slope, curvature)
+        )
         # one column per subject, coordinate and [residual, Jacobian column]
         cols = np.empty((kg, 2, 1 + m, n))
-        np.subtract(
-            grid.values[slots], mean[start:stop].reshape(kg, n, 2).transpose(0, 2, 1),
-            out=cols[:, :, 0],
-        )
-        np.multiply(
-            -slope[start:stop].reshape(kg, n, 2).transpose(0, 2, 1)[:, :, None],
-            dg[:, None],
-            out=cols[:, :, 1:],
-        )
-        if grid.s_factor is not None:
+        np.subtract(grid.values[slots], mu, out=cols[:, :, 0])
+        np.multiply(-dmu[:, :, None], dg[:, None], out=cols[:, :, 1:])
+        if grid.s_factor is None:
+            weighted = cols[:, :, 0]
+        else:
             cols = grid.s_factor.half_solve(cols.reshape(-1, n).T).T.reshape(cols.shape)
+            weighted = grid.s_factor.half_solve(cols[:, :, 0].reshape(-1, n).T, transposed=True)
+            weighted = weighted.T.reshape(kg, 2, n)
+        w = (weighted * ddmu).sum(axis=1)
+        second[pos] = -((dg * w[:, None]) @ dg.transpose(0, 2, 1))
         r[pos, : 2 * n] = cols[:, :, 0].reshape(kg, 2 * n)
         jac[pos, : 2 * n] = cols[:, :, 1:].transpose(0, 1, 3, 2).reshape(kg, 2 * n, m)
         if prob.prior is not None:
             r[pos, 2 * n : 2 * n + m] = (prob.prior * u[pos, None]).sum(axis=2)
             jac[pos, 2 * n : 2 * n + m] = prob.prior
         start = stop
-    return r, jac, ok
+    return r, jac, ok, second
 
 
-def _damped_steps(damped: np.ndarray, rhs: np.ndarray) -> tuple:
-    """Solutions of the damped systems, and which of them could be solved.
+def _damped_steps(damped: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions of the damped systems, zero where a system cannot be solved.
 
     One batched solve; if it finds a singular system, each is solved alone
-    so that only the singular ones fail.  ``solved`` is a list of bools.
+    so that only the singular ones fail.
     """
     try:
-        return np.linalg.solve(damped, rhs[..., None])[..., 0], [True] * len(rhs)
+        return np.linalg.solve(damped, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        steps, solved = np.zeros_like(rhs), [True] * len(rhs)
+        steps = np.zeros_like(rhs)
         for i in range(len(rhs)):
             try:
                 steps[i] = np.linalg.solve(damped[i : i + 1], rhs[i : i + 1, :, None])[0, :, 0]
             except np.linalg.LinAlgError:
-                solved[i] = False
-        return steps, solved
+                pass
+        return steps
 
 
-def _gauss_newton_parts(r: np.ndarray, jac: np.ndarray, ok: np.ndarray) -> tuple:
-    """Per problem: f = r'r (inf where infeasible), the half gradient J'r and J'J.
+def _gauss_newton_parts(
+    r: np.ndarray, jac: np.ndarray, ok: np.ndarray, second: np.ndarray
+) -> tuple:
+    """Per problem: f = r'r (inf where infeasible), the half gradient J'r, J'J and J'J + S.
 
-    One Gram matrix of [J, r] per problem, so each problem's numbers do not
-    depend on the others in the batch.
+    J'J + S is half the Hessian of f, with ``second`` the residuals'
+    second-order term S.  One Gram matrix of [J, r] per problem, so each
+    problem's numbers do not depend on the others in the batch.
     """
     aug = np.concatenate([jac, r[..., None]], axis=2)
     gram = aug.transpose(0, 2, 1) @ aug
-    return np.where(ok, gram[:, -1, -1], np.inf), gram[:, :-1, -1], gram[:, :-1, :-1]
+    jtj = gram[:, :-1, :-1]
+    return np.where(ok, gram[:, -1, -1], np.inf), gram[:, :-1, -1], jtj, jtj + second
 
 
 def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
-    """Minimize ||r_i(u_i)||^2 for a batch of problems by damped Gauss-Newton steps.
+    """Minimize ||r_i(u_i)||^2 for a batch of problems by damped Newton steps.
 
-    Each problem is solved as by itself (More, 1978), the batch in lock
-    step.  ``residuals(u, members)`` returns (r, J, ok) for the problems
+    Each problem is solved as by itself, the batch in lock step.
+    ``residuals(u, members)`` returns (r, J, ok, S) for the problems
     ``members`` at the points ``u`` (len(members), m), with ``ok`` False
-    where a point is infeasible.  A round makes one residual call for the
-    trial points of all problems still running, one batched damped solve,
-    and one Gram product [J, r]'[J, r] per problem for f, J'r and J'J; each
-    problem then decides on its own numbers.  A trial that is infeasible or
+    where a point is infeasible and S the residuals' second-order term
+    ``sum_k r_k d^2 r_k / du^2``, so that J'J + S is half the exact Hessian
+    of f = r'r.  A round makes one residual call for the trial points of
+    all problems still running, one batched solve of the damped Newton
+    systems (J'J + S + lambda D) s = -J'r, and one Gram product [J, r]'[J, r]
+    per problem for f, J'r and J'J; each problem then decides on its own
+    numbers.  Where the residuals are far from zero at the minimum, as the
+    warp residuals are, Gauss-Newton steps (S left out) converge only
+    linearly (Dennis & Schnabel 1996, 10.2), and the exact Hessian makes
+    them quadratic.  The damping is Levenberg-Marquardt's (More 1978):
+    D = diag(J'J) (Marquardt), updated by the gain ratio (Nielsen).  J'J + S
+    need not be positive definite; a step whose model decrease is not
+    positive, and a damped system that cannot be solved, raise that
+    problem's damping without an evaluation.  A trial that is infeasible or
     does not lower its objective is rejected and its damping raised, so
-    every accepted step descends.  Damping is scaled by diag(J'J)
-    (Marquardt) and updated by the gain ratio (Nielsen); a damped system
-    that cannot be solved raises that problem's damping without an
-    evaluation.  A problem has converged when the gradient of its f is
-    below ``_GTOL``, or when an accepted step, or the model's promise for a
-    rejected one, lowers f by at most ``_FTOL * max(f, 1)``; the batch
-    stops short after ``max_evals`` rounds, counting the first evaluation,
-    so no problem is evaluated more than ``max_evals`` times.  ``u0`` is
-    (S, m).  Returns arrays (u, f, converged, f0), where f0 is the value at
-    ``u0``; f and f0 are inf for an infeasible start.
+    every accepted step descends.  A problem has converged when the
+    gradient of its f is below ``_GTOL``, or when an accepted step, or the
+    model's promise for a rejected one, lowers f by at most
+    ``_FTOL * max(f, 1)``; the batch stops short after ``max_evals``
+    rounds, counting the first evaluation, so no problem is evaluated more
+    than ``max_evals`` times.  ``u0`` is (S, m).  Returns arrays
+    (u, f, converged, f0, evals), where f0 is the value at ``u0`` and evals
+    counts each problem's evaluations; f and f0 are inf for an infeasible
+    start.
     """
     u = np.array(u0, dtype=float)
     size, m = u.shape
-    f0, grad, jtj = _gauss_newton_parts(*residuals(u, np.arange(size)))
-    f, converged = f0.tolist(), [False] * size
+    f0, grad, jtj, hess = _gauss_newton_parts(*residuals(u, np.arange(size)))
+    f, converged, evals = f0.tolist(), [False] * size, [1] * size
     lam, nu = [1e-3] * size, [2.0] * size
     running = [j for j in range(size) if f[j] < np.inf]  # an infeasible start ends at once
     eye = np.eye(m)
@@ -567,12 +600,12 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
         if not running:
             break
         idx = np.array(running)
-        g, a = grad[idx], jtj[idx]
-        diag = a.diagonal(0, 1, 2)
+        g = grad[idx]
+        diag = jtj[idx].diagonal(0, 1, 2)
         diag = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True))
         damping = np.array([lam[j] for j in running])[:, None] * diag
-        step, solved = _damped_steps(a + damping[..., None] * eye, -g)
-        # the model's decrease -(2 s'g + s'J'Js), with J'Js = -g - damping * s
+        step = _damped_steps(hess[idx] + damping[..., None] * eye, -g)
+        # the model's decrease -(2 s'g + s'Hs), with Hs = -g - damping * s
         pred = ((damping * step - g) * step).sum(axis=1).tolist()
         small = [2.0 * max(map(abs, row)) <= _GTOL for row in g.tolist()]
         point = u[idx] + step
@@ -580,27 +613,29 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
         for p, j in enumerate(running):
             if small[p]:
                 converged[j] = True
-            elif solved[p]:
+            elif pred[p] > 0.0:
                 tried.append(p)
-            else:
+            else:  # no solution, or not a descent step of the model
                 lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
         if tried:
-            f_new, grad_new, jtj_new = _gauss_newton_parts(*residuals(point[tried], idx[tried]))
+            parts = _gauss_newton_parts(*residuals(point[tried], idx[tried]))
         for q, p in enumerate(tried):
-            j, value = running[p], float(f_new[q])
+            j, value = running[p], float(parts[0][q])
+            evals[j] += 1
             tol = _FTOL * max(f[j], 1.0)
             if value < f[j]:
-                gain = (f[j] - value) / pred[p] if pred[p] > 0 else 0.0
+                gain = (f[j] - value) / pred[p]
                 lam[j] *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
                 nu[j] = 2.0
                 converged[j] = f[j] - value <= tol
-                u[j], f[j], grad[j], jtj[j] = point[p], value, grad_new[q], jtj_new[q]
+                u[j], f[j] = point[p], value
+                grad[j], jtj[j], hess[j] = (part[q] for part in parts[1:])
             elif pred[p] <= tol:
                 converged[j] = True
             else:
                 lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
         running = [j for j in running if not converged[j]]
-    return u, np.array(f), np.array(converged), f0
+    return u, np.array(f), np.array(converged), f0, np.array(evals)
 
 
 def fit_warps(
@@ -627,17 +662,19 @@ def fit_warps(
     before it, the sum of the subject solves' start values; after it, the
     group solves' final values plus each subject's prior term at its
     re-centered offsets.  So the objective never increases.  The stats
-    count the solves (``n_opt``), those that converged (``n_converged``)
-    and whether the step was reverted (``n_reverted``, 0 or 1).
+    count the solves (``n_opt``), those that converged (``n_converged``),
+    their residual evaluations (``n_evals``: one per solve and round that
+    evaluates it) and whether the step was reverted (``n_reverted``, 0 or 1).
     """
     warps = warps_init.copy()
     anchors = warps.anchors
-    stats = {"n_opt": 0, "n_converged": 0, "n_reverted": 0}
+    stats = {"n_opt": 0, "n_converged": 0, "n_evals": 0, "n_reverted": 0}
 
     def solve(residuals, u0):
-        u, f, converged, f0 = _levenberg_marquardt(residuals, u0, maxfun)
+        u, f, converged, f0, evals = _levenberg_marquardt(residuals, u0, maxfun)
         stats["n_opt"] += len(u)
         stats["n_converged"] += int(np.sum(converged))
+        stats["n_evals"] += int(np.sum(evals))
         return u, f, f0
 
     by_group: dict = {k: [] for k in sorted(set(warps.group_of.values()))}
@@ -674,8 +711,11 @@ def fit_warps(
         def group_residuals(v, _one, prob=shared):
             # one problem: every member's rows at the shared offsets v (1, m)
             each = np.broadcast_to(v, (len(prob.base), v.shape[1]))
-            r, jac, ok = subject_warp_residuals(prob, each)
-            return r.reshape(1, -1), jac.reshape(1, -1, v.shape[1]), ok.all(keepdims=True)
+            r, jac, ok, second = subject_warp_residuals(prob, each)
+            return (
+                r.reshape(1, -1), jac.reshape(1, -1, v.shape[1]), ok.all(keepdims=True),
+                second.sum(axis=0, keepdims=True),
+            )
 
         group = warps.group_offsets[k]
         v, value, _ = solve(group_residuals, group[None, 1:-1])
@@ -738,7 +778,8 @@ def build_linearization(
     the interior anchor offsets (2, n, n_int), and the current offsets.
     Both come from ``subject_warp_residuals`` on zero data without
     whitening, where the residual is minus the fitted curves: one call per
-    group, with the Hermite weights computed once per distinct grid.
+    group, with the Hermite weights computed once per distinct grid.  The
+    residuals' second-order term is not used.
     """
     anchors = warps.anchors
     hermite: dict = {}
@@ -761,7 +802,7 @@ def build_linearization(
             _mean_splines(basis, means.coefs(k)),
         )
         w0 = np.array([warps.subject_offsets[c.subject_id][1:-1] for c in curves])
-        r, dr, ok = subject_warp_residuals(prob, w0)
+        r, dr, ok, _ = subject_warp_residuals(prob, w0)
         for i, c in enumerate(curves):
             out[c.subject_id] = (r[i], dr[i], w0[i], ok[i])
     fitted, jac, offsets = {}, {}, {}
@@ -1099,6 +1140,10 @@ class RegistrationFit:
     # Warp steps that fit_warps reverted because they raised the objective;
     # older artifacts did not count them.
     warp_steps_reverted: int = 0
+    # Residual evaluations of the fit's warp solves (fit_warps' n_evals,
+    # summed over its warp steps); None in older artifacts, which did not
+    # count them.
+    warp_evaluations: int | None = None
 
     def __post_init__(self):
         if self.ridge_lambda is None:
@@ -1216,6 +1261,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
     n_outer = 0
     opt_total = 0
     opt_conv = 0
+    n_evals = 0
     n_reverted = 0
     for _ in range(cfg.max_outer):
         n_outer += 1
@@ -1226,6 +1272,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
         warps, stats = fit_warps(panel, means, ctx, warps, cfg.warp_maxfun)
         opt_total += stats["n_opt"]
         opt_conv += stats["n_converged"]
+        n_evals += stats["n_evals"]
         n_reverted += stats["n_reverted"]
         designs = warp_design(panel, warps, basis)
 
@@ -1258,6 +1305,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
         warp_opt_converged=opt_conv,
         ridge_lambda=lam,
         warp_steps_reverted=n_reverted,
+        warp_evaluations=n_evals,
     )
 
 
@@ -1324,12 +1372,14 @@ def fit_subject_warp(
 
     Group offsets and all model parameters stay at their fitted values;
     only the subject's interior anchor offsets are optimized, by the warp
-    step's Levenberg-Marquardt solver on a batch of one, from zero offsets
-    with at most ``fit.config.warp_maxfun`` residual evaluations.  Returns the full
-    offset vector (boundaries zero) and whether the solve converged; the
-    offsets stay zero where the zero start is infeasible.  They also stay
-    zero, leaving the subject on its group's warp, where the kernels cannot
-    be factored on its grid; a warning then names the subject.
+    step's Levenberg-Marquardt solver (damped Newton steps on the exact
+    Hessian, about four residual evaluations per solve) on a batch of one,
+    from zero offsets with at most ``fit.config.warp_maxfun`` residual
+    evaluations.  Returns the full offset vector (boundaries zero) and
+    whether the solve converged; the offsets stay zero where the zero start
+    is infeasible.  They also stay zero, leaving the subject on its group's
+    warp, where the kernels cannot be factored on its grid; a warning then
+    names the subject.
 
     The problem's fixed parts are cached by the values they are built from,
     not on the fit: the grid's (``_held_out_grid``) and the group's
@@ -1353,7 +1403,7 @@ def fit_subject_warp(
         anchors, [anchors + fit.warps.group_offsets[label]], [curve.times], [curve.values],
         lambda _: (s_fac, hermite), splines, prior,
     )
-    u, _, converged, _ = _levenberg_marquardt(
+    u, _, converged, _, _ = _levenberg_marquardt(
         partial(subject_warp_residuals, prob), np.zeros((1, len(anchors) - 2)),
         fit.config.warp_maxfun,
     )

@@ -489,14 +489,14 @@ def test_a_warp_step_that_raises_the_objective_is_reverted_and_logged(monkeypatc
     solved = []  # the subject solves' offsets, then the group's
 
     def worse_group_offsets(residuals, u0, max_evals):
-        u, f, converged, f0 = original(residuals, u0, max_evals)
+        u, f, converged, f0, evals = original(residuals, u0, max_evals)
         if not isinstance(residuals, functools.partial):
             # the group solve ends on a feasible point far from its optimum
             u = u + np.array([0.08, -0.08])
-            r, _, _ = residuals(u, np.arange(1))
+            r, _, _, _ = residuals(u, np.arange(1))
             f = np.array([float(r[0] @ r[0])])
         solved.extend(u)
-        return u, f, converged, f0
+        return u, f, converged, f0, evals
 
     monkeypatch.setattr(registration, "_levenberg_marquardt", worse_group_offsets)
     with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
@@ -525,6 +525,41 @@ def test_a_warp_step_that_raises_the_objective_is_reverted_and_logged(monkeypatc
     assert before == pytest.approx(objective(warps0), rel=1e-9)
     assert after == pytest.approx(objective(rejected), rel=1e-9)
     assert after > before
+
+
+def test_the_group_solve_has_the_exact_hessian_of_its_members_rows(monkeypatch):
+    # the group solve's J'J + S is the derivative of its half gradient J'r
+    rng = np.random.default_rng(53)
+    off = np.array([0.0, 0.04, 0.02, 0.0])
+    offsets = {"s1": off, "s2": -0.5 * off, "s3": 0.3 * off}
+    panel, means, ctx = _warp_fixture(rng, offsets, warp_amp=1.0)
+    original = registration._levenberg_marquardt
+    group_solves = []
+
+    def solve(residuals, u0, max_evals):
+        if not isinstance(residuals, functools.partial):
+            group_solves.append(residuals)
+        return original(residuals, u0, max_evals)
+
+    monkeypatch.setattr(registration, "_levenberg_marquardt", solve)
+    fit_warps(panel, means, ctx, WarpState.identity(ANCHORS, {sid: 0 for sid in offsets}))
+    (residuals,) = group_solves
+    one = np.arange(1)
+
+    def half_gradient(v):
+        r, jac, _, _ = residuals(v, one)
+        return jac[0].T @ r[0]
+
+    v = np.array([[0.01, -0.015]])
+    r, jac, ok, second = residuals(v, one)
+    assert ok[0] and np.abs(second).max() > 1e-3
+    hess = jac[0].T @ jac[0] + second[0]
+    eps = 1e-6
+    for m in range(2):
+        e = np.zeros((1, 2))
+        e[0, m] = eps
+        central = (half_gradient(v + e) - half_gradient(v - e)) / (2 * eps)
+        assert np.max(np.abs(hess[:, m] - central)) < 1e-6 * max(1.0, np.max(np.abs(central)))
 
 
 def test_the_fit_counts_reverted_warp_steps(monkeypatch):
@@ -1118,6 +1153,37 @@ def test_fit_round_trips_through_dict(small_fit):
     a = align_curves(panel, fit)
     b = align_curves(panel, back)
     assert np.array_equal(a.values, b.values)
+
+
+def test_warp_evaluations_round_trip_and_are_none_in_older_artifacts(small_fit):
+    _, fit = small_fit
+    assert fit.warp_evaluations >= fit.warp_opt_total > 0
+    payload = json.loads(json.dumps(fit.to_dict()))
+    assert payload["warp_evaluations"] == fit.warp_evaluations
+    assert RegistrationFit.from_dict(payload).warp_evaluations == fit.warp_evaluations
+    del payload["warp_evaluations"]
+    assert RegistrationFit.from_dict(payload).warp_evaluations is None
+    payload["warp_evaluations"] = 1.5
+    with pytest.raises(DataError, match="fit.warp_evaluations"):
+        RegistrationFit.from_dict(payload)
+
+
+def test_the_fit_counts_the_residual_evaluations_of_its_warp_solves(monkeypatch):
+    panel, _ = simulate_study2(Study2Config(scenario="A", seed=5, n_subjects=10, n_obs=24))
+    original = registration._levenberg_marquardt
+    evaluated = []
+
+    def solve(residuals, u0, max_evals):
+        def counted(u, members):
+            evaluated.append(len(members))
+            return residuals(u, members)
+
+        return original(counted, u0, max_evals)
+
+    monkeypatch.setattr(registration, "_levenberg_marquardt", solve)
+    cfg = RegistrationConfig(n_interior_knots=4, variance_maxiter=20, max_outer=3)
+    fit = fit_registration(panel, cfg)
+    assert fit.warp_evaluations == sum(evaluated) > 0
 
 
 def test_fit_config_round_trips_through_dict():

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from warpclass import registration
 from warpclass.basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
 from warpclass.curves import CurvePanel, ScalarRecord, SubjectCurve
 from warpclass.gp import CholFactor, MaternParams, matern_cov
@@ -22,13 +23,16 @@ from warpclass.registration import (
     _held_out_grid,
     _held_out_group,
     _levenberg_marquardt,
+    _mean_splines,
     build_context,
+    fit_registration,
     fit_subject_warp,
     penalized_objective,
     subject_warp_residuals,
     warp_design,
     warp_values,
 )
+from warpclass.simeval import Study2Config, simulate_study2
 
 ANCHORS = np.array([0.0, 0.33, 0.67, 1.0])
 # Strictly increasing ordinates on ANCHORS whose Hyman slopes take the
@@ -63,33 +67,36 @@ def _problem(ords, n=30, seed=0):
     h_fac = CholFactor(matern_cov(var.warp_cov, ANCHORS[1:-1]))
     times = [np.linspace(0.0, 1.0, size) for size in sizes]
     values = [np.random.default_rng(s).standard_normal((size, 2)) for s, size in zip(seeds, sizes)]
-    spl = basis.spline(_coefs(basis))
     prior = np.sqrt(2.0) * h_fac.half_solve(np.eye(h_fac.n))
 
     def grid_parts(t):
         s_fac = CholFactor(np.eye(len(t)) + matern_cov(var.curve_cov, t))
         return s_fac, hermite_weights(ANCHORS, t)
 
-    return WarpProblem.of(ANCHORS, base, times, values, grid_parts, (spl, spl.derivative()), prior)
+    splines = _mean_splines(basis, _coefs(basis))
+    return WarpProblem.of(ANCHORS, base, times, values, grid_parts, splines, prior)
 
 
 def _residuals(prob, u):
-    """(r, J) of a one-subject problem at offsets u, or None where u is infeasible."""
-    r, jac, ok = subject_warp_residuals(prob, np.asarray(u, dtype=float)[None])
-    return (r[0], jac[0]) if ok[0] else None
+    """(r, J, S) of a one-subject problem at offsets u, or None where u is infeasible."""
+    r, jac, ok, second = subject_warp_residuals(prob, np.asarray(u, dtype=float)[None])
+    return (r[0], jac[0], second[0]) if ok[0] else None
 
 
 def _check_jacobian(base, u) -> int:
-    """Compare J with central differences; returns the columns compared.
+    """Compare J, and J'J + S, with central differences; returns the columns compared.
 
-    A column is skipped where the forward and backward differences
-    disagree, i.e. a slope-filter branch switches inside the stencil.
+    Column m of J is compared with the central difference of r in u_m, and
+    column m of J'J + S with that of the half gradient J'r.  A column is
+    skipped where the forward and backward differences of r disagree, i.e.
+    a slope-filter branch switches inside the stencil.
     """
     prob = _problem(base)
     out = _residuals(prob, u)
     if out is None:
         return 0  # u pushed the ordinates out of order
-    r, jac = out
+    r, jac, second = out
+    hess = jac.T @ jac + second
     eps = 1e-6
     checked = 0
     for m in range(len(u)):
@@ -106,6 +113,9 @@ def _check_jacobian(base, u) -> int:
         central = (up[0] - dn[0]) / (2 * eps)
         scale = max(1.0, np.max(np.abs(central)))
         assert np.max(np.abs(jac[:, m] - central)) < 1e-6 * scale
+        central = (up[1].T @ up[0] - dn[1].T @ dn[0]) / (2 * eps)
+        scale = max(1.0, np.max(np.abs(central)))
+        assert np.max(np.abs(hess[:, m] - central)) < 1e-6 * scale
         checked += 1
     return checked
 
@@ -117,6 +127,11 @@ def test_jacobian_on_the_zero_and_capped_slope_branches():
     assert d[1] == 3.0 * secants[0]
     assert _check_jacobian(BRANCHY, np.zeros(2)) == 2
     assert _check_jacobian(BRANCHY, np.array([0.004, -0.006])) == 2
+    # and on the unfiltered branch at every anchor
+    d, _ = hyman_slopes(ANCHORS, ANCHORS)
+    assert np.all(d > 0.0) and np.all(d < 3.0)
+    assert _check_jacobian(ANCHORS, np.zeros(2)) == 2
+    assert _check_jacobian(ANCHORS, np.array([0.01, -0.02])) == 2
 
 
 @settings(max_examples=80, deadline=None)
@@ -128,6 +143,17 @@ def test_jacobian_on_the_zero_and_capped_slope_branches():
 def test_warp_jacobian_matches_central_differences(steps, u):
     base = np.concatenate([[0.0], np.cumsum(steps)])
     _check_jacobian(base / base[-1], np.asarray(u))
+
+
+def test_mean_splines_give_two_derivatives_and_zero_curvature_when_piecewise_linear():
+    t = np.linspace(0.0, 1.0, 7)
+    cubic = BSplineBasis.uniform(4, 4)
+    mean, slope, curvature = _mean_splines(cubic, _coefs(cubic))
+    assert np.allclose(curvature(t), mean(t, 2)) and np.allclose(slope(t), mean(t, 1))
+    linear = BSplineBasis.uniform(3, 2)
+    coefs = np.random.default_rng(0).standard_normal((2, linear.size))
+    curvature = _mean_splines(linear, coefs)[2](t)
+    assert curvature.shape == (7, 2) and not curvature.any()
 
 
 def test_residual_norm_equals_the_subjects_objective_term():
@@ -148,72 +174,138 @@ def test_residual_norm_equals_the_subjects_objective_term():
     designs = warp_design(panel, warps, basis)
     want = penalized_objective(panel, means, warps, ctx, ridge_lambda=0.0, designs=designs)
 
-    spl = basis.spline(means.coefs(0))
     prob = WarpProblem.of(
         ANCHORS, [ANCHORS + warps.group_offsets[0]], [t], [values],
-        lambda _: ctx.grids[t.tobytes()], (spl, spl.derivative()),
+        lambda _: ctx.grids[t.tobytes()], _mean_splines(basis, means.coefs(0)),
         ctx.prior_rows,
     )
-    r, _ = _residuals(prob, warps.subject_offsets["s1"][1:-1])
+    r, _, _ = _residuals(prob, warps.subject_offsets["s1"][1:-1])
     assert abs(r @ r - want) <= 1e-10 * abs(want)
+
+
+def _rosenbrock(seen, bound=np.inf):
+    """Rosenbrock's residuals with their second-order term; infeasible past u_0 = ``bound``."""
+
+    def residuals(u, members):
+        (u,) = u  # a batch of one
+        if u[0] > bound:
+            return np.zeros((1, 2)), np.zeros((1, 2, 2)), np.array([False]), np.zeros((1, 2, 2))
+        r = np.array([10.0 * (u[1] - u[0] ** 2), 1.0 - u[0]])
+        seen.append(float(r @ r))
+        jac = np.array([[[-20.0 * u[0], 10.0], [-1.0, 0.0]]])
+        second = np.array([[[-20.0 * r[0], 0.0], [0.0, 0.0]]])  # r_0 times its Hessian
+        return r[None], jac, np.array([True]), second
+
+    return residuals
 
 
 def test_levenberg_marquardt_descends_and_respects_infeasibility():
     seen = []
-
-    def rosenbrock(u, members, bound=np.inf):
-        (u,) = u  # a batch of one
-        if u[0] > bound:
-            return np.zeros((1, 2)), np.zeros((1, 2, 2)), np.array([False])
-        r = np.array([10.0 * (u[1] - u[0] ** 2), 1.0 - u[0]])
-        seen.append(float(r @ r))
-        return r[None], np.array([[[-20.0 * u[0], 10.0], [-1.0, 0.0]]]), np.array([True])
-
-    (u,), (f,), (converged,), (f0,) = _levenberg_marquardt(rosenbrock, [[-1.2, 1.0]], 200)
+    (u,), (f,), (converged,), (f0,), (evals,) = _levenberg_marquardt(
+        _rosenbrock(seen), [[-1.2, 1.0]], 200
+    )
     assert converged and f < 1e-12 and np.allclose(u, 1.0, atol=1e-6)
     assert f == min(seen)  # only descending steps are accepted
     assert f0 == seen[0]  # the start value, from the first evaluation
+    assert evals == len(seen)
 
     # past u_0 = 0.5 the residual is undefined: the solver stays feasible
     seen.clear()
-    (u,), (f,), _, _ = _levenberg_marquardt(
-        lambda v, m: rosenbrock(v, m, 0.5), [[-1.2, 1.0]], 200
-    )
+    (u,), (f,), _, _, _ = _levenberg_marquardt(_rosenbrock(seen, 0.5), [[-1.2, 1.0]], 200)
     assert u[0] <= 0.5 and f == min(seen) and f < 0.3
-    (u,), (f,), (converged,), (f0,) = _levenberg_marquardt(
-        lambda v, m: rosenbrock(v, m, -2.0), [[0.0, 0.0]], 5
+    (u,), (f,), (converged,), (f0,), (evals,) = _levenberg_marquardt(
+        _rosenbrock(seen, -2.0), [[0.0, 0.0]], 5
     )
     assert f == np.inf and not converged
-    assert f0 == np.inf
+    assert f0 == np.inf and evals == 1
+
+
+def test_levenberg_marquardt_where_the_newton_model_is_indefinite():
+    for start in ([0.0, 1.0], [0.0, 0.02]):
+        seen = []
+        residuals = _rosenbrock(seen)
+        _, jac, _, second = residuals(np.array([start]), np.arange(1))
+        # J'J + S has a negative eigenvalue at the start
+        assert np.linalg.eigvalsh(jac[0].T @ jac[0] + second[0])[0] < 0
+        seen.clear()
+        (u,), (f,), (converged,), (f0,), (evals,) = _levenberg_marquardt(residuals, [start], 200)
+        assert converged and f < 1e-12 and np.allclose(u, 1.0, atol=1e-6)
+        assert f <= f0 and evals == len(seen)
+        # never an ascent: stopped after any number of rounds, the solver
+        # holds the best point it has evaluated
+        for budget in range(1, evals + 1):
+            seen.clear()
+            _, (f,), _, (f0,), _ = _levenberg_marquardt(residuals, [start], budget)
+            assert f == min(seen) <= f0
+    # From (0, 0.02) the first damped Newton step is not a descent step of
+    # the model: the damping rises without an evaluation, so a budget of
+    # two rounds makes only the first evaluation and stays at the start.
+    seen = []
+    (u,), (f,), (converged,), (f0,), (evals,) = _levenberg_marquardt(
+        _rosenbrock(seen), [[0.0, 0.02]], 2
+    )
+    assert len(seen) == evals == 1 and not converged
+    assert u.tolist() == [0.0, 0.02] and f == f0 == seen[0]
+
+
+def _large_residual(curvature, newton=True):
+    """r(x) = [x + 1, c x^2 + x - 1], whose minimum x = 0 (for |c| < 1) leaves f = 2.
+
+    With ``newton`` False the second-order term is left out, and the
+    solver takes Gauss-Newton steps, which converge only linearly here,
+    at the rate |c| (Dennis & Schnabel 1996, 10.2).
+    """
+
+    def residuals(u, members):
+        x = u[:, 0]
+        r = np.stack([x + 1.0, curvature * x * x + x - 1.0], axis=1)
+        jac = np.stack([np.ones_like(x), 2.0 * curvature * x + 1.0], axis=1)[:, :, None]
+        second = (2.0 * curvature * newton) * r[:, 1, None, None]
+        return r, jac, np.ones(len(x), dtype=bool), second
+
+    return residuals
+
+
+def test_newton_steps_need_fewer_evaluations_where_the_residual_stays_large():
+    for curvature in (0.5, -0.5, 0.9):
+        for x0 in (1.0, 3.0):
+            newton = _levenberg_marquardt(_large_residual(curvature), [[x0]], 200)
+            gauss = _levenberg_marquardt(_large_residual(curvature, False), [[x0]], 200)
+            for (u,), (f,), (converged,), _, _ in (newton, gauss):
+                assert converged and abs(u[0]) < 1e-4 and abs(f - 2.0) < 1e-9
+            assert 2 * newton[4][0] <= gauss[4][0]
 
 
 def _tiny_or_parabola(u, members):
     """Two one-offset problems: 0 has r = 1e8 u, infeasible below u = 1e-16; 1 is a parabola."""
     r, jac, ok = np.zeros((len(u), 2)), np.zeros((len(u), 2, 1)), np.ones(len(u), dtype=bool)
+    second = np.zeros((len(u), 1, 1))
     for row, ((x,), member) in enumerate(zip(u, members)):
         if member == 0:
             r[row, 0], jac[row, 0, 0], ok[row] = 1e8 * x, 1e8, x >= 1e-16
         else:
             r[row] = [x - 1.0, 10.0 * (x * x - 1.0)]
             jac[row, :, 0] = [1.0, 20.0 * x]
-    return r, jac, ok
+            second[row] = 20.0 * r[row, 1]
+    return r, jac, ok, second
 
 
 def test_a_rejected_step_promising_too_little_ends_the_solve_as_converged():
     # The first trial step lands below 1e-16 and is rejected, and its
     # predicted decrease (~1e-16) is below _FTOL: converged, nothing moved.
     counts = np.zeros(2, dtype=int)
-    u, f, converged, f0 = _levenberg_marquardt(
+    u, f, converged, f0, evals = _levenberg_marquardt(
         _counted(_tiny_or_parabola, counts, []), np.array([[1e-16]]), 40
     )
     assert converged[0] and u[0, 0] == 1e-16 and f[0] == f0[0] == (1e8 * 1e-16) ** 2
-    assert counts[0] == 2
+    assert counts[0] == evals[0] == 2
     # the same next to a problem that takes several steps
     counts[:] = 0
-    u, f, converged, f0 = _levenberg_marquardt(
+    u, f, converged, f0, evals = _levenberg_marquardt(
         _counted(_tiny_or_parabola, counts, []), np.array([[1e-16], [3.0]]), 40
     )
     assert converged.tolist() == [True, True] and counts[0] == 2 and counts[1] > 2
+    assert evals.tolist() == counts.tolist()
     assert u[0, 0] == 1e-16 and f[0] == f0[0]
     assert abs(u[1, 0] - 1.0) < 1e-6 and f[1] < 1e-12
 
@@ -227,21 +319,24 @@ def test_batched_residuals_equal_each_subjects_alone():
     assert len(batch.grids) == 3
     u = rng.normal(0, 0.02, (5, 2))
     u[3] = [0.5, -0.5]  # out of order
-    r, jac, ok = subject_warp_residuals(batch, u)
+    r, jac, ok, second = subject_warp_residuals(batch, u)
     assert r.shape == (5, 2 * 30 + 2) and jac.shape == (5, 2 * 30 + 2, 2)
+    assert second.shape == (5, 2, 2) and np.allclose(second, second.transpose(0, 2, 1))
     assert ok.tolist() == [True, True, True, False, True]
     for i in range(5):
         alone = _problem(base[i], n=sizes[i], seed=seeds[i])
-        r1, jac1, ok1 = subject_warp_residuals(alone, u[i : i + 1])
+        r1, jac1, ok1, second1 = subject_warp_residuals(alone, u[i : i + 1])
         rows = 2 * sizes[i] + 2
         assert ok1[0] == ok[i]
         assert r[i, :rows].tobytes() == r1[0].tobytes()
         assert jac[i, :rows].tobytes() == jac1[0].tobytes()
+        assert second[i].tobytes() == second1[0].tobytes()
         assert not r[i, rows:].any() and not jac[i, rows:].any()
     # a subset of the members, in any grids, gives the same rows
     some = np.array([1, 4])
-    r2, jac2, _ = subject_warp_residuals(batch, u[some], some)
+    r2, jac2, _, second2 = subject_warp_residuals(batch, u[some], some)
     assert r2.tobytes() == r[some].tobytes() and jac2.tobytes() == jac[some].tobytes()
+    assert second2.tobytes() == second[some].tobytes()
 
 
 def _counted(residuals, counts, calls):
@@ -258,18 +353,18 @@ def _counted(residuals, counts, calls):
 def _singular(residuals, member):
     """``residuals`` with problem ``member``'s damped system made singular.
 
-    Its Jacobian is zero but for a tiny first entry, whose square is below
-    the damping floor's underflow, and its residual is large enough for the
-    gradient to pass the stopping test; so the damped matrix has an exact
-    zero row.
+    Its Jacobian and second-order term are zero but for a tiny first entry
+    of the Jacobian, whose square is below the damping floor's underflow,
+    and its residual is large enough for the gradient to pass the stopping
+    test; so the damped matrix has an exact zero row.
     """
 
     def wrapped(u, members):
-        r, jac, ok = residuals(u, members)
+        r, jac, ok, second = residuals(u, members)
         at = members == member
-        r[at], jac[at] = 0.0, 0.0
+        r[at], jac[at], second[at] = 0.0, 0.0, 0.0
         r[at, 0], jac[at, 0, 0] = 1e151, 1e-156
-        return r, jac, ok
+        return r, jac, ok, second
 
     return wrapped
 
@@ -305,7 +400,7 @@ def test_lock_step_solve_equals_each_problem_solved_alone(size, seed, data):
     assert got[1][infeasible] == got[3][infeasible] == np.inf and counts[infeasible] == 1
     assert counts[singular] == 1 and not got[2][singular]
     assert np.array_equal(got[0][singular], u0[singular])
-    assert np.all(counts <= max_evals)
+    assert np.all(counts <= max_evals) and np.array_equal(got[4], counts)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +433,14 @@ def _clear_held_out_caches():
     _held_out_group.cache_clear()
 
 
-def _subjects(fit, n_subjects, seed, jitter=0.0):
+def _subjects(fit, n_subjects, seed, jitter=0.0, n_obs=50):
     """Noisy warped curves; some warps extreme, grids optionally jittered."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n_subjects):
-        t = np.linspace(0.0, 1.0, 50)
+        t = np.linspace(0.0, 1.0, n_obs)
         if jitter:
-            t[1:-1] += rng.uniform(-jitter, jitter, 48)
+            t[1:-1] += rng.uniform(-jitter, jitter, n_obs - 2)
         label = i % 2
         off = np.zeros(4)
         off[1:-1] = rng.uniform(-0.12, 0.12, 2) if i % 3 == 0 else rng.normal(0, 0.04, 2)
@@ -372,17 +467,40 @@ def _objective(fit, curve, label, offsets):
 
 def test_fit_subject_warp_is_monotone_and_never_worse_than_the_start():
     fit = _fit({0: [0.03, -0.02], 1: [-0.05, 0.04]})
-    n_converged = 0
-    for curve, label in _subjects(fit, 12, seed=11):
-        for k in (label, 1 - label):  # predict_new also tries the other label
-            offsets, ok = fit_subject_warp(curve, fit, k)
-            ords = ANCHORS + fit.warps.group_offsets[k] + offsets
-            assert np.all(np.diff(ords) > 0)
-            assert offsets[0] == offsets[-1] == 0.0
-            before = _objective(fit, curve, k, np.zeros(4))
-            assert _objective(fit, curve, k, offsets) <= before * (1 + 1e-12)
-            n_converged += ok
-    assert n_converged == 24
+    # a shared 50-point grid, a 4-point one, and jittered 50-point grids
+    for n_obs, jitter in ((50, 0.0), (4, 0.0), (50, 0.004)):
+        n_converged = 0
+        for curve, label in _subjects(fit, 12, seed=11, jitter=jitter, n_obs=n_obs):
+            for k in (label, 1 - label):  # predict_new also tries the other label
+                offsets, ok = fit_subject_warp(curve, fit, k)
+                ords = ANCHORS + fit.warps.group_offsets[k] + offsets
+                assert np.all(np.diff(ords) > 0)
+                assert offsets[0] == offsets[-1] == 0.0
+                before = _objective(fit, curve, k, np.zeros(4))
+                assert _objective(fit, curve, k, offsets) <= before * (1 + 1e-12)
+                n_converged += ok
+        assert n_converged == 24
+
+
+def test_held_out_warp_solves_take_few_residual_evaluations(monkeypatch):
+    # Newton steps on the exact Hessian: ~4 evaluations per held-out solve
+    # on this draw, where Gauss-Newton steps took ~6.6
+    train, _ = simulate_study2(Study2Config(scenario="A", seed=0, n_subjects=30, n_obs=60))
+    test, _ = simulate_study2(Study2Config(scenario="A", seed=1000, n_subjects=20, n_obs=60))
+    fit = fit_registration(train)
+    evaluated = []
+
+    def counted(prob, u, members=None):
+        evaluated.append(len(u))
+        return subject_warp_residuals(prob, u, members)
+
+    monkeypatch.setattr(registration, "subject_warp_residuals", counted)
+    n_solves = 0
+    for curve in test.curves:
+        for label in (0, 1):
+            fit_subject_warp(curve, fit, label)
+            n_solves += 1
+    assert sum(evaluated) / n_solves <= 4.5
 
 
 def test_fit_subject_warp_is_identical_with_a_cold_or_warm_factor_cache():
