@@ -8,9 +8,9 @@ regression to a generalized linear mixed model, fit by penalized
 iteratively reweighted least squares with the random-effect variance
 updated through an effective-degrees-of-freedom fixed point.
 
-Prediction for a new subject alternates: assume a label, fit that
-subject's warp under the assumed group, re-align, re-score, reclassify;
-repeat until the label and probability stop moving.
+Prediction for a new subject fits its warp under the group its scalar
+covariates point to, aligns, scores and classifies it; when that points to
+the other group, it does the same under the other group.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .basis import TruncatedPowerBasis, cross_gram, quad_weights
 from .codec import decode, encode
 from .curves import CurvePanel, SubjectCurve
-from .errors import DataError, NumericalError, check_format_version, check_int, check_shape
+from .errors import DataError, NumericalError, check_format_version, check_shape
 from .registration import (
     RegistrationFit,
     align_curves,
@@ -349,8 +349,8 @@ def fit_glmm(
             converged = True
             break
 
-        hess = (design.T * weights) @ design + np.diag(penalty_vec)
         fisher = (design.T * weights) @ design
+        hess = fisher + np.diag(penalty_vec)
         try:
             inv_fisher = np.linalg.solve(hess, fisher)
         except np.linalg.LinAlgError:
@@ -454,8 +454,8 @@ def fit_classifier(
 
     Aligns the curves, decomposes each coordinate, projects scores,
     builds the cross-Gram reduction, and fits the penalized logistic
-    model.  A scalar-only refit is stored alongside for initializing
-    label iteration on new subjects.
+    model.  A scalar-only refit is stored alongside; it picks the first
+    group a new subject is aligned to.
     """
     if not panel.has_labels:
         raise DataError("classifier training requires labels for all subjects")
@@ -538,6 +538,8 @@ def cross_validate_K(
     scalar_design = _panel_scalar_design(panel)
     k_x_max = max(kx for kx, _ in pairs)
     pooled = _pooled_times(panel)
+    # the coefficient basis depends on k_e only, not on the fold
+    bases = {ke: TruncatedPowerBasis.from_quantiles(pooled, ke) for _, ke in pairs}
 
     sums = {pair: 0.0 for pair in pairs}
     used = {pair: 0 for pair in pairs}
@@ -555,12 +557,11 @@ def cross_validate_K(
         scores_all = _score_panel(values, fpca_pair)
         y_val = labels[val_mask]
         for kx, ke in pairs:
-            coef_basis = TruncatedPowerBasis.from_quantiles(pooled, ke)
             trunc = [
                 replace(f, eigenfunctions=f.eigenfunctions[:, :kx], eigenvalues=f.eigenvalues[:kx])
                 for f in fpca_pair
             ]
-            j_mats = np.stack([compute_J(trunc[a], coef_basis) for a in (0, 1)])
+            j_mats = np.stack([compute_J(trunc[a], bases[ke]) for a in (0, 1)])
             func_design = _functional_design(scores_all[:, :, :kx], j_mats)
             try:
                 model = fit_glmm(
@@ -614,28 +615,26 @@ def predict_new(
     model: ClassifierModel,
     curve: SubjectCurve,
     scalars,
-    max_iter: int = 10,
 ) -> PredictionResult:
-    """Iterative label/warp prediction for one held-out subject.
+    """Label prediction for one held-out subject from its group alignments.
 
-    Starts from the scalar-only fit, then alternates: fit the subject's
-    random warp under the currently assumed group, align, score, and
-    reclassify.  Stops when the label is stable and the probability moves
-    less than 1e-6.  A warp solve that does not converge marks the result
-    as not converged; its ordinates fall back to the identity warp only
-    when they are not increasing.
+    A subject's warp is fixed once its group template is, so there are
+    only two candidate alignments.  The subject is first aligned under the
+    label its scalar-only probability points to, and scored.  When that
+    probability points to the other label, the subject is aligned and
+    scored under that label as well, and the result is taken from it.
+    ``iterations`` counts the alignments scored, 1 or 2.  A warp solve
+    that does not converge marks the result as not converged; its
+    ordinates fall back to the identity warp only when they are not
+    increasing.
 
     When the alignment under each label classifies the subject into the
-    other one, the labels would alternate for ever.  The loop stops as
-    soon as it is about to return to a label whose alignment already
-    pointed away, and reports ``converged=False``.  In that case
-    ``pi_hat`` comes from the alignment under the label tried last, and
-    ``label`` is the one that probability points to (the other label),
-    so ``label == int(pi_hat >= 0.5)`` holds in every result.  ``max_iter``
-    must be at least 1, and ``scalars`` must hold as many covariates as the
-    model was fitted with (DataError otherwise).
+    other one, the labels point at each other: the result reports
+    ``converged=False``, ``pi_hat`` from the second alignment and the
+    label it points to, the first one.  So ``label == int(pi_hat >= 0.5)``
+    holds in every result.  ``scalars`` must hold as many covariates as
+    the model was fitted with (DataError otherwise).
     """
-    check_int("max_iter", max_iter, 1)
     v = np.atleast_1d(np.asarray(scalars, dtype=float))
     if v.shape != model.b1.shape:
         raise DataError(
@@ -645,42 +644,28 @@ def predict_new(
     grid = model.fpca[0].grid
     anchors = reg_fit.warps.anchors
 
-    pi = scalar_only_prob(model, v)
-    label = int(pi >= 0.5)
+    def score(label):
+        """Probability under the alignment to ``label``'s template, and
+        whether its warp solve converged."""
+        offsets, ok = fit_subject_warp(curve, reg_fit, label)
+        ords = anchors + reg_fit.warps.group_offsets[label] + offsets
+        if not ok and np.any(np.diff(ords) <= 0):
+            ords = anchors.copy()
+        aligned = align_single(curve, anchors, ords, grid)
+        return classify_prob(model, _score_panel(aligned[None], model.fpca)[0], v), ok
 
-    cache: dict = {}
-    degraded = False
-    converged = False
-    iterations = 0
-    pi_prev = None
-    for _ in range(max_iter):
-        iterations += 1
-        if label not in cache:
-            offsets, ok = fit_subject_warp(curve, reg_fit, label)
-            ords = anchors + reg_fit.warps.group_offsets[label] + offsets
-            if not ok:
-                degraded = True
-                if np.any(np.diff(ords) <= 0):
-                    ords = anchors.copy()
-            aligned = align_single(curve, anchors, ords, grid)
-            cache[label] = _score_panel(aligned[None], model.fpca)[0]
-        pi = classify_prob(model, cache[label], v)
-        new_label = int(pi >= 0.5)
-        if new_label == label and pi_prev is not None and abs(pi - pi_prev) < 1e-6:
-            converged = True
-            break
-        if new_label != label and new_label in cache:
-            # the two labels point at each other: a cycle
-            label = new_label
-            break
-        pi_prev = pi
-        label = new_label
-    if degraded:
-        converged = False
+    start = int(scalar_only_prob(model, v) >= 0.5)
+    pi, converged = score(start)
+    iterations = 1
+    if int(pi >= 0.5) != start:
+        pi, ok = score(1 - start)
+        iterations = 2
+        # pointing back to the start is the two-label cycle
+        converged = converged and ok and int(pi >= 0.5) != start
     return PredictionResult(
         subject_id=curve.subject_id,
         pi_hat=pi,
-        label=label,
+        label=int(pi >= 0.5),
         iterations=iterations,
         converged=converged,
     )

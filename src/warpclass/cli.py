@@ -256,8 +256,6 @@ def _load_fit(fit_dir) -> tuple[RegistrationFit, ClassifierModel]:
 
 
 def cmd_predict(args) -> int:
-    if args.max_iter < 1:
-        raise UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
     reg_fit, model = _load_fit(args.fit)
     if not Path(args.curves).exists():
         raise DataError(f"file not found: {args.curves}")
@@ -272,7 +270,7 @@ def cmd_predict(args) -> int:
     panel = join_panel(curves, scalars)
 
     results = [
-        predict_new(reg_fit, model, panel.curve(sid), panel.covariates[i], args.max_iter)
+        predict_new(reg_fit, model, panel.curve(sid), panel.covariates[i])
         for i, sid in enumerate(panel.subject_ids)
     ]
 
@@ -466,11 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", help="iterative label prediction for new subjects")
+    p = sub.add_parser("predict", help="label prediction for new subjects")
     p.add_argument("--fit", required=True, help="directory with fit artifacts")
     p.add_argument("--curves", required=True)
     p.add_argument("--scalars", required=True)
-    p.add_argument("--max-iter", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

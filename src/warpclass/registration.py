@@ -1330,10 +1330,10 @@ def align_single(curve: SubjectCurve, anchors, ordinates, grid) -> np.ndarray:
     )
 
 
-def align_curves(panel: CurvePanel, fit: RegistrationFit, n_grid: int | None = None) -> AlignedPanel:
-    """Register every curve onto a uniform grid via its inverse warp."""
-    if n_grid is None:
-        n_grid = fit.config.n_align_grid
+def align_curves(panel: CurvePanel, fit: RegistrationFit) -> AlignedPanel:
+    """Register every curve onto the fit's uniform grid of ``n_align_grid``
+    points via its inverse warp."""
+    n_grid = fit.config.n_align_grid
     grid = np.linspace(0.0, 1.0, n_grid)
     ids = tuple(panel.subject_ids)
     values = np.empty((len(ids), n_grid, 2))

@@ -20,7 +20,6 @@ from warpclass.classify import ClassifierModel, cross_validate_K, predict_new
 from warpclass.cli import PREDICTIONS_HEADER, _write_json, main
 from warpclass.config import RunConfig
 from warpclass.curves import join_panel, load_curves, load_scalars
-from warpclass.errors import DataError
 from warpclass.registration import RegistrationFit
 
 SMALL_CONFIG = {
@@ -268,7 +267,7 @@ def test_predictions_cover_every_input_subject(pipeline):
     for row in rows[1:]:
         assert 0.0 <= float(row[1]) <= 1.0
         assert row[2] in ("0", "1")
-        assert 1 <= int(row[3]) <= 10
+        assert row[3] in ("1", "2")
         assert row[4] in ("0", "1")
 
 
@@ -283,9 +282,10 @@ def test_predictions_match_the_library_calls(pipeline):
     )
     rows = {r[0]: r for r in _read_rows(pipeline.pred)[1:]}
     for i, sid in enumerate(panel.subject_ids):
-        res = predict_new(reg_fit, model, panel.curve(sid), panel.covariates[i], 10)
+        res = predict_new(reg_fit, model, panel.curve(sid), panel.covariates[i])
         assert float(rows[sid][1]) == res.pi_hat
         assert int(rows[sid][2]) == res.label
+        assert rows[sid][3:] == [str(res.iterations), str(int(res.converged))]
 
 
 def test_predicting_the_training_half_recovers_most_labels(pipeline):
@@ -314,15 +314,16 @@ def test_predict_empty_input_writes_only_the_header(pipeline, tmp_path):
     assert out.read_text() == ",".join(PREDICTIONS_HEADER) + "\n"
 
 
-@pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--max-iter", "-3")])
-def test_predict_rejects_counts_below_one(pipeline, tmp_path, capsys, flag, value):
+def test_predict_has_no_max_iter_option(pipeline, tmp_path, capsys):
+    # a subject is scored under at most its two group alignments, so there
+    # is no iteration cap to set
     out = tmp_path / "pred.csv"
     rc = main(["predict", "--fit", str(pipeline.fit),
                "--curves", str(pipeline.data / "curves_test.csv"),
                "--scalars", str(pipeline.data / "scalars_test.csv"),
-               flag, value, "--out", str(out)])
+               "--max-iter", "3", "--out", str(out)])
     assert rc == 2
-    assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert "unrecognized arguments: --max-iter 3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -342,17 +343,6 @@ def test_predict_rejects_another_number_of_covariates(pipeline, tmp_path, capsys
     assert rc == 3
     assert "has 2 scalar covariates; the model was fitted with 1" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_predict_new_rejects_max_iter_below_one(pipeline):
-    reg_payload = json.loads((pipeline.fit / "registration.json").read_text())
-    cls_payload = json.loads((pipeline.fit / "classifier.json").read_text())
-    reg_fit = RegistrationFit.from_dict(reg_payload["fit"])
-    model = ClassifierModel.from_dict(cls_payload["model"])
-    curves = load_curves(pipeline.data / "curves_test.csv")
-    for max_iter in (0, -3):
-        with pytest.raises(DataError, match="max_iter must be >= 1"):
-            predict_new(reg_fit, model, curves[0], [1.0], max_iter)
 
 
 @pytest.mark.parametrize("artifact", ["registration.json", "classifier.json"])
