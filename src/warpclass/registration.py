@@ -29,7 +29,9 @@ once; a held-out subject is a batch of one, solved by the same solver.
 The variance likelihood is evaluated one stack at a time: the grids of one
 length with the same number of subjects, whose kernels, factors and
 gradient traces are batched, and whose sums run in a fixed order whatever
-the number of BLAS threads.
+the number of BLAS threads.  Where a panel makes several stacks and the
+process may use several CPUs, a thread pool evaluates them at once; their
+terms are added in stack order, so fits do not depend on the CPU count.
 The alternation is coordinate descent on one penalized objective
 (residual Mahalanobis norms + warp prior + ridge on group deviations), so
 its trace is non-increasing once the variance parameters are frozen.
@@ -41,6 +43,9 @@ fixed point each time the variance parameters are, and frozen with them.
 from __future__ import annotations
 
 import logging
+import os
+from concurrent import futures
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 
@@ -84,7 +89,8 @@ _RIDGE_ITERS = 200
 _RIDGE_TOL = 1e-10
 _RIDGE_MAX = 1e12
 # Bytes of one n x n array over a stack of grids in the variance likelihood;
-# more grids of one shape make several stacks, which bounds its memory.
+# more grids of one shape make several stacks, which bounds its memory: with
+# W worker threads, the arrays of up to W stacks are alive at once.
 _STACK_BYTES = 2**18
 # Format 1 stores each Matern kernel as this list of its parameters.
 _MATERN = tuple(f.name for f in fields(MaternParams))
@@ -825,8 +831,74 @@ _LOG_HI = np.log([1e3, 5.0, 1e3, 5.0])
 _VARIANCE_NAMES = ("curve amplitude", "curve length scale", "warp amplitude", "warp length scale")
 
 
+def _stack_sums(curve_cov, h_inv, h_logdet, dists, cols):
+    """One stack's terms of the variance likelihood and of its gradient.
+
+    ``dists`` is the stack's ``GridDistances.stack`` and ``cols`` its
+    [r, B] rows (``_variance_negloglik``), ``h_inv`` and ``h_logdet`` the
+    warp kernel's inverse and log determinant.  Returns the stack's sums of
+    r' V^-1 r and of log det V, its number of observations, the traces of
+    V^-1 and of a a' against (S, dS), and the m x m sums of B' V^-1 B and
+    B' a a' B; None where a factorization fails.
+
+    It may run on a worker thread, so it calls only ``matern_distinct``,
+    ``spd_inverses`` and numpy: a tracer that wraps module names such as
+    ``matern_cov`` or ``CholFactor`` keeps one span stack for the process.
+    """
+    n_grids, n_blocks, _, n = cols.shape
+    # The stack's n x n arrays dominate its memory: at most two are alive
+    # (with W worker threads, those of up to W stacks at once).
+    kernel, slope = matern_distinct(curve_cov, dists)
+    c_inv = kernel[dists.index]
+    del kernel
+    diag = np.arange(n)
+    c_inv[:, diag, diag] += 1.0
+    try:
+        c_inv, c_logdets = spd_inverses(c_inv)
+    except NumericalError:
+        return None
+    solved = cols @ c_inv[:, None]
+    gram = np.einsum("gkin,gkjn->gkij", cols, solved)
+    g_mat = gram[:, :, 1:, 1:]
+    caps = h_inv + g_mat
+    signs, cap_logdets = np.linalg.slogdet(caps)
+    if np.any(signs <= 0):
+        return None
+    cap_inv = np.linalg.inv(caps)
+    cross = gram[:, :, 1:, 0]
+    beta = np.einsum("gkij,gkj->gki", cap_inv, cross)
+    quads = gram[:, :, 0, 0] - np.einsum("gki,gki->gk", cross, beta)
+    quad = float(np.sum(np.maximum(quads, 0.0)))
+    logdet = (
+        n_blocks * float(np.sum(c_logdets))
+        + quads.size * h_logdet
+        + float(np.sum(cap_logdets))
+    )
+
+    d_s = slope[dists.index]
+    x_gram = np.einsum("gkin,gkjn->gkij", solved, solved)
+    d_gram = np.einsum("gkin,gkjn->gkij", solved, solved @ d_s[:, None])
+    e = np.concatenate([np.ones((n_grids, n_blocks, 1)), -beta], axis=2)
+    proj = cross - np.einsum("gkij,gkj->gki", g_mat, beta)
+    inv_traces = (
+        n_blocks * float(np.sum(n - np.einsum("gii->g", c_inv)))
+        - float(np.einsum("gkij,gkji->", cap_inv, g_mat - x_gram[:, :, 1:, 1:])),
+        n_blocks * float(np.einsum("gij,gij->", c_inv, d_s))
+        - float(np.einsum("gkij,gkji->", cap_inv, d_gram[:, :, 1:, 1:])),
+    )
+    outer_traces = (
+        float(np.sum(quads - np.einsum("gki,gki->gk", beta, proj)))
+        - float(np.einsum("gki,gkij,gkj->", e, x_gram, e)),
+        float(np.einsum("gki,gkij,gkj->", e, d_gram, e)),
+    )
+    warp_inv = np.einsum("gkij->ij", g_mat - g_mat @ cap_inv @ g_mat)
+    warp_outer = np.einsum("gki,gkj->ij", proj, proj)
+    return quad, logdet, quads.size * n, inv_traces, outer_traces, warp_inv, warp_outer
+
+
 def _variance_negloglik(
-    log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad=None
+    log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad=None,
+    map_stacks=map,
 ):
     """Profiled negative Gaussian log likelihood of the linearized model.
 
@@ -837,9 +909,10 @@ def _variance_negloglik(
     each stack's ``GridDistances.stack`` and ``blocks`` its [r, B]
     columns, one block per subject and coordinate, stored as rows:
     (grids, blocks, 1 + m, n) for m interior anchors, whose
-    ``GridDistances`` are ``anchor_dists``.  One pass per stack evaluates
-    the curve kernel once on all its grids' distinct distances, and
-    factors and inverts every C of the stack at once (``spd_inverses``).
+    ``GridDistances`` are ``anchor_dists``.  One pass per stack
+    (``_stack_sums``) evaluates the curve kernel once on all its grids'
+    distinct distances, and factors and inverts every C of the stack at
+    once (``spd_inverses``).
     Each block's X = C^-1 [r, B] and Gram matrix [r, B]' X give r' C^-1 r,
     g = B' C^-1 r and G = B' C^-1 B, and the warp term enters by the
     Woodbury identity through one batched determinant and inverse of the
@@ -859,7 +932,11 @@ def _variance_negloglik(
     in ``einsum``, or in one BLAS product per block of 1 + m rows.  None of
     these depends on the number of BLAS threads, except OpenBLAS's Cholesky
     on grids of 128 points or more.  A stack sums its grids and blocks in
-    one fixed order, and the stacks are summed in the order of ``blocks``.
+    one fixed order.  ``map_stacks`` maps ``_stack_sums`` over the stacks
+    and yields their terms in the order of ``blocks``: the builtin ``map``
+    evaluates them one after another, a thread pool's ``map`` several at
+    once.  Either way the terms are summed in that order, so the result
+    does not depend on which evaluates them.
 
     Returns the value and the profiled noise variance, and writes the
     gradient in the four log parameters into ``grad`` when it is given.
@@ -889,57 +966,18 @@ def _variance_negloglik(
     outer_traces = np.zeros(2)
     warp_inv = np.zeros((m, m))
     warp_outer = np.zeros((m, m))
-    for key, cols in blocks.items():
-        n_grids, n_blocks, _, n = cols.shape
-        # The stack's n x n arrays dominate its memory: at most two are alive.
-        kernel, slope = matern_distinct(curve_cov, grids[key])
-        index = grids[key].index
-        c_inv = kernel[index]
-        del kernel
-        diag = np.arange(n)
-        c_inv[:, diag, diag] += 1.0
-        try:
-            c_inv, c_logdets = spd_inverses(c_inv)
-        except NumericalError:
+    stack_sums = partial(_stack_sums, curve_cov, h_inv, h_logdet)
+    for sums in map_stacks(stack_sums, [grids[key] for key in blocks], blocks.values()):
+        if sums is None:
             return failed
-        solved = cols @ c_inv[:, None]
-        gram = np.einsum("gkin,gkjn->gkij", cols, solved)
-        g_mat = gram[:, :, 1:, 1:]
-        caps = h_inv + g_mat
-        signs, cap_logdets = np.linalg.slogdet(caps)
-        if np.any(signs <= 0):
-            return failed
-        cap_inv = np.linalg.inv(caps)
-        cross = gram[:, :, 1:, 0]
-        beta = np.einsum("gkij,gkj->gki", cap_inv, cross)
-        quads = gram[:, :, 0, 0] - np.einsum("gki,gki->gk", cross, beta)
-        quad_sum += float(np.sum(np.maximum(quads, 0.0)))
-        logdet_sum += (
-            n_blocks * float(np.sum(c_logdets))
-            + quads.size * h_logdet
-            + float(np.sum(cap_logdets))
-        )
-        n_tot += quads.size * n
-
-        d_s = slope[index]
-        x_gram = np.einsum("gkin,gkjn->gkij", solved, solved)
-        d_gram = np.einsum("gkin,gkjn->gkij", solved, solved @ d_s[:, None])
-        e = np.concatenate([np.ones((n_grids, n_blocks, 1)), -beta], axis=2)
-        proj = cross - np.einsum("gkij,gkj->gki", g_mat, beta)
-        inv_traces += (
-            n_blocks * float(np.sum(n - np.einsum("gii->g", c_inv)))
-            - float(np.einsum("gkij,gkji->", cap_inv, g_mat - x_gram[:, :, 1:, 1:])),
-            n_blocks * float(np.einsum("gij,gij->", c_inv, d_s))
-            - float(np.einsum("gkij,gkji->", cap_inv, d_gram[:, :, 1:, 1:])),
-        )
-        outer_traces += (
-            float(np.sum(quads - np.einsum("gki,gki->gk", beta, proj)))
-            - float(np.einsum("gki,gkij,gkj->", e, x_gram, e)),
-            float(np.einsum("gki,gkij,gkj->", e, d_gram, e)),
-        )
-        warp_inv += np.einsum("gkij->ij", g_mat - g_mat @ cap_inv @ g_mat)
-        warp_outer += np.einsum("gki,gkj->ij", proj, proj)
-        del c_inv, d_s, slope
+        quad, logdet, n_obs, inv, outer, w_inv, w_outer = sums
+        quad_sum += quad
+        logdet_sum += logdet
+        n_tot += n_obs
+        inv_traces += inv
+        outer_traces += outer
+        warp_inv += w_inv
+        warp_outer += w_outer
     loglik, sigma2 = profile_loglik_parts(quad_sum, logdet_sum, n_tot)
     if not np.isfinite(loglik):
         return failed
@@ -978,6 +1016,13 @@ def fit_variance(
     and the (initial, final) log likelihood.  A stop short of convergence
     (at ``maxiter`` or on a failed line search) is logged, and so is each
     parameter that ends on its box bound.
+
+    With at least two stacks and two usable CPUs, each evaluation runs its
+    stacks on a thread pool of one worker per stack, up to the number of
+    CPUs this process may run on; it is closed before the call returns.
+    The stacks' kernels and factorizations run in native code that
+    releases the interpreter lock.  Their terms are summed in stack order,
+    so the result does not depend on the number of CPUs.
     """
     anchors = np.asarray(anchors, dtype=float)
     by_grid, resid = {}, {}
@@ -999,6 +1044,13 @@ def fit_variance(
     blocks = {key: np.array([c for _, c in stack]) for key, stack in stacks.items()}
     anchor_dists = GridDistances.of(anchors[1:-1])
     smooth_curve, smooth_warp = var_init.curve_cov.smoothness, var_init.warp_cov.smoothness
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    workers = min(len(stacks), cpus)
+    pooled = workers > 1
+    _log.debug(
+        "variance step: %d stacks on %d worker threads", len(stacks), workers if pooled else 0
+    )
 
     # The latest evaluation, so that the start (which L-BFGS-B evaluates
     # again) and the returned point are not evaluated twice.
@@ -1009,7 +1061,8 @@ def fit_variance(
         if "x" not in last or not np.array_equal(x, last["x"]):
             grad = np.empty(4)
             value, sigma2 = _variance_negloglik(
-                x, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad
+                x, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad,
+                map_stacks=map_stacks,
             )
             last.update(x=x.copy(), value=value, grad=grad, sigma2=sigma2)
         return last["value"], last["grad"].copy()
@@ -1028,23 +1081,26 @@ def fit_variance(
         ]
     )
     x0 = np.clip(x0, _LOG_LO, _LOG_HI)
-    f0, _ = objective(x0)
-    if f0 >= _BIG:
-        raise NumericalError("variance likelihood is not finite at the initial point")
-    res = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=list(zip(_LOG_LO, _LOG_HI)),
-        options={"maxiter": maxiter},
-    )
+    # futures.ThreadPoolExecutor imports its module on first use: serial fits skip it.
+    with futures.ThreadPoolExecutor(workers) if pooled else nullcontext() as pool:
+        map_stacks = pool.map if pooled else map
+        f0, _ = objective(x0)
+        if f0 >= _BIG:
+            raise NumericalError("variance likelihood is not finite at the initial point")
+        res = minimize(
+            objective,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(_LOG_LO, _LOG_HI)),
+            options={"maxiter": maxiter},
+        )
+        best = res.x if res.fun <= f0 else x0
+        objective(best)  # leaves the noise variance at ``best`` in ``last``
     if res.status != 0:
         _log.warning(
             "variance step stopped short after %d L-BFGS-B iterations: %s", res.nit, res.message
         )
-    best = res.x if res.fun <= f0 else x0
-    objective(best)  # leaves the noise variance at ``best`` in ``last``
     for name, value, lo, hi in zip(_VARIANCE_NAMES, best, _LOG_LO, _LOG_HI):
         if value <= lo or value >= hi:
             bound = np.exp(lo if value <= lo else hi)

@@ -3,7 +3,10 @@
 import functools
 import json
 import logging
+import os
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -804,13 +807,14 @@ def _panel_on_grids(grids, order, rng):
 
 
 def _likelihood_args(monkeypatch, panel, fitted, jac, w0):
-    """The arguments ``fit_variance`` hands to the likelihood, after the log parameters."""
+    """The positional arguments ``fit_variance`` hands to the likelihood, after the
+    log parameters: without ``map_stacks`` they evaluate the stacks serially."""
     seen = []
     original = registration._variance_negloglik
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         seen.append(args[1:])
-        return original(*args)
+        return original(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(registration, "_variance_negloglik", recorded)
@@ -957,6 +961,115 @@ def test_variance_negloglik_evaluates_each_stack_once(monkeypatch):
     assert value < registration._BIG
     assert kernels == factored == [(3, 24, 24), (1, 16, 16), (1, 16, 16)]
     assert calls == {"half_solve": 0, "solve": 1}
+
+
+@functools.cache
+def _jittered_grid_panel():
+    """30 subjects, each on its own 60-point grid jittered by 0.002, as in perfbench's
+    irregular workload: the default byte budget stacks them 9, 9, 9 and 3."""
+    rng = np.random.default_rng(89)
+    base = np.linspace(0.0, 1.0, 60)
+    grids = [np.clip(base + rng.uniform(-0.002, 0.002, 60), 0.0, 1.0) for _ in range(30)]
+    return _panel_on_grids(grids, range(30), rng)
+
+
+def _evaluations(args, map_stacks=map):
+    """Value, noise variance and gradient at each of ``_LOG_POINTS``, as bytes."""
+    out = []
+    for log_params in _LOG_POINTS:
+        grad = np.empty(4)
+        value, sigma2 = registration._variance_negloglik(
+            log_params, *args[:5], grad, map_stacks=map_stacks
+        )
+        assert value < registration._BIG
+        out.append([value, sigma2, *grad])
+    return np.array(out).tobytes()
+
+
+@pytest.mark.parametrize("stack_bytes, n_stacks", [(None, 4), (8 * 60 * 60, 30)])
+def test_pooled_variance_negloglik_is_the_serial_one(monkeypatch, stack_bytes, n_stacks):
+    if stack_bytes is not None:
+        monkeypatch.setattr(registration, "_STACK_BYTES", stack_bytes)
+    args = _likelihood_args(monkeypatch, *_jittered_grid_panel())
+    assert len(args[3]) == n_stacks
+    with ThreadPoolExecutor(2) as pool:
+        assert _evaluations(args, pool.map) == _evaluations(args)
+
+
+def _cpus(monkeypatch, source, count):
+    """Make ``count`` CPUs usable, read from ``sched_getaffinity`` or, without it, ``cpu_count``."""
+    if source == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def _kernel_threads(monkeypatch) -> list:
+    """The thread of every stack kernel evaluation, and the live thread count then."""
+    seen = []
+    original = registration.matern_distinct
+
+    def recorded(params, dists):
+        seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+        return original(params, dists)
+
+    monkeypatch.setattr(registration, "matern_distinct", recorded)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "source, count, workers", [("affinity", 1, 0), ("affinity", 2, 2), ("cpu_count", 2, 2)]
+)
+def test_fit_variance_is_the_same_on_any_number_of_cpus(
+    monkeypatch, caplog, source, count, workers
+):
+    panel, fitted, jac, w0 = _jittered_grid_panel()
+    with monkeypatch.context() as patch:
+        _cpus(patch, "affinity", 1)
+        serial = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=10)
+    _cpus(monkeypatch, source, count)
+    seen = _kernel_threads(monkeypatch)
+    threads = threading.active_count()
+    with caplog.at_level(logging.DEBUG, logger="warpclass.registration"):
+        assert fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=10) == serial
+    assert threading.active_count() == threads  # the pool is closed
+    assert {on_main for on_main, _ in seen} == ({True} if workers == 0 else {False})
+    debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert debug == [f"variance step: 4 stacks on {workers} worker threads"]
+
+
+def test_a_one_stack_panel_starts_no_thread(monkeypatch):
+    panel, means, warps, basis = _variance_fixture(73)
+    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+    _cpus(monkeypatch, "affinity", 2)
+    seen = _kernel_threads(monkeypatch)
+    threads = threading.active_count()
+    fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=3)
+    assert seen and set(seen) == {(True, threads)}
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("broken", [24, 16])
+def test_an_unfactorable_stack_fails_through_the_pool(monkeypatch, broken):
+    # the 24-point stack comes first and the two 16-point ones after it
+    args = _stacked_grid_args()
+    original = registration.spd_inverses
+
+    def failing(mats):
+        if mats.shape[-1] == broken:
+            raise NumericalError("not positive definite")
+        return original(mats)
+
+    monkeypatch.setattr(registration, "spd_inverses", failing)
+    with ThreadPoolExecutor(2) as pool:
+        for map_stacks in (map, pool.map):
+            grad = np.ones(4)
+            value, sigma2 = registration._variance_negloglik(
+                _LOG_POINTS[0], *args[:5], grad, map_stacks=map_stacks
+            )
+            assert value == registration._BIG and np.isnan(sigma2)
+            assert np.array_equal(grad, np.zeros(4))
 
 
 @settings(max_examples=40, deadline=None)
