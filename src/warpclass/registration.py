@@ -1022,7 +1022,10 @@ def fit_variance(
     CPUs this process may run on; it is closed before the call returns.
     The stacks' kernels and factorizations run in native code that
     releases the interpreter lock.  Their terms are summed in stack order,
-    so the result does not depend on the number of CPUs.
+    so the result does not depend on the number of CPUs.  The CPUs counted
+    are the process's affinity set, not a cgroup CPU quota: under a quota
+    of one CPU on a many-core host the workers share that CPU, which costs
+    speed, not results.
     """
     anchors = np.asarray(anchors, dtype=float)
     by_grid, resid = {}, {}

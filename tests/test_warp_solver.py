@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -83,8 +84,32 @@ def _residuals(prob, u):
     return (r[0], jac[0], second[0]) if ok[0] else None
 
 
-def _check_jacobian(base, u) -> int:
-    """Compare J, and J'J + S, with central differences; returns the columns compared.
+def _half_grad(res):
+    """J'r of a ``_residuals`` triple."""
+    return res[1].T @ res[0]
+
+
+def _crosses_knot(prob, points) -> bool:
+    """Whether a warped grid time passes an interior mean-spline knot among the offsets ``points``.
+
+    The warp is smooth in the offsets away from slope-filter switches, so
+    over a stencil a few 1e-6 wide a warped time stays between its values
+    at the stencil's points.
+    """
+    t = np.linspace(0.0, 1.0, prob.grids[0].values.shape[2])
+    warped = []
+    for p in points:
+        ords = prob.base[0].copy()
+        ords[1:-1] += p
+        warped.append(hyman_interp(prob.anchors, ords)(t))
+    lo, hi = np.min(warped, axis=0)[:, None], np.max(warped, axis=0)[:, None]
+    knots = np.unique(prob.mean.t)
+    knots = knots[(knots > 0.0) & (knots < 1.0)]
+    return bool(np.any((lo <= knots) & (knots <= hi)))
+
+
+def _check_jacobian(base, u, hess_error=0.0) -> int:
+    """Compare J, and J'J + S, with finite differences; returns the columns compared.
 
     Column m of J is compared with the central difference of r in u_m, and
     column m of J'J + S with that of the half gradient J'r.  A column is
@@ -93,17 +118,19 @@ def _check_jacobian(base, u) -> int:
 
     The mean spline's third derivative jumps at its knots, so the derivative
     of J'J + S jumps where a warped time crosses one, and a central
-    difference across that crossing is only first order in the step.  So
-    J'J + S may instead match a second-order one-sided difference of J'r:
-    the forward and backward stencils meet only at u, and at most one of
-    them holds the crossing.
+    difference across that crossing is only first order in the step.  Only
+    where ``_crosses_knot`` finds such a crossing in the central stencil is
+    J'J + S compared instead with a second-order one-sided difference of
+    J'r (stencil u, u±e, u±2e), on a side whose stencil holds no crossing;
+    a column with a crossing on both sides is skipped.  ``hess_error``
+    scales J'J + S by 1 + hess_error, to see that the check fails.
     """
     prob = _problem(base)
     out = _residuals(prob, u)
     if out is None:
         return 0  # u pushed the ordinates out of order
     r, jac, second = out
-    hess = jac.T @ jac + second
+    hess = (jac.T @ jac + second) * (1.0 + hess_error)
     eps = 1e-6
     checked = 0
     for m in range(len(u)):
@@ -120,14 +147,20 @@ def _check_jacobian(base, u) -> int:
         central = (up[0] - dn[0]) / (2 * eps)
         scale = max(1.0, np.max(np.abs(central)))
         assert np.max(np.abs(jac[:, m] - central)) < 1e-6 * scale
-        diffs = [(up[1].T @ up[0] - dn[1].T @ dn[0]) / (2 * eps)]
-        for sign, near in ((1, up), (-1, dn)):
-            far = _residuals(prob, u + 2 * sign * e)
-            if far is not None:
-                sided = 4 * near[1].T @ near[0] - 3 * jac.T @ r - far[1].T @ far[0]
-                diffs.append(sign * sided / (2 * eps))
-        errs = [np.max(np.abs(hess[:, m] - d)) / max(1.0, np.max(np.abs(d))) for d in diffs]
-        assert min(errs) < 1e-6
+        if not _crosses_knot(prob, [u - e, u, u + e]):
+            diff = (_half_grad(up) - _half_grad(dn)) / (2 * eps)
+        else:
+            diff = None
+            for sign, near in ((1, up), (-1, dn)):
+                far = _residuals(prob, u + 2 * sign * e)
+                if far is not None and not _crosses_knot(prob, [u, u + sign * e, u + 2 * sign * e]):
+                    sided = 4 * _half_grad(near) - 3 * _half_grad(out) - _half_grad(far)
+                    diff = sign * sided / (2 * eps)
+                    break
+            if diff is None:
+                continue
+        scale = max(1.0, np.max(np.abs(diff)))
+        assert np.max(np.abs(hess[:, m] - diff)) < 1e-6 * scale
         checked += 1
     return checked
 
@@ -155,6 +188,42 @@ def test_jacobian_on_the_zero_and_capped_slope_branches():
 def test_warp_jacobian_matches_central_differences(steps, u):
     base = np.concatenate([[0.0], np.cumsum(steps)])
     _check_jacobian(base / base[-1], np.asarray(u))
+
+
+@pytest.mark.parametrize(
+    "base, u", [(ANCHORS, [0.01, -0.02]), (BRANCHY, [0.004, -0.006]), (ANCHORS, [0.0, 0.0])]
+)
+@pytest.mark.parametrize("hess_error", [1e-5, -1e-5])
+def test_the_hessian_check_fails_on_a_hessian_wrong_by_1e_5(base, u, hess_error):
+    u = np.asarray(u)
+    prob = _problem(base)
+    for e in 1e-6 * np.eye(2):
+        assert not _crosses_knot(prob, [u - e, u, u + e])
+    with pytest.raises(AssertionError):
+        _check_jacobian(base, u, hess_error)
+
+
+def test_the_hessian_check_takes_a_one_sided_difference_where_a_warped_time_crosses_a_knot():
+    # u_0 at which grid time 12/29 of the identity warp is warped just above the knot at 0.4
+    prob = _problem(ANCHORS)
+    t12 = 12 / 29
+    lo, hi = -0.05, 0.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        ords = ANCHORS + np.array([0.0, mid, 0.0, 0.0])
+        lo, hi = (lo, mid) if hyman_interp(ANCHORS, ords)(np.array([t12]))[0] > 0.4 else (mid, hi)
+    u, e = np.array([hi, 0.0]), np.array([1e-6, 0.0])
+    assert _crosses_knot(prob, [u - e, u, u + e])
+    assert not _crosses_knot(prob, [u, u + e, u + 2 * e])
+    # the central difference of J'r misses column 0 of J'J + S by more than the bound
+    _, jac, second = _residuals(prob, u)
+    central = (_half_grad(_residuals(prob, u + e)) - _half_grad(_residuals(prob, u - e))) / 2e-6
+    miss = np.max(np.abs((jac.T @ jac + second)[:, 0] - central))
+    assert miss > 1e-6 * max(1.0, np.max(np.abs(central)))
+    assert _check_jacobian(ANCHORS, u) == 2
+    for hess_error in (1e-5, -1e-5):
+        with pytest.raises(AssertionError):
+            _check_jacobian(ANCHORS, u, hess_error)
 
 
 def test_mean_splines_give_two_derivatives_and_zero_curvature_when_piecewise_linear():
