@@ -221,6 +221,7 @@ def cmd_fit(args) -> int:
             "warp_opt_converged_fraction": reg_fit.warp_opt_converged_fraction,
             "warp_steps_reverted": reg_fit.warp_steps_reverted,
             "warp_evaluations": reg_fit.warp_evaluations,
+            "variance_evaluations": reg_fit.variance_evaluations,
             "noise_sd": reg_fit.var.noise_sd,
         },
         "classifier": {

@@ -12,8 +12,9 @@ Fitting alternates three conditional steps: generalized least squares for
 the basis weights, damped Newton steps for the warp anchors (the warp part
 of the objective is a sum of squares whose Jacobian and second-order term
 are analytic, so the solver has the exact Hessian), and maximum likelihood
-for the variance parameters on a linearized model (bounded L-BFGS-B on the
-analytic gradient of the profiled likelihood).
+for the variance parameters on a linearized model (Newton steps projected
+on a box, with the analytic gradient of the profiled likelihood and its
+average-information matrix).
 The basis-weight step is one GLS pass: each warp and variance state
 gets one set of per-group normal equations (``gls_normals``), from which
 the shared weights, the group deviations and the ridge weight are solved.
@@ -51,7 +52,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 from scipy.interpolate import BSpline
-from scipy.optimize import minimize
+from scipy.linalg import cho_solve
+# Unused here: perfbench/tracing.py wraps registration.minimize by name.
+from scipy.optimize import minimize  # noqa: F401
 
 from .basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
 from .codec import decode, encode
@@ -61,6 +64,7 @@ from .gp import (
     CholFactor,
     GridDistances,
     MaternParams,
+    chol_lower,
     matern_cov,
     matern_cov_grad,
     matern_distinct,
@@ -88,6 +92,12 @@ _GRID_FACTORS_KEPT = 8
 _RIDGE_ITERS = 200
 _RIDGE_TOL = 1e-10
 _RIDGE_MAX = 1e12
+# Variance solver (_projected_newton): L-BFGS-B's default stopping rules, the
+# largest projected gradient entry and the relative decrease of one step
+# (factr 1e7 times the machine epsilon), and the step halvings it tries.
+_VAR_PGTOL = 1e-5
+_VAR_FTOL = 1e7 * np.finfo(float).eps
+_VAR_HALVINGS = 30
 # Bytes of one n x n array over a stack of grids in the variance likelihood;
 # more grids of one shape make several stacks, which bounds its memory: with
 # W worker threads, the arrays of up to W stacks are alive at once.
@@ -831,15 +841,17 @@ _LOG_HI = np.log([1e3, 5.0, 1e3, 5.0])
 _VARIANCE_NAMES = ("curve amplitude", "curve length scale", "warp amplitude", "warp length scale")
 
 
-def _stack_sums(curve_cov, h_inv, h_logdet, dists, cols):
-    """One stack's terms of the variance likelihood and of its gradient.
+def _stack_sums(curve_cov, h_inv, h_grads, h_logdet, dists, cols):
+    """One stack's terms of the variance likelihood, its gradient and its AI matrix.
 
     ``dists`` is the stack's ``GridDistances.stack`` and ``cols`` its
     [r, B] rows (``_variance_negloglik``), ``h_inv`` and ``h_logdet`` the
-    warp kernel's inverse and log determinant.  Returns the stack's sums of
+    warp kernel's inverse and log determinant, and ``h_grads`` its
+    derivatives in the two warp log parameters.  Returns the stack's sums of
     r' V^-1 r and of log det V, its number of observations, the traces of
-    V^-1 and of a a' against (S, dS), and the m x m sums of B' V^-1 B and
-    B' a a' B; None where a factorization fails.
+    V^-1 and of a a' against (S, dS), the m x m sums of B' V^-1 B and
+    B' a a' B, and the 4 x 4 sum of (dV_p a)' V^-1 (dV_q a); None where a
+    factorization fails.
 
     It may run on a worker thread, so it calls only ``matern_distinct``,
     ``spd_inverses`` and numpy: a tracer that wraps module names such as
@@ -877,7 +889,8 @@ def _stack_sums(curve_cov, h_inv, h_logdet, dists, cols):
 
     d_s = slope[dists.index]
     x_gram = np.einsum("gkin,gkjn->gkij", solved, solved)
-    d_gram = np.einsum("gkin,gkjn->gkij", solved, solved @ d_s[:, None])
+    d_rows = solved @ d_s[:, None]
+    d_gram = np.einsum("gkin,gkjn->gkij", solved, d_rows)
     e = np.concatenate([np.ones((n_grids, n_blocks, 1)), -beta], axis=2)
     proj = cross - np.einsum("gkij,gkj->gki", g_mat, beta)
     inv_traces = (
@@ -893,12 +906,34 @@ def _stack_sums(curve_cov, h_inv, h_logdet, dists, cols):
     )
     warp_inv = np.einsum("gkij->ij", g_mat - g_mat @ cap_inv @ g_mat)
     warp_outer = np.einsum("gki,gkj->ij", proj, proj)
-    return quad, logdet, quads.size * n, inv_traces, outer_traces, warp_inv, warp_outer
+
+    # The average-information terms v_p' V^-1 v_q of v = dV a.  The curve
+    # parameters' v are S a = [r, B] e - a and dS a = (X dS)' e, whose C^-1
+    # is one small product per block; the warp parameters' are B w
+    # with w = dH B'a, whose C^-1 is Y w for Y = C^-1 B.  With V^-1 = C^-1 -
+    # Y cap^-1 Y', all four then need only the m-vectors q = Y' v.
+    a = np.einsum("gki,gkin->gkn", e, solved)
+    curve_v = np.stack(
+        [np.einsum("gki,gkin->gkn", e, cols) - a, np.einsum("gki,gkin->gkn", e, d_rows)], axis=2
+    )
+    curve_z = curve_v @ c_inv[:, None]
+    w = np.einsum("pij,gkj->gkpi", h_grads, proj)
+    q = np.concatenate([curve_v @ solved[:, :, 1:].swapaxes(2, 3), w @ g_mat], axis=2)
+    # v_p' C^-1 v_q for a warp q is q_p' w_q: rows 0-1 pair the curve
+    # parameters with the warp ones, rows 2-3 the warp ones with each other
+    with_warp = np.einsum("gkpi,gkqi->pq", q, w)
+    ai = np.block(
+        [
+            [np.einsum("gkpn,gkqn->pq", curve_v, curve_z), with_warp[:2]],
+            [with_warp[:2].T, with_warp[2:]],
+        ]
+    ) - np.einsum("gkpi,gkqi->pq", q @ cap_inv, q)
+    return quad, logdet, quads.size * n, inv_traces, outer_traces, warp_inv, warp_outer, ai
 
 
 def _variance_negloglik(
     log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad=None,
-    map_stacks=map,
+    map_stacks=map, ai=None,
 ):
     """Profiled negative Gaussian log likelihood of the linearized model.
 
@@ -938,14 +973,23 @@ def _variance_negloglik(
     once.  Either way the terms are summed in that order, so the result
     does not depend on which evaluates them.
 
+    The average-information (AI) matrix (Gilmour, Thompson & Cullis 1995)
+    of the four log parameters, with sigma2 removed by its Schur
+    complement, is AI_pq = (dV_p a)' V^-1 (dV_q a) / (2 sigma2) - (a' dV_p
+    a)(a' dV_q a) / (2 n sigma2^2) at sigma2 = r' V^-1 r / n.  Its second
+    term reuses the gradient's a' dV a; ``_stack_sums`` forms the first.
+    It is positive semidefinite and approximates the Hessian of the value.
+
     Returns the value and the profiled noise variance, and writes the
-    gradient in the four log parameters into ``grad`` when it is given.
-    Where a factorization fails the value is ``_BIG``, the variance NaN
-    and the gradient zero.
+    gradient in the four log parameters into ``grad`` and the AI matrix
+    into ``ai`` when they are given.  Where a factorization fails the value
+    is ``_BIG``, the variance NaN, and the gradient and AI matrix zero.
     """
     amp_s, rg_s, amp_h, rg_h = np.exp(np.asarray(log_params, dtype=float))
     if grad is not None:
         grad[:] = 0.0
+    if ai is not None:
+        ai[:] = 0.0
     failed = (_BIG, float("nan"))
     curve_cov = MaternParams(amp_s, rg_s, smooth_curve)
     h_kernels = matern_cov_grad(MaternParams(amp_h, rg_h, smooth_warp), anchor_dists)
@@ -954,6 +998,7 @@ def _variance_negloglik(
     except NumericalError:
         return failed
     m = len(h_kernels[0])
+    h_grads = np.stack(h_kernels)
     h_inv = h_fac.solve(np.eye(m))
     h_logdet = h_fac.logdet()
     quad_sum = 0.0
@@ -966,11 +1011,12 @@ def _variance_negloglik(
     outer_traces = np.zeros(2)
     warp_inv = np.zeros((m, m))
     warp_outer = np.zeros((m, m))
-    stack_sums = partial(_stack_sums, curve_cov, h_inv, h_logdet)
+    ai_sum = np.zeros((4, 4))
+    stack_sums = partial(_stack_sums, curve_cov, h_inv, h_grads, h_logdet)
     for sums in map_stacks(stack_sums, [grids[key] for key in blocks], blocks.values()):
         if sums is None:
             return failed
-        quad, logdet, n_obs, inv, outer, w_inv, w_outer = sums
+        quad, logdet, n_obs, inv, outer, w_inv, w_outer, ai_part = sums
         quad_sum += quad
         logdet_sum += logdet
         n_tot += n_obs
@@ -978,14 +1024,63 @@ def _variance_negloglik(
         outer_traces += outer
         warp_inv += w_inv
         warp_outer += w_outer
+        ai_sum += ai_part
     loglik, sigma2 = profile_loglik_parts(quad_sum, logdet_sum, n_tot)
     if not np.isfinite(loglik):
         return failed
     if grad is not None:
         grad[:2] = 0.5 * (inv_traces - outer_traces / sigma2)
         warp = 0.5 * (warp_inv - warp_outer / sigma2)
-        grad[2:] = np.einsum("ij,pij->p", warp, np.stack(h_kernels))
+        grad[2:] = np.einsum("ij,pij->p", warp, h_grads)
+    if ai is not None:
+        outer = np.concatenate([outer_traces, np.einsum("ij,pij->p", warp_outer, h_grads)])
+        ai[:] = (ai_sum + ai_sum.T) / (4.0 * sigma2) - np.outer(outer, outer) / (
+            2.0 * n_tot * sigma2**2
+        )
     return -loglik, sigma2
+
+
+def _projected_newton(evaluate, x, point, maxiter: int) -> tuple:
+    """Minimize over the box ``_LOG_LO``..``_LOG_HI`` by projected Newton steps.
+
+    ``evaluate(x)`` returns a tuple that starts with the value, its
+    gradient and a positive semidefinite curvature matrix; ``point`` is its
+    evaluation at the start ``x``, which lies in the box.  Each iteration
+    fixes the parameters that sit on a bound with the gradient pointing out
+    of the box, takes the Newton step in the others (a Cholesky factor with
+    a small ridge where the curvature is singular, ``chol_lower``), projects
+    it on the box and halves it until the value does not rise (Bertsekas
+    1982, *SIAM J. Control Optim.* 20:221-246).
+    It stops on L-BFGS-B's default tests: the largest projected gradient
+    entry at most ``_VAR_PGTOL``, or a relative decrease at most
+    ``_VAR_FTOL``.
+
+    Returns the last accepted point and its evaluation, the iterations and
+    the evaluations it made, and why it stopped short: None when it converged.
+    """
+    n_iter = n_evals = 0
+    while True:
+        value, grad, curvature = point[:3]
+        if np.max(np.abs(np.clip(x - grad, _LOG_LO, _LOG_HI) - x)) <= _VAR_PGTOL:
+            return x, point, n_iter, n_evals, None
+        if n_iter == maxiter:
+            return x, point, n_iter, n_evals, "iteration cap reached"
+        n_iter += 1
+        free = ~(((x <= _LOG_LO) & (grad > 0)) | ((x >= _LOG_HI) & (grad < 0)))
+        step = np.zeros_like(x)
+        low = chol_lower(curvature[np.ix_(free, free)])
+        step[free] = cho_solve((low, True), -grad[free])
+        for halving in range(_VAR_HALVINGS):
+            trial = np.clip(x + 0.5**halving * step, _LOG_LO, _LOG_HI)
+            new = evaluate(trial)
+            n_evals += 1
+            if new[0] <= value:
+                break
+        else:
+            return x, point, n_iter, n_evals, "no step along the Newton direction lowered it"
+        x, point = trial, new
+        if value - new[0] <= _VAR_FTOL * max(abs(value), abs(new[0]), 1.0):
+            return x, point, n_iter, n_evals, None
 
 
 def fit_variance(
@@ -996,13 +1091,14 @@ def fit_variance(
     var_init: VarianceParams,
     anchors,
     maxiter: int = 100,
-) -> tuple[VarianceParams, tuple]:
+) -> tuple[VarianceParams, tuple, int]:
     """Maximize the profiled likelihood over the four covariance parameters.
 
-    Bounded L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) in log space over
+    Projected Newton steps (``_projected_newton``) in log space over
     (curve amplitude, curve range, warp amplitude, warp range) on the box
     ``_LOG_LO``..``_LOG_HI``, with the analytic gradient of
-    ``_variance_negloglik`` and at most ``maxiter`` iterations.  The two
+    ``_variance_negloglik`` and its average-information matrix as the
+    curvature, and at most ``maxiter`` iterations.  The two
     smoothness orders stay fixed and the noise variance is profiled out in
     closed form.  The residuals and Jacobians are gathered once per call
     into stacks: the distinct grids of one length that carry the same
@@ -1012,10 +1108,11 @@ def fit_variance(
     stacks in order of their first grid.  Each stack's pair distances are
     grouped once (``GridDistances.stack``), so an evaluation makes one
     kernel evaluation and one batched factorization per stack.  The start
-    is data-driven and projected into the box.  Returns the updated parameters
-    and the (initial, final) log likelihood.  A stop short of convergence
-    (at ``maxiter`` or on a failed line search) is logged, and so is each
-    parameter that ends on its box bound.
+    is data-driven and projected into the box.  Returns the updated
+    parameters, the (initial, final) log likelihood and the number of
+    likelihood evaluations.  A stop short of convergence (at ``maxiter``
+    or when no step along the Newton direction raises the likelihood) is
+    logged, and so is each parameter that ends on its box bound.
 
     With at least two stacks and two usable CPUs, each evaluation runs its
     stacks on a thread pool of one worker per stack, up to the number of
@@ -1025,7 +1122,10 @@ def fit_variance(
     so the result does not depend on the number of CPUs.  The CPUs counted
     are the process's affinity set, not a cgroup CPU quota: under a quota
     of one CPU on a many-core host the workers share that CPU, which costs
-    speed, not results.
+    speed, not results.  Each worker's OpenBLAS may start threads of its
+    own: on two cores, fits on jittered 60-point grids took 0.83-0.92 s
+    at ``OPENBLAS_NUM_THREADS=1`` and 1.00-1.23 s at 2, with equal
+    results.  Set ``OPENBLAS_NUM_THREADS=1`` for the faster fit.
     """
     anchors = np.asarray(anchors, dtype=float)
     by_grid, resid = {}, {}
@@ -1055,21 +1155,6 @@ def fit_variance(
         "variance step: %d stacks on %d worker threads", len(stacks), workers if pooled else 0
     )
 
-    # The latest evaluation, so that the start (which L-BFGS-B evaluates
-    # again) and the returned point are not evaluated twice.
-    last = {}
-
-    def objective(log_params):
-        x = np.asarray(log_params, dtype=float)
-        if "x" not in last or not np.array_equal(x, last["x"]):
-            grad = np.empty(4)
-            value, sigma2 = _variance_negloglik(
-                x, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad,
-                map_stacks=map_stacks,
-            )
-            last.update(x=x.copy(), value=value, grad=grad, sigma2=sigma2)
-        return last["value"], last["grad"].copy()
-
     # Data-driven start for the curve amplitude: residual variance in excess
     # of the assumed noise floor, in units of the noise variance.
     sig0 = max(var_init.noise_sd, 1e-6)
@@ -1087,23 +1172,21 @@ def fit_variance(
     # futures.ThreadPoolExecutor imports its module on first use: serial fits skip it.
     with futures.ThreadPoolExecutor(workers) if pooled else nullcontext() as pool:
         map_stacks = pool.map if pooled else map
-        f0, _ = objective(x0)
-        if f0 >= _BIG:
+
+        def evaluate(log_params):
+            grad, ai = np.empty(4), np.empty((4, 4))
+            value, sigma2 = _variance_negloglik(
+                log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad,
+                map_stacks=map_stacks, ai=ai,
+            )
+            return value, grad, ai, sigma2
+
+        start = evaluate(x0)
+        if start[0] >= _BIG:
             raise NumericalError("variance likelihood is not finite at the initial point")
-        res = minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(_LOG_LO, _LOG_HI)),
-            options={"maxiter": maxiter},
-        )
-        best = res.x if res.fun <= f0 else x0
-        objective(best)  # leaves the noise variance at ``best`` in ``last``
-    if res.status != 0:
-        _log.warning(
-            "variance step stopped short after %d L-BFGS-B iterations: %s", res.nit, res.message
-        )
+        best, point, n_iter, n_evals, short = _projected_newton(evaluate, x0, start, maxiter)
+    if short is not None:
+        _log.warning("variance step stopped short after %d Newton iterations: %s", n_iter, short)
     for name, value, lo, hi in zip(_VARIANCE_NAMES, best, _LOG_LO, _LOG_HI):
         if value <= lo or value >= hi:
             bound = np.exp(lo if value <= lo else hi)
@@ -1111,8 +1194,8 @@ def fit_variance(
     amp_s, rg_s, amp_h, rg_h = np.exp(best)
     curve_cov = replace(var_init.curve_cov, amplitude=amp_s, length_scale=rg_s)
     warp_cov = replace(var_init.warp_cov, amplitude=amp_h, length_scale=rg_h)
-    out = VarianceParams(float(np.sqrt(last["sigma2"])), curve_cov, warp_cov)
-    return out, (-f0, -float(min(res.fun, f0)))
+    out = VarianceParams(float(np.sqrt(point[3])), curve_cov, warp_cov)
+    return out, (-start[0], -point[0]), 1 + n_evals
 
 
 # ---------------------------------------------------------------------------
@@ -1127,8 +1210,8 @@ class RegistrationConfig:
     (``estimate_ridge``); the weight itself is estimated with the
     variance parameters and stored on the fit.  ``warp_maxfun`` caps the
     residual evaluations of each warp solve (one subject, one group, or
-    one held-out subject's fit).  ``variance_maxiter`` caps the L-BFGS-B
-    iterations of each variance step (``fit_variance``).
+    one held-out subject's fit).  ``variance_maxiter`` caps the projected
+    Newton iterations of each variance step (``fit_variance``).
     """
 
     n_interior_knots: int = 8
@@ -1203,6 +1286,9 @@ class RegistrationFit:
     # summed over its warp steps); None in older artifacts, which did not
     # count them.
     warp_evaluations: int | None = None
+    # Likelihood evaluations of the fit's variance steps (fit_variance's
+    # count, summed over its steps); None in older artifacts.
+    variance_evaluations: int | None = None
 
     def __post_init__(self):
         if self.ridge_lambda is None:
@@ -1297,9 +1383,10 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
 
     def refresh_variance():
         """Variance step at the current means and warps, then what depends on it."""
-        nonlocal var, ctx, normals, lam
+        nonlocal var, ctx, normals, lam, n_var_evals
         fitted, jac, w0 = build_linearization(panel, means, warps, basis)
-        var, _ = fit_variance(panel, fitted, jac, w0, var, anchors, cfg.variance_maxiter)
+        var, _, n_step = fit_variance(panel, fitted, jac, w0, var, anchors, cfg.variance_maxiter)
+        n_var_evals += n_step
         ctx = build_context(panel, basis, anchors, var)
         normals = gls_normals(panel, warps, ctx, designs)
         lam = estimate_ridge(normals, means.shared, var.noise_sd, lam)
@@ -1312,6 +1399,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
     lam = estimate_ridge(normals, c_init, var.noise_sd, cfg.ridge_lambda)
     d_init, c_init = estimate_d(normals, c_init, lam)
     means = MeanWeights(c_init, d_init)
+    n_var_evals = 0
     refresh_variance()
 
     trace_phases: list = [[]]
@@ -1365,6 +1453,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
         ridge_lambda=lam,
         warp_steps_reverted=n_reverted,
         warp_evaluations=n_evals,
+        variance_evaluations=n_var_evals,
     )
 
 

@@ -137,6 +137,8 @@ def test_fit_writes_artifacts_and_report(pipeline):
     assert 0.0 <= report["registration"]["warp_opt_converged_fraction"] <= 1.0
     assert report["registration"]["warp_steps_reverted"] == 0
     assert report["registration"]["warp_evaluations"] >= 1
+    registration = json.loads((pipeline.fit / "registration.json").read_text())
+    assert report["registration"]["variance_evaluations"] == registration["fit"]["variance_evaluations"] >= 1
     # the persisted config holds exactly the run's settings
     assert set(report["run_config"]) == {f.name for f in fields(RunConfig)}
     assert report["run_config"]["k_e"] == 3

@@ -19,7 +19,7 @@ from warpclass import registration
 from warpclass.basis import BSplineBasis, hyman_interp, hyman_slopes
 from warpclass.curves import CurvePanel, ScalarRecord, SubjectCurve
 from warpclass.errors import DataError, NumericalError
-from warpclass.gp import CholFactor, MaternParams, matern_cov
+from warpclass.gp import CholFactor, GridDistances, MaternParams, matern_cov, matern_cov_grad
 from warpclass.registration import (
     _LOG_HI,
     _LOG_LO,
@@ -733,7 +733,7 @@ def test_fit_variance_recovers_noise_scale():
     for seed in (61, 67, 71):
         panel, means, warps, basis = _variance_fixture(seed)
         fitted, jac, w0 = build_linearization(panel, means, warps, basis)
-        var, (ll0, ll1) = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=80)
+        var, (ll0, ll1), _ = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=80)
         assert ll1 >= ll0 - 1e-9
         estimates.append(var.noise_sd)
     assert 0.01 <= float(np.median(estimates)) <= 0.04
@@ -744,7 +744,7 @@ def test_fit_variance_noise_is_the_dense_profiled_estimate(caplog):
     panel, means, warps, basis = _variance_fixture(73)
     fitted, jac, w0 = build_linearization(panel, means, warps, basis)
     with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
-        var, _ = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=80)
+        var, _, _ = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=80)
     h_mat = matern_cov(var.warp_cov, ANCHORS[1:-1])
     quad, n_tot = 0.0, 0
     for c in panel.curves:
@@ -1129,56 +1129,190 @@ def _stacked_grid_args():
         return _likelihood_args(patch, *_stacked_grid_panel(range(6)))
 
 
-def _recorded_minimize(monkeypatch) -> list:
-    """Results of every ``minimize`` call the registration module makes."""
-    results = []
-    original = registration.minimize
+def _dense_average_information(panel, fitted, jac, w0, log_params):
+    """The AI matrix from explicit V = I + S + B H B', its derivatives dV_p and V^-1 per block."""
+    amp_s, rg_s, amp_h, rg_h = np.exp(log_params)
+    h_mat, dh_mat = matern_cov_grad(MaternParams(amp_h, rg_h, 1.5), GridDistances.of(ANCHORS[1:-1]))
+    products, outer = np.zeros((4, 4)), np.zeros(4)
+    quad, n_tot = 0.0, 0
+    for c in panel.curves:
+        s_mat, ds_mat = matern_cov_grad(MaternParams(amp_s, rg_s, 3.0), GridDistances.of(c.times))
+        for a in (0, 1):
+            b = jac[c.subject_id][a]
+            r = c.values[:, a] - fitted[c.subject_id][:, a] + b @ w0[c.subject_id]
+            v_inv = np.linalg.inv(np.eye(len(r)) + s_mat + b @ h_mat @ b.T)
+            alpha = v_inv @ r
+            dv_alpha = np.array([d @ alpha for d in (s_mat, ds_mat, b @ h_mat @ b.T, b @ dh_mat @ b.T)])
+            products += dv_alpha @ v_inv @ dv_alpha.T
+            outer += dv_alpha @ alpha
+            quad += float(r @ alpha)
+            n_tot += len(r)
+    sigma2 = quad / n_tot
+    return products / (2 * sigma2) - np.outer(outer, outer) / (2 * n_tot * sigma2**2)
 
-    def recorded(*args, **kwargs):
-        results.append(original(*args, **kwargs))
-        return results[-1]
 
-    monkeypatch.setattr(registration, "minimize", recorded)
-    return results
+@pytest.mark.parametrize("log_params", _LOG_POINTS)
+@pytest.mark.parametrize("panel_of", [_mixed_grid_panel, _stacked_grid_panel])
+def test_average_information_is_the_dense_one(monkeypatch, panel_of, log_params):
+    panel, fitted, jac, w0 = panel_of(range(6))
+    args = _likelihood_args(monkeypatch, panel, fitted, jac, w0)
+    ai = np.empty((4, 4))
+    assert registration._variance_negloglik(log_params, *args[:5], ai=ai)[0] < registration._BIG
+    want = _dense_average_information(panel, fitted, jac, w0, log_params)
+    assert np.max(np.abs(ai - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.array_equal(ai, ai.T)
+
+
+def _noiseless_variance_args(monkeypatch) -> tuple:
+    """The arguments of the noiseless panel's first variance step."""
+    seen = []
+    original = registration.fit_variance
+
+    def recorded(*args):
+        seen.append(args)
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(registration, "fit_variance", recorded)
+        fit_registration(_noiseless_panel(), RegistrationConfig(max_outer=1, n_variance_updates=0))
+    return seen[0][:6]
+
+
+def _evaluated_points(monkeypatch) -> list:
+    """(log parameters, value, gradient) of every likelihood evaluation."""
+    seen = []
+    original = registration._variance_negloglik
+
+    def recorded(log_params, *args, **kwargs):
+        out = original(log_params, *args, **kwargs)
+        seen.append((np.array(log_params), out[0], args[5].copy()))
+        return out
+
+    monkeypatch.setattr(registration, "_variance_negloglik", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("panel", ["fixture", "noiseless"])
+def test_the_likelihood_never_falls_across_newton_iterations(monkeypatch, panel):
+    # each run stops after its maxiter-th iteration, where a longer run passes
+    if panel == "fixture":
+        fixture, means, warps, basis = _variance_fixture(61)
+        args = (fixture, *build_linearization(fixture, means, warps, basis), _var(), ANCHORS)
+    else:
+        args = _noiseless_variance_args(monkeypatch)
+    logliks, start = [], None
+    for maxiter in range(1, 13):
+        _, (ll0, ll1), _ = fit_variance(*args, maxiter=maxiter)
+        assert start is None or ll0 == start
+        start = ll0
+        logliks.append(ll1)
+    assert logliks[0] > start
+    assert all(b >= a for a, b in zip(logliks, logliks[1:]))
+
+
+def test_a_parameter_on_a_bound_with_an_outward_gradient_stays_there(monkeypatch):
+    # the noiseless panel's curve amplitude reaches its upper bound of 1e3,
+    # where the likelihood still rises outwards: no later point leaves it
+    args = _noiseless_variance_args(monkeypatch)
+    seen = _evaluated_points(monkeypatch)
+    var, _, n_evals = fit_variance(*args, maxiter=40)
+    assert len(seen) == n_evals
+    assert var.curve_cov.amplitude == pytest.approx(1e3, rel=1e-12)
+    current, pinned = seen[0], 0
+    for point in seen[1:]:
+        if current[0][0] == _LOG_HI[0] and current[2][0] < 0:
+            assert point[0][0] == _LOG_HI[0]
+            pinned += 1
+        if point[1] <= current[1]:  # an accepted step
+            current = point
+    assert pinned >= 5
+
+
+def test_projected_newton_fixes_a_parameter_on_a_bound_with_an_outward_gradient():
+    # f = (x - c)' A (x - c) / 2 with c above the upper bound in x_0, where
+    # the gradient points out of the box.  The box minimum keeps x_0 = hi and
+    # moves x_1 by the coupling in A; a Newton step in all four parameters,
+    # then projected, would put x_1 at c_1 instead.
+    lo, hi = registration._LOG_LO, registration._LOG_HI
+    a_mat = np.array([[2.0, 1.5, 0, 0], [1.5, 2.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+    centre = np.array([hi[0] + 1.0, 0.0, 0.5, -1.0])
+    points = []
+
+    def evaluate(x):
+        points.append(x.copy())
+        d = x - centre
+        return 0.5 * d @ a_mat @ d, a_mat @ d, a_mat
+
+    x0 = np.array([hi[0], -1.0, 0.0, 0.0])
+    grad = a_mat @ (x0 - centre)
+    assert grad[0] < 0
+    x, point, n_iter, n_evals, short = registration._projected_newton(evaluate, x0, evaluate(x0), 10)
+    assert short is None and n_evals == len(points) - 1
+    assert all(p[0] == hi[0] for p in points)
+    want = centre[1] - a_mat[1, 0] / a_mat[1, 1] * (hi[0] - centre[0])
+    assert x[1] == pytest.approx(want, abs=1e-12)
+    assert np.allclose(x[2:], centre[2:], atol=1e-12)
+
+
+def test_projected_newton_stops_short_when_no_step_lowers_the_value():
+    # a gradient of the wrong sign: every step along the Newton direction rises
+    def evaluate(x):
+        return float(x @ x), -2.0 * x, 2.0 * np.eye(4)
+
+    x0 = np.array([0.5, -0.5, 1.0, 0.25])
+    x, point, n_iter, n_evals, short = registration._projected_newton(evaluate, x0, evaluate(x0), 10)
+    assert short == "no step along the Newton direction lowered it"
+    assert n_iter == 1 and n_evals == registration._VAR_HALVINGS
+    assert np.array_equal(x, x0) and point[0] == float(x0 @ x0)
+
+
+def _recorded_solves(monkeypatch) -> list:
+    """(start, result) of every ``_projected_newton`` call the registration module makes."""
+    solves = []
+    original = registration._projected_newton
+
+    def recorded(evaluate, x, point, maxiter):
+        solves.append((np.array(x), original(evaluate, x, point, maxiter)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(registration, "_projected_newton", recorded)
+    return solves
 
 
 def test_fit_variance_logs_a_short_stop(monkeypatch, caplog):
-    results = _recorded_minimize(monkeypatch)
+    solves = _recorded_solves(monkeypatch)
     panel, means, warps, basis = _variance_fixture(73)
     fitted, jac, w0 = build_linearization(panel, means, warps, basis)
     with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
         fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=1)
-    (res,) = results
-    assert res.status == 1 and res.nit == 1  # the iteration cap
+    ((_, (_, _, n_iter, _, short)),) = solves
+    assert short == "iteration cap reached" and n_iter == 1  # the iteration cap
     short = [r.getMessage() for r in caplog.records if "stopped short" in r.getMessage()]
-    assert short == [f"variance step stopped short after 1 L-BFGS-B iterations: {res.message}"]
+    assert short == ["variance step stopped short after 1 Newton iterations: iteration cap reached"]
 
 
 @pytest.mark.parametrize("maxiter", [1, 2, 5])
 def test_fit_variance_obeys_its_iteration_cap(monkeypatch, maxiter):
-    results = _recorded_minimize(monkeypatch)
+    solves = _recorded_solves(monkeypatch)
+    seen = _evaluated_points(monkeypatch)
     panel, means, warps, basis = _variance_fixture(61)
     fitted, jac, w0 = build_linearization(panel, means, warps, basis)
-    fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=maxiter)
-    assert len(results) == 1
-    assert 1 <= results[0].nit <= maxiter
+    _, _, n_evals = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=maxiter)
+    assert len(solves) == 1
+    _, (_, _, n_iter, solver_evals, _) = solves[0]
+    assert 1 <= n_iter <= maxiter
+    assert n_evals == 1 + solver_evals == len(seen)
 
 
 def test_a_start_outside_the_box_fits_inside_it(monkeypatch):
     # a curve length scale of 10 lies above the box's 5: the start is projected
-    starts = []
-    original = registration.minimize
-
-    def recorded(fun, x0, *args, **kwargs):
-        starts.append(np.array(x0))
-        return original(fun, x0, *args, **kwargs)
-
-    monkeypatch.setattr(registration, "minimize", recorded)
+    solves = _recorded_solves(monkeypatch)
     panel, _ = simulate_study2(Study2Config(scenario="A", seed=5, n_subjects=10, n_obs=24))
     cfg = RegistrationConfig(
         n_interior_knots=4, variance_maxiter=20, max_outer=2, curve_cov_init=(1.0, 10.0, 3.0)
     )
     fit = fit_registration(panel, cfg)
+    starts = [x for x, _ in solves]
     assert starts and all(np.all((_LOG_LO <= x) & (x <= _LOG_HI)) for x in starts)
     assert starts[0][1] == _LOG_HI[1]
     var = fit.var
@@ -1279,6 +1413,27 @@ def test_warp_evaluations_round_trip_and_are_none_in_older_artifacts(small_fit):
     payload["warp_evaluations"] = 1.5
     with pytest.raises(DataError, match="fit.warp_evaluations"):
         RegistrationFit.from_dict(payload)
+
+
+def test_variance_evaluations_round_trip_and_are_none_in_older_artifacts(small_fit):
+    _, fit = small_fit
+    assert fit.variance_evaluations >= 3  # at least one per variance step
+    payload = json.loads(json.dumps(fit.to_dict()))
+    assert payload["variance_evaluations"] == fit.variance_evaluations
+    assert RegistrationFit.from_dict(payload).variance_evaluations == fit.variance_evaluations
+    del payload["variance_evaluations"]
+    assert RegistrationFit.from_dict(payload).variance_evaluations is None
+    payload["variance_evaluations"] = 1.5
+    with pytest.raises(DataError, match="fit.variance_evaluations"):
+        RegistrationFit.from_dict(payload)
+
+
+def test_the_fit_counts_the_likelihood_evaluations_of_its_variance_steps(monkeypatch):
+    panel, _ = simulate_study2(Study2Config(scenario="A", seed=5, n_subjects=10, n_obs=24))
+    seen = _evaluated_points(monkeypatch)
+    cfg = RegistrationConfig(n_interior_knots=4, variance_maxiter=20, max_outer=3)
+    fit = fit_registration(panel, cfg)
+    assert fit.variance_evaluations == len(seen) > 0
 
 
 def test_the_fit_counts_the_residual_evaluations_of_its_warp_solves(monkeypatch):
@@ -1401,20 +1556,21 @@ def test_ridge_weight_is_estimated_whatever_its_start():
 
 
 def test_variance_parameters_on_their_bounds_are_logged(caplog):
-    # the curve amplitude and the warp length scale of the noiseless panel
-    # end on their upper bounds
+    # the noiseless panel's curve amplitude ends on its upper bound at both
+    # variance steps, its warp length scale at the initial pass only: at the
+    # refresh the likelihood peaks inside the box, near 0.68
     panel = _noiseless_panel()
     cfg = RegistrationConfig(max_outer=4, n_variance_updates=1, variance_maxiter=40)
     with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
         fit = fit_registration(panel, cfg)
     assert fit.var.curve_cov.amplitude == pytest.approx(np.exp(_LOG_HI[0]), rel=1e-12)
-    assert fit.var.warp_cov.length_scale == pytest.approx(np.exp(_LOG_HI[3]), rel=1e-12)
+    assert 0.5 < fit.var.warp_cov.length_scale < 1.0
     messages = [r.getMessage() for r in caplog.records if r.name == "warpclass.registration"]
-    # two events per variance fit: the initial pass and the single refresh
     assert messages == [
         "variance parameter curve amplitude ends on its box bound 1000",
         "variance parameter warp length scale ends on its box bound 5",
-    ] * 2
+        "variance parameter curve amplitude ends on its box bound 1000",
+    ]
 
 
 # ---------------------------------------------------------------------------
