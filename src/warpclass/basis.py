@@ -145,7 +145,7 @@ class MonotoneInterpolant:
     interval where the data is monotone; evaluation outside the anchor
     span raises.  ``values`` and ``slopes`` may be (..., m), several
     interpolants on the same anchors evaluated together; ``inverse`` takes
-    one.
+    one or a stack (N, m).
     """
 
     anchors: np.ndarray
@@ -162,29 +162,56 @@ class MonotoneInterpolant:
     def inverse(self, values) -> np.ndarray:
         """Abscissae t with self(t) = values, for strictly increasing values.
 
+        ``values`` is 1-D.  An interpolant whose ordinates are a stack
+        (N, m) is inverted row by row at the same targets, giving (N, len(values)).
         Each target's cell is found once from the ordinates; the cell's
         cubic p(s) on s in [0, 1] is then solved by Newton from the
         cell-linear guess.  A bracket [lo, hi] follows the sign of
         p(s) - target, and a Newton step that leaves the closed bracket is
-        replaced by the bracket midpoint.  Targets equal to an ordinate map
-        exactly to its anchor, and a larger target never maps lower.
+        replaced by the bracket midpoint.  A row stops once each of its
+        points has taken a small step or is solved, and the iteration cap
+        holds per row, so each row of a stack comes back with the bits it
+        has when inverted alone.  Targets equal to an ordinate map exactly
+        to its anchor, and within a row a larger target never maps lower.
         """
         x, y, d = self.anchors, self.values, self.slopes
-        if y.ndim != 1:
-            raise DataError("only a single interpolant can be inverted")
-        if np.any(np.diff(y) <= 0):
+        if y.ndim not in (1, 2):
+            raise DataError("only one interpolant or a stack (N, m) of them can be inverted")
+        y2, d2 = np.atleast_2d(y), np.atleast_2d(d)
+        if np.any(np.diff(y2, axis=1) <= 0):
             raise DataError("interpolant values must be strictly increasing to invert")
-        v = _check_domain(values, y[0], y[-1], "monotone interpolant inverse")
-        idx = np.clip(np.searchsorted(y, v, side="right") - 1, 0, len(y) - 2)
+        targets = np.asarray(values, dtype=float)
+        if targets.ndim != 1:
+            raise DataError("the targets of an inverse must be 1-D")
+        lo_y, hi_y = y2[:, :1], y2[:, -1:]
+        if targets.size:
+            low, high = targets.min(), targets.max()
+            outside = (low < lo_y - DOMAIN_TOL) | (high > hi_y + DOMAIN_TOL)
+            if outside.any():
+                i = int(np.argmax(outside))
+                raise DataError(
+                    f"monotone interpolant inverse: value outside [{y2[i, 0]}, {y2[i, -1]}] "
+                    f"(min {low:.6g}, max {high:.6g})"
+                )
+        v = np.clip(targets, lo_y, hi_y)
+        # each target's cell, searchsorted(side="right") - 1 clipped to the
+        # last cell: the clipped targets lie in [y[0], y[-1]], so it is the
+        # count of interior ordinates at or below them
+        n_rows, m = y2.shape
+        idx = (y2[:, 1:-1, None] <= v[:, None, :]).sum(axis=1)
+        flat = idx + m * np.arange(n_rows)[:, None]
+        y0, y1 = y2.take(flat), y2.take(flat + 1)
         h = x[idx + 1] - x[idx]
-        dy = y[idx + 1] - y[idx]
-        # p(s) - y[idx] = s * (m0 + s * (c2 + s * c3)), the Hermite cubic
-        m0, m1 = h * d[idx], h * d[idx + 1]
+        dy = y1 - y0
+        # p(s) - y0 = s * (m0 + s * (c2 + s * c3)), the Hermite cubic
+        m0, m1 = h * d2.take(flat), h * d2.take(flat + 1)
         c2 = 3.0 * dy - 2.0 * m0 - m1
         c3 = m0 + m1 - 2.0 * dy
-        r = v - y[idx]
-        ftol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(y[idx]), np.abs(y[idx + 1]))
+        r = v - y0
+        ftol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(y0), np.abs(y1))
         s = r / dy
+        solution = np.empty_like(s)
+        rows = np.arange(n_rows)  # the rows still iterating
         lo, hi = np.zeros_like(s), np.ones_like(s)
         for _ in range(_INVERSE_MAX_ITERS):
             f = s * (m0 + s * (c2 + s * c3)) - r
@@ -200,18 +227,28 @@ class MonotoneInterpolant:
             # a solved point keeps its iterate: where the slope is near zero
             # the Newton step from a tiny residual can still cross the cell
             s = np.where(solved & ~small, s, s_next)
-            if (small | solved).all():
+            stop = small | solved
+            if stop.all():
+                solution[rows] = s
                 break
+            done = stop.all(axis=1)
+            if done.any():
+                solution[rows[done]] = s[done]
+                rows = rows[~done]
+                s, lo, hi, m0, c2, c3, r, ftol = (
+                    a[~done] for a in (s, lo, hi, m0, c2, c3, r, ftol)
+                )
         else:
             raise NumericalError(
                 f"monotone interpolant inverse did not converge in {_INVERSE_MAX_ITERS} steps"
             )
-        t = np.where(v == y[-1], x[-1], np.minimum(x[idx] + h * s, x[idx + 1]))
+        t = np.where(v == hi_y, x[-1], np.minimum(x[idx] + h * solution, x[idx + 1]))
         # each solve stops within a residual tolerance, so targets a few ulps
-        # apart can come back an ulp out of order; put them back in order
-        order = np.argsort(v, kind="stable")
-        t[order] = np.maximum.accumulate(t[order])
-        return t
+        # apart can come back an ulp out of order; put them back in order.
+        # Clipping keeps the targets' order, and equal targets get equal t.
+        order = np.argsort(targets, kind="stable")
+        t[:, order] = np.maximum.accumulate(t[:, order], axis=1)
+        return t if y.ndim == 2 else t[0]
 
 
 def _hermite_cells(x: np.ndarray, t) -> tuple:

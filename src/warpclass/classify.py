@@ -41,18 +41,15 @@ DEFAULT_CV_GRID = ((12, 6), (12, 10), (18, 6), (18, 10))
 
 
 def _sigmoid(eta):
+    """1 / (1 + e^-eta) from the one exponential e^-|eta|, which cannot overflow."""
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _prob(eta):
     """Class-1 probability at linear predictor ``eta``, kept off 0 and 1."""
-    return np.clip(_sigmoid(eta), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    return np.minimum(np.maximum(_sigmoid(eta), _PROB_FLOOR), 1.0 - _PROB_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -239,30 +236,38 @@ class ClassifierModel(LogisticFit):
 
 def _deviance(labels, eta) -> float:
     """Binomial deviance of 0/1 ``labels`` at linear predictor ``eta``."""
-    pi = _prob(eta)
+    return _deviance_at(labels, _prob(eta))
+
+
+def _deviance_at(labels, pi) -> float:
+    """Binomial deviance of 0/1 ``labels`` at class-1 probabilities ``pi``."""
     return -2.0 * float(labels @ np.log(pi) + (1.0 - labels) @ np.log(1.0 - pi))
-
-
-def _penalized_deviance(labels, eta, penalty_vec, theta) -> float:
-    return _deviance(labels, eta) + float(theta @ (penalty_vec * theta))
 
 
 def _irls_pass(design, labels, penalty_vec, theta, max_newton=25):
     """Newton descent of the penalized deviance at fixed penalty weights.
 
-    Step halving keeps the recorded deviance sequence non-increasing.
-    Returns (theta, per-iteration deviances, final IRLS weights).
+    Step halving keeps the recorded deviance sequence non-increasing.  The
+    line search forms the linear predictor and the probabilities of each
+    trial; an accepted trial's are the next Newton step's, and the penalty
+    matrix is formed once per pass.  Returns (theta, per-iteration
+    deviances, IRLS weights), the weights of the last Newton step taken.
     """
-    trace = []
-    eta = design @ theta
-    current = _penalized_deviance(labels, eta, penalty_vec, theta)
-    trace.append(current)
+
+    def penalized(theta):
+        eta = design @ theta
+        pi = _prob(eta)
+        return _deviance_at(labels, pi) + float(theta @ (penalty_vec * theta)), pi
+
+    design_t = design.T
+    penalty = np.diag(penalty_vec)
+    current, pi = penalized(theta)
+    trace = [current]
     weights = None
     for _ in range(max_newton):
-        pi = _prob(eta)
         weights = np.maximum(pi * (1.0 - pi), 1e-10)
-        grad = design.T @ (labels - pi) - penalty_vec * theta
-        hess = (design.T * weights) @ design + np.diag(penalty_vec)
+        grad = design_t @ (labels - pi) - penalty_vec * theta
+        hess = (design_t * weights) @ design + penalty
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -272,21 +277,19 @@ def _irls_pass(design, labels, penalty_vec, theta, max_newton=25):
         scale = 1.0
         for _ in range(30):
             cand = theta + scale * step
-            cand_dev = _penalized_deviance(labels, design @ cand, penalty_vec, cand)
+            cand_dev, cand_pi = penalized(cand)
             if cand_dev <= current + 1e-12:
                 break
             scale *= 0.5
         else:
             break  # no descent direction left; keep current iterate
-        theta = theta + scale * step
-        eta = design @ theta
+        theta, pi = cand, cand_pi
         moved = current - cand_dev
         current = cand_dev
         trace.append(current)
         if moved <= 1e-10 * max(1.0, abs(current)):
             break
     if weights is None:
-        pi = _prob(eta)
         weights = np.maximum(pi * (1.0 - pi), 1e-10)
     return theta, trace, weights
 

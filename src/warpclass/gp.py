@@ -29,6 +29,7 @@ and of a stack of kernel matrices whose entries a trace needs
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -85,19 +86,33 @@ def _scaled_bessel(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def _matern_corr(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _matern_corr(nu: float, x: np.ndarray, slope: bool = True):
     """Matern correlation at scaled distances ``x``, and its log-length-scale derivative.
 
-    The derivative is ``c x^2 f_(nu-1)(x)``.  At x = 0 the pair is exactly (1, 0).
+    The derivative is ``c x^2 f_(nu-1)(x)``.  At x = 0 the pair is exactly
+    (1, 0).  With ``slope=False`` only the correlation is formed and returned.
     """
     norm = 2.0 ** (1.0 - nu) / gamma_fn(nu)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         val, low = _scaled_bessel(nu, x)
-        slope = x * x * low
     # At x = 0, and where x is so small that a Bessel factor overflows, the
     # correlation is 1 to double precision and its derivative 0.
     keep = (x > 0.0) & np.isfinite(val)
-    return np.where(keep, norm * val, 1.0), np.where(keep & np.isfinite(slope), norm * slope, 0.0)
+    corr = np.where(keep, norm * val, 1.0)
+    if not slope:
+        return corr
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = x * x * low
+    return corr, np.where(keep & np.isfinite(grad), norm * grad, 0.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)`` as read-only arrays, computed once per length."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def matern_cov(params: MaternParams, s_grid) -> np.ndarray:
@@ -108,16 +123,17 @@ def matern_cov(params: MaternParams, s_grid) -> np.ndarray:
     distance ``x = sqrt(2 nu) |s_i - s_j| / length_scale``.  Integer and
     half-integer orders ``nu`` use the recurrence of the module docstring,
     other orders ``scipy.special.kv``.  Only the strict upper triangle is
-    evaluated; the result is exactly symmetric with the amplitude on its
-    diagonal.
+    evaluated, and only the correlation, not its derivative; its pair
+    indices are cached per grid length.  The result is exactly symmetric
+    with the amplitude on its diagonal.
     """
     nu = params.smoothness
     scale = math.sqrt(2.0 * nu)
     s = np.asarray(s_grid, dtype=float)
     n = len(s)
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = _upper_pairs(n)
     x = scale * (np.abs(s[rows] - s[cols]) / params.length_scale)
-    upper = params.amplitude * _matern_corr(nu, x)[0]
+    upper = params.amplitude * _matern_corr(nu, x, slope=False)
     out = np.empty((n, n))
     out[rows, cols] = upper
     out[cols, rows] = upper

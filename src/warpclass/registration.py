@@ -39,6 +39,9 @@ its trace is non-increasing once the variance parameters are frozen.
 The ridge weight is the ratio of the noise variance to the variance of
 the group deviations; it is estimated by an effective-degrees-of-freedom
 fixed point each time the variance parameters are, and frozen with them.
+Alignment carries a panel's curves to a common grid through the inverse
+warps of all its subjects, inverted in one stacked call, each row with
+the bits of its own inverse.
 """
 
 from __future__ import annotations
@@ -179,19 +182,24 @@ def warp_values(anchors, ordinates, times) -> np.ndarray:
     return hyman_interp(anchors, ordinates)(times)
 
 
-def _check_increasing(ordinates, who: str) -> None:
-    if np.any(np.diff(ordinates) <= _MONO_EPS):
-        raise NumericalError(f"non-monotone warp ordinates for {who}")
+def _check_increasing(ords: np.ndarray, subject_ids) -> None:
+    """Raise NumericalError naming the first subject whose row of ``ords``
+    does not strictly increase."""
+    bad = np.flatnonzero(np.any(np.diff(ords, axis=1) <= _MONO_EPS, axis=1))
+    if len(bad):
+        raise NumericalError(f"non-monotone warp ordinates for subject {subject_ids[bad[0]]}")
 
 
 def warp_inverse_values(anchors, ordinates, times) -> np.ndarray:
     """g^{-1}(times) for the monotone warp through (anchors, ordinates).
 
     Solved cell by cell (``MonotoneInterpolant.inverse``), so that
-    g(g^{-1}(t)) = t to rounding and the ends map exactly.  Raises
-    NumericalError unless the ordinates strictly increase.
+    g(g^{-1}(t)) = t to rounding and the ends map exactly.  ``ordinates``
+    may be a stack (N, m) of warps, inverted together at the same times
+    into (N, len(times)), each row with the bits of its own inverse.
+    Raises NumericalError unless the ordinates strictly increase.
     """
-    if np.any(np.diff(ordinates) <= 0):
+    if np.any(np.diff(ordinates, axis=-1) <= 0):
         raise NumericalError("non-monotone warp ordinates: the warp has no inverse")
     return hyman_interp(anchors, ordinates).inverse(times)
 
@@ -265,10 +273,7 @@ def warp_design(panel: CurvePanel, warps: WarpState, basis: BSplineBasis) -> dic
     warped, rows, start = [], {}, 0
     for curves in by_grid.values():
         ords = np.array([warps.ordinates(c.subject_id) for c in curves])
-        bad = np.flatnonzero(np.any(np.diff(ords, axis=1) <= _MONO_EPS, axis=1))
-        if len(bad):
-            sid = curves[bad[0]].subject_id
-            raise NumericalError(f"non-monotone warp ordinates for subject {sid}")
+        _check_increasing(ords, [c.subject_id for c in curves])
         g = np.clip(hyman_interp(warps.anchors, ords)(curves[0].times), 0.0, 1.0)
         warped.append(g.ravel())
         for c in curves:
@@ -596,11 +601,13 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
     problem's damping without an evaluation.  A trial that is infeasible or
     does not lower its objective is rejected and its damping raised, so
     every accepted step descends.  A problem has converged when the
-    gradient of its f is below ``_GTOL``, or when an accepted step, or the
-    model's promise for a rejected one, lowers f by at most
+    gradient of its f is below ``_GTOL`` at the start or at an accepted
+    trial, tested as soon as that point is evaluated, or when an accepted
+    step, or the model's promise for a rejected one, lowers f by at most
     ``_FTOL * max(f, 1)``; the batch stops short after ``max_evals``
     rounds, counting the first evaluation, so no problem is evaluated more
-    than ``max_evals`` times.  ``u0`` is (S, m).  Returns arrays
+    than ``max_evals`` times; a problem whose trial in the last round
+    lands on a small gradient has converged.  ``u0`` is (S, m).  Returns arrays
     (u, f, converged, f0, evals), where f0 is the value at ``u0`` and evals
     counts each problem's evaluations; f and f0 are inf for an infeasible
     start.
@@ -608,9 +615,11 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
     u = np.array(u0, dtype=float)
     size, m = u.shape
     f0, grad, jtj, hess = _gauss_newton_parts(*residuals(u, np.arange(size)))
-    f, converged, evals = f0.tolist(), [False] * size, [1] * size
+    f, evals = f0.tolist(), [1] * size
+    converged = ((f0 < np.inf) & (2.0 * np.abs(grad).max(axis=1) <= _GTOL)).tolist()
     lam, nu = [1e-3] * size, [2.0] * size
-    running = [j for j in range(size) if f[j] < np.inf]  # an infeasible start ends at once
+    # an infeasible start ends at once, and so does a start on a small gradient
+    running = [j for j in range(size) if f[j] < np.inf and not converged[j]]
     eye = np.eye(m)
     for _ in range(max_evals - 1):
         if not running:
@@ -623,13 +632,10 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
         step = _damped_steps(hess[idx] + damping[..., None] * eye, -g)
         # the model's decrease -(2 s'g + s'Hs), with Hs = -g - damping * s
         pred = ((damping * step - g) * step).sum(axis=1).tolist()
-        small = [2.0 * max(map(abs, row)) <= _GTOL for row in g.tolist()]
         point = u[idx] + step
         tried = []  # positions in ``running`` of the problems evaluated
         for p, j in enumerate(running):
-            if small[p]:
-                converged[j] = True
-            elif pred[p] > 0.0:
+            if pred[p] > 0.0:
                 tried.append(p)
             else:  # no solution, or not a descent step of the model
                 lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
@@ -643,9 +649,9 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
                 gain = (f[j] - value) / pred[p]
                 lam[j] *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
                 nu[j] = 2.0
-                converged[j] = f[j] - value <= tol
-                u[j], f[j] = point[p], value
                 grad[j], jtj[j], hess[j] = (part[q] for part in parts[1:])
+                converged[j] = f[j] - value <= tol or 2.0 * np.abs(grad[j]).max() <= _GTOL
+                u[j], f[j] = point[p], value
             elif pred[p] <= tol:
                 converged[j] = True
             else:
@@ -1050,7 +1056,8 @@ def _projected_newton(evaluate, x, point, maxiter: int) -> tuple:
     of the box, takes the Newton step in the others (a Cholesky factor with
     a small ridge where the curvature is singular, ``chol_lower``), projects
     it on the box and halves it until the value does not rise (Bertsekas
-    1982, *SIAM J. Control Optim.* 20:221-246).
+    1982, *SIAM J. Control Optim.* 20:221-246).  A halved trial that
+    projects onto the rejected trial before it is not evaluated again.
     It stops on L-BFGS-B's default tests: the largest projected gradient
     entry at most ``_VAR_PGTOL``, or a relative decrease at most
     ``_VAR_FTOL``.
@@ -1070,12 +1077,16 @@ def _projected_newton(evaluate, x, point, maxiter: int) -> tuple:
         step = np.zeros_like(x)
         low = chol_lower(curvature[np.ix_(free, free)])
         step[free] = cho_solve((low, True), -grad[free])
+        rejected = None
         for halving in range(_VAR_HALVINGS):
             trial = np.clip(x + 0.5**halving * step, _LOG_LO, _LOG_HI)
+            if rejected is not None and np.array_equal(trial, rejected):
+                continue
             new = evaluate(trial)
             n_evals += 1
             if new[0] <= value:
                 break
+            rejected = trial
         else:
             return x, point, n_iter, n_evals, "no step along the Newton direction lowered it"
         x, point = trial, new
@@ -1470,25 +1481,36 @@ class AlignedPanel:
     values: np.ndarray  # (n_subjects, n_grid, 2)
 
 
+def _resample(curve: SubjectCurve, times, out: np.ndarray) -> np.ndarray:
+    """The curve at ``times`` by linear interpolation, written into ``out`` (len(times), 2)."""
+    for a in (0, 1):
+        out[:, a] = np.interp(times, curve.times, curve.values[:, a])
+    return out
+
+
 def align_single(curve: SubjectCurve, anchors, ordinates, grid) -> np.ndarray:
     """One subject's curve evaluated at g^{-1}(grid) by linear interpolation."""
     ginv = warp_inverse_values(anchors, ordinates, grid)
-    return np.column_stack(
-        [np.interp(ginv, curve.times, curve.values[:, a]) for a in (0, 1)]
-    )
+    return _resample(curve, ginv, np.empty((len(ginv), 2)))
 
 
 def align_curves(panel: CurvePanel, fit: RegistrationFit) -> AlignedPanel:
     """Register every curve onto the fit's uniform grid of ``n_align_grid``
-    points via its inverse warp."""
+    points via its inverse warp.
+
+    The warps of the whole panel are inverted in one stacked call
+    (``warp_inverse_values``), each row stopping on its own, so every
+    subject's values equal ``align_single``'s byte for byte.
+    """
     n_grid = fit.config.n_align_grid
     grid = np.linspace(0.0, 1.0, n_grid)
     ids = tuple(panel.subject_ids)
+    ords = np.array([fit.warps.ordinates(sid) for sid in ids])
+    _check_increasing(ords, ids)
+    ginv = warp_inverse_values(fit.warps.anchors, ords, grid)
     values = np.empty((len(ids), n_grid, 2))
-    for i, sid in enumerate(ids):
-        ords = fit.warps.ordinates(sid)
-        _check_increasing(ords, f"subject {sid}")
-        values[i] = align_single(panel.curve(sid), fit.warps.anchors, ords, grid)
+    for curve, row, out in zip(panel.curves, ginv, values):
+        _resample(curve, row, out)
     return AlignedPanel(grid=grid, subject_ids=ids, values=values)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpclass import basis
@@ -205,11 +205,62 @@ def test_inverse_rejects_what_it_cannot_invert(monkeypatch):
     f = hyman_interp([0.0, 0.5, 1.0], [0.0, 0.6, 1.0])
     with pytest.raises(DataError, match="outside"):
         f.inverse(np.array([1.5]))
-    # a flat end cell needs many Newton steps; a loop cut short says so
+    # in a stack, each row is checked
+    anchors = [0.0, 0.33, 0.67, 1.0]
+    with pytest.raises(DataError, match="strictly increasing"):
+        hyman_interp(anchors, [[0.0, 0.3, 0.6, 1.0], [0.0, 0.6, 0.6, 1.0]]).inverse(np.array([0.3]))
+    short_second = hyman_interp(anchors, [[0.0, 0.3, 0.6, 1.0], [0.0, 0.3, 0.6, 0.9]])
+    with pytest.raises(DataError, match="outside"):
+        short_second.inverse(np.array([0.95]))
+    with pytest.raises(DataError, match="1-D"):
+        f.inverse(np.array([[0.3]]))
+    # a flat end cell needs many Newton steps; a loop cut short says so,
+    # also when it is one row of a stack whose other rows converge
     monkeypatch.setattr(basis, "_INVERSE_MAX_ITERS", 3)
-    flat = hyman_interp([0.0, 0.33, 0.67, 1.0], [0.0, 0.01, 0.9, 1.0])
+    flat = hyman_interp(anchors, [0.0, 0.01, 0.9, 1.0])
     with pytest.raises(NumericalError, match="did not converge"):
         flat.inverse(np.array([1e-6]))
+    easy = hyman_interp(anchors, anchors)
+    assert easy.inverse(np.array([1e-6]))[0] == pytest.approx(1e-6, rel=1e-12)
+    stack = hyman_interp(anchors, [anchors, [0.0, 0.01, 0.9, 1.0]])
+    with pytest.raises(NumericalError, match="did not converge"):
+        stack.inverse(np.array([1e-6]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x_steps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+    rows=st.lists(
+        st.lists(st.floats(1e-6, 1.0), min_size=7, max_size=7), min_size=1, max_size=8
+    ),
+    extra=st.lists(st.floats(0.0, 1.0), max_size=10),
+)
+# a first cell whose start slope is filtered to 0 (FLAT_START), in a stack
+@example(
+    x_steps=[0.33, 0.34, 0.33],
+    rows=[[0.01, 0.89, 0.1] + [1.0] * 4, [1.0] * 7, [0.2, 1e-6, 1.0] + [1.0] * 4],
+    extra=[1e-300, 1e-14, 1e-6],
+)
+def test_each_row_of_a_stack_inverts_to_the_bytes_of_its_own_inverse(x_steps, rows, extra):
+    anchors = _increasing(x_steps)
+    ords = np.array([_increasing(r[: len(anchors) - 1]) for r in rows])
+    # every row's ordinates, both ends, a grid and two targets just outside
+    # the span, which are clipped onto its ends, in no particular order
+    targets = np.concatenate(
+        [extra, ords.ravel(), [1.0, 0.0], np.linspace(0.0, 1.0, 51), [1.0 + 1e-13, -1e-13]]
+    )
+    stack = hyman_interp(anchors, ords).inverse(targets)
+    assert stack.shape == (len(rows), len(targets))
+    order = np.argsort(targets, kind="stable")
+    for row, got in zip(ords, stack):
+        alone = hyman_interp(anchors, row).inverse(targets)
+        assert got.tobytes() == alone.tobytes()
+        assert np.all(np.diff(got[order]) >= 0.0)
+    # a row's own ordinates map exactly to the anchors, and the ends to the ends
+    own = stack[:, len(extra) : len(extra) + ords.size].reshape(len(rows), len(rows), -1)
+    assert all(np.array_equal(own[i, i], anchors) for i in range(len(rows)))
+    ends = stack[:, len(extra) + ords.size : len(extra) + ords.size + 2]
+    assert np.all(ends == [anchors[-1], anchors[0]])
 
 
 def test_inverse_keeps_points_solved_in_a_flat_first_cell():

@@ -266,6 +266,125 @@ def test_glmm_deviance_is_monotone_within_every_pass():
             assert cur <= prev + 1e-8
 
 
+def _two_branch_prob(eta):
+    """The logistic probability with one exponential per sign of eta, clipped."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return np.clip(out, 1e-15, 1.0 - 1e-15)
+
+
+def test_prob_equals_the_two_branch_formula_byte_for_byte():
+    rng = np.random.default_rng(37)
+    special = [0.0, -0.0, 34.5, -34.5, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+    for size in (1, 7, 60, 129):
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            eta = np.concatenate([rng.standard_normal(size) * scale, special])
+            assert classify._prob(eta).tobytes() == _two_branch_prob(eta).tobytes()
+    assert classify._prob(2.5) == _two_branch_prob(2.5)
+
+
+def _recomputing_irls_pass(design, labels, penalty_vec, theta, max_newton=25):
+    """Penalized IRLS that forms eta and pi afresh at every Newton step.
+
+    Kept as it stood before the accepted trial's eta and pi were carried
+    into the next step: the oracle for byte-identical results.
+    """
+    prob = _two_branch_prob
+
+    def penalized_deviance(eta, theta):
+        pi = prob(eta)
+        dev = -2.0 * float(labels @ np.log(pi) + (1.0 - labels) @ np.log(1.0 - pi))
+        return dev + float(theta @ (penalty_vec * theta))
+
+    trace = []
+    eta = design @ theta
+    current = penalized_deviance(eta, theta)
+    trace.append(current)
+    weights = None
+    for _ in range(max_newton):
+        pi = prob(eta)
+        weights = np.maximum(pi * (1.0 - pi), 1e-10)
+        grad = design.T @ (labels - pi) - penalty_vec * theta
+        hess = (design.T * weights) @ design + np.diag(penalty_vec)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        scale = 1.0
+        for _ in range(30):
+            cand = theta + scale * step
+            cand_dev = penalized_deviance(design @ cand, cand)
+            if cand_dev <= current + 1e-12:
+                break
+            scale *= 0.5
+        else:
+            break
+        theta = theta + scale * step
+        eta = design @ theta
+        moved = current - cand_dev
+        current = cand_dev
+        trace.append(current)
+        if moved <= 1e-10 * max(1.0, abs(current)):
+            break
+    if weights is None:
+        pi = prob(eta)
+        weights = np.maximum(pi * (1.0 - pi), 1e-10)
+    return theta, trace, weights
+
+
+def _glmm_designs():
+    """A design whose scalar covariate separates the classes, and one whose does not."""
+    rng = np.random.default_rng(23)
+    n = 40
+    v = rng.standard_normal(n)
+    y_sep = (v > 0).astype(float)
+    func = 0.5 * rng.standard_normal((n, 8))
+    separated = (np.column_stack([np.ones(n), v]), func, y_sep)
+    design, y = _logistic_data(seed=29, n=n)
+    return {"separated": separated, "overlapping": (design[:, :2], func, y)}
+
+
+@pytest.mark.parametrize("case", ["separated", "overlapping"])
+def test_irls_keeping_its_accepted_trial_is_byte_identical(monkeypatch, case):
+    scalar, func, y = _glmm_designs()[case]
+    want_fits = []
+    original = classify._irls_pass
+
+    def both(design, labels, penalty_vec, theta, max_newton=25):
+        got = original(design, labels, penalty_vec, theta, max_newton)
+        want = _recomputing_irls_pass(design, labels, penalty_vec, theta, max_newton)
+        want_fits.append(len(want[1]))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+        assert got[2].tobytes() == want[2].tobytes()
+        return got
+
+    for sigma_init in (1.0, 10.0):
+        got = fit_glmm(scalar, func, y, sigma_init=sigma_init)
+        with monkeypatch.context() as patch:
+            patch.setattr(classify, "_irls_pass", both)
+            fit_glmm(scalar, func, y, sigma_init=sigma_init)
+            patch.setattr(classify, "_irls_pass", _recomputing_irls_pass)
+            want = fit_glmm(scalar, func, y, sigma_init=sigma_init)
+        for name in ("b0", "sigma_e", "deviance_trace", "converged", "n_passes"):
+            assert getattr(got, name) == getattr(want, name)
+        assert got.b1.tobytes() == want.b1.tobytes() and got.e.tobytes() == want.e.tobytes()
+    # a pass cut short, or not started, returns the same weights
+    design, theta0 = np.hstack([scalar, func]), np.zeros(2 + func.shape[1])
+    penalty = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.5, 0.5])
+    for max_newton in (0, 1, 3):
+        a = original(design, y, penalty, theta0, max_newton)
+        b = _recomputing_irls_pass(design, y, penalty, theta0, max_newton)
+        assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1]
+        assert a[2].tobytes() == b[2].tobytes()
+    # the separated design runs its passes to the Newton cap (25 steps)
+    assert (max(want_fits) == 26) == (case == "separated")
+
+
 def test_glmm_validates_inputs():
     design, y = _logistic_data()
     with pytest.raises(DataError, match="0/1"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
+from warpclass import gp
 from warpclass.errors import DataError, NumericalError
 from warpclass.gp import (
     CholFactor,
@@ -132,6 +133,20 @@ def test_kernel_from_distinct_distances_is_matern_cov(nu):
             assert np.max(np.abs((up - down) / (2 * h) - slope)) <= 1e-7 * amp
     # a uniform grid repeats its distances: 337 distinct of 100 x 100, zero included
     assert len(GridDistances.of(_uniform_and_jittered()[0]).distinct) == 337
+
+
+def test_matern_cov_takes_its_pair_indices_from_a_read_only_cache():
+    rows, cols = gp._upper_pairs(6)
+    assert gp._upper_pairs(6)[0] is rows
+    assert all(np.array_equal(a, b) for a, b in zip((rows, cols), np.triu_indices(6, 1)))
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0] = 1
+    # more lengths than the cache keeps: each kernel is still its own grid's
+    params = MaternParams(1.3, 0.2, 3.0)
+    for n in range(2, 14):
+        grid = np.linspace(0.0, 1.0, n)
+        dists = GridDistances.of(grid)
+        assert np.array_equal(matern_cov(params, grid), matern_cov_grad(params, dists)[0])
 
 
 def test_stacked_distances_index_each_grids_own():

@@ -1555,6 +1555,71 @@ def test_ridge_weight_is_estimated_whatever_its_start():
     assert RegistrationFit.from_dict(payload).ridge_lambda == back.config.ridge_lambda == 1.0
 
 
+def _projected_newton_evaluating_repeats(evaluate, x, point, maxiter):
+    """The variance solver as it stood when every halved trial was evaluated,
+    also one that projects onto the rejected trial before it."""
+    lo, hi = registration._LOG_LO, registration._LOG_HI
+    n_iter = n_evals = 0
+    while True:
+        value, grad, curvature = point[:3]
+        if np.max(np.abs(np.clip(x - grad, lo, hi) - x)) <= registration._VAR_PGTOL:
+            return x, point, n_iter, n_evals, None
+        if n_iter == maxiter:
+            return x, point, n_iter, n_evals, "iteration cap reached"
+        n_iter += 1
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        step = np.zeros_like(x)
+        low = registration.chol_lower(curvature[np.ix_(free, free)])
+        step[free] = registration.cho_solve((low, True), -grad[free])
+        for halving in range(registration._VAR_HALVINGS):
+            trial = np.clip(x + 0.5**halving * step, lo, hi)
+            new = evaluate(trial)
+            n_evals += 1
+            if new[0] <= value:
+                break
+        else:
+            return x, point, n_iter, n_evals, "no step along the Newton direction lowered it"
+        x, point = trial, new
+        if value - new[0] <= registration._VAR_FTOL * max(abs(value), abs(new[0]), 1.0):
+            return x, point, n_iter, n_evals, None
+
+
+def _noiseless_variance_steps(monkeypatch) -> tuple:
+    """The noiseless panel's fit and the points each of its variance steps evaluated."""
+    steps = []
+    evaluate, fit_step = registration._variance_negloglik, registration.fit_variance
+
+    def recorded(log_params, *args, **kwargs):
+        steps[-1].append(np.array(log_params).tobytes())
+        return evaluate(log_params, *args, **kwargs)
+
+    def step(*args, **kwargs):
+        steps.append([])
+        return fit_step(*args, **kwargs)
+
+    cfg = RegistrationConfig(max_outer=4, n_variance_updates=1, variance_maxiter=40)
+    with monkeypatch.context() as patch:
+        patch.setattr(registration, "_variance_negloglik", recorded)
+        patch.setattr(registration, "fit_variance", step)
+        fit = fit_registration(_noiseless_panel(), cfg)
+    return fit, steps
+
+
+def test_variance_steps_evaluate_no_point_twice(monkeypatch):
+    # a step so long that it and its half project onto the same box corner
+    # gives the same trial twice; the second is not evaluated
+    fit, steps = _noiseless_variance_steps(monkeypatch)
+    assert len(steps) == 2
+    assert all(len(set(points)) == len(points) for points in steps)
+    monkeypatch.setattr(registration, "_projected_newton", _projected_newton_evaluating_repeats)
+    before, before_steps = _noiseless_variance_steps(monkeypatch)
+    repeats = sum(len(points) - len(set(points)) for points in before_steps)
+    assert repeats > 0
+    assert fit.var == before.var and fit.ridge_lambda == before.ridge_lambda
+    assert fit.variance_evaluations == before.variance_evaluations - repeats
+    assert [sorted(set(p)) for p in steps] == [sorted(set(p)) for p in before_steps]
+
+
 def test_variance_parameters_on_their_bounds_are_logged(caplog):
     # the noiseless panel's curve amplitude ends on its upper bound at both
     # variance steps, its warp length scale at the initial pass only: at the
@@ -1595,6 +1660,53 @@ def test_align_single_undoes_a_known_warp():
     grid = np.linspace(0, 1, 31)
     vals = align_single(curve, ANCHORS, ords, grid)
     assert np.max(np.abs(vals[:, 0] - mean(grid))) < 5e-3
+
+
+def _aligned_panel(data, offsets, order):
+    """align_curves on a panel whose j-th subject has curve and warp ``order[j]``."""
+    ids = [f"s{j:02d}" for j in range(len(order))]
+    group_of = {sid: int(order[j] % 2) for j, sid in enumerate(ids)}
+    panel = _panel_from({sid: data[order[j]] for j, sid in enumerate(ids)}, group_of)
+    warps = WarpState.identity(ANCHORS, group_of)
+    warps.group_offsets.update({0: np.zeros(4), 1: np.array([0.0, 0.03, -0.02, 0.0])})
+    for j, sid in enumerate(ids):
+        warps.subject_offsets[sid] = offsets[order[j]]
+    fit = replace(_handmade_fit(), warps=warps)
+    return panel, fit, align_curves(panel, fit)
+
+
+def test_align_curves_equals_each_subjects_align_single_in_any_order():
+    # jittered grids of three lengths, none shared; subject 3's warp is flat
+    # at its start (FLAT_START), where the inverse needs many Newton steps
+    rng = np.random.default_rng(41)
+    data, offsets = [], []
+    for i in range(12):
+        n = (40, 47, 60)[i % 3]
+        t = np.linspace(0.0, 1.0, n)
+        t[1:-1] += rng.uniform(-0.002, 0.002, n - 2)
+        data.append((t, rng.standard_normal((n, 2))))
+        offsets.append(np.concatenate([[0.0], rng.uniform(-0.05, 0.05, 2), [0.0]]))
+    offsets[3] = FLAT_START - ANCHORS - np.array([0.0, 0.03, -0.02, 0.0])
+    panel, fit, aligned = _aligned_panel(data, offsets, np.arange(12))
+    assert hyman_slopes(ANCHORS, fit.warps.ordinates("s03"))[0][0] == 0.0
+    grid = np.linspace(0.0, 1.0, fit.config.n_align_grid)
+    assert aligned.grid.tobytes() == grid.tobytes()
+    want = [
+        align_single(panel.curve(sid), ANCHORS, fit.warps.ordinates(sid), grid)
+        for sid in panel.subject_ids
+    ]
+    assert aligned.values.tobytes() == np.stack(want).tobytes()
+    # the same subjects in other orders, and a subset of them
+    for order in (rng.permutation(12), rng.permutation(12)[:5], [3]):
+        _, _, other = _aligned_panel(data, offsets, order)
+        assert other.values.tobytes() == np.stack([want[i] for i in order]).tobytes()
+
+
+def test_align_curves_names_a_subject_whose_warp_is_not_increasing():
+    data = [(np.linspace(0.0, 1.0, 30), np.zeros((30, 2)))] * 3
+    offsets = [np.zeros(4), np.array([0.0, 0.4, 0.0, 0.0]), np.zeros(4)]
+    with pytest.raises(NumericalError, match="non-monotone warp ordinates for subject s01"):
+        _aligned_panel(data, offsets, np.arange(3))
 
 
 def _handmade_fit(warp_amp=50.0):

@@ -484,6 +484,104 @@ def test_lock_step_solve_equals_each_problem_solved_alone(size, seed, data):
     assert np.all(counts <= max_evals) and np.array_equal(got[4], counts)
 
 
+def _lm_testing_the_gradient_each_round(residuals, u0, max_evals):
+    """The solver as it stood when the gradient test opened each round.
+
+    A problem whose accepted trial has a small gradient took part in one
+    more round's damped solve and was found converged only then, so at
+    the evaluation cap it reported converged=False.  Kept as the oracle
+    for the values, the points and the evaluation counts.
+    """
+    gtol, ftol = registration._GTOL, registration._FTOL
+    u = np.array(u0, dtype=float)
+    size, m = u.shape
+    f0, grad, jtj, hess = registration._gauss_newton_parts(*residuals(u, np.arange(size)))
+    f, converged, evals = f0.tolist(), [False] * size, [1] * size
+    lam, nu = [1e-3] * size, [2.0] * size
+    running = [j for j in range(size) if f[j] < np.inf]
+    eye = np.eye(m)
+    for _ in range(max_evals - 1):
+        if not running:
+            break
+        idx = np.array(running)
+        g = grad[idx]
+        diag = jtj[idx].diagonal(0, 1, 2)
+        diag = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True))
+        damping = np.array([lam[j] for j in running])[:, None] * diag
+        step = registration._damped_steps(hess[idx] + damping[..., None] * eye, -g)
+        pred = ((damping * step - g) * step).sum(axis=1).tolist()
+        small = [2.0 * max(map(abs, row)) <= gtol for row in g.tolist()]
+        point = u[idx] + step
+        tried = []
+        for p, j in enumerate(running):
+            if small[p]:
+                converged[j] = True
+            elif pred[p] > 0.0:
+                tried.append(p)
+            else:
+                lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
+        if tried:
+            parts = registration._gauss_newton_parts(*residuals(point[tried], idx[tried]))
+        for q, p in enumerate(tried):
+            j, value = running[p], float(parts[0][q])
+            evals[j] += 1
+            tol = ftol * max(f[j], 1.0)
+            if value < f[j]:
+                gain = (f[j] - value) / pred[p]
+                lam[j] *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                nu[j] = 2.0
+                converged[j] = f[j] - value <= tol
+                u[j], f[j] = point[p], value
+                grad[j], jtj[j], hess[j] = (part[q] for part in parts[1:])
+            elif pred[p] <= tol:
+                converged[j] = True
+            else:
+                lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
+        running = [j for j in running if not converged[j]]
+    return u, np.array(f), np.array(converged), f0, np.array(evals)
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(1, 8), seed=st.integers(0, 2**16), data=st.data())
+def test_the_gradient_test_at_an_accepted_trial_changes_only_converged_at_the_cap(
+    size, seed, data
+):
+    rng = np.random.default_rng(seed)
+    base = ANCHORS + np.column_stack(
+        [np.zeros(size), rng.normal(0, 0.04, (size, 2)), np.zeros(size)]
+    )
+    u0 = rng.normal(0, 0.05, (size, 2))
+    residuals = partial(subject_warp_residuals, _problem(base, seed=rng.integers(0, 2**16, size)))
+    full = _levenberg_marquardt(residuals, u0, 40)
+    budgets = {1, 2, 3, 40, *full[4].tolist(), *(full[4] - 1).tolist()}
+    for max_evals in sorted(b for b in budgets if b >= 1):
+        got = _levenberg_marquardt(residuals, u0, max_evals)
+        want = _lm_testing_the_gradient_each_round(residuals, u0, max_evals)
+        for i in (0, 1, 3, 4):  # u, f, f0, evals
+            assert got[i].tobytes() == want[i].tobytes()
+        # a problem whose trial in the last round met the gradient test: the
+        # old loop reports it converged one round later, with no evaluation
+        differs = got[2] != want[2]
+        later = _lm_testing_the_gradient_each_round(residuals, u0, max_evals + 1)
+        assert np.all(got[2][differs] & later[2][differs])
+        for i in (0, 1, 4):
+            assert later[i][differs].tobytes() == got[i][differs].tobytes()
+
+
+def test_a_solve_whose_last_allowed_evaluation_has_a_small_gradient_has_converged():
+    seen = []
+    residuals = _rosenbrock(seen)
+    (u,), (f,), (converged,), _, (evals,) = _levenberg_marquardt(residuals, [[-1.2, 1.0]], 200)
+    assert converged
+    # the last evaluation met the gradient test, not the decrease test
+    _, (f_before,), _, _, _ = _levenberg_marquardt(residuals, [[-1.2, 1.0]], evals - 1)
+    assert f_before - f > registration._FTOL * max(f_before, 1.0)
+    seen.clear()
+    capped = _levenberg_marquardt(residuals, [[-1.2, 1.0]], evals)
+    assert capped[2][0] and capped[4][0] == evals == len(seen)
+    assert not _lm_testing_the_gradient_each_round(residuals, [[-1.2, 1.0]], evals)[2][0]
+
+
 # ---------------------------------------------------------------------------
 # Held-out warp fit.
 
