@@ -394,14 +394,16 @@ def fit_glmm(
     )
 
 
+def _eta(fit: LogisticFit, scalar_rows, functional_rows) -> np.ndarray:
+    """Linear predictor b0 + V b1 + Z [e_0, e_1] (V without the intercept column)."""
+    return fit.b0 + scalar_rows @ fit.b1 + functional_rows @ fit.e.reshape(-1)
+
+
 def classify_prob(model: ClassifierModel, scores, scalars) -> float:
     """Class-1 probability for one subject's scores and scalar covariates."""
     v = np.atleast_1d(np.asarray(scalars, dtype=float))
-    eta = model.b0 + float(v @ model.b1)
-    sc = np.asarray(scores, dtype=float)
-    for a in (0, 1):
-        eta += float(sc[a] @ model.j_mats[a] @ model.e[a])
-    return float(_prob(eta))
+    row = _functional_design(np.asarray(scores, dtype=float)[None], model.j_mats)
+    return float(_prob(_eta(model, v[None], row)[0]))
 
 
 def functional_coefficient(model: ClassifierModel, coordinate: int, times) -> np.ndarray:
@@ -573,11 +575,7 @@ def cross_validate_K(
             except NumericalError:
                 _log.warning("fold %d pair (%d,%d) skipped: fit failure", fold, kx, ke)
                 continue
-            eta = (
-                model.b0
-                + scalar_design[val_mask, 1:] @ model.b1
-                + func_design[val_mask] @ np.concatenate([model.e[0], model.e[1]])
-            )
+            eta = _eta(model, scalar_design[val_mask, 1:], func_design[val_mask])
             sums[(kx, ke)] += _deviance(y_val, eta) / val_mask.sum()
             used[(kx, ke)] += 1
 

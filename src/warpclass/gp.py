@@ -20,11 +20,16 @@ grid, or of a stack of grids of one length, so that a likelihood evaluated
 many times on fixed grids computes the kernel and its derivative once per
 distinct distance (``matern_distinct``, ``matern_cov_grad``).
 
-Every SPD solve in the package goes through a Cholesky factorization with
-escalating diagonal jitter, and a factorization that needed jitter logs
-the step it used.  Explicit inverses are formed only of small matrices,
-and of a stack of kernel matrices whose entries a trace needs
-(``spd_inverses``).
+Every Cholesky factorization in the package goes through ``_cholesky``,
+one matrix or a stack, with escalating diagonal jitter, and a
+factorization that needed jitter logs the step it used.  The other
+dense solves go through LU factorizations: the batched ``slogdet`` and
+``inv`` of the Woodbury caps in ``registration._stack_sums``, and the
+``np.linalg.solve`` of the basis-weight normal equations (``estimate_c``,
+``estimate_d``), of the warp solver's damped systems (``_damped_steps``)
+and of the classifier's IRLS steps (``classify._irls_pass``).  Explicit
+inverses are formed only of small matrices, and of a stack of kernel
+matrices whose entries a trace needs (``spd_inverses``).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ _log = logging.getLogger(__name__)
 _trtrs = sla.lapack.dtrtrs
 _potrs = sla.lapack.dpotrs
 
-# Jitter ladder, applied relative to the mean diagonal of the matrix.
+# Jitter ladder, applied relative to the mean diagonal of the matrix; the first step is none.
 JITTER_STEPS = (0.0, 1e-10, 1e-8, 1e-6)
 
 
@@ -201,32 +206,29 @@ def matern_cov_grad(params: MaternParams, dists: GridDistances) -> tuple[np.ndar
 
 
 class CholFactor:
-    """Cholesky factor of an SPD matrix with jitter escalation.
+    """Cholesky factor of an SPD matrix with jitter escalation (``_cholesky``).
 
-    Factorization retries with diagonal jitter 1e-10, 1e-8, 1e-6 (scaled
-    by the mean diagonal) before giving up.  ``jitter`` is the step that
-    succeeded (0.0 when none was needed); a nonzero step is logged.
+    ``jitter`` is the step that succeeded (0.0 when none was needed).  LAPACK
+    ``potrs`` and ``trtrs`` solve with the Fortran-ordered lower factor
+    directly, as the warp solver whitens a few hundred small blocks per step.
     """
 
     def __init__(self, mat: np.ndarray):
-        (factor, lower), self.jitter = _jittered(mat, _cho_factor)
-        self._cf = (np.asfortranarray(factor), lower)
-        self.n = len(factor)
+        low, jitter = _cholesky(mat)
+        self._low, self.jitter, self.n = np.asfortranarray(low), float(jitter), len(low)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return sla.cho_solve(self._cf, np.asarray(rhs, dtype=float), check_finite=False)
+        return self._lapack(_potrs, rhs, lower=1)
 
     def half_solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
-        """Solve L z = rhs with the lower triangular factor, or L' z = rhs if ``transposed``.
+        """Solve L z = rhs with the lower triangular factor, or L' z = rhs if ``transposed``."""
+        return self._lapack(_trtrs, rhs, lower=1, trans=int(transposed))
 
-        Calls LAPACK ``trtrs`` directly, as ``solve_triangular`` does for a
-        Fortran-ordered factor, without its per-call checks: the warp
-        solver whitens a few hundred small blocks per step.
-        """
-        z, info = _trtrs(self._cf[0], np.asarray(rhs, dtype=float), lower=1, trans=int(transposed))
+    def _lapack(self, routine, rhs, **flags) -> np.ndarray:
+        out, info = routine(self._low, np.asarray(rhs, dtype=float), **flags)
         if info != 0:
-            raise NumericalError(f"triangular solve failed (LAPACK info {info})")
-        return z
+            raise NumericalError(f"LAPACK {routine.__name__} failed (info {info})")
+        return out
 
     def quad(self, vec: np.ndarray) -> float:
         """Quadratic form vec' M^{-1} vec (Mahalanobis square)."""
@@ -234,7 +236,11 @@ class CholFactor:
         return float(z @ z)
 
     def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._cf[0]))))
+        return _logdet(self._low)
+
+
+def _logdet(low: np.ndarray) -> float:
+    return 2.0 * float(np.sum(np.log(np.diag(low))))
 
 
 def chol_lower(mat: np.ndarray) -> np.ndarray:
@@ -244,27 +250,23 @@ def chol_lower(mat: np.ndarray) -> np.ndarray:
     numerically rank deficient, and the small diagonal bump changes the
     drawn paths by far less than the kernel amplitude.
     """
-    return _jittered(mat, np.linalg.cholesky)[0]
+    return _cholesky(mat)[0]
 
 
 def spd_inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses and log determinants of a stack of SPD matrices, shape (k, n, n).
 
-    One batched Cholesky factors the stack.  If any matrix fails, each is
-    factored alone through the jitter ladder, as ``CholFactor`` does.  Each
-    inverse is solved from its factor against the identity by LAPACK
-    ``potrs``: triangular solves, whose results do not depend on the number
-    of BLAS threads (``potri``'s do, and so does OpenBLAS's Cholesky from
-    n = 128).  It is symmetric up to rounding.  The inverses are written
-    over ``mats`` when it is a C-ordered float array.
+    ``_cholesky`` factors the stack.  Each inverse is solved from its
+    factor against the identity by LAPACK ``potrs``: triangular solves,
+    whose results do not depend on the number of BLAS threads (``potri``'s
+    do).  It is symmetric up to rounding.  The inverses are written over
+    ``mats`` when it is a C-ordered float array.
     """
     mats = np.ascontiguousarray(mats, dtype=float)
-    try:
-        low = np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        low = np.stack([_jittered(mat, np.linalg.cholesky)[0] for mat in mats])
+    low = _cholesky(mats)[0]
+    # each alone, as CholFactor.logdet: a stack's axis sum adds in an order set by its shape
+    logdets = np.array([_logdet(factor) for factor in low])
     diag = np.arange(low.shape[-1])
-    logdets = 2.0 * np.sum(np.log(low[:, diag, diag]), axis=1)
     mats[...] = 0.0
     mats[:, diag, diag] = 1.0
     for factor, out in zip(low, mats):
@@ -274,39 +276,42 @@ def spd_inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mats, logdets
 
 
-def _cho_factor(mat: np.ndarray) -> tuple:
-    try:
-        return sla.cho_factor(mat, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise  # not positive definite: the caller tries the next jitter step
-    except ValueError as exc:
-        raise NumericalError(f"cannot factor matrix: {exc}") from exc
+def _cholesky(mats) -> tuple:
+    """Lower Cholesky factors of an SPD matrix (n, n) or a stack (k, n, n), and the jitter of each.
 
-
-def _jittered(mat, factor) -> tuple:
-    """``factor(mat)``, retried up ``JITTER_STEPS`` while it raises LinAlgError.
-
-    Each step adds its multiple of the mean diagonal (1 if that is not
-    positive) to the diagonal.  Returns the factor and the step used, and
-    logs a nonzero step.
+    The package's only call of LAPACK's Cholesky: numpy's
+    ``np.linalg.cholesky``, which factors a stack one matrix at a time, so
+    a matrix's factor has the same bytes alone and in any stack.  (From
+    n = 128 on, OpenBLAS splits one factorization across its threads, and
+    the bytes then depend on the thread count.)  A matrix that is not
+    positive definite is factored again with ``JITTER_STEPS`` times its
+    mean diagonal (1 if that is not positive) added to its diagonal.  The
+    step that succeeded, a float for one matrix and an array for a stack,
+    is 0.0 where none was needed; a nonzero step is logged.  Raises
+    NumericalError when the last step fails too.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DataError(f"expected a square matrix, got shape {mat.shape}")
-    scale = float(np.mean(np.diag(mat)))
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim not in (2, 3) or mats.shape[-1] != mats.shape[-2]:
+        raise DataError(f"expected a square matrix or a stack of them, got shape {mats.shape}")
+    try:
+        return np.linalg.cholesky(mats), (np.zeros(len(mats)) if mats.ndim == 3 else 0.0)
+    except np.linalg.LinAlgError as exc:
+        if mats.ndim == 3:
+            # each alone: only the matrices that fail take jitter
+            lows, jitters = zip(*(_cholesky(mat) for mat in mats))
+            return np.stack(lows), np.array(jitters)
+        err = exc
+    scale = float(np.mean(np.diag(mats)))
     if scale <= 0:
         scale = 1.0
-    err = None
-    for eps in JITTER_STEPS:
-        bumped = mat if eps == 0.0 else mat + (eps * scale) * np.eye(len(mat))
+    for eps in JITTER_STEPS[1:]:
         try:
-            out = factor(bumped)
+            low = np.linalg.cholesky(mats + (eps * scale) * np.eye(len(mats)))
         except np.linalg.LinAlgError as exc:
             err = exc
             continue
-        if eps > 0.0:
-            _log.debug("Cholesky needed jitter %g on a %d x %d matrix", eps, len(mat), len(mat))
-        return out, eps
+        _log.debug("Cholesky needed jitter %g on a %d x %d matrix", eps, len(mats), len(mats))
+        return low, eps
     raise NumericalError(
         f"matrix not positive definite after jitter up to {JITTER_STEPS[-1]}: {err}"
     )

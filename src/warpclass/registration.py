@@ -55,7 +55,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 from scipy.interpolate import BSpline
-from scipy.linalg import cho_solve
 # Unused here: perfbench/tracing.py wraps registration.minimize by name.
 from scipy.optimize import minimize  # noqa: F401
 
@@ -67,7 +66,6 @@ from .gp import (
     CholFactor,
     GridDistances,
     MaternParams,
-    chol_lower,
     matern_cov,
     matern_cov_grad,
     matern_distinct,
@@ -213,9 +211,8 @@ class GlsContext:
 
     Per distinct observation grid, the Cholesky factor of (I + S_i) and the
     warp's Hermite weights (``_grid_parts``), in ``grids`` by the grid's
-    bytes, with each subject's factor in ``s_factors``.  For
-    the warp covariance H on the interior anchors, its factor
-    ``warp_prior`` and the warp-prior rows ``prior_rows`` (``_prior_rows``).
+    bytes, with each subject's factor in ``s_factors``; and the warp-prior
+    rows ``prior_rows`` of the warp covariance H (``_prior_rows``).
     """
 
     def __init__(self, panel: CurvePanel, basis: BSplineBasis, anchors, var: VarianceParams):
@@ -227,8 +224,7 @@ class GlsContext:
             raise DataError("warp anchors must span [0, 1]")
         if np.any(np.diff(anchors) <= 0):
             raise DataError(f"warp anchors must be strictly increasing, got {anchors.tolist()}")
-        self.warp_prior = CholFactor(matern_cov(var.warp_cov, anchors[1:-1]))
-        self.prior_rows = _prior_rows(self.warp_prior)
+        self.prior_rows = _prior_rows(var.warp_cov, anchors)
         self.grids: dict = {}
         self.s_factors: dict = {}
         for c in panel.curves:
@@ -248,8 +244,9 @@ def _grid_parts(curve_cov: MaternParams, anchors, times) -> tuple:
     return _curve_factor(matern_cov(curve_cov, times)), hermite_weights(anchors, times)
 
 
-def _prior_rows(h_factor: CholFactor) -> np.ndarray:
-    """Warp-prior rows sqrt(2) L_H^{-1}: their squared norm at u is 2 u' H^{-1} u."""
+def _prior_rows(warp_cov: MaternParams, anchors) -> np.ndarray:
+    """Warp-prior rows sqrt(2) L_H^{-1}, H on the interior anchors: squared norm 2 u' H^{-1} u."""
+    h_factor = CholFactor(matern_cov(warp_cov, anchors[1:-1]))
     return np.sqrt(2.0) * h_factor.half_solve(np.eye(h_factor.n))
 
 
@@ -762,11 +759,12 @@ def penalized_objective(
     """The single objective all conditional steps descend.
 
     Sum over subjects of the (I + S)^{-1}-weighted residual norms, plus
-    twice the H^{-1} quadratic form of the random warp offsets, plus the
-    ridge penalty ``ridge_lambda * ||d||^2`` on group deviations.  The sum
-    is sigma^2 times a negative log posterior, so the ridge weight is the
-    variance ratio sigma^2 / tau^2 (see ``estimate_ridge``).  ``designs``
-    are the ``warp_design`` matrices of ``warps``.
+    twice the H^{-1} quadratic form of the random warp offsets (the squared
+    norm of their image under ``prior_rows``, as the warp step scores it),
+    plus the ridge penalty ``ridge_lambda * ||d||^2`` on group deviations.
+    The sum is sigma^2 times a negative log posterior, so the ridge weight
+    is sigma^2 / tau^2 (``estimate_ridge``).  ``designs`` are the
+    ``warp_design`` matrices of ``warps``.
     """
     total = 0.0
     for curve in panel.curves:
@@ -778,7 +776,8 @@ def penalized_objective(
         )
         z = ctx.s_factors[sid].half_solve(resid)
         total += float(np.sum(z * z))
-        total += 2.0 * ctx.warp_prior.quad(warps.subject_offsets[sid][1:-1])
+        prior = warps.subject_offsets[sid][1:-1] @ ctx.prior_rows.T
+        total += float(np.sum(prior * prior))
     for dev in means.group.values():
         total += ridge_lambda * float(np.sum(dev * dev))
     return total
@@ -1053,14 +1052,14 @@ def _projected_newton(evaluate, x, point, maxiter: int) -> tuple:
     gradient and a positive semidefinite curvature matrix; ``point`` is its
     evaluation at the start ``x``, which lies in the box.  Each iteration
     fixes the parameters that sit on a bound with the gradient pointing out
-    of the box, takes the Newton step in the others (a Cholesky factor with
-    a small ridge where the curvature is singular, ``chol_lower``), projects
-    it on the box and halves it until the value does not rise (Bertsekas
-    1982, *SIAM J. Control Optim.* 20:221-246).  A halved trial that
-    projects onto the rejected trial before it is not evaluated again.
-    It stops on L-BFGS-B's default tests: the largest projected gradient
-    entry at most ``_VAR_PGTOL``, or a relative decrease at most
-    ``_VAR_FTOL``.
+    of the box, takes the Newton step in the others (solved through a
+    ``CholFactor`` of their curvature, whose jitter ladder is a small ridge
+    where the curvature is singular), projects it on the box and halves it
+    until the value does not rise (Bertsekas 1982, *SIAM J. Control Optim.*
+    20:221-246).  A halved trial that projects onto the rejected trial
+    before it is not evaluated again.  It stops on L-BFGS-B's default
+    tests: the largest projected gradient entry at most ``_VAR_PGTOL``, or
+    a relative decrease at most ``_VAR_FTOL``.
 
     Returns the last accepted point and its evaluation, the iterations and
     the evaluations it made, and why it stopped short: None when it converged.
@@ -1075,8 +1074,7 @@ def _projected_newton(evaluate, x, point, maxiter: int) -> tuple:
         n_iter += 1
         free = ~(((x <= _LOG_LO) & (grad > 0)) | ((x >= _LOG_HI) & (grad < 0)))
         step = np.zeros_like(x)
-        low = chol_lower(curvature[np.ix_(free, free)])
-        step[free] = cho_solve((low, True), -grad[free])
+        step[free] = CholFactor(curvature[np.ix_(free, free)]).solve(-grad[free])
         rejected = None
         for halving in range(_VAR_HALVINGS):
             trial = np.clip(x + 0.5**halving * step, _LOG_LO, _LOG_HI)
@@ -1528,7 +1526,7 @@ def _held_out_grid(curve_cov: MaternParams, anchor_bytes: bytes, time_bytes: byt
 def _held_out_group(warp_cov: MaternParams, anchor_bytes: bytes, basis, coef_bytes: bytes):
     """The warp-prior rows (read-only) and a group's ``_mean_splines``, cached by their inputs."""
     anchors = np.frombuffer(anchor_bytes)
-    prior = _prior_rows(CholFactor(matern_cov(warp_cov, anchors[1:-1])))
+    prior = _prior_rows(warp_cov, anchors)
     prior.flags.writeable = False
     return prior, _mean_splines(basis, np.frombuffer(coef_bytes).reshape(2, basis.size))
 

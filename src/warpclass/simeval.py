@@ -189,10 +189,7 @@ class _Generator:
         self.design = self.basis.design(self.grid)
         self.project = np.linalg.pinv(self.design)
         self.anchors = np.asarray(anchors, dtype=float)
-        self.chol_o = {
-            0: np.linalg.cholesky(np.asarray(o_group0, dtype=float)),
-            1: np.linalg.cholesky(np.asarray(o_group1, dtype=float)),
-        }
+        self.chol_o = {0: chol_lower(o_group0), 1: chol_lower(o_group1)}
         self.chol_m = None
         if sigma_r > 0:
             m_cov = matern_cov(MaternParams(*rho_r), self.grid)

@@ -23,7 +23,7 @@ from warpclass.gp import (
     profile_loglik_parts,
     spd_inverses,
 )
-from warpclass.registration import _LOG_HI, _LOG_LO
+from warpclass.registration import _LOG_HI, _LOG_LO, RegistrationConfig
 
 
 def _random_spd(rng, n):
@@ -268,6 +268,23 @@ def test_spd_inverses_fall_back_to_the_jitter_ladder(caplog):
     assert np.all(np.isfinite(logdets))
     with pytest.raises(NumericalError):
         spd_inverses(np.stack([np.eye(3), -np.eye(3)]))
+
+
+def test_a_grids_factor_has_the_same_bytes_wherever_it_is_formed():
+    # the benchmark's curve kernel on its common 100-point grid and on nine
+    # 60-point grids jittered by 0.002: the GLS and held-out factor
+    # (CholFactor), the simulator's (chol_lower) and the variance stacks'
+    # (spd_inverses) are one factor
+    params = MaternParams(*RegistrationConfig().curve_cov_init)
+    rng = np.random.default_rng(11)
+    jittered = [np.linspace(0.0, 1.0, 60) + rng.uniform(-0.002, 0.002, 60) for _ in range(9)]
+    for grids in ([np.linspace(0.0, 1.0, 100)], jittered):
+        mats = np.stack([np.eye(len(g)) + matern_cov(params, g) for g in grids])
+        logdets = spd_inverses(mats.copy())[1]
+        for mat, logdet in zip(mats, logdets):
+            factor = CholFactor(mat)
+            assert factor.logdet() == logdet
+            assert np.array_equal(chol_lower(mat), factor._low)
 
 
 def test_jitter_step_is_kept_and_logged(caplog):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
-from warpclass import registration
+from warpclass import gp, registration
 from warpclass.basis import BSplineBasis, hyman_interp, hyman_slopes
 from warpclass.curves import CurvePanel, ScalarRecord, SubjectCurve
 from warpclass.errors import DataError, NumericalError
@@ -930,12 +930,12 @@ def test_a_long_stack_is_split_at_the_byte_budget(monkeypatch):
 
 def test_variance_negloglik_evaluates_each_stack_once(monkeypatch):
     # one kernel evaluation per stack, one Cholesky factor per grid in one
-    # batched call per stack, and no whitening solve: CholFactor only
-    # inverts the warp kernel H
+    # batched call per stack after the warp kernel H's, and no whitening
+    # solve: CholFactor only inverts H
     panel, fitted, jac, w0 = _stacked_grid_panel(range(6))
     args = _likelihood_args(monkeypatch, panel, fitted, jac, w0)
     kernels, factored = [], []
-    matern_distinct, cholesky = registration.matern_distinct, np.linalg.cholesky
+    matern_distinct, cholesky = registration.matern_distinct, gp._cholesky
 
     def counted_kernel(params, dists):
         kernels.append(dists.index.shape)
@@ -946,7 +946,7 @@ def test_variance_negloglik_evaluates_each_stack_once(monkeypatch):
         return cholesky(mats)
 
     monkeypatch.setattr(registration, "matern_distinct", counted_kernel)
-    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(gp, "_cholesky", counted_cholesky)
     calls = {"half_solve": 0, "solve": 0}
     for name in calls:
         original = getattr(CholFactor, name)
@@ -959,8 +959,48 @@ def test_variance_negloglik_evaluates_each_stack_once(monkeypatch):
     grad = np.empty(4)
     value, _ = registration._variance_negloglik(_LOG_POINTS[0], *args[:5], grad)
     assert value < registration._BIG
-    assert kernels == factored == [(3, 24, 24), (1, 16, 16), (1, 16, 16)]
+    assert kernels == [(3, 24, 24), (1, 16, 16), (1, 16, 16)]
+    assert factored == [(len(ANCHORS) - 2,) * 2, *kernels]
     assert calls == {"half_solve": 0, "solve": 1}
+
+
+def test_every_cholesky_factor_is_formed_by_one_routine(monkeypatch, caplog):
+    formed = []
+    cholesky = gp._cholesky
+
+    def counted(mats):
+        formed.append(np.shape(mats))
+        return cholesky(mats)
+
+    monkeypatch.setattr(gp, "_cholesky", counted)
+    spd = np.eye(5) + np.ones((5, 5))
+    CholFactor(spd)
+    gp.chol_lower(spd)
+    gp.spd_inverses(np.stack([spd, 2.0 * spd]))
+    assert formed == [(5, 5), (5, 5), (2, 5, 5)]
+    # a stack with one matrix that is not positive definite: the stack
+    # fails, each matrix is factored alone, and only that one takes jitter
+    formed.clear()
+    mats = np.stack([spd, np.ones((5, 5)), 2.0 * spd])
+    with caplog.at_level(logging.DEBUG, logger="warpclass.gp"):
+        low, jitter = gp._cholesky(mats)
+    assert formed == [(3, 5, 5), (5, 5), (5, 5), (5, 5)]
+    assert jitter[0] == jitter[2] == 0.0 < jitter[1] == CholFactor(mats[1]).jitter
+    (record,) = caplog.records
+    assert f"jitter {jitter[1]:g}" in record.getMessage()
+    assert np.array_equal(low[0], np.linalg.cholesky(spd))
+    assert np.array_equal(low[2], np.linalg.cholesky(2.0 * spd))
+    assert np.allclose(low[1] @ low[1].T, mats[1], atol=1e-6)
+    # a variance step, serial: the warp kernel H and each grid stack at
+    # every evaluation, and the Newton step's curvature (at most 4 x 4)
+    formed.clear()
+    _cpus(monkeypatch, "affinity", 1)
+    panel, fitted, jac, w0 = _stacked_grid_panel(range(6))
+    evaluations = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=1)[2]
+    per_evaluation = [(len(ANCHORS) - 2,) * 2, (3, 24, 24), (1, 16, 16), (1, 16, 16)]
+    newton = formed.pop(len(per_evaluation))
+    assert len(newton) == 2 and newton[0] == newton[1] <= 4
+    assert formed == per_evaluation * evaluations
 
 
 @functools.cache
@@ -1569,8 +1609,7 @@ def _projected_newton_evaluating_repeats(evaluate, x, point, maxiter):
         n_iter += 1
         free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
         step = np.zeros_like(x)
-        low = registration.chol_lower(curvature[np.ix_(free, free)])
-        step[free] = registration.cho_solve((low, True), -grad[free])
+        step[free] = registration.CholFactor(curvature[np.ix_(free, free)]).solve(-grad[free])
         for halving in range(registration._VAR_HALVINGS):
             trial = np.clip(x + 0.5**halving * step, lo, hi)
             new = evaluate(trial)
