@@ -220,9 +220,15 @@ class CholFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lapack(_potrs, rhs, lower=1)
 
-    def half_solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
-        """Solve L z = rhs with the lower triangular factor, or L' z = rhs if ``transposed``."""
-        return self._lapack(_trtrs, rhs, lower=1, trans=int(transposed))
+    def half_solve(
+        self, rhs: np.ndarray, transposed: bool = False, overwrite: bool = False
+    ) -> np.ndarray:
+        """Solve L z = rhs with the lower triangular factor, or L' z = rhs if ``transposed``.
+
+        With ``overwrite``, z is written over ``rhs`` when it is a
+        Fortran-ordered float array, as it is then LAPACK's own right side.
+        """
+        return self._lapack(_trtrs, rhs, lower=1, trans=int(transposed), overwrite_b=int(overwrite))
 
     def _lapack(self, routine, rhs, **flags) -> np.ndarray:
         out, info = routine(self._low, np.asarray(rhs, dtype=float), **flags)

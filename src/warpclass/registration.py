@@ -20,13 +20,17 @@ gets one set of per-group normal equations (``gls_normals``), from which
 the shared weights, the group deviations and the ridge weight are solved.
 A warp problem is assembled from parts built once where they are fixed:
 per grid and per variance state in ``GlsContext``, per group in each warp
-step.  It holds many subjects of one group: one residual call evaluates
-all of them (the Hyman slopes of all at once, the mean spline and its two
-derivatives once on all their warped times, two triangular solves per
-grid), and the Levenberg-Marquardt solver runs a batch of problems in
-lock step, each deciding as if solved alone.  A warp step solves each
-group's subjects as one batch, then the group's offsets on all members at
-once; a held-out subject is a batch of one, solved by the same solver.
+step.  It holds many subjects of one group, laid out per observation
+length: one residual call evaluates all of them (the Hyman slopes of all
+at once, each length's warped times and their derivatives in one pass on
+its grids' stacked Hermite weights, the mean spline and its two
+derivatives once on all warped times, and two triangular solves per grid,
+as numpy has no batched one), and the Levenberg-Marquardt solver runs a
+batch of problems in lock step, each deciding as if solved alone.
+Designs are warped the same way, one ``hyman_interp`` per length.  A warp
+step solves each group's subjects as one batch, then the group's offsets
+on all members at once; a held-out subject is a batch of one, solved by
+the same solver.
 The variance likelihood is evaluated one stack at a time: the grids of one
 length with the same number of subjects, whose kernels, factors and
 gradient traces are batched, and whose sums run in a fixed order whatever
@@ -257,27 +261,31 @@ def build_context(panel, basis, anchors, var) -> GlsContext:
 def warp_design(panel: CurvePanel, warps: WarpState, basis: BSplineBasis) -> dict:
     """Per-subject B-spline design evaluated at the warped times g(t_ij).
 
-    The subjects on one grid are warped together, by one ``hyman_interp``
-    on their stacked ordinates, and the designs of all warped times come
-    from one design-matrix call, split back per subject.  Each design
-    equals ``basis.design`` at its subject's warp values clipped to [0, 1].
-    Raises NumericalError if a subject's ordinates are not strictly
-    increasing.
+    The subjects with one number of observation times are warped together:
+    one ``hyman_interp`` on their stacked ordinates, evaluated row by row at
+    their stacked times (``MonotoneInterpolant.at_rows``).
+    The designs of all warped times come from one design-matrix call, split
+    back per subject.  Each design equals ``basis.design`` at its subject's
+    warp values clipped to [0, 1].  Raises NumericalError naming the first
+    subject, in panel order, whose ordinates are not strictly increasing.
     """
-    by_grid: dict = {}
-    for c in panel.curves:
-        by_grid.setdefault(c.times.tobytes(), []).append(c)
+    ids = panel.subject_ids
+    ords = np.array([warps.ordinates(sid) for sid in ids])
+    _check_increasing(ords, ids)
+    by_length: dict = {}
+    for i, c in enumerate(panel.curves):
+        by_length.setdefault(len(c.times), []).append(i)
     warped, rows, start = [], {}, 0
-    for curves in by_grid.values():
-        ords = np.array([warps.ordinates(c.subject_id) for c in curves])
-        _check_increasing(ords, [c.subject_id for c in curves])
-        g = np.clip(hyman_interp(warps.anchors, ords)(curves[0].times), 0.0, 1.0)
+    for idx in by_length.values():
+        times = np.array([panel.curves[i].times for i in idx])
+        g = np.clip(hyman_interp(warps.anchors, ords[idx]).at_rows(times), 0.0, 1.0)
         warped.append(g.ravel())
-        for c in curves:
-            rows[c.subject_id] = slice(start, start + len(c.times))
-            start += len(c.times)
+        n = g.shape[1]
+        for i in idx:
+            rows[ids[i]] = slice(start, start + n)
+            start += n
     design = basis.design(np.concatenate(warped))
-    return {c.subject_id: design[rows[c.subject_id]] for c in panel.curves}
+    return {sid: design[rows[sid]] for sid in ids}
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +393,32 @@ class WarpGrid:
     """The subjects of a warp problem that share one observation grid.
 
     ``values`` holds their curves (subjects, 2, n), one row per coordinate,
-    in the order of the problem's ``slot``.  ``weights`` are the grid's
+    in the order of the problem's ``value_row``.  ``weights`` are the grid's
     Hermite weights (W_y, W_d) (``_grid_parts``) stacked and transposed to
     (2 n_w, n), and ``s_factor`` its factor of I + S, or None to leave the
-    whitening out.
+    whitening out.  All three are views of, or held by, the grid's
+    ``WarpLength``.
     """
 
     weights: np.ndarray
     s_factor: CholFactor | None
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
+class WarpLength:
+    """The G grids of a warp problem that have one number of observation times n.
+
+    ``weights`` (G, 2 n_w, n) stacks the grids' ``WarpGrid.weights``,
+    ``factors`` holds their factors of I + S (or None), and ``values``
+    (subjects, 2, n) the curves of all their subjects, grid by grid, so
+    each grid's ``values`` is a slice of it.  ``subject_warp_residuals``
+    evaluates all of a length's subjects in one pass but for the two
+    triangular solves, made once per grid.
+    """
+
+    weights: np.ndarray
+    factors: tuple
     values: np.ndarray
 
 
@@ -402,20 +428,25 @@ class WarpProblem:
 
     Subject i's ordinates are ``base[i]`` plus its free interior offsets.
     The other fields are shared, built once where they are fixed: per grid,
-    ``grids`` (``WarpGrid``), with ``grid_of`` and ``slot`` giving each
-    subject's grid and its place in that grid's ``values``; per group, the
-    2-valued mean spline ``mean`` and its first and second derivatives
-    ``dmean`` and ``ddmean`` (``_mean_splines``), which give the residuals'
-    Jacobian and their second-order term; per variance state, the
-    warp-prior rows ``prior`` (``_prior_rows``), or None to leave them out.
-    ``of`` builds one.
+    ``grids`` (``WarpGrid``), in the order the subjects first name them;
+    per observation length, ``lengths`` (``WarpLength``), with
+    ``length_of``, ``grid_row`` and ``value_row`` giving each subject's
+    length, its grid's row in that length's ``weights`` and ``factors``,
+    and its row in that length's ``values``; per group, the 2-valued mean
+    spline ``mean`` and its first and second derivatives ``dmean`` and
+    ``ddmean`` (``_mean_splines``), which give the residuals' Jacobian and
+    their second-order term; per variance state, the warp-prior rows
+    ``prior`` (``_prior_rows``), or None to leave them out.  ``of`` builds
+    one.
     """
 
     anchors: np.ndarray
     base: np.ndarray  # (S, n_w)
     grids: tuple
-    grid_of: np.ndarray
-    slot: np.ndarray
+    lengths: tuple
+    length_of: np.ndarray
+    grid_row: np.ndarray
+    value_row: np.ndarray
     mean: BSpline
     dmean: BSpline
     ddmean: BSpline
@@ -433,17 +464,26 @@ class WarpProblem:
         members: dict = {}
         for i, t in enumerate(times):
             members.setdefault(t.tobytes(), []).append(i)
-        grid_of, slot = np.zeros(len(times), dtype=int), np.zeros(len(times), dtype=int)
-        grids = []
+        by_length: dict = {}
         for g, idx in enumerate(members.values()):
-            s_factor, hermite = grid_parts(times[idx[0]])
-            weights = np.concatenate(hermite, axis=1).T.copy()
-            stacked = np.array([values[i].T for i in idx])
-            grids.append(WarpGrid(weights, s_factor, stacked))
-            grid_of[idx], slot[idx] = g, range(len(idx))
+            by_length.setdefault(len(times[idx[0]]), []).append(g)
+        groups, grids = list(members.values()), [None] * len(members)
+        lengths, rows = [], [None] * len(times)  # each subject's length, grid row and value row
+        for j, in_length in enumerate(by_length.values()):
+            parts = [grid_parts(times[groups[g][0]]) for g in in_length]
+            # C-ordered, as einsum's order of summation follows the strides
+            weights = np.array([np.concatenate(hermite, axis=1).T for _, hermite in parts])
+            stacked = np.array([values[i].T for g in in_length for i in groups[g]])
+            start = 0
+            for row, (g, (s_factor, _)) in enumerate(zip(in_length, parts)):
+                grids[g] = WarpGrid(weights[row], s_factor, stacked[start : start + len(groups[g])])
+                for i in groups[g]:
+                    rows[i], start = (j, row, start), start + 1
+            lengths.append(WarpLength(weights, tuple(s for s, _ in parts), stacked))
         anchors = np.asarray(anchors, dtype=float)
         base = np.asarray(base, dtype=float)
-        return cls(anchors, base, tuple(grids), grid_of, slot, *splines, prior)
+        rows = np.array(rows, dtype=int).reshape(len(times), 3).T
+        return cls(anchors, base, tuple(grids), tuple(lengths), *rows, *splines, prior)
 
 
 def _mean_splines(basis: BSplineBasis, coefs: np.ndarray) -> tuple[BSpline, BSpline, BSpline]:
@@ -475,10 +515,20 @@ def subject_warp_residuals(prob: WarpProblem, u: np.ndarray, members=None) -> tu
     rows are linear and add nothing.  ``ok`` is False where the ordinates
     are not strictly increasing; those rows mean nothing.
 
-    One call takes the Hyman slopes of all k subjects at once, evaluates the
-    mean spline and its two derivatives once on all their warped times, and
-    whitens the subjects of each grid in one triangular solve and weights
-    their residuals by (I + S)^{-1} in one transposed one.
+    One call takes the Hyman slopes of all k subjects at once and evaluates
+    the mean spline and its two derivatives once on all their warped times.
+    Each observation length (``WarpLength``) is one pass: one ``einsum`` for
+    its subjects' warped times and one batched ``matmul`` for their
+    derivatives in the offsets, on its grids' Hermite weights gathered per
+    subject (shared, not gathered, where the length has one grid), and one
+    set of array operations for its residuals, Jacobians and second-order
+    terms.  Only the whitening is made grid by grid, each grid's subjects
+    in one triangular solve and their residuals weighted by (I + S)^{-1} in
+    one transposed one, both written over the length's arrays: numpy has no
+    batched triangular solve, and LAPACK's keeps each column's bytes
+    whatever the other columns.  So a subject's numbers do not depend on
+    which others are evaluated with it: g sums term by term, and every
+    product is one subject's.
     """
     if members is None:
         members = np.arange(len(prob.base))
@@ -489,53 +539,62 @@ def subject_warp_residuals(prob: WarpProblem, u: np.ndarray, members=None) -> tu
     k, m = u.shape
     n_w = len(prob.anchors)
     ords_slopes = np.concatenate((ords, d), axis=1)
-    if len(prob.grids) == 1:
-        split = [(slice(None), prob.grids[0], members)]
+    slopes_t = dd.transpose(0, 2, 1)
+    if len(prob.lengths) == 1:
+        split = [(slice(None), prob.lengths[0], members)]
     else:
-        grid_of = prob.grid_of[members]
+        length_of = prob.length_of[members]
         split = []
-        for g in np.unique(grid_of):
-            pos = np.flatnonzero(grid_of == g)
-            split.append((pos, prob.grids[g], prob.slot[members[pos]]))
-    # Warped times (k_g, n) and their derivatives in the free offsets
-    # (k_g, m, n), grid by grid; then the mean curve on all of them at once.
-    # Each subject's numbers do not depend on which others are evaluated
-    # with it: g is summed term by term (einsum), and the derivatives take
-    # n_w columns of one product per subject.
-    warped = []
-    for pos, grid, _ in split:
-        wy, wd = grid.weights[:n_w], grid.weights[n_w:]
-        n = wy.shape[1]
-        g = np.einsum("kj,jn->kn", ords_slopes[pos], grid.weights)
-        dg = (dd[pos].transpose(0, 2, 1).reshape(-1, n_w) @ wd).reshape(-1, n_w, n)
-        warped.append((g, dg[:, 1:-1] + wy[1:-1]))
-    times = np.concatenate([g.ravel() for g, _ in warped])
+        for j in np.unique(length_of):
+            pos = np.flatnonzero(length_of == j)
+            split.append((pos, prob.lengths[j], members[pos]))
+    # Warped times (k_n, n) and their derivatives in the free offsets
+    # (k_n, m, n), length by length, each grid's subjects together; then the
+    # mean curve on all of them at once.
+    passes = []
+    for pos, length, subjects in split:
+        if len(length.factors) == 1:  # one grid: its weights broadcast, not gathered
+            weights, blocks = length.weights, [(0, len(subjects), length.factors[0])]
+        else:
+            order = np.argsort(prob.grid_row[subjects], kind="stable")
+            pos, subjects = np.arange(k)[pos][order], subjects[order]
+            grid_rows = prob.grid_row[subjects]
+            weights = length.weights[grid_rows]
+            cuts = [0, *(np.flatnonzero(np.diff(grid_rows)) + 1), len(grid_rows)]
+            blocks = [(a, b, length.factors[grid_rows[a]]) for a, b in zip(cuts[:-1], cuts[1:])]
+        g = np.einsum("kj,kjn->kn", ords_slopes[pos], weights)
+        dg = (slopes_t[pos] @ weights[:, n_w:])[:, 1:-1] + weights[:, 1 : n_w - 1]
+        passes.append((pos, length, subjects, blocks, g, dg))
+    times = np.concatenate([g.ravel() for *_, g, _ in passes])
     mean, slope, curvature = prob.mean(times), prob.dmean(times), prob.ddmean(times)
-    n_max = max(grid.values.shape[2] for grid in prob.grids)
+    n_max = max(length.values.shape[2] for length in prob.lengths)
     rows = 2 * n_max + (0 if prob.prior is None else m)
     r, jac, second = np.zeros((k, rows)), np.zeros((k, rows, m)), np.empty((k, m, m))
     start = 0
-    for (pos, grid, slots), (g, dg) in zip(split, warped):
-        kg, n = g.shape
-        stop = start + kg * n
-        # the grid's spline values and derivatives as (kg, 2, n)
+    for pos, length, subjects, blocks, g, dg in passes:
+        kn, n = g.shape
+        stop = start + kn * n
+        # the length's spline values and derivatives as (kn, 2, n)
         mu, dmu, ddmu = (
-            v[start:stop].reshape(kg, n, 2).transpose(0, 2, 1) for v in (mean, slope, curvature)
+            v[start:stop].reshape(kn, n, 2).transpose(0, 2, 1) for v in (mean, slope, curvature)
         )
         # one column per subject, coordinate and [residual, Jacobian column]
-        cols = np.empty((kg, 2, 1 + m, n))
-        np.subtract(grid.values[slots], mu, out=cols[:, :, 0])
+        cols = np.empty((kn, 2, 1 + m, n))
+        np.subtract(length.values[prob.value_row[subjects]], mu, out=cols[:, :, 0])
         np.multiply(-dmu[:, :, None], dg[:, None], out=cols[:, :, 1:])
-        if grid.s_factor is None:
+        if blocks[0][2] is None:
             weighted = cols[:, :, 0]
         else:
-            cols = grid.s_factor.half_solve(cols.reshape(-1, n).T).T.reshape(cols.shape)
-            weighted = grid.s_factor.half_solve(cols[:, :, 0].reshape(-1, n).T, transposed=True)
-            weighted = weighted.T.reshape(kg, 2, n)
+            # each grid's block solved in place: as (n, columns) it is Fortran-ordered
+            weighted = np.empty((kn, 2, n))
+            for a, b, factor in blocks:
+                factor.half_solve(cols[a:b].reshape(-1, n).T, overwrite=True)
+                weighted[a:b] = cols[a:b, :, 0]
+                factor.half_solve(weighted[a:b].reshape(-1, n).T, transposed=True, overwrite=True)
         w = (weighted * ddmu).sum(axis=1)
         second[pos] = -((dg * w[:, None]) @ dg.transpose(0, 2, 1))
-        r[pos, : 2 * n] = cols[:, :, 0].reshape(kg, 2 * n)
-        jac[pos, : 2 * n] = cols[:, :, 1:].transpose(0, 1, 3, 2).reshape(kg, 2 * n, m)
+        r[pos, : 2 * n] = cols[:, :, 0].reshape(kn, 2 * n)
+        jac[pos, : 2 * n] = cols[:, :, 1:].transpose(0, 1, 3, 2).reshape(kn, 2 * n, m)
         if prob.prior is not None:
             r[pos, 2 * n : 2 * n + m] = (prob.prior * u[pos, None]).sum(axis=2)
             jac[pos, 2 * n : 2 * n + m] = prob.prior
@@ -1132,9 +1191,12 @@ def fit_variance(
     are the process's affinity set, not a cgroup CPU quota: under a quota
     of one CPU on a many-core host the workers share that CPU, which costs
     speed, not results.  Each worker's OpenBLAS may start threads of its
-    own: on two cores, fits on jittered 60-point grids took 0.83-0.92 s
-    at ``OPENBLAS_NUM_THREADS=1`` and 1.00-1.23 s at 2, with equal
-    results.  Set ``OPENBLAS_NUM_THREADS=1`` for the faster fit.
+    own, and the products are too small to gain from them.  On two cores
+    (12 alternating runs each, with equal results), fits of 30 subjects on
+    jittered grids of 60 or 30 points took a median 0.48 s at
+    ``OPENBLAS_NUM_THREADS=1`` and 0.47 s at 2, and fits of 30 subjects on
+    jittered 60-point grids 0.48 s and 0.52 s.  Set
+    ``OPENBLAS_NUM_THREADS=1`` for the faster fit.
     """
     anchors = np.asarray(anchors, dtype=float)
     by_grid, resid = {}, {}

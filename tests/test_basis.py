@@ -281,6 +281,26 @@ def test_hyman_rejects_bad_anchors():
         hyman_interp([0.0], [0.0])
 
 
+def test_each_row_of_a_stack_at_its_own_times_has_the_bytes_of_its_own_interpolant():
+    rng = np.random.default_rng(7)
+    anchors = np.array([0.0, 0.33, 0.67, 1.0])
+    ords = anchors + np.column_stack([np.zeros(5), rng.normal(0, 0.05, (5, 2)), np.zeros(5)])
+    times = np.sort(rng.uniform(0.0, 1.0, (5, 40)), axis=1)
+    times[2] = times[0]  # a grid two rows share
+    stack = hyman_interp(anchors, ords)
+    rows = stack.at_rows(times)
+    assert rows.shape == (5, 40)
+    for y, t, row in zip(ords, times, rows):
+        assert row.tobytes() == hyman_interp(anchors, y)(t).tobytes()
+    # a call evaluates every interpolant at all of the times, whatever their shape
+    assert stack(times).shape == (5, 5, 40)
+    assert stack(times[0])[2].tobytes() == rows[2].tobytes()
+    with pytest.raises(DataError, match=r"5 interpolants cannot take times of shape \(1, 40\)"):
+        stack.at_rows(times[:1])
+    with pytest.raises(DataError, match="by row"):
+        hyman_interp(anchors, ords[0]).at_rows(times[:1])
+
+
 def test_interpolant_rejects_out_of_span():
     f = hyman_interp([0.0, 0.5, 1.0], [0.0, 0.6, 1.0])
     with pytest.raises(DataError):

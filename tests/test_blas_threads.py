@@ -70,30 +70,46 @@ for out in (serial, pooled):
 
 
 # One warp step at the benchmark's size: 60 subjects on one 100-point grid,
-# so each group of 30 whitens 180 columns in one triangular solve.
+# so each group of 30 whitens 180 columns in one triangular solve.  Then one
+# on 30 jittered grids of two lengths (a third of the subjects keep every
+# other time point), so each group's warped times and their derivatives come
+# from one gathered einsum and one batched matmul per length.
 WARP_PROBE = """
 import hashlib, json
 import numpy as np
 from warpclass.basis import BSplineBasis
+from warpclass.curves import CurvePanel, SubjectCurve
 from warpclass.registration import (
     MeanWeights, RegistrationConfig, WarpState, build_context, estimate_c, estimate_d,
     fit_warps, gls_normals, warp_design,
 )
 from warpclass.simeval import Study2Config, simulate_study2
-panel, _ = simulate_study2(Study2Config(scenario="A", seed=0, n_subjects=60, n_obs=100))
 cfg = RegistrationConfig()
 basis = BSplineBasis.uniform(cfg.n_interior_knots, cfg.spline_order)
 anchors = np.asarray(cfg.warp_anchors)
-warps = WarpState.identity(anchors, panel.group_of)
-ctx = build_context(panel, basis, anchors, cfg.initial_variance())
-normals = gls_normals(panel, warps, ctx, warp_design(panel, warps, basis))
-shared = estimate_c(normals, {k: np.zeros((2, basis.size)) for k in (0, 1)})
-deviations, shared = estimate_d(normals, shared, 1.0)
-warps, stats = fit_warps(panel, MeanWeights(shared, deviations), ctx, warps)
-h = hashlib.sha256(json.dumps(stats, sort_keys=True).encode())
-for offsets in [*warps.group_offsets.values(), *warps.subject_offsets.values()]:
-    h.update(offsets.tobytes())
-print(stats["n_opt"], h.hexdigest())
+
+def step(panel):
+    warps = WarpState.identity(anchors, panel.group_of)
+    ctx = build_context(panel, basis, anchors, cfg.initial_variance())
+    normals = gls_normals(panel, warps, ctx, warp_design(panel, warps, basis))
+    shared = estimate_c(normals, {k: np.zeros((2, basis.size)) for k in (0, 1)})
+    deviations, shared = estimate_d(normals, shared, 1.0)
+    warps, stats = fit_warps(panel, MeanWeights(shared, deviations), ctx, warps)
+    h = hashlib.sha256(json.dumps(stats, sort_keys=True).encode())
+    for offsets in [*warps.group_offsets.values(), *warps.subject_offsets.values()]:
+        h.update(offsets.tobytes())
+    print(stats["n_opt"], h.hexdigest())
+
+panel, _ = simulate_study2(Study2Config(scenario="A", seed=0, n_subjects=60, n_obs=100))
+step(panel)
+panel, _ = simulate_study2(Study2Config(scenario="A", seed=1, n_subjects=30, n_obs=60))
+rng = np.random.default_rng(1)
+curves = []
+for i, c in enumerate(panel.curves):
+    keep = slice(None, None, 2 if i % 3 == 0 else 1)
+    times = c.times + rng.uniform(-0.002, 0.002, len(c.times))
+    curves.append(SubjectCurve(c.subject_id, times[keep], c.values[keep]))
+step(CurvePanel(curves, panel.scalars))
 """
 
 
@@ -124,7 +140,8 @@ def test_variance_likelihood_at_benchmark_size_is_identical_across_blas_thread_c
 
 def test_warp_step_at_benchmark_size_is_identical_across_blas_thread_counts():
     one = _python(["-c", WARP_PROBE], 1)
-    assert one.split()[0] == "62"  # 60 subject solves and 2 group solves
+    # 60 subject solves and 2 group solves; then 30 and 2
+    assert [line.split()[0] for line in one.splitlines()] == ["62", "32"]
     assert one == _python(["-c", WARP_PROBE], 2)
 
 

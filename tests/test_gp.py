@@ -205,6 +205,17 @@ def test_chol_solve_matches_lu_oracle():
     assert np.max(np.abs(CholFactor(mat).solve(rhs) - want)) < 1e-9
 
 
+def test_half_solve_overwrite_writes_the_same_bytes_over_a_fortran_ordered_rhs():
+    rng = np.random.default_rng(8)
+    factor = CholFactor(_random_spd(rng, 6))
+    for transposed in (False, True):
+        rhs = np.asfortranarray(rng.standard_normal((6, 3)))
+        want = factor.half_solve(rhs, transposed=transposed)
+        assert not np.array_equal(want, rhs)
+        factor.half_solve(rhs, transposed=transposed, overwrite=True)
+        assert rhs.tobytes() == np.asfortranarray(want).tobytes()
+
+
 def test_chol_solve_residual_bound():
     rng = np.random.default_rng(9)
     mat = _random_spd(rng, 8)

@@ -216,6 +216,45 @@ def test_warp_design_equals_each_subjects_design():
         assert np.allclose(designs[c.subject_id], basis.design(g), rtol=0.0, atol=1e-14)
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_warp_design_by_length_equals_each_subjects_design_in_any_order(seed, data):
+    # 25-point grids shared and jittered, 13-point grids all shared
+    rng = np.random.default_rng(seed)
+    basis = BSplineBasis.uniform(5, 4)
+    shared, short = np.linspace(0.0, 1.0, 25), np.linspace(0.0, 1.0, 13)
+    grids = []
+    for i in range(12):
+        jitter = np.r_[0.0, rng.uniform(-0.002, 0.002, 23), 0.0]
+        grids.append(short if i % 3 == 0 else shared + jitter if i % 3 == 1 else shared)
+    # a panel is sorted by subject id: the subjects take the grids in any order
+    order = data.draw(st.permutations(range(12)))
+    ids = [f"s{i:02d}" for i in range(12)]
+    curves = [
+        SubjectCurve(sid, grids[g], rng.standard_normal((len(grids[g]), 2)))
+        for sid, g in zip(ids, order)
+    ]
+    scalars = [ScalarRecord(sid, np.array([1.0]), i % 2) for i, sid in enumerate(ids)]
+    panel = CurvePanel(tuple(curves), tuple(scalars))
+    warps = WarpState.identity(ANCHORS, panel.group_of)
+    for k in (0, 1):
+        warps.group_offsets[k][1:-1] = rng.normal(0, 0.03, 2)
+    for sid in ids:
+        warps.subject_offsets[sid][1:-1] = rng.normal(0, 0.03, 2)
+    designs = warp_design(panel, warps, basis)
+    assert list(designs) == ids
+    for c in panel.curves:
+        g = np.clip(warp_values(ANCHORS, warps.ordinates(c.subject_id), c.times), 0.0, 1.0)
+        assert designs[c.subject_id].tobytes() == basis.design(g).tobytes()
+    # the first subject in panel order with a non-increasing warp is named
+    bad = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
+    for sid in bad:
+        warps.subject_offsets[sid][1] = 0.5
+    first = next(sid for sid in ids if sid in bad)
+    with pytest.raises(NumericalError, match=f"non-monotone warp ordinates for subject {first}$"):
+        warp_design(panel, warps, basis)
+
+
 # ---------------------------------------------------------------------------
 # Basis-weight GLS steps against a dense stacked oracle.
 

@@ -420,6 +420,66 @@ def test_batched_residuals_equal_each_subjects_alone():
     assert second2.tobytes() == second[some].tobytes()
 
 
+def _grid_problem(base, times, values, whiten, prior):
+    """The problem of the subjects ``base`` observed at ``times`` with curves ``values``.
+
+    Each distinct grid gets the factor of I + S under ``_var``'s curve
+    kernel where ``whiten`` is set, and the problem ``_var``'s warp-prior
+    rows where ``prior`` is.
+    """
+    basis = BSplineBasis.uniform(4, 4)
+    var = _var()
+
+    def grid_parts(t):
+        s_fac = CholFactor(np.eye(len(t)) + matern_cov(var.curve_cov, t)) if whiten else None
+        return s_fac, hermite_weights(ANCHORS, t)
+
+    rows = registration._prior_rows(var.warp_cov, ANCHORS) if prior else None
+    splines = _mean_splines(basis, _coefs(basis))
+    return WarpProblem.of(ANCHORS, base, times, values, grid_parts, splines, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16), size=st.integers(2, 12), whiten=st.booleans(),
+    prior=st.booleans(), data=st.data(),
+)
+def test_each_subjects_rows_equal_its_batch_of_one_in_any_subset_and_order(
+    seed, size, whiten, prior, data
+):
+    # 1-3 observation lengths of 1-4 grids each; with more subjects than
+    # grids, some subjects share a grid
+    rng = np.random.default_rng(seed)
+    lengths = data.draw(st.lists(st.sampled_from([9, 17, 24, 30]), min_size=1, max_size=3, unique=True))
+    grids = [
+        np.sort(rng.uniform(0.0, 1.0, n)) for n in lengths for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    times = [grids[g] for g in rng.permutation(np.arange(size) % len(grids))]
+    values = [rng.standard_normal((len(t), 2)) for t in times]
+    base = ANCHORS + np.column_stack(
+        [np.zeros(size), rng.normal(0, 0.03, (size, 2)), np.zeros(size)]
+    )
+    batch = _grid_problem(base, times, values, whiten, prior)
+    assert len(batch.grids) == len({t.tobytes() for t in times})
+    assert len(batch.lengths) == len({len(t) for t in times})
+    members = np.array(data.draw(st.permutations(range(size))))[: data.draw(st.integers(1, size))]
+    u = rng.normal(0, 0.02, (len(members), 2))
+    if data.draw(st.booleans()):
+        u[0] = [0.5, -0.5]  # out of order
+    r, jac, ok, second = subject_warp_residuals(batch, u, members)
+    m = 2 if prior else 0
+    assert r.shape == (len(members), 2 * max(len(t) for t in times) + m)
+    for j, i in enumerate(members):
+        alone = _grid_problem(base[i : i + 1], [times[i]], [values[i]], whiten, prior)
+        r1, jac1, ok1, second1 = subject_warp_residuals(alone, u[j : j + 1])
+        rows = 2 * len(times[i]) + m
+        assert ok1[0] == ok[j]
+        assert r[j, :rows].tobytes() == r1[0].tobytes()
+        assert jac[j, :rows].tobytes() == jac1[0].tobytes()
+        assert second[j].tobytes() == second1[0].tobytes()
+        assert not r[j, rows:].any() and not jac[j, rows:].any()
+
+
 def _counted(residuals, counts, calls):
     """``residuals`` counting each problem's evaluations and recording each call's members."""
 
