@@ -1,21 +1,35 @@
 """Matern covariance kernels and Gaussian linear algebra.
 
-The Matern correlation ``2^(1-nu)/Gamma(nu) x^nu K_nu(x)`` is evaluated
-without the general Bessel routine whenever the order allows.  For an
-integer order the scaled functions ``f_j = x^j K_j(x)`` start from
-``K_0`` and ``x K_1`` and follow the upward recurrence
+The Matern correlation ``c x^nu K_nu(x)``, with the norming constant
+``c = 2^(1-nu)/Gamma(nu)``, has an exact path without the general Bessel
+routine whenever the order allows (``_matern_exact``).  For an integer
+order the scaled functions ``f_j = x^j K_j(x)`` start from ``K_0`` and
+``x K_1`` and follow the upward recurrence
 ``f_(j+1) = x^2 f_(j-1) + 2j f_j``; for a half-integer order the same
 loop starts from the elementary ``f_(1/2)`` and ``f_(3/2)``.  Every term
 is positive, so nothing cancels, and no factor 1/x can overflow near
-zero.  Other orders call ``scipy.special.kv``.  A kernel on one grid is
-evaluated on its strict upper triangle only and mirrored, with the
-diagonal set to the amplitude, so it is exactly symmetric.
+zero.  Other orders call ``scipy.special.kv``.  Since
+``d/dx f_nu = -x f_(nu-1)``, the derivative of a kernel in its log
+length scale is ``amplitude * c * x^2 f_(nu-1)(x)``; the recurrence
+leaves ``f_(nu-1)`` as its previous term, so the derivative costs no
+further Bessel evaluation.
 
-Since ``d/dx f_nu = -x f_(nu-1)``, the derivative of a kernel in its log
-length scale is ``amplitude * c * x^2 f_(nu-1)(x)`` with the norming
-constant ``c = 2^(1-nu)/Gamma(nu)``.  The recurrence leaves ``f_(nu-1)``
-as its previous term, so the derivative costs no further Bessel
-evaluation.  ``GridDistances`` holds the distinct pair distances of one
+Integer orders, the default nu = 3 among them, read the correlation and
+its derivative from a table instead (``_matern_table``, built once per
+order on first use): quintic Hermite pieces on cells of width 1/128 over
+[0, 40), which match the exact path's values and first two derivatives
+at every node.  Distances from 40 on, and for orders 1 and 2 those
+below 1 (where ``c f_nu`` has an ``x^(2 nu) log x`` term), take the
+exact path element by element; x = 0 gives exactly (1, 0).  The table is
+within 8 eps of the exact path relative to the correlation and within
+2e-15 absolute for the derivative (tests/test_gp.py); the exact path's
+own Bessel values are a few ulps from the true function, so no smooth
+table can follow it closer.  Half-integer and other orders keep the
+exact path.
+
+A kernel on one grid is evaluated on its strict upper triangle only and
+mirrored, with the diagonal set to the amplitude, so it is exactly
+symmetric.  ``GridDistances`` holds the distinct pair distances of one
 grid, or of a stack of grids of one length, so that a likelihood evaluated
 many times on fixed grids computes the kernel and its derivative once per
 distinct distance (``matern_distinct``, ``matern_cov_grad``).
@@ -91,11 +105,13 @@ def _scaled_bessel(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def _matern_corr(nu: float, x: np.ndarray, slope: bool = True):
-    """Matern correlation at scaled distances ``x``, and its log-length-scale derivative.
+def _matern_exact(nu: float, x: np.ndarray, slope: bool = True):
+    """The Matern correlation and its slope straight from ``_scaled_bessel``.
 
-    The derivative is ``c x^2 f_(nu-1)(x)``.  At x = 0 the pair is exactly
-    (1, 0).  With ``slope=False`` only the correlation is formed and returned.
+    The reference for the table of ``_matern_corr``, and its path for
+    orders and distances the table does not cover.  At x = 0 the pair is
+    exactly (1, 0).  With ``slope=False`` only the correlation is formed
+    and returned.
     """
     norm = 2.0 ** (1.0 - nu) / gamma_fn(nu)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -109,6 +125,110 @@ def _matern_corr(nu: float, x: np.ndarray, slope: bool = True):
     with np.errstate(over="ignore", invalid="ignore"):
         grad = x * x * low
     return corr, np.where(keep & np.isfinite(grad), norm * grad, 0.0)
+
+
+# The table of an integer order: cells of width 1/_TABLE_CELLS_PER_UNIT, a
+# power of two, so that x times it and its offset within a cell are exact
+# (an argument off by one ulp moves e^-x by x ulps).  Orders below 3 start
+# at _TABLE_FROM, under which c f_nu has an x^(2 nu) log x term whose sixth
+# derivative the quintic pieces cannot follow (tests/test_gp.py fixes it).
+_TABLE_CELLS_PER_UNIT = 128
+_TABLE_END = 40.0
+_TABLE_FROM = 1.0
+
+
+@functools.lru_cache(maxsize=8)
+def _matern_table(nu: float) -> np.ndarray | None:
+    """Quintic Hermite pieces of ``c f_nu`` and ``c x^2 f_(nu-1)`` for an integer order.
+
+    Shape (2, 6, cells): the correlation and its slope, the power of the
+    cell coordinate t = x 128 - k, and the cell k of [0, 40).  Each piece
+    matches the values and first two derivatives of ``_scaled_bessel`` at
+    both of its nodes: with f_nu' = -x f_(nu-1) and the recurrence,
+    ``(c f_nu)'' = c f_nu - (2 nu - 1) c f_(nu-1)``, and the slope
+    g = x^2 c f_(nu-1) has g' = x (2 nu c f_(nu-1) - c f_nu) and
+    g'' = (4 nu^2 - 2 nu + x^2) c f_(nu-1) - (2 nu + 1) c f_nu.  Cells below
+    ``_TABLE_FROM`` are zero for orders below 3, and at x = 0 the limits
+    c f_nu = 1 and c f_(nu-1) = 1 / (2 nu - 2) stand in.  Built once per
+    order, read-only, about 0.5 MB; None where an order's Bessel factors
+    overflow on the nodes.
+    """
+    cells = int(_TABLE_END) * _TABLE_CELLS_PER_UNIT
+    first = 0 if nu >= 3 else round(_TABLE_FROM * _TABLE_CELLS_PER_UNIT)
+    x = np.arange(first, cells + 1) / _TABLE_CELLS_PER_UNIT
+    norm = 2.0 ** (1.0 - nu) / gamma_fn(nu)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        hi, lo = _scaled_bessel(nu, x)
+        f, f1 = norm * hi, norm * lo
+    if first == 0:
+        f[0], f1[0] = 1.0, 0.5 / (nu - 1.0)
+    x2 = x * x
+    step = 1.0 / _TABLE_CELLS_PER_UNIT
+    table = np.zeros((2, 6, cells))
+    for out, value, deriv, curv in (
+        (table[0], f, -x * f1, f - (2.0 * nu - 1.0) * f1),
+        (
+            table[1],
+            x2 * f1,
+            x * (2.0 * nu * f1 - f),
+            (4.0 * nu * nu - 2.0 * nu + x2) * f1 - (2.0 * nu + 1.0) * f,
+        ),
+    ):
+        # in t, the derivatives scale by the step; the three highest powers
+        # make the piece meet the right node's value and derivatives
+        y, d, s = value, step * deriv, (step * step) * curv
+        rise = y[1:] - y[:-1] - d[:-1] - 0.5 * s[:-1]
+        turn = d[1:] - d[:-1] - s[:-1]
+        bend = s[1:] - s[:-1]
+        out[:, first:] = (
+            y[:-1],
+            d[:-1],
+            0.5 * s[:-1],
+            10.0 * rise - 4.0 * turn + 0.5 * bend,
+            -15.0 * rise + 7.0 * turn - bend,
+            6.0 * rise - 3.0 * turn + 0.5 * bend,
+        )
+    if not np.isfinite(table).all():
+        return None
+    table.flags.writeable = False
+    return table
+
+
+def _matern_corr(nu: float, x: np.ndarray, slope: bool = True):
+    """Matern correlation at scaled distances ``x``, and its log-length-scale derivative.
+
+    The derivative is ``c x^2 f_(nu-1)(x)``.  An integer order reads both
+    from its table (``_matern_table``): one cell index, and six coefficients
+    taken and five multiply-adds per function, within 8 eps of the exact
+    path relative to the correlation and 2e-15 absolute for the derivative.
+    Distances from 40 on, and below 1 for orders 1 and 2, take the exact
+    path element by element, as do half-integer orders (closed form) and
+    all other orders (``kv``); x = 0 gives exactly (1, 0).  With
+    ``slope=False`` only the correlation is formed and returned.
+    """
+    nu = float(nu)  # one cache entry for 3, 3.0 and np.float64(3.0)
+    table = _matern_table(nu) if nu.is_integer() else None
+    if table is None:
+        return _matern_exact(nu, x, slope)
+    exact = ~(x < _TABLE_END)  # NaN too
+    if nu < 3:
+        exact |= x < _TABLE_FROM
+    spill = exact.any()
+    u = np.where(exact, 0.0, x) if spill else x
+    u = u * _TABLE_CELLS_PER_UNIT
+    cell = u.astype(np.intp)
+    t = u - cell
+    out = []
+    for coefs in table[: 1 + slope]:
+        acc = coefs[5].take(cell)
+        for power in (4, 3, 2, 1, 0):
+            acc *= t
+            acc += coefs[power].take(cell)
+        out.append(acc)
+    if spill:
+        for acc, ref in zip(out, _matern_exact(nu, x[exact])):
+            acc[exact] = ref
+    return tuple(out) if slope else out[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -125,9 +245,11 @@ def matern_cov(params: MaternParams, s_grid) -> np.ndarray:
 
     Entry (i, j) is ``amplitude * m_nu(|s_i - s_j| / length_scale)`` where
     ``m_nu`` is the standard Matern correlation with m_nu(0) = 1, at scaled
-    distance ``x = sqrt(2 nu) |s_i - s_j| / length_scale``.  Integer and
-    half-integer orders ``nu`` use the recurrence of the module docstring,
-    other orders ``scipy.special.kv``.  Only the strict upper triangle is
+    distance ``x = sqrt(2 nu) |s_i - s_j| / length_scale``, from
+    ``_matern_corr``: integer orders ``nu`` read their table for x in
+    [0, 40) ([1, 40) for nu = 1 and 2), within 8 eps of the exact path
+    relative to the correlation; other x and orders take the exact path
+    (module docstring).  Only the strict upper triangle is
     evaluated, and only the correlation, not its derivative; its pair
     indices are cached per grid length.  The result is exactly symmetric
     with the amplitude on its diagonal.
@@ -162,9 +284,14 @@ class GridDistances:
     @classmethod
     def of(cls, grid) -> "GridDistances":
         s = np.asarray(grid, dtype=float)
-        dist = np.abs(s[:, None] - s[None, :])
-        distinct, inverse = np.unique(dist, return_inverse=True)
-        return cls(distinct, inverse.reshape(dist.shape))
+        n = len(s)
+        rows, cols = _upper_pairs(n)
+        # |s_i - s_j| == |s_j - s_i| exactly, so the strict upper triangle and
+        # the diagonal's 0.0 (which sorts first) hold every distinct distance
+        distinct, inverse = np.unique(np.append(0.0, np.abs(s[rows] - s[cols])), return_inverse=True)
+        index = np.zeros((n, n), dtype=np.intp)
+        index[rows, cols] = index[cols, rows] = inverse[1:]
+        return cls(distinct, index)
 
     @classmethod
     def stack(cls, grids) -> "GridDistances":

@@ -389,32 +389,16 @@ def estimate_ridge(normals: dict, c_hat: np.ndarray, noise_sd: float, start: flo
 
 
 @dataclass(frozen=True)
-class WarpGrid:
-    """The subjects of a warp problem that share one observation grid.
-
-    ``values`` holds their curves (subjects, 2, n), one row per coordinate,
-    in the order of the problem's ``value_row``.  ``weights`` are the grid's
-    Hermite weights (W_y, W_d) (``_grid_parts``) stacked and transposed to
-    (2 n_w, n), and ``s_factor`` its factor of I + S, or None to leave the
-    whitening out.  All three are views of, or held by, the grid's
-    ``WarpLength``.
-    """
-
-    weights: np.ndarray
-    s_factor: CholFactor | None
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class WarpLength:
     """The G grids of a warp problem that have one number of observation times n.
 
-    ``weights`` (G, 2 n_w, n) stacks the grids' ``WarpGrid.weights``,
-    ``factors`` holds their factors of I + S (or None), and ``values``
-    (subjects, 2, n) the curves of all their subjects, grid by grid, so
-    each grid's ``values`` is a slice of it.  ``subject_warp_residuals``
-    evaluates all of a length's subjects in one pass but for the two
-    triangular solves, made once per grid.
+    ``weights`` (G, 2 n_w, n) stacks the grids' Hermite weights (W_y, W_d)
+    (``_grid_parts``), each transposed to (2 n_w, n), ``factors`` holds
+    their factors of I + S (or None to leave the whitening out), and
+    ``values`` (subjects, 2, n) the curves of all their subjects, one row
+    per coordinate, grid by grid in the order the subjects first name the
+    grids.  ``subject_warp_residuals`` evaluates all of a length's subjects
+    in one pass but for the two triangular solves, made once per grid.
     """
 
     weights: np.ndarray
@@ -427,9 +411,8 @@ class WarpProblem:
     """The warp residuals of S subjects of one group, all but the free offsets fixed.
 
     Subject i's ordinates are ``base[i]`` plus its free interior offsets.
-    The other fields are shared, built once where they are fixed: per grid,
-    ``grids`` (``WarpGrid``), in the order the subjects first name them;
-    per observation length, ``lengths`` (``WarpLength``), with
+    The other fields are shared, built once where they are fixed: per
+    observation length, ``lengths`` (``WarpLength``), with
     ``length_of``, ``grid_row`` and ``value_row`` giving each subject's
     length, its grid's row in that length's ``weights`` and ``factors``,
     and its row in that length's ``values``; per group, the 2-valued mean
@@ -442,7 +425,6 @@ class WarpProblem:
 
     anchors: np.ndarray
     base: np.ndarray  # (S, n_w)
-    grids: tuple
     lengths: tuple
     length_of: np.ndarray
     grid_row: np.ndarray
@@ -467,7 +449,7 @@ class WarpProblem:
         by_length: dict = {}
         for g, idx in enumerate(members.values()):
             by_length.setdefault(len(times[idx[0]]), []).append(g)
-        groups, grids = list(members.values()), [None] * len(members)
+        groups = list(members.values())
         lengths, rows = [], [None] * len(times)  # each subject's length, grid row and value row
         for j, in_length in enumerate(by_length.values()):
             parts = [grid_parts(times[groups[g][0]]) for g in in_length]
@@ -475,15 +457,14 @@ class WarpProblem:
             weights = np.array([np.concatenate(hermite, axis=1).T for _, hermite in parts])
             stacked = np.array([values[i].T for g in in_length for i in groups[g]])
             start = 0
-            for row, (g, (s_factor, _)) in enumerate(zip(in_length, parts)):
-                grids[g] = WarpGrid(weights[row], s_factor, stacked[start : start + len(groups[g])])
+            for row, g in enumerate(in_length):
                 for i in groups[g]:
                     rows[i], start = (j, row, start), start + 1
             lengths.append(WarpLength(weights, tuple(s for s, _ in parts), stacked))
         anchors = np.asarray(anchors, dtype=float)
         base = np.asarray(base, dtype=float)
         rows = np.array(rows, dtype=int).reshape(len(times), 3).T
-        return cls(anchors, base, tuple(grids), tuple(lengths), *rows, *splines, prior)
+        return cls(anchors, base, tuple(lengths), *rows, *splines, prior)
 
 
 def _mean_splines(basis: BSplineBasis, coefs: np.ndarray) -> tuple[BSpline, BSpline, BSpline]:

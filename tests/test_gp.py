@@ -108,6 +108,77 @@ def test_matern_matches_the_bessel_reference(nu, log_amp, log_range, s):
     assert np.all(np.diag(cov) == params.amplitude)
 
 
+_STEP = 1.0 / gp._TABLE_CELLS_PER_UNIT
+
+
+def _near(point):
+    return st.sampled_from([np.nextafter(point, -1.0), point, np.nextafter(point, 200.0)])
+
+
+# the table's nodes and its ends, one ulp either side, and any distance up to 120
+_scaled_distances = st.one_of(
+    st.sampled_from([0.0, 1e-300, 1e-20]),
+    st.integers(0, round(gp._TABLE_END / _STEP)).map(lambda k: k * _STEP).flatmap(_near),
+    _near(gp._TABLE_FROM),
+    _near(gp._TABLE_END),
+    st.floats(0.0, 120.0),
+)
+
+
+def _assert_within_the_table_contract(nu, x):
+    # relative to the correlation, as both decay like e^-x; the slope goes
+    # to 0 like x^2 at 0, so absolutely
+    corr, slope = gp._matern_corr(nu, x)
+    want_corr, want_slope = gp._matern_exact(nu, x)
+    assert np.all(np.abs(corr - want_corr) <= 8 * np.finfo(float).eps * want_corr)
+    assert np.all(np.abs(slope - want_slope) <= 2e-15)
+    return corr, slope
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 4.0])
+def test_matern_table_meets_its_contract_mid_cell(nu):
+    # a piece is furthest from its nodes mid cell: this fixes the table's
+    # lower bound for orders 1 and 2
+    _assert_within_the_table_contract(nu, (np.arange(round(gp._TABLE_END / _STEP)) + 0.5) * _STEP)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nu=st.sampled_from([1.0, 1.3, 2.0, 2.2, 3.0, 4.0]),
+    x=st.lists(_scaled_distances, min_size=1, max_size=40).map(np.array),
+)
+def test_matern_table_follows_the_exact_path(nu, x):
+    corr, slope = _assert_within_the_table_contract(nu, x)
+    assert np.array_equal(gp._matern_corr(nu, x, slope=False), corr)
+    assert np.all(corr[x == 0.0] == 1.0) and np.all(slope[x == 0.0] == 0.0)
+    if not nu.is_integer():  # not tabulated
+        assert all(np.array_equal(a, b) for a, b in zip((corr, slope), gp._matern_exact(nu, x)))
+
+
+def test_an_order_builds_its_table_once_read_only(monkeypatch):
+    calls = []
+
+    def counted(nu, x):
+        calls.append(len(x))
+        return bessel(nu, x)
+
+    bessel = gp._scaled_bessel
+    monkeypatch.setattr(gp, "_scaled_bessel", counted)
+    gp._matern_table.cache_clear()
+    x = np.linspace(0.0, 30.0, 1000)
+    first = gp._matern_corr(3.0, x)
+    table = gp._matern_table(3.0)
+    assert table.shape == (2, 6, round(gp._TABLE_END / _STEP))
+    assert table.nbytes <= 500_000
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 2.0
+    again = gp._matern_corr(3, x)
+    assert gp._matern_table(3.0) is table
+    assert calls == [table.shape[2] + 1]  # its nodes, once
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    gp._matern_table.cache_clear()
+
+
 def _uniform_and_jittered():
     uniform = np.linspace(0.0, 1.0, 100)
     jitter = np.random.default_rng(3).uniform(-0.002, 0.002, 60)

@@ -96,7 +96,7 @@ def _crosses_knot(prob, points) -> bool:
     over a stencil a few 1e-6 wide a warped time stays between its values
     at the stencil's points.
     """
-    t = np.linspace(0.0, 1.0, prob.grids[0].values.shape[2])
+    t = np.linspace(0.0, 1.0, prob.lengths[0].values.shape[2])
     warped = []
     for p in points:
         ords = prob.base[0].copy()
@@ -397,7 +397,7 @@ def test_batched_residuals_equal_each_subjects_alone():
     base = ANCHORS + np.column_stack([np.zeros(5), rng.normal(0, 0.03, (5, 2)), np.zeros(5)])
     seeds, sizes = [1, 2, 3, 4, 5], [30, 24, 30, 24, 17]
     batch = _problem(base, n=sizes, seed=seeds)
-    assert len(batch.grids) == 3
+    assert sum(len(length.factors) for length in batch.lengths) == 3
     u = rng.normal(0, 0.02, (5, 2))
     u[3] = [0.5, -0.5]  # out of order
     r, jac, ok, second = subject_warp_residuals(batch, u)
@@ -460,7 +460,8 @@ def test_each_subjects_rows_equal_its_batch_of_one_in_any_subset_and_order(
         [np.zeros(size), rng.normal(0, 0.03, (size, 2)), np.zeros(size)]
     )
     batch = _grid_problem(base, times, values, whiten, prior)
-    assert len(batch.grids) == len({t.tobytes() for t in times})
+    n_grids = sum(len(length.factors) for length in batch.lengths)
+    assert n_grids == len({t.tobytes() for t in times})
     assert len(batch.lengths) == len({len(t) for t in times})
     members = np.array(data.draw(st.permutations(range(size))))[: data.draw(st.integers(1, size))]
     u = rng.normal(0, 0.02, (len(members), 2))
