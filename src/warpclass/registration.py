@@ -34,9 +34,7 @@ the same solver.
 The variance likelihood is evaluated one stack at a time: the grids of one
 length with the same number of subjects, whose kernels, factors and
 gradient traces are batched, and whose sums run in a fixed order whatever
-the number of BLAS threads.  Where a panel makes several stacks and the
-process may use several CPUs, a thread pool evaluates them at once; their
-terms are added in stack order, so fits do not depend on the CPU count.
+the number of BLAS threads; the stacks' terms are added in stack order.
 The alternation is coordinate descent on one penalized objective
 (residual Mahalanobis norms + warp prior + ridge on group deviations), so
 its trace is non-increasing once the variance parameters are frozen.
@@ -51,9 +49,6 @@ the bits of its own inverse.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent import futures
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 
@@ -104,8 +99,7 @@ _VAR_PGTOL = 1e-5
 _VAR_FTOL = 1e7 * np.finfo(float).eps
 _VAR_HALVINGS = 30
 # Bytes of one n x n array over a stack of grids in the variance likelihood;
-# more grids of one shape make several stacks, which bounds its memory: with
-# W worker threads, the arrays of up to W stacks are alive at once.
+# more grids of one shape make several stacks, which bounds its memory.
 _STACK_BYTES = 2**18
 # Format 1 stores each Matern kernel as this list of its parameters.
 _MATERN = tuple(f.name for f in fields(MaternParams))
@@ -897,14 +891,9 @@ def _stack_sums(curve_cov, h_inv, h_grads, h_logdet, dists, cols):
     V^-1 and of a a' against (S, dS), the m x m sums of B' V^-1 B and
     B' a a' B, and the 4 x 4 sum of (dV_p a)' V^-1 (dV_q a); None where a
     factorization fails.
-
-    It may run on a worker thread, so it calls only ``matern_distinct``,
-    ``spd_inverses`` and numpy: a tracer that wraps module names such as
-    ``matern_cov`` or ``CholFactor`` keeps one span stack for the process.
     """
     n_grids, n_blocks, _, n = cols.shape
-    # The stack's n x n arrays dominate its memory: at most two are alive
-    # (with W worker threads, those of up to W stacks at once).
+    # The stack's n x n arrays dominate its memory: at most two are alive.
     kernel, slope = matern_distinct(curve_cov, dists)
     c_inv = kernel[dists.index]
     del kernel
@@ -977,8 +966,7 @@ def _stack_sums(curve_cov, h_inv, h_grads, h_logdet, dists, cols):
 
 
 def _variance_negloglik(
-    log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad=None,
-    map_stacks=map, ai=None,
+    log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad=None, ai=None,
 ):
     """Profiled negative Gaussian log likelihood of the linearized model.
 
@@ -1012,11 +1000,8 @@ def _variance_negloglik(
     in ``einsum``, or in one BLAS product per block of 1 + m rows.  None of
     these depends on the number of BLAS threads, except OpenBLAS's Cholesky
     on grids of 128 points or more.  A stack sums its grids and blocks in
-    one fixed order.  ``map_stacks`` maps ``_stack_sums`` over the stacks
-    and yields their terms in the order of ``blocks``: the builtin ``map``
-    evaluates them one after another, a thread pool's ``map`` several at
-    once.  Either way the terms are summed in that order, so the result
-    does not depend on which evaluates them.
+    one fixed order, and the stacks' terms are summed in the order of
+    ``blocks``.
 
     The average-information (AI) matrix (Gilmour, Thompson & Cullis 1995)
     of the four log parameters, with sigma2 removed by its Schur
@@ -1057,8 +1042,8 @@ def _variance_negloglik(
     warp_inv = np.zeros((m, m))
     warp_outer = np.zeros((m, m))
     ai_sum = np.zeros((4, 4))
-    stack_sums = partial(_stack_sums, curve_cov, h_inv, h_grads, h_logdet)
-    for sums in map_stacks(stack_sums, [grids[key] for key in blocks], blocks.values()):
+    for key, cols in blocks.items():
+        sums = _stack_sums(curve_cov, h_inv, h_grads, h_logdet, grids[key], cols)
         if sums is None:
             return failed
         quad, logdet, n_obs, inv, outer, w_inv, w_outer, ai_part = sums
@@ -1162,22 +1147,6 @@ def fit_variance(
     likelihood evaluations.  A stop short of convergence (at ``maxiter``
     or when no step along the Newton direction raises the likelihood) is
     logged, and so is each parameter that ends on its box bound.
-
-    With at least two stacks and two usable CPUs, each evaluation runs its
-    stacks on a thread pool of one worker per stack, up to the number of
-    CPUs this process may run on; it is closed before the call returns.
-    The stacks' kernels and factorizations run in native code that
-    releases the interpreter lock.  Their terms are summed in stack order,
-    so the result does not depend on the number of CPUs.  The CPUs counted
-    are the process's affinity set, not a cgroup CPU quota: under a quota
-    of one CPU on a many-core host the workers share that CPU, which costs
-    speed, not results.  Each worker's OpenBLAS may start threads of its
-    own, and the products are too small to gain from them.  On two cores
-    (12 alternating runs each, with equal results), fits of 30 subjects on
-    jittered grids of 60 or 30 points took a median 0.48 s at
-    ``OPENBLAS_NUM_THREADS=1`` and 0.47 s at 2, and fits of 30 subjects on
-    jittered 60-point grids 0.48 s and 0.52 s.  Set
-    ``OPENBLAS_NUM_THREADS=1`` for the faster fit.
     """
     anchors = np.asarray(anchors, dtype=float)
     by_grid, resid = {}, {}
@@ -1199,13 +1168,6 @@ def fit_variance(
     blocks = {key: np.array([c for _, c in stack]) for key, stack in stacks.items()}
     anchor_dists = GridDistances.of(anchors[1:-1])
     smooth_curve, smooth_warp = var_init.curve_cov.smoothness, var_init.warp_cov.smoothness
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-    workers = min(len(stacks), cpus)
-    pooled = workers > 1
-    _log.debug(
-        "variance step: %d stacks on %d worker threads", len(stacks), workers if pooled else 0
-    )
 
     # Data-driven start for the curve amplitude: residual variance in excess
     # of the assumed noise floor, in units of the noise variance.
@@ -1221,22 +1183,18 @@ def fit_variance(
         ]
     )
     x0 = np.clip(x0, _LOG_LO, _LOG_HI)
-    # futures.ThreadPoolExecutor imports its module on first use: serial fits skip it.
-    with futures.ThreadPoolExecutor(workers) if pooled else nullcontext() as pool:
-        map_stacks = pool.map if pooled else map
 
-        def evaluate(log_params):
-            grad, ai = np.empty(4), np.empty((4, 4))
-            value, sigma2 = _variance_negloglik(
-                log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad,
-                map_stacks=map_stacks, ai=ai,
-            )
-            return value, grad, ai, sigma2
+    def evaluate(log_params):
+        grad, ai = np.empty(4), np.empty((4, 4))
+        value, sigma2 = _variance_negloglik(
+            log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad, ai=ai
+        )
+        return value, grad, ai, sigma2
 
-        start = evaluate(x0)
-        if start[0] >= _BIG:
-            raise NumericalError("variance likelihood is not finite at the initial point")
-        best, point, n_iter, n_evals, short = _projected_newton(evaluate, x0, start, maxiter)
+    start = evaluate(x0)
+    if start[0] >= _BIG:
+        raise NumericalError("variance likelihood is not finite at the initial point")
+    best, point, n_iter, n_evals, short = _projected_newton(evaluate, x0, start, maxiter)
     if short is not None:
         _log.warning("variance step stopped short after %d Newton iterations: %s", n_iter, short)
     for name, value, lo, hi in zip(_VARIANCE_NAMES, best, _LOG_LO, _LOG_HI):

@@ -216,6 +216,7 @@ def test_fit_rejects_the_old_config_spellings(pipeline, tmp_path, capsys):
         ({"warp_anchors": 5}, "warp_anchors must be a list of numbers, got 5"),
         ({"warp_maxfun": 0}, "warp_maxfun must be >= 1, got 0"),
         ({"n_variance_updates": -1}, "n_variance_updates must be >= 0, got -1"),
+        ({"curve_cov_init": [1.0, 0.3, 200]}, "Matern smoothness must be at most 64, got 200"),
     ],
 )
 def test_fit_rejects_edge_settings(pipeline, tmp_path, capsys, setting, message):

@@ -63,6 +63,24 @@ def test_matern_rejects_nonpositive_params():
             MaternParams(*bad)
 
 
+def test_matern_rejects_orders_above_its_bound():
+    assert gp._MAX_SMOOTHNESS == 64.0
+    for nu in (np.nextafter(64.0, 0.0), 64.0):
+        MaternParams(1.0, 0.3, nu)
+    # 151.5 and 152 are where the recurrence first overflows, 171 where Gamma does
+    for nu in (np.nextafter(64.0, 65.0), 64.5, 151.5, 152.0, 171.0):
+        with pytest.raises(DataError, match="smoothness must be at most 64, got"):
+            MaternParams(1.0, 0.3, nu)
+
+
+@pytest.mark.parametrize("nu", [63.5, 64.0])
+def test_kv_and_the_recurrence_agree_up_to_the_order_bound(nu):
+    # two independent paths at the largest orders accepted, distances 1e-3 to 100
+    x = np.logspace(-3.0, 2.0, 200)
+    via_kv = 2.0 ** (1.0 - nu) / gamma_fn(nu) * x**nu * kv(nu, x)
+    assert np.max(np.abs(via_kv - gp._matern_exact(nu, x, slope=False))) < 1e-13
+
+
 def _kv_reference(params, s, t):
     """Matern covariance straight from the general Bessel routine.
 

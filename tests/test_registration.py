@@ -6,7 +6,6 @@ import logging
 import os
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -847,7 +846,7 @@ def _panel_on_grids(grids, order, rng):
 
 def _likelihood_args(monkeypatch, panel, fitted, jac, w0):
     """The positional arguments ``fit_variance`` hands to the likelihood, after the
-    log parameters: without ``map_stacks`` they evaluate the stacks serially."""
+    log parameters."""
     seen = []
     original = registration._variance_negloglik
 
@@ -1030,10 +1029,9 @@ def test_every_cholesky_factor_is_formed_by_one_routine(monkeypatch, caplog):
     assert np.array_equal(low[0], np.linalg.cholesky(spd))
     assert np.array_equal(low[2], np.linalg.cholesky(2.0 * spd))
     assert np.allclose(low[1] @ low[1].T, mats[1], atol=1e-6)
-    # a variance step, serial: the warp kernel H and each grid stack at
-    # every evaluation, and the Newton step's curvature (at most 4 x 4)
+    # a variance step: the warp kernel H and each grid stack at every
+    # evaluation, and the Newton step's curvature (at most 4 x 4)
     formed.clear()
-    _cpus(monkeypatch, "affinity", 1)
     panel, fitted, jac, w0 = _stacked_grid_panel(range(6))
     evaluations = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=1)[2]
     per_evaluation = [(len(ANCHORS) - 2,) * 2, (3, 24, 24), (1, 16, 16), (1, 16, 16)]
@@ -1052,40 +1050,12 @@ def _jittered_grid_panel():
     return _panel_on_grids(grids, range(30), rng)
 
 
-def _evaluations(args, map_stacks=map):
-    """Value, noise variance and gradient at each of ``_LOG_POINTS``, as bytes."""
-    out = []
-    for log_params in _LOG_POINTS:
-        grad = np.empty(4)
-        value, sigma2 = registration._variance_negloglik(
-            log_params, *args[:5], grad, map_stacks=map_stacks
-        )
-        assert value < registration._BIG
-        out.append([value, sigma2, *grad])
-    return np.array(out).tobytes()
-
-
-@pytest.mark.parametrize("stack_bytes, n_stacks", [(None, 4), (8 * 60 * 60, 30)])
-def test_pooled_variance_negloglik_is_the_serial_one(monkeypatch, stack_bytes, n_stacks):
-    if stack_bytes is not None:
-        monkeypatch.setattr(registration, "_STACK_BYTES", stack_bytes)
-    args = _likelihood_args(monkeypatch, *_jittered_grid_panel())
-    assert len(args[3]) == n_stacks
-    with ThreadPoolExecutor(2) as pool:
-        assert _evaluations(args, pool.map) == _evaluations(args)
-
-
-def _cpus(monkeypatch, source, count):
-    """Make ``count`` CPUs usable, read from ``sched_getaffinity`` or, without it, ``cpu_count``."""
-    if source == "affinity":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-
-
-def _kernel_threads(monkeypatch) -> list:
-    """The thread of every stack kernel evaluation, and the live thread count then."""
+def _threads_of_a_variance_step(monkeypatch, panel, fitted, jac, w0) -> tuple:
+    """With two usable CPUs, fit the variance parameters of ``panel``.  Returns the
+    (on the main thread, live threads) pair of every stack kernel evaluation, and
+    the live thread counts before and after the step."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     seen = []
     original = registration.matern_distinct
 
@@ -1094,43 +1064,30 @@ def _kernel_threads(monkeypatch) -> list:
         return original(params, dists)
 
     monkeypatch.setattr(registration, "matern_distinct", recorded)
-    return seen
-
-
-@pytest.mark.parametrize(
-    "source, count, workers", [("affinity", 1, 0), ("affinity", 2, 2), ("cpu_count", 2, 2)]
-)
-def test_fit_variance_is_the_same_on_any_number_of_cpus(
-    monkeypatch, caplog, source, count, workers
-):
-    panel, fitted, jac, w0 = _jittered_grid_panel()
-    with monkeypatch.context() as patch:
-        _cpus(patch, "affinity", 1)
-        serial = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=10)
-    _cpus(monkeypatch, source, count)
-    seen = _kernel_threads(monkeypatch)
-    threads = threading.active_count()
-    with caplog.at_level(logging.DEBUG, logger="warpclass.registration"):
-        assert fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=10) == serial
-    assert threading.active_count() == threads  # the pool is closed
-    assert {on_main for on_main, _ in seen} == ({True} if workers == 0 else {False})
-    debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-    assert debug == [f"variance step: 4 stacks on {workers} worker threads"]
+    before = threading.active_count()
+    fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=3)
+    return seen, before, threading.active_count()
 
 
 def test_a_one_stack_panel_starts_no_thread(monkeypatch):
     panel, means, warps, basis = _variance_fixture(73)
     fitted, jac, w0 = build_linearization(panel, means, warps, basis)
-    _cpus(monkeypatch, "affinity", 2)
-    seen = _kernel_threads(monkeypatch)
-    threads = threading.active_count()
-    fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=3)
-    assert seen and set(seen) == {(True, threads)}
-    assert threading.active_count() == threads
+    seen, before, after = _threads_of_a_variance_step(monkeypatch, panel, fitted, jac, w0)
+    assert seen and set(seen) == {(True, before)}
+    assert after == before
+
+
+def test_a_many_stack_panel_starts_no_thread(monkeypatch):
+    # four stacks, each evaluated on the calling thread
+    panel, fitted, jac, w0 = _jittered_grid_panel()
+    assert len(_likelihood_args(monkeypatch, panel, fitted, jac, w0)[3]) == 4
+    seen, before, after = _threads_of_a_variance_step(monkeypatch, panel, fitted, jac, w0)
+    assert len(seen) % 4 == 0 and set(seen) == {(True, before)}
+    assert after == before
 
 
 @pytest.mark.parametrize("broken", [24, 16])
-def test_an_unfactorable_stack_fails_through_the_pool(monkeypatch, broken):
+def test_an_unfactorable_stack_fails_the_likelihood(monkeypatch, broken):
     # the 24-point stack comes first and the two 16-point ones after it
     args = _stacked_grid_args()
     original = registration.spd_inverses
@@ -1141,14 +1098,10 @@ def test_an_unfactorable_stack_fails_through_the_pool(monkeypatch, broken):
         return original(mats)
 
     monkeypatch.setattr(registration, "spd_inverses", failing)
-    with ThreadPoolExecutor(2) as pool:
-        for map_stacks in (map, pool.map):
-            grad = np.ones(4)
-            value, sigma2 = registration._variance_negloglik(
-                _LOG_POINTS[0], *args[:5], grad, map_stacks=map_stacks
-            )
-            assert value == registration._BIG and np.isnan(sigma2)
-            assert np.array_equal(grad, np.zeros(4))
+    grad = np.ones(4)
+    value, sigma2 = registration._variance_negloglik(_LOG_POINTS[0], *args[:5], grad)
+    assert value == registration._BIG and np.isnan(sigma2)
+    assert np.array_equal(grad, np.zeros(4))
 
 
 @settings(max_examples=40, deadline=None)
