@@ -192,7 +192,7 @@ class LogisticFit:
     sigma_e: float
     deviance_trace: list[list[float]]  # one inner IRLS deviance list per outer pass
     converged: bool
-    n_passes: int = 0
+    n_passes: int
 
     def __post_init__(self):
         # a decoded artifact is checked here, before any array broadcasts
@@ -627,7 +627,7 @@ def predict_new(
     ``iterations`` counts the alignments scored, 1 or 2.  A warp solve
     that does not converge marks the result as not converged; its
     ordinates fall back to the identity warp only when they are not
-    increasing.
+    increasing, and a warning then names the subject and the label.
 
     When the alignment under each label classifies the subject into the
     other one, the labels point at each other: the result reports
@@ -651,6 +651,10 @@ def predict_new(
         offsets, ok = fit_subject_warp(curve, reg_fit, label)
         ords = anchors + reg_fit.warps.group_offsets[label] + offsets
         if not ok and np.any(np.diff(ords) <= 0):
+            _log.warning(
+                "subject %s takes the identity warp under label %d: ordinates not increasing",
+                curve.subject_id, label,
+            )
             ords = anchors.copy()
         aligned = align_single(curve, anchors, ords, grid)
         return classify_prob(model, _score_panel(aligned[None], model.fpca)[0], v), ok

@@ -379,11 +379,6 @@ class CholFactor:
             raise NumericalError(f"LAPACK {routine.__name__} failed (info {info})")
         return out
 
-    def quad(self, vec: np.ndarray) -> float:
-        """Quadratic form vec' M^{-1} vec (Mahalanobis square)."""
-        z = self.half_solve(vec)
-        return float(z @ z)
-
     def logdet(self) -> float:
         return _logdet(self._low)
 

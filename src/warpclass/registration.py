@@ -49,7 +49,7 @@ the bits of its own inverse.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -60,7 +60,15 @@ from scipy.optimize import minimize  # noqa: F401
 from .basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
 from .codec import decode, encode
 from .curves import CurvePanel, SubjectCurve
-from .errors import DataError, NumericalError, check_int, check_real, check_reals, check_shape
+from .errors import (
+    DataError,
+    NumericalError,
+    check_format_version,
+    check_int,
+    check_real,
+    check_reals,
+    check_shape,
+)
 from .gp import (
     CholFactor,
     GridDistances,
@@ -87,8 +95,10 @@ _GTOL = 1e-5
 # Entries kept by each held-out parts cache (_held_out_grid, _held_out_group),
 # which outlive a fit; this bounds their memory.
 _GRID_FACTORS_KEPT = 8
-# Ridge-weight fixed point (estimate_ridge): iteration cap, relative
-# tolerance, and the weight used once the deviations vanish.
+# Ridge-weight fixed point (estimate_ridge): the start of a fit's first
+# estimate, iteration cap, relative tolerance, and the weight used once the
+# deviations vanish.
+_RIDGE_START = 1.0
 _RIDGE_ITERS = 200
 _RIDGE_TOL = 1e-10
 _RIDGE_MAX = 1e12
@@ -101,8 +111,8 @@ _VAR_HALVINGS = 30
 # Bytes of one n x n array over a stack of grids in the variance likelihood;
 # more grids of one shape make several stacks, which bounds its memory.
 _STACK_BYTES = 2**18
-# Format 1 stores each Matern kernel as this list of its parameters.
-_MATERN = tuple(f.name for f in fields(MaternParams))
+# Format of RegistrationFit.to_dict; a payload of another version is refused.
+_FIT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -352,7 +362,8 @@ def estimate_ridge(normals: dict, c_hat: np.ndarray, noise_sd: float, start: flo
     tau^2 = sum_k ||d_k||^2 / edf with edf = sum_k tr((A_k + lambda I)^{-1} A_k)
     over both coordinates, where d_k are the centered ridge-GLS deviations
     from ``c_hat`` and A_k is group k's GLS normal matrix.  Iterates from
-    ``start``; the result does not depend on it.
+    ``start``; the result does not depend on it.  A loop that ends at
+    ``_RIDGE_ITERS`` iterations without meeting ``_RIDGE_TOL`` is logged.
     """
     noise_var = noise_sd**2
     eigs = []
@@ -375,6 +386,10 @@ def estimate_ridge(normals: dict, c_hat: np.ndarray, noise_sd: float, start: flo
         lam = new
         if done:
             break
+    else:
+        _log.warning(
+            "ridge weight fixed point stopped at its cap of %d iterations, at %g", _RIDGE_ITERS, lam
+        )
     return lam
 
 
@@ -1081,8 +1096,9 @@ def _projected_newton(evaluate, x, point, maxiter: int) -> tuple:
     ``CholFactor`` of their curvature, whose jitter ladder is a small ridge
     where the curvature is singular), projects it on the box and halves it
     until the value does not rise (Bertsekas 1982, *SIAM J. Control Optim.*
-    20:221-246).  A halved trial that projects onto the rejected trial
-    before it is not evaluated again.  It stops on L-BFGS-B's default
+    20:221-246).  A trial that projects onto one rejected earlier in the
+    call is not evaluated again: the value only falls, so it would be
+    rejected again.  It stops on L-BFGS-B's default
     tests: the largest projected gradient entry at most ``_VAR_PGTOL``, or
     a relative decrease at most ``_VAR_FTOL``.
 
@@ -1090,6 +1106,7 @@ def _projected_newton(evaluate, x, point, maxiter: int) -> tuple:
     the evaluations it made, and why it stopped short: None when it converged.
     """
     n_iter = n_evals = 0
+    rejected = set()
     while True:
         value, grad, curvature = point[:3]
         if np.max(np.abs(np.clip(x - grad, _LOG_LO, _LOG_HI) - x)) <= _VAR_PGTOL:
@@ -1100,16 +1117,15 @@ def _projected_newton(evaluate, x, point, maxiter: int) -> tuple:
         free = ~(((x <= _LOG_LO) & (grad > 0)) | ((x >= _LOG_HI) & (grad < 0)))
         step = np.zeros_like(x)
         step[free] = CholFactor(curvature[np.ix_(free, free)]).solve(-grad[free])
-        rejected = None
         for halving in range(_VAR_HALVINGS):
             trial = np.clip(x + 0.5**halving * step, _LOG_LO, _LOG_HI)
-            if rejected is not None and np.array_equal(trial, rejected):
+            if trial.tobytes() in rejected:
                 continue
             new = evaluate(trial)
             n_evals += 1
             if new[0] <= value:
                 break
-            rejected = trial
+            rejected.add(trial.tobytes())
         else:
             return x, point, n_iter, n_evals, "no step along the Newton direction lowered it"
         x, point = trial, new
@@ -1216,18 +1232,15 @@ def fit_variance(
 class RegistrationConfig:
     """Tuning constants of the alternating fit; defaults match the studies.
 
-    ``ridge_lambda`` is only the start of the ridge-weight fixed point
-    (``estimate_ridge``); the weight itself is estimated with the
-    variance parameters and stored on the fit.  ``warp_maxfun`` caps the
-    residual evaluations of each warp solve (one subject, one group, or
-    one held-out subject's fit).  ``variance_maxiter`` caps the projected
-    Newton iterations of each variance step (``fit_variance``).
+    ``warp_maxfun`` caps the residual evaluations of each warp solve (one
+    subject, one group, or one held-out subject's fit).
+    ``variance_maxiter`` caps the projected Newton iterations of each
+    variance step (``fit_variance``).
     """
 
     n_interior_knots: int = 8
     spline_order: int = 4
     warp_anchors: tuple = (0.0, 0.33, 0.67, 1.0)
-    ridge_lambda: float = 1.0
     noise_sd_init: float = 0.05
     curve_cov_init: tuple = (1.0, 0.3, 3.0)
     warp_cov_init: tuple = (1.0, 0.3, 3.0)
@@ -1249,7 +1262,6 @@ class RegistrationConfig:
             ("max_outer", 1), ("n_align_grid", 2),
         ):
             check_int(name, getattr(self, name), low)
-        check_real("ridge_lambda", self.ridge_lambda, 0.0)
         check_real("tol_rel", self.tol_rel, 0.0)
         check_real("noise_sd_init", self.noise_sd_init, 0.0, strict=True)
         check_reals("curve_cov_init", self.curve_cov_init, 3, low=0.0, strict=True)
@@ -1286,23 +1298,18 @@ class RegistrationFit:
     n_outer: int
     warp_opt_total: int
     warp_opt_converged: int
-    # Estimated ridge weight on the group deviations; None means the
-    # config's start value, which older artifacts were fitted with.
-    ridge_lambda: float | None = None
-    # Warp steps that fit_warps reverted because they raised the objective;
-    # older artifacts did not count them.
-    warp_steps_reverted: int = 0
+    # Estimated ridge weight on the group deviations.
+    ridge_lambda: float
+    # Warp steps that fit_warps reverted because they raised the objective.
+    warp_steps_reverted: int
     # Residual evaluations of the fit's warp solves (fit_warps' n_evals,
-    # summed over its warp steps); None in older artifacts, which did not
-    # count them.
-    warp_evaluations: int | None = None
+    # summed over its warp steps).
+    warp_evaluations: int
     # Likelihood evaluations of the fit's variance steps (fit_variance's
-    # count, summed over its steps); None in older artifacts.
-    variance_evaluations: int | None = None
+    # count, summed over its steps).
+    variance_evaluations: int
 
     def __post_init__(self):
-        if self.ridge_lambda is None:
-            self.ridge_lambda = self.config.ridge_lambda
         # a decoded artifact is checked here, before any array broadcasts
         means, warps, q = self.means, self.warps, self.basis.size
         labels = sorted(warps.group_offsets)
@@ -1334,31 +1341,13 @@ class RegistrationFit:
         return self.warp_opt_converged / self.warp_opt_total
 
     def to_dict(self) -> dict:
-        """Format 1: ``anchors`` beside ``warps``, Matern triples as lists under ``variance``."""
-        out = encode(self)
-        out["anchors"] = out["warps"].pop("anchors")
-        var = out.pop("var")
-        out["variance"] = {k: v if k == "noise_sd" else list(v.values()) for k, v in var.items()}
-        return out
+        return {**encode(self), "format_version": _FIT_FORMAT_VERSION}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RegistrationFit":
         """Inverse of ``to_dict``; a malformed payload raises DataError naming the field."""
-        if not isinstance(payload, dict):
-            raise DataError("fit must be an object")
-        fit = dict(payload)
-        if "anchors" in fit:
-            anchors = fit.pop("anchors")
-            # artifacts written before the whole config was stored lack warp_anchors
-            for block, key in (("warps", "anchors"), ("config", "warp_anchors")):
-                if isinstance(fit.get(block), dict):
-                    fit[block] = {key: anchors, **fit[block]}
-        if isinstance(fit.get("variance"), dict):
-            fit["var"] = {
-                k: dict(zip(_MATERN, v)) if isinstance(v, list) and len(v) == len(_MATERN) else v
-                for k, v in fit.pop("variance").items()
-            }
-        return decode(cls, fit, "fit")
+        check_format_version(payload, _FIT_FORMAT_VERSION, "registration fit")
+        return decode(cls, {k: v for k, v in payload.items() if k != "format_version"}, "fit")
 
 
 def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None) -> RegistrationFit:
@@ -1371,7 +1360,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
     Variance parameters are refreshed only during the first
     ``n_variance_updates`` outer iterations, and the ridge weight on the
     group deviations is re-estimated with them (``estimate_ridge``,
-    started from ``config.ridge_lambda``).  Each refresh changes the
+    started from ``_RIDGE_START``).  Each refresh changes the
     objective, so its trace restarts there.  After the freeze the loop is
     plain coordinate descent and the recorded trace cannot increase.
     """
@@ -1406,7 +1395,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
     # chase smooth curve-level deviations that the process term should absorb.
     # The ridge weight is re-estimated whenever the variance parameters change.
     c_init = estimate_c(normals, {k: np.zeros((2, basis.size)) for k in groups})
-    lam = estimate_ridge(normals, c_init, var.noise_sd, cfg.ridge_lambda)
+    lam = estimate_ridge(normals, c_init, var.noise_sd, _RIDGE_START)
     d_init, c_init = estimate_d(normals, c_init, lam)
     means = MeanWeights(c_init, d_init)
     n_var_evals = 0

@@ -30,6 +30,7 @@ from warpclass.errors import DataError, NumericalError
 from warpclass.gp import MaternParams, matern_cov
 from warpclass.registration import (
     RegistrationConfig,
+    RegistrationFit,
     align_curves,
     align_single,
     fit_registration,
@@ -429,6 +430,7 @@ def _model(b1, e, j_mats, coef_basis=None, scalar_b=None):
         sigma_e=1.0,
         deviance_trace=[],
         converged=True,
+        n_passes=1,
         scalar_b=np.zeros(1 + len(b1)) if scalar_b is None else scalar_b,
         coef_basis=coef_basis or TruncatedPowerBasis.from_quantiles(grid, k_e),
         j_mats=j_mats,
@@ -514,14 +516,20 @@ def test_classifier_model_round_trips_through_json(small_pipeline):
         )
 
 
-def test_classifier_model_rejects_other_format_versions(small_pipeline):
-    payload = small_pipeline[3].to_dict()
-    payload["format_version"] = 2
-    with pytest.raises(DataError, match="format_version 2; expected 1"):
-        ClassifierModel.from_dict(payload)
+@pytest.mark.parametrize(
+    "index, cls, version",
+    [(3, ClassifierModel, 1), (2, RegistrationFit, 2)],
+    ids=["ClassifierModel", "RegistrationFit"],
+)
+def test_classifier_model_rejects_other_format_versions(small_pipeline, index, cls, version):
+    payload = small_pipeline[index].to_dict()
+    assert payload["format_version"] == version
+    payload["format_version"] = version + 1
+    with pytest.raises(DataError, match=f"format_version {version + 1}; expected {version}"):
+        cls.from_dict(payload)
     del payload["format_version"]
-    with pytest.raises(DataError, match="no format_version; expected 1"):
-        ClassifierModel.from_dict(payload)
+    with pytest.raises(DataError, match=f"no format_version; expected {version}"):
+        cls.from_dict(payload)
 
 
 def test_classifier_refit_is_bit_identical(small_pipeline):
@@ -546,7 +554,7 @@ def test_predict_with_zero_functional_part_reduces_to_scalars(small_pipeline):
     assert res.iterations == 1
 
 
-def test_infeasible_group_warp_falls_back_to_the_identity(small_pipeline):
+def test_infeasible_group_warp_falls_back_to_the_identity(small_pipeline, caplog):
     panel, _, reg, model = small_pipeline
     warps = reg.warps.copy()
     for k in warps.group_offsets:
@@ -560,8 +568,16 @@ def test_infeasible_group_warp_falls_back_to_the_identity(small_pipeline):
         offsets, ok = fit_subject_warp(curve, bent, k)
         assert not ok
         assert not np.any(offsets)
-    res = predict_new(bent, model, curve, v)
+    with caplog.at_level(logging.WARNING, logger="warpclass.classify"):
+        res = predict_new(bent, model, curve, v)
     assert not res.converged
+    start = int(scalar_only_prob(model, v) >= 0.5)
+    labels = [start] if res.iterations == 1 else [start, 1 - start]
+    assert [r.getMessage() for r in caplog.records if r.name == "warpclass.classify"] == [
+        f"subject {curve.subject_id} takes the identity warp under label {k}: "
+        "ordinates not increasing"
+        for k in labels
+    ]
     anchors = reg.warps.anchors
     aligned = align_single(curve, anchors, anchors, model.fpca[0].grid)
     scores = np.stack([project_scores(aligned[:, a], model.fpca[a]) for a in (0, 1)])

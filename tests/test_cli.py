@@ -410,6 +410,8 @@ _DROP = object()
          "model.coef_basis is missing"),
         ("predict", "classifier.json", ("model", "j_mats"), _DROP, "model.j_mats is missing"),
         ("predict", "classifier.json", ("model", "fpca"), _DROP, "model.fpca is missing"),
+        ("predict", "registration.json", ("fit", "format_version"), _DROP,
+         "registration fit has no format_version; expected 2"),
     ],
 )
 def test_malformed_artifacts_exit_3_naming_the_field(

@@ -16,7 +16,6 @@ def _non_default_config() -> RunConfig:
         n_interior_knots=5,
         spline_order=3,
         warp_anchors=(0.0, 0.4, 1.0),
-        ridge_lambda=0.25,
         noise_sd_init=0.07,
         curve_cov_init=(2.0, 0.2, 2.5),
         warp_cov_init=(0.5, 0.4, 1.5),

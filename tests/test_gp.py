@@ -252,30 +252,7 @@ def test_stacked_distances_index_each_grids_own():
 
 
 # ---------------------------------------------------------------------------
-# Mahalanobis norm and solves.
-
-
-def test_mahalanobis_zero_vector():
-    assert CholFactor(np.eye(4)).quad(np.zeros(4)) == 0.0
-
-
-def test_mahalanobis_identity():
-    assert CholFactor(np.eye(2)).quad(np.array([3.0, 4.0])) == pytest.approx(25.0)
-
-
-def test_mahalanobis_diagonal_closed_form():
-    got = CholFactor(np.diag([2.0, 4.0])).quad(np.array([1.0, 1.0]))
-    assert got == pytest.approx(0.75, abs=1e-12)
-
-
-def test_mahalanobis_scaling_property():
-    rng = np.random.default_rng(2)
-    mat = _random_spd(rng, 6)
-    vec = rng.standard_normal(6)
-    base = CholFactor(mat).quad(vec)
-    for c in (0.5, 3.0, 100.0):
-        scaled = CholFactor(c * mat).quad(vec)
-        assert scaled == pytest.approx(base / c, rel=1e-10)
+# Solves.
 
 
 def test_chol_solve_identity_returns_rhs():
@@ -410,9 +387,15 @@ def test_indefinite_matrix_raises():
 # Profiled likelihood.
 
 
+def _quad(factor, vec) -> float:
+    """vec' M^{-1} vec for the matrix M that ``factor`` factors."""
+    z = factor.half_solve(vec)
+    return float(z @ z)
+
+
 def _profile(resid, cov):
     factor = CholFactor(cov)
-    return factor, profile_loglik_parts(factor.quad(resid), factor.logdet(), len(resid))
+    return factor, profile_loglik_parts(_quad(factor, resid), factor.logdet(), len(resid))
 
 
 def test_profile_zero_residual_is_finite():
@@ -434,7 +417,7 @@ def test_profile_maximizes_over_sigma_grid():
     cov = _random_spd(rng, 20) / 20.0
     resid = rng.standard_normal(20)
     factor, (loglik, sigma2_hat) = _profile(resid, cov)
-    quad, logdet, n = factor.quad(resid), factor.logdet(), 20
+    quad, logdet, n = _quad(factor, resid), factor.logdet(), 20
     for sigma2 in np.geomspace(sigma2_hat / 50, sigma2_hat * 50, 20):
         full = -0.5 * (logdet + n * math.log(sigma2) + quad / sigma2)
         assert loglik >= full - 1e-10

@@ -435,6 +435,24 @@ def test_estimate_ridge_solves_its_fixed_point_equation():
     assert lam == pytest.approx(var.noise_sd**2 / tau2, rel=1e-8)
 
 
+def test_estimate_ridge_logs_a_stop_at_its_iteration_cap(monkeypatch, caplog):
+    rng = np.random.default_rng(43)
+    basis = BSplineBasis.uniform(2, 4)
+    panel, _ = _two_group_panel(rng, basis)
+    warps = WarpState.identity(ANCHORS, panel.group_of)
+    var = _var()
+    normals = _normals(panel, basis, var, warps)
+    c_hat = estimate_c(normals, _no_deviations(basis, warps)) + 0.5
+    with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
+        estimate_ridge(normals, c_hat, var.noise_sd, 1.0)
+        assert not caplog.records
+        monkeypatch.setattr(registration, "_RIDGE_ITERS", 1)
+        lam = estimate_ridge(normals, c_hat, var.noise_sd, 1.0)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"ridge weight fixed point stopped at its cap of 1 iterations, at {lam:g}"
+    ]
+
+
 def test_mean_steps_never_increase_the_objective():
     rng = np.random.default_rng(41)
     basis = BSplineBasis.uniform(2, 4)
@@ -1286,6 +1304,27 @@ def test_projected_newton_fixes_a_parameter_on_a_bound_with_an_outward_gradient(
     assert np.allclose(x[2:], centre[2:], atol=1e-12)
 
 
+def test_projected_newton_evaluates_no_rejected_trial_again():
+    # a curvature 1000 times too small: each Newton step overshoots onto the
+    # upper box corner, which the halvings leave and a later iteration tries
+    # again; the accepted path is the one that evaluates every trial
+    centre = 0.5 * (registration._LOG_LO + registration._LOG_HI)
+    points = []
+
+    def evaluate(x):
+        points.append(x.tobytes())
+        d = x - centre
+        return 0.5 * float(d @ d), d, 1e-3 * np.eye(4)
+
+    x0 = centre - 0.1
+    got = registration._projected_newton(evaluate, x0, evaluate(x0), 6)
+    assert got[2] == 6 and got[3] == len(points) - 1 == 38
+    assert len(set(points)) == len(points)
+    want = _projected_newton_evaluating_repeats(evaluate, x0, evaluate(x0), 6)
+    assert want[2] == 6 and want[3] > 38
+    assert np.array_equal(got[0], want[0]) and got[1][0] == want[1][0]
+
+
 def test_projected_newton_stops_short_when_no_step_lowers_the_value():
     # a gradient of the wrong sign: every step along the Newton direction rises
     def evaluate(x):
@@ -1426,9 +1465,10 @@ def test_fit_round_trips_through_dict(small_fit):
     assert back.var.curve_cov == fit.var.curve_cov
     assert back.converged == fit.converged
     assert back.warp_steps_reverted == fit.warp_steps_reverted == 0
-    # an artifact written before reverted warp steps were counted reads 0
+    assert payload["format_version"] == 2
     del payload["warp_steps_reverted"]
-    assert RegistrationFit.from_dict(payload).warp_steps_reverted == 0
+    with pytest.raises(DataError, match="fit.warp_steps_reverted is missing"):
+        RegistrationFit.from_dict(payload)
     a = align_curves(panel, fit)
     b = align_curves(panel, back)
     assert np.array_equal(a.values, b.values)
@@ -1440,8 +1480,10 @@ def test_warp_evaluations_round_trip_and_are_none_in_older_artifacts(small_fit):
     payload = json.loads(json.dumps(fit.to_dict()))
     assert payload["warp_evaluations"] == fit.warp_evaluations
     assert RegistrationFit.from_dict(payload).warp_evaluations == fit.warp_evaluations
+    # an artifact written before the count existed is refused
     del payload["warp_evaluations"]
-    assert RegistrationFit.from_dict(payload).warp_evaluations is None
+    with pytest.raises(DataError, match="fit.warp_evaluations is missing"):
+        RegistrationFit.from_dict(payload)
     payload["warp_evaluations"] = 1.5
     with pytest.raises(DataError, match="fit.warp_evaluations"):
         RegistrationFit.from_dict(payload)
@@ -1453,8 +1495,10 @@ def test_variance_evaluations_round_trip_and_are_none_in_older_artifacts(small_f
     payload = json.loads(json.dumps(fit.to_dict()))
     assert payload["variance_evaluations"] == fit.variance_evaluations
     assert RegistrationFit.from_dict(payload).variance_evaluations == fit.variance_evaluations
+    # an artifact written before the count existed is refused
     del payload["variance_evaluations"]
-    assert RegistrationFit.from_dict(payload).variance_evaluations is None
+    with pytest.raises(DataError, match="fit.variance_evaluations is missing"):
+        RegistrationFit.from_dict(payload)
     payload["variance_evaluations"] = 1.5
     with pytest.raises(DataError, match="fit.variance_evaluations"):
         RegistrationFit.from_dict(payload)
@@ -1491,7 +1535,6 @@ def test_fit_config_round_trips_through_dict():
         n_interior_knots=5,
         spline_order=3,
         warp_anchors=(0.0, 0.4, 1.0),
-        ridge_lambda=0.25,
         noise_sd_init=0.07,
         curve_cov_init=(2.0, 0.2, 2.5),
         warp_cov_init=(0.5, 0.4, 1.5),
@@ -1561,30 +1604,29 @@ def test_noiseless_panel_is_reproduced_by_the_fit():
 
 def test_ridge_weight_is_estimated_whatever_its_start():
     panel = _noiseless_panel()
-    fits = [
-        fit_registration(
-            panel,
-            RegistrationConfig(
-                max_outer=4, n_variance_updates=1, variance_maxiter=40, ridge_lambda=start
-            ),
-        )
-        for start in (1.0, 1e-4)
-    ]
-    lam = fits[0].ridge_lambda
+    cfg = RegistrationConfig(max_outer=4, n_variance_updates=1, variance_maxiter=40)
+    fit = fit_registration(panel, cfg)
+    lam = fit.ridge_lambda
     # sigma^2 / tau^2 with no noise: the deviations are left unshrunk
     assert 0.0 < lam < 1e-6
-    assert fits[1].ridge_lambda == pytest.approx(lam, rel=1e-6)
 
-    payload = json.loads(json.dumps(fits[0].to_dict()))
+    payload = json.loads(json.dumps(fit.to_dict()))
     back = RegistrationFit.from_dict(payload)
     assert back.ridge_lambda == lam
     ctx = build_context(panel, back.basis, back.warps.anchors, back.var)
     designs = warp_design(panel, back.warps, back.basis)
+    normals = gls_normals(panel, back.warps, ctx, designs)
+    from_one, from_small = (
+        estimate_ridge(normals, back.means.shared, back.var.noise_sd, start)
+        for start in (1.0, 1e-4)
+    )
+    assert 0.0 < from_one < 1e-6
+    assert from_small == pytest.approx(from_one, rel=1e-6)
     value = penalized_objective(panel, back.means, back.warps, ctx, back.ridge_lambda, designs)
     assert value == pytest.approx(back.trace[-1], rel=1e-9)
-    # artifacts without the field were fitted with the configured weight
     del payload["ridge_lambda"]
-    assert RegistrationFit.from_dict(payload).ridge_lambda == back.config.ridge_lambda == 1.0
+    with pytest.raises(DataError, match="fit.ridge_lambda is missing"):
+        RegistrationFit.from_dict(payload)
 
 
 def _projected_newton_evaluating_repeats(evaluate, x, point, maxiter):
@@ -1761,6 +1803,10 @@ def _handmade_fit(warp_amp=50.0):
         n_outer=1,
         warp_opt_total=0,
         warp_opt_converged=0,
+        ridge_lambda=1.0,
+        warp_steps_reverted=0,
+        warp_evaluations=0,
+        variance_evaluations=0,
     )
 
 

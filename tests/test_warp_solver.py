@@ -665,6 +665,10 @@ def _fit(group_offsets):
         n_outer=1,
         warp_opt_total=0,
         warp_opt_converged=0,
+        ridge_lambda=1.0,
+        warp_steps_reverted=0,
+        warp_evaluations=0,
+        variance_evaluations=0,
     )
 
 
@@ -702,7 +706,8 @@ def _objective(fit, curve, label, offsets):
     g = warp_values(ANCHORS, ords, curve.times)
     resid = curve.values - fit.basis.spline(fit.means.coefs(label))(g)
     z = s_fac.half_solve(resid)
-    return float(np.sum(z * z)) + 2.0 * h_fac.quad(offsets[1:-1])
+    w = h_fac.half_solve(offsets[1:-1])
+    return float(np.sum(z * z)) + 2.0 * float(w @ w)
 
 
 def test_fit_subject_warp_is_monotone_and_never_worse_than_the_start():
