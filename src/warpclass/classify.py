@@ -624,10 +624,10 @@ def predict_new(
     label its scalar-only probability points to, and scored.  When that
     probability points to the other label, the subject is aligned and
     scored under that label as well, and the result is taken from it.
-    ``iterations`` counts the alignments scored, 1 or 2.  A warp solve
-    that does not converge marks the result as not converged; its
-    ordinates fall back to the identity warp only when they are not
-    increasing, and a warning then names the subject and the label.
+    ``iterations`` counts the alignments scored, 1 or 2.  Each alignment
+    takes the ordinates ``fit_subject_warp`` returns as they are: they
+    strictly increase, whether or not its solve converged.  A solve that
+    does not converge marks the result as not converged.
 
     When the alignment under each label classifies the subject into the
     other one, the labels point at each other: the result reports
@@ -648,14 +648,7 @@ def predict_new(
     def score(label):
         """Probability under the alignment to ``label``'s template, and
         whether its warp solve converged."""
-        offsets, ok = fit_subject_warp(curve, reg_fit, label)
-        ords = anchors + reg_fit.warps.group_offsets[label] + offsets
-        if not ok and np.any(np.diff(ords) <= 0):
-            _log.warning(
-                "subject %s takes the identity warp under label %d: ordinates not increasing",
-                curve.subject_id, label,
-            )
-            ords = anchors.copy()
+        ords, ok = fit_subject_warp(curve, reg_fit, label)
         aligned = align_single(curve, anchors, ords, grid)
         return classify_prob(model, _score_panel(aligned[None], model.fpca)[0], v), ok
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import time
@@ -155,8 +154,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     panel = _load_panel(args.curves, args.scalars)
     if not panel.has_labels:
         raise DataError("fitting requires a label for every subject")
@@ -271,8 +268,8 @@ def cmd_predict(args) -> int:
     panel = join_panel(curves, scalars)
 
     results = [
-        predict_new(reg_fit, model, panel.curve(sid), panel.covariates[i])
-        for i, sid in enumerate(panel.subject_ids)
+        predict_new(reg_fit, model, curve, v)
+        for curve, v in zip(panel.curves, panel.covariates)
     ]
 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -460,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves", required=True)
     p.add_argument("--scalars", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--timings", action="store_true", help="include wall times in the report")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)

@@ -188,14 +188,6 @@ def warp_values(anchors, ordinates, times) -> np.ndarray:
     return hyman_interp(anchors, ordinates)(times)
 
 
-def _check_increasing(ords: np.ndarray, subject_ids) -> None:
-    """Raise NumericalError naming the first subject whose row of ``ords``
-    does not strictly increase."""
-    bad = np.flatnonzero(np.any(np.diff(ords, axis=1) <= _MONO_EPS, axis=1))
-    if len(bad):
-        raise NumericalError(f"non-monotone warp ordinates for subject {subject_ids[bad[0]]}")
-
-
 def warp_inverse_values(anchors, ordinates, times) -> np.ndarray:
     """g^{-1}(times) for the monotone warp through (anchors, ordinates).
 
@@ -275,7 +267,9 @@ def warp_design(panel: CurvePanel, warps: WarpState, basis: BSplineBasis) -> dic
     """
     ids = panel.subject_ids
     ords = np.array([warps.ordinates(sid) for sid in ids])
-    _check_increasing(ords, ids)
+    bad = np.flatnonzero(np.any(np.diff(ords, axis=1) <= _MONO_EPS, axis=1))
+    if len(bad):
+        raise NumericalError(f"non-monotone warp ordinates for subject {ids[bad[0]]}")
     by_length: dict = {}
     for i, c in enumerate(panel.curves):
         by_length.setdefault(len(c.times), []).append(i)
@@ -1286,7 +1280,15 @@ class RegistrationConfig:
 
 @dataclass
 class RegistrationFit:
-    """Everything the second level and prediction need from level one."""
+    """Everything the second level and prediction need from level one.
+
+    Built, by ``fit_registration`` or from a dict, only with warps that
+    strictly increase: every class warp (anchors plus class offsets) and
+    every subject warp (``warps.ordinates``), else DataError names the
+    class or the subject.  A fitted one always does, as the warp solver
+    accepts only increasing points and a class warp is the mean of its
+    members' (their offsets are re-centred before the class solve).
+    """
 
     basis: BSplineBasis
     means: MeanWeights
@@ -1328,6 +1330,13 @@ class RegistrationFit:
         for name in ("group_offsets", "subject_offsets"):
             for key, v in getattr(warps, name).items():
                 check_shape(f"warps.{name}.{key}", v, warps.anchors.shape)
+        named = [(f"group_offsets.{k}", f"class {k}", warps.anchors + warps.group_offsets[k])
+                 for k in labels]
+        named += [(f"subject_offsets.{s}", f"subject {s}", warps.ordinates(s))
+                  for s in warps.subject_offsets]
+        for field, whose, ords in named:
+            if not np.all(np.diff(ords) > 0):  # NaN ordinates fail too
+                raise DataError(f"warps.{field}: the warp of {whose} is not strictly increasing")
 
     @property
     def trace(self) -> list:
@@ -1494,7 +1503,6 @@ def align_curves(panel: CurvePanel, fit: RegistrationFit) -> AlignedPanel:
     grid = np.linspace(0.0, 1.0, n_grid)
     ids = tuple(panel.subject_ids)
     ords = np.array([fit.warps.ordinates(sid) for sid in ids])
-    _check_increasing(ords, ids)
     ginv = warp_inverse_values(fit.warps.anchors, ords, grid)
     values = np.empty((len(ids), n_grid, 2))
     for curve, row, out in zip(panel.curves, ginv, values):
@@ -1526,18 +1534,19 @@ def fit_subject_warp(
     fit: RegistrationFit,
     label: int,
 ) -> tuple[np.ndarray, bool]:
-    """Estimate random warp offsets for a subject not in the training fit.
+    """Fit the warp of a subject not in the training fit under class ``label``.
 
-    Group offsets and all model parameters stay at their fitted values;
+    The class warp and all model parameters stay at their fitted values;
     only the subject's interior anchor offsets are optimized, by the warp
     step's Levenberg-Marquardt solver (damped Newton steps on the exact
     Hessian, about four residual evaluations per solve) on a batch of one,
     from zero offsets with at most ``fit.config.warp_maxfun`` residual
-    evaluations.  Returns the full offset vector (boundaries zero) and
-    whether the solve converged; the offsets stay zero where the zero start
-    is infeasible.  They also stay zero, leaving the subject on its group's
-    warp, where the kernels cannot be factored on its grid; a warning then
-    names the subject.
+    evaluations.  Returns the subject's warp ordinates at the anchors (the
+    class warp plus the fitted offsets) and whether the solve converged.
+    They strictly increase: the class warp does (``RegistrationFit``), and
+    the solver accepts only strictly increasing points.  The offsets stay
+    zero, leaving the subject on its class warp, where the kernels cannot
+    be factored on its grid; a warning then names the subject.
 
     The problem's fixed parts are cached by the values they are built from,
     not on the fit: the grid's (``_held_out_grid``) and the group's
@@ -1547,7 +1556,7 @@ def fit_subject_warp(
     anchors = fit.warps.anchors
     if label not in fit.warps.group_offsets:
         raise DataError(f"unknown group label {label!r}")
-    out = np.zeros(len(anchors))
+    class_warp = anchors + fit.warps.group_offsets[label]
     try:
         anchor_bytes = anchors.tobytes()
         s_fac, hermite = _held_out_grid(fit.var.curve_cov, anchor_bytes, curve.times.tobytes())
@@ -1556,14 +1565,15 @@ def fit_subject_warp(
         )
     except NumericalError as exc:
         _log.warning("subject %s keeps zero warp offsets: %s", curve.subject_id, exc)
-        return out, False
+        return class_warp, False
     prob = WarpProblem.of(
-        anchors, [anchors + fit.warps.group_offsets[label]], [curve.times], [curve.values],
+        anchors, [class_warp], [curve.times], [curve.values],
         lambda _: (s_fac, hermite), splines, prior,
     )
     u, _, converged, _, _ = _levenberg_marquardt(
         partial(subject_warp_residuals, prob), np.zeros((1, len(anchors) - 2)),
         fit.config.warp_maxfun,
     )
-    out[1:-1] = u[0]
-    return out, bool(converged[0])
+    offsets = np.zeros(len(anchors))
+    offsets[1:-1] = u[0]
+    return class_warp + offsets, bool(converged[0])

@@ -554,35 +554,20 @@ def test_predict_with_zero_functional_part_reduces_to_scalars(small_pipeline):
     assert res.iterations == 1
 
 
-def test_infeasible_group_warp_falls_back_to_the_identity(small_pipeline, caplog):
-    panel, _, reg, model = small_pipeline
-    warps = reg.warps.copy()
-    for k in warps.group_offsets:
-        # anchors + offsets is not increasing, so the zero start is infeasible
+def test_infeasible_group_warp_falls_back_to_the_identity(small_pipeline):
+    # a fit whose class warp does not strictly increase is refused when it
+    # is built, from its fields or from its dict, so prediction never meets one
+    _, _, reg, _ = small_pipeline
+    for k in reg.warps.group_offsets:
+        warps = reg.warps.copy()
         warps.group_offsets[k] = np.array([0.0, 0.4, -0.4, 0.0])
-    bent = replace(reg, warps=warps)
-    # a covariate that zeroes the scalar part, so that pi_hat is not
-    # saturated and depends on the alignment
-    curve, v = panel.curves[0], np.array([-model.b0 / model.b1[0]])
-    for k in warps.group_offsets:
-        offsets, ok = fit_subject_warp(curve, bent, k)
-        assert not ok
-        assert not np.any(offsets)
-    with caplog.at_level(logging.WARNING, logger="warpclass.classify"):
-        res = predict_new(bent, model, curve, v)
-    assert not res.converged
-    start = int(scalar_only_prob(model, v) >= 0.5)
-    labels = [start] if res.iterations == 1 else [start, 1 - start]
-    assert [r.getMessage() for r in caplog.records if r.name == "warpclass.classify"] == [
-        f"subject {curve.subject_id} takes the identity warp under label {k}: "
-        "ordinates not increasing"
-        for k in labels
-    ]
-    anchors = reg.warps.anchors
-    aligned = align_single(curve, anchors, anchors, model.fpca[0].grid)
-    scores = np.stack([project_scores(aligned[:, a], model.fpca[a]) for a in (0, 1)])
-    assert 0.01 < res.pi_hat < 0.99
-    assert res.pi_hat == classify_prob(model, scores, v)
+        message = f"warps.group_offsets.{k}: the warp of class {k} is not strictly increasing"
+        with pytest.raises(DataError, match=message):
+            replace(reg, warps=warps)
+        payload = reg.to_dict()
+        payload["warps"]["group_offsets"][str(k)] = [0.0, 0.4, -0.4, 0.0]
+        with pytest.raises(DataError, match=message):
+            RegistrationFit.from_dict(json.loads(json.dumps(payload)))
 
 
 def _two_alignment_model(reg, model, curve, v, start, etas):
@@ -592,9 +577,8 @@ def _two_alignment_model(reg, model, curve, v, start, etas):
     grid, anchors = model.fpca[0].grid, reg.warps.anchors
     z = []
     for k in (0, 1):
-        offsets, ok = fit_subject_warp(curve, reg, k)
+        ords, ok = fit_subject_warp(curve, reg, k)
         assert ok
-        ords = anchors + reg.warps.group_offsets[k] + offsets
         aligned = align_single(curve, anchors, ords, grid)
         z.append(np.concatenate(
             [project_scores(aligned[:, a], model.fpca[a]) @ model.j_mats[a] for a in (0, 1)]
@@ -644,12 +628,9 @@ def _label_loop(reg_fit, model, curve, scalars, max_iter=10):
     for _ in range(max_iter):
         iterations += 1
         if label not in cache:
-            offsets, ok = classify.fit_subject_warp(curve, reg_fit, label)
-            ords = anchors + reg_fit.warps.group_offsets[label] + offsets
+            ords, ok = classify.fit_subject_warp(curve, reg_fit, label)
             if not ok:
                 degraded = True
-                if np.any(np.diff(ords) <= 0):
-                    ords = anchors.copy()
             aligned = align_single(curve, anchors, ords, grid)
             cache[label] = classify._score_panel(aligned[None], model.fpca)[0]
         pi = classify_prob(model, cache[label], v)

@@ -328,6 +328,13 @@ def test_predict_has_no_max_iter_option(pipeline, tmp_path, capsys):
     assert rc == 2
     assert "unrecognized arguments: --max-iter 3" in capsys.readouterr().err
     assert not out.exists()
+    # nor has fit a seed option: the config file's seed is the run's
+    rc = main(["fit", "--curves", str(pipeline.data / "curves_train.csv"),
+               "--scalars", str(pipeline.data / "scalars_train.csv"),
+               "--config", str(pipeline.cfg), "--seed", "3", "--out", str(tmp_path / "f")])
+    assert rc == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
 
 
 def test_predict_rejects_another_number_of_covariates(pipeline, tmp_path, capsys):
@@ -412,6 +419,21 @@ _DROP = object()
         ("predict", "classifier.json", ("model", "fpca"), _DROP, "model.fpca is missing"),
         ("predict", "registration.json", ("fit", "format_version"), _DROP,
          "registration fit has no format_version; expected 2"),
+        ("predict", "registration.json", ("fit", "warps", "group_offsets", "1"),
+         [0.0, 0.4, -0.4, 0.0],
+         "fit: warps.group_offsets.1: the warp of class 1 is not strictly increasing"),
+        ("register", "registration.json", ("fit", "warps", "group_offsets", "0"),
+         [0.0, 0.34, 0.0, 0.0],
+         "fit: warps.group_offsets.0: the warp of class 0 is not strictly increasing"),
+        ("predict", "registration.json", ("fit", "warps", "subject_offsets", "s0009"),
+         [0.0, 0.0, -0.5, 0.0],
+         "fit: warps.subject_offsets.s0009: the warp of subject s0009 is not strictly increasing"),
+        ("register", "registration.json", ("fit", "warps", "subject_offsets", "s0001"),
+         [0.0, 0.9, -0.9, 0.0],
+         "fit: warps.subject_offsets.s0001: the warp of subject s0001 is not strictly increasing"),
+        ("register", "registration.json", ("fit", "warps", "subject_offsets", "s0002"),
+         [0.0, float("nan"), 0.0, 0.0],
+         "fit: warps.subject_offsets.s0002: the warp of subject s0002 is not strictly increasing"),
     ],
 )
 def test_malformed_artifacts_exit_3_naming_the_field(
@@ -482,6 +504,7 @@ def test_register_rejects_subjects_outside_the_fit(pipeline, tmp_path, capsys):
 
 
 def test_register_flags_a_corrupted_warp_as_numerical(pipeline, tmp_path, capsys):
+    # a warp that does not strictly increase is refused when the fit is loaded
     fit2 = tmp_path / "fit_bad"
     shutil.copytree(pipeline.fit, fit2)
     payload = json.loads((fit2 / "registration.json").read_text())
@@ -491,8 +514,9 @@ def test_register_flags_a_corrupted_warp_as_numerical(pipeline, tmp_path, capsys
     rc = main(["register", "--fit", str(fit2),
                "--curves", str(pipeline.data / "curves_train.csv"),
                "--out", str(tmp_path / "a.csv")])
-    assert rc == 4
-    assert "monotone" in capsys.readouterr().err
+    assert rc == 3
+    assert f"the warp of subject {sid} is not strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -698,11 +698,11 @@ def _subjects(fit, n_subjects, seed, jitter=0.0, n_obs=50):
     return out
 
 
-def _objective(fit, curve, label, offsets):
-    """The held-out subject's objective, written out independently."""
+def _objective(fit, curve, label, ords):
+    """The held-out subject's objective at warp ordinates ``ords``, written out independently."""
     s_fac = CholFactor(np.eye(len(curve.times)) + matern_cov(fit.var.curve_cov, curve.times))
     h_fac = CholFactor(matern_cov(fit.var.warp_cov, ANCHORS[1:-1]))
-    ords = ANCHORS + fit.warps.group_offsets[label] + offsets
+    offsets = ords - (ANCHORS + fit.warps.group_offsets[label])
     g = warp_values(ANCHORS, ords, curve.times)
     resid = curve.values - fit.basis.spline(fit.means.coefs(label))(g)
     z = s_fac.half_solve(resid)
@@ -717,12 +717,11 @@ def test_fit_subject_warp_is_monotone_and_never_worse_than_the_start():
         n_converged = 0
         for curve, label in _subjects(fit, 12, seed=11, jitter=jitter, n_obs=n_obs):
             for k in (label, 1 - label):  # predict_new also tries the other label
-                offsets, ok = fit_subject_warp(curve, fit, k)
-                ords = ANCHORS + fit.warps.group_offsets[k] + offsets
+                ords, ok = fit_subject_warp(curve, fit, k)
                 assert np.all(np.diff(ords) > 0)
-                assert offsets[0] == offsets[-1] == 0.0
-                before = _objective(fit, curve, k, np.zeros(4))
-                assert _objective(fit, curve, k, offsets) <= before * (1 + 1e-12)
+                assert ords[0] == 0.0 and ords[-1] == 1.0
+                before = _objective(fit, curve, k, ANCHORS + fit.warps.group_offsets[k])
+                assert _objective(fit, curve, k, ords) <= before * (1 + 1e-12)
                 n_converged += ok
         assert n_converged == 24
 
