@@ -6,7 +6,9 @@ the smoothed covariance; subject score vectors and a truncated-power
 expansion of the functional coefficient reduce the functional logistic
 regression to a generalized linear mixed model, fit by penalized
 iteratively reweighted least squares with the random-effect variance
-updated through an effective-degrees-of-freedom fixed point.
+updated through an effective-degrees-of-freedom fixed point.  Every fit
+at a truncation pair goes through ``_fit_pair`` from one start of that
+fixed point, so cross-validation scores the classifier that ships.
 
 Prediction for a new subject fits its warp under the group its scalar
 covariates point to, aligns, scores and classifies it; when that points to
@@ -38,6 +40,14 @@ _PROB_FLOOR = 1e-15
 # Version of the ClassifierModel dict layout; from_dict accepts only this one.
 _MODEL_FORMAT_VERSION = 1
 DEFAULT_CV_GRID = ((12, 6), (12, 10), (18, 6), (18, 10))
+DEFAULT_CV_FOLDS = 5
+# points in the moving window that smooths each covariance diagonal
+DEFAULT_SMOOTHING_WINDOW = 11
+# fit_glmm's ridge-variance fixed point: the sigma_e every fit starts from,
+# its pass cap and its relative tolerance on sigma_e^2
+_SIGMA_START = 10.0
+_MAX_PASSES = 50
+_SIGMA_TOL = 1e-5
 
 
 def _sigmoid(eta):
@@ -77,11 +87,11 @@ class FpcaModel:
         return self.eigenfunctions.shape[1]
 
 
-def smooth_covariance(values: np.ndarray, window: int = 11) -> np.ndarray:
+def smooth_covariance(values: np.ndarray, window: int = DEFAULT_SMOOTHING_WINDOW) -> np.ndarray:
     """Empirical covariance of curves on a grid, smoothed along diagonals.
 
     ``values`` is (n_subjects, n_grid).  The raw covariance (1/N
-    normalization) is averaged over an 11-point moving window running
+    normalization) is averaged over a ``window``-point moving window running
     along each diagonal, which preserves the near-diagonal ridge better
     than row/column smoothing, then symmetrized.
     """
@@ -298,9 +308,6 @@ def fit_glmm(
     scalar_design: np.ndarray,
     functional_design: np.ndarray | None,
     labels,
-    sigma_init: float = 1.0,
-    max_passes: int = 50,
-    tol: float = 1e-5,
 ) -> LogisticFit:
     """Penalized logistic regression with a ridge variance fixed point.
 
@@ -310,7 +317,11 @@ def fit_glmm(
     coefficients of each coordinate stay unpenalized; the rest carry a
     shared ridge weight 1/sigma_e^2, with sigma_e^2 re-estimated between
     passes as ||e_pen||^2 over the penalized block's effective degrees
-    of freedom.
+    of freedom.  Every fit starts from sigma_e = ``_SIGMA_START``; it
+    converges once sigma_e^2 changes by at most ``_SIGMA_TOL`` relative,
+    and stops with ``converged=False`` after ``_MAX_PASSES`` passes.  The
+    fixed point's end depends on its start, so one start for every fit
+    keeps cross-validation's fold fits the fit that ships.
     """
     scalar_design = np.asarray(scalar_design, dtype=float)
     y = np.asarray(labels, dtype=float).ravel()
@@ -338,13 +349,11 @@ def fit_glmm(
     n_pen = int(pen_mask.sum())
 
     theta = np.zeros(design.shape[1])
-    sigma2 = float(sigma_init) ** 2
+    sigma2 = _SIGMA_START**2
     traces = []
     converged = False
     n_stalled = 0
-    n_passes = 0
-    for _ in range(max_passes):
-        n_passes += 1
+    for n_passes in range(1, _MAX_PASSES + 1):
         penalty_vec = np.where(pen_mask, 1.0 / sigma2, 0.0) if n_pen else np.zeros(design.shape[1])
         theta, trace, weights = _irls_pass(design, y, penalty_vec, theta)
         traces.append(trace)
@@ -362,7 +371,7 @@ def fit_glmm(
         e_pen = theta[pen_mask]
         sigma2_new = float(e_pen @ e_pen) / max(edf_pen, 1e-8)
         sigma2_new = max(sigma2_new, 1e-10)
-        if abs(sigma2_new - sigma2) <= tol * max(sigma2, 1e-12):
+        if abs(sigma2_new - sigma2) <= _SIGMA_TOL * max(sigma2, 1e-12):
             sigma2 = sigma2_new
             converged = True
             break
@@ -447,20 +456,38 @@ def _pooled_times(panel: CurvePanel) -> np.ndarray:
     return np.concatenate([c.times for c in panel.curves])
 
 
+def _fit_pair(fpca_pair, scores, k_x: int, coef_basis, scalar_design, labels, rows=slice(None)):
+    """The logistic fit at (k_x, ``coef_basis.size``) on ``rows``, for
+    ``fit_classifier`` and each fold of ``cross_validate_K`` alike.
+
+    Truncates the FPCA pair and the (N, 2, >= k_x) ``scores`` to k_x (the
+    bytes of decomposing at k_x) and forms the functional design of every
+    subject.  Returns (fit, truncated pair, J matrices, functional design).
+    """
+    trunc = tuple(
+        replace(f, eigenfunctions=f.eigenfunctions[:, :k_x], eigenvalues=f.eigenvalues[:k_x])
+        for f in fpca_pair
+    )
+    j_mats = np.stack([compute_J(f, coef_basis) for f in trunc])
+    func_design = _functional_design(scores[:, :, :k_x], j_mats)
+    fit = fit_glmm(scalar_design[rows], func_design[rows], labels[rows])
+    return fit, trunc, j_mats, func_design
+
+
 def fit_classifier(
     reg_fit: RegistrationFit,
     panel: CurvePanel,
     k_x: int,
     k_e: int,
-    smoothing_window: int = 11,
-    sigma_init: float = 10.0,
+    smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
 ) -> ClassifierModel:
     """Full second level on a registered panel.
 
-    Aligns the curves, decomposes each coordinate, projects scores,
-    builds the cross-Gram reduction, and fits the penalized logistic
-    model.  A scalar-only refit is stored alongside; it picks the first
-    group a new subject is aligned to.
+    Aligns the curves, decomposes each coordinate, projects scores, and
+    fits the penalized logistic model at (k_x, k_e) through ``_fit_pair``,
+    the fit that cross-validation repeats on each fold.  A scalar-only
+    refit is stored alongside; it picks the first group a new subject is
+    aligned to.
     """
     if not panel.has_labels:
         raise DataError("classifier training requires labels for all subjects")
@@ -468,16 +495,11 @@ def fit_classifier(
         raise DataError(f"identifiability requires k_x >= k_e, got ({k_x}, {k_e})")
     aligned = align_curves(panel, reg_fit)
     fpca_pair = _fpca_pair(aligned.values, aligned.grid, k_x, smoothing_window)
-
     coef_basis = TruncatedPowerBasis.from_quantiles(_pooled_times(panel), k_e)
-    j_mats = np.stack([compute_J(fpca_pair[a], coef_basis) for a in (0, 1)])
     scores = _score_panel(aligned.values, fpca_pair)
     scalar_design = _panel_scalar_design(panel)
     labels = panel.labels
-
-    fit = fit_glmm(
-        scalar_design, _functional_design(scores, j_mats), labels, sigma_init=sigma_init
-    )
+    fit, fpca_pair, j_mats, _ = _fit_pair(fpca_pair, scores, k_x, coef_basis, scalar_design, labels)
     scalar_only = fit_glmm(scalar_design, None, labels)
     return ClassifierModel(
         **vars(fit),
@@ -503,18 +525,22 @@ def cross_validate_K(
     reg_fit: RegistrationFit,
     panel: CurvePanel,
     pairs=DEFAULT_CV_GRID,
-    n_folds: int = 5,
+    n_folds: int = DEFAULT_CV_FOLDS,
     seed: int = 0,
     return_table: bool = False,
-    smoothing_window: int = 11,
+    smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
 ):
     """Pick (k_x, k_e) by stratified K-fold validation deviance.
 
     Registration is not refit per fold: warps do not depend on the
     truncation pair, so only the second level is re-estimated on each
     training fold, with the covariance smoother ``fit_classifier`` is
-    given (``smoothing_window``).  Ties break toward the smaller k_e, then
-    smaller k_x.
+    given (``smoothing_window``).  Each training fold is decomposed once
+    at the largest k_x, and each pair is fitted on it by ``_fit_pair``,
+    as ``fit_classifier`` fits the model it ships, from the same start of
+    the ridge-variance fixed point.  When fold fits stop at the pass cap
+    without converging, one warning says how many.  Ties break toward the
+    smaller k_e, then smaller k_x.
     """
     pairs = [(int(kx), int(ke)) for kx, ke in pairs]
     if not pairs:
@@ -548,36 +574,36 @@ def cross_validate_K(
 
     sums = {pair: 0.0 for pair in pairs}
     used = {pair: 0 for pair in pairs}
+    n_short = 0
     for fold in range(n_folds):
         val_mask = fold_of == fold
         train_mask = ~val_mask
-        y_train = labels[train_mask]
         if val_mask.sum() == 0:
             _log.warning("fold %d skipped: empty validation split", fold)
             continue
-        if len(np.unique(y_train)) < 2:
+        if len(np.unique(labels[train_mask])) < 2:
             _log.warning("fold %d skipped: single-class training split", fold)
             continue
         fpca_pair = _fpca_pair(values[train_mask], grid, k_x_max, smoothing_window)
         scores_all = _score_panel(values, fpca_pair)
         y_val = labels[val_mask]
         for kx, ke in pairs:
-            trunc = [
-                replace(f, eigenfunctions=f.eigenfunctions[:, :kx], eigenvalues=f.eigenvalues[:kx])
-                for f in fpca_pair
-            ]
-            j_mats = np.stack([compute_J(trunc[a], bases[ke]) for a in (0, 1)])
-            func_design = _functional_design(scores_all[:, :, :kx], j_mats)
             try:
-                model = fit_glmm(
-                    scalar_design[train_mask], func_design[train_mask], y_train
+                model, _, _, func_design = _fit_pair(
+                    fpca_pair, scores_all, kx, bases[ke], scalar_design, labels, train_mask
                 )
             except NumericalError:
                 _log.warning("fold %d pair (%d,%d) skipped: fit failure", fold, kx, ke)
                 continue
+            n_short += not model.converged
             eta = _eta(model, scalar_design[val_mask, 1:], func_design[val_mask])
             sums[(kx, ke)] += _deviance(y_val, eta) / val_mask.sum()
             used[(kx, ke)] += 1
+    if n_short:
+        _log.warning(
+            "cross-validation: %d of %d fold fits stopped at the pass cap of %d without converging",
+            n_short, sum(used.values()), _MAX_PASSES,
+        )
 
     scored = []
     for pair in pairs:

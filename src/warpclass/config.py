@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .classify import DEFAULT_CV_GRID
+from .classify import DEFAULT_CV_FOLDS, DEFAULT_CV_GRID, DEFAULT_SMOOTHING_WINDOW
 from .codec import read_json
 from .errors import DataError, check_int
 from .registration import RegistrationConfig
@@ -27,8 +27,8 @@ class RunConfig(RegistrationConfig):
     k_x: int | None = None
     k_e: int | None = None
     cv_grid: tuple = DEFAULT_CV_GRID
-    cv_folds: int = 5
-    smoothing_window: int = 11
+    cv_folds: int = DEFAULT_CV_FOLDS
+    smoothing_window: int = DEFAULT_SMOOTHING_WINDOW
     seed: int = 0
 
     def __post_init__(self):

@@ -113,6 +113,10 @@ _VAR_HALVINGS = 30
 _STACK_BYTES = 2**18
 # Format of RegistrationFit.to_dict; a payload of another version is refused.
 _FIT_FORMAT_VERSION = 2
+# Residual evaluations of one warp solve and iterations of one variance step
+# (RegistrationConfig.warp_maxfun and variance_maxiter).
+DEFAULT_WARP_MAXFUN = 500
+DEFAULT_VARIANCE_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -705,7 +709,7 @@ def fit_warps(
     means: MeanWeights,
     ctx: GlsContext,
     warps_init: WarpState,
-    maxfun: int = 500,
+    maxfun: int = DEFAULT_WARP_MAXFUN,
 ) -> tuple[WarpState, dict]:
     """Minimize the warp part of the penalized objective.
 
@@ -1134,7 +1138,7 @@ def fit_variance(
     w0: dict,
     var_init: VarianceParams,
     anchors,
-    maxiter: int = 100,
+    maxiter: int = DEFAULT_VARIANCE_MAXITER,
 ) -> tuple[VarianceParams, tuple, int]:
     """Maximize the profiled likelihood over the four covariance parameters.
 
@@ -1238,8 +1242,8 @@ class RegistrationConfig:
     noise_sd_init: float = 0.05
     curve_cov_init: tuple = (1.0, 0.3, 3.0)
     warp_cov_init: tuple = (1.0, 0.3, 3.0)
-    warp_maxfun: int = 500
-    variance_maxiter: int = 100
+    warp_maxfun: int = DEFAULT_WARP_MAXFUN
+    variance_maxiter: int = DEFAULT_VARIANCE_MAXITER
     n_variance_updates: int = 2
     max_outer: int = 20
     tol_rel: float = 1e-4

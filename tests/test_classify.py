@@ -228,39 +228,43 @@ def test_null_model_intercept_is_the_logit_of_the_class_fraction():
     assert model.b1.size == 0
 
 
-def test_separable_scalar_direction_grows_with_zero_functional_scores():
+def test_separable_scalar_direction_grows_with_zero_functional_scores(monkeypatch):
     # labels perfectly aligned with a +-1 covariate; the functional block is
     # identically zero, so its unpenalized columns make the system singular
+    monkeypatch.setattr(classify, "_SIGMA_START", 100.0)
     n = 20
     v = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     y = (v > 0).astype(float)
     scalar = np.column_stack([np.ones(n), v])
     func = np.zeros((n, 6))
-    model = fit_glmm(scalar, func, y, sigma_init=100.0)
+    model = fit_glmm(scalar, func, y)
     assert model.b1[0] > 5.0
     # the intercept is tiny relative to the diverging slope
     assert abs(model.b0) < 1e-4 * model.b1[0]
     assert np.max(np.abs(model.e)) < 1e-6
 
 
-def test_penalty_off_limit_matches_newton_on_the_full_design():
+def test_penalty_off_limit_matches_newton_on_the_full_design(monkeypatch):
+    monkeypatch.setattr(classify, "_SIGMA_START", 1e6)
+    monkeypatch.setattr(classify, "_MAX_PASSES", 1)
     rng = np.random.default_rng(31)
     n = 60
     scalar, _ = _logistic_data(seed=31, n=n)
     func = 0.5 * rng.standard_normal((n, 4))
     eta = 0.2 + scalar[:, 1] - 0.6 * func[:, 0] + 0.4 * func[:, 3]
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-    model = fit_glmm(scalar, func, y, sigma_init=1e6, max_passes=1)
+    model = fit_glmm(scalar, func, y)
     want = _newton_logistic(np.hstack([scalar, func]), y)
     got = np.concatenate([[model.b0], model.b1, model.e[0], model.e[1]])
     assert np.max(np.abs(got - want)) < 1e-6
 
 
-def test_glmm_deviance_is_monotone_within_every_pass():
+def test_glmm_deviance_is_monotone_within_every_pass(monkeypatch):
+    monkeypatch.setattr(classify, "_SIGMA_START", 1.0)
     rng = np.random.default_rng(17)
     design, y = _logistic_data(seed=17)
     func = 0.5 * rng.standard_normal((len(y), 8))
-    model = fit_glmm(design, func, y, sigma_init=1.0)
+    model = fit_glmm(design, func, y)
     assert model.deviance_trace
     for trace in model.deviance_trace:
         for prev, cur in zip(trace, trace[1:]):
@@ -364,13 +368,14 @@ def test_irls_keeping_its_accepted_trial_is_byte_identical(monkeypatch, case):
         assert got[2].tobytes() == want[2].tobytes()
         return got
 
-    for sigma_init in (1.0, 10.0):
-        got = fit_glmm(scalar, func, y, sigma_init=sigma_init)
+    for sigma_start in (1.0, 10.0):
         with monkeypatch.context() as patch:
+            patch.setattr(classify, "_SIGMA_START", sigma_start)
+            got = fit_glmm(scalar, func, y)
             patch.setattr(classify, "_irls_pass", both)
-            fit_glmm(scalar, func, y, sigma_init=sigma_init)
+            fit_glmm(scalar, func, y)
             patch.setattr(classify, "_irls_pass", _recomputing_irls_pass)
-            want = fit_glmm(scalar, func, y, sigma_init=sigma_init)
+            want = fit_glmm(scalar, func, y)
         for name in ("b0", "sigma_e", "deviance_trace", "converged", "n_passes"):
             assert getattr(got, name) == getattr(want, name)
         assert got.b1.tobytes() == want.b1.tobytes() and got.e.tobytes() == want.e.tobytes()
@@ -490,7 +495,7 @@ def small_pipeline():
     )
     cfg = RegistrationConfig(n_interior_knots=4, variance_maxiter=40, max_outer=4)
     reg = fit_registration(panel, cfg)
-    model = fit_classifier(reg, panel, k_x=5, k_e=3, sigma_init=1.0)
+    model = fit_classifier(reg, panel, k_x=5, k_e=3)
     return panel, truth, reg, model
 
 
@@ -534,7 +539,7 @@ def test_classifier_model_rejects_other_format_versions(small_pipeline, index, c
 
 def test_classifier_refit_is_bit_identical(small_pipeline):
     panel, _, reg, model = small_pipeline
-    again = fit_classifier(reg, panel, k_x=5, k_e=3, sigma_init=1.0)
+    again = fit_classifier(reg, panel, k_x=5, k_e=3)
     assert again.b0 == model.b0
     assert np.array_equal(again.b1, model.b1)
     assert np.array_equal(again.e, model.e)
@@ -766,6 +771,79 @@ def test_skipped_folds_are_logged(small_pipeline, caplog, monkeypatch):
         _, table = cross_validate_K(reg, panel, pairs=pairs, n_folds=4, return_table=True)
     assert messages() == ["fold 0 pair (4,3) skipped: fit failure"]
     assert {pair: n for pair, _, n in table} == {(4, 3): 3, (5, 3): 4}
+
+
+def test_every_fit_starts_the_fixed_point_from_one_value(small_pipeline, monkeypatch):
+    # cross-validation scores the classifier that ships only if each fold
+    # repeats its fit: one per-pair fit, one start of the ridge variance
+    panel, _, reg, _ = small_pipeline
+    pairs = ((4, 3), (5, 3), (5, 4))
+    real_fit, real_pass, real_pair = classify.fit_glmm, classify._irls_pass, classify._fit_pair
+    first_penalties, pair_fits = [], []
+
+    def recording_fit(scalar_design, functional_design, labels):
+        if functional_design is not None and functional_design.shape[1]:
+            n_scalar, k_e = scalar_design.shape[1], functional_design.shape[1] // 2
+            first_penalties.append((n_scalar, k_e, []))
+        return real_fit(scalar_design, functional_design, labels)
+
+    def recording_pass(design, labels, penalty_vec, theta, max_newton=25):
+        if first_penalties and not first_penalties[-1][2]:
+            first_penalties[-1][2].append(penalty_vec.copy())
+        return real_pass(design, labels, penalty_vec, theta, max_newton)
+
+    def recording_pair(*args, **kwargs):
+        pair_fits.append(args[2])
+        return real_pair(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "fit_glmm", recording_fit)
+    monkeypatch.setattr(classify, "_irls_pass", recording_pass)
+    monkeypatch.setattr(classify, "_fit_pair", recording_pair)
+    cross_validate_K(reg, panel, pairs=pairs, n_folds=4)
+    fit_classifier(reg, panel, k_x=5, k_e=3)
+
+    assert len(first_penalties) == len(pair_fits) == 4 * len(pairs) + 1
+    assert pair_fits[-1] == 5
+    for n_scalar, k_e, (penalty,) in first_penalties:
+        want = np.zeros(n_scalar + 2 * k_e)
+        for a in (0, 1):
+            want[n_scalar + a * k_e + 2 : n_scalar + (a + 1) * k_e] = 1.0 / classify._SIGMA_START**2
+        assert penalty.tobytes() == want.tobytes()
+
+
+def test_fold_fits_stopped_at_the_pass_cap_are_logged(small_pipeline, caplog, monkeypatch):
+    panel, _, reg, _ = small_pipeline
+    pairs = ((4, 3), (5, 3), (5, 4))
+    real_fit = classify.fit_glmm
+    short = []
+
+    def counting_fit(*args):
+        fit = real_fit(*args)
+        short.append(not fit.converged)
+        return fit
+
+    def warnings():
+        return [
+            r.getMessage() for r in caplog.records
+            if r.name == "warpclass.classify" and r.getMessage().startswith("cross-validation:")
+        ]
+
+    monkeypatch.setattr(classify, "fit_glmm", counting_fit)
+    for cap in (classify._MAX_PASSES, 1):
+        monkeypatch.setattr(classify, "_MAX_PASSES", cap)
+        short.clear()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="warpclass.classify"):
+            cross_validate_K(reg, panel, pairs=pairs, n_folds=4)
+        assert len(short) == 12
+        want = (
+            [f"cross-validation: {sum(short)} of 12 fold fits stopped at the pass cap "
+             f"of {cap} without converging"]
+            if any(short) else []
+        )
+        assert warnings() == want
+    # one pass cannot settle the variance: every fold fit stops at the cap
+    assert all(short)
 
 
 # ---------------------------------------------------------------------------

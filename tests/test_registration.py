@@ -248,7 +248,9 @@ def test_warp_design_by_length_equals_each_subjects_design_in_any_order(seed, da
     # the first subject in panel order with a non-increasing warp is named
     bad = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
     for sid in bad:
-        warps.subject_offsets[sid][1] = 0.5
+        # an interior ordinate above 1 cannot increase to the end at 1; at 0.5
+        # above its anchor, the next ordinate's offsets could still lift past it
+        warps.subject_offsets[sid][1] = 1.0
     first = next(sid for sid in ids if sid in bad)
     with pytest.raises(NumericalError, match=f"non-monotone warp ordinates for subject {first}$"):
         warp_design(panel, warps, basis)
