@@ -5,11 +5,11 @@ Quality study: what the estimates look like over many simulated draws
 Runs Study 2 scenarios A and B over fixed seeds (0-9 by default), each
 draw split 60/60 by the simulation's training mask, through the public
 API as ``warpclass fit`` and ``warpclass predict`` run it: default
-``RunConfig``, the truncation pair chosen by cross-validation, then every
-held-out subject predicted.  It prints one JSON report: a record per
-scenario and seed, the medians per scenario, and a sha256 digest of the
-records, so two runs, or two versions of the package, can be compared by
-one line.
+``RunConfig``, the truncation pair chosen by cross-validation, then the
+held-out half predicted in one ``predict_panel`` call.  It prints one
+JSON report: a record per scenario and seed, the medians per scenario,
+and a sha256 digest of the records, so two runs, or two versions of the
+package, can be compared by one line.
 
 Per draw the record gives, for the classifier: held-out ``ca``, the mean
 held-out deviance, the fraction of held-out ``pi_hat`` on the 1e-15 clip,
@@ -45,7 +45,7 @@ from warpclass import (
     fit_registration,
     hyman_interp,
     metric_ca,
-    predict_new,
+    predict_panel,
     simulate_study2,
     warp_imse,
 )
@@ -73,7 +73,7 @@ def run_draw(scenario: str, seed: int, config: RunConfig, n_subjects: int, n_obs
         return_table=True, smoothing_window=config.smoothing_window,
     )
     model = fit_classifier(fit, train, k_x, k_e, smoothing_window=config.smoothing_window)
-    results = [predict_new(fit, model, c, v) for c, v in zip(test.curves, test.covariates)]
+    results = predict_panel(fit, model, test.curves, test.covariates)
 
     y = test.labels
     pi = np.array([r.pi_hat for r in results])

@@ -27,6 +27,7 @@ from .classify import (
     fpca_decompose,
     functional_coefficient,
     predict_new,
+    predict_panel,
     project_scores,
     smooth_covariance,
 )

@@ -10,15 +10,18 @@ updated through an effective-degrees-of-freedom fixed point.  Every fit
 at a truncation pair goes through ``_fit_pair`` from one start of that
 fixed point, so cross-validation scores the classifier that ships.
 
-Prediction for a new subject fits its warp under the group its scalar
-covariates point to, aligns, scores and classifies it; when that points to
-the other group, it does the same under the other group.
+Prediction fits new subjects' warps under the group their scalar
+covariates point to, aligns, scores and classifies them, then does the same
+under the other group for those whose alignment points there: per group,
+one lock-step warp solve, one stacked alignment and one scoring pass over a
+panel.  Scores are summed row by row, so a subject's result does not depend
+on its panel, and ``predict_new`` is a panel of one.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,9 +32,11 @@ from .errors import DataError, NumericalError, check_format_version, check_shape
 from .registration import (
     RegistrationFit,
     align_curves,
-    align_single,
+    align_stack,
     fit_subject_warp,
 )
+# Unused here: perfbench/tracing.py wraps classify.align_single by name.
+from .registration import align_single  # noqa: F401
 from .rng import substream
 
 _log = logging.getLogger(__name__)
@@ -74,6 +79,8 @@ class FpcaModel:
     mean: np.ndarray  # (n_grid,)
     eigenfunctions: np.ndarray  # (n_grid, k_x), quadrature-orthonormal
     eigenvalues: np.ndarray  # (k_x,), non-increasing, >= 0
+    # the eigenfunctions times the quadrature weights, which project each curve
+    weighted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_grid = self.grid.shape[:1]
@@ -81,6 +88,7 @@ class FpcaModel:
         check_shape("mean", self.mean, n_grid)
         check_shape("eigenfunctions", self.eigenfunctions, n_grid + ("k_x",))
         check_shape("eigenvalues", self.eigenvalues, self.eigenfunctions.shape[1:])
+        object.__setattr__(self, "weighted", quad_weights(self.grid)[:, None] * self.eigenfunctions)
 
     @property
     def k_x(self) -> int:
@@ -170,15 +178,16 @@ def fpca_decompose(cov: np.ndarray, grid, k_x: int, mean=None) -> FpcaModel:
 def project_scores(values, fpca: FpcaModel) -> np.ndarray:
     """Quadrature inner products of centered curves with the eigenfunctions.
 
-    Accepts one curve (n_grid,) or a stack (n_subjects, n_grid).
+    Accepts one curve (n_grid,) or a stack (n_subjects, n_grid).  Each row
+    is summed on its own (``np.einsum``), so its bytes do not depend on the
+    stack, as a BLAS product's would.
     """
     vals = np.asarray(values, dtype=float)
     single = vals.ndim == 1
     vals = np.atleast_2d(vals)
     if vals.shape[1] != len(fpca.grid):
         raise DataError("curve grid does not match the decomposition grid")
-    w = quad_weights(fpca.grid)
-    scores = (vals - fpca.mean) @ (w[:, None] * fpca.eigenfunctions)
+    scores = np.einsum("ng,gk->nk", vals - fpca.mean, fpca.weighted)
     return scores[0] if single else scores
 
 
@@ -404,15 +413,18 @@ def fit_glmm(
 
 
 def _eta(fit: LogisticFit, scalar_rows, functional_rows) -> np.ndarray:
-    """Linear predictor b0 + V b1 + Z [e_0, e_1] (V without the intercept column)."""
-    return fit.b0 + scalar_rows @ fit.b1 + functional_rows @ fit.e.reshape(-1)
+    """Linear predictor b0 + V b1 + Z [e_0, e_1] (V without the intercept column), by rows."""
+    scalar = np.einsum("np,p->n", scalar_rows, fit.b1)
+    return fit.b0 + scalar + np.einsum("nk,k->n", functional_rows, fit.e.reshape(-1))
 
 
-def classify_prob(model: ClassifierModel, scores, scalars) -> float:
-    """Class-1 probability for one subject's scores and scalar covariates."""
-    v = np.atleast_1d(np.asarray(scalars, dtype=float))
-    row = _functional_design(np.asarray(scores, dtype=float)[None], model.j_mats)
-    return float(_prob(_eta(model, v[None], row)[0]))
+def classify_prob(model: ClassifierModel, scores, scalars):
+    """Class-1 probability for one subject's scores (2, k_x) and scalar
+    covariates (p,), or one per row of (N, 2, k_x) and (N, p)."""
+    rows = np.reshape(scores, (-1, *np.shape(scores)[-2:]))
+    v = np.reshape(scalars, (len(rows), -1))
+    pi = _prob(_eta(model, v, _functional_design(rows, model.j_mats)))
+    return float(pi[0]) if np.ndim(scores) == 2 else pi
 
 
 def functional_coefficient(model: ClassifierModel, coordinate: int, times) -> np.ndarray:
@@ -448,8 +460,8 @@ def _score_panel(aligned_values, fpca_pair):
 
 
 def _functional_design(scores, j_mats):
-    """Design block [S_1 J_1 | S_2 J_2] of shape (N, 2*k_e)."""
-    return np.hstack([scores[:, 0] @ j_mats[0], scores[:, 1] @ j_mats[1]])
+    """Design block [S_1 J_1 | S_2 J_2] of shape (N, 2*k_e), row by row (``np.einsum``)."""
+    return np.einsum("nak,ake->nae", scores, j_mats).reshape(len(scores), -1)
 
 
 def _pooled_times(panel: CurvePanel) -> np.ndarray:
@@ -510,11 +522,11 @@ def fit_classifier(
     )
 
 
-def scalar_only_prob(model: ClassifierModel, scalars) -> float:
-    """Probability from the stored scalar-only logistic refit."""
+def scalar_only_prob(model: ClassifierModel, scalars):
+    """Probability from the stored scalar-only logistic refit, for (p,) or per row of (N, p)."""
     v = np.atleast_1d(np.asarray(scalars, dtype=float))
-    eta = float(model.scalar_b[0] + v @ model.scalar_b[1:])
-    return float(_prob(eta))
+    pi = _prob(model.scalar_b[0] + np.einsum("...p,p->...", v, model.scalar_b[1:]))
+    return float(pi) if v.ndim == 1 else pi
 
 
 # ---------------------------------------------------------------------------
@@ -637,60 +649,54 @@ class PredictionResult:
             raise DataError(f"pi_hat must lie in [0,1], got {self.pi_hat}")
 
 
-def predict_new(
-    reg_fit: RegistrationFit,
-    model: ClassifierModel,
-    curve: SubjectCurve,
-    scalars,
-) -> PredictionResult:
-    """Label prediction for one held-out subject from its group alignments.
+def predict_panel(
+    reg_fit: RegistrationFit, model: ClassifierModel, curves, covariates
+) -> list[PredictionResult]:
+    """Label predictions for held-out ``curves`` and their scalar ``covariates`` (N, p).
 
-    A subject's warp is fixed once its group template is, so there are
-    only two candidate alignments.  The subject is first aligned under the
-    label its scalar-only probability points to, and scored.  When that
-    probability points to the other label, the subject is aligned and
-    scored under that label as well, and the result is taken from it.
-    ``iterations`` counts the alignments scored, 1 or 2.  Each alignment
-    takes the ordinates ``fit_subject_warp`` returns as they are: they
-    strictly increase, whether or not its solve converged.  A solve that
-    does not converge marks the result as not converged.
-
-    When the alignment under each label classifies the subject into the
-    other one, the labels point at each other: the result reports
-    ``converged=False``, ``pi_hat`` from the second alignment and the
-    label it points to, the first one.  So ``label == int(pi_hat >= 0.5)``
-    holds in every result.  ``scalars`` must hold as many covariates as
-    the model was fitted with (DataError otherwise).
+    ``p`` must be the number of covariates the model was fitted with
+    (DataError otherwise).  A subject's warp is fixed once its group
+    template is, so there are two candidate alignments: under the label its
+    scalar-only probability points to, and, when that alignment points to
+    the other label, under that one, which decides.  Each round makes, per label, one
+    ``fit_subject_warp`` call, one ``align_stack`` and one scoring pass
+    over its subjects, each treated as if alone, so a result has the same
+    bytes in any panel and order.  ``iterations`` counts the alignments
+    scored.  A warp solve that does not converge marks a result not
+    converged, as do labels that point at each other; there ``pi_hat`` is
+    the second alignment's, and ``label`` is always ``int(pi_hat >= 0.5)``.
     """
-    v = np.atleast_1d(np.asarray(scalars, dtype=float))
-    if v.shape != model.b1.shape:
+    v = np.asarray(covariates, dtype=float)
+    check_shape("covariates", v, (len(curves), "p"))
+    if v.shape[1] != model.b1.size:
         raise DataError(
-            f"subject {curve.subject_id} has {v.size} scalar covariates; "
+            f"each subject has {v.shape[1]} scalar covariates; "
             f"the model was fitted with {model.b1.size}"
         )
     grid = model.fpca[0].grid
-    anchors = reg_fit.warps.anchors
+    label = (scalar_only_prob(model, v) >= 0.5).astype(int).tolist()
+    pi, converged = np.empty(len(curves)), np.ones(len(curves), dtype=bool)
+    iterations, tried = [1] * len(curves), range(len(curves))
+    for _ in range(2):  # every subject under its start label, then the switchers
+        for k in (0, 1):
+            rows = [i for i in tried if label[i] == k]
+            if rows:
+                batch = [curves[i] for i in rows]
+                ords, ok = fit_subject_warp(batch, reg_fit, k)
+                aligned = align_stack(batch, reg_fit.warps.anchors, ords, grid)
+                pi[rows] = classify_prob(model, _score_panel(aligned, model.fpca), v[rows])
+                converged[rows] &= ok
+        tried = [i for i in tried if (pi[i] >= 0.5) != label[i]]
+        for i in tried:
+            label[i], iterations[i] = 1 - label[i], 2
+    converged[tried] = False  # switchers that point back: the two-label cycle
+    return [
+        PredictionResult(c.subject_id, p, int(p >= 0.5), n, ok)
+        for c, p, n, ok in zip(curves, pi.tolist(), iterations, converged.tolist())
+    ]
 
-    def score(label):
-        """Probability under the alignment to ``label``'s template, and
-        whether its warp solve converged."""
-        ords, ok = fit_subject_warp(curve, reg_fit, label)
-        aligned = align_single(curve, anchors, ords, grid)
-        return classify_prob(model, _score_panel(aligned[None], model.fpca)[0], v), ok
-
-    start = int(scalar_only_prob(model, v) >= 0.5)
-    pi, converged = score(start)
-    iterations = 1
-    if int(pi >= 0.5) != start:
-        pi, ok = score(1 - start)
-        iterations = 2
-        # pointing back to the start is the two-label cycle
-        converged = converged and ok and int(pi >= 0.5) != start
-    return PredictionResult(
-        subject_id=curve.subject_id,
-        pi_hat=pi,
-        label=int(pi >= 0.5),
-        iterations=iterations,
-        converged=converged,
-    )
-
+def predict_new(
+    reg_fit: RegistrationFit, model: ClassifierModel, curve: SubjectCurve, scalars
+) -> PredictionResult:
+    """``predict_panel`` on a panel of one: ``curve`` with its scalar covariates (p,)."""
+    return predict_panel(reg_fit, model, [curve], np.atleast_1d(scalars)[None])[0]

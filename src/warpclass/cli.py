@@ -21,7 +21,7 @@ from .classify import (
     ClassifierModel,
     cross_validate_K,
     fit_classifier,
-    predict_new,
+    predict_panel,
 )
 from .codec import encode, read_json
 from .config import RunConfig, load_config
@@ -267,10 +267,7 @@ def cmd_predict(args) -> int:
     scalars = load_scalars(args.scalars)
     panel = join_panel(curves, scalars)
 
-    results = [
-        predict_new(reg_fit, model, curve, v)
-        for curve, v in zip(panel.curves, panel.covariates)
-    ]
+    results = predict_panel(reg_fit, model, panel.curves, panel.covariates)
 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -90,8 +90,8 @@ class MaternParams:
 
     def __post_init__(self):
         for name in ("amplitude", "length_scale", "smoothness"):
-            if not getattr(self, name) > 0:
-                raise DataError(f"Matern {name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:  # a NaN fails too
+                raise DataError(f"Matern {name} must be positive and finite, got {getattr(self, name)}")
         if self.smoothness > _MAX_SMOOTHNESS:
             raise DataError(
                 f"Matern smoothness must be at most {_MAX_SMOOTHNESS:g}, got {self.smoothness}"

@@ -29,8 +29,8 @@ as numpy has no batched one), and the Levenberg-Marquardt solver runs a
 batch of problems in lock step, each deciding as if solved alone.
 Designs are warped the same way, one ``hyman_interp`` per length.  A warp
 step solves each group's subjects as one batch, then the group's offsets
-on all members at once; a held-out subject is a batch of one, solved by
-the same solver.
+on all members at once; held-out subjects under one group are a batch too
+(a held-out subject alone is a batch of one), solved by the same solver.
 The variance likelihood is evaluated one stack at a time: the grids of one
 length with the same number of subjects, whose kernels, factors and
 gradient traces are batched, and whose sums run in a fixed order whatever
@@ -41,9 +41,9 @@ its trace is non-increasing once the variance parameters are frozen.
 The ridge weight is the ratio of the noise variance to the variance of
 the group deviations; it is estimated by an effective-degrees-of-freedom
 fixed point each time the variance parameters are, and frozen with them.
-Alignment carries a panel's curves to a common grid through the inverse
-warps of all its subjects, inverted in one stacked call, each row with
-the bits of its own inverse.
+Alignment carries curves, a training panel's or held-out ones, to a common
+grid through their inverse warps, inverted in one stacked call
+(``align_stack``), each row with the bits of its own inverse.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ class VarianceParams:
     warp_cov: MaternParams
 
     def __post_init__(self):
-        if not self.noise_sd > 0:
-            raise DataError(f"noise_sd must be positive, got {self.noise_sd}")
+        if not 0 < self.noise_sd < np.inf:  # a NaN fails too
+            raise DataError(f"noise_sd must be positive and finite, got {self.noise_sd}")
 
 
 @dataclass(frozen=True)
@@ -1495,22 +1495,23 @@ def align_single(curve: SubjectCurve, anchors, ordinates, grid) -> np.ndarray:
     return _resample(curve, ginv, np.empty((len(ginv), 2)))
 
 
+def align_stack(curves, anchors, ordinates, grid) -> np.ndarray:
+    """Curves (N) at the inverses of their warps (N, n_w) on ``grid``, (N, n_grid, 2), inverted
+    in one stacked call, each row equal to ``align_single``'s byte for byte."""
+    ginv = warp_inverse_values(anchors, ordinates, grid)
+    values = np.empty((len(curves), len(grid), 2))
+    for curve, row, out in zip(curves, ginv, values):
+        _resample(curve, row, out)
+    return values
+
+
 def align_curves(panel: CurvePanel, fit: RegistrationFit) -> AlignedPanel:
     """Register every curve onto the fit's uniform grid of ``n_align_grid``
-    points via its inverse warp.
-
-    The warps of the whole panel are inverted in one stacked call
-    (``warp_inverse_values``), each row stopping on its own, so every
-    subject's values equal ``align_single``'s byte for byte.
-    """
-    n_grid = fit.config.n_align_grid
-    grid = np.linspace(0.0, 1.0, n_grid)
+    points via its inverse warp, the whole panel in one ``align_stack``."""
+    grid = np.linspace(0.0, 1.0, fit.config.n_align_grid)
     ids = tuple(panel.subject_ids)
     ords = np.array([fit.warps.ordinates(sid) for sid in ids])
-    ginv = warp_inverse_values(fit.warps.anchors, ords, grid)
-    values = np.empty((len(ids), n_grid, 2))
-    for curve, row, out in zip(panel.curves, ginv, values):
-        _resample(curve, row, out)
+    values = align_stack(panel.curves, fit.warps.anchors, ords, grid)
     return AlignedPanel(grid=grid, subject_ids=ids, values=values)
 
 
@@ -1533,51 +1534,46 @@ def _held_out_group(warp_cov: MaternParams, anchor_bytes: bytes, basis, coef_byt
     return prior, _mean_splines(basis, np.frombuffer(coef_bytes).reshape(2, basis.size))
 
 
-def fit_subject_warp(
-    curve: SubjectCurve,
-    fit: RegistrationFit,
-    label: int,
-) -> tuple[np.ndarray, bool]:
-    """Fit the warp of a subject not in the training fit under class ``label``.
+def fit_subject_warp(curves, fit: RegistrationFit, label: int) -> tuple:
+    """Fit the warps of subjects not in the training fit under class ``label``.
 
-    The class warp and all model parameters stay at their fitted values;
-    only the subject's interior anchor offsets are optimized, by the warp
-    step's Levenberg-Marquardt solver (damped Newton steps on the exact
-    Hessian, about four residual evaluations per solve) on a batch of one,
-    from zero offsets with at most ``fit.config.warp_maxfun`` residual
-    evaluations.  Returns the subject's warp ordinates at the anchors (the
-    class warp plus the fitted offsets) and whether the solve converged.
-    They strictly increase: the class warp does (``RegistrationFit``), and
-    the solver accepts only strictly increasing points.  The offsets stay
-    zero, leaving the subject on its class warp, where the kernels cannot
-    be factored on its grid; a warning then names the subject.
+    ``curves`` is one ``SubjectCurve`` or a sequence of S.  The class warp
+    and all model parameters stay at their fitted values; only each
+    subject's interior anchor offsets are optimized, from zero, the S
+    subjects as one ``WarpProblem`` by one lock-step call of the warp
+    step's solver (about four residual evaluations per subject, at most
+    ``fit.config.warp_maxfun``), in which each takes the steps it would
+    take alone.  Returns the ordinates at the anchors (the class warp plus
+    the offsets), (S, n_w), and whether each solve converged, (S,); one
+    curve gives (n_w,) and a bool.  They strictly increase: the class warp
+    does (``RegistrationFit``), and the solver accepts only increasing
+    points.  A kernel that cannot be factored raises NumericalError.
 
     The problem's fixed parts are cached by the values they are built from,
-    not on the fit: the grid's (``_held_out_grid``) and the group's
+    not on the fit: each grid's (``_held_out_grid``) and the group's
     (``_held_out_group``).  A hit gives the parts a miss would build, so
     the offsets do not depend on what any fit predicted before.
     """
+    single = isinstance(curves, SubjectCurve)
+    curves = [curves] if single else list(curves)
     anchors = fit.warps.anchors
     if label not in fit.warps.group_offsets:
         raise DataError(f"unknown group label {label!r}")
     class_warp = anchors + fit.warps.group_offsets[label]
-    try:
-        anchor_bytes = anchors.tobytes()
-        s_fac, hermite = _held_out_grid(fit.var.curve_cov, anchor_bytes, curve.times.tobytes())
-        prior, splines = _held_out_group(
-            fit.var.warp_cov, anchor_bytes, fit.basis, fit.means.coefs(label).tobytes()
-        )
-    except NumericalError as exc:
-        _log.warning("subject %s keeps zero warp offsets: %s", curve.subject_id, exc)
-        return class_warp, False
+    anchor_bytes = anchors.tobytes()
+    prior, splines = _held_out_group(
+        fit.var.warp_cov, anchor_bytes, fit.basis, fit.means.coefs(label).tobytes()
+    )
     prob = WarpProblem.of(
-        anchors, [class_warp], [curve.times], [curve.values],
-        lambda _: (s_fac, hermite), splines, prior,
+        anchors, np.tile(class_warp, (len(curves), 1)), [c.times for c in curves],
+        [c.values for c in curves],
+        lambda t: _held_out_grid(fit.var.curve_cov, anchor_bytes, t.tobytes()), splines, prior,
     )
     u, _, converged, _, _ = _levenberg_marquardt(
-        partial(subject_warp_residuals, prob), np.zeros((1, len(anchors) - 2)),
+        partial(subject_warp_residuals, prob), np.zeros((len(curves), len(anchors) - 2)),
         fit.config.warp_maxfun,
     )
-    offsets = np.zeros(len(anchors))
-    offsets[1:-1] = u[0]
-    return class_warp + offsets, bool(converged[0])
+    offsets = np.zeros((len(curves), len(anchors)))
+    offsets[:, 1:-1] = u
+    ords = class_warp + offsets
+    return (ords[0], bool(converged[0])) if single else (ords, converged)

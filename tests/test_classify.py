@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import warpclass.classify as classify
 from warpclass.basis import TruncatedPowerBasis, quad_weights
@@ -21,11 +23,12 @@ from warpclass.classify import (
     fpca_decompose,
     functional_coefficient,
     predict_new,
+    predict_panel,
     project_scores,
     scalar_only_prob,
     smooth_covariance,
 )
-from warpclass.curves import SubjectCurve
+from warpclass.curves import CurvePanel, SubjectCurve
 from warpclass.errors import DataError, NumericalError
 from warpclass.gp import MaternParams, matern_cov
 from warpclass.registration import (
@@ -137,6 +140,37 @@ def test_fpca_sign_convention_is_reproducible():
     b = fpca_decompose(np.outer(-phi, -phi), grid, k_x=1)
     assert np.array_equal(a.eigenfunctions, b.eigenfunctions)
     assert w @ a.eigenfunctions[:, 0] >= 0
+
+
+def test_a_curves_scores_do_not_depend_on_its_stack():
+    # a BLAS product blocks the rows of a stack, so a row's last bits would
+    # depend on the rows around it
+    grid = np.linspace(0.0, 1.0, 101)
+    rng = np.random.default_rng(31)
+    fpca = fpca_decompose(matern_cov(MaternParams(1.0, 0.2, 2.5), grid), grid, 18,
+                          mean=rng.standard_normal(101))
+    values = rng.standard_normal((300, 101))
+    stacked = project_scores(values, fpca)
+    for i, row in enumerate(values):
+        assert project_scores(row, fpca).tobytes() == stacked[i].tobytes(), i
+    for rows in (rng.permutation(300)[:60], [7], [7, 7, 3]):
+        assert project_scores(values[rows], fpca).tobytes() == stacked[rows].tobytes()
+
+
+def test_a_subjects_probability_does_not_depend_on_its_rows():
+    # the functional design and the linear predictor are summed row by row too
+    rng = np.random.default_rng(37)
+    model = _model(
+        rng.standard_normal(3), rng.standard_normal((2, 10)), rng.standard_normal((2, 18, 10)),
+        scalar_b=rng.standard_normal(4),
+    )
+    scores, v = rng.standard_normal((300, 2, 18)), rng.standard_normal((300, 3))
+    pi, start = classify_prob(model, scores, v), scalar_only_prob(model, v)
+    for i in range(300):
+        assert classify_prob(model, scores[i], v[i]) == pi[i]
+        assert scalar_only_prob(model, v[i]) == start[i]
+    rows = rng.permutation(300)[:40]
+    assert classify_prob(model, scores[rows], v[rows]).tobytes() == pi[rows].tobytes()
 
 
 def test_fpca_validates_input():
@@ -691,6 +725,72 @@ def test_two_alignments_decide_as_the_general_label_loop(small_pipeline, monkeyp
         switching = _two_alignment_model(reg, model, curve, v, start, etas)
         res, _ = _predict_against_the_label_loop(monkeypatch, reg, switching, curve, v)
         assert res.iterations == 2 and res.label == 1 - start and res.converged
+
+
+@pytest.fixture(scope="module")
+def held_out_cases(small_pipeline):
+    """A held-out panel of 12 subjects on 6 grids, and three models, each
+    with every subject's ``predict_new`` result: the fitted one; one whose
+    scalar-only start points the other way, so most subjects are aligned
+    twice; and one under which subject 0's two alignments point at each
+    other."""
+    panel, _, reg, model = small_pipeline
+    held, _ = simulate_study2(Study2Config(scenario="A", seed=21, n_subjects=12, n_obs=30))
+    rng = np.random.default_rng(43)
+    curves = []
+    for i, c in enumerate(held.curves):
+        if i < 5:  # five subjects on the shared grid
+            curves.append(c)
+        elif i < 9:  # four jittered grids
+            t = c.times.copy()
+            t[1:-1] += rng.uniform(-0.004, 0.004, len(t) - 2)
+            curves.append(SubjectCurve(c.subject_id, t, c.values))
+        else:  # three subjects on one shorter grid
+            curves.append(SubjectCurve(c.subject_id, c.times[::2], c.values[::2]))
+    held = CurvePanel(curves, held.scalars)
+    flipped = ClassifierModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    flipped.scalar_b = -flipped.scalar_b
+    v0 = held.covariates[0]
+    start = int(scalar_only_prob(model, v0) >= 0.5)
+    models = (model, flipped, _cycling_model(reg, model, held.curves[0], v0, start))
+    alone = [
+        [predict_new(reg, m, c, v) for c, v in zip(held.curves, held.covariates)]
+        for m in models
+    ]
+    return reg, held, models, alone
+
+
+def _bits(res):
+    return (res.subject_id, res.pi_hat.hex(), res.label, res.iterations, res.converged)
+
+
+def test_held_out_cases_reach_both_rounds_and_the_cycle(held_out_cases):
+    _, _, _, alone = held_out_cases
+    results = [r for per_model in alone for r in per_model]
+    assert {r.iterations for r in results} == {1, 2}
+    assert any(r.iterations == 2 and r.converged for r in results)
+    assert not alone[2][0].converged and alone[2][0].iterations == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_panel_predicts_each_subject_as_alone(held_out_cases, data):
+    # any subset, in any order, subjects repeated or not
+    reg, held, models, alone = held_out_cases
+    m = data.draw(st.integers(0, len(models) - 1), label="model")
+    rows = data.draw(st.lists(st.integers(0, held.n_subjects - 1), min_size=1, max_size=16))
+    got = predict_panel(reg, models[m], [held.curves[i] for i in rows], held.covariates[rows])
+    assert [_bits(r) for r in got] == [_bits(alone[m][i]) for i in rows]
+
+
+def test_predict_panel_checks_the_covariates(small_pipeline):
+    panel, _, reg, model = small_pipeline
+    curves = panel.curves[:3]
+    assert predict_panel(reg, model, [], np.empty((0, 1))) == []
+    with pytest.raises(DataError, match=r"covariates has shape \(2, 1\), expected \(3, p\)"):
+        predict_panel(reg, model, curves, panel.covariates[:2])
+    with pytest.raises(DataError, match="each subject has 2 scalar covariates; the model"):
+        predict_panel(reg, model, curves, np.zeros((3, 2)))
 
 
 def test_predict_requires_functional_model(small_pipeline):

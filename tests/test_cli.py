@@ -16,10 +16,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import warpclass.registration as registration
 from warpclass.classify import ClassifierModel, cross_validate_K, predict_new
 from warpclass.cli import PREDICTIONS_HEADER, _write_json, main
 from warpclass.config import RunConfig
 from warpclass.curves import join_panel, load_curves, load_scalars
+from warpclass.errors import NumericalError
 from warpclass.registration import RegistrationFit
 
 SMALL_CONFIG = {
@@ -284,11 +286,32 @@ def test_predictions_match_the_library_calls(pipeline):
         load_scalars(pipeline.data / "scalars_test.csv"),
     )
     rows = {r[0]: r for r in _read_rows(pipeline.pred)[1:]}
+    want = [",".join(PREDICTIONS_HEADER)]
     for i, sid in enumerate(panel.subject_ids):
         res = predict_new(reg_fit, model, panel.curve(sid), panel.covariates[i])
         assert float(rows[sid][1]) == res.pi_hat
         assert int(rows[sid][2]) == res.label
         assert rows[sid][3:] == [str(res.iterations), str(int(res.converged))]
+        want.append(f"{sid},{res.pi_hat!r},{res.label},{res.iterations},{int(res.converged)}")
+    # the whole file, predicted in one call, is the subjects predicted one by one
+    assert pipeline.pred.read_text() == "\n".join(want) + "\n"
+
+
+def test_predict_exits_4_where_a_held_out_kernel_cannot_be_factored(
+    pipeline, tmp_path, capsys, monkeypatch
+):
+    def unfactorable(s_mat):
+        raise NumericalError("matrix not positive definite")
+
+    monkeypatch.setattr(registration, "_curve_factor", unfactorable)
+    registration._held_out_grid.cache_clear()  # a cached grid would not reach the patch
+    out = tmp_path / "pred.csv"
+    rc = main(["predict", "--fit", str(pipeline.fit),
+               "--curves", str(pipeline.data / "curves_test.csv"),
+               "--scalars", str(pipeline.data / "scalars_test.csv"), "--out", str(out)])
+    assert rc == 4
+    assert "numerical error: matrix not positive definite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_predicting_the_training_half_recovers_most_labels(pipeline):
@@ -434,6 +457,13 @@ _DROP = object()
         ("register", "registration.json", ("fit", "warps", "subject_offsets", "s0002"),
          [0.0, float("nan"), 0.0, 0.0],
          "fit: warps.subject_offsets.s0002: the warp of subject s0002 is not strictly increasing"),
+        # JSON reads Infinity; a kernel with it would factor to non-finite numbers
+        ("predict", "registration.json", ("fit", "var", "curve_cov", "amplitude"), float("inf"),
+         "fit.var.curve_cov: Matern amplitude must be positive and finite, got inf"),
+        ("predict", "registration.json", ("fit", "var", "warp_cov", "length_scale"), float("inf"),
+         "fit.var.warp_cov: Matern length_scale must be positive and finite, got inf"),
+        ("predict", "registration.json", ("fit", "var", "noise_sd"), float("inf"),
+         "fit.var: noise_sd must be positive and finite, got inf"),
     ],
 )
 def test_malformed_artifacts_exit_3_naming_the_field(

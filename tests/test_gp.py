@@ -23,7 +23,7 @@ from warpclass.gp import (
     profile_loglik_parts,
     spd_inverses,
 )
-from warpclass.registration import _LOG_HI, _LOG_LO, RegistrationConfig
+from warpclass.registration import _LOG_HI, _LOG_LO, RegistrationConfig, VarianceParams
 
 
 def _random_spd(rng, n):
@@ -61,6 +61,17 @@ def test_matern_rejects_nonpositive_params():
     for bad in [(0.0, 1, 1), (1, -0.1, 1), (1, 1, 0.0)]:
         with pytest.raises(DataError):
             MaternParams(*bad)
+
+
+def test_kernel_and_noise_parameters_must_be_finite():
+    # a fit loaded from JSON may hold Infinity or NaN, which a factorization
+    # would turn into non-finite numbers without an error
+    for value in (math.inf, math.nan):
+        for bad in [(value, 1, 1), (1, value, 1), (1, 1, value)]:
+            with pytest.raises(DataError, match="must be positive and finite"):
+                MaternParams(*bad)
+        with pytest.raises(DataError, match="noise_sd must be positive and finite"):
+            VarianceParams(value, MaternParams(1, 1, 1), MaternParams(1, 1, 1))
 
 
 def test_matern_rejects_orders_above_its_bound():

@@ -1851,7 +1851,9 @@ def test_fit_subject_warp_identity_for_unwarped_curve():
     assert np.max(np.abs(got - ANCHORS)) < 1e-3
 
 
-def test_fit_subject_warp_logs_the_fallback_to_zero_offsets(monkeypatch, caplog):
+def test_fit_subject_warp_raises_where_a_kernel_cannot_be_factored(monkeypatch, caplog):
+    # no fallback to the class warp: the error reaches the caller, and
+    # nothing is logged
     fit = _handmade_fit()
     curve = _warped_curve(fit, np.array([0.0, 0.05, -0.04, 0.0]))
 
@@ -1862,12 +1864,10 @@ def test_fit_subject_warp_logs_the_fallback_to_zero_offsets(monkeypatch, caplog)
     # a grid already cached by another prediction would never reach the patch
     registration._held_out_grid.cache_clear()
     with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
-        got, ok = fit_subject_warp(curve, fit, label=0)
-    assert not ok
-    assert np.array_equal(got, ANCHORS)
-    assert [r.getMessage() for r in caplog.records] == [
-        "subject new keeps zero warp offsets: matrix not positive definite"
-    ]
+        for curves in (curve, [curve, curve]):
+            with pytest.raises(NumericalError, match="matrix not positive definite"):
+                fit_subject_warp(curves, fit, label=0)
+    assert caplog.records == []
 
 
 def test_fit_subject_warp_rejects_unknown_label():
