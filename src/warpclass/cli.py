@@ -220,6 +220,7 @@ def cmd_fit(args) -> int:
             "warp_evaluations": reg_fit.warp_evaluations,
             "variance_evaluations": reg_fit.variance_evaluations,
             "noise_sd": reg_fit.var.noise_sd,
+            "ridge_lambda": reg_fit.ridge_lambda,
         },
         "classifier": {
             "k_x": k_x,

@@ -39,8 +39,8 @@ The alternation is coordinate descent on one penalized objective
 (residual Mahalanobis norms + warp prior + ridge on group deviations), so
 its trace is non-increasing once the variance parameters are frozen.
 The ridge weight is the ratio of the noise variance to the variance of
-the group deviations; it is estimated by an effective-degrees-of-freedom
-fixed point each time the variance parameters are, and frozen with them.
+the group deviations; it is estimated by maximum marginal likelihood on a
+fixed interval each time the variance parameters are, and frozen with them.
 Alignment carries curves, a training panel's or held-out ones, to a common
 grid through their inverse warps, inverted in one stacked call
 (``align_stack``), each row with the bits of its own inverse.
@@ -56,6 +56,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 # Unused here: perfbench/tracing.py wraps registration.minimize by name.
 from scipy.optimize import minimize  # noqa: F401
+from scipy.optimize import brentq
 
 from .basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
 from .codec import decode, encode
@@ -95,13 +96,11 @@ _GTOL = 1e-5
 # Entries kept by each held-out parts cache (_held_out_grid, _held_out_group),
 # which outlive a fit; this bounds their memory.
 _GRID_FACTORS_KEPT = 8
-# Ridge-weight fixed point (estimate_ridge): the start of a fit's first
-# estimate, iteration cap, relative tolerance, and the weight used once the
-# deviations vanish.
-_RIDGE_START = 1.0
-_RIDGE_ITERS = 200
-_RIDGE_TOL = 1e-10
+# estimate_ridge's interval (a fit's ridge weight lies in it) and its points
+# of log lambda, ten a decade.
+_RIDGE_MIN = 1e-12
 _RIDGE_MAX = 1e12
+_RIDGE_GRID = 241
 # Variance solver (_projected_newton): L-BFGS-B's default stopping rules, the
 # largest projected gradient entry and the relative decrease of one step
 # (factr 1e7 times the machine epsilon), and the step halvings it tries.
@@ -339,8 +338,9 @@ def estimate_d(normals: dict, c_hat: np.ndarray, ridge_lambda: float) -> tuple[d
 
     Group k's deviations solve (A_k + lambda I) d_k' = b_k - A_k c'.
     ``ridge_lambda`` is the current ridge weight; ``fit_registration``
-    estimates it with ``estimate_ridge``.  Returns the deviations and the
-    shared weights with the centering shift absorbed.
+    estimates it with ``estimate_ridge``.  The centring keeps the fitted
+    curves and cannot raise the ridge term, so it is a descent step.
+    Returns the deviations and the shared weights with the shift absorbed.
     """
     if ridge_lambda < 0:
         raise DataError(f"ridge penalty must be >= 0, got {ridge_lambda}")
@@ -350,45 +350,45 @@ def estimate_d(normals: dict, c_hat: np.ndarray, ridge_lambda: float) -> tuple[d
     return {k: v - shift for k, v in d.items()}, c_hat + shift
 
 
-def estimate_ridge(normals: dict, c_hat: np.ndarray, noise_sd: float, start: float) -> float:
-    """Ridge weight on the group deviations as a variance ratio.
+def estimate_ridge(normals: dict, c_hat: np.ndarray, noise_sd: float) -> float:
+    """Ridge weight on the group deviations, lambda = sigma^2 / tau^2, of
+    largest marginal likelihood on [``_RIDGE_MIN``, ``_RIDGE_MAX``].
 
-    The group deviations are fixed effects with a Gaussian prior of
-    variance tau^2, so in the sigma^2-scaled objective their weight is
-    lambda = sigma^2 / tau^2, with sigma = ``noise_sd``.  tau^2 is found by
-    the effective-degrees-of-freedom fixed point (Schall, 1991):
-    tau^2 = sum_k ||d_k||^2 / edf with edf = sum_k tr((A_k + lambda I)^{-1} A_k)
-    over both coordinates, where d_k are the centered ridge-GLS deviations
-    from ``c_hat`` and A_k is group k's GLS normal matrix.  Iterates from
-    ``start``; the result does not depend on it.  A loop that ends at
-    ``_RIDGE_ITERS`` iterations without meeting ``_RIDGE_TOL`` is logged.
+    For the eigenpairs (s, V) of group k's normal matrix A_k, the entries of
+    z_k = V'(b_k - A_k c_hat') are N(0, sigma^2 s + tau^2 s^2) with sigma =
+    ``noise_sd``; null directions (s <= 1e-12 max s) hold only rounding and
+    are dropped.  In log lambda the likelihood's slope has the sign of
+    lambda ||d||^2 / sigma^2 - edf, edf = 2 sum s / (s + lambda) and
+    d = z / (s + lambda): Schall's (1991) fixed-point equation.  It can have
+    several roots, so its sign is read on ``_RIDGE_GRID`` points; brentq
+    finds each maximum inside a cell, an end counts (exactly) where the
+    likelihood rises towards it, and the best is returned.  The deviations
+    are uncentred: at a fixed point of ``estimate_c`` and ``estimate_d``,
+    (A_k + lambda I) d_k' = b_k - A_k c' and sum_k A_k (c' + d_k') =
+    sum_k b_k give lambda sum_k d_k = 0, so centring matters only off it.
     """
-    noise_var = noise_sd**2
-    eigs = []
+    s, zz = [], []
     for a, b in normals.values():
         vals, vecs = np.linalg.eigh(a)
-        eigs.append((np.maximum(vals, 0.0), vecs, vecs.T @ (b - a @ c_hat.T)))
-    lam = float(start)
-    for _ in range(_RIDGE_ITERS):
-        # a zero eigenvalue at lam = 0 contributes nothing (pseudo-inverse)
-        inv = [
-            np.divide(1.0, vals + lam, out=np.zeros_like(vals), where=vals + lam > 0)
-            for vals, _, _ in eigs
-        ]
-        raw = [vecs @ (proj * w[:, None]) for (_, vecs, proj), w in zip(eigs, inv)]
-        shift = np.mean(raw, axis=0)
-        ss = sum(float(np.sum((r - shift) ** 2)) for r in raw)
-        edf = 2.0 * sum(float(vals @ w) for (vals, _, _), w in zip(eigs, inv))
-        new = min(noise_var * edf / ss, _RIDGE_MAX) if ss > 0 else _RIDGE_MAX
-        done = abs(new - lam) <= _RIDGE_TOL * new
-        lam = new
-        if done:
-            break
-    else:
-        _log.warning(
-            "ridge weight fixed point stopped at its cap of %d iterations, at %g", _RIDGE_ITERS, lam
-        )
-    return lam
+        keep = vals > 1e-12 * vals[-1]
+        s.append(vals[keep])
+        zz.append(np.sum((vecs[:, keep].T @ (b - a @ c_hat.T)) ** 2, axis=1) / noise_sd**2)
+    s, zz = np.concatenate(s), np.concatenate(zz)
+
+    def score(log_lam):
+        lam = np.exp(np.asarray(log_lam))[..., None]
+        return np.sum(zz * lam / (lam + s) ** 2 - 2.0 * s / (lam + s), axis=-1)
+
+    def neg_loglik(lam):  # up to a constant
+        return float(np.sum(np.log1p(s / lam) + zz * lam / (2.0 * s * (lam + s))))
+
+    grid = np.linspace(np.log(_RIDGE_MIN), np.log(_RIDGE_MAX), _RIDGE_GRID)
+    signs = score(grid)
+    cells = np.flatnonzero((signs[:-1] < 0.0) & (signs[1:] >= 0.0))
+    found = [float(np.exp(brentq(score, grid[i], grid[i + 1]))) for i in cells]
+    found += [_RIDGE_MIN] if signs[0] >= 0.0 else []
+    found += [_RIDGE_MAX] if signs[-1] <= 0.0 else []
+    return min(found, key=neg_loglik)
 
 
 # ---------------------------------------------------------------------------
@@ -810,8 +810,8 @@ def penalized_objective(
     norm of their image under ``prior_rows``, as the warp step scores it),
     plus the ridge penalty ``ridge_lambda * ||d||^2`` on group deviations.
     The sum is sigma^2 times a negative log posterior, so the ridge weight
-    is sigma^2 / tau^2 (``estimate_ridge``).  ``designs`` are the
-    ``warp_design`` matrices of ``warps``.
+    is sigma^2 / tau^2 (``estimate_ridge``, by marginal likelihood).
+    ``designs`` are the ``warp_design`` matrices of ``warps``.
     """
     total = 0.0
     for curve in panel.curves:
@@ -1291,7 +1291,8 @@ class RegistrationFit:
     every subject warp (``warps.ordinates``), else DataError names the
     class or the subject.  A fitted one always does, as the warp solver
     accepts only increasing points and a class warp is the mean of its
-    members' (their offsets are re-centred before the class solve).
+    members' (their offsets are re-centred before the class solve).  Its
+    ridge weight lies in ``estimate_ridge``'s interval, else DataError.
     """
 
     basis: BSplineBasis
@@ -1317,6 +1318,9 @@ class RegistrationFit:
 
     def __post_init__(self):
         # a decoded artifact is checked here, before any array broadcasts
+        lam = self.ridge_lambda
+        if not _RIDGE_MIN <= lam <= _RIDGE_MAX:  # NaN fails too
+            raise DataError(f"ridge_lambda must lie in [{_RIDGE_MIN:g}, {_RIDGE_MAX:g}], got {lam!r}")
         means, warps, q = self.means, self.warps, self.basis.size
         labels = sorted(warps.group_offsets)
         if sorted(means.group) != labels:
@@ -1372,10 +1376,10 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
     all solve from those, and the objective reuses the designs.
     Variance parameters are refreshed only during the first
     ``n_variance_updates`` outer iterations, and the ridge weight on the
-    group deviations is re-estimated with them (``estimate_ridge``,
-    started from ``_RIDGE_START``).  Each refresh changes the
-    objective, so its trace restarts there.  After the freeze the loop is
-    plain coordinate descent and the recorded trace cannot increase.
+    group deviations is re-estimated with them (``estimate_ridge``).  Each
+    refresh changes the objective, so its trace restarts there.  After the
+    freeze the loop is plain coordinate descent and the recorded trace
+    cannot increase.
     """
     cfg = config or RegistrationConfig()
     if not panel.has_labels:
@@ -1401,14 +1405,14 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
         n_var_evals += n_step
         ctx = build_context(panel, basis, anchors, var)
         normals = gls_normals(panel, warps, ctx, designs)
-        lam = estimate_ridge(normals, means.shared, var.noise_sd, lam)
+        lam = estimate_ridge(normals, means.shared, var.noise_sd)
 
     # Initialization pass: means and variance at identity warps, so the first
     # warp fit already works under a realistic GLS metric.  Otherwise warps
     # chase smooth curve-level deviations that the process term should absorb.
     # The ridge weight is re-estimated whenever the variance parameters change.
     c_init = estimate_c(normals, {k: np.zeros((2, basis.size)) for k in groups})
-    lam = estimate_ridge(normals, c_init, var.noise_sd, _RIDGE_START)
+    lam = estimate_ridge(normals, c_init, var.noise_sd)
     d_init, c_init = estimate_d(normals, c_init, lam)
     means = MeanWeights(c_init, d_init)
     n_var_evals = 0

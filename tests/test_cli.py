@@ -141,6 +141,7 @@ def test_fit_writes_artifacts_and_report(pipeline):
     assert report["registration"]["warp_evaluations"] >= 1
     registration = json.loads((pipeline.fit / "registration.json").read_text())
     assert report["registration"]["variance_evaluations"] == registration["fit"]["variance_evaluations"] >= 1
+    assert report["registration"]["ridge_lambda"] == registration["fit"]["ridge_lambda"]
     # the persisted config holds exactly the run's settings
     assert set(report["run_config"]) == {f.name for f in fields(RunConfig)}
     assert report["run_config"]["k_e"] == 3
@@ -464,6 +465,13 @@ _DROP = object()
          "fit.var.warp_cov: Matern length_scale must be positive and finite, got inf"),
         ("predict", "registration.json", ("fit", "var", "noise_sd"), float("inf"),
          "fit.var: noise_sd must be positive and finite, got inf"),
+        # a fit's ridge weight lies where estimate_ridge searches
+        ("predict", "registration.json", ("fit", "ridge_lambda"), float("nan"),
+         "fit: ridge_lambda must lie in [1e-12, 1e+12], got nan"),
+        ("register", "registration.json", ("fit", "ridge_lambda"), -1.0,
+         "fit: ridge_lambda must lie in [1e-12, 1e+12], got -1.0"),
+        ("predict", "registration.json", ("fit", "ridge_lambda"), 0.0,
+         "fit: ridge_lambda must lie in [1e-12, 1e+12], got 0.0"),
     ],
 )
 def test_malformed_artifacts_exit_3_naming_the_field(

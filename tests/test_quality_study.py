@@ -4,7 +4,10 @@ import importlib.util
 import json
 from pathlib import Path
 
-from warpclass import RunConfig
+import numpy as np
+import pytest
+
+from warpclass import RunConfig, registration
 
 _PATH = Path(__file__).resolve().parents[1] / "demos" / "quality_study.py"
 
@@ -42,3 +45,34 @@ def test_quality_study_reports_every_field_with_one_digest():
     for record in report["records"]:
         assert 0.0 <= record["ca"] <= 1.0 and 0.0 <= record["pi_hat_clipped"] <= 1.0
         assert record["cv_pair"] == record["cv_table"][0][:2]
+
+
+def test_study1_reports_every_field_with_one_digest():
+    study = _load()
+    config = RunConfig(max_outer=2, n_align_grid=41, cv_grid=((6, 3), (8, 4)))
+    runs = [study.run_study1([0, 1], config=config, n_subjects=20, n_obs=20) for _ in range(2)]
+    report = runs[0]
+    assert runs[1]["digest"] == report["digest"]
+    assert json.loads(json.dumps(report)) == report
+    assert report["study"] == 1 and [r["seed"] for r in report["records"]] == [0, 1]
+    assert set(report["records"][0]) == {
+        "seed", "n_outer", "registration_converged", "ridge_lambda", "ridge_lambda_at_max",
+        "cv_pair", "classifier_converged", "classifier_n_passes", "sigma_e", "max_abs_theta",
+        "b0", "b1", "beta1_ise", "beta2_ise",
+    }
+    assert set(report["across_draws"]) == {"beta1", "beta2", "b0", "b1"}
+    for name in ("beta1", "beta2"):
+        block = report["across_draws"][name]
+        # IMSE is the mean of the draws' ISEs and dominates ISBias
+        ise = [r[f"{name}_ise"] for r in report["records"]]
+        assert block["imse"] == pytest.approx(np.mean(ise), rel=1e-12)
+        assert 0.0 <= block["isbias"] <= block["imse"]
+    for name in ("b0", "b1"):
+        assert report["across_draws"][name]["bias"] >= 0.0
+        assert report["across_draws"][name]["ssd"] >= 0.0
+    for record in report["records"]:
+        assert registration._RIDGE_MIN <= record["ridge_lambda"] <= registration._RIDGE_MAX
+        assert record["ridge_lambda_at_max"] == (record["ridge_lambda"] == registration._RIDGE_MAX)
+    medians = report["medians"]
+    assert medians["n_draws"] == 2 and sum(medians["cv_pair_counts"].values()) == 2
+    assert {"median_ridge_lambda", "ridge_lambda_at_max_share", "median_beta1_ise"} <= set(medians)

@@ -415,44 +415,70 @@ def test_estimate_ridge_solves_its_fixed_point_equation():
     warps = WarpState.identity(ANCHORS, panel.group_of)
     var = _var()
     normals = _normals(panel, basis, var, warps)
-    # shared weights off the pooled fit, so the raw deviations need centering
+    # shared weights off the pooled fit, so the deviations do not sum to zero
     c_hat = estimate_c(normals, _no_deviations(basis, warps)) + 0.5
-    lam = estimate_ridge(normals, c_hat, var.noise_sd, 1.0)
-    assert estimate_ridge(normals, c_hat, var.noise_sd, 1e-3) == pytest.approx(lam, rel=1e-8)
+    lam = estimate_ridge(normals, c_hat, var.noise_sd)
 
-    # oracle: lambda = sigma^2 * edf / ||d||^2 with explicit inverses and traces
-    d, _ = estimate_d(normals, c_hat, lam)
-    edf = 0.0
+    # oracle: lambda = sigma^2 * edf / ||d||^2 with explicit inverses and
+    # traces, the deviations from c_hat uncentred
+    edf = ss = 0.0
     for k in (0, 1):
         normal = np.zeros((basis.size, basis.size))
+        rhs = np.zeros((basis.size, 2))
         for c in panel.curves:
             if panel.group_of[c.subject_id] == k:
                 psi = basis.design(c.times)
                 weight = np.linalg.inv(np.eye(len(c.times)) + matern_cov(var.curve_cov, c.times))
                 normal += psi.T @ weight @ psi
-        hat = np.linalg.solve(normal + lam * np.eye(basis.size), normal)
-        edf += 2.0 * np.trace(hat)  # one block per coordinate
-    tau2 = sum(float(np.sum(d[k] ** 2)) for k in (0, 1)) / edf
+                rhs += psi.T @ weight @ c.values
+        inverse = np.linalg.inv(normal + lam * np.eye(basis.size))
+        ss += float(np.sum((inverse @ (rhs - normal @ c_hat.T)) ** 2))
+        edf += 2.0 * np.trace(inverse @ normal)  # one block per coordinate
     assert 1e-4 < lam < 1e4
-    assert lam == pytest.approx(var.noise_sd**2 / tau2, rel=1e-8)
+    assert lam == pytest.approx(var.noise_sd**2 * edf / ss, rel=1e-9)
 
 
-def test_estimate_ridge_logs_a_stop_at_its_iteration_cap(monkeypatch, caplog):
-    rng = np.random.default_rng(43)
-    basis = BSplineBasis.uniform(2, 4)
-    panel, _ = _two_group_panel(rng, basis)
-    warps = WarpState.identity(ANCHORS, panel.group_of)
-    var = _var()
-    normals = _normals(panel, basis, var, warps)
-    c_hat = estimate_c(normals, _no_deviations(basis, warps)) + 0.5
-    with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
-        estimate_ridge(normals, c_hat, var.noise_sd, 1.0)
-        assert not caplog.records
-        monkeypatch.setattr(registration, "_RIDGE_ITERS", 1)
-        lam = estimate_ridge(normals, c_hat, var.noise_sd, 1.0)
-    assert [r.getMessage() for r in caplog.records] == [
-        f"ridge weight fixed point stopped at its cap of 1 iterations, at {lam:g}"
-    ]
+def _deviation_neg_loglik(normals, c_hat, noise_sd, lams):
+    """Gaussian negative log likelihood of the deviations b_k - A_k c' at
+    each ridge weight in ``lams``, on the range of each A_k."""
+    lams = np.asarray(lams, dtype=float)[:, None]
+    total = np.zeros(len(lams))
+    for a, b in normals.values():
+        s, vecs = np.linalg.eigh(a)
+        keep = s > 1e-12 * s[-1]
+        zz = np.sum((vecs[:, keep].T @ (b - a @ c_hat.T)) ** 2, axis=1)  # both coordinates
+        v = noise_sd**2 * s[keep] + noise_sd**2 / lams * s[keep] ** 2
+        total += np.sum(np.log(2.0 * np.pi * v) + zz / (2.0 * v), axis=1)
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 10),
+    n_groups=st.integers(2, 3),
+    log_sd=st.floats(-4.0, 2.0),
+)
+# two local maxima: the larger lies left of a single search's root
+@example(seed=202269, q=1, n_groups=2, log_sd=0.0)
+def test_estimate_ridge_maximizes_the_deviations_likelihood(seed, q, n_groups, log_sd):
+    # random PSD normals, singular where a group has fewer rows than q
+    rng = np.random.default_rng(seed)
+    normals = {}
+    for k in range(n_groups):
+        rows = rng.standard_normal((int(rng.integers(1, 2 * q + 1)), q))
+        normals[k] = (rows.T @ rows, rng.standard_normal((q, 2)))
+    c_hat = rng.standard_normal((2, q))
+    noise_sd = float(np.exp(log_sd))
+    lam = estimate_ridge(normals, c_hat, noise_sd)
+    assert registration._RIDGE_MIN <= lam <= registration._RIDGE_MAX
+    grid = np.exp(np.linspace(np.log(registration._RIDGE_MIN), np.log(registration._RIDGE_MAX), 2001))
+    best = _deviation_neg_loglik(normals, c_hat, noise_sd, grid).min()
+    (at_lam,) = _deviation_neg_loglik(normals, c_hat, noise_sd, [lam])
+    assert at_lam <= best + 1e-9 * (1.0 + abs(best))
+    # no deviations from c_hat: the likelihood rises all the way to the end
+    flat = {k: (a, a @ c_hat.T) for k, (a, _) in normals.items()}
+    assert estimate_ridge(flat, c_hat, noise_sd) == registration._RIDGE_MAX
 
 
 def test_mean_steps_never_increase_the_objective():
@@ -1604,7 +1630,7 @@ def test_noiseless_panel_is_reproduced_by_the_fit():
         assert np.max(np.abs(fit.warps.subject_offsets[c.subject_id])) < 5e-3
 
 
-def test_ridge_weight_is_estimated_whatever_its_start():
+def test_ridge_weight_without_noise_leaves_the_deviations_unshrunk():
     panel = _noiseless_panel()
     cfg = RegistrationConfig(max_outer=4, n_variance_updates=1, variance_maxiter=40)
     fit = fit_registration(panel, cfg)
@@ -1618,12 +1644,7 @@ def test_ridge_weight_is_estimated_whatever_its_start():
     ctx = build_context(panel, back.basis, back.warps.anchors, back.var)
     designs = warp_design(panel, back.warps, back.basis)
     normals = gls_normals(panel, back.warps, ctx, designs)
-    from_one, from_small = (
-        estimate_ridge(normals, back.means.shared, back.var.noise_sd, start)
-        for start in (1.0, 1e-4)
-    )
-    assert 0.0 < from_one < 1e-6
-    assert from_small == pytest.approx(from_one, rel=1e-6)
+    assert 0.0 < estimate_ridge(normals, back.means.shared, back.var.noise_sd) < 1e-6
     value = penalized_objective(panel, back.means, back.warps, ctx, back.ridge_lambda, designs)
     assert value == pytest.approx(back.trace[-1], rel=1e-9)
     del payload["ridge_lambda"]
