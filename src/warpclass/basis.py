@@ -51,6 +51,8 @@ class BSplineBasis:
     interior_knots: tuple[float, ...]
     order: int = 4
     knots: np.ndarray = field(init=False, repr=False, compare=False)
+    # every basis function as one q-valued spline (coefficients the identity)
+    _columns: BSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -62,6 +64,8 @@ class BSplineBasis:
         full.flags.writeable = False
         object.__setattr__(self, "interior_knots", tuple(ik.tolist()))
         object.__setattr__(self, "knots", full)
+        columns = BSpline.construct_fast(full, np.eye(self.size), self.order - 1)
+        object.__setattr__(self, "_columns", columns)
 
     @classmethod
     def uniform(cls, n_interior: int = 8, order: int = 4) -> "BSplineBasis":
@@ -77,9 +81,13 @@ class BSplineBasis:
         return len(self.interior_knots) + self.order
 
     def design(self, x) -> np.ndarray:
-        """Design matrix with rows (psi_1(x_j), ..., psi_q(x_j))."""
-        x = _check_domain(x, 0.0, 1.0, "B-spline design")
-        return BSpline.design_matrix(x, self.knots, self.order - 1).toarray()
+        """Design matrix with rows (psi_1(x_j), ..., psi_q(x_j)).
+
+        Dense, from the basis's q-valued spline at the points clipped to
+        [0, 1]: byte for byte ``BSpline.design_matrix(...).toarray()``,
+        without building a sparse matrix.
+        """
+        return self._columns(_check_domain(x, 0.0, 1.0, "B-spline design"))
 
     def spline(self, coef: np.ndarray) -> BSpline:
         """Callable spline with the given coefficients.

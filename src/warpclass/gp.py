@@ -43,7 +43,8 @@ dense solves go through LU factorizations: the batched ``slogdet`` and
 ``estimate_d``), of the warp solver's damped systems (``_damped_steps``)
 and of the classifier's IRLS steps (``classify._irls_pass``).  Explicit
 inverses are formed only of small matrices, and of a stack of kernel
-matrices whose entries a trace needs (``spd_inverses``).
+matrices whose entries a trace needs (``spd_inverses``), whose factors
+``chol_factors`` can keep as ``CholFactor``s without factoring again.
 """
 
 from __future__ import annotations
@@ -357,7 +358,9 @@ class CholFactor:
     """
 
     def __init__(self, mat: np.ndarray):
-        low, jitter = _cholesky(mat)
+        self._adopt(*_cholesky(mat))
+
+    def _adopt(self, low: np.ndarray, jitter: float) -> None:
         self._low, self.jitter, self.n = np.asfortranarray(low), float(jitter), len(low)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -397,17 +400,34 @@ def chol_lower(mat: np.ndarray) -> np.ndarray:
     return _cholesky(mat)[0]
 
 
-def spd_inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses and log determinants of a stack of SPD matrices, shape (k, n, n).
+def chol_factors(low: np.ndarray, jitters) -> list[CholFactor]:
+    """``CholFactor``s of a stack that ``_cholesky`` has factored: its lower
+    factors (k, n, n) and their jitters, as ``spd_inverses`` returns them.
 
-    ``_cholesky`` factors the stack.  Each inverse is solved from its
-    factor against the identity by LAPACK ``potrs``: triangular solves,
-    whose results do not depend on the number of BLAS threads (``potri``'s
-    do).  It is symmetric up to rounding.  The inverses are written over
-    ``mats`` when it is a C-ordered float array.
+    Each equals ``CholFactor`` of its matrix, bytes and jitter, as
+    ``_cholesky`` factors a stack one matrix at a time.
+    """
+    factors = []
+    for factor, jitter in zip(low, jitters):
+        kept = CholFactor.__new__(CholFactor)  # already factored: no __init__
+        kept._adopt(factor, jitter)
+        factors.append(kept)
+    return factors
+
+
+def spd_inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Inverses, log determinants and factors of a stack of SPD matrices, shape (k, n, n).
+
+    ``_cholesky`` factors the stack, and the factors are returned as its
+    pair (lower factors, jitters), from which ``chol_factors`` makes
+    ``CholFactor``s.  Each inverse is solved from its factor against the
+    identity by LAPACK ``potrs``: triangular solves, whose results do not
+    depend on the number of BLAS threads (``potri``'s do).  It is
+    symmetric up to rounding.  The inverses are written over ``mats`` when
+    it is a C-ordered float array.
     """
     mats = np.ascontiguousarray(mats, dtype=float)
-    low = _cholesky(mats)[0]
+    low, jitters = _cholesky(mats)
     # each alone, as CholFactor.logdet: a stack's axis sum adds in an order set by its shape
     logdets = np.array([_logdet(factor) for factor in low])
     diag = np.arange(low.shape[-1])
@@ -417,7 +437,7 @@ def spd_inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # transposed, the factor is the Fortran-ordered upper one, and the
         # identity is overwritten in place with the solution
         _potrs(factor.T, out.T, lower=0, overwrite_b=1)
-    return mats, logdets
+    return mats, logdets, (low, jitters)
 
 
 def _cholesky(mats) -> tuple:

@@ -18,8 +18,13 @@ average-information matrix).
 The basis-weight step is one GLS pass: each warp and variance state
 gets one set of per-group normal equations (``gls_normals``), from which
 the shared weights, the group deviations and the ridge weight are solved.
+A fit builds the constants of its distinct observation grids once
+(``GridTable``): the warp's Hermite weights and the variance stacks' pair
+distances.  Each variance state's factors of I + S (``GlsContext``) are
+those the variance step's accepted likelihood evaluation formed, so only
+a fit's first state evaluates the curve kernel and factors it.
 A warp problem is assembled from parts built once where they are fixed:
-per grid and per variance state in ``GlsContext``, per group in each warp
+per fit and per variance state in ``GlsContext``, per group in each warp
 step.  It holds many subjects of one group, laid out per observation
 length: one residual call evaluates all of them (the Hyman slopes of all
 at once, each length's warped times and their derivatives in one pass on
@@ -49,6 +54,7 @@ grid through their inverse warps, inverted in one stacked call
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -74,6 +80,7 @@ from .gp import (
     CholFactor,
     GridDistances,
     MaternParams,
+    chol_factors,
     matern_cov,
     matern_cov_grad,
     matern_distinct,
@@ -206,20 +213,23 @@ def warp_inverse_values(anchors, ordinates, times) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# GLS context: everything static across one variance state.
+# Per-grid constants: once per fit (GridTable), once per variance state (GlsContext).
 
 
-class GlsContext:
-    """Everything static across one variance state.
+class GridTable:
+    """One fit's constants of its panel's distinct observation grids.
 
-    Per distinct observation grid, the Cholesky factor of (I + S_i) and the
-    warp's Hermite weights (``_grid_parts``), in ``grids`` by the grid's
-    bytes, with each subject's factor in ``s_factors``; and the warp-prior
-    rows ``prior_rows`` of the warp covariance H (``_prior_rows``).
+    By the grid's bytes, in order of first appearance: ``times``, the grids,
+    and ``weights``, their ``_grid_weights``.  ``stacks``, the variance
+    likelihood's (``fit_variance``): grids of one length with the same number
+    of subjects, at most ``_STACK_BYTES`` per n x n array, each with its
+    grids' bytes and ``GridDistances.stack``.  ``anchor_dists``, the interior
+    anchors' ``GridDistances``.  ``kept``, a curve kernel and each grid's
+    factor of I + S under it from a variance step's accepted evaluation,
+    until the next ``GlsContext`` takes them (``factors``).
     """
 
-    def __init__(self, panel: CurvePanel, basis: BSplineBasis, anchors, var: VarianceParams):
-        self.basis = basis
+    def __init__(self, panel: CurvePanel, anchors):
         anchors = np.asarray(anchors, dtype=float)
         if len(anchors) < 3:
             raise DataError("need at least 3 warp anchors (one interior)")
@@ -227,24 +237,69 @@ class GlsContext:
             raise DataError("warp anchors must span [0, 1]")
         if np.any(np.diff(anchors) <= 0):
             raise DataError(f"warp anchors must be strictly increasing, got {anchors.tolist()}")
-        self.prior_rows = _prior_rows(var.warp_cov, anchors)
-        self.grids: dict = {}
-        self.s_factors: dict = {}
-        for c in panel.curves:
-            key = c.times.tobytes()
-            if key not in self.grids:
-                self.grids[key] = _grid_parts(var.curve_cov, anchors, c.times)
-            self.s_factors[c.subject_id] = self.grids[key][0]
+        self.anchors = anchors
+        self.times = {c.times.tobytes(): c.times for c in panel.curves}
+        n_subjects = Counter(c.times.tobytes() for c in panel.curves)
+        self.weights = {key: _grid_weights(anchors, t) for key, t in self.times.items()}
+        by_shape: dict = {}
+        for key, t in self.times.items():
+            by_shape.setdefault((len(t), n_subjects[key]), []).append(key)
+        self.stacks = {}
+        for (n, n_subj), keys in by_shape.items():
+            size = max(1, _STACK_BYTES // (8 * n * n))
+            for start in range(0, len(keys), size):
+                part = keys[start : start + size]
+                dists = GridDistances.stack([self.times[key] for key in part])
+                self.stacks[n, 2 * n_subj, start // size] = (part, dists)
+        self.anchor_dists = GridDistances.of(anchors[1:-1])
+        self.kept = None
+
+    def factors(self, curve_cov: MaternParams) -> dict:
+        """Each grid's factor of I + S under ``curve_cov``, by the grid's bytes.
+
+        The kept factors if they are under ``curve_cov`` (the table lets go
+        of them either way), else one ``matern_cov`` and ``CholFactor`` per grid.
+        """
+        kept, self.kept = self.kept, None
+        if kept is not None and kept[0] == curve_cov:
+            return kept[1]
+        return {key: _curve_factor(matern_cov(curve_cov, t)) for key, t in self.times.items()}
+
+
+def _grid_weights(anchors, times) -> np.ndarray:
+    """A grid's warp Hermite weights (W_y, W_d) (``hermite_weights``), read-only,
+    transposed to one C-ordered (2 n_w, n) array as ``WarpProblem.of`` stacks them."""
+    weights = np.ascontiguousarray(np.concatenate(hermite_weights(anchors, times), axis=1).T)
+    weights.flags.writeable = False
+    return weights
+
+
+class GlsContext:
+    """Everything static across one variance state.
+
+    Per distinct observation grid, in ``grids`` by the grid's bytes, its
+    factor of I + S and the Hermite weights of the fit's ``GridTable``
+    (built here without one), with each subject's factor in ``s_factors``;
+    and the warp-prior rows ``prior_rows`` of the warp covariance H
+    (``_prior_rows``).  The factors are those the variance step kept
+    (``GridTable.factors``), so only a fit's first context factors.
+    """
+
+    def __init__(
+        self, panel: CurvePanel, basis: BSplineBasis, anchors, var: VarianceParams,
+        table: GridTable | None = None,
+    ):
+        self.basis = basis
+        table = GridTable(panel, anchors) if table is None else table
+        self.prior_rows = _prior_rows(var.warp_cov, table.anchors)
+        factors = table.factors(var.curve_cov)
+        self.grids = {key: (factors[key], weights) for key, weights in table.weights.items()}
+        self.s_factors = {c.subject_id: factors[c.times.tobytes()] for c in panel.curves}
 
 
 def _curve_factor(s_mat: np.ndarray) -> CholFactor:
     """Factor of I + S for the curve kernel S on one grid: the curve block over the noise."""
     return CholFactor(np.eye(len(s_mat)) + s_mat)
-
-
-def _grid_parts(curve_cov: MaternParams, anchors, times) -> tuple:
-    """One grid's constants: the factor of I + S and the Hermite weights at ``times``."""
-    return _curve_factor(matern_cov(curve_cov, times)), hermite_weights(anchors, times)
 
 
 def _prior_rows(warp_cov: MaternParams, anchors) -> np.ndarray:
@@ -253,8 +308,8 @@ def _prior_rows(warp_cov: MaternParams, anchors) -> np.ndarray:
     return np.sqrt(2.0) * h_factor.half_solve(np.eye(h_factor.n))
 
 
-def build_context(panel, basis, anchors, var) -> GlsContext:
-    return GlsContext(panel, basis, anchors, var)
+def build_context(panel, basis, anchors, var, table: GridTable | None = None) -> GlsContext:
+    return GlsContext(panel, basis, anchors, var, table)
 
 
 def warp_design(panel: CurvePanel, warps: WarpState, basis: BSplineBasis) -> dict:
@@ -400,7 +455,7 @@ class WarpLength:
     """The G grids of a warp problem that have one number of observation times n.
 
     ``weights`` (G, 2 n_w, n) stacks the grids' Hermite weights (W_y, W_d)
-    (``_grid_parts``), each transposed to (2 n_w, n), ``factors`` holds
+    (``_grid_weights``), each transposed to (2 n_w, n), ``factors`` holds
     their factors of I + S (or None to leave the whitening out), and
     ``values`` (subjects, 2, n) the curves of all their subjects, one row
     per coordinate, grid by grid in the order the subjects first name the
@@ -446,9 +501,10 @@ class WarpProblem:
         """The problem of the subjects observed at ``times`` with curves ``values``.
 
         ``base`` (S, n_w) are their fixed ordinates.  ``grid_parts(times)``
-        gives a grid's factor of I + S (or None) and Hermite weights, and
-        is called once per distinct grid; ``splines`` is the group's
-        ``_mean_splines`` triple.
+        gives a grid's factor of I + S (or None) and its ``_grid_weights``,
+        and is called once per distinct grid; a length with one grid takes
+        a view of its weights.  ``splines`` is the group's ``_mean_splines``
+        triple.
         """
         members: dict = {}
         for i, t in enumerate(times):
@@ -461,7 +517,7 @@ class WarpProblem:
         for j, in_length in enumerate(by_length.values()):
             parts = [grid_parts(times[groups[g][0]]) for g in in_length]
             # C-ordered, as einsum's order of summation follows the strides
-            weights = np.array([np.concatenate(hermite, axis=1).T for _, hermite in parts])
+            weights = parts[0][1][None] if len(parts) == 1 else np.array([w for _, w in parts])
             stacked = np.array([values[i].T for g in in_length for i in groups[g]])
             start = 0
             for row, g in enumerate(in_length):
@@ -839,6 +895,7 @@ def build_linearization(
     means: MeanWeights,
     warps: WarpState,
     basis: BSplineBasis,
+    table: GridTable | None = None,
 ) -> tuple[dict, dict, dict]:
     """First-order expansion of the fitted curves in the random warp offsets.
 
@@ -846,17 +903,14 @@ def build_linearization(
     the interior anchor offsets (2, n, n_int), and the current offsets.
     Both come from ``subject_warp_residuals`` on zero data without
     whitening, where the residual is minus the fitted curves: one call per
-    group, with the Hermite weights computed once per distinct grid.  The
-    residuals' second-order term is not used.
+    group, with the Hermite weights of the fit's ``GridTable`` (built here
+    when ``table`` is None).  The residuals' second-order term is not used.
     """
     anchors = warps.anchors
-    hermite: dict = {}
+    table = GridTable(panel, anchors) if table is None else table
 
     def grid_parts(times):
-        key = times.tobytes()
-        if key not in hermite:
-            hermite[key] = hermite_weights(anchors, times)
-        return None, hermite[key]
+        return None, table.weights[times.tobytes()]
 
     by_group: dict = {}
     for curve in panel.curves:
@@ -902,8 +956,8 @@ def _stack_sums(curve_cov, h_inv, h_grads, h_logdet, dists, cols):
     derivatives in the two warp log parameters.  Returns the stack's sums of
     r' V^-1 r and of log det V, its number of observations, the traces of
     V^-1 and of a a' against (S, dS), the m x m sums of B' V^-1 B and
-    B' a a' B, and the 4 x 4 sum of (dV_p a)' V^-1 (dV_q a); None where a
-    factorization fails.
+    B' a a' B, the 4 x 4 sum of (dV_p a)' V^-1 (dV_q a), and the factors
+    of its grids' C (``spd_inverses``); None where a factorization fails.
     """
     n_grids, n_blocks, _, n = cols.shape
     # The stack's n x n arrays dominate its memory: at most two are alive.
@@ -913,7 +967,7 @@ def _stack_sums(curve_cov, h_inv, h_grads, h_logdet, dists, cols):
     diag = np.arange(n)
     c_inv[:, diag, diag] += 1.0
     try:
-        c_inv, c_logdets = spd_inverses(c_inv)
+        c_inv, c_logdets, factors = spd_inverses(c_inv)
     except NumericalError:
         return None
     solved = cols @ c_inv[:, None]
@@ -975,11 +1029,12 @@ def _stack_sums(curve_cov, h_inv, h_grads, h_logdet, dists, cols):
             [with_warp[:2].T, with_warp[2:]],
         ]
     ) - np.einsum("gkpi,gkqi->pq", q @ cap_inv, q)
-    return quad, logdet, quads.size * n, inv_traces, outer_traces, warp_inv, warp_outer, ai
+    return quad, logdet, quads.size * n, inv_traces, outer_traces, warp_inv, warp_outer, ai, factors
 
 
 def _variance_negloglik(
     log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad=None, ai=None,
+    factors=None,
 ):
     """Profiled negative Gaussian log likelihood of the linearized model.
 
@@ -1024,9 +1079,11 @@ def _variance_negloglik(
     It is positive semidefinite and approximates the Hessian of the value.
 
     Returns the value and the profiled noise variance, and writes the
-    gradient in the four log parameters into ``grad`` and the AI matrix
-    into ``ai`` when they are given.  Where a factorization fails the value
-    is ``_BIG``, the variance NaN, and the gradient and AI matrix zero.
+    gradient in the four log parameters into ``grad``, the AI matrix into
+    ``ai`` and each stack's factors of C, as ``spd_inverses`` gives them,
+    into the dict ``factors`` by stack when they are given.  Where a
+    factorization fails the value is ``_BIG``, the variance NaN, and the
+    gradient and AI matrix zero.
     """
     amp_s, rg_s, amp_h, rg_h = np.exp(np.asarray(log_params, dtype=float))
     if grad is not None:
@@ -1059,7 +1116,9 @@ def _variance_negloglik(
         sums = _stack_sums(curve_cov, h_inv, h_grads, h_logdet, grids[key], cols)
         if sums is None:
             return failed
-        quad, logdet, n_obs, inv, outer, w_inv, w_outer, ai_part = sums
+        quad, logdet, n_obs, inv, outer, w_inv, w_outer, ai_part, factored = sums
+        if factors is not None:
+            factors[key] = factored
         quad_sum += quad
         logdet_sum += logdet
         n_tot += n_obs
@@ -1124,6 +1183,7 @@ def _projected_newton(evaluate, x, point, maxiter: int) -> tuple:
             if new[0] <= value:
                 break
             rejected.add(trial.tobytes())
+            del new  # before the next evaluation: an evaluation may hold large arrays
         else:
             return x, point, n_iter, n_evals, "no step along the Newton direction lowered it"
         x, point = trial, new
@@ -1139,6 +1199,7 @@ def fit_variance(
     var_init: VarianceParams,
     anchors,
     maxiter: int = DEFAULT_VARIANCE_MAXITER,
+    table: GridTable | None = None,
 ) -> tuple[VarianceParams, tuple, int]:
     """Maximize the profiled likelihood over the four covariance parameters.
 
@@ -1149,38 +1210,30 @@ def fit_variance(
     curvature, and at most ``maxiter`` iterations.  The two
     smoothness orders stay fixed and the noise variance is profiled out in
     closed form.  The residuals and Jacobians are gathered once per call
-    into stacks: the distinct grids of one length that carry the same
-    number of [r, B] blocks (subjects x 2 coordinates), as many as fit
-    ``_STACK_BYTES`` per n x n array, with the grids in order of first
-    appearance in the panel, each grid's blocks in panel order, and the
-    stacks in order of their first grid.  Each stack's pair distances are
-    grouped once (``GridDistances.stack``), so an evaluation makes one
-    kernel evaluation and one batched factorization per stack.  The start
-    is data-driven and projected into the box.  Returns the updated
+    into the stacks of the fit's ``GridTable`` (built here when ``table`` is
+    None), each grid's [r, B] blocks (subjects x 2 coordinates) in panel
+    order; with the table's pair distances, an evaluation makes one kernel
+    evaluation and one batched factorization per stack.  The start is
+    data-driven and projected into the box.  Returns the updated
     parameters, the (initial, final) log likelihood and the number of
-    likelihood evaluations.  A stop short of convergence (at ``maxiter``
-    or when no step along the Newton direction raises the likelihood) is
-    logged, and so is each parameter that ends on its box bound.
+    likelihood evaluations.  The table keeps the last accepted
+    evaluation's factor of I + S per grid, under the returned curve kernel
+    (``GridTable.kept``); the start's are never kept, and a rejected
+    trial's are dropped before the next evaluation.  A stop short of
+    convergence (at ``maxiter`` or when no step along the Newton direction
+    raises the likelihood) is logged, and so is each parameter that ends
+    on its box bound.
     """
-    anchors = np.asarray(anchors, dtype=float)
+    table = GridTable(panel, anchors) if table is None else table
     by_grid, resid = {}, {}
     for curve in panel.curves:
         sid = curve.subject_id
         back = np.stack([jac[sid][0] @ w0[sid], jac[sid][1] @ w0[sid]], axis=1)
         resid[sid] = curve.values - fitted[sid] + back
-        cols = by_grid.setdefault(curve.times.tobytes(), (curve.times, []))[1]
+        cols = by_grid.setdefault(curve.times.tobytes(), [])
         cols.extend(np.vstack([resid[sid][:, a], jac[sid][a].T]) for a in (0, 1))
-    by_shape: dict = {}
-    for times, cols in by_grid.values():
-        by_shape.setdefault((len(times), len(cols)), []).append((times, cols))
-    stacks = {}
-    for (n, n_blocks), members in by_shape.items():
-        size = max(1, _STACK_BYTES // (8 * n * n))
-        for start in range(0, len(members), size):
-            stacks[n, n_blocks, start // size] = members[start : start + size]
-    grids = {key: GridDistances.stack([t for t, _ in stack]) for key, stack in stacks.items()}
-    blocks = {key: np.array([c for _, c in stack]) for key, stack in stacks.items()}
-    anchor_dists = GridDistances.of(anchors[1:-1])
+    grids = {key: dists for key, (_, dists) in table.stacks.items()}
+    blocks = {key: np.array([by_grid[g] for g in keys]) for key, (keys, _) in table.stacks.items()}
     smooth_curve, smooth_warp = var_init.curve_cov.smoothness, var_init.warp_cov.smoothness
 
     # Data-driven start for the curve amplitude: residual variance in excess
@@ -1198,14 +1251,15 @@ def fit_variance(
     )
     x0 = np.clip(x0, _LOG_LO, _LOG_HI)
 
-    def evaluate(log_params):
-        grad, ai = np.empty(4), np.empty((4, 4))
+    def evaluate(log_params, keep=True):
+        grad, ai, factors = np.empty(4), np.empty((4, 4)), {} if keep else None
         value, sigma2 = _variance_negloglik(
-            log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad, ai=ai
+            log_params, smooth_curve, smooth_warp, grids, blocks, table.anchor_dists, grad,
+            ai=ai, factors=factors,
         )
-        return value, grad, ai, sigma2
+        return value, grad, ai, sigma2, factors
 
-    start = evaluate(x0)
+    start = evaluate(x0, keep=False)
     if start[0] >= _BIG:
         raise NumericalError("variance likelihood is not finite at the initial point")
     best, point, n_iter, n_evals, short = _projected_newton(evaluate, x0, start, maxiter)
@@ -1219,6 +1273,10 @@ def fit_variance(
     curve_cov = replace(var_init.curve_cov, amplitude=amp_s, length_scale=rg_s)
     warp_cov = replace(var_init.warp_cov, amplitude=amp_h, length_scale=rg_h)
     out = VarianceParams(float(np.sqrt(point[3])), curve_cov, warp_cov)
+    kept = {}
+    for key, (low, jitters) in (point[4] or {}).items():
+        kept.update(zip(table.stacks[key][0], chol_factors(low, jitters)))
+    table.kept = (curve_cov, kept) if kept else None
     return out, (-start[0], -point[0]), 1 + n_evals
 
 
@@ -1393,17 +1451,21 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
 
     var = cfg.initial_variance()
     warps = WarpState.identity(anchors, group_of)
-    ctx = build_context(panel, basis, anchors, var)
+    table = GridTable(panel, anchors)
+    ctx = build_context(panel, basis, anchors, var, table)
     designs = warp_design(panel, warps, basis)
     normals = gls_normals(panel, warps, ctx, designs)
 
     def refresh_variance():
         """Variance step at the current means and warps, then what depends on it."""
         nonlocal var, ctx, normals, lam, n_var_evals
-        fitted, jac, w0 = build_linearization(panel, means, warps, basis)
-        var, _, n_step = fit_variance(panel, fitted, jac, w0, var, anchors, cfg.variance_maxiter)
+        fitted, jac, w0 = build_linearization(panel, means, warps, basis, table)
+        ctx = None  # its factors go before the variance step makes its own
+        var, _, n_step = fit_variance(
+            panel, fitted, jac, w0, var, anchors, cfg.variance_maxiter, table
+        )
         n_var_evals += n_step
-        ctx = build_context(panel, basis, anchors, var)
+        ctx = build_context(panel, basis, anchors, var, table)
         normals = gls_normals(panel, warps, ctx, designs)
         lam = estimate_ridge(normals, means.shared, var.noise_sd)
 
@@ -1521,12 +1583,11 @@ def align_curves(panel: CurvePanel, fit: RegistrationFit) -> AlignedPanel:
 
 @lru_cache(maxsize=_GRID_FACTORS_KEPT)
 def _held_out_grid(curve_cov: MaternParams, anchor_bytes: bytes, time_bytes: bytes) -> tuple:
-    """A held-out grid's ``_grid_parts`` (Hermite weights read-only), cached by their inputs."""
+    """A held-out grid's entry as in a fit's ``GlsContext``, cached by its inputs:
+    the factor of I + S and the ``_grid_weights``."""
     times = np.frombuffer(time_bytes)
-    s_factor, hermite = _grid_parts(curve_cov, np.frombuffer(anchor_bytes), times)
-    for w in hermite:
-        w.flags.writeable = False
-    return s_factor, hermite
+    weights = _grid_weights(np.frombuffer(anchor_bytes), times)
+    return _curve_factor(matern_cov(curve_cov, times)), weights
 
 
 @lru_cache(maxsize=_GRID_FACTORS_KEPT)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from warpclass import basis
 from warpclass.basis import (
@@ -64,6 +65,24 @@ def test_design_matches_de_boor_quadratic():
     basis = BSplineBasis(interior_knots=(0.2, 0.45, 0.8), order=3)
     x = np.linspace(0.0, 1.0, 37)
     assert np.max(np.abs(basis.design(x) - deboor_design(x, basis))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    knots=st.lists(st.floats(0.01, 0.99), max_size=9, unique=True),
+    order=st.integers(1, 4),
+    x=st.lists(st.floats(-1e-12, 1.0 + 1e-12), min_size=1, max_size=200),
+)
+@example(knots=[0.25, 0.5, 0.75], order=4, x=[0.0, 0.25, 0.5, 0.75, 1.0, 1.0 - 1e-16, 1e-300])
+def test_design_has_the_bytes_of_scipys_sparse_design_matrix(knots, order, x):
+    # the dense q-valued spline against design_matrix at the clipped points,
+    # knots and ends included
+    basis = BSplineBasis(tuple(sorted(knots)), order)
+    x = np.concatenate([x, basis.knots])
+    want = BSpline.design_matrix(np.clip(x, 0.0, 1.0), basis.knots, order - 1).toarray()
+    got = basis.design(x)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 def test_partition_of_unity():

@@ -16,6 +16,7 @@ from warpclass.gp import (
     CholFactor,
     GridDistances,
     MaternParams,
+    chol_factors,
     chol_lower,
     matern_cov,
     matern_cov_grad,
@@ -331,10 +332,12 @@ def test_spd_inverses_of_a_stack():
     rng = np.random.default_rng(8)
     mats = np.stack([_random_spd(rng, 7) for _ in range(4)])
     want, want_logdets = np.linalg.inv(mats), np.linalg.slogdet(mats)[1]
-    inv, logdets = spd_inverses(mats)
+    want_low = np.linalg.cholesky(mats)
+    inv, logdets, (low, jitters) = spd_inverses(mats)
     assert inv is mats  # written in place
     assert np.max(np.abs(inv - want)) <= 1e-14
     assert np.allclose(logdets, want_logdets, rtol=1e-13, atol=0)
+    assert np.array_equal(low, want_low) and np.array_equal(jitters, np.zeros(4))
     # a stack that is not C-ordered is inverted too, into a new array
     fortran = np.asfortranarray(np.stack([_random_spd(rng, 7) for _ in range(4)]))
     assert np.max(np.abs(spd_inverses(fortran)[0] - np.linalg.inv(fortran))) <= 1e-14
@@ -347,9 +350,10 @@ def test_spd_inverses_fall_back_to_the_jitter_ladder(caplog):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(mats)
     with caplog.at_level(logging.DEBUG, logger="warpclass.gp"):
-        inv, logdets = spd_inverses(mats)
+        inv, logdets, (_, jitters) = spd_inverses(mats)
     (record,) = caplog.records
     assert "jitter" in record.getMessage()
+    assert jitters[0] == 0.0 < jitters[1] == CholFactor(ones).jitter
     assert np.allclose(inv[0], np.linalg.inv(np.eye(5) + ones), atol=1e-14)
     bumped = ones + CholFactor(ones).jitter * np.eye(5)  # the mean diagonal is 1
     assert np.allclose(inv[1], np.linalg.inv(bumped), rtol=1e-4, atol=0)
@@ -362,17 +366,19 @@ def test_a_grids_factor_has_the_same_bytes_wherever_it_is_formed():
     # the benchmark's curve kernel on its common 100-point grid and on nine
     # 60-point grids jittered by 0.002: the GLS and held-out factor
     # (CholFactor), the simulator's (chol_lower) and the variance stacks'
-    # (spd_inverses) are one factor
+    # (spd_inverses, kept as CholFactors by chol_factors) are one factor
     params = MaternParams(*RegistrationConfig().curve_cov_init)
     rng = np.random.default_rng(11)
     jittered = [np.linspace(0.0, 1.0, 60) + rng.uniform(-0.002, 0.002, 60) for _ in range(9)]
     for grids in ([np.linspace(0.0, 1.0, 100)], jittered):
         mats = np.stack([np.eye(len(g)) + matern_cov(params, g) for g in grids])
-        logdets = spd_inverses(mats.copy())[1]
-        for mat, logdet in zip(mats, logdets):
+        _, logdets, factored = spd_inverses(mats.copy())
+        for mat, logdet, kept in zip(mats, logdets, chol_factors(*factored)):
             factor = CholFactor(mat)
             assert factor.logdet() == logdet
             assert np.array_equal(chol_lower(mat), factor._low)
+            assert kept._low.tobytes(order="A") == factor._low.tobytes(order="A")
+            assert kept._low.flags.f_contiguous and kept.jitter == factor.jitter == 0.0
 
 
 def test_jitter_step_is_kept_and_logged(caplog):

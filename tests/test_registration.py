@@ -734,6 +734,70 @@ def test_warp_step_parts_are_built_once(monkeypatch):
     assert calls["hermite_weights"] == 2
 
 
+def _jittered_two_length_panel():
+    """Study 2 scenario A, 12 subjects, each grid jittered by 0.002 and every
+    third subject keeping every other time point: 12 grids of 30 or 15 points."""
+    panel, _ = simulate_study2(Study2Config(scenario="A", seed=3, n_subjects=12, n_obs=30))
+    rng = np.random.default_rng(3)
+    curves = []
+    for i, c in enumerate(panel.curves):
+        keep = slice(None, None, 2 if i % 3 == 0 else 1)
+        times = c.times + rng.uniform(-0.002, 0.002, len(c.times))
+        curves.append(SubjectCurve(c.subject_id, times[keep], c.values[keep]))
+    return CurvePanel(tuple(curves), panel.scalars)
+
+
+def test_a_fit_builds_its_grid_constants_once_and_reuses_each_variance_steps_factors(
+    monkeypatch,
+):
+    # the fit's GridTable: Hermite weights once per distinct grid and each
+    # variance stack's distances once; each GlsContext's factors are the
+    # variance step's, byte for byte a fresh factor under the new kernel, so
+    # only the first context evaluates the curve kernel
+    panel = _jittered_two_length_panel()
+    n_grids = len({c.times.tobytes() for c in panel.curves})
+    assert n_grids == 12
+    calls = {"hermite_weights": 0}
+    hermite = registration.hermite_weights
+
+    def counted_hermite(*args):
+        calls["hermite_weights"] += 1
+        return hermite(*args)
+
+    stacked, kernels, contexts = [], [], []
+    stack, matern, build = GridDistances.stack.__func__, registration.matern_cov, build_context
+
+    def counted_stack(cls, grids):
+        stacked.append((len(grids), len(grids[0])))
+        return stack(cls, grids)
+
+    def counted_kernel(params, grid):
+        kernels.append(len(grid))
+        return matern(params, grid)
+
+    def recorded(panel, basis, anchors, var, *table):
+        contexts.append((var, build(panel, basis, anchors, var, *table)))
+        return contexts[-1][1]
+
+    monkeypatch.setattr(registration, "hermite_weights", counted_hermite)
+    monkeypatch.setattr(GridDistances, "stack", classmethod(counted_stack))
+    monkeypatch.setattr(registration, "matern_cov", counted_kernel)
+    monkeypatch.setattr(registration, "build_context", recorded)
+    fit_registration(panel, RegistrationConfig(max_outer=2, variance_maxiter=10))
+    assert calls["hermite_weights"] == n_grids
+    assert sorted(stacked) == [(4, 15), (8, 30)]
+    # the start, the initialization pass's variance step and two refreshes
+    assert len(contexts) == 4
+    # the warp prior's 2 x 2 kernel once per context, the grids' once
+    assert sorted(kernels) == [2] * 4 + [15] * 4 + [30] * 8
+    for var, ctx in contexts:
+        for c in panel.curves:
+            want = CholFactor(np.eye(len(c.times)) + matern_cov(var.curve_cov, c.times))
+            got = ctx.s_factors[c.subject_id]
+            assert got._low.tobytes(order="A") == want._low.tobytes(order="A")
+            assert got.jitter == want.jitter
+
+
 # ---------------------------------------------------------------------------
 # Linearization of the fitted curves in the warp offsets.
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warpclass import registration
-from warpclass.basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
+from warpclass.basis import BSplineBasis, hyman_interp, hyman_slopes
 from warpclass.curves import CurvePanel, ScalarRecord, SubjectCurve
 from warpclass.gp import CholFactor, MaternParams, matern_cov
 from warpclass.registration import (
@@ -21,6 +21,7 @@ from warpclass.registration import (
     VarianceParams,
     WarpProblem,
     WarpState,
+    _grid_weights,
     _held_out_grid,
     _held_out_group,
     _levenberg_marquardt,
@@ -72,7 +73,7 @@ def _problem(ords, n=30, seed=0):
 
     def grid_parts(t):
         s_fac = CholFactor(np.eye(len(t)) + matern_cov(var.curve_cov, t))
-        return s_fac, hermite_weights(ANCHORS, t)
+        return s_fac, _grid_weights(ANCHORS, t)
 
     splines = _mean_splines(basis, _coefs(basis))
     return WarpProblem.of(ANCHORS, base, times, values, grid_parts, splines, prior)
@@ -432,7 +433,7 @@ def _grid_problem(base, times, values, whiten, prior):
 
     def grid_parts(t):
         s_fac = CholFactor(np.eye(len(t)) + matern_cov(var.curve_cov, t)) if whiten else None
-        return s_fac, hermite_weights(ANCHORS, t)
+        return s_fac, _grid_weights(ANCHORS, t)
 
     rows = registration._prior_rows(var.warp_cov, ANCHORS) if prior else None
     splines = _mean_splines(basis, _coefs(basis))
