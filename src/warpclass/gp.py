@@ -27,12 +27,11 @@ own Bessel values are a few ulps from the true function, so no smooth
 table can follow it closer.  Half-integer and other orders keep the
 exact path.
 
-A kernel on one grid is evaluated on its strict upper triangle only and
-mirrored, with the diagonal set to the amplitude, so it is exactly
-symmetric.  ``GridDistances`` holds the distinct pair distances of one
-grid, or of a stack of grids of one length, so that a likelihood evaluated
-many times on fixed grids computes the kernel and its derivative once per
-distinct distance (``matern_distinct``, ``matern_cov_grad``).
+Every Matern matrix in the package comes from ``matern_cov``, on one grid
+or on a stack of grids of one length, with its log-length-scale derivative
+when asked: each grid's kernel is evaluated once per pair of its strict
+upper triangle and spread by one cached pair index, so it is exactly
+symmetric and has the same bytes alone and in any stack.
 
 Every Cholesky factorization in the package goes through ``_cholesky``,
 one matrix or a stack, with escalating diagonal jitter, and a
@@ -249,16 +248,21 @@ def _matern_corr(nu: float, x: np.ndarray, slope: bool = True):
 
 
 @functools.lru_cache(maxsize=8)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)`` as read-only arrays, computed once per length."""
-    pairs = np.triu_indices(n, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The strict upper triangle's pairs (``np.triu_indices(n, 1)``) and the
+    (n, n) pair index that spreads a zero distance, then those pairs, over a
+    symmetric matrix; its diagonal reads the zero.  Read-only, computed once
+    per length."""
+    rows, cols = np.triu_indices(n, 1)
+    index = np.zeros((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(1, len(rows) + 1)
+    for array in (rows, cols, index):
+        array.flags.writeable = False
+    return rows, cols, index
 
 
-def matern_cov(params: MaternParams, s_grid) -> np.ndarray:
-    """Matern covariance matrix of one point set.
+def matern_cov(params: MaternParams, s_grid, *, slope: bool = False):
+    """Matern covariance matrix of one point set (n,) or of a stack of them (..., n).
 
     Entry (i, j) is ``amplitude * m_nu(|s_i - s_j| / length_scale)`` where
     ``m_nu`` is the standard Matern correlation with m_nu(0) = 1, at scaled
@@ -266,87 +270,27 @@ def matern_cov(params: MaternParams, s_grid) -> np.ndarray:
     ``_matern_corr``: integer orders ``nu`` read their table for x in
     [0, 40) ([1, 40) for nu = 1 and 2), within 8 eps of the exact path
     relative to the correlation; other x and orders take the exact path
-    (module docstring).  Only the strict upper triangle is
-    evaluated, and only the correlation, not its derivative; its pair
-    indices are cached per grid length.  The result is exactly symmetric
-    with the amplitude on its diagonal.
+    (module docstring).  Each grid's strict upper triangle is evaluated
+    once, after a leading zero distance, and spread into (..., n, n) by the
+    pair index of ``_upper_pairs``, cached per grid length.  The result is
+    C-ordered and exactly symmetric with the amplitude on its diagonal, and
+    a grid's kernel has the same bytes alone and in any stack.  With
+    ``slope`` the derivative in the log length scale, ``amplitude * c x^2
+    f_(nu-1)(x)``, exactly zero on the diagonal, is returned after it;
+    otherwise it is not formed.  The derivative in the log amplitude is the
+    covariance itself.
     """
     nu = params.smoothness
-    scale = math.sqrt(2.0 * nu)
     s = np.asarray(s_grid, dtype=float)
-    n = len(s)
-    rows, cols = _upper_pairs(n)
-    x = scale * (np.abs(s[rows] - s[cols]) / params.length_scale)
-    upper = params.amplitude * _matern_corr(nu, x, slope=False)
-    out = np.empty((n, n))
-    out[rows, cols] = upper
-    out[cols, rows] = upper
-    np.fill_diagonal(out, params.amplitude)
-    return out
-
-
-@dataclass(frozen=True)
-class GridDistances:
-    """The distinct pair distances of one grid, and each pair's place among them.
-
-    ``distinct[index]`` is the n x n matrix of distances ``|s_i - s_j|``,
-    zero on the diagonal.  On ``linspace(0, 1, 100)`` its 10,000 entries
-    take 337 distinct values, zero included; on a jittered grid nearly
-    every pair has its own.
-    """
-
-    distinct: np.ndarray
-    index: np.ndarray
-
-    @classmethod
-    def of(cls, grid) -> "GridDistances":
-        s = np.asarray(grid, dtype=float)
-        n = len(s)
-        rows, cols = _upper_pairs(n)
-        # |s_i - s_j| == |s_j - s_i| exactly, so the strict upper triangle and
-        # the diagonal's 0.0 (which sorts first) hold every distinct distance
-        distinct, inverse = np.unique(np.append(0.0, np.abs(s[rows] - s[cols])), return_inverse=True)
-        index = np.zeros((n, n), dtype=np.intp)
-        index[rows, cols] = index[cols, rows] = inverse[1:]
-        return cls(distinct, index)
-
-    @classmethod
-    def stack(cls, grids) -> "GridDistances":
-        """Several grids of one length: their distinct distances one after the
-        other, and an index of shape (grids, n, n) into them."""
-        n = len(grids[0])
-        index = np.empty((len(grids), n, n), dtype=np.intp)
-        distinct = []
-        start = 0
-        for grid, out in zip(grids, index):
-            part = cls.of(grid)
-            np.add(part.index, start, out=out)
-            distinct.append(part.distinct)
-            start += len(part.distinct)
-        return cls(np.concatenate(distinct), index)
-
-
-def matern_distinct(params: MaternParams, dists: GridDistances) -> tuple[np.ndarray, np.ndarray]:
-    """Matern covariance and its log-length-scale derivative at ``dists.distinct``.
-
-    Indexed by ``dists.index`` they give ``matern_cov_grad``.  The
-    derivative in the log amplitude is the covariance itself.
-    """
-    nu = params.smoothness
-    x = math.sqrt(2.0 * nu) * (dists.distinct / params.length_scale)
-    corr, slope = _matern_corr(nu, x)
-    return params.amplitude * corr, params.amplitude * slope
-
-
-def matern_cov_grad(params: MaternParams, dists: GridDistances) -> tuple[np.ndarray, np.ndarray]:
-    """Matern covariance on one grid and its derivative in the log length scale.
-
-    The covariance equals ``matern_cov(params, grid)`` byte for byte; the
-    derivative is ``amplitude * c x^2 f_(nu-1)(x)``, zero on the diagonal
-    (module docstring).  Both are evaluated once per distinct distance.
-    """
-    cov, slope = matern_distinct(params, dists)
-    return cov[dists.index], slope[dists.index]
+    rows, cols, index = _upper_pairs(s.shape[-1])
+    x = np.zeros(s.shape[:-1] + (1 + len(rows),))
+    x[..., 1:] = math.sqrt(2.0 * nu) * (np.abs(s[..., rows] - s[..., cols]) / params.length_scale)
+    # take, unlike [..., index] on a stack, lays the matrices out C-ordered,
+    # and the variance likelihood's products and sums run in that order
+    if not slope:
+        return (params.amplitude * _matern_corr(nu, x, slope=False)).take(index, axis=-1)
+    corr, grad = _matern_corr(nu, x)
+    return tuple((params.amplitude * part).take(index, axis=-1) for part in (corr, grad))
 
 
 class CholFactor:

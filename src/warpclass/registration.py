@@ -19,10 +19,10 @@ The basis-weight step is one GLS pass: each warp and variance state
 gets one set of per-group normal equations (``gls_normals``), from which
 the shared weights, the group deviations and the ridge weight are solved.
 A fit builds the constants of its distinct observation grids once
-(``GridTable``): the warp's Hermite weights and the variance stacks' pair
-distances.  Each variance state's factors of I + S (``GlsContext``) are
-those the variance step's accepted likelihood evaluation formed, so only
-a fit's first state evaluates the curve kernel and factors it.
+(``GridTable``): the warp's Hermite weights and the variance stacks.
+Each variance state's factors of I + S (``GlsContext``) are those the
+variance step's accepted likelihood evaluation formed, so only a fit's
+first state evaluates the curve kernel grid by grid and factors it.
 A warp problem is assembled from parts built once where they are fixed:
 per fit and per variance state in ``GlsContext``, per group in each warp
 step.  It holds many subjects of one group, laid out per observation
@@ -78,12 +78,9 @@ from .errors import (
 )
 from .gp import (
     CholFactor,
-    GridDistances,
     MaternParams,
     chol_factors,
     matern_cov,
-    matern_cov_grad,
-    matern_distinct,
     profile_loglik_parts,
     spd_inverses,
 )
@@ -223,10 +220,10 @@ class GridTable:
     and ``weights``, their ``_grid_weights``.  ``stacks``, the variance
     likelihood's (``fit_variance``): grids of one length with the same number
     of subjects, at most ``_STACK_BYTES`` per n x n array, each with its
-    grids' bytes and ``GridDistances.stack``.  ``anchor_dists``, the interior
-    anchors' ``GridDistances``.  ``kept``, a curve kernel and each grid's
-    factor of I + S under it from a variance step's accepted evaluation,
-    until the next ``GlsContext`` takes them (``factors``).
+    grids' bytes and the grids as one (grids, n) array.  ``kept``, a curve
+    kernel and each grid's factor of I + S under it from a variance step's
+    accepted evaluation, until the next ``GlsContext`` takes them
+    (``factors``).
     """
 
     def __init__(self, panel: CurvePanel, anchors):
@@ -249,9 +246,8 @@ class GridTable:
             size = max(1, _STACK_BYTES // (8 * n * n))
             for start in range(0, len(keys), size):
                 part = keys[start : start + size]
-                dists = GridDistances.stack([self.times[key] for key in part])
-                self.stacks[n, 2 * n_subj, start // size] = (part, dists)
-        self.anchor_dists = GridDistances.of(anchors[1:-1])
+                grids = np.array([self.times[key] for key in part])
+                self.stacks[n, 2 * n_subj, start // size] = (part, grids)
         self.kept = None
 
     def factors(self, curve_cov: MaternParams) -> dict:
@@ -947,23 +943,23 @@ _LOG_HI = np.log([1e3, 5.0, 1e3, 5.0])
 _VARIANCE_NAMES = ("curve amplitude", "curve length scale", "warp amplitude", "warp length scale")
 
 
-def _stack_sums(curve_cov, h_inv, h_grads, h_logdet, dists, cols):
+def _stack_sums(curve_cov, h_inv, h_grads, h_logdet, grids, cols):
     """One stack's terms of the variance likelihood, its gradient and its AI matrix.
 
-    ``dists`` is the stack's ``GridDistances.stack`` and ``cols`` its
-    [r, B] rows (``_variance_negloglik``), ``h_inv`` and ``h_logdet`` the
-    warp kernel's inverse and log determinant, and ``h_grads`` its
-    derivatives in the two warp log parameters.  Returns the stack's sums of
-    r' V^-1 r and of log det V, its number of observations, the traces of
-    V^-1 and of a a' against (S, dS), the m x m sums of B' V^-1 B and
-    B' a a' B, the 4 x 4 sum of (dV_p a)' V^-1 (dV_q a), and the factors
-    of its grids' C (``spd_inverses``); None where a factorization fails.
+    ``grids`` is the stack's (grids, n) observation times, on which one
+    ``matern_cov`` gives the curve kernels S and their slopes dS, and
+    ``cols`` its [r, B] rows (``_variance_negloglik``), ``h_inv`` and
+    ``h_logdet`` the warp kernel's inverse and log determinant, and
+    ``h_grads`` its derivatives in the two warp log parameters.  Returns
+    the stack's sums of r' V^-1 r and of log det V, its number of
+    observations, the traces of V^-1 and of a a' against (S, dS), the m x m
+    sums of B' V^-1 B and B' a a' B, the 4 x 4 sum of (dV_p a)' V^-1 (dV_q
+    a), and the factors of its grids' C (``spd_inverses``); None where a
+    factorization fails.
     """
     n_grids, n_blocks, _, n = cols.shape
-    # The stack's n x n arrays dominate its memory: at most two are alive.
-    kernel, slope = matern_distinct(curve_cov, dists)
-    c_inv = kernel[dists.index]
-    del kernel
+    # The stack's n x n arrays dominate its memory: C^-1, dS and C's factors.
+    c_inv, d_s = matern_cov(curve_cov, grids, slope=True)
     diag = np.arange(n)
     c_inv[:, diag, diag] += 1.0
     try:
@@ -988,7 +984,6 @@ def _stack_sums(curve_cov, h_inv, h_grads, h_logdet, dists, cols):
         + float(np.sum(cap_logdets))
     )
 
-    d_s = slope[dists.index]
     x_gram = np.einsum("gkin,gkjn->gkij", solved, solved)
     d_rows = solved @ d_s[:, None]
     d_gram = np.einsum("gkin,gkjn->gkij", solved, d_rows)
@@ -1033,7 +1028,7 @@ def _stack_sums(curve_cov, h_inv, h_grads, h_logdet, dists, cols):
 
 
 def _variance_negloglik(
-    log_params, smooth_curve, smooth_warp, grids, blocks, anchor_dists, grad=None, ai=None,
+    log_params, smooth_curve, smooth_warp, grids, blocks, anchors, grad=None, ai=None,
     factors=None,
 ):
     """Profiled negative Gaussian log likelihood of the linearized model.
@@ -1042,13 +1037,13 @@ def _variance_negloglik(
     C = I + S (times the profiled-out noise variance).  ``grids`` and
     ``blocks`` are keyed by stack: observation grids of one length that
     carry the same number of blocks (``fit_variance``).  ``grids`` holds
-    each stack's ``GridDistances.stack`` and ``blocks`` its [r, B]
+    each stack's (grids, n) observation times and ``blocks`` its [r, B]
     columns, one block per subject and coordinate, stored as rows:
-    (grids, blocks, 1 + m, n) for m interior anchors, whose
-    ``GridDistances`` are ``anchor_dists``.  One pass per stack
-    (``_stack_sums``) evaluates the curve kernel once on all its grids'
-    distinct distances, and factors and inverts every C of the stack at
-    once (``spd_inverses``).
+    (grids, blocks, 1 + m, n) for the m interior points of ``anchors``, on
+    which one ``matern_cov`` gives the warp kernel H and its slope.  One
+    pass per stack (``_stack_sums``) evaluates the curve kernel and its
+    slope in one ``matern_cov`` on all its grids, and factors and inverts
+    every C of the stack at once (``spd_inverses``).
     Each block's X = C^-1 [r, B] and Gram matrix [r, B]' X give r' C^-1 r,
     g = B' C^-1 r and G = B' C^-1 B, and the warp term enters by the
     Woodbury identity through one batched determinant and inverse of the
@@ -1092,7 +1087,7 @@ def _variance_negloglik(
         ai[:] = 0.0
     failed = (_BIG, float("nan"))
     curve_cov = MaternParams(amp_s, rg_s, smooth_curve)
-    h_kernels = matern_cov_grad(MaternParams(amp_h, rg_h, smooth_warp), anchor_dists)
+    h_kernels = matern_cov(MaternParams(amp_h, rg_h, smooth_warp), anchors[1:-1], slope=True)
     try:
         h_fac = CholFactor(h_kernels[0])
     except NumericalError:
@@ -1212,9 +1207,9 @@ def fit_variance(
     closed form.  The residuals and Jacobians are gathered once per call
     into the stacks of the fit's ``GridTable`` (built here when ``table`` is
     None), each grid's [r, B] blocks (subjects x 2 coordinates) in panel
-    order; with the table's pair distances, an evaluation makes one kernel
-    evaluation and one batched factorization per stack.  The start is
-    data-driven and projected into the box.  Returns the updated
+    order; an evaluation makes one kernel evaluation (``matern_cov`` on the
+    stack's grids, with its slope) and one batched factorization per stack.
+    The start is data-driven and projected into the box.  Returns the updated
     parameters, the (initial, final) log likelihood and the number of
     likelihood evaluations.  The table keeps the last accepted
     evaluation's factor of I + S per grid, under the returned curve kernel
@@ -1232,7 +1227,7 @@ def fit_variance(
         resid[sid] = curve.values - fitted[sid] + back
         cols = by_grid.setdefault(curve.times.tobytes(), [])
         cols.extend(np.vstack([resid[sid][:, a], jac[sid][a].T]) for a in (0, 1))
-    grids = {key: dists for key, (_, dists) in table.stacks.items()}
+    grids = {key: stack for key, (_, stack) in table.stacks.items()}
     blocks = {key: np.array([by_grid[g] for g in keys]) for key, (keys, _) in table.stacks.items()}
     smooth_curve, smooth_warp = var_init.curve_cov.smoothness, var_init.warp_cov.smoothness
 
@@ -1254,7 +1249,7 @@ def fit_variance(
     def evaluate(log_params, keep=True):
         grad, ai, factors = np.empty(4), np.empty((4, 4)), {} if keep else None
         value, sigma2 = _variance_negloglik(
-            log_params, smooth_curve, smooth_warp, grids, blocks, table.anchor_dists, grad,
+            log_params, smooth_curve, smooth_warp, grids, blocks, table.anchors, grad,
             ai=ai, factors=factors,
         )
         return value, grad, ai, sigma2, factors

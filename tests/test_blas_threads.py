@@ -37,16 +37,15 @@ print(hashlib.sha256(cov.tobytes() + fpca.eigenfunctions.tobytes()).hexdigest())
 VARIANCE_PROBE = """
 import hashlib
 import numpy as np
-from warpclass.gp import GridDistances
 from warpclass.registration import _BIG, _variance_negloglik
 rng = np.random.default_rng(0)
 jittered = np.linspace(0.0, 1.0, 60) + rng.uniform(-0.002, 0.002, (30, 60))
 # keyed by (points, blocks per grid, stack)
 stacks = {(100, 120, 0): [np.linspace(0.0, 1.0, 100)]}
 stacks.update({(60, 2, i): jittered[9 * i : 9 * i + 9] for i in range(4)})
-grids = {key: GridDistances.stack(stack) for key, stack in stacks.items()}
+grids = {key: np.array(stack) for key, stack in stacks.items()}
 points = np.log([[1.0, 0.3, 1.0, 0.3], [40.0, 0.1, 0.02, 1.5], [0.05, 2.0, 5.0, 0.05]])
-anchors = GridDistances.of(np.array([0.33, 0.67]))
+anchors = np.array([0.0, 0.33, 0.67, 1.0])
 out = []
 for _ in range(4):
     blocks = {

@@ -14,13 +14,10 @@ from warpclass import gp
 from warpclass.errors import DataError, NumericalError
 from warpclass.gp import (
     CholFactor,
-    GridDistances,
     MaternParams,
     chol_factors,
     chol_lower,
     matern_cov,
-    matern_cov_grad,
-    matern_distinct,
     profile_loglik_parts,
     spd_inverses,
 )
@@ -210,57 +207,61 @@ def test_an_order_builds_its_table_once_read_only(monkeypatch):
 
 
 def _uniform_and_jittered():
+    """A uniform 100-point grid as a stack of one, and three 60-point grids jittered by 0.002."""
     uniform = np.linspace(0.0, 1.0, 100)
-    jitter = np.random.default_rng(3).uniform(-0.002, 0.002, 60)
-    return uniform, np.linspace(0.0, 1.0, 60) + jitter
+    jitter = np.random.default_rng(3).uniform(-0.002, 0.002, (3, 60))
+    return uniform[None], np.linspace(0.0, 1.0, 60) + jitter
 
 
-@pytest.mark.parametrize("nu", [0.5, 1.5, 3.0, 2.2])
-def test_kernel_from_distinct_distances_is_matern_cov(nu):
-    for grid in _uniform_and_jittered():
-        dists = GridDistances.of(grid)
-        assert np.array_equal(dists.distinct[dists.index], np.abs(grid[:, None] - grid[None, :]))
+@pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.2, 3.0])
+def test_a_stacks_kernels_and_slopes_are_each_grids_own(nu):
+    # a length scale of 0.02 puts distances past the table's end at 40, and
+    # orders 1 and 2 on the exact path below 1
+    for stack in _uniform_and_jittered():
+        n = stack.shape[1]
         for amp, length_scale in ((2.5, 0.02), (0.7, 0.3), (40.0, 5.0)):
             params = MaternParams(amp, length_scale, nu)
-            cov, slope = matern_cov_grad(params, dists)
-            assert np.array_equal(cov, matern_cov(params, grid))
-            assert np.array_equal(slope, slope.T)
-            assert np.all(np.diag(slope) == 0.0)
+            cov, slope = matern_cov(params, stack, slope=True)
+            assert cov.shape == slope.shape == (len(stack), n, n)
+            assert cov.flags.c_contiguous and slope.flags.c_contiguous
+            for grid, grid_cov, grid_slope in zip(stack, cov, slope):
+                alone = matern_cov(params, grid)
+                assert np.array_equal(grid_cov, alone)
+                assert np.array_equal(np.diag(alone), np.full(n, amp))
+                assert all(np.array_equal(a, b) for a, b in zip(
+                    (grid_cov, grid_slope), matern_cov(params, grid, slope=True)
+                ))
+            assert np.array_equal(slope, slope.swapaxes(1, 2))
+            assert np.all(np.diagonal(slope, axis1=1, axis2=2) == 0.0)
             # against central differences in the log length scale
             h = 1e-6
             up, down = (
-                matern_cov(MaternParams(amp, length_scale * math.exp(e), nu), grid) for e in (h, -h)
+                matern_cov(MaternParams(amp, length_scale * math.exp(e), nu), stack)
+                for e in (h, -h)
             )
             assert np.max(np.abs((up - down) / (2 * h) - slope)) <= 1e-7 * amp
-    # a uniform grid repeats its distances: 337 distinct of 100 x 100, zero included
-    assert len(GridDistances.of(_uniform_and_jittered()[0]).distinct) == 337
 
 
 def test_matern_cov_takes_its_pair_indices_from_a_read_only_cache():
-    rows, cols = gp._upper_pairs(6)
-    assert gp._upper_pairs(6)[0] is rows
+    rows, cols, index = gp._upper_pairs(6)
+    assert gp._upper_pairs(6)[2] is index
     assert all(np.array_equal(a, b) for a, b in zip((rows, cols), np.triu_indices(6, 1)))
-    with pytest.raises(ValueError, match="read-only"):
-        rows[0] = 1
-    # more lengths than the cache keeps: each kernel is still its own grid's
+    # the diagonal reads the leading zero distance, every other entry its pair's
+    grid = np.random.default_rng(5).uniform(size=6)
+    dists = np.append(0.0, np.abs(grid[rows] - grid[cols]))
+    assert np.array_equal(dists[index], np.abs(grid[:, None] - grid[None, :]))
+    for array in (rows, cols, index):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    # more lengths than the cache keeps: each kernel is still its own grid's,
+    # the correlation at every entry of the distance matrix
     params = MaternParams(1.3, 0.2, 3.0)
     for n in range(2, 14):
         grid = np.linspace(0.0, 1.0, n)
-        dists = GridDistances.of(grid)
-        assert np.array_equal(matern_cov(params, grid), matern_cov_grad(params, dists)[0])
-
-
-def test_stacked_distances_index_each_grids_own():
-    grids = [np.linspace(0.0, 1.0, 60), *_uniform_and_jittered()[1:], np.linspace(0.0, 0.5, 60)]
-    stacked = GridDistances.stack(grids)
-    assert stacked.index.shape == (3, 60, 60)
-    params = MaternParams(2.5, 0.3, 3.0)
-    cov, slope = matern_distinct(params, stacked)
-    for g, grid in enumerate(grids):
-        alone = GridDistances.of(grid)
-        assert np.array_equal(stacked.distinct[stacked.index[g]], alone.distinct[alone.index])
-        assert np.array_equal(cov[stacked.index[g]], matern_cov(params, grid))
-        assert np.array_equal(slope[stacked.index[g]], matern_cov_grad(params, alone)[1])
+        x = math.sqrt(6.0) * (np.abs(grid[:, None] - grid[None, :]) / 0.2)
+        want = [1.3 * part for part in gp._matern_corr(3.0, x)]
+        assert np.array_equal(matern_cov(params, grid), want[0])
+        assert all(np.array_equal(a, b) for a, b in zip(matern_cov(params, grid, slope=True), want))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import logging
 import os
 import re
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from warpclass import gp, registration
 from warpclass.basis import BSplineBasis, hyman_interp, hyman_slopes
 from warpclass.curves import CurvePanel, ScalarRecord, SubjectCurve
 from warpclass.errors import DataError, NumericalError
-from warpclass.gp import CholFactor, GridDistances, MaternParams, matern_cov, matern_cov_grad
+from warpclass.gp import CholFactor, MaternParams, matern_cov
 from warpclass.registration import (
     _LOG_HI,
     _LOG_LO,
@@ -750,10 +751,11 @@ def _jittered_two_length_panel():
 def test_a_fit_builds_its_grid_constants_once_and_reuses_each_variance_steps_factors(
     monkeypatch,
 ):
-    # the fit's GridTable: Hermite weights once per distinct grid and each
-    # variance stack's distances once; each GlsContext's factors are the
-    # variance step's, byte for byte a fresh factor under the new kernel, so
-    # only the first context evaluates the curve kernel
+    # the fit's GridTable: Hermite weights once per distinct grid, and each
+    # variance stack's grids, whose kernels one matern_cov builds at every
+    # likelihood evaluation; each GlsContext's factors are the variance
+    # step's, byte for byte a fresh factor under the new kernel, so only the
+    # first context evaluates the curve kernel grid by grid
     panel = _jittered_two_length_panel()
     n_grids = len({c.times.tobytes() for c in panel.curves})
     assert n_grids == 12
@@ -765,31 +767,29 @@ def test_a_fit_builds_its_grid_constants_once_and_reuses_each_variance_steps_fac
         return hermite(*args)
 
     stacked, kernels, contexts = [], [], []
-    stack, matern, build = GridDistances.stack.__func__, registration.matern_cov, build_context
+    matern, build = registration.matern_cov, build_context
 
-    def counted_stack(cls, grids):
-        stacked.append((len(grids), len(grids[0])))
-        return stack(cls, grids)
-
-    def counted_kernel(params, grid):
-        kernels.append(len(grid))
-        return matern(params, grid)
+    def counted_kernel(params, grid, **slope):
+        (kernels if np.ndim(grid) == 1 else stacked).append(np.shape(grid))
+        return matern(params, grid, **slope)
 
     def recorded(panel, basis, anchors, var, *table):
         contexts.append((var, build(panel, basis, anchors, var, *table)))
         return contexts[-1][1]
 
     monkeypatch.setattr(registration, "hermite_weights", counted_hermite)
-    monkeypatch.setattr(GridDistances, "stack", classmethod(counted_stack))
     monkeypatch.setattr(registration, "matern_cov", counted_kernel)
     monkeypatch.setattr(registration, "build_context", recorded)
-    fit_registration(panel, RegistrationConfig(max_outer=2, variance_maxiter=10))
+    fit = fit_registration(panel, RegistrationConfig(max_outer=2, variance_maxiter=10))
     assert calls["hermite_weights"] == n_grids
-    assert sorted(stacked) == [(4, 15), (8, 30)]
+    # both stacks, (grids, points), once per likelihood evaluation
+    evaluations = fit.variance_evaluations
+    assert Counter(stacked) == {(4, 15): evaluations, (8, 30): evaluations}
     # the start, the initialization pass's variance step and two refreshes
     assert len(contexts) == 4
-    # the warp prior's 2 x 2 kernel once per context, the grids' once
-    assert sorted(kernels) == [2] * 4 + [15] * 4 + [30] * 8
+    # the 2 x 2 warp kernel once per context and per likelihood evaluation,
+    # each grid's once
+    assert sorted(kernels) == [(2,)] * (4 + evaluations) + [(15,)] * 4 + [(30,)] * 8
     for var, ctx in contexts:
         for c in panel.curves:
             want = CholFactor(np.eye(len(c.times)) + matern_cov(var.curve_cov, c.times))
@@ -1083,17 +1083,17 @@ def test_variance_negloglik_evaluates_each_stack_once(monkeypatch):
     panel, fitted, jac, w0 = _stacked_grid_panel(range(6))
     args = _likelihood_args(monkeypatch, panel, fitted, jac, w0)
     kernels, factored = [], []
-    matern_distinct, cholesky = registration.matern_distinct, gp._cholesky
+    matern, cholesky = registration.matern_cov, gp._cholesky
 
-    def counted_kernel(params, dists):
-        kernels.append(dists.index.shape)
-        return matern_distinct(params, dists)
+    def counted_kernel(params, grid, **slope):
+        kernels.append(np.shape(grid))
+        return matern(params, grid, **slope)
 
     def counted_cholesky(mats):
         factored.append(mats.shape)
         return cholesky(mats)
 
-    monkeypatch.setattr(registration, "matern_distinct", counted_kernel)
+    monkeypatch.setattr(registration, "matern_cov", counted_kernel)
     monkeypatch.setattr(gp, "_cholesky", counted_cholesky)
     calls = {"half_solve": 0, "solve": 0}
     for name in calls:
@@ -1107,8 +1107,9 @@ def test_variance_negloglik_evaluates_each_stack_once(monkeypatch):
     grad = np.empty(4)
     value, _ = registration._variance_negloglik(_LOG_POINTS[0], *args[:5], grad)
     assert value < registration._BIG
-    assert kernels == [(3, 24, 24), (1, 16, 16), (1, 16, 16)]
-    assert factored == [(len(ANCHORS) - 2,) * 2, *kernels]
+    # the warp kernel H on the interior anchors, then each stack's (grids, points)
+    assert kernels == [(len(ANCHORS) - 2,), (3, 24), (1, 16), (1, 16)]
+    assert factored == [(len(ANCHORS) - 2,) * 2, *((g, n, n) for g, n in kernels[1:])]
     assert calls == {"half_solve": 0, "solve": 1}
 
 
@@ -1167,13 +1168,14 @@ def _threads_of_a_variance_step(monkeypatch, panel, fitted, jac, w0) -> tuple:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     seen = []
-    original = registration.matern_distinct
+    original = registration.matern_cov
 
-    def recorded(params, dists):
-        seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
-        return original(params, dists)
+    def recorded(params, grid, **slope):
+        if np.ndim(grid) == 2:
+            seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+        return original(params, grid, **slope)
 
-    monkeypatch.setattr(registration, "matern_distinct", recorded)
+    monkeypatch.setattr(registration, "matern_cov", recorded)
     before = threading.active_count()
     fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=3)
     return seen, before, threading.active_count()
@@ -1274,11 +1276,11 @@ def _stacked_grid_args():
 def _dense_average_information(panel, fitted, jac, w0, log_params):
     """The AI matrix from explicit V = I + S + B H B', its derivatives dV_p and V^-1 per block."""
     amp_s, rg_s, amp_h, rg_h = np.exp(log_params)
-    h_mat, dh_mat = matern_cov_grad(MaternParams(amp_h, rg_h, 1.5), GridDistances.of(ANCHORS[1:-1]))
+    h_mat, dh_mat = matern_cov(MaternParams(amp_h, rg_h, 1.5), ANCHORS[1:-1], slope=True)
     products, outer = np.zeros((4, 4)), np.zeros(4)
     quad, n_tot = 0.0, 0
     for c in panel.curves:
-        s_mat, ds_mat = matern_cov_grad(MaternParams(amp_s, rg_s, 3.0), GridDistances.of(c.times))
+        s_mat, ds_mat = matern_cov(MaternParams(amp_s, rg_s, 3.0), c.times, slope=True)
         for a in (0, 1):
             b = jac[c.subject_id][a]
             r = c.values[:, a] - fitted[c.subject_id][:, a] + b @ w0[c.subject_id]
