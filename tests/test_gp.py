@@ -214,23 +214,20 @@ def _uniform_and_jittered():
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.2, 3.0])
-def test_a_stacks_kernels_and_slopes_are_each_grids_own(nu):
+def test_kernel_from_distinct_distances_is_matern_cov(nu):
     # a length scale of 0.02 puts distances past the table's end at 40, and
     # orders 1 and 2 on the exact path below 1
     for stack in _uniform_and_jittered():
-        n = stack.shape[1]
+        dists = np.abs(stack[:, :, None] - stack[:, None, :])
         for amp, length_scale in ((2.5, 0.02), (0.7, 0.3), (40.0, 5.0)):
             params = MaternParams(amp, length_scale, nu)
             cov, slope = matern_cov(params, stack, slope=True)
-            assert cov.shape == slope.shape == (len(stack), n, n)
-            assert cov.flags.c_contiguous and slope.flags.c_contiguous
-            for grid, grid_cov, grid_slope in zip(stack, cov, slope):
-                alone = matern_cov(params, grid)
-                assert np.array_equal(grid_cov, alone)
-                assert np.array_equal(np.diag(alone), np.full(n, amp))
-                assert all(np.array_equal(a, b) for a, b in zip(
-                    (grid_cov, grid_slope), matern_cov(params, grid, slope=True)
-                ))
+            # built from each grid's distinct pair distances, it is the
+            # correlation at every entry of the distance matrix
+            x = math.sqrt(2.0 * nu) * (dists / length_scale)
+            want = [amp * part for part in gp._matern_corr(nu, x)]
+            assert all(np.array_equal(a, b) for a, b in zip((cov, slope), want))
+            assert np.all(np.diagonal(cov, axis1=1, axis2=2) == amp)
             assert np.array_equal(slope, slope.swapaxes(1, 2))
             assert np.all(np.diagonal(slope, axis1=1, axis2=2) == 0.0)
             # against central differences in the log length scale
@@ -240,6 +237,25 @@ def test_a_stacks_kernels_and_slopes_are_each_grids_own(nu):
                 for e in (h, -h)
             )
             assert np.max(np.abs((up - down) / (2 * h) - slope)) <= 1e-7 * amp
+
+
+def test_stacked_distances_index_each_grids_own():
+    halves = np.stack([np.linspace(0.0, 1.0, 60), np.linspace(0.0, 0.5, 60)])
+    stacks = (*_uniform_and_jittered(), halves)
+    for stack in stacks:
+        n = stack.shape[1]
+        for nu in (0.5, 1.0, 1.5, 2.0, 2.2, 3.0):
+            for amp, length_scale in ((2.5, 0.02), (0.7, 0.3), (40.0, 5.0)):
+                params = MaternParams(amp, length_scale, nu)
+                cov, slope = matern_cov(params, stack, slope=True)
+                assert cov.shape == slope.shape == (len(stack), n, n)
+                assert cov.flags.c_contiguous and slope.flags.c_contiguous
+                assert np.array_equal(cov, matern_cov(params, stack))
+                for grid, grid_cov, grid_slope in zip(stack, cov, slope):
+                    assert all(np.array_equal(a, b) for a, b in zip(
+                        (grid_cov, grid_slope), matern_cov(params, grid, slope=True)
+                    ))
+                    assert np.array_equal(grid_cov, matern_cov(params, grid))
 
 
 def test_matern_cov_takes_its_pair_indices_from_a_read_only_cache():
