@@ -34,7 +34,7 @@ print(f"registration: converged={fit.converged}, n_outer={fit.n_outer}")
 # truncation pair (k_x, k_e): k_x components describe the curves, the
 # leading k_e of them enter the classifier
 model = fit_classifier(fit, train, k_x=8, k_e=5)
-print(f"classifier: converged={model.converged} in {model.n_passes} passes, "
+print(f"classifier: converged={model.converged} after {model.n_passes} inner solves, "
       f"sigma_e={model.sigma_e:.3f}")
 print(f"scalar effect b1 = {model.b1[0]:+.3f} (covariate separates the groups)")
 

@@ -14,11 +14,12 @@ so two runs, or two versions of the package, can be compared by one line.
 Per draw the record gives, for the classifier: held-out ``ca``, the mean
 held-out deviance, the fraction of held-out ``pi_hat`` on the 1e-15 clip,
 the largest |coefficient| (intercept, scalar and spline coefficients),
-``sigma_e`` and whether it sits on its floor, ``converged`` and
-``n_passes``, and the cross-validated pair with every pair's mean
-validation deviance in rank order; for the registration:
-``final_objective``, ``n_outer``, ``converged``, ``warp_imse`` over the
-training subjects and the variance parameters.
+``sigma_e`` and whether it sits on the lower end of its interval
+(``classify._SIGMA_MIN``), ``converged`` and ``n_passes``, and the
+cross-validated pair with every pair's mean validation deviance in rank
+order; for the registration: ``final_objective``, ``n_outer``,
+``converged``, ``warp_imse`` over the training subjects and the variance
+parameters.
 
 Study 1 (``--study 1``, the estimation study) runs seeds 0-9 at the
 ``Study1Config`` defaults and fits all 80 subjects the same way, with the
@@ -63,13 +64,12 @@ from warpclass import (
     simulate_study2,
     warp_imse,
 )
+from warpclass.classify import _SIGMA_MIN
 from warpclass.registration import _RIDGE_MAX
 from warpclass.simeval import study1_beta
 
 # pi_hat is kept this far from 0 and 1 (classify._PROB_FLOOR)
 PROB_CLIP = 1e-15
-# sigma_e at fit_glmm's floor on the ridge variance, sqrt(1e-10)
-SIGMA_E_FLOOR = 1e-5
 # warps and functional coefficients are compared with the truth on this
 # grid, as the benchmark does
 GRID = np.linspace(0.0, 1.0, 101)
@@ -120,7 +120,7 @@ def run_draw(scenario: str, seed: int, config: RunConfig, n_subjects: int, n_obs
         "pi_hat_clipped": float(np.mean((pi <= PROB_CLIP) | (pi >= 1.0 - PROB_CLIP))),
         "max_abs_theta": max_abs_theta(model),
         "sigma_e": float(model.sigma_e),
-        "sigma_e_on_floor": bool(model.sigma_e <= SIGMA_E_FLOOR),
+        "sigma_e_on_floor": bool(model.sigma_e == _SIGMA_MIN),
         "classifier_converged": bool(model.converged),
         "classifier_n_passes": int(model.n_passes),
         "cv_pair": [int(k_x), int(k_e)],

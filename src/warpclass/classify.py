@@ -4,11 +4,13 @@ curves feeding a penalized functional logistic classifier.
 Registered curves are decomposed per coordinate into eigenfunctions of
 the smoothed covariance; subject score vectors and a truncated-power
 expansion of the functional coefficient reduce the functional logistic
-regression to a generalized linear mixed model, fit by penalized
-iteratively reweighted least squares with the random-effect variance
-updated through an effective-degrees-of-freedom fixed point.  Every fit
-at a truncation pair goes through ``_fit_pair`` from one start of that
-fixed point, so cross-validation scores the classifier that ships.
+regression to a generalized linear mixed model.  Its coefficients are the
+mode of the ridge-penalized likelihood with Firth's Jeffreys term, which is
+finite even where the classes separate, and the random-effect variance is
+the one of largest Laplace marginal likelihood on a fixed interval: no
+start, so every fit at a truncation pair, through ``_fit_pair``, is the
+same function of its data, and cross-validation scores the classifier that
+ships.
 
 Prediction fits new subjects' warps under the group their scalar
 covariates point to, aligns, scores and classifies them, then does the same
@@ -24,11 +26,13 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .basis import TruncatedPowerBasis, cross_gram, quad_weights
 from .codec import decode, encode
 from .curves import CurvePanel, SubjectCurve
 from .errors import DataError, NumericalError, check_format_version, check_shape
+from .gp import CholFactor
 from .registration import (
     RegistrationFit,
     align_curves,
@@ -48,11 +52,9 @@ DEFAULT_CV_GRID = ((12, 6), (12, 10), (18, 6), (18, 10))
 DEFAULT_CV_FOLDS = 5
 # points in the moving window that smooths each covariance diagonal
 DEFAULT_SMOOTHING_WINDOW = 11
-# fit_glmm's ridge-variance fixed point: the sigma_e every fit starts from,
-# its pass cap and its relative tolerance on sigma_e^2
-_SIGMA_START = 10.0
-_MAX_PASSES = 50
-_SIGMA_TOL = 1e-5
+# fit_glmm's interval for sigma_e, the ridge variance's square root
+_SIGMA_MIN = 1e-5
+_SIGMA_MAX = 1e3
 
 
 def _sigmoid(eta):
@@ -209,9 +211,9 @@ class LogisticFit:
     b1: np.ndarray  # (p,)
     e: np.ndarray  # (2, k_e) spline coefficients of the functional terms
     sigma_e: float
-    deviance_trace: list[list[float]]  # one inner IRLS deviance list per outer pass
+    deviance_trace: list[list[float]]  # one _irls_pass trace per solve, in evaluation order
     converged: bool
-    n_passes: int
+    n_passes: int  # _irls_pass solves: len(deviance_trace)
 
     def __post_init__(self):
         # a decoded artifact is checked here, before any array broadcasts
@@ -264,53 +266,52 @@ def _deviance_at(labels, pi) -> float:
 
 
 def _irls_pass(design, labels, penalty_vec, theta, max_newton=25):
-    """Newton descent of the penalized deviance at fixed penalty weights.
+    """Firth-penalized IRLS at fixed penalty weights P = diag(``penalty_vec``).
 
-    Step halving keeps the recorded deviance sequence non-increasing.  The
-    line search forms the linear predictor and the probabilities of each
-    trial; an accepted trial's are the next Newton step's, and the penalty
-    matrix is formed once per pass.  Returns (theta, per-iteration
-    deviances, IRLS weights), the weights of the last Newton step taken.
+    Minimizes Phi(theta) = D(theta) + theta'P theta - log|M|, with D the
+    deviance and M = X'WX + P: the penalized deviance with Jeffreys'
+    prior (Firth 1993), whose minimum is finite even where the
+    unpenalized columns separate the classes.  A step is
+    M^-1 [X'(y - pi + h (1/2 - pi)) - P theta], with hat values
+    h_i = w_i x_i'M^-1 x_i (Heinze & Schemper 2002), halved until Phi does
+    not rise (by more than 1e-12, rounding), so the recorded Phi does not
+    either.  One ``CholFactor`` of M gives a trial's log|M|, with its jitter
+    where zero or collinear unpenalized columns make M singular; the
+    accepted trial's factor and probabilities give the next step.  Returns
+    (theta, per-step Phi, the factor of M at theta, converged):
+    converged is False only when the solve stops at ``max_newton`` steps,
+    not at a step that lowers Phi by at most 1e-10 relative or where no
+    halving of the step lowers Phi.
     """
 
-    def penalized(theta):
-        eta = design @ theta
-        pi = _prob(eta)
-        return _deviance_at(labels, pi) + float(theta @ (penalty_vec * theta)), pi
+    def at(theta):
+        pi = _prob(design @ theta)
+        weights = pi * (1.0 - pi)
+        factor = CholFactor((design_t * weights) @ design + penalty)
+        phi = _deviance_at(labels, pi) + float(theta @ (penalty_vec * theta)) - factor.logdet()
+        return phi, pi, weights, factor
 
     design_t = design.T
     penalty = np.diag(penalty_vec)
-    current, pi = penalized(theta)
+    current, pi, weights, factor = at(theta)
     trace = [current]
-    weights = None
     for _ in range(max_newton):
-        weights = np.maximum(pi * (1.0 - pi), 1e-10)
-        grad = design_t @ (labels - pi) - penalty_vec * theta
-        hess = (design_t * weights) @ design + penalty
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            # zero or collinear unpenalized columns make the system exactly
-            # singular; the minimum-norm step leaves those directions alone
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        scale = 1.0
+        hat = weights * np.sum(factor.half_solve(design_t) ** 2, axis=0)
+        step = factor.solve(design_t @ (labels - pi + hat * (0.5 - pi)) - penalty_vec * theta)
         for _ in range(30):
-            cand = theta + scale * step
-            cand_dev, cand_pi = penalized(cand)
-            if cand_dev <= current + 1e-12:
+            cand = theta + step
+            cand_phi, *cand_state = at(cand)
+            if cand_phi <= current + 1e-12:
                 break
-            scale *= 0.5
+            step = 0.5 * step
         else:
-            break  # no descent direction left; keep current iterate
-        theta, pi = cand, cand_pi
-        moved = current - cand_dev
-        current = cand_dev
+            return theta, trace, factor, True  # no descent direction left
+        moved = current - cand_phi
+        theta, current, (pi, weights, factor) = cand, cand_phi, cand_state
         trace.append(current)
         if moved <= 1e-10 * max(1.0, abs(current)):
-            break
-    if weights is None:
-        weights = np.maximum(pi * (1.0 - pi), 1e-10)
-    return theta, trace, weights
+            return theta, trace, factor, True
+    return theta, trace, factor, False
 
 
 def fit_glmm(
@@ -318,19 +319,29 @@ def fit_glmm(
     functional_design: np.ndarray | None,
     labels,
 ) -> LogisticFit:
-    """Penalized logistic regression with a ridge variance fixed point.
+    """Firth-penalized logistic regression, with the ridge variance of
+    largest Laplace marginal likelihood on [``_SIGMA_MIN``, ``_SIGMA_MAX``].
 
     ``scalar_design`` is (N, 1+p) including the intercept column;
     ``functional_design`` is (N, 2*k_e) with one block per coordinate.
     The intercept, scalar coefficients, and the first two spline
-    coefficients of each coordinate stay unpenalized; the rest carry a
-    shared ridge weight 1/sigma_e^2, with sigma_e^2 re-estimated between
-    passes as ||e_pen||^2 over the penalized block's effective degrees
-    of freedom.  Every fit starts from sigma_e = ``_SIGMA_START``; it
-    converges once sigma_e^2 changes by at most ``_SIGMA_TOL`` relative,
-    and stops with ``converged=False`` after ``_MAX_PASSES`` passes.  The
-    fixed point's end depends on its start, so one start for every fit
-    keeps cross-validation's fold fits the fit that ships.
+    coefficients of each coordinate stay unpenalized; the other n_pen
+    carry a shared ridge weight 1/sigma_e^2 (P), and ``_irls_pass`` finds
+    the mode theta at each sigma_e.  There the Laplace approximation of
+    minus twice the log marginal likelihood (Breslow & Clayton 1993) is
+    V = D + theta'P theta + log|M| + n_pen log sigma_e^2, M = X'WX + P.
+    At fixed weights its slope in log sigma_e^2 is edf_pen -
+    ||e_pen||^2 / sigma_e^2, with edf_pen = n_pen - tr_pen(M^-1) / sigma_e^2:
+    a root is a fixed point of Schall's update.  It can have several
+    roots, so its sign is read at one point per decade of the interval,
+    solved in increasing order and each warm-started from the last theta
+    (the first from 0); brentq finds the root in each cell where it turns
+    from - to +, an end counts (exactly) where V falls towards it, and the
+    candidate of smallest V is returned.  ``deviance_trace`` holds one
+    ``_irls_pass`` trace per solve, in evaluation order, ``n_passes``
+    their count, and ``converged`` whether the returned solve stopped
+    before ``_irls_pass``'s ``max_newton``.  Without penalized columns the
+    fit is one solve and ``sigma_e`` is 0.
     """
     scalar_design = np.asarray(scalar_design, dtype=float)
     y = np.asarray(labels, dtype=float).ravel()
@@ -357,58 +368,54 @@ def fit_glmm(
         pen_mask[block + 2 : block + k_e] = True
     n_pen = int(pen_mask.sum())
 
+    solves = {}  # sigma_e -> _irls_pass's (theta, trace, factor, converged)
     theta = np.zeros(design.shape[1])
-    sigma2 = _SIGMA_START**2
-    traces = []
-    converged = False
-    n_stalled = 0
-    for n_passes in range(1, _MAX_PASSES + 1):
-        penalty_vec = np.where(pen_mask, 1.0 / sigma2, 0.0) if n_pen else np.zeros(design.shape[1])
-        theta, trace, weights = _irls_pass(design, y, penalty_vec, theta)
-        traces.append(trace)
-        if n_pen == 0:
-            converged = True
-            break
 
-        fisher = (design.T * weights) @ design
-        hess = fisher + np.diag(penalty_vec)
-        try:
-            inv_fisher = np.linalg.solve(hess, fisher)
-        except np.linalg.LinAlgError:
-            inv_fisher = np.linalg.lstsq(hess, fisher, rcond=None)[0]
-        edf_pen = float(np.sum(np.diag(inv_fisher)[pen_mask]))
-        e_pen = theta[pen_mask]
-        sigma2_new = float(e_pen @ e_pen) / max(edf_pen, 1e-8)
-        sigma2_new = max(sigma2_new, 1e-10)
-        if abs(sigma2_new - sigma2) <= _SIGMA_TOL * max(sigma2, 1e-12):
-            sigma2 = sigma2_new
-            converged = True
-            break
-        sigma2 = sigma2_new
+    def solve(sigma):
+        nonlocal theta
+        if sigma not in solves:
+            solves[sigma] = _irls_pass(design, y, pen_mask / sigma**2, theta)
+            theta = solves[sigma][0]
+        return solves[sigma]
 
-        # a pass that cannot decrease its own penalized objective at all
-        # while the variance keeps moving means the fixed point is cycling
-        stalled = trace[0] - trace[-1] <= 0.0
-        n_stalled = n_stalled + 1 if stalled else 0
-        if n_stalled >= 5:
-            raise NumericalError(
-                "penalized deviance failed to decrease for 5 consecutive passes"
-            )
+    def score(sigma):
+        mode, _, factor, _ = solve(sigma)
+        m_inv_diag = np.sum(factor.half_solve(np.eye(len(mode))) ** 2, axis=0)
+        e_pen = mode[pen_mask]
+        return n_pen - float(np.sum(m_inv_diag[pen_mask]) + e_pen @ e_pen) / sigma**2
 
-    b0 = float(theta[0])
-    b1 = theta[1:n_scalar].copy()
+    def neg2_loglik(sigma):  # V, up to a constant
+        _, trace, factor, _ = solve(sigma)
+        return trace[-1] + 2.0 * factor.logdet() + 2.0 * n_pen * np.log(sigma)
+
+    if n_pen:
+        grid = np.geomspace(_SIGMA_MIN, _SIGMA_MAX, 9)  # one point per decade
+        signs = [score(s) for s in grid]
+        found = [
+            brentq(score, grid[i], grid[i + 1])
+            for i in range(len(grid) - 1)
+            if signs[i] < 0.0 <= signs[i + 1]
+        ]
+        found += [_SIGMA_MIN] if signs[0] >= 0.0 else []
+        found += [_SIGMA_MAX] if signs[-1] <= 0.0 else []
+        sigma_e = float(min(found, key=neg2_loglik))
+        theta, _, _, converged = solve(sigma_e)
+    else:
+        sigma_e = 0.0
+        theta, _, _, converged = solve(np.inf)  # no penalized column: P = 0
+
     e = np.zeros((2, k_e))
     for a in (0, 1):
         block = n_scalar + a * k_e
         e[a] = theta[block : block + k_e]
     return LogisticFit(
-        b0=b0,
-        b1=b1,
+        b0=float(theta[0]),
+        b1=theta[1:n_scalar].copy(),
         e=e,
-        sigma_e=float(np.sqrt(sigma2)) if n_pen else 0.0,
-        deviance_trace=traces,
+        sigma_e=sigma_e,
+        deviance_trace=[trace for _, trace, _, _ in solves.values()],
         converged=converged,
-        n_passes=n_passes,
+        n_passes=len(solves),
     )
 
 
@@ -473,8 +480,9 @@ def _fit_pair(fpca_pair, scores, k_x: int, coef_basis, scalar_design, labels, ro
     ``fit_classifier`` and each fold of ``cross_validate_K`` alike.
 
     Truncates the FPCA pair and the (N, 2, >= k_x) ``scores`` to k_x (the
-    bytes of decomposing at k_x) and forms the functional design of every
-    subject.  Returns (fit, truncated pair, J matrices, functional design).
+    bytes of decomposing at k_x), forms the functional design of every
+    subject and fits ``fit_glmm`` on ``rows``.  Returns (fit, truncated
+    pair, J matrices, functional design).
     """
     trunc = tuple(
         replace(f, eigenfunctions=f.eigenfunctions[:, :k_x], eigenvalues=f.eigenvalues[:k_x])
@@ -498,7 +506,8 @@ def fit_classifier(
     Aligns the curves, decomposes each coordinate, projects scores, and
     fits the penalized logistic model at (k_x, k_e) through ``_fit_pair``,
     the fit that cross-validation repeats on each fold.  A scalar-only
-    refit is stored alongside; it picks the first group a new subject is
+    refit (``fit_glmm`` without the functional block: one Firth-penalized
+    solve) is stored alongside; it picks the first group a new subject is
     aligned to.
     """
     if not panel.has_labels:
@@ -549,10 +558,9 @@ def cross_validate_K(
     training fold, with the covariance smoother ``fit_classifier`` is
     given (``smoothing_window``).  Each training fold is decomposed once
     at the largest k_x, and each pair is fitted on it by ``_fit_pair``,
-    as ``fit_classifier`` fits the model it ships, from the same start of
-    the ridge-variance fixed point.  When fold fits stop at the pass cap
-    without converging, one warning says how many.  Ties break toward the
-    smaller k_e, then smaller k_x.
+    as ``fit_classifier`` fits the model it ships.  A fold or pair whose
+    fit raises ``NumericalError`` is skipped with a warning.  Ties break
+    toward the smaller k_e, then smaller k_x.
     """
     pairs = [(int(kx), int(ke)) for kx, ke in pairs]
     if not pairs:
@@ -586,7 +594,6 @@ def cross_validate_K(
 
     sums = {pair: 0.0 for pair in pairs}
     used = {pair: 0 for pair in pairs}
-    n_short = 0
     for fold in range(n_folds):
         val_mask = fold_of == fold
         train_mask = ~val_mask
@@ -607,15 +614,9 @@ def cross_validate_K(
             except NumericalError:
                 _log.warning("fold %d pair (%d,%d) skipped: fit failure", fold, kx, ke)
                 continue
-            n_short += not model.converged
             eta = _eta(model, scalar_design[val_mask, 1:], func_design[val_mask])
             sums[(kx, ke)] += _deviance(y_val, eta) / val_mask.sum()
             used[(kx, ke)] += 1
-    if n_short:
-        _log.warning(
-            "cross-validation: %d of %d fold fits stopped at the pass cap of %d without converging",
-            n_short, sum(used.values()), _MAX_PASSES,
-        )
 
     scored = []
     for pair in pairs:

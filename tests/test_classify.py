@@ -30,7 +30,7 @@ from warpclass.classify import (
 )
 from warpclass.curves import CurvePanel, SubjectCurve
 from warpclass.errors import DataError, NumericalError
-from warpclass.gp import MaternParams, matern_cov
+from warpclass.gp import CholFactor, MaternParams, matern_cov
 from warpclass.registration import (
     RegistrationConfig,
     RegistrationFit,
@@ -223,15 +223,19 @@ def test_compute_J_matches_manual_quadrature():
 # Penalized logistic fits.
 
 
-def _newton_logistic(design, y, iters=80):
-    """Plain logistic MLE by full Newton; independent of the implementation."""
+def _firth_newton(design, y, iters=200):
+    """Firth's (1993) modified-score iteration by full steps, as Heinze &
+    Schemper (2002) give it: beta += I^-1 X'(y - p + h (1/2 - p)), with the
+    hat values h from the explicit inverse.  Independent of the
+    implementation."""
     beta = np.zeros(design.shape[1])
     for _ in range(iters):
-        eta = design @ beta
-        p = 1.0 / (1.0 + np.exp(-eta))
-        step = np.linalg.solve((design.T * (p * (1 - p))) @ design, design.T @ (y - p))
+        p = 1.0 / (1.0 + np.exp(-(design @ beta)))
+        info = (design.T * (p * (1 - p))) @ design
+        hat = p * (1 - p) * np.einsum("ij,jk,ik->i", design, np.linalg.inv(info), design)
+        step = np.linalg.solve(info, design.T @ (y - p + hat * (0.5 - p)))
         beta = beta + step
-        if np.max(np.abs(step)) < 1e-12:
+        if np.max(np.abs(step)) < 1e-13:
             break
     return beta
 
@@ -248,61 +252,145 @@ def _logistic_data(seed=13, n=40):
 def test_unpenalized_fit_matches_newton_oracle():
     design, y = _logistic_data()
     model = fit_glmm(design, None, y)
-    want = _newton_logistic(design, y)
+    want = _firth_newton(design, y)
     got = np.concatenate([[model.b0], model.b1])
     assert np.max(np.abs(got - want)) < 1e-6
-    assert model.converged
+    assert model.converged and model.n_passes == len(model.deviance_trace) == 1
     assert model.sigma_e == 0.0
 
 
 def test_null_model_intercept_is_the_logit_of_the_class_fraction():
+    # Firth adds half a subject to each class: logit(3.5 / 11)
     y = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=float)
     model = fit_glmm(np.ones((10, 1)), None, y)
-    assert abs(model.b0 - np.log(0.3 / 0.7)) < 1e-8
+    assert abs(model.b0 - np.log(3.5 / 7.5)) < 1e-6
     assert model.b1.size == 0
 
 
-def test_separable_scalar_direction_grows_with_zero_functional_scores(monkeypatch):
-    # labels perfectly aligned with a +-1 covariate; the functional block is
-    # identically zero, so its unpenalized columns make the system singular
-    monkeypatch.setattr(classify, "_SIGMA_START", 100.0)
+def test_separable_scalar_direction_grows_with_zero_functional_scores():
+    # labels perfectly aligned with a +-1 covariate, 10 and 10 subjects: the
+    # maximum-likelihood slope is infinite, Firth's adds half a subject to
+    # cell of the 2 x 2 table: b0 + b1 = log(10.5 / 0.5) = -(b0 - b1), b1 = log 21
     n = 20
     v = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     y = (v > 0).astype(float)
     scalar = np.column_stack([np.ones(n), v])
-    func = np.zeros((n, 6))
-    model = fit_glmm(scalar, func, y)
-    assert model.b1[0] > 5.0
-    # the intercept is tiny relative to the diverging slope
-    assert abs(model.b0) < 1e-4 * model.b1[0]
-    assert np.max(np.abs(model.e)) < 1e-6
+    model = fit_glmm(scalar, None, y)
+    assert abs(model.b1[0] - np.log(21.0)) < 1e-6 and abs(model.b0) < 1e-10
+    # an identically zero functional block makes M singular: the factor's
+    # jitter keeps the fit finite, its spline coefficients at zero
+    model = fit_glmm(scalar, np.zeros((n, 6)), y)
+    assert 0.0 < model.b1[0] < 5.0 and abs(model.b0) < 1e-10
+    assert np.all(model.e == 0.0) and model.converged
 
 
-def test_penalty_off_limit_matches_newton_on_the_full_design(monkeypatch):
-    monkeypatch.setattr(classify, "_SIGMA_START", 1e6)
-    monkeypatch.setattr(classify, "_MAX_PASSES", 1)
+def test_penalty_off_limit_matches_newton_on_the_full_design():
     rng = np.random.default_rng(31)
     n = 60
     scalar, _ = _logistic_data(seed=31, n=n)
     func = 0.5 * rng.standard_normal((n, 4))
     eta = 0.2 + scalar[:, 1] - 0.6 * func[:, 0] + 0.4 * func[:, 3]
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-    model = fit_glmm(scalar, func, y)
-    want = _newton_logistic(np.hstack([scalar, func]), y)
-    got = np.concatenate([[model.b0], model.b1, model.e[0], model.e[1]])
-    assert np.max(np.abs(got - want)) < 1e-6
+    design = np.hstack([scalar, func])
+    zero = np.zeros(design.shape[1])
+    theta, trace, _, converged = classify._irls_pass(design, y, zero, zero)
+    assert converged and len(trace) < 26
+    # the modified-score step converges linearly, and the decrease test stops
+    # it at a step that lowers Phi by at most 1e-10 relative: ~1e-6 from the mode
+    assert np.max(np.abs(theta - _firth_newton(design, y))) < 1e-5
 
 
-def test_glmm_deviance_is_monotone_within_every_pass(monkeypatch):
-    monkeypatch.setattr(classify, "_SIGMA_START", 1.0)
+def test_glmm_deviance_is_monotone_within_every_pass():
     rng = np.random.default_rng(17)
     design, y = _logistic_data(seed=17)
     func = 0.5 * rng.standard_normal((len(y), 8))
     model = fit_glmm(design, func, y)
-    assert model.deviance_trace
+    assert len(model.deviance_trace) == model.n_passes >= 9
     for trace in model.deviance_trace:
         for prev, cur in zip(trace, trace[1:]):
-            assert cur <= prev + 1e-8
+            assert cur <= prev + 1e-12
+
+
+def _pen_mask(n_scalar, k_e):
+    mask = np.zeros(n_scalar + 2 * k_e, dtype=bool)
+    for a in (0, 1):
+        mask[n_scalar + a * k_e + 2 : n_scalar + (a + 1) * k_e] = True
+    return mask
+
+
+def _score_and_criterion(design, labels, pen, sigmas):
+    """The marginal likelihood's slope in log sigma_e^2 and V at each of
+    ``sigmas`` (increasing), each mode by ``_irls_pass`` warm-started from
+    the last, with M's inverse and log determinant from ``np.linalg``."""
+    theta, out = np.zeros(design.shape[1]), []
+    for sigma in sigmas:
+        penalty = pen / sigma**2
+        theta, trace, _, _ = classify._irls_pass(design, labels, penalty, theta)
+        pi = 1.0 / (1.0 + np.exp(-(design @ theta)))
+        m = (design.T * (pi * (1 - pi))) @ design + np.diag(penalty)
+        inv = np.linalg.inv(m)
+        ee = theta[pen] @ theta[pen]
+        score = pen.sum() - (np.trace(inv[np.ix_(pen, pen)]) + ee) / sigma**2
+        crit = trace[-1] + 2.0 * np.linalg.slogdet(m)[1] + 2.0 * pen.sum() * np.log(sigma)
+        out.append((score, crit))
+    return np.array(out)
+
+
+def _functional_draw(seed, signal):
+    """Two scalar covariates and a (40, 8) functional design; the labels
+    depend on three of its penalized columns with weight ``signal``."""
+    rng = np.random.default_rng(seed)
+    scalar, y = _logistic_data(seed=seed, n=40)
+    func = rng.standard_normal((40, 8))
+    eta = 0.3 + scalar[:, 1] + signal * (2.0 * func[:, 2] - 1.5 * func[:, 3] + func[:, 6])
+    if signal:
+        y = (rng.random(40) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    return scalar, func, y
+
+
+def test_sigma_e_is_the_best_root_of_its_marginal_likelihood_score():
+    # a dense grid of log sigma_e, 15 points a decade, agrees with the
+    # search's 9 signs and brentq: the returned sigma_e lies in a cell where
+    # the score turns from - to +, and no such cell has a smaller V
+    scalar, func, y = _functional_draw(100, 1.0)
+    fit = fit_glmm(scalar, func, y)
+    assert classify._SIGMA_MIN < fit.sigma_e < classify._SIGMA_MAX and fit.converged
+    sigmas = np.geomspace(classify._SIGMA_MIN, classify._SIGMA_MAX, 121)
+    dense = _score_and_criterion(np.hstack([scalar, func]), y, _pen_mask(3, 4), sigmas)
+    score, crit = dense.T
+    turns = np.flatnonzero((score[:-1] < 0.0) & (score[1:] >= 0.0))
+    k = np.searchsorted(sigmas, fit.sigma_e) - 1
+    assert k in turns
+    assert score[0] < 0.0 < score[-1]  # neither end counts
+    best = min(turns, key=lambda i: min(crit[i], crit[i + 1]))
+    assert best == k
+    # the returned coefficients are the mode at sigma_e: its score is ~0
+    theta = np.concatenate([[fit.b0], fit.b1, fit.e.ravel()])
+    design, pen = np.hstack([scalar, func]), _pen_mask(3, 4)
+    pi = 1.0 / (1.0 + np.exp(-(design @ theta)))
+    m = (design.T * (pi * (1 - pi))) @ design + np.diag(pen / fit.sigma_e**2)
+    slope = pen.sum() - (np.trace(np.linalg.inv(m)[np.ix_(pen, pen)]) + theta[pen] @ theta[pen]) / fit.sigma_e**2
+    assert abs(slope) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "seed, signal, scale, end",
+    [(203, 0.0, 1.0, "_SIGMA_MIN"), (200, 1.0, 1e-4, "_SIGMA_MAX")],
+)
+def test_a_score_of_one_sign_puts_sigma_e_exactly_on_the_end(seed, signal, scale, end):
+    # functional columns unrelated to the labels: V rises from the lower
+    # end; a strong signal on columns scaled by 1e-4 needs coefficients
+    # beyond 1e3: V falls towards the upper end
+    scalar, func, y = _functional_draw(seed, signal)
+    fit = fit_glmm(scalar, scale * func, y)
+    sigmas = np.geomspace(classify._SIGMA_MIN, classify._SIGMA_MAX, 61)
+    score = _score_and_criterion(np.hstack([scalar, scale * func]), y, _pen_mask(3, 4), sigmas)[:, 0]
+    if end == "_SIGMA_MIN":
+        assert np.all(score > 0.0)
+    else:
+        assert np.all(score <= 0.0) and score[-1] < 0.0
+    assert fit.sigma_e == getattr(classify, end)
+    assert fit.converged and fit.n_passes == 9  # the sign reads alone
 
 
 def _two_branch_prob(eta):
@@ -327,52 +415,48 @@ def test_prob_equals_the_two_branch_formula_byte_for_byte():
 
 
 def _recomputing_irls_pass(design, labels, penalty_vec, theta, max_newton=25):
-    """Penalized IRLS that forms eta and pi afresh at every Newton step.
+    """Firth-penalized IRLS that forms eta, pi, M and M's factor afresh at
+    every Newton step and for the returned factor.
 
-    Kept as it stood before the accepted trial's eta and pi were carried
-    into the next step: the oracle for byte-identical results.
+    The oracle for byte-identical results of ``_irls_pass``, which carries
+    the accepted trial's probabilities and factor into the next step.
     """
     prob = _two_branch_prob
 
-    def penalized_deviance(eta, theta):
-        pi = prob(eta)
-        dev = -2.0 * float(labels @ np.log(pi) + (1.0 - labels) @ np.log(1.0 - pi))
-        return dev + float(theta @ (penalty_vec * theta))
+    def factor_at(theta):
+        pi = prob(design @ theta)
+        weights = pi * (1.0 - pi)
+        return pi, weights, CholFactor((design.T * weights) @ design + np.diag(penalty_vec))
 
-    trace = []
-    eta = design @ theta
-    current = penalized_deviance(eta, theta)
-    trace.append(current)
-    weights = None
+    def objective(theta):
+        pi, _, factor = factor_at(theta)
+        dev = -2.0 * float(labels @ np.log(pi) + (1.0 - labels) @ np.log(1.0 - pi))
+        return dev + float(theta @ (penalty_vec * theta)) - factor.logdet()
+
+    current = objective(theta)
+    trace = [current]
+    converged = False
     for _ in range(max_newton):
-        pi = prob(eta)
-        weights = np.maximum(pi * (1.0 - pi), 1e-10)
-        grad = design.T @ (labels - pi) - penalty_vec * theta
-        hess = (design.T * weights) @ design + np.diag(penalty_vec)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        pi, weights, factor = factor_at(theta)
+        hat = weights * np.sum(factor.half_solve(design.T) ** 2, axis=0)
+        step = factor.solve(design.T @ (labels - pi + hat * (0.5 - pi)) - penalty_vec * theta)
         scale = 1.0
         for _ in range(30):
-            cand = theta + scale * step
-            cand_dev = penalized_deviance(design @ cand, cand)
-            if cand_dev <= current + 1e-12:
+            cand_phi = objective(theta + scale * step)
+            if cand_phi <= current + 1e-12:
                 break
             scale *= 0.5
         else:
+            converged = True
             break
         theta = theta + scale * step
-        eta = design @ theta
-        moved = current - cand_dev
-        current = cand_dev
+        moved = current - cand_phi
+        current = cand_phi
         trace.append(current)
         if moved <= 1e-10 * max(1.0, abs(current)):
+            converged = True
             break
-    if weights is None:
-        pi = prob(eta)
-        weights = np.maximum(pi * (1.0 - pi), 1e-10)
-    return theta, trace, weights
+    return theta, trace, factor_at(theta)[2], converged
 
 
 def _glmm_designs():
@@ -387,42 +471,47 @@ def _glmm_designs():
     return {"separated": separated, "overlapping": (design[:, :2], func, y)}
 
 
+def _same_pass(a, b):
+    """Byte equality of two ``_irls_pass`` results, the factors compared by
+    their log determinants and inverse lower factors."""
+    eye = np.eye(len(a[0]))
+    assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1] and a[3] == b[3]
+    assert a[2].logdet() == b[2].logdet()
+    assert a[2].half_solve(eye).tobytes() == b[2].half_solve(eye).tobytes()
+
+
 @pytest.mark.parametrize("case", ["separated", "overlapping"])
 def test_irls_keeping_its_accepted_trial_is_byte_identical(monkeypatch, case):
     scalar, func, y = _glmm_designs()[case]
-    want_fits = []
+    steps = []
     original = classify._irls_pass
 
     def both(design, labels, penalty_vec, theta, max_newton=25):
         got = original(design, labels, penalty_vec, theta, max_newton)
         want = _recomputing_irls_pass(design, labels, penalty_vec, theta, max_newton)
-        want_fits.append(len(want[1]))
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1] == want[1]
-        assert got[2].tobytes() == want[2].tobytes()
+        steps.append(len(want[1]) - 1)
+        _same_pass(got, want)
         return got
 
-    for sigma_start in (1.0, 10.0):
-        with monkeypatch.context() as patch:
-            patch.setattr(classify, "_SIGMA_START", sigma_start)
-            got = fit_glmm(scalar, func, y)
-            patch.setattr(classify, "_irls_pass", both)
-            fit_glmm(scalar, func, y)
-            patch.setattr(classify, "_irls_pass", _recomputing_irls_pass)
-            want = fit_glmm(scalar, func, y)
-        for name in ("b0", "sigma_e", "deviance_trace", "converged", "n_passes"):
-            assert getattr(got, name) == getattr(want, name)
-        assert got.b1.tobytes() == want.b1.tobytes() and got.e.tobytes() == want.e.tobytes()
-    # a pass cut short, or not started, returns the same weights
+    got = fit_glmm(scalar, func, y)
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "_irls_pass", both)
+        fit_glmm(scalar, func, y)
+        patch.setattr(classify, "_irls_pass", _recomputing_irls_pass)
+        want = fit_glmm(scalar, func, y)
+    for name in ("b0", "sigma_e", "deviance_trace", "converged", "n_passes"):
+        assert getattr(got, name) == getattr(want, name)
+    assert got.b1.tobytes() == want.b1.tobytes() and got.e.tobytes() == want.e.tobytes()
+    # a pass cut short, or not started, returns the same factor
     design, theta0 = np.hstack([scalar, func]), np.zeros(2 + func.shape[1])
     penalty = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.5, 0.5])
     for max_newton in (0, 1, 3):
-        a = original(design, y, penalty, theta0, max_newton)
-        b = _recomputing_irls_pass(design, y, penalty, theta0, max_newton)
-        assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1]
-        assert a[2].tobytes() == b[2].tobytes()
-    # the separated design runs its passes to the Newton cap (25 steps)
-    assert (max(want_fits) == 26) == (case == "separated")
+        _same_pass(
+            original(design, y, penalty, theta0, max_newton),
+            _recomputing_irls_pass(design, y, penalty, theta0, max_newton),
+        )
+    # Firth's term keeps the separated fit finite: no solve reaches the Newton cap
+    assert len(steps) == got.n_passes and max(steps) < 25
 
 
 def test_glmm_validates_inputs():
@@ -435,25 +524,6 @@ def test_glmm_validates_inputs():
         fit_glmm(design[:-1], None, y)
     with pytest.raises(DataError, match=r"2\*k_e"):
         fit_glmm(design, np.zeros((len(y), 5)), y)
-
-
-def test_variance_fixed_point_stall_raises(monkeypatch):
-    calls = {"n": 0}
-
-    def fake_pass(design, labels, penalty_vec, theta, max_newton=25):
-        calls["n"] += 1
-        out = np.zeros(design.shape[1])
-        out[-1] = 1.0 + (calls["n"] % 2)  # keeps the variance target moving
-        return out, [5.0, 5.0], np.full(len(labels), 0.25)
-
-    monkeypatch.setattr(classify, "_irls_pass", fake_pass)
-    rng = np.random.default_rng(19)
-    n = 12
-    scalar = np.ones((n, 1))
-    func = rng.standard_normal((n, 6))
-    y = np.arange(n) % 2
-    with pytest.raises(NumericalError, match="failed to decrease"):
-        fit_glmm(scalar, func, y)
 
 
 def _model(b1, e, j_mats, coef_basis=None, scalar_b=None):
@@ -873,23 +943,24 @@ def test_skipped_folds_are_logged(small_pipeline, caplog, monkeypatch):
     assert {pair: n for pair, _, n in table} == {(4, 3): 3, (5, 3): 4}
 
 
-def test_every_fit_starts_the_fixed_point_from_one_value(small_pipeline, monkeypatch):
+def test_every_fit_walks_the_same_penalty_ladder(small_pipeline, monkeypatch):
     # cross-validation scores the classifier that ships only if each fold
-    # repeats its fit: one per-pair fit, one start of the ridge variance
+    # repeats its fit: one per-pair fit, one search over sigma_e that reads
+    # its score at the same penalties, from theta = 0
     panel, _, reg, _ = small_pipeline
     pairs = ((4, 3), (5, 3), (5, 4))
     real_fit, real_pass, real_pair = classify.fit_glmm, classify._irls_pass, classify._fit_pair
-    first_penalties, pair_fits = [], []
+    ladders, pair_fits = [], []
 
     def recording_fit(scalar_design, functional_design, labels):
         if functional_design is not None and functional_design.shape[1]:
             n_scalar, k_e = scalar_design.shape[1], functional_design.shape[1] // 2
-            first_penalties.append((n_scalar, k_e, []))
+            ladders.append((n_scalar, k_e, []))
         return real_fit(scalar_design, functional_design, labels)
 
     def recording_pass(design, labels, penalty_vec, theta, max_newton=25):
-        if first_penalties and not first_penalties[-1][2]:
-            first_penalties[-1][2].append(penalty_vec.copy())
+        if ladders:
+            ladders[-1][2].append((penalty_vec.copy(), theta.copy()))
         return real_pass(design, labels, penalty_vec, theta, max_newton)
 
     def recording_pair(*args, **kwargs):
@@ -902,48 +973,17 @@ def test_every_fit_starts_the_fixed_point_from_one_value(small_pipeline, monkeyp
     cross_validate_K(reg, panel, pairs=pairs, n_folds=4)
     fit_classifier(reg, panel, k_x=5, k_e=3)
 
-    assert len(first_penalties) == len(pair_fits) == 4 * len(pairs) + 1
+    assert len(ladders) == len(pair_fits) == 4 * len(pairs) + 1
     assert pair_fits[-1] == 5
-    for n_scalar, k_e, (penalty,) in first_penalties:
-        want = np.zeros(n_scalar + 2 * k_e)
-        for a in (0, 1):
-            want[n_scalar + a * k_e + 2 : n_scalar + (a + 1) * k_e] = 1.0 / classify._SIGMA_START**2
-        assert penalty.tobytes() == want.tobytes()
-
-
-def test_fold_fits_stopped_at_the_pass_cap_are_logged(small_pipeline, caplog, monkeypatch):
-    panel, _, reg, _ = small_pipeline
-    pairs = ((4, 3), (5, 3), (5, 4))
-    real_fit = classify.fit_glmm
-    short = []
-
-    def counting_fit(*args):
-        fit = real_fit(*args)
-        short.append(not fit.converged)
-        return fit
-
-    def warnings():
-        return [
-            r.getMessage() for r in caplog.records
-            if r.name == "warpclass.classify" and r.getMessage().startswith("cross-validation:")
-        ]
-
-    monkeypatch.setattr(classify, "fit_glmm", counting_fit)
-    for cap in (classify._MAX_PASSES, 1):
-        monkeypatch.setattr(classify, "_MAX_PASSES", cap)
-        short.clear()
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="warpclass.classify"):
-            cross_validate_K(reg, panel, pairs=pairs, n_folds=4)
-        assert len(short) == 12
-        want = (
-            [f"cross-validation: {sum(short)} of 12 fold fits stopped at the pass cap "
-             f"of {cap} without converging"]
-            if any(short) else []
-        )
-        assert warnings() == want
-    # one pass cannot settle the variance: every fold fit stops at the cap
-    assert all(short)
+    # one sigma_e per decade of the interval, its ends exact
+    sigmas = np.geomspace(classify._SIGMA_MIN, classify._SIGMA_MAX, 9)
+    assert sigmas[0] == classify._SIGMA_MIN and sigmas[-1] == classify._SIGMA_MAX
+    for n_scalar, k_e, solves in ladders:
+        assert len(solves) >= len(sigmas)
+        assert not np.any(solves[0][1])
+        mask = _pen_mask(n_scalar, k_e)
+        for sigma, (penalty, _) in zip(sigmas, solves):
+            assert penalty.tobytes() == (mask / sigma**2).tobytes()
 
 
 # ---------------------------------------------------------------------------
