@@ -178,19 +178,16 @@ def fpca_decompose(cov: np.ndarray, grid, k_x: int, mean=None) -> FpcaModel:
 
 
 def project_scores(values, fpca: FpcaModel) -> np.ndarray:
-    """Quadrature inner products of centered curves with the eigenfunctions.
+    """Quadrature inner products of centered curves (N, n_grid) with the
+    eigenfunctions, (N, k_x).
 
-    Accepts one curve (n_grid,) or a stack (n_subjects, n_grid).  Each row
-    is summed on its own (``np.einsum``), so its bytes do not depend on the
-    stack, as a BLAS product's would.
+    Each row is summed on its own (``np.einsum``), so its bytes do not
+    depend on the stack, as a BLAS product's would.  Curves on another grid
+    raise DataError.
     """
     vals = np.asarray(values, dtype=float)
-    single = vals.ndim == 1
-    vals = np.atleast_2d(vals)
-    if vals.shape[1] != len(fpca.grid):
-        raise DataError("curve grid does not match the decomposition grid")
-    scores = np.einsum("ng,gk->nk", vals - fpca.mean, fpca.weighted)
-    return scores[0] if single else scores
+    check_shape("values", vals, ("N", len(fpca.grid)))
+    return np.einsum("ng,gk->nk", vals - fpca.mean, fpca.weighted)
 
 
 def compute_J(fpca: FpcaModel, tpbasis: TruncatedPowerBasis) -> np.ndarray:
@@ -425,13 +422,12 @@ def _eta(fit: LogisticFit, scalar_rows, functional_rows) -> np.ndarray:
     return fit.b0 + scalar + np.einsum("nk,k->n", functional_rows, fit.e.reshape(-1))
 
 
-def classify_prob(model: ClassifierModel, scores, scalars):
-    """Class-1 probability for one subject's scores (2, k_x) and scalar
-    covariates (p,), or one per row of (N, 2, k_x) and (N, p)."""
-    rows = np.reshape(scores, (-1, *np.shape(scores)[-2:]))
-    v = np.reshape(scalars, (len(rows), -1))
-    pi = _prob(_eta(model, v, _functional_design(rows, model.j_mats)))
-    return float(pi[0]) if np.ndim(scores) == 2 else pi
+def classify_prob(model: ClassifierModel, scores, scalars) -> np.ndarray:
+    """Class-1 probability per row of scores (N, 2, k_x) and scalar covariates
+    (N, p), (N,); a shape other than the model's raises DataError."""
+    check_shape("scores", scores, ("N", 2, model.j_mats.shape[1]))
+    check_shape("scalars", scalars, (len(scores), model.b1.size))
+    return _prob(_eta(model, scalars, _functional_design(scores, model.j_mats)))
 
 
 def functional_coefficient(model: ClassifierModel, coordinate: int, times) -> np.ndarray:
@@ -531,11 +527,12 @@ def fit_classifier(
     )
 
 
-def scalar_only_prob(model: ClassifierModel, scalars):
-    """Probability from the stored scalar-only logistic refit, for (p,) or per row of (N, p)."""
-    v = np.atleast_1d(np.asarray(scalars, dtype=float))
-    pi = _prob(model.scalar_b[0] + np.einsum("...p,p->...", v, model.scalar_b[1:]))
-    return float(pi) if v.ndim == 1 else pi
+def scalar_only_prob(model: ClassifierModel, scalars) -> np.ndarray:
+    """Probability from the stored scalar-only logistic refit per row of
+    covariates (N, p), (N,); a p other than the model's raises DataError."""
+    v = np.asarray(scalars, dtype=float)
+    check_shape("scalars", v, ("N", model.b1.size))
+    return _prob(model.scalar_b[0] + np.einsum("np,p->n", v, model.scalar_b[1:]))
 
 
 # ---------------------------------------------------------------------------

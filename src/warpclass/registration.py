@@ -18,11 +18,12 @@ average-information matrix).
 The basis-weight step is one GLS pass: each warp and variance state
 gets one set of per-group normal equations (``gls_normals``), from which
 the shared weights, the group deviations and the ridge weight are solved.
-A fit builds the constants of its distinct observation grids once
-(``GridTable``): the warp's Hermite weights and the variance stacks.
-Each variance state's factors of I + S (``GlsContext``) are those the
-variance step's accepted likelihood evaluation formed, so only a fit's
-first state evaluates the curve kernel grid by grid and factors it.
+A fit builds the constants of its distinct observation grids once, in one
+``GridTable`` that no step changes: the warp's Hermite weights and the
+variance stacks.  A variance step returns, with its parameters, each
+grid's factor of I + S from their likelihood evaluation, and the next
+``GlsContext`` takes them, so only a fit's first state evaluates the curve
+kernel grid by grid and factors it (``GridTable.factors``).
 A warp problem is assembled from parts built once where they are fixed:
 per fit and per variance state in ``GlsContext``, per group in each warp
 step.  It holds many subjects of one group, laid out per observation
@@ -220,10 +221,9 @@ class GridTable:
     and ``weights``, their ``_grid_weights``.  ``stacks``, the variance
     likelihood's (``fit_variance``): grids of one length with the same number
     of subjects, at most ``_STACK_BYTES`` per n x n array, each with its
-    grids' bytes and the grids as one (grids, n) array.  ``kept``, a curve
-    kernel and each grid's factor of I + S under it from a variance step's
-    accepted evaluation, until the next ``GlsContext`` takes them
-    (``factors``).
+    grids' bytes and the grids as one (grids, n) array.  Nothing is assigned
+    after ``__init__``: ``fit_registration`` builds one per fit, and its
+    steps read it.
     """
 
     def __init__(self, panel: CurvePanel, anchors):
@@ -248,17 +248,10 @@ class GridTable:
                 part = keys[start : start + size]
                 grids = np.array([self.times[key] for key in part])
                 self.stacks[n, 2 * n_subj, start // size] = (part, grids)
-        self.kept = None
 
     def factors(self, curve_cov: MaternParams) -> dict:
-        """Each grid's factor of I + S under ``curve_cov``, by the grid's bytes.
-
-        The kept factors if they are under ``curve_cov`` (the table lets go
-        of them either way), else one ``matern_cov`` and ``CholFactor`` per grid.
-        """
-        kept, self.kept = self.kept, None
-        if kept is not None and kept[0] == curve_cov:
-            return kept[1]
+        """Each grid's factor of I + S under ``curve_cov``, by the grid's bytes: one
+        ``matern_cov`` and ``CholFactor`` per grid, for a fit's first ``GlsContext``."""
         return {key: _curve_factor(matern_cov(curve_cov, t)) for key, t in self.times.items()}
 
 
@@ -274,21 +267,20 @@ class GlsContext:
     """Everything static across one variance state.
 
     Per distinct observation grid, in ``grids`` by the grid's bytes, its
-    factor of I + S and the Hermite weights of the fit's ``GridTable``
-    (built here without one), with each subject's factor in ``s_factors``;
-    and the warp-prior rows ``prior_rows`` of the warp covariance H
-    (``_prior_rows``).  The factors are those the variance step kept
-    (``GridTable.factors``), so only a fit's first context factors.
+    factor of I + S under ``var.curve_cov`` from ``factors`` (by the grid's
+    bytes) and the Hermite weights of the fit's ``table``, with each
+    subject's factor in ``s_factors``; and the warp-prior rows
+    ``prior_rows`` of the warp covariance H (``_prior_rows``).  A fit's
+    first context takes ``table.factors``, each later one the factors its
+    variance step returns (``fit_variance``), so only the first factors.
     """
 
     def __init__(
-        self, panel: CurvePanel, basis: BSplineBasis, anchors, var: VarianceParams,
-        table: GridTable | None = None,
+        self, panel: CurvePanel, basis: BSplineBasis, var: VarianceParams, table: GridTable,
+        factors: dict,
     ):
         self.basis = basis
-        table = GridTable(panel, anchors) if table is None else table
         self.prior_rows = _prior_rows(var.warp_cov, table.anchors)
-        factors = table.factors(var.curve_cov)
         self.grids = {key: (factors[key], weights) for key, weights in table.weights.items()}
         self.s_factors = {c.subject_id: factors[c.times.tobytes()] for c in panel.curves}
 
@@ -304,8 +296,8 @@ def _prior_rows(warp_cov: MaternParams, anchors) -> np.ndarray:
     return np.sqrt(2.0) * h_factor.half_solve(np.eye(h_factor.n))
 
 
-def build_context(panel, basis, anchors, var, table: GridTable | None = None) -> GlsContext:
-    return GlsContext(panel, basis, anchors, var, table)
+def build_context(panel, basis, var, table: GridTable, factors: dict) -> GlsContext:
+    return GlsContext(panel, basis, var, table, factors)
 
 
 def warp_design(panel: CurvePanel, warps: WarpState, basis: BSplineBasis) -> dict:
@@ -891,7 +883,7 @@ def build_linearization(
     means: MeanWeights,
     warps: WarpState,
     basis: BSplineBasis,
-    table: GridTable | None = None,
+    table: GridTable,
 ) -> tuple[dict, dict, dict]:
     """First-order expansion of the fitted curves in the random warp offsets.
 
@@ -899,11 +891,10 @@ def build_linearization(
     the interior anchor offsets (2, n, n_int), and the current offsets.
     Both come from ``subject_warp_residuals`` on zero data without
     whitening, where the residual is minus the fitted curves: one call per
-    group, with the Hermite weights of the fit's ``GridTable`` (built here
-    when ``table`` is None).  The residuals' second-order term is not used.
+    group, with the Hermite weights of the fit's ``table``.  The residuals'
+    second-order term is not used.
     """
     anchors = warps.anchors
-    table = GridTable(panel, anchors) if table is None else table
 
     def grid_parts(times):
         return None, table.weights[times.tobytes()]
@@ -1192,10 +1183,9 @@ def fit_variance(
     jac: dict,
     w0: dict,
     var_init: VarianceParams,
-    anchors,
+    table: GridTable,
     maxiter: int = DEFAULT_VARIANCE_MAXITER,
-    table: GridTable | None = None,
-) -> tuple[VarianceParams, tuple, int]:
+) -> tuple[VarianceParams, tuple, int, dict]:
     """Maximize the profiled likelihood over the four covariance parameters.
 
     Projected Newton steps (``_projected_newton``) in log space over
@@ -1205,21 +1195,20 @@ def fit_variance(
     curvature, and at most ``maxiter`` iterations.  The two
     smoothness orders stay fixed and the noise variance is profiled out in
     closed form.  The residuals and Jacobians are gathered once per call
-    into the stacks of the fit's ``GridTable`` (built here when ``table`` is
-    None), each grid's [r, B] blocks (subjects x 2 coordinates) in panel
-    order; an evaluation makes one kernel evaluation (``matern_cov`` on the
-    stack's grids, with its slope) and one batched factorization per stack.
-    The start is data-driven and projected into the box.  Returns the updated
-    parameters, the (initial, final) log likelihood and the number of
-    likelihood evaluations.  The table keeps the last accepted
-    evaluation's factor of I + S per grid, under the returned curve kernel
-    (``GridTable.kept``); the start's are never kept, and a rejected
-    trial's are dropped before the next evaluation.  A stop short of
-    convergence (at ``maxiter`` or when no step along the Newton direction
-    raises the likelihood) is logged, and so is each parameter that ends
-    on its box bound.
+    into the stacks of the fit's ``table``, each grid's [r, B] blocks
+    (subjects x 2 coordinates) in panel order, on the table's anchors; an
+    evaluation makes one kernel evaluation (``matern_cov`` on the stack's
+    grids, with its slope) and one batched factorization per stack.  The
+    start is data-driven and projected into the box.  Returns the updated
+    parameters, the (initial, final) log likelihood, the number of
+    likelihood evaluations, and each grid's factor of I + S under the
+    returned curve kernel, by the grid's bytes: those of the evaluation of
+    the returned parameters (the start's when no step is accepted), as
+    ``chol_factors`` keeps them.  A rejected trial's factors are dropped
+    before the next evaluation.  A stop short of convergence (at ``maxiter``
+    or when no step along the Newton direction raises the likelihood) is
+    logged, and so is each parameter that ends on its box bound.
     """
-    table = GridTable(panel, anchors) if table is None else table
     by_grid, resid = {}, {}
     for curve in panel.curves:
         sid = curve.subject_id
@@ -1246,15 +1235,15 @@ def fit_variance(
     )
     x0 = np.clip(x0, _LOG_LO, _LOG_HI)
 
-    def evaluate(log_params, keep=True):
-        grad, ai, factors = np.empty(4), np.empty((4, 4)), {} if keep else None
+    def evaluate(log_params):
+        grad, ai, factors = np.empty(4), np.empty((4, 4)), {}
         value, sigma2 = _variance_negloglik(
             log_params, smooth_curve, smooth_warp, grids, blocks, table.anchors, grad,
             ai=ai, factors=factors,
         )
         return value, grad, ai, sigma2, factors
 
-    start = evaluate(x0, keep=False)
+    start = evaluate(x0)
     if start[0] >= _BIG:
         raise NumericalError("variance likelihood is not finite at the initial point")
     best, point, n_iter, n_evals, short = _projected_newton(evaluate, x0, start, maxiter)
@@ -1268,11 +1257,10 @@ def fit_variance(
     curve_cov = replace(var_init.curve_cov, amplitude=amp_s, length_scale=rg_s)
     warp_cov = replace(var_init.warp_cov, amplitude=amp_h, length_scale=rg_h)
     out = VarianceParams(float(np.sqrt(point[3])), curve_cov, warp_cov)
-    kept = {}
-    for key, (low, jitters) in (point[4] or {}).items():
-        kept.update(zip(table.stacks[key][0], chol_factors(low, jitters)))
-    table.kept = (curve_cov, kept) if kept else None
-    return out, (-start[0], -point[0]), 1 + n_evals
+    factors = {}
+    for key, (low, jitters) in point[4].items():
+        factors.update(zip(table.stacks[key][0], chol_factors(low, jitters)))
+    return out, (-start[0], -point[0]), 1 + n_evals, factors
 
 
 # ---------------------------------------------------------------------------
@@ -1303,7 +1291,7 @@ class RegistrationConfig:
     n_align_grid: int = 101
 
     def __post_init__(self):
-        # BSplineBasis.uniform and GlsContext check the ranges of the basis
+        # BSplineBasis.uniform and GridTable check the ranges of the basis
         # sizes and the anchors when the fit starts; only their types here.
         check_int("n_interior_knots", self.n_interior_knots)
         check_int("spline_order", self.spline_order)
@@ -1447,7 +1435,7 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
     var = cfg.initial_variance()
     warps = WarpState.identity(anchors, group_of)
     table = GridTable(panel, anchors)
-    ctx = build_context(panel, basis, anchors, var, table)
+    ctx = build_context(panel, basis, var, table, table.factors(var.curve_cov))
     designs = warp_design(panel, warps, basis)
     normals = gls_normals(panel, warps, ctx, designs)
 
@@ -1456,11 +1444,11 @@ def fit_registration(panel: CurvePanel, config: RegistrationConfig | None = None
         nonlocal var, ctx, normals, lam, n_var_evals
         fitted, jac, w0 = build_linearization(panel, means, warps, basis, table)
         ctx = None  # its factors go before the variance step makes its own
-        var, _, n_step = fit_variance(
-            panel, fitted, jac, w0, var, anchors, cfg.variance_maxiter, table
+        var, _, n_step, factors = fit_variance(
+            panel, fitted, jac, w0, var, table, cfg.variance_maxiter
         )
         n_var_evals += n_step
-        ctx = build_context(panel, basis, anchors, var, table)
+        ctx = build_context(panel, basis, var, table, factors)
         normals = gls_normals(panel, warps, ctx, designs)
         lam = estimate_ridge(normals, means.shared, var.noise_sd)
 
@@ -1597,25 +1585,23 @@ def _held_out_group(warp_cov: MaternParams, anchor_bytes: bytes, basis, coef_byt
 def fit_subject_warp(curves, fit: RegistrationFit, label: int) -> tuple:
     """Fit the warps of subjects not in the training fit under class ``label``.
 
-    ``curves`` is one ``SubjectCurve`` or a sequence of S.  The class warp
+    ``curves`` is a sequence of S ``SubjectCurve``.  The class warp
     and all model parameters stay at their fitted values; only each
     subject's interior anchor offsets are optimized, from zero, the S
     subjects as one ``WarpProblem`` by one lock-step call of the warp
     step's solver (about four residual evaluations per subject, at most
     ``fit.config.warp_maxfun``), in which each takes the steps it would
     take alone.  Returns the ordinates at the anchors (the class warp plus
-    the offsets), (S, n_w), and whether each solve converged, (S,); one
-    curve gives (n_w,) and a bool.  They strictly increase: the class warp
-    does (``RegistrationFit``), and the solver accepts only increasing
-    points.  A kernel that cannot be factored raises NumericalError.
+    the offsets), (S, n_w), and whether each solve converged, (S,).  They
+    strictly increase: the class warp does (``RegistrationFit``), and the
+    solver accepts only increasing points.  A kernel that cannot be
+    factored raises NumericalError.
 
     The problem's fixed parts are cached by the values they are built from,
     not on the fit: each grid's (``_held_out_grid``) and the group's
     (``_held_out_group``).  A hit gives the parts a miss would build, so
     the offsets do not depend on what any fit predicted before.
     """
-    single = isinstance(curves, SubjectCurve)
-    curves = [curves] if single else list(curves)
     anchors = fit.warps.anchors
     if label not in fit.warps.group_offsets:
         raise DataError(f"unknown group label {label!r}")
@@ -1635,5 +1621,4 @@ def fit_subject_warp(curves, fit: RegistrationFit, label: int) -> tuple:
     )
     offsets = np.zeros((len(curves), len(anchors)))
     offsets[:, 1:-1] = u
-    ords = class_warp + offsets
-    return (ords[0], bool(converged[0])) if single else (ords, converged)
+    return class_warp + offsets, converged

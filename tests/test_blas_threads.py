@@ -73,8 +73,8 @@ import numpy as np
 from warpclass.basis import BSplineBasis
 from warpclass.curves import CurvePanel, SubjectCurve
 from warpclass.registration import (
-    MeanWeights, RegistrationConfig, WarpState, build_context, estimate_c, estimate_d,
-    fit_warps, gls_normals, warp_design,
+    GridTable, MeanWeights, RegistrationConfig, WarpState, build_context, estimate_c,
+    estimate_d, fit_warps, gls_normals, warp_design,
 )
 from warpclass.simeval import Study2Config, simulate_study2
 cfg = RegistrationConfig()
@@ -83,7 +83,8 @@ anchors = np.asarray(cfg.warp_anchors)
 
 def step(panel):
     warps = WarpState.identity(anchors, panel.group_of)
-    ctx = build_context(panel, basis, anchors, cfg.initial_variance())
+    var, table = cfg.initial_variance(), GridTable(panel, anchors)
+    ctx = build_context(panel, basis, var, table, table.factors(var.curve_cov))
     normals = gls_normals(panel, warps, ctx, warp_design(panel, warps, basis))
     shared = estimate_c(normals, {k: np.zeros((2, basis.size)) for k in (0, 1)})
     deviations, shared = estimate_d(normals, shared, 1.0)

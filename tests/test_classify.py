@@ -151,8 +151,8 @@ def test_a_curves_scores_do_not_depend_on_its_stack():
                           mean=rng.standard_normal(101))
     values = rng.standard_normal((300, 101))
     stacked = project_scores(values, fpca)
-    for i, row in enumerate(values):
-        assert project_scores(row, fpca).tobytes() == stacked[i].tobytes(), i
+    for i in range(len(values)):
+        assert project_scores(values[i : i + 1], fpca).tobytes() == stacked[i].tobytes(), i
     for rows in (rng.permutation(300)[:60], [7], [7, 7, 3]):
         assert project_scores(values[rows], fpca).tobytes() == stacked[rows].tobytes()
 
@@ -167,8 +167,8 @@ def test_a_subjects_probability_does_not_depend_on_its_rows():
     scores, v = rng.standard_normal((300, 2, 18)), rng.standard_normal((300, 3))
     pi, start = classify_prob(model, scores, v), scalar_only_prob(model, v)
     for i in range(300):
-        assert classify_prob(model, scores[i], v[i]) == pi[i]
-        assert scalar_only_prob(model, v[i]) == start[i]
+        assert classify_prob(model, scores[i : i + 1], v[i : i + 1]) == pi[i]
+        assert scalar_only_prob(model, v[i : i + 1]) == start[i]
     rows = rng.permutation(300)[:40]
     assert classify_prob(model, scores[rows], v[rows]).tobytes() == pi[rows].tobytes()
 
@@ -195,10 +195,11 @@ def test_project_scores_recovers_coordinates():
     curves = mean + c @ funcs.T
     got = project_scores(curves, fpca)
     assert np.max(np.abs(got - c)) < 1e-8
-    single = project_scores(curves[0], fpca)
-    assert single.shape == (4,)
-    assert np.max(np.abs(single - c[0])) < 1e-8
-    with pytest.raises(DataError, match="grid"):
+    # a panel only: one curve is a panel of one
+    assert project_scores(curves[:1], fpca).tobytes() == got[:1].tobytes()
+    with pytest.raises(DataError, match=r"values has shape \(41,\), expected \(N, 41\)"):
+        project_scores(curves[0], fpca)
+    with pytest.raises(DataError, match=r"values has shape \(3, 40\), expected \(N, 41\)"):
         project_scores(curves[:, :-1], fpca)
 
 
@@ -554,7 +555,7 @@ def test_classify_prob_round_trips_the_logit():
     )
     scores = rng.standard_normal((2, 4))
     v = np.array([0.3, -1.1])
-    pi = classify_prob(model, scores, v)
+    (pi,) = classify_prob(model, scores[None], v[None])
     eta = model.b0 + v @ model.b1
     eta += scores[0] @ model.j_mats[0] @ model.e[0]
     eta += scores[1] @ model.j_mats[1] @ model.e[1]
@@ -580,12 +581,30 @@ def test_prediction_result_validates_probability():
 def test_scalar_only_prob_requires_refit():
     scalar_b = np.array([0.3, -1.2])
     model = _model(np.zeros(1), np.zeros((2, 2)), np.zeros((2, 3, 2)), scalar_b=scalar_b)
-    pi = scalar_only_prob(model, np.array([0.5]))
+    (pi,) = scalar_only_prob(model, np.array([[0.5]]))
     assert abs(np.log(pi / (1 - pi)) - (0.3 - 0.6)) < 1e-12
     payload = model.to_dict()
     del payload["scalar_b"]
     with pytest.raises(DataError, match="model.scalar_b is missing"):
         ClassifierModel.from_dict(payload)
+
+
+def test_scores_and_covariates_of_another_shape_raise():
+    # a model with p = 1 and k_x = 3: four covariates for two subjects, or
+    # two per subject, must not broadcast its one scalar coefficient
+    model = _model(np.array([0.4]), np.zeros((2, 2)), np.zeros((2, 3, 2)))
+    scores = np.zeros((2, 2, 3))
+    assert classify_prob(model, scores, np.zeros((2, 1))).shape == (2,)
+    assert scalar_only_prob(model, np.zeros((3, 1))).shape == (3,)
+    for bad in (np.zeros(4), np.zeros((2, 2)), np.zeros((3, 1)), np.zeros(2)):
+        with pytest.raises(DataError, match="scalars has shape"):
+            classify_prob(model, scores, bad)
+    for bad in (np.zeros((2, 2, 4)), np.zeros((2, 3)), np.zeros((2, 3, 3))):
+        with pytest.raises(DataError, match="scores has shape"):
+            classify_prob(model, bad, np.zeros((2, 1)))
+    for bad in (np.zeros((3, 2)), np.zeros(3), np.zeros((3, 0))):
+        with pytest.raises(DataError, match="scalars has shape"):
+            scalar_only_prob(model, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +633,8 @@ def test_classifier_model_round_trips_through_json(small_pipeline):
     back = ClassifierModel.from_dict(json.loads(json.dumps(model.to_dict())))
     rng = np.random.default_rng(29)
     for _ in range(5):
-        scores = rng.standard_normal((2, model.j_mats.shape[1]))
-        v = rng.standard_normal(1)
+        scores = rng.standard_normal((1, 2, model.j_mats.shape[1]))
+        v = rng.standard_normal((1, 1))
         assert classify_prob(back, scores, v) == classify_prob(model, scores, v)
         assert scalar_only_prob(back, v) == scalar_only_prob(model, v)
     t = np.linspace(0, 1, 17)
@@ -686,11 +705,12 @@ def _two_alignment_model(reg, model, curve, v, start, etas):
     grid, anchors = model.fpca[0].grid, reg.warps.anchors
     z = []
     for k in (0, 1):
-        ords, ok = fit_subject_warp(curve, reg, k)
+        (ords,), (ok,) = fit_subject_warp([curve], reg, k)
         assert ok
         aligned = align_single(curve, anchors, ords, grid)
         z.append(np.concatenate(
-            [project_scores(aligned[:, a], model.fpca[a]) @ model.j_mats[a] for a in (0, 1)]
+            [project_scores(aligned[None, :, a], model.fpca[a])[0] @ model.j_mats[a]
+             for a in (0, 1)]
         ))
     gap = z[0] - z[1]
     moved = ClassifierModel.from_dict(json.loads(json.dumps(model.to_dict())))
@@ -726,9 +746,9 @@ def _label_loop(reg_fit, model, curve, scalars, max_iter=10):
     reference: alternate label and alignment until the label is stable and
     the probability moves less than 1e-6, or the two labels point at each
     other."""
-    v = np.atleast_1d(np.asarray(scalars, dtype=float))
+    v = np.atleast_1d(np.asarray(scalars, dtype=float))[None]
     grid, anchors = model.fpca[0].grid, reg_fit.warps.anchors
-    pi = scalar_only_prob(model, v)
+    (pi,) = scalar_only_prob(model, v)
     label = int(pi >= 0.5)
     cache = {}
     degraded = converged = False
@@ -737,12 +757,12 @@ def _label_loop(reg_fit, model, curve, scalars, max_iter=10):
     for _ in range(max_iter):
         iterations += 1
         if label not in cache:
-            ords, ok = classify.fit_subject_warp(curve, reg_fit, label)
+            (ords,), (ok,) = classify.fit_subject_warp([curve], reg_fit, label)
             if not ok:
                 degraded = True
             aligned = align_single(curve, anchors, ords, grid)
-            cache[label] = classify._score_panel(aligned[None], model.fpca)[0]
-        pi = classify_prob(model, cache[label], v)
+            cache[label] = classify._score_panel(aligned[None], model.fpca)
+        (pi,) = classify_prob(model, cache[label], v)
         new_label = int(pi >= 0.5)
         if new_label == label and pi_prev is not None and abs(pi - pi_prev) < 1e-6:
             converged = True
@@ -761,9 +781,9 @@ def _predict_against_the_label_loop(monkeypatch, reg, model, curve, v):
     solved = []
     real_fit = classify.fit_subject_warp
 
-    def counted(curve, fit, label):
+    def counted(curves, fit, label):
         solved.append(label)
-        return real_fit(curve, fit, label)
+        return real_fit(curves, fit, label)
 
     with monkeypatch.context() as m:
         m.setattr(classify, "fit_subject_warp", counted)
@@ -772,7 +792,7 @@ def _predict_against_the_label_loop(monkeypatch, reg, model, curve, v):
         ref = _label_loop(reg, model, curve, v)
     assert (res.pi_hat, res.label, res.converged) == (ref.pi_hat, ref.label, ref.converged)
     assert res.iterations == n_new == len(solved) - n_new
-    start = int(scalar_only_prob(model, v) >= 0.5)
+    start = int(scalar_only_prob(model, v[None])[0] >= 0.5)
     assert solved[:n_new] == [start, 1 - start][:n_new]
     return res, start
 
@@ -821,7 +841,7 @@ def held_out_cases(small_pipeline):
     flipped = ClassifierModel.from_dict(json.loads(json.dumps(model.to_dict())))
     flipped.scalar_b = -flipped.scalar_b
     v0 = held.covariates[0]
-    start = int(scalar_only_prob(model, v0) >= 0.5)
+    start = int(scalar_only_prob(model, v0[None])[0] >= 0.5)
     models = (model, flipped, _cycling_model(reg, model, held.curves[0], v0, start))
     alone = [
         [predict_new(reg, m, c, v) for c, v in zip(held.curves, held.covariates)]
@@ -1026,7 +1046,7 @@ def test_training_half_is_classified_accurately_in_sample(scenario_a_fit):
     )
     pis = np.array(
         [
-            classify_prob(model, scores[i], train.covariates[i])
+            classify_prob(model, scores[i : i + 1], train.covariates[i : i + 1])[0]
             for i in range(train.n_subjects)
         ]
     )

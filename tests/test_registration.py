@@ -23,6 +23,7 @@ from warpclass.gp import CholFactor, MaternParams, matern_cov
 from warpclass.registration import (
     _LOG_HI,
     _LOG_LO,
+    GridTable,
     MeanWeights,
     RegistrationConfig,
     RegistrationFit,
@@ -72,6 +73,17 @@ def _var(curve_amp=1.0, warp_amp=1.0, noise=0.05):
         MaternParams(curve_amp, 0.3, 3.0),
         MaternParams(warp_amp, 0.3, 1.5),
     )
+
+
+def _context(panel, basis, var, anchors=ANCHORS):
+    """A fit's first ``GlsContext`` under ``var``: its grid table and that table's factors."""
+    table = GridTable(panel, anchors)
+    return build_context(panel, basis, var, table, table.factors(var.curve_cov))
+
+
+def _linearization(panel, means, warps, basis):
+    """``build_linearization`` with a grid table of its own."""
+    return build_linearization(panel, means, warps, basis, GridTable(panel, warps.anchors))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +291,7 @@ def _dense_gls_oracle(panel, basis, curve_cov):
 
 def _normals(panel, basis, var, warps):
     """GLS normal equations of ``panel`` under ``warps`` and ``var``."""
-    ctx = build_context(panel, basis, ANCHORS, var)
+    ctx = _context(panel, basis, var)
     return gls_normals(panel, warps, ctx, warp_design(panel, warps, basis))
 
 
@@ -489,7 +501,7 @@ def test_mean_steps_never_increase_the_objective():
     warps = WarpState.identity(ANCHORS, panel.group_of)
     for sid in warps.subject_offsets:
         warps.subject_offsets[sid][1:-1] = rng.uniform(-0.05, 0.05, 2)
-    ctx = build_context(panel, basis, ANCHORS, _var())
+    ctx = _context(panel, basis, _var())
     designs = warp_design(panel, warps, basis)
     normals = gls_normals(panel, warps, ctx, designs)
     lam = 0.3
@@ -527,7 +539,7 @@ def _warp_fixture(rng, offsets_by_sid, warp_amp=100.0, n=60):
         labels[sid] = 0
     panel = _panel_from(curves, labels)
     means = MeanWeights(coef, {0: np.zeros_like(coef)})
-    ctx = build_context(panel, basis, ANCHORS, _var(curve_amp=1e-8, warp_amp=warp_amp))
+    ctx = _context(panel, basis, _var(curve_amp=1e-8, warp_amp=warp_amp))
     return panel, means, ctx
 
 
@@ -665,11 +677,11 @@ def test_the_fit_counts_reverted_warp_steps(monkeypatch):
 
 
 def test_warp_step_parts_are_built_once(monkeypatch):
-    # the context computes Hermite weights once per distinct grid; a warp
+    # the grid table computes Hermite weights once per distinct grid; a warp
     # step builds one mean spline per group and evaluates residuals only
     # inside its solves, once per Levenberg-Marquardt round of each group's
     # two solves (its subjects in lock step, then its offsets), never per
-    # subject; a linearization computes Hermite weights once per distinct grid
+    # subject; a linearization reads the table's weights and computes none
     rng = np.random.default_rng(59)
     basis = BSplineBasis.uniform(4, 4)
     shared = np.linspace(0.0, 1.0, 20)
@@ -693,8 +705,9 @@ def test_warp_step_parts_are_built_once(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(registration, "hermite_weights")
-    ctx = build_context(panel, basis, ANCHORS, _var())
+    table, var = GridTable(panel, ANCHORS), _var()
     assert calls["hermite_weights"] == 2
+    ctx = build_context(panel, basis, var, table, table.factors(var.curve_cov))
 
     original_solve = registration._levenberg_marquardt
     solves = []  # per solve: the batch size and the residual calls of each round
@@ -730,9 +743,8 @@ def test_warp_step_parts_are_built_once(monkeypatch):
     assert calls["subject_warp_residuals"] == sum(len(rounds) for _, rounds in solves)
     assert all(rounds == [1] * len(rounds) for _, rounds in solves)
 
-    calls["hermite_weights"] = 0
-    build_linearization(panel, means, warps, basis)
-    assert calls["hermite_weights"] == 2
+    build_linearization(panel, means, warps, basis, table)
+    assert calls["hermite_weights"] == 0
 
 
 def _jittered_two_length_panel():
@@ -773,8 +785,8 @@ def test_a_fit_builds_its_grid_constants_once_and_reuses_each_variance_steps_fac
         (kernels if np.ndim(grid) == 1 else stacked).append(np.shape(grid))
         return matern(params, grid, **slope)
 
-    def recorded(panel, basis, anchors, var, *table):
-        contexts.append((var, build(panel, basis, anchors, var, *table)))
+    def recorded(panel, basis, var, table, factors):
+        contexts.append((var, build(panel, basis, var, table, factors)))
         return contexts[-1][1]
 
     monkeypatch.setattr(registration, "hermite_weights", counted_hermite)
@@ -798,6 +810,32 @@ def test_a_fit_builds_its_grid_constants_once_and_reuses_each_variance_steps_fac
             assert got.jitter == want.jitter
 
 
+@pytest.mark.parametrize("steps", [True, False])
+def test_fit_variance_returns_each_grids_factor_under_its_curve_kernel(monkeypatch, steps):
+    # the factors of the evaluation of the returned parameters: an accepted
+    # Newton step's, or the start's where the solver stops at once; each has
+    # the bytes, order and jitter of a fresh factor of its grid
+    panel, fitted, jac, w0 = _stacked_grid_panel(range(6))
+    if not steps:
+        monkeypatch.setattr(
+            registration, "_projected_newton", lambda evaluate, x, point, maxiter: (
+                x, point, 0, 0, None
+            ),
+        )
+    table = GridTable(panel, ANCHORS)
+    var, (ll0, ll1), n_evals, factors = fit_variance(
+        panel, fitted, jac, w0, _var(), table, maxiter=5
+    )
+    assert (ll1 > ll0, n_evals > 1) == (steps, steps)
+    assert sorted(factors) == sorted(table.times)
+    for key, t in table.times.items():
+        want = CholFactor(np.eye(len(t)) + matern_cov(var.curve_cov, t))
+        got = factors[key]
+        assert got._low.flags.f_contiguous and want._low.flags.f_contiguous
+        assert got._low.tobytes(order="A") == want._low.tobytes(order="A")
+        assert got.jitter == want.jitter
+
+
 # ---------------------------------------------------------------------------
 # Linearization of the fitted curves in the warp offsets.
 
@@ -808,7 +846,7 @@ def test_linearization_is_zero_for_zero_means():
     panel = _panel_from({"s1": (t, np.ones((12, 2)))}, {"s1": 0})
     warps = WarpState.identity(ANCHORS, {"s1": 0})
     means = MeanWeights(np.zeros((2, basis.size)), {0: np.zeros((2, basis.size))})
-    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+    fitted, jac, w0 = _linearization(panel, means, warps, basis)
     assert np.max(np.abs(fitted["s1"])) == 0.0
     assert np.max(np.abs(jac["s1"])) == 0.0
     assert jac["s1"].shape == (2, 12, 2)
@@ -829,7 +867,7 @@ def test_linearization_jacobian_matches_composed_fd_oracle():
     warps = WarpState.identity(ANCHORS, {"s1": 0})
     warps.subject_offsets["s1"][1:-1] = np.array([0.04, -0.03])
     means = MeanWeights(coef, {0: np.zeros_like(coef)})
-    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+    fitted, jac, w0 = _linearization(panel, means, warps, basis)
     assert np.array_equal(w0["s1"], [0.04, -0.03])
 
     # oracle: central difference of the whole map offset -> fitted curve
@@ -880,8 +918,9 @@ def test_fit_variance_recovers_noise_scale():
     estimates = []
     for seed in (61, 67, 71):
         panel, means, warps, basis = _variance_fixture(seed)
-        fitted, jac, w0 = build_linearization(panel, means, warps, basis)
-        var, (ll0, ll1), _ = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=80)
+        fitted, jac, w0 = _linearization(panel, means, warps, basis)
+        table = GridTable(panel, ANCHORS)
+        var, (ll0, ll1), _, _ = fit_variance(panel, fitted, jac, w0, _var(), table, maxiter=80)
         assert ll1 >= ll0 - 1e-9
         estimates.append(var.noise_sd)
     assert 0.01 <= float(np.median(estimates)) <= 0.04
@@ -890,9 +929,11 @@ def test_fit_variance_recovers_noise_scale():
 def test_fit_variance_noise_is_the_dense_profiled_estimate(caplog):
     # the Woodbury likelihood's noise variance against explicit covariances
     panel, means, warps, basis = _variance_fixture(73)
-    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+    fitted, jac, w0 = _linearization(panel, means, warps, basis)
     with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
-        var, _, _ = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=80)
+        var, _, _, _ = fit_variance(
+            panel, fitted, jac, w0, _var(), GridTable(panel, ANCHORS), maxiter=80
+        )
     h_mat = matern_cov(var.warp_cov, ANCHORS[1:-1])
     quad, n_tot = 0.0, 0
     for c in panel.curves:
@@ -950,7 +991,7 @@ def _panel_on_grids(grids, order, rng):
     panel = _panel_from({sid: data[i] for sid, i in sids.items()}, {sid: 0 for sid in sids})
     warps = WarpState.identity(ANCHORS, {sid: 0 for sid in sids})
     warps.subject_offsets.update({sid: offsets[i] for sid, i in sids.items()})
-    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+    fitted, jac, w0 = _linearization(panel, means, warps, basis)
     return panel, fitted, jac, w0
 
 
@@ -966,7 +1007,7 @@ def _likelihood_args(monkeypatch, panel, fitted, jac, w0):
 
     with monkeypatch.context() as patch:
         patch.setattr(registration, "_variance_negloglik", recorded)
-        fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=1)
+        fit_variance(panel, fitted, jac, w0, _var(), GridTable(panel, ANCHORS), maxiter=1)
     return seen[0]
 
 
@@ -1144,7 +1185,8 @@ def test_every_cholesky_factor_is_formed_by_one_routine(monkeypatch, caplog):
     # evaluation, and the Newton step's curvature (at most 4 x 4)
     formed.clear()
     panel, fitted, jac, w0 = _stacked_grid_panel(range(6))
-    evaluations = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=1)[2]
+    table = GridTable(panel, ANCHORS)
+    evaluations = fit_variance(panel, fitted, jac, w0, _var(), table, maxiter=1)[2]
     per_evaluation = [(len(ANCHORS) - 2,) * 2, (3, 24, 24), (1, 16, 16), (1, 16, 16)]
     newton = formed.pop(len(per_evaluation))
     assert len(newton) == 2 and newton[0] == newton[1] <= 4
@@ -1177,13 +1219,13 @@ def _threads_of_a_variance_step(monkeypatch, panel, fitted, jac, w0) -> tuple:
 
     monkeypatch.setattr(registration, "matern_cov", recorded)
     before = threading.active_count()
-    fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=3)
+    fit_variance(panel, fitted, jac, w0, _var(), GridTable(panel, ANCHORS), maxiter=3)
     return seen, before, threading.active_count()
 
 
 def test_a_one_stack_panel_starts_no_thread(monkeypatch):
     panel, means, warps, basis = _variance_fixture(73)
-    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+    fitted, jac, w0 = _linearization(panel, means, warps, basis)
     seen, before, after = _threads_of_a_variance_step(monkeypatch, panel, fitted, jac, w0)
     assert seen and set(seen) == {(True, before)}
     assert after == before
@@ -1341,12 +1383,13 @@ def test_the_likelihood_never_falls_across_newton_iterations(monkeypatch, panel)
     # each run stops after its maxiter-th iteration, where a longer run passes
     if panel == "fixture":
         fixture, means, warps, basis = _variance_fixture(61)
-        args = (fixture, *build_linearization(fixture, means, warps, basis), _var(), ANCHORS)
+        table = GridTable(fixture, ANCHORS)
+        args = (fixture, *build_linearization(fixture, means, warps, basis, table), _var(), table)
     else:
         args = _noiseless_variance_args(monkeypatch)
     logliks, start = [], None
     for maxiter in range(1, 13):
-        _, (ll0, ll1), _ = fit_variance(*args, maxiter=maxiter)
+        _, (ll0, ll1), _, _ = fit_variance(*args, maxiter=maxiter)
         assert start is None or ll0 == start
         start = ll0
         logliks.append(ll1)
@@ -1359,7 +1402,7 @@ def test_a_parameter_on_a_bound_with_an_outward_gradient_stays_there(monkeypatch
     # where the likelihood still rises outwards: no later point leaves it
     args = _noiseless_variance_args(monkeypatch)
     seen = _evaluated_points(monkeypatch)
-    var, _, n_evals = fit_variance(*args, maxiter=40)
+    var, _, n_evals, _ = fit_variance(*args, maxiter=40)
     assert len(seen) == n_evals
     assert var.curve_cov.amplitude == pytest.approx(1e3, rel=1e-12)
     current, pinned = seen[0], 0
@@ -1447,9 +1490,9 @@ def _recorded_solves(monkeypatch) -> list:
 def test_fit_variance_logs_a_short_stop(monkeypatch, caplog):
     solves = _recorded_solves(monkeypatch)
     panel, means, warps, basis = _variance_fixture(73)
-    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
+    fitted, jac, w0 = _linearization(panel, means, warps, basis)
     with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
-        fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=1)
+        fit_variance(panel, fitted, jac, w0, _var(), GridTable(panel, ANCHORS), maxiter=1)
     ((_, (_, _, n_iter, _, short)),) = solves
     assert short == "iteration cap reached" and n_iter == 1  # the iteration cap
     short = [r.getMessage() for r in caplog.records if "stopped short" in r.getMessage()]
@@ -1461,8 +1504,9 @@ def test_fit_variance_obeys_its_iteration_cap(monkeypatch, maxiter):
     solves = _recorded_solves(monkeypatch)
     seen = _evaluated_points(monkeypatch)
     panel, means, warps, basis = _variance_fixture(61)
-    fitted, jac, w0 = build_linearization(panel, means, warps, basis)
-    _, _, n_evals = fit_variance(panel, fitted, jac, w0, _var(), ANCHORS, maxiter=maxiter)
+    fitted, jac, w0 = _linearization(panel, means, warps, basis)
+    table = GridTable(panel, ANCHORS)
+    _, _, n_evals, _ = fit_variance(panel, fitted, jac, w0, _var(), table, maxiter=maxiter)
     assert len(solves) == 1
     _, (_, _, n_iter, solver_evals, _) = solves[0]
     assert 1 <= n_iter <= maxiter
@@ -1707,7 +1751,7 @@ def test_ridge_weight_without_noise_leaves_the_deviations_unshrunk():
     payload = json.loads(json.dumps(fit.to_dict()))
     back = RegistrationFit.from_dict(payload)
     assert back.ridge_lambda == lam
-    ctx = build_context(panel, back.basis, back.warps.anchors, back.var)
+    ctx = _context(panel, back.basis, back.var, back.warps.anchors)
     designs = warp_design(panel, back.warps, back.basis)
     normals = gls_normals(panel, back.warps, ctx, designs)
     assert 0.0 < estimate_ridge(normals, back.means.shared, back.var.noise_sd) < 1e-6
@@ -1912,7 +1956,7 @@ def _warped_curve(fit, off):
 def test_fit_subject_warp_recovers_known_offsets():
     fit = _handmade_fit()
     off = np.array([0.0, 0.05, -0.04, 0.0])
-    got, ok = fit_subject_warp(_warped_curve(fit, off), fit, label=0)
+    (got,), (ok,) = fit_subject_warp([_warped_curve(fit, off)], fit, label=0)
     assert ok
     assert np.max(np.abs(got - (ANCHORS + off))) < 5e-3
 
@@ -1922,10 +1966,10 @@ def test_fit_subject_warp_obeys_the_fits_warp_maxfun():
     curve = _warped_curve(fit, np.array([0.0, 0.05, -0.04, 0.0]))
     capped = replace(fit, config=replace(fit.config, warp_maxfun=1))
     # one residual evaluation is the start itself: no step can be taken
-    got, ok = fit_subject_warp(curve, capped, label=0)
+    (got,), (ok,) = fit_subject_warp([curve], capped, label=0)
     assert not ok
     assert np.array_equal(got, ANCHORS)
-    assert fit_subject_warp(curve, fit, label=0)[1]
+    assert fit_subject_warp([curve], fit, label=0)[1][0]
 
 
 def test_fit_subject_warp_identity_for_unwarped_curve():
@@ -1933,7 +1977,7 @@ def test_fit_subject_warp_identity_for_unwarped_curve():
     t = np.linspace(0, 1, 60)
     spl = [fit.basis.spline(fit.means.coef(a, 1)) for a in (0, 1)]
     curve = SubjectCurve("new", t, np.column_stack([spl[0](t), spl[1](t)]))
-    got, ok = fit_subject_warp(curve, fit, label=1)
+    (got,), (ok,) = fit_subject_warp([curve], fit, label=1)
     assert ok
     assert np.max(np.abs(got - ANCHORS)) < 1e-3
 
@@ -1951,7 +1995,7 @@ def test_fit_subject_warp_raises_where_a_kernel_cannot_be_factored(monkeypatch, 
     # a grid already cached by another prediction would never reach the patch
     registration._held_out_grid.cache_clear()
     with caplog.at_level(logging.WARNING, logger="warpclass.registration"):
-        for curves in (curve, [curve, curve]):
+        for curves in ([curve], [curve, curve]):
             with pytest.raises(NumericalError, match="matrix not positive definite"):
                 fit_subject_warp(curves, fit, label=0)
     assert caplog.records == []
@@ -1962,4 +2006,4 @@ def test_fit_subject_warp_rejects_unknown_label():
     t = np.linspace(0, 1, 20)
     curve = SubjectCurve("new", t, np.zeros((20, 2)))
     with pytest.raises(DataError, match="unknown group"):
-        fit_subject_warp(curve, fit, label=7)
+        fit_subject_warp([curve], fit, label=7)

@@ -19,6 +19,7 @@ from warpclass.registration import (
     RegistrationConfig,
     RegistrationFit,
     VarianceParams,
+    GridTable,
     WarpProblem,
     WarpState,
     _grid_weights,
@@ -252,7 +253,8 @@ def test_residual_norm_equals_the_subjects_objective_term():
     warps.group_offsets[0][1:-1] = [0.02, -0.01]
     warps.subject_offsets["s1"][1:-1] = [0.03, 0.015]
     means = MeanWeights(coefs, {0: 0.1 * rng.standard_normal(coefs.shape)})
-    ctx = build_context(panel, basis, ANCHORS, _var())
+    table, var = GridTable(panel, ANCHORS), _var()
+    ctx = build_context(panel, basis, var, table, table.factors(var.curve_cov))
     designs = warp_design(panel, warps, basis)
     want = penalized_objective(panel, means, warps, ctx, ridge_lambda=0.0, designs=designs)
 
@@ -711,6 +713,12 @@ def _objective(fit, curve, label, ords):
     return float(np.sum(z * z)) + 2.0 * float(w @ w)
 
 
+def _fit_one(curve, fit, label):
+    """``fit_subject_warp`` on a panel of one: the ordinates and whether the solve converged."""
+    (ords,), (ok,) = fit_subject_warp([curve], fit, label)
+    return ords, ok
+
+
 def test_fit_subject_warp_is_monotone_and_never_worse_than_the_start():
     fit = _fit({0: [0.03, -0.02], 1: [-0.05, 0.04]})
     # a shared 50-point grid, a 4-point one, and jittered 50-point grids
@@ -718,7 +726,7 @@ def test_fit_subject_warp_is_monotone_and_never_worse_than_the_start():
         n_converged = 0
         for curve, label in _subjects(fit, 12, seed=11, jitter=jitter, n_obs=n_obs):
             for k in (label, 1 - label):  # predict_new also tries the other label
-                ords, ok = fit_subject_warp(curve, fit, k)
+                ords, ok = _fit_one(curve, fit, k)
                 assert np.all(np.diff(ords) > 0)
                 assert ords[0] == 0.0 and ords[-1] == 1.0
                 before = _objective(fit, curve, k, ANCHORS + fit.warps.group_offsets[k])
@@ -743,7 +751,7 @@ def test_held_out_warp_solves_take_few_residual_evaluations(monkeypatch):
     n_solves = 0
     for curve in test.curves:
         for label in (0, 1):
-            fit_subject_warp(curve, fit, label)
+            _fit_one(curve, fit, label)
             n_solves += 1
     assert sum(evaluated) / n_solves <= 4.5
 
@@ -754,10 +762,10 @@ def test_fit_subject_warp_is_identical_with_a_cold_or_warm_factor_cache():
     cold = []
     for curve, label in subjects:
         _clear_held_out_caches()
-        cold.append(fit_subject_warp(curve, fit, label))
+        cold.append(_fit_one(curve, fit, label))
     # the shared grid hits after its first subject; the 20 jittered grids
     # miss, and overflow the cache so that it drops its oldest entries
-    warm = [fit_subject_warp(curve, fit, label) for curve, label in subjects]
+    warm = [_fit_one(curve, fit, label) for curve, label in subjects]
     for (a, ok_a), (b, ok_b) in zip(cold, warm):
         assert a.tobytes() == b.tobytes() and ok_a == ok_b
 
@@ -765,22 +773,22 @@ def test_fit_subject_warp_is_identical_with_a_cold_or_warm_factor_cache():
 def test_factor_cache_follows_a_change_of_variance_parameters():
     fit = _fit({0: [0.0, 0.0], 1: [0.0, 0.0]})
     (curve, label), = _subjects(fit, 1, seed=19)
-    fit_subject_warp(curve, fit, label)
+    _fit_one(curve, fit, label)
     fit.var = _var(curve_amp=2.0, warp_amp=0.05, noise=0.05)
-    warm, _ = fit_subject_warp(curve, fit, label)
+    warm, _ = _fit_one(curve, fit, label)
     _clear_held_out_caches()
-    cold, _ = fit_subject_warp(curve, fit, label)
+    cold, _ = _fit_one(curve, fit, label)
     assert warm.tobytes() == cold.tobytes()
 
 
 def test_factor_cache_follows_a_change_of_mean_weights():
     fit = _fit({0: [0.0, 0.0], 1: [0.0, 0.0]})
     (curve, label), = _subjects(fit, 1, seed=19)
-    fit_subject_warp(curve, fit, label)
+    _fit_one(curve, fit, label)
     fit.means.group[label] = fit.means.group[label] + 0.05
-    warm, _ = fit_subject_warp(curve, fit, label)
+    warm, _ = _fit_one(curve, fit, label)
     _clear_held_out_caches()
-    cold, _ = fit_subject_warp(curve, fit, label)
+    cold, _ = _fit_one(curve, fit, label)
     assert warm.tobytes() == cold.tobytes()
 
 
@@ -790,13 +798,13 @@ def test_concurrent_fits_share_the_factor_cache_safely():
     want = []
     for curve, label in subjects:
         _clear_held_out_caches()
-        want.append(fit_subject_warp(curve, fit, label))
+        want.append(_fit_one(curve, fit, label))
     _clear_held_out_caches()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(fit_subject_warp, c, fit, k) for c, k in subjects * 2]
+            futures = [pool.submit(_fit_one, c, fit, k) for c, k in subjects * 2]
             got = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -812,11 +820,11 @@ def test_prediction_leaves_the_artifact_alone_and_shares_the_cache_across_fits()
     cold = []
     for curve, label in subjects:
         _clear_held_out_caches()
-        cold.append(fit_subject_warp(curve, second, label))
+        cold.append(_fit_one(curve, second, label))
     for curve, label in subjects:
-        fit_subject_warp(curve, first, label)
+        _fit_one(curve, first, label)
     misses = _held_out_grid.cache_info().misses, _held_out_group.cache_info().misses
-    warm = [fit_subject_warp(curve, second, label) for curve, label in subjects]
+    warm = [_fit_one(curve, second, label) for curve, label in subjects]
     assert (_held_out_grid.cache_info().misses, _held_out_group.cache_info().misses) == misses
     for (a, ok_a), (b, ok_b) in zip(cold, warm):
         assert a.tobytes() == b.tobytes() and ok_a == ok_b
