@@ -26,7 +26,7 @@ print(f"panel: {panel.n_subjects} subjects, {len(panel.curves[0].times)} points 
 # a loose tolerance is plenty here; the objective flattens within a few passes
 fit = fit_registration(panel, RegistrationConfig(tol_rel=1e-3))
 print(f"converged={fit.converged} after {fit.n_outer} outer iterations")
-print(f"estimated noise sd: {fit.var.noise_sd:.4f} (generator used {cfg.value('sigma')})")
+print(f"estimated noise sd: {fit.var.noise_sd:.4f} (generator used {cfg.sigma})")
 
 # the penalized objective never increases along the fit
 trace = np.asarray(fit.trace)

@@ -75,64 +75,32 @@ def _load_panel(curves_path, scalars_path) -> CurvePanel:
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # only the size flags given reach the config, which holds the defaults
+    sizes = {k: getattr(args, k) for k in ("n_subjects", "n_obs") if getattr(args, k) is not None}
     if args.study == 1:
         if args.scenario is not None:
             raise UsageError("--scenario applies to study 2 only")
-        cfg = Study1Config(
-            n_subjects=args.n_subjects or 80,
-            n_obs=args.n_obs or 100,
-            seed=args.seed,
-        )
+        cfg = Study1Config(seed=args.seed, **sizes)
         panel, truth = simulate_study1(cfg)
+        grid = panel.curves[0].times
         study_payload = {
             "study": 1,
-            "config": {
-                "n_subjects": cfg.n_subjects,
-                "n_obs": cfg.n_obs,
-                "sigma": cfg.sigma,
-                "sigma_r": cfg.sigma_r,
-                "sigma_w": cfg.sigma_w,
-                "b0": cfg.b0,
-                "b1": cfg.b1,
-                "seed": cfg.seed,
-            },
-        }
-        grid = panel.curves[0].times
-        study_payload["beta_grids"] = {
-            "t": grid,
-            "beta1": study1_beta(0, grid),
-            "beta2": study1_beta(1, grid),
+            "beta_grids": {"t": grid, "beta1": study1_beta(0, grid), "beta2": study1_beta(1, grid)},
         }
     else:
         if args.scenario is None:
             raise UsageError("--scenario A|B is required for study 2")
-        cfg = Study2Config(
-            scenario=args.scenario,
-            seed=args.seed,
-            n_subjects=args.n_subjects or 120,
-            n_obs=args.n_obs or 100,
-        )
+        cfg = Study2Config(scenario=args.scenario, seed=args.seed, **sizes)
         panel, truth = simulate_study2(cfg)
-        study_payload = {
-            "study": 2,
-            "scenario": cfg.scenario,
-            "config": {
-                "n_subjects": cfg.n_subjects,
-                "n_obs": cfg.n_obs,
-                "delta1": cfg.value("delta1"),
-                "delta2": cfg.value("delta2"),
-                "sigma": cfg.value("sigma"),
-                "sigma_r": cfg.value("sigma_r"),
-                "sigma_w": cfg.value("sigma_w"),
-                "seed": cfg.seed,
-            },
-        }
+        study_payload = {"study": 2, "scenario": cfg.scenario}
+    names = ("n_subjects", "n_obs", "sigma", "sigma_r", "sigma_w", "b0", "b1", "delta1", "delta2", "seed")
+    study_payload["config"] = {k: getattr(cfg, k) for k in names if hasattr(cfg, k)}
 
     subjects = panel.subject_ids
     payload = {"format_version": FORMAT_VERSION, "subjects": subjects, **study_payload}
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_curves(out / "curves.csv", panel.curves)
     save_scalars(out / "scalars.csv", panel.scalars)
     _write_json(out / "truth.json", encode(payload) | encode(truth))

@@ -1,12 +1,13 @@
 """Synthetic data generators and the estimation/classification metric suite.
 
-Both generators follow the same three-step recipe: draw smooth group-mean
-curves plus a Matern Gaussian-process wiggle, project onto the cubic
-B-spline space, then observe each subject's spline curve through a random
-monotone time warp with added white noise.  Scalar covariates come from
-group-specific uniforms.  Everything is driven by counter-based random
-substreams keyed per subject, so output is bit-reproducible for a given
-seed no matter how the work is scheduled.
+Both studies draw their subjects through one loop: smooth group-mean
+curves are projected onto the cubic B-spline space, and each subject adds
+a Matern Gaussian-process wiggle and is observed through a random
+monotone time warp with added white noise.  A study supplies only its
+grid, its mean functions and its outcome step, which draws the scalar
+covariate from a group-specific uniform and the label.  Every subject
+draws from its own counter-based random substream, so output is
+bit-reproducible for a given seed no matter how the work is scheduled.
 """
 
 from __future__ import annotations
@@ -34,13 +35,19 @@ _ANCHORS = (0.0, 0.33, 0.67, 1.0)
 _CURVE_COV = (100.0, 0.3, 3.0)
 
 
-def _check_sym_pd(mat, name):
-    arr = np.asarray(mat, dtype=float)
-    if arr.shape != (2, 2) or not np.allclose(arr, arr.T):
-        raise DataError(f"{name} must be symmetric 2x2")
-    if np.linalg.eigvalsh(arr)[0] <= 0:
-        raise DataError(f"{name} must be positive definite")
-    return arr
+def _check_draw(cfg) -> None:
+    """Checks both studies share: grid size, noise scales, warp covariances."""
+    if cfg.n_obs < 4:
+        raise DataError("need at least 4 observation points")
+    for name in ("sigma_r", "sigma_w", "sigma"):
+        if not getattr(cfg, name) >= 0:
+            raise DataError(f"{name} must be >= 0")
+    for name in ("o_group0", "o_group1"):
+        arr = np.asarray(getattr(cfg, name), dtype=float)
+        if arr.shape != (2, 2) or not np.allclose(arr, arr.T):
+            raise DataError(f"{name} must be symmetric 2x2")
+        if np.linalg.eigvalsh(arr)[0] <= 0:
+            raise DataError(f"{name} must be positive definite")
 
 
 @dataclass(frozen=True)
@@ -63,13 +70,7 @@ class Study1Config:
     def __post_init__(self):
         if self.n_subjects < 4:
             raise DataError("need at least 4 subjects")
-        if self.n_obs < 4:
-            raise DataError("need at least 4 observation points")
-        for name in ("sigma_r", "sigma_w", "sigma"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be >= 0")
-        _check_sym_pd(self.o_group0, "o_group0")
-        _check_sym_pd(self.o_group1, "o_group1")
+        _check_draw(self)
 
 
 _SCENARIOS = {
@@ -82,9 +83,12 @@ _SCENARIOS = {
 class Study2Config:
     """Classification study: two fixed groups of 60, deterministic split.
 
-    Scenario fields left as None resolve to the scenario defaults; they
-    can be overridden individually (e.g. delta1 = delta2 = 0 makes the
-    groups indistinguishable).
+    The scenario fields left as None are filled with the scenario's
+    defaults when the config is built, and every scenario field is then a
+    float, checked there.  Each can be overridden on its own (e.g. delta1
+    = delta2 = 0 makes the groups indistinguishable).  Since the values are
+    filled in, ``dataclasses.replace`` keeps them: a replaced scenario
+    keeps the old scenario's values.
     """
 
     scenario: str = "A"
@@ -104,20 +108,12 @@ class Study2Config:
     def __post_init__(self):
         if self.scenario not in _SCENARIOS:
             raise DataError(f"scenario must be A or B, got {self.scenario!r}")
+        for name, default in _SCENARIOS[self.scenario].items():
+            given = getattr(self, name)
+            object.__setattr__(self, name, float(default if given is None else given))
         if self.n_subjects < 4 or self.n_subjects % 2:
             raise DataError("n_subjects must be even and >= 4")
-        if self.n_obs < 4:
-            raise DataError("need at least 4 observation points")
-        _check_sym_pd(self.o_group0, "o_group0")
-        _check_sym_pd(self.o_group1, "o_group1")
-
-    def value(self, name: str) -> float:
-        explicit = getattr(self, name)
-        if explicit is None:
-            return _SCENARIOS[self.scenario][name]
-        if name in ("sigma", "sigma_r", "sigma_w") and explicit < 0:
-            raise DataError(f"{name} must be >= 0")
-        return float(explicit)
+        _check_draw(self)
 
 
 @dataclass(frozen=True)
@@ -172,10 +168,6 @@ def _study2_mean(times, group, delta1):
     return np.column_stack([m1, m2])
 
 
-def _subject_id(index: int) -> str:
-    return f"s{index:04d}"
-
-
 class _Generator:
     """Shared machinery: spline projection, GP factor, warp draw, noise."""
 
@@ -183,16 +175,17 @@ class _Generator:
     # coefficients do not depend on the observation frequency
     _MEAN_GRID = np.linspace(0.0, 1.0, 401)
 
-    def __init__(self, grid, rho_r, o_group0, o_group1, anchors, sigma_r):
+    def __init__(self, grid, cfg):
+        self.cfg = cfg
         self.grid = np.asarray(grid, dtype=float)
         self.basis = BSplineBasis.uniform(8, 4)
         self.design = self.basis.design(self.grid)
         self.project = np.linalg.pinv(self.design)
-        self.anchors = np.asarray(anchors, dtype=float)
-        self.chol_o = {0: chol_lower(o_group0), 1: chol_lower(o_group1)}
+        self.anchors = np.asarray(cfg.anchors, dtype=float)
+        self.chol_o = {0: chol_lower(cfg.o_group0), 1: chol_lower(cfg.o_group1)}
         self.chol_m = None
-        if sigma_r > 0:
-            m_cov = matern_cov(MaternParams(*rho_r), self.grid)
+        if cfg.sigma_r > 0:
+            m_cov = matern_cov(MaternParams(*cfg.rho_r), self.grid)
             self.chol_m = chol_lower(m_cov)
 
     def mean_coef(self, mean_fn) -> np.ndarray:
@@ -216,12 +209,13 @@ class _Generator:
             out[:, a] = np.linalg.solve(kkt, rhs)[:q]
         return out
 
-    def subject_curve(self, rng, group, mean_coef, sigma_r, sigma_w, sigma):
+    def subject_curve(self, rng, group, mean_coef):
         """One subject: fixed draw order z1, z2, gamma, eps1, eps2.
 
         Returns (observed values (n, 2), smooth unwarped values (n, 2),
         full warp ordinate offsets).
         """
+        cfg = self.cfg
         n = len(self.grid)
         z1 = rng.standard_normal(n)
         z2 = rng.standard_normal(n)
@@ -230,12 +224,12 @@ class _Generator:
         eps2 = rng.standard_normal(n)
 
         coef = mean_coef.copy()
-        if self.chol_m is not None and sigma_r > 0:
-            wiggle = sigma_r * np.column_stack([self.chol_m @ z1, self.chol_m @ z2])
+        if self.chol_m is not None:
+            wiggle = cfg.sigma_r * np.column_stack([self.chol_m @ z1, self.chol_m @ z2])
             coef = coef + self.project @ wiggle
 
         offsets = np.zeros(len(self.anchors))
-        offsets[1:-1] = sigma_w * (self.chol_o[group] @ gamma)
+        offsets[1:-1] = cfg.sigma_w * (self.chol_o[group] @ gamma)
         ords = self.anchors + offsets
         if np.any(np.diff(ords) <= 0):
             # Draws this extreme do not occur at the study scales; guard anyway.
@@ -245,8 +239,42 @@ class _Generator:
 
         smooth = self.design @ coef
         observed = self.basis.design(np.clip(warped_t, 0.0, 1.0)) @ coef
-        observed = observed + sigma * np.column_stack([eps1, eps2])
+        observed = observed + cfg.sigma * np.column_stack([eps1, eps2])
         return observed, smooth, offsets
+
+
+def _simulate(study: int, cfg, grid, mean_fn, outcome, **truth) -> tuple[CurvePanel, SimTruth]:
+    """Draw every subject of a study: the loop both generators share.
+
+    The first ``n_subjects // 2`` subjects are group 0, the rest group 1,
+    each with the mean ``mean_fn(t, group)``.  Subject i draws from the
+    substream ``study{study}/subject/{i}``: its curve, then
+    ``outcome(rng, group, smooth)``, which returns its covariate, its label
+    and its linear predictor (None in a study without one).  ``truth``
+    holds the study's own ``SimTruth`` fields.
+    """
+    gen = _Generator(grid, cfg)
+    mean_coefs = [gen.mean_coef(lambda t, g=g: mean_fn(t, g)) for g in (0, 1)]
+    curves, scalars, draws, warp_offsets = [], [], [], {}
+    for i in range(cfg.n_subjects):
+        sid = f"s{i:04d}"
+        group = int(i >= cfg.n_subjects // 2)
+        rng = substream(cfg.seed, f"study{study}/subject/{i}")
+        observed, smooth, warp_offsets[sid] = gen.subject_curve(rng, group, mean_coefs[group])
+        v, label, eta = outcome(rng, group, smooth)
+        curves.append(SubjectCurve(sid, gen.grid, observed))
+        scalars.append(ScalarRecord(sid, np.array([v]), label))
+        draws.append((group, label, v, eta))
+    groups, labels, v, etas = zip(*draws)
+    return CurvePanel(curves, scalars), SimTruth(
+        groups=np.array(groups),
+        labels=np.array(labels),
+        v=np.array(v),
+        anchors=gen.anchors,
+        warp_offsets=warp_offsets,
+        eta=None if etas[0] is None else np.array(etas),
+        **truth,
+    )
 
 
 def simulate_study1(cfg: Study1Config) -> tuple[CurvePanel, SimTruth]:
@@ -257,50 +285,16 @@ def simulate_study1(cfg: Study1Config) -> tuple[CurvePanel, SimTruth]:
     spline curves against the true functional coefficients over the grid.
     """
     grid = np.linspace(0.0, 1.0, cfg.n_obs)
-    gen = _Generator(grid, cfg.rho_r, cfg.o_group0, cfg.o_group1, cfg.anchors, cfg.sigma_r)
-    mean_coefs = {k: gen.mean_coef(lambda t, g=k: _study1_mean(t, g)) for k in (0, 1)}
     beta_grid = np.column_stack([study1_beta(0, grid), study1_beta(1, grid)])
-    n_group0 = cfg.n_subjects // 2
 
-    curves, scalars = [], []
-    groups = np.empty(cfg.n_subjects, dtype=int)
-    labels = np.empty(cfg.n_subjects, dtype=int)
-    v_all = np.empty(cfg.n_subjects)
-    eta_all = np.empty(cfg.n_subjects)
-    warp_offsets = {}
-    for i in range(cfg.n_subjects):
-        sid = _subject_id(i)
-        group = 0 if i < n_group0 else 1
-        rng = substream(cfg.seed, f"study1/subject/{i}")
-        observed, smooth, offsets = gen.subject_curve(
-            rng, group, mean_coefs[group], cfg.sigma_r, cfg.sigma_w, cfg.sigma
-        )
+    def outcome(rng, group, smooth):
         u_v = rng.random()
         u_y = rng.random()
         v = (1.0 + u_v) if group == 0 else (0.5 + u_v)
         eta = cfg.b0 + v * cfg.b1 + float(np.mean(np.sum(smooth * beta_grid, axis=1)))
-        y = int(u_y < _sigmoid(np.array([eta]))[0])
+        return v, int(u_y < _sigmoid(np.array([eta]))[0]), eta
 
-        curves.append(SubjectCurve(sid, grid, observed))
-        scalars.append(ScalarRecord(sid, np.array([v]), y))
-        groups[i] = group
-        labels[i] = y
-        v_all[i] = v
-        eta_all[i] = eta
-        warp_offsets[sid] = offsets
-
-    panel = CurvePanel(curves, scalars)
-    truth = SimTruth(
-        groups=groups,
-        labels=labels,
-        v=v_all,
-        anchors=np.asarray(cfg.anchors, dtype=float),
-        warp_offsets=warp_offsets,
-        b0=cfg.b0,
-        b1=cfg.b1,
-        eta=eta_all,
-    )
-    return panel, truth
+    return _simulate(1, cfg, grid, _study1_mean, outcome, b0=cfg.b0, b1=cfg.b1)
 
 
 def simulate_study2(cfg: Study2Config) -> tuple[CurvePanel, SimTruth]:
@@ -311,50 +305,18 @@ def simulate_study2(cfg: Study2Config) -> tuple[CurvePanel, SimTruth]:
     """
     j = np.arange(1, cfg.n_obs + 1)
     grid = (j + 1.0) / (cfg.n_obs + 2.0)
-    sigma = cfg.value("sigma")
-    sigma_r = cfg.value("sigma_r")
-    sigma_w = cfg.value("sigma_w")
-    delta1 = cfg.value("delta1")
-    delta2 = cfg.value("delta2")
-    gen = _Generator(grid, cfg.rho_r, cfg.o_group0, cfg.o_group1, cfg.anchors, sigma_r)
-    mean_coefs = {k: gen.mean_coef(lambda t, g=k: _study2_mean(t, g, delta1)) for k in (0, 1)}
-    n_group0 = cfg.n_subjects // 2
 
-    curves, scalars = [], []
-    groups = np.empty(cfg.n_subjects, dtype=int)
-    v_all = np.empty(cfg.n_subjects)
-    warp_offsets = {}
-    train_mask = np.zeros(cfg.n_subjects, dtype=bool)
-    for i in range(cfg.n_subjects):
-        sid = _subject_id(i)
-        group = 0 if i < n_group0 else 1
-        rng = substream(cfg.seed, f"study2/subject/{i}")
-        observed, _, offsets = gen.subject_curve(
-            rng, group, mean_coefs[group], sigma_r, sigma_w, sigma
-        )
+    def outcome(rng, group, smooth):
         u_v = rng.random()
-        v = (1.0 + u_v) if group == 0 else (1.0 - delta2 + u_v)
+        v = (1.0 + u_v) if group == 0 else (1.0 - cfg.delta2 + u_v)
+        return v, group, None
 
-        curves.append(SubjectCurve(sid, grid, observed))
-        scalars.append(ScalarRecord(sid, np.array([v]), group))
-        groups[i] = group
-        v_all[i] = v
-        warp_offsets[sid] = offsets
-        within = i if group == 0 else i - n_group0
-        train_mask[i] = within < (n_group0 // 2 if group == 0 else (cfg.n_subjects - n_group0) // 2)
-
-    panel = CurvePanel(curves, scalars)
-    truth = SimTruth(
-        groups=groups,
-        labels=groups.copy(),
-        v=v_all,
-        anchors=np.asarray(cfg.anchors, dtype=float),
-        warp_offsets=warp_offsets,
-        b0=0.0,
-        b1=0.0,
-        train_mask=train_mask,
+    half = cfg.n_subjects // 2
+    within_group = np.arange(cfg.n_subjects) % half
+    return _simulate(
+        2, cfg, grid, lambda t, g: _study2_mean(t, g, cfg.delta1), outcome,
+        b0=0.0, b1=0.0, train_mask=within_group < half // 2,
     )
-    return panel, truth
 
 
 # ---------------------------------------------------------------------------

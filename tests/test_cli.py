@@ -125,6 +125,21 @@ def test_simulate_usage_errors(tmp_path, capsys):
     assert "scenario" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--study", "1", "--n-subjects", "0", "--n-obs", "0"], "need at least 4 subjects"),
+        (["--study", "2", "--scenario", "A", "--n-obs", "0"], "need at least 4 observation points"),
+    ],
+    ids=["study1-zero-sizes", "study2-zero-n-obs"],
+)
+def test_simulate_refuses_a_zero_size_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "x"
+    assert main(["simulate", *flags, "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 

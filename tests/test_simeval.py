@@ -4,6 +4,8 @@ The Rand and adjusted Rand implementations are checked against a
 brute-force pair enumeration written independently here.
 """
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -183,17 +185,36 @@ def test_true_coefficient_curves():
 
 def test_scenario_defaults_resolve_and_override():
     cfg = Study2Config(scenario="A")
-    assert cfg.value("delta1") == 0.18
-    assert cfg.value("delta2") == 0.7
-    assert cfg.value("sigma") == 0.03
+    assert cfg.delta1 == 0.18
+    assert cfg.delta2 == 0.7
+    assert cfg.sigma == 0.03
     cfg_b = Study2Config(scenario="B")
-    assert cfg_b.value("delta1") == 0.15
-    assert cfg_b.value("sigma_w") == 0.005
-    assert Study2Config(scenario="A", delta1=0.0).value("delta1") == 0.0
+    assert cfg_b.delta1 == 0.15
+    assert cfg_b.sigma_w == 0.005
+    assert Study2Config(scenario="A", delta1=0.0).delta1 == 0.0
+    # filled in when the config is built, each a float
+    given = Study2Config(scenario="B", delta1=0, sigma=1)
+    values = [given.delta1, given.delta2, given.sigma, given.sigma_r, given.sigma_w]
+    assert values == [0.0, 0.5, 1.0, 0.02, 0.005]
+    assert all(type(x) is float for x in values)
     with pytest.raises(DataError, match="scenario"):
         Study2Config(scenario="C")
     with pytest.raises(DataError, match=">= 0"):
-        Study2Config(scenario="A", sigma=-0.1).value("sigma")
+        Study2Config(scenario="A", sigma=-0.1)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: Study2Config(scenario="A", sigma=-0.1), "sigma"),
+        (lambda: Study2Config(scenario="B", sigma_w=float("nan")), "sigma_w"),
+        (lambda: Study1Config(sigma_r=float("nan")), "sigma_r"),
+    ],
+    ids=["study2-negative-sigma", "study2-nan-sigma_w", "study1-nan-sigma_r"],
+)
+def test_a_bad_noise_scale_is_refused_when_the_config_is_built(make, name):
+    with pytest.raises(DataError, match=f"{name} must be >= 0"):
+        make()
 
 
 def test_config_validation():
@@ -209,6 +230,76 @@ def test_config_validation():
         Study1Config(o_group1=((1.0, 0.5), (0.2, 1.0)))
     with pytest.raises(DataError, match="even"):
         Study2Config(n_subjects=7)
+
+
+def _feed(h, value):
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            h.update(key.encode())
+            _feed(h, value[key])
+    else:
+        h.update(repr(value).encode())
+
+
+def _draw_digest(simulate, cfg):
+    """sha256 of a draw: every curve, scalar record and SimTruth field."""
+    panel, truth = simulate(cfg)
+    h = hashlib.sha256()
+    for curve, rec in zip(panel.curves, panel.scalars):
+        for value in (curve.subject_id, curve.times, curve.values, rec.subject_id, rec.v, rec.y):
+            _feed(h, value)
+    for f in dataclasses.fields(truth):
+        h.update(f.name.encode())
+        _feed(h, getattr(truth, f.name))
+    return h.hexdigest()
+
+
+# The bytes of small draws, pinned so that a change to the generators that
+# moves any draw (and with it the quality study's and the benchmark's
+# inputs) fails here rather than only between two runs of one version.
+PINNED_DRAWS = {
+    "study1-defaults": (
+        simulate_study1, Study1Config(),
+        "44ebc93592976ad53f1702ba6f09563b36328ffb11b3ce3f47eac2eeae061dad",
+    ),
+    "study1-no-noise": (
+        simulate_study1,
+        Study1Config(n_subjects=6, n_obs=15, sigma_r=0.0, sigma_w=0.0, sigma=0.0, seed=2),
+        "ed85a8cd15568ba59b5a70920bf43c66197a5ccf4ff18643751d1c50e59d328f",
+    ),
+    "study1-odd-panel": (
+        simulate_study1, Study1Config(n_subjects=7, n_obs=10, seed=5),
+        "a65f41775827c4adb32aaf8197f1751a3ced86ab06c52b06e04dce565d71dfd0",
+    ),
+    "study2-A": (
+        simulate_study2, Study2Config(scenario="A", seed=1, n_subjects=8, n_obs=20),
+        "adb1c459b93fd1bf002c27e47297e94430725038ccde41366245d75b3f03e96b",
+    ),
+    "study2-B": (
+        simulate_study2, Study2Config(scenario="B", seed=2, n_subjects=6, n_obs=15),
+        "950e072db460f7c9a53447c75d98c96e06b224f1853ad72fedee4993efdfaf37",
+    ),
+    "study2-A-overrides": (
+        simulate_study2,
+        Study2Config(scenario="A", seed=3, n_subjects=4, n_obs=10, delta1=0, sigma=0),
+        "02c757d4cb27f4113f6e6454945f65e891c72ae540c5700b1a5d64d7de100f14",
+    ),
+    "study2-B-overrides": (
+        simulate_study2,
+        Study2Config(scenario="B", seed=4, n_subjects=4, n_obs=10,
+                     delta2=0.0, sigma_r=0.0, sigma_w=0.0),
+        "627ba0c48b2d82999fd55300f1905e87e59f685c7a1c245ff592c95379766a5a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DRAWS))
+def test_generators_draw_the_pinned_bytes(case):
+    simulate, cfg, expected = PINNED_DRAWS[case]
+    assert _draw_digest(simulate, cfg) == expected
 
 
 # ---------------------------------------------------------------------------
