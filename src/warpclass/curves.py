@@ -46,9 +46,9 @@ class SubjectCurve:
             )
         if v.shape != (len(t), 2):
             raise DataError(f"subject {sid}: values shape {v.shape} != ({len(t)}, 2)")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
+        if not np.isfinite(t).all() or not np.isfinite(v).all():
             raise DataError(f"subject {sid}: non-finite observation")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] <= t[:-1]).any():
             raise DataError(f"subject {sid}: time grid not strictly increasing")
         if t[0] < -1e-12 or t[-1] > 1 + 1e-12:
             raise DataError(f"subject {sid}: times outside [0, 1]; normalize on load")
@@ -65,7 +65,7 @@ class ScalarRecord:
     def __post_init__(self):
         v = _freeze(np.atleast_1d(np.asarray(self.v, dtype=float)))
         object.__setattr__(self, "v", v)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise DataError(f"subject {self.subject_id}: non-finite covariate")
         if self.y is not None:
             if self.y not in (0, 1):

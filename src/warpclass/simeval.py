@@ -4,14 +4,17 @@ Both studies draw their subjects through one loop: smooth group-mean
 curves are projected onto the cubic B-spline space, and each subject adds
 a Matern Gaussian-process wiggle and is observed through a random
 monotone time warp with added white noise.  A study supplies only its
-grid, its mean functions and its outcome step, which draws the scalar
-covariate from a group-specific uniform and the label.  Every subject
-draws from its own counter-based random substream, so output is
-bit-reproducible for a given seed no matter how the work is scheduled.
+grid, its mean functions and its outcome step, which maps uniforms to the
+scalar covariate (a group-specific uniform) and the label.  Every subject
+draws from its own counter-based random substream; the curves are then
+computed a block of subjects at a time by stacked products that give each
+subject the bits it has alone.  So output is bit-reproducible for a given
+seed no matter how the work is scheduled or blocked.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +28,8 @@ from .errors import DataError
 from .gp import MaternParams, chol_lower, matern_cov
 from .rng import substream
 
+_log = logging.getLogger(__name__)
+
 
 # ---------------------------------------------------------------------------
 # Configurations.
@@ -33,6 +38,9 @@ _O_GROUP0 = ((10.0, 4.0), (4.0, 8.0))
 _O_GROUP1 = ((10.0, 8.0), (8.0, 15.0))
 _ANCHORS = (0.0, 0.33, 0.67, 1.0)
 _CURVE_COV = (100.0, 0.3, 3.0)
+# Subjects whose curves are computed in one stacked pass; the draws are
+# made subject by subject, so the size bounds memory and moves no byte.
+_BLOCK = 64
 
 
 def _check_draw(cfg) -> None:
@@ -169,111 +177,113 @@ def _study2_mean(times, group, delta1):
 
 
 class _Generator:
-    """Shared machinery: spline projection, GP factor, warp draw, noise."""
+    """Shared machinery: spline projection, GP factor, and a block's curves."""
 
     # dense grid for projecting the smooth group means; fixed so the truth
     # coefficients do not depend on the observation frequency
     _MEAN_GRID = np.linspace(0.0, 1.0, 401)
 
-    def __init__(self, grid, cfg):
+    def __init__(self, grid, cfg, mean_fn):
         self.cfg = cfg
         self.grid = np.asarray(grid, dtype=float)
         self.basis = BSplineBasis.uniform(8, 4)
         self.design = self.basis.design(self.grid)
         self.project = np.linalg.pinv(self.design)
         self.anchors = np.asarray(cfg.anchors, dtype=float)
-        self.chol_o = {0: chol_lower(cfg.o_group0), 1: chol_lower(cfg.o_group1)}
+        self.chol_o = np.stack([chol_lower(cfg.o_group0), chol_lower(cfg.o_group1)])
         self.chol_m = None
         if cfg.sigma_r > 0:
-            m_cov = matern_cov(MaternParams(*cfg.rho_r), self.grid)
-            self.chol_m = chol_lower(m_cov)
+            self.chol_m = chol_lower(matern_cov(MaternParams(*cfg.rho_r), self.grid))
+        self.mean_coefs = self._mean_coefs(mean_fn)
 
-    def mean_coef(self, mean_fn) -> np.ndarray:
-        """Project a mean function onto the spline space, pinning endpoints.
+    def _mean_coefs(self, mean_fn) -> np.ndarray:
+        """Project each group's mean onto the spline space, pinning endpoints.
 
         Least squares on a dense grid subject to exact interpolation at
         t = 0 and t = 1; since warps fix both endpoints, the generated
         truth then matches the analytic mean exactly at the boundary.
+        Returns (2, q, 2): group, coefficient, coordinate.
         """
-        tg = self._MEAN_GRID
-        a_mat = self.basis.design(tg)
-        e_mat = self.basis.design(np.array([0.0, 1.0]))
+        ends = np.array([0.0, 1.0])
+        a_mat, e_mat = self.basis.design(self._MEAN_GRID), self.basis.design(ends)
         q = self.basis.size
-        out = np.empty((q, 2))
-        values = mean_fn(tg)
-        ends = mean_fn(np.array([0.0, 1.0]))
-        gram = a_mat.T @ a_mat
-        kkt = np.block([[gram, e_mat.T], [e_mat, np.zeros((2, 2))]])
-        for a in (0, 1):
-            rhs = np.concatenate([a_mat.T @ values[:, a], ends[:, a]])
-            out[:, a] = np.linalg.solve(kkt, rhs)[:q]
+        kkt = np.block([[a_mat.T @ a_mat, e_mat.T], [e_mat, np.zeros((2, 2))]])
+        out = np.empty((2, q, 2))
+        for g in (0, 1):
+            values, end_values = mean_fn(self._MEAN_GRID, g), mean_fn(ends, g)
+            for a in (0, 1):
+                rhs = np.concatenate([a_mat.T @ values[:, a], end_values[:, a]])
+                out[g, :, a] = np.linalg.solve(kkt, rhs)[:q]
         return out
 
-    def subject_curve(self, rng, group, mean_coef):
-        """One subject: fixed draw order z1, z2, gamma, eps1, eps2.
+    def block_curves(self, groups, normals):
+        """The curves of a block of k subjects from their standard normals.
 
-        Returns (observed values (n, 2), smooth unwarped values (n, 2),
-        full warp ordinate offsets).
+        Row i of ``normals`` holds subject i's draws z1, z2 (n each), gamma
+        (2), eps1 and eps2 (n each).  Each product is a stack of the
+        per-subject products, so every curve has the bits it has when
+        computed alone; one gemm over the block's 2k wiggle draws would
+        not.  Returns the observed and the smooth unwarped values (k, n, 2),
+        the warp ordinate offsets (k, m) and which warps are the identity.
         """
         cfg = self.cfg
-        n = len(self.grid)
-        z1 = rng.standard_normal(n)
-        z2 = rng.standard_normal(n)
-        gamma = rng.standard_normal(2)
-        eps1 = rng.standard_normal(n)
-        eps2 = rng.standard_normal(n)
-
-        coef = mean_coef.copy()
+        k, n = len(groups), len(self.grid)
+        coef = self.mean_coefs[groups]
         if self.chol_m is not None:
-            wiggle = cfg.sigma_r * np.column_stack([self.chol_m @ z1, self.chol_m @ z2])
-            coef = coef + self.project @ wiggle
+            z = normals[:, : 2 * n].reshape(k, 2, n)
+            wiggle = (self.chol_m @ z[..., None])[..., 0].swapaxes(1, 2)
+            coef = coef + self.project @ (cfg.sigma_r * np.ascontiguousarray(wiggle))
 
-        offsets = np.zeros(len(self.anchors))
-        offsets[1:-1] = cfg.sigma_w * (self.chol_o[group] @ gamma)
-        ords = self.anchors + offsets
-        if np.any(np.diff(ords) <= 0):
-            # Draws this extreme do not occur at the study scales; guard anyway.
-            offsets[:] = 0.0
-            ords = self.anchors.copy()
-        warped_t = hyman_interp(self.anchors, ords)(self.grid)
+        gamma = normals[:, 2 * n : 2 * n + 2, None]
+        offsets = np.zeros((k, len(self.anchors)))
+        offsets[:, 1:-1] = cfg.sigma_w * (self.chol_o[groups] @ gamma)[..., 0]
+        identity = (np.diff(self.anchors + offsets, axis=1) <= 0).any(axis=1)
+        offsets[identity] = 0.0
+        warped_t = hyman_interp(self.anchors, self.anchors + offsets)(self.grid)
 
+        eps = normals[:, 2 * n + 2 :].reshape(k, 2, n).swapaxes(1, 2)
         smooth = self.design @ coef
-        observed = self.basis.design(np.clip(warped_t, 0.0, 1.0)) @ coef
-        observed = observed + cfg.sigma * np.column_stack([eps1, eps2])
-        return observed, smooth, offsets
+        observed = self.basis.design(np.clip(warped_t, 0.0, 1.0)) @ coef + cfg.sigma * eps
+        return observed, smooth, offsets, identity
 
 
-def _simulate(study: int, cfg, grid, mean_fn, outcome, **truth) -> tuple[CurvePanel, SimTruth]:
+def _simulate(study, cfg, grid, mean_fn, n_uniform, outcome, **truth) -> tuple[CurvePanel, SimTruth]:
     """Draw every subject of a study: the loop both generators share.
 
     The first ``n_subjects // 2`` subjects are group 0, the rest group 1,
     each with the mean ``mean_fn(t, group)``.  Subject i draws from the
-    substream ``study{study}/subject/{i}``: its curve, then
-    ``outcome(rng, group, smooth)``, which returns its covariate, its label
-    and its linear predictor (None in a study without one).  ``truth``
-    holds the study's own ``SimTruth`` fields.
+    substream ``study{study}/subject/{i}`` the normals of its curve, then
+    ``n_uniform`` uniforms.  The curves are computed ``_BLOCK`` subjects at
+    a time, and ``outcome(groups, uniforms, smooth)`` maps a block's arrays
+    to its covariates, labels and linear predictors (None in a study
+    without one).  ``truth`` holds the study's own ``SimTruth`` fields.
     """
-    gen = _Generator(grid, cfg)
-    mean_coefs = [gen.mean_coef(lambda t, g=g: mean_fn(t, g)) for g in (0, 1)]
-    curves, scalars, draws, warp_offsets = [], [], [], {}
-    for i in range(cfg.n_subjects):
-        sid = f"s{i:04d}"
-        group = int(i >= cfg.n_subjects // 2)
-        rng = substream(cfg.seed, f"study{study}/subject/{i}")
-        observed, smooth, warp_offsets[sid] = gen.subject_curve(rng, group, mean_coefs[group])
-        v, label, eta = outcome(rng, group, smooth)
-        curves.append(SubjectCurve(sid, gen.grid, observed))
-        scalars.append(ScalarRecord(sid, np.array([v]), label))
-        draws.append((group, label, v, eta))
-    groups, labels, v, etas = zip(*draws)
+    gen = _Generator(grid, cfg, mean_fn)
+    n_total, n = cfg.n_subjects, len(gen.grid)
+    groups = (np.arange(n_total) >= n_total // 2).astype(int)
+    observed, parts = [], []
+    for start in range(0, n_total, _BLOCK):
+        block = groups[start : start + _BLOCK]
+        normals, uniforms = np.empty((len(block), 4 * n + 2)), np.empty((len(block), n_uniform))
+        for row in range(len(block)):
+            rng = substream(cfg.seed, f"study{study}/subject/{start + row}")
+            rng.standard_normal(out=normals[row])
+            rng.random(out=uniforms[row])
+        values, smooth, offsets, identity = gen.block_curves(block, normals)
+        observed.extend(values)
+        parts.append((*outcome(block, uniforms, smooth), offsets, identity))
+    v, labels, etas, offsets, identity = zip(*parts)
+    v, labels, offsets, identity = (np.concatenate(a) for a in (v, labels, offsets, identity))
+    if identity.any():
+        _log.warning("%d of %d subjects drew warp ordinates that do not increase; "
+                     "their warps are the identity", identity.sum(), n_total)
+    sids = [f"s{i:04d}" for i in range(n_total)]
+    curves = [SubjectCurve(sid, gen.grid, x) for sid, x in zip(sids, observed)]
+    scalars = [ScalarRecord(sid, v[i : i + 1], labels[i]) for i, sid in enumerate(sids)]
+    eta = None if etas[0] is None else np.concatenate(etas)
     return CurvePanel(curves, scalars), SimTruth(
-        groups=np.array(groups),
-        labels=np.array(labels),
-        v=np.array(v),
-        anchors=gen.anchors,
-        warp_offsets=warp_offsets,
-        eta=None if etas[0] is None else np.array(etas),
-        **truth,
+        groups=groups, labels=labels, v=v, anchors=gen.anchors,
+        warp_offsets=dict(zip(sids, offsets)), eta=eta, **truth,
     )
 
 
@@ -287,14 +297,12 @@ def simulate_study1(cfg: Study1Config) -> tuple[CurvePanel, SimTruth]:
     grid = np.linspace(0.0, 1.0, cfg.n_obs)
     beta_grid = np.column_stack([study1_beta(0, grid), study1_beta(1, grid)])
 
-    def outcome(rng, group, smooth):
-        u_v = rng.random()
-        u_y = rng.random()
-        v = (1.0 + u_v) if group == 0 else (0.5 + u_v)
-        eta = cfg.b0 + v * cfg.b1 + float(np.mean(np.sum(smooth * beta_grid, axis=1)))
-        return v, int(u_y < _sigmoid(np.array([eta]))[0]), eta
+    def outcome(groups, u, smooth):
+        v = np.where(groups == 0, 1.0, 0.5) + u[:, 0]
+        eta = cfg.b0 + v * cfg.b1 + np.mean(np.sum(smooth * beta_grid, axis=2), axis=1)
+        return v, (u[:, 1] < _sigmoid(eta)).astype(int), eta
 
-    return _simulate(1, cfg, grid, _study1_mean, outcome, b0=cfg.b0, b1=cfg.b1)
+    return _simulate(1, cfg, grid, _study1_mean, 2, outcome, b0=cfg.b0, b1=cfg.b1)
 
 
 def simulate_study2(cfg: Study2Config) -> tuple[CurvePanel, SimTruth]:
@@ -306,15 +314,13 @@ def simulate_study2(cfg: Study2Config) -> tuple[CurvePanel, SimTruth]:
     j = np.arange(1, cfg.n_obs + 1)
     grid = (j + 1.0) / (cfg.n_obs + 2.0)
 
-    def outcome(rng, group, smooth):
-        u_v = rng.random()
-        v = (1.0 + u_v) if group == 0 else (1.0 - cfg.delta2 + u_v)
-        return v, group, None
+    def outcome(groups, u, smooth):
+        return np.where(groups == 0, 1.0, 1.0 - cfg.delta2) + u[:, 0], groups, None
 
     half = cfg.n_subjects // 2
     within_group = np.arange(cfg.n_subjects) % half
     return _simulate(
-        2, cfg, grid, lambda t, g: _study2_mean(t, g, cfg.delta1), outcome,
+        2, cfg, grid, lambda t, g: _study2_mean(t, g, cfg.delta1), 1, outcome,
         b0=0.0, b1=0.0, train_mask=within_group < half // 2,
     )
 
@@ -340,6 +346,7 @@ def metric_ca(truth, pred) -> float:
 
 
 def _pair_counts(truth, pred):
+    """Pairs together in both partitions, in the first, in the second, and all pairs."""
     a, b = _as_labels(truth, pred)
     n = len(a)
     if n < 2:
@@ -349,7 +356,7 @@ def _pair_counts(truth, pred):
     table = np.zeros((len(cats_a), len(cats_b)), dtype=np.int64)
     for x, y in zip(a.tolist(), b.tolist()):
         table[cats_a[x], cats_b[y]] += 1
-    return table, n
+    return _comb2(table), _comb2(table.sum(axis=1)), _comb2(table.sum(axis=0)), n * (n - 1) / 2.0
 
 
 def _comb2(counts):
@@ -359,22 +366,14 @@ def _comb2(counts):
 
 def metric_rand(truth, pred) -> float:
     """Rand index: pair agreement between the two partitions."""
-    table, n = _pair_counts(truth, pred)
-    total = n * (n - 1) / 2.0
-    same_both = _comb2(table)
-    same_a = _comb2(table.sum(axis=1))
-    same_b = _comb2(table.sum(axis=0))
+    same_both, same_a, same_b, total = _pair_counts(truth, pred)
     # agreements = pairs together in both + pairs apart in both
     return float((total + 2.0 * same_both - same_a - same_b) / total)
 
 
 def metric_ari(truth, pred) -> float:
     """Adjusted Rand index by the standard contingency-table formula."""
-    table, n = _pair_counts(truth, pred)
-    total = n * (n - 1) / 2.0
-    same_both = _comb2(table)
-    same_a = _comb2(table.sum(axis=1))
-    same_b = _comb2(table.sum(axis=0))
+    same_both, same_a, same_b, total = _pair_counts(truth, pred)
     expected = same_a * same_b / total
     denom = 0.5 * (same_a + same_b) - expected
     if denom == 0.0:

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import logging
 import math
 
 import numpy as np
@@ -293,6 +294,20 @@ PINNED_DRAWS = {
                      delta2=0.0, sigma_r=0.0, sigma_w=0.0),
         "627ba0c48b2d82999fd55300f1905e87e59f685c7a1c245ff592c95379766a5a",
     ),
+    # Draws of several 64-subject blocks; the second hits the identity guard.
+    "study2-A-three-blocks": (
+        simulate_study2, Study2Config(scenario="A", seed=7, n_subjects=150, n_obs=30),
+        "5addb5c6c0fa0d79fcc7b490560f729e7237c26953ead55ff36c166cca4798b1",
+    ),
+    "study2-A-wide-warps": (
+        simulate_study2,
+        Study2Config(scenario="A", seed=9, n_subjects=130, n_obs=12, sigma_w=0.2),
+        "8d4f4800525417876792740b13ba8814a11f3430348bf8fde0b87faea6a215ae",
+    ),
+    "study1-three-blocks": (
+        simulate_study1, Study1Config(n_subjects=131, n_obs=25, seed=3),
+        "c64c919b6259e6f7313b2aa3e65366180aa7633a532bf4dd717ea763da6ffd70",
+    ),
 }
 
 
@@ -300,6 +315,26 @@ PINNED_DRAWS = {
 def test_generators_draw_the_pinned_bytes(case):
     simulate, cfg, expected = PINNED_DRAWS[case]
     assert _draw_digest(simulate, cfg) == expected
+
+
+def _simeval_warnings(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "warpclass.simeval"]
+
+
+def test_identity_warps_are_counted_in_one_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="warpclass.simeval"):
+        _, truth = simulate_study2(Study2Config(scenario="A", seed=0, n_subjects=120, sigma_w=0.2))
+    n_identity = sum(not off.any() for off in truth.warp_offsets.values())
+    assert n_identity == 93
+    assert _simeval_warnings(caplog) == [
+        "93 of 120 subjects drew warp ordinates that do not increase; their warps are the identity"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="warpclass.simeval"):
+        simulate_study1(Study1Config())
+        simulate_study2(Study2Config(scenario="A"))
+        simulate_study2(Study2Config(scenario="B"))
+    assert _simeval_warnings(caplog) == []
 
 
 # ---------------------------------------------------------------------------
