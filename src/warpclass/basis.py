@@ -310,8 +310,9 @@ def _hyman_constants(anchor_bytes: bytes) -> tuple:
 
     The grid's spacings h; the three-point slope of anchor j as
     ``(w[j] * delta[at[j]] + w[m + j] * delta[at[m + j]]) / den[j]`` in the
-    secants delta; ``near``, the indices of the left secants of all anchors
-    and then of their right ones; whether each anchor is interior; and
+    secants delta, where ``at`` continues with the indices of the left
+    secants of all anchors and then of their right ones, so one ``take``
+    gathers every secant the filter reads; whether each anchor is interior; and
     ``rows`` (m, 4, m), its Jacobian row in the values on each filter
     branch: zero, unfiltered, capped at the left secant and capped at the
     right one.  The arrays are read-only.
@@ -350,8 +351,8 @@ def _hyman_constants(anchor_bytes: bytes) -> tuple:
     hi = np.minimum(np.arange(m), m - 2)
     rows = np.stack([np.zeros((m, m)), unfiltered, secant[lo], secant[hi]], axis=1)
     interior = (np.arange(m) > 0) & (np.arange(m) < m - 1)
-    w, at = np.concatenate([wa, wb]), np.concatenate([ia, ib])
-    out = (h, w, at, den, np.concatenate([lo, hi]), interior, np.arange(m), rows)
+    w, at = np.concatenate([wa, wb]), np.concatenate([ia, ib, lo, hi])
+    out = (h, w, at, den, interior, np.arange(m), rows)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -374,14 +375,15 @@ def hyman_slopes(anchors, values) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(values, dtype=float)
     if x.ndim != 1 or y.ndim < 1 or y.shape[-1] != len(x):
         raise DataError("anchors must be 1-D and values (..., len(anchors))")
-    h, w, at, den, near, interior, index, rows = _hyman_constants(x.tobytes())
+    h, w, at, den, interior, index, rows = _hyman_constants(x.tobytes())
     m = len(index)
     delta = (y[..., 1:] - y[..., :-1]) / h
-    terms = w * delta.take(at, axis=-1)
+    taken = delta.take(at, axis=-1)
+    terms = w * taken[..., : 2 * m]
     d = (terms[..., :m] + terms[..., m:]) / den
     # Slope filter: zero at extrema, sign-matched and capped elsewhere.  At
     # the two ends both neighbouring secants are the one adjacent secant.
-    secants = delta.take(near, axis=-1)
+    secants = taken[..., 2 * m :]
     sizes = np.abs(secants)
     left, right = secants[..., :m], secants[..., m:]
     abs_left, abs_right = sizes[..., :m], sizes[..., m:]

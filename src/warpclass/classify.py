@@ -16,7 +16,12 @@ Prediction fits new subjects' warps under the group their scalar
 covariates point to, aligns, scores and classifies them, then does the same
 under the other group for those whose alignment points there: per group,
 one lock-step warp solve, one stacked alignment and one scoring pass over a
-panel.  Scores are summed row by row, so a subject's result does not depend
+panel.  A subject's linear predictor is linear in its aligned curve, so the
+model derives, once, the functional coefficients' weights on the alignment
+grid (``ClassifierModel.beta_grid``: the eigenfunctions' quadrature weights
+times J e), and scoring a subject is one row-wise ``einsum`` of its centered
+curve with them; cross-validation keeps the score and design rows it fits
+on.  Everything is summed row by row, so a subject's result does not depend
 on its panel, and ``predict_new`` is a panel of one.
 """
 
@@ -58,10 +63,12 @@ _SIGMA_MAX = 1e3
 
 
 def _sigmoid(eta):
-    """1 / (1 + e^-eta) from the one exponential e^-|eta|, which cannot overflow."""
+    """1 / (1 + e^-eta) from the one exponential e^-|eta|, which cannot overflow:
+    1 / (1 + e^-|eta|) where eta >= 0 and e^-|eta| / (1 + e^-|eta|) elsewhere,
+    as one division."""
     eta = np.asarray(eta, dtype=float)
     ex = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return np.where(eta >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _prob(eta):
@@ -200,7 +207,7 @@ def compute_J(fpca: FpcaModel, tpbasis: TruncatedPowerBasis) -> np.ndarray:
 # Penalized logistic GLMM.
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogisticFit:
     """Penalized logistic fit: scalar coefficients and coefficient splines."""
 
@@ -222,14 +229,24 @@ class LogisticFit:
         return self.e.shape[1]
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class ClassifierModel(LogisticFit):
-    """Fitted classifier: the logistic fit plus what scoring a subject needs."""
+    """Fitted classifier: the logistic fit plus what scoring a subject needs.
+
+    A subject's linear predictor is b0 + v'b1 + sum_a s_a'J_a e_a, with
+    scores s_a = W_a'(x_a - mu_a) of its aligned curve x_a (``FpcaModel.weighted``
+    W_a).  So its functional part is sum_a (x_a - mu_a)'beta_a on the
+    alignment grid, with beta_a = W_a J_a e_a: ``beta_grid`` (n_grid, 2)
+    holds beta and ``grid_mean`` (n_grid, 2) the means mu, both derived
+    here from the fields.  The model is frozen, so they cannot go stale.
+    """
 
     scalar_b: np.ndarray  # scalar-only refit, for initialization
     coef_basis: TruncatedPowerBasis
     j_mats: np.ndarray  # (2, k_x, k_e)
     fpca: tuple[FpcaModel, ...]  # one per coordinate
+    beta_grid: np.ndarray = field(init=False, repr=False, compare=False)
+    grid_mean: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -242,6 +259,13 @@ class ClassifierModel(LogisticFit):
         n_grid, k_x = len(self.fpca[0].grid), self.j_mats.shape[1]
         for a, f in enumerate(self.fpca):
             check_shape(f"fpca[{a}].eigenfunctions", f.eigenfunctions, (n_grid, k_x))
+        # einsum sums in a fixed order, whatever the number of BLAS threads
+        beta = [
+            np.einsum("gk,k->g", f.weighted, np.einsum("ke,e->k", j, e))
+            for f, j, e in zip(self.fpca, self.j_mats, self.e)
+        ]
+        object.__setattr__(self, "beta_grid", np.stack(beta, axis=1))
+        object.__setattr__(self, "grid_mean", np.stack([f.mean for f in self.fpca], axis=1))
 
     def to_dict(self) -> dict:
         return {**encode(self), "format_version": _MODEL_FORMAT_VERSION}
@@ -422,12 +446,20 @@ def _eta(fit: LogisticFit, scalar_rows, functional_rows) -> np.ndarray:
     return fit.b0 + scalar + np.einsum("nk,k->n", functional_rows, fit.e.reshape(-1))
 
 
-def classify_prob(model: ClassifierModel, scores, scalars) -> np.ndarray:
-    """Class-1 probability per row of scores (N, 2, k_x) and scalar covariates
-    (N, p), (N,); a shape other than the model's raises DataError."""
-    check_shape("scores", scores, ("N", 2, model.j_mats.shape[1]))
-    check_shape("scalars", scalars, (len(scores), model.b1.size))
-    return _prob(_eta(model, scalars, _functional_design(scores, model.j_mats)))
+def classify_prob(model: ClassifierModel, aligned, scalars) -> np.ndarray:
+    """Class-1 probability per row of aligned curves (N, n_grid, 2) on the
+    model's grid and scalar covariates (N, p), (N,); a shape other than the
+    model's raises DataError.
+
+    The functional part of the linear predictor is one row-wise ``einsum``
+    of the centered curves with the model's ``beta_grid``, which equals the
+    sum of the subject's scores times J e up to rounding; each row is summed
+    on its own, so its bytes do not depend on the panel.
+    """
+    check_shape("aligned", aligned, ("N", len(model.beta_grid), 2))
+    check_shape("scalars", scalars, (len(aligned), model.b1.size))
+    functional = np.einsum("nga,ga->n", aligned - model.grid_mean, model.beta_grid)
+    return _prob(model.b0 + np.einsum("np,p->n", scalars, model.b1) + functional)
 
 
 def functional_coefficient(model: ClassifierModel, coordinate: int, times) -> np.ndarray:
@@ -671,26 +703,28 @@ def predict_panel(
             f"each subject has {v.shape[1]} scalar covariates; "
             f"the model was fitted with {model.b1.size}"
         )
-    grid = model.fpca[0].grid
-    label = (scalar_only_prob(model, v) >= 0.5).astype(int).tolist()
-    pi, converged = np.empty(len(curves)), np.ones(len(curves), dtype=bool)
-    iterations, tried = [1] * len(curves), range(len(curves))
+    grid, anchors, n = model.fpca[0].grid, reg_fit.warps.anchors, len(curves)
+    label = [int(p >= 0.5) for p in scalar_only_prob(model, v).tolist()]
+    pi, converged, iterations, tried = [0.0] * n, [True] * n, [1] * n, range(n)
     for _ in range(2):  # every subject under its start label, then the switchers
         for k in (0, 1):
             rows = [i for i in tried if label[i] == k]
             if rows:
-                batch = [curves[i] for i in rows]
+                batch, v_rows = curves, v
+                if len(rows) < n:
+                    batch, v_rows = [curves[i] for i in rows], v[rows]
                 ords, ok = fit_subject_warp(batch, reg_fit, k)
-                aligned = align_stack(batch, reg_fit.warps.anchors, ords, grid)
-                pi[rows] = classify_prob(model, _score_panel(aligned, model.fpca), v[rows])
-                converged[rows] &= ok
+                got = classify_prob(model, align_stack(batch, anchors, ords, grid), v_rows)
+                for i, p, ok_i in zip(rows, got.tolist(), ok.tolist()):
+                    pi[i], converged[i] = p, converged[i] and ok_i
         tried = [i for i in tried if (pi[i] >= 0.5) != label[i]]
         for i in tried:
             label[i], iterations[i] = 1 - label[i], 2
-    converged[tried] = False  # switchers that point back: the two-label cycle
+    for i in tried:  # switchers that point back: the two-label cycle
+        converged[i] = False
     return [
-        PredictionResult(c.subject_id, p, int(p >= 0.5), n, ok)
-        for c, p, n, ok in zip(curves, pi.tolist(), iterations, converged.tolist())
+        PredictionResult(c.subject_id, p, int(p >= 0.5), n_i, ok)
+        for c, p, n_i, ok in zip(curves, pi, iterations, converged)
     ]
 
 def predict_new(

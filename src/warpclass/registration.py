@@ -33,10 +33,19 @@ its grids' stacked Hermite weights, the mean spline and its two
 derivatives once on all warped times, and two triangular solves per grid,
 as numpy has no batched one), and the Levenberg-Marquardt solver runs a
 batch of problems in lock step, each deciding as if solved alone.
+A problem fixes, when it is built, how a call on all of its subjects runs
+(``WarpProblem.layout``), and a call is two steps: the warped mean curves,
+which depend on the ordinates and the grids only (``_warp_geometry``), then
+their whitening against the curves (``_whitened``).
 Designs are warped the same way, one ``hyman_interp`` per length.  A warp
 step solves each group's subjects as one batch, then the group's offsets
 on all members at once; held-out subjects under one group are a batch too
 (a held-out subject alone is a batch of one), solved by the same solver.
+The solver takes its first evaluation from its caller: a warp step
+evaluates its start, and a held-out solve on one grid, which starts every
+subject at its class warp, whitens the class warp's geometry on the grid,
+cached by value beside the grid's and the group's parts
+(``_held_out_start``).
 The variance likelihood is evaluated one stack at a time: the grids of one
 length with the same number of subjects, whose kernels, factors and
 gradient traces are batched, and whose sums run in a fixed order whatever
@@ -56,7 +65,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -98,8 +107,8 @@ _MONO_EPS = 1e-10
 # many residual evaluations with a bound of 1e-10.
 _FTOL = 1e-13
 _GTOL = 1e-5
-# Entries kept by each held-out parts cache (_held_out_grid, _held_out_group),
-# which outlive a fit; this bounds their memory.
+# Entries kept by each held-out parts cache (_held_out_grid, _held_out_group,
+# _held_out_start), which outlive a fit; this bounds their memory.
 _GRID_FACTORS_KEPT = 8
 # estimate_ridge's interval (a fit's ridge weight lies in it) and its points
 # of log lambda, ten a decade.
@@ -470,7 +479,9 @@ class WarpProblem:
     ``ddmean`` (``_mean_splines``), which give the residuals' Jacobian and
     their second-order term; per variance state, the warp-prior rows
     ``prior`` (``_prior_rows``), or None to leave them out.  ``of`` builds
-    one.
+    one.  Derived from these: the residual rows of a subject, ``rows``
+    (twice the longest length, plus the prior's), and ``layout``, the
+    passes of an evaluation of all S subjects (``_passes``).
     """
 
     anchors: np.ndarray
@@ -483,6 +494,14 @@ class WarpProblem:
     dmean: BSpline
     ddmean: BSpline
     prior: np.ndarray | None = None
+    rows: int = field(init=False, repr=False, compare=False)
+    layout: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n_max = max(length.values.shape[2] for length in self.lengths)
+        rows = 2 * n_max + (0 if self.prior is None else self.prior.shape[0])
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "layout", _passes(self, None))
 
     @classmethod
     def of(cls, anchors, base, times, values, grid_parts, splines, prior=None) -> "WarpProblem":
@@ -516,6 +535,50 @@ class WarpProblem:
         base = np.asarray(base, dtype=float)
         rows = np.array(rows, dtype=int).reshape(len(times), 3).T
         return cls(anchors, base, tuple(lengths), *rows, *splines, prior)
+
+
+def _passes(prob: WarpProblem, members) -> list:
+    """How one residual call on the subjects ``members`` (None: all, in order)
+    runs: one pass per length.
+
+    A pass is (pos, subjects, weights, values, blocks): the positions in
+    ``members`` of the length's subjects, grouped by grid and in
+    ``members`` order within a grid (a slice of all of them where the
+    problem has one grid), those subjects, their grids' Hermite weights
+    (the length's own where it has one grid, shared, else gathered per
+    subject) and their curves, and per grid the (start, stop) of its
+    subjects in the pass with its factor of I + S.  One stable sort by
+    length, then grid, orders the passes and their subjects.
+    """
+    if len(prob.lengths) == 1 and len(prob.lengths[0].factors) == 1:
+        # one grid: the value rows are the subjects' order
+        (length,) = prob.lengths
+        values = length.values if members is None else length.values[members]
+        subjects = np.arange(len(values)) if members is None else members
+        blocks = [(0, len(values), length.factors[0])]
+        return [(slice(None), subjects, length.weights, values, blocks)]
+    if members is None:
+        members = np.arange(len(prob.base))
+    length_of, grid_row = prob.length_of[members], prob.grid_row[members]
+    order = np.lexsort((grid_row, length_of))
+    length_of, grid_row = length_of[order], grid_row[order]
+    passes = []
+    for a, b in _runs(length_of):
+        pos, length, rows = order[a:b], prob.lengths[length_of[a]], grid_row[a:b]
+        if len(length.factors) == 1:
+            weights, blocks = length.weights, [(0, b - a, length.factors[0])]
+        else:
+            weights = length.weights[rows]
+            blocks = [(c, d, length.factors[rows[c]]) for c, d in _runs(rows)]
+        subjects = members[pos]
+        passes.append((pos, subjects, weights, length.values[prob.value_row[subjects]], blocks))
+    return passes
+
+
+def _runs(keys: np.ndarray) -> list:
+    """The (start, stop) of each run of equal entries of ``keys``."""
+    cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _mean_splines(basis: BSplineBasis, coefs: np.ndarray) -> tuple[BSpline, BSpline, BSpline]:
@@ -560,59 +623,66 @@ def subject_warp_residuals(prob: WarpProblem, u: np.ndarray, members=None) -> tu
     batched triangular solve, and LAPACK's keeps each column's bytes
     whatever the other columns.  So a subject's numbers do not depend on
     which others are evaluated with it: g sums term by term, and every
-    product is one subject's.
+    product is one subject's.  The passes of a call on all S subjects are
+    the problem's ``layout``; a call on others lays its passes out first
+    (``_passes``).  The warped mean curves (``_warp_geometry``) are then
+    whitened (``_whitened``).
     """
-    if members is None:
-        members = np.arange(len(prob.base))
-    ords = prob.base[members]
+    layout = prob.layout if members is None else _passes(prob, np.asarray(members))
+    ords = prob.base.copy() if members is None else prob.base[members]
     ords[:, 1:-1] += u
+    splines = (prob.mean, prob.dmean, prob.ddmean)
+    return _whitened(prob, u, layout, *_warp_geometry(prob.anchors, ords, splines, layout))
+
+
+def _warp_geometry(anchors: np.ndarray, ords: np.ndarray, splines: tuple, layout) -> tuple:
+    """The warped mean curves of ``subject_warp_residuals``, before the whitening.
+
+    ``ords`` (k, n_w) are the subjects' ordinates, ``splines`` their
+    group's ``_mean_splines`` and ``layout`` their passes (``_passes``), of
+    which only pos and weights are read.  Returns ``ok`` (k,) and, per
+    pass, (dg, mu, dmu, ddmu): the warped times' derivatives in the free
+    offsets (kn, m, n) and the mean curve and its two derivatives at the
+    warped times (kn, 2, n).  They depend on the ordinates and the grids,
+    not on the curves.
+    """
     ok = (ords[:, 1:] - ords[:, :-1]).min(axis=1) > _MONO_EPS
-    d, dd = hyman_slopes(prob.anchors, ords)
-    k, m = u.shape
-    n_w = len(prob.anchors)
+    d, dd = hyman_slopes(anchors, ords)
+    n_w = len(anchors)
     ords_slopes = np.concatenate((ords, d), axis=1)
     slopes_t = dd.transpose(0, 2, 1)
-    if len(prob.lengths) == 1:
-        split = [(slice(None), prob.lengths[0], members)]
-    else:
-        length_of = prob.length_of[members]
-        split = []
-        for j in np.unique(length_of):
-            pos = np.flatnonzero(length_of == j)
-            split.append((pos, prob.lengths[j], members[pos]))
     # Warped times (k_n, n) and their derivatives in the free offsets
     # (k_n, m, n), length by length, each grid's subjects together; then the
     # mean curve on all of them at once.
-    passes = []
-    for pos, length, subjects in split:
-        if len(length.factors) == 1:  # one grid: its weights broadcast, not gathered
-            weights, blocks = length.weights, [(0, len(subjects), length.factors[0])]
-        else:
-            order = np.argsort(prob.grid_row[subjects], kind="stable")
-            pos, subjects = np.arange(k)[pos][order], subjects[order]
-            grid_rows = prob.grid_row[subjects]
-            weights = length.weights[grid_rows]
-            cuts = [0, *(np.flatnonzero(np.diff(grid_rows)) + 1), len(grid_rows)]
-            blocks = [(a, b, length.factors[grid_rows[a]]) for a, b in zip(cuts[:-1], cuts[1:])]
+    warped = []
+    for pos, _, weights, _, _ in layout:
         g = np.einsum("kj,kjn->kn", ords_slopes[pos], weights)
         dg = (slopes_t[pos] @ weights[:, n_w:])[:, 1:-1] + weights[:, 1 : n_w - 1]
-        passes.append((pos, length, subjects, blocks, g, dg))
-    times = np.concatenate([g.ravel() for *_, g, _ in passes])
-    mean, slope, curvature = prob.mean(times), prob.dmean(times), prob.ddmean(times)
-    n_max = max(length.values.shape[2] for length in prob.lengths)
-    rows = 2 * n_max + (0 if prob.prior is None else m)
-    r, jac, second = np.zeros((k, rows)), np.zeros((k, rows, m)), np.empty((k, m, m))
-    start = 0
-    for pos, length, subjects, blocks, g, dg in passes:
+        warped.append((g, dg))
+    times = np.concatenate([g.ravel() for g, _ in warped])
+    mean, slope, curvature = (spline(times) for spline in splines)
+    geometry, start = [], 0
+    for g, dg in warped:
         kn, n = g.shape
         stop = start + kn * n
         # the length's spline values and derivatives as (kn, 2, n)
-        mu, dmu, ddmu = (
+        geometry.append((dg, *(
             v[start:stop].reshape(kn, n, 2).transpose(0, 2, 1) for v in (mean, slope, curvature)
-        )
+        )))
+        start = stop
+    return ok, geometry
+
+
+def _whitened(prob: WarpProblem, u: np.ndarray, layout, ok, geometry) -> tuple:
+    """``subject_warp_residuals``'s (r, J, ok, S) from its warped mean curves
+    (``_warp_geometry``): the whitening, the second-order term and the prior rows."""
+    k, m = u.shape
+    r, jac, second = np.empty((k, prob.rows)), np.empty((k, prob.rows, m)), np.empty((k, m, m))
+    for (pos, _, _, values, blocks), (dg, mu, dmu, ddmu) in zip(layout, geometry):
+        kn, _, n = mu.shape
         # one column per subject, coordinate and [residual, Jacobian column]
         cols = np.empty((kn, 2, 1 + m, n))
-        np.subtract(length.values[prob.value_row[subjects]], mu, out=cols[:, :, 0])
+        np.subtract(values, mu, out=cols[:, :, 0])
         np.multiply(-dmu[:, :, None], dg[:, None], out=cols[:, :, 1:])
         if blocks[0][2] is None:
             weighted = cols[:, :, 0]
@@ -627,10 +697,14 @@ def subject_warp_residuals(prob: WarpProblem, u: np.ndarray, members=None) -> tu
         second[pos] = -((dg * w[:, None]) @ dg.transpose(0, 2, 1))
         r[pos, : 2 * n] = cols[:, :, 0].reshape(kn, 2 * n)
         jac[pos, : 2 * n] = cols[:, :, 1:].transpose(0, 1, 3, 2).reshape(kn, 2 * n, m)
+        stop = 2 * n
         if prob.prior is not None:
-            r[pos, 2 * n : 2 * n + m] = (prob.prior * u[pos, None]).sum(axis=2)
-            jac[pos, 2 * n : 2 * n + m] = prob.prior
-        start = stop
+            r[pos, stop : stop + m] = (prob.prior * u[pos, None]).sum(axis=2)
+            jac[pos, stop : stop + m] = prob.prior
+            stop += m
+        if stop < prob.rows:  # a grid shorter than the problem's longest: zero rows
+            r[pos, stop:] = 0.0
+            jac[pos, stop:] = 0.0
     return r, jac, ok, second
 
 
@@ -667,15 +741,18 @@ def _gauss_newton_parts(
     return np.where(ok, gram[:, -1, -1], np.inf), gram[:, :-1, -1], jtj, jtj + second
 
 
-def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
+def _levenberg_marquardt(residuals, u0: np.ndarray, first: tuple, max_evals: int) -> tuple:
     """Minimize ||r_i(u_i)||^2 for a batch of problems by damped Newton steps.
 
     Each problem is solved as by itself, the batch in lock step.
     ``residuals(u, members)`` returns (r, J, ok, S) for the problems
-    ``members`` at the points ``u`` (len(members), m), with ``ok`` False
-    where a point is infeasible and S the residuals' second-order term
-    ``sum_k r_k d^2 r_k / du^2``, so that J'J + S is half the exact Hessian
-    of f = r'r.  A round makes one residual call for the trial points of
+    ``members`` (all of them, in order, where it is None) at the points
+    ``u`` (len(members), m), with ``ok`` False where a point is infeasible
+    and S the residuals' second-order term ``sum_k r_k d^2 r_k / du^2``, so
+    that J'J + S is half the exact Hessian of f = r'r; ``first`` is what it
+    returns for all of them at ``u0`` (S, m), which the caller evaluates, so
+    that a caller that knows the start's residuals gives them without a
+    call.  A round makes one residual call for the trial points of
     all problems still running, one batched solve of the damped Newton
     systems (J'J + S + lambda D) s = -J'r, and one Gram product [J, r]'[J, r]
     per problem for f, J'r and J'J; each problem then decides on its own
@@ -695,14 +772,15 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
     ``_FTOL * max(f, 1)``; the batch stops short after ``max_evals``
     rounds, counting the first evaluation, so no problem is evaluated more
     than ``max_evals`` times; a problem whose trial in the last round
-    lands on a small gradient has converged.  ``u0`` is (S, m).  Returns arrays
-    (u, f, converged, f0, evals), where f0 is the value at ``u0`` and evals
-    counts each problem's evaluations; f and f0 are inf for an infeasible
-    start.
+    lands on a small gradient has converged.  A round in which every
+    problem runs takes the batch's arrays as they are, without gathers.
+    Returns arrays (u, f, converged, f0, evals), where f0 is the value at
+    ``u0`` and evals counts each problem's evaluations; f and f0 are inf for
+    an infeasible start.
     """
     u = np.array(u0, dtype=float)
     size, m = u.shape
-    f0, grad, jtj, hess = _gauss_newton_parts(*residuals(u, np.arange(size)))
+    f0, grad, jtj, hess = _gauss_newton_parts(*first)
     f, evals = f0.tolist(), [1] * size
     converged = ((f0 < np.inf) & (2.0 * np.abs(grad).max(axis=1) <= _GTOL)).tolist()
     lam, nu = [1e-3] * size, [2.0] * size
@@ -712,23 +790,31 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
     for _ in range(max_evals - 1):
         if not running:
             break
-        idx = np.array(running)
-        g = grad[idx]
-        diag = jtj[idx].diagonal(0, 1, 2)
+        if len(running) == size:
+            g, at_jtj, at_hess, at_u = grad, jtj, hess, u
+        else:
+            idx = np.array(running)
+            g, at_jtj, at_hess, at_u = grad[idx], jtj[idx], hess[idx], u[idx]
+        diag = at_jtj.diagonal(0, 1, 2)
         diag = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True))
         damping = np.array([lam[j] for j in running])[:, None] * diag
-        step = _damped_steps(hess[idx] + damping[..., None] * eye, -g)
+        step = _damped_steps(at_hess + damping[..., None] * eye, -g)
         # the model's decrease -(2 s'g + s'Hs), with Hs = -g - damping * s
         pred = ((damping * step - g) * step).sum(axis=1).tolist()
-        point = u[idx] + step
+        point = at_u + step
         tried = []  # positions in ``running`` of the problems evaluated
         for p, j in enumerate(running):
             if pred[p] > 0.0:
                 tried.append(p)
             else:  # no solution, or not a descent step of the model
                 lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
-        if tried:
-            parts = _gauss_newton_parts(*residuals(point[tried], idx[tried]))
+        if not tried:
+            continue
+        if len(tried) == size:
+            parts = _gauss_newton_parts(*residuals(point, None))
+        else:
+            parts = _gauss_newton_parts(*residuals(point[tried], np.array(running)[tried]))
+        small = (2.0 * np.abs(parts[1]).max(axis=1) <= _GTOL).tolist()
         for q, p in enumerate(tried):
             j, value = running[p], float(parts[0][q])
             evals[j] += 1
@@ -738,7 +824,7 @@ def _levenberg_marquardt(residuals, u0: np.ndarray, max_evals: int) -> tuple:
                 lam[j] *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
                 nu[j] = 2.0
                 grad[j], jtj[j], hess[j] = (part[q] for part in parts[1:])
-                converged[j] = f[j] - value <= tol or 2.0 * np.abs(grad[j]).max() <= _GTOL
+                converged[j] = f[j] - value <= tol or small[q]
                 u[j], f[j] = point[p], value
             elif pred[p] <= tol:
                 converged[j] = True
@@ -781,7 +867,8 @@ def fit_warps(
     stats = {"n_opt": 0, "n_converged": 0, "n_evals": 0, "n_reverted": 0}
 
     def solve(residuals, u0):
-        u, f, converged, f0, evals = _levenberg_marquardt(residuals, u0, maxfun)
+        first = residuals(np.asarray(u0, dtype=float), None)
+        u, f, converged, f0, evals = _levenberg_marquardt(residuals, u0, first, maxfun)
         stats["n_opt"] += len(u)
         stats["n_converged"] += int(np.sum(converged))
         stats["n_evals"] += int(np.sum(evals))
@@ -1582,6 +1669,32 @@ def _held_out_group(warp_cov: MaternParams, anchor_bytes: bytes, basis, coef_byt
     return prior, _mean_splines(basis, np.frombuffer(coef_bytes).reshape(2, basis.size))
 
 
+@lru_cache(maxsize=_GRID_FACTORS_KEPT)
+def _held_out_start(
+    curve_cov: MaternParams, warp_cov: MaternParams, anchor_bytes: bytes, basis,
+    coef_bytes: bytes, class_bytes: bytes, time_bytes: bytes,
+) -> tuple:
+    """A class warp's geometry on one held-out grid, cached by its inputs.
+
+    ``_warp_geometry``'s ok and (dg, mu, dmu, ddmu) of one subject whose
+    ordinates are the class warp (``class_bytes``), on the grid's Hermite
+    weights (``_held_out_grid``) under the class's mean splines
+    (``_held_out_group``), as read-only arrays: what a held-out solve's
+    first evaluation, at zero offsets, shares with every subject of the
+    class on the grid.
+    """
+    _, weights = _held_out_grid(curve_cov, anchor_bytes, time_bytes)
+    _, splines = _held_out_group(warp_cov, anchor_bytes, basis, coef_bytes)
+    ords = np.frombuffer(class_bytes)[None].copy()
+    (ok,), ((dg, *curves),) = _warp_geometry(
+        np.frombuffer(anchor_bytes), ords, splines, [(slice(None), None, weights[None], None, None)]
+    )
+    parts = (ok, dg[0], *(np.ascontiguousarray(c[0]) for c in curves))
+    for part in parts[1:]:
+        part.flags.writeable = False
+    return parts
+
+
 def fit_subject_warp(curves, fit: RegistrationFit, label: int) -> tuple:
     """Fit the warps of subjects not in the training fit under class ``label``.
 
@@ -1598,26 +1711,41 @@ def fit_subject_warp(curves, fit: RegistrationFit, label: int) -> tuple:
     factored raises NumericalError.
 
     The problem's fixed parts are cached by the values they are built from,
-    not on the fit: each grid's (``_held_out_grid``) and the group's
-    (``_held_out_group``).  A hit gives the parts a miss would build, so
-    the offsets do not depend on what any fit predicted before.
+    not on the fit: each grid's (``_held_out_grid``), the group's
+    (``_held_out_group``) and the class warp's geometry on each grid
+    (``_held_out_start``).  At zero offsets every subject's warped mean
+    curve is the class warp's, so where the subjects share one grid (a
+    subject alone always does) the solver's first evaluation whitens the
+    cached geometry against each subject's curve, with no Hyman slopes or
+    spline evaluations.  Subjects on several grids are evaluated at zero
+    offsets by one residual call, as a warp step's are: a geometry per grid
+    would cost a call per grid.  A hit gives the parts a miss would build,
+    and the first evaluation has the bytes of a residual call at zero
+    offsets, so the offsets do not depend on what any fit predicted before.
     """
     anchors = fit.warps.anchors
     if label not in fit.warps.group_offsets:
         raise DataError(f"unknown group label {label!r}")
     class_warp = anchors + fit.warps.group_offsets[label]
-    anchor_bytes = anchors.tobytes()
-    prior, splines = _held_out_group(
-        fit.var.warp_cov, anchor_bytes, fit.basis, fit.means.coefs(label).tobytes()
-    )
+    anchor_bytes, coef_bytes = anchors.tobytes(), fit.means.coefs(label).tobytes()
+    prior, splines = _held_out_group(fit.var.warp_cov, anchor_bytes, fit.basis, coef_bytes)
     prob = WarpProblem.of(
         anchors, np.tile(class_warp, (len(curves), 1)), [c.times for c in curves],
         [c.values for c in curves],
         lambda t: _held_out_grid(fit.var.curve_cov, anchor_bytes, t.tobytes()), splines, prior,
     )
+    u0 = np.zeros((len(curves), len(anchors) - 2))
+    if len(prob.lengths) == 1 and len(prob.lengths[0].factors) == 1:
+        ok, *start = _held_out_start(
+            fit.var.curve_cov, fit.var.warp_cov, anchor_bytes, fit.basis, coef_bytes,
+            class_warp.tobytes(), curves[0].times.tobytes(),
+        )
+        geometry = [tuple(np.repeat(part[None], len(curves), axis=0) for part in start)]
+        first = _whitened(prob, u0, prob.layout, np.full(len(curves), ok), geometry)
+    else:  # one residual call evaluates all grids at once
+        first = subject_warp_residuals(prob, u0)
     u, _, converged, _, _ = _levenberg_marquardt(
-        partial(subject_warp_residuals, prob), np.zeros((len(curves), len(anchors) - 2)),
-        fit.config.warp_maxfun,
+        partial(subject_warp_residuals, prob), u0, first, fit.config.warp_maxfun
     )
     offsets = np.zeros((len(curves), len(anchors)))
     offsets[:, 1:-1] = u

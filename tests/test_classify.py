@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import warpclass.classify as classify
+from warpclass import registration
 from warpclass.basis import TruncatedPowerBasis, quad_weights
 from warpclass.classify import (
     ClassifierModel,
@@ -158,19 +159,21 @@ def test_a_curves_scores_do_not_depend_on_its_stack():
 
 
 def test_a_subjects_probability_does_not_depend_on_its_rows():
-    # the functional design and the linear predictor are summed row by row too
+    # the linear predictor is summed row by row on the grid too
     rng = np.random.default_rng(37)
     model = _model(
         rng.standard_normal(3), rng.standard_normal((2, 10)), rng.standard_normal((2, 18, 10)),
         scalar_b=rng.standard_normal(4),
     )
-    scores, v = rng.standard_normal((300, 2, 18)), rng.standard_normal((300, 3))
-    pi, start = classify_prob(model, scores, v), scalar_only_prob(model, v)
+    aligned, v = rng.standard_normal((300, 41, 2)), rng.standard_normal((300, 3))
+    pi, start = classify_prob(model, aligned, v), scalar_only_prob(model, v)
+    assert 0.05 < np.mean(pi >= 0.5) < 0.95  # probabilities of both labels
     for i in range(300):
-        assert classify_prob(model, scores[i : i + 1], v[i : i + 1]) == pi[i]
+        alone = classify_prob(model, aligned[i : i + 1], v[i : i + 1])
+        assert alone.tobytes() == pi[i : i + 1].tobytes()
         assert scalar_only_prob(model, v[i : i + 1]) == start[i]
-    rows = rng.permutation(300)[:40]
-    assert classify_prob(model, scores[rows], v[rows]).tobytes() == pi[rows].tobytes()
+    for rows in (rng.permutation(300)[:40], [7, 7, 3], np.arange(300)[::-1]):
+        assert classify_prob(model, aligned[rows], v[rows]).tobytes() == pi[rows].tobytes()
 
 
 def test_fpca_validates_input():
@@ -394,25 +397,37 @@ def test_a_score_of_one_sign_puts_sigma_e_exactly_on_the_end(seed, signal, scale
     assert fit.converged and fit.n_passes == 9  # the sign reads alone
 
 
-def _two_branch_prob(eta):
-    """The logistic probability with one exponential per sign of eta, clipped."""
+def _two_branch_sigmoid(eta):
+    """The logistic function with one exponential per sign of eta."""
     eta = np.asarray(eta, dtype=float)
     out = np.empty_like(eta)
     pos = eta >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
     ex = np.exp(eta[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, 1e-15, 1.0 - 1e-15)
+    return out
+
+
+def _two_branch_prob(eta):
+    """The logistic probability with one exponential per sign of eta, clipped."""
+    return np.clip(_two_branch_sigmoid(eta), 1e-15, 1.0 - 1e-15)
 
 
 def test_prob_equals_the_two_branch_formula_byte_for_byte():
+    # _sigmoid makes one division for both signs; its bytes are the
+    # two-branch form's, unclipped, on all of [-800, 800] and at the ends
     rng = np.random.default_rng(37)
     special = [0.0, -0.0, 34.5, -34.5, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
     for size in (1, 7, 60, 129):
         for scale in (1e-3, 1.0, 30.0, 1e3):
             eta = np.concatenate([rng.standard_normal(size) * scale, special])
             assert classify._prob(eta).tobytes() == _two_branch_prob(eta).tobytes()
+            assert classify._sigmoid(eta).tobytes() == _two_branch_sigmoid(eta).tobytes()
     assert classify._prob(2.5) == _two_branch_prob(2.5)
+    eta = np.concatenate([np.linspace(-800.0, 800.0, 400_001), rng.uniform(-800.0, 800.0, 10_000)])
+    assert classify._sigmoid(eta).tobytes() == _two_branch_sigmoid(eta).tobytes()
+    signed_zero = classify._sigmoid(np.array([0.0, -0.0, np.inf, -np.inf]))
+    assert signed_zero.tobytes() == np.array([0.5, 0.5, 1.0, 0.0]).tobytes()
 
 
 def _recomputing_irls_pass(design, labels, penalty_vec, theta, max_newton=25):
@@ -529,10 +544,12 @@ def test_glmm_validates_inputs():
 
 def _model(b1, e, j_mats, coef_basis=None, scalar_b=None):
     """A complete ClassifierModel around the given coefficients; the FPCA
-    pair is a consistent placeholder."""
+    pair is a consistent placeholder: orthonormal functions on a 41-point
+    grid with a mean per coordinate."""
     k_x, k_e = j_mats.shape[1:]
-    grid = np.linspace(0.0, 1.0, 11)
-    fpca = FpcaModel(grid, np.zeros(11), np.zeros((11, k_x)), np.zeros(k_x))
+    grid = np.linspace(0.0, 1.0, 41)
+    funcs = _orthonormal_family(grid, k_x)
+    fpca = tuple(FpcaModel(grid, mean, funcs, np.ones(k_x)) for mean in (np.sin(grid), grid**2))
     return ClassifierModel(
         b0=0.4,
         b1=b1,
@@ -544,8 +561,27 @@ def _model(b1, e, j_mats, coef_basis=None, scalar_b=None):
         scalar_b=np.zeros(1 + len(b1)) if scalar_b is None else scalar_b,
         coef_basis=coef_basis or TruncatedPowerBasis.from_quantiles(grid, k_e),
         j_mats=j_mats,
-        fpca=(fpca, fpca),
+        fpca=fpca,
     )
+
+
+def test_the_weights_on_the_grid_give_the_scores_linear_predictor(small_pipeline):
+    # eta = b0 + v'b1 + sum_a (x_a - mu_a)'beta_a with beta_a = W_a J_a e_a,
+    # derived once per model, against the design rows CV fits on
+    panel, _, reg, model = small_pipeline
+    aligned, v = align_curves(panel, reg).values, panel.covariates
+    design = classify._functional_design(classify._score_panel(aligned, model.fpca), model.j_mats)
+    want = classify._eta(model, v, design)
+    on_grid = np.einsum("nga,ga->n", aligned - model.grid_mean, model.beta_grid)
+    eta = model.b0 + np.einsum("np,p->n", v, model.b1) + on_grid
+    assert np.all(np.abs(eta - want) <= 1e-12 * np.abs(want))
+    assert classify_prob(model, aligned, v).tobytes() == classify._prob(eta).tobytes()
+    # the model is frozen, so its weights cannot go stale; a changed copy
+    # derives its own
+    with pytest.raises(AttributeError):
+        model.e = np.zeros_like(model.e)
+    stripped = replace(model, e=np.zeros_like(model.e))
+    assert not stripped.beta_grid.any() and model.beta_grid.any()
 
 
 def test_classify_prob_round_trips_the_logit():
@@ -553,12 +589,12 @@ def test_classify_prob_round_trips_the_logit():
     model = _model(
         np.array([-0.7, 0.2]), rng.standard_normal((2, 3)), rng.standard_normal((2, 4, 3))
     )
-    scores = rng.standard_normal((2, 4))
+    aligned = rng.standard_normal((41, 2))
     v = np.array([0.3, -1.1])
-    (pi,) = classify_prob(model, scores[None], v[None])
+    (pi,) = classify_prob(model, aligned[None], v[None])
     eta = model.b0 + v @ model.b1
-    eta += scores[0] @ model.j_mats[0] @ model.e[0]
-    eta += scores[1] @ model.j_mats[1] @ model.e[1]
+    for a in (0, 1):
+        eta += project_scores(aligned[None, :, a], model.fpca[a])[0] @ model.j_mats[a] @ model.e[a]
     assert abs(np.log(pi / (1 - pi)) - eta) < 1e-10
 
 
@@ -589,18 +625,19 @@ def test_scalar_only_prob_requires_refit():
         ClassifierModel.from_dict(payload)
 
 
-def test_scores_and_covariates_of_another_shape_raise():
-    # a model with p = 1 and k_x = 3: four covariates for two subjects, or
-    # two per subject, must not broadcast its one scalar coefficient
+def test_aligned_curves_and_covariates_of_another_shape_raise():
+    # a model with p = 1 on a 41-point grid: four covariates for two
+    # subjects, or two per subject, must not broadcast its one scalar
+    # coefficient, and curves on another grid must not broadcast either
     model = _model(np.array([0.4]), np.zeros((2, 2)), np.zeros((2, 3, 2)))
-    scores = np.zeros((2, 2, 3))
-    assert classify_prob(model, scores, np.zeros((2, 1))).shape == (2,)
+    aligned = np.zeros((2, 41, 2))
+    assert classify_prob(model, aligned, np.zeros((2, 1))).shape == (2,)
     assert scalar_only_prob(model, np.zeros((3, 1))).shape == (3,)
     for bad in (np.zeros(4), np.zeros((2, 2)), np.zeros((3, 1)), np.zeros(2)):
         with pytest.raises(DataError, match="scalars has shape"):
-            classify_prob(model, scores, bad)
-    for bad in (np.zeros((2, 2, 4)), np.zeros((2, 3)), np.zeros((2, 3, 3))):
-        with pytest.raises(DataError, match="scores has shape"):
+            classify_prob(model, aligned, bad)
+    for bad in (np.zeros((2, 41, 3)), np.zeros((2, 41)), np.zeros((2, 40, 2)), np.zeros((41, 2))):
+        with pytest.raises(DataError, match="aligned has shape"):
             classify_prob(model, bad, np.zeros((2, 1)))
     for bad in (np.zeros((3, 2)), np.zeros(3), np.zeros((3, 0))):
         with pytest.raises(DataError, match="scalars has shape"):
@@ -633,9 +670,10 @@ def test_classifier_model_round_trips_through_json(small_pipeline):
     back = ClassifierModel.from_dict(json.loads(json.dumps(model.to_dict())))
     rng = np.random.default_rng(29)
     for _ in range(5):
-        scores = rng.standard_normal((1, 2, model.j_mats.shape[1]))
+        aligned = rng.standard_normal((1, len(model.fpca[0].grid), 2))
         v = rng.standard_normal((1, 1))
-        assert classify_prob(back, scores, v) == classify_prob(model, scores, v)
+        got, want = classify_prob(back, aligned, v), classify_prob(model, aligned, v)
+        assert got.tobytes() == want.tobytes()
         assert scalar_only_prob(back, v) == scalar_only_prob(model, v)
     t = np.linspace(0, 1, 17)
     for a in (0, 1):
@@ -671,8 +709,7 @@ def test_classifier_refit_is_bit_identical(small_pipeline):
 
 def test_predict_with_zero_functional_part_reduces_to_scalars(small_pipeline):
     panel, _, reg, model = small_pipeline
-    stripped = ClassifierModel.from_dict(json.loads(json.dumps(model.to_dict())))
-    stripped.e = np.zeros_like(stripped.e)
+    stripped = replace(model, e=np.zeros_like(model.e))
     res = predict_new(reg, stripped, panel.curves[0], panel.covariates[0])
     v = panel.covariates[0]
     eta = stripped.b0 + float(v @ stripped.b1)
@@ -713,12 +750,13 @@ def _two_alignment_model(reg, model, curve, v, start, etas):
              for a in (0, 1)]
         ))
     gap = z[0] - z[1]
-    moved = ClassifierModel.from_dict(json.loads(json.dumps(model.to_dict())))
     e = (etas[0] - etas[1]) * gap / (gap @ gap)
-    moved.e = e.reshape(2, -1)
-    moved.b0 = etas[0] - float(v @ model.b1) - float(e @ z[0])
-    moved.scalar_b = np.concatenate([[5.0 if start else -5.0], np.zeros_like(model.b1)])
-    return moved
+    return replace(
+        model,
+        e=e.reshape(2, -1),
+        b0=etas[0] - float(v @ model.b1) - float(e @ z[0]),
+        scalar_b=np.concatenate([[5.0 if start else -5.0], np.zeros_like(model.b1)]),
+    )
 
 
 def _cycling_model(reg, model, curve, v, start):
@@ -760,8 +798,7 @@ def _label_loop(reg_fit, model, curve, scalars, max_iter=10):
             (ords,), (ok,) = classify.fit_subject_warp([curve], reg_fit, label)
             if not ok:
                 degraded = True
-            aligned = align_single(curve, anchors, ords, grid)
-            cache[label] = classify._score_panel(aligned[None], model.fpca)
+            cache[label] = align_single(curve, anchors, ords, grid)[None]
         (pi,) = classify_prob(model, cache[label], v)
         new_label = int(pi >= 0.5)
         if new_label == label and pi_prev is not None and abs(pi - pi_prev) < 1e-6:
@@ -838,8 +875,7 @@ def held_out_cases(small_pipeline):
         else:  # three subjects on one shorter grid
             curves.append(SubjectCurve(c.subject_id, c.times[::2], c.values[::2]))
     held = CurvePanel(curves, held.scalars)
-    flipped = ClassifierModel.from_dict(json.loads(json.dumps(model.to_dict())))
-    flipped.scalar_b = -flipped.scalar_b
+    flipped = replace(model, scalar_b=-model.scalar_b)
     v0 = held.covariates[0]
     start = int(scalar_only_prob(model, v0[None])[0] >= 0.5)
     models = (model, flipped, _cycling_model(reg, model, held.curves[0], v0, start))
@@ -871,6 +907,17 @@ def test_a_panel_predicts_each_subject_as_alone(held_out_cases, data):
     rows = data.draw(st.lists(st.integers(0, held.n_subjects - 1), min_size=1, max_size=16))
     got = predict_panel(reg, models[m], [held.curves[i] for i in rows], held.covariates[rows])
     assert [_bits(r) for r in got] == [_bits(alone[m][i]) for i in rows]
+
+
+def test_a_panel_in_reverse_order_from_cold_caches_predicts_the_same_bytes(held_out_cases):
+    reg, held, models, alone = held_out_cases
+    rows = np.arange(held.n_subjects)[::-1]
+    for m, model in enumerate(models):
+        for cache in (registration._held_out_grid, registration._held_out_group,
+                      registration._held_out_start):
+            cache.cache_clear()
+        got = predict_panel(reg, model, [held.curves[i] for i in rows], held.covariates[rows])
+        assert [_bits(r) for r in got] == [_bits(alone[m][i]) for i in rows]
 
 
 def test_predict_panel_checks_the_covariates(small_pipeline):
@@ -1040,13 +1087,9 @@ def test_training_half_is_classified_accurately_in_sample(scenario_a_fit):
     train_ids = [sid for sid, m in zip(panel.subject_ids, truth.train_mask) if m]
     train = panel.subset(train_ids)
     aligned = align_curves(train, reg)
-    scores = np.stack(
-        [project_scores(aligned.values[:, :, a], model.fpca[a]) for a in (0, 1)],
-        axis=1,
-    )
     pis = np.array(
         [
-            classify_prob(model, scores[i : i + 1], train.covariates[i : i + 1])[0]
+            classify_prob(model, aligned.values[i : i + 1], train.covariates[i : i + 1])[0]
             for i in range(train.n_subjects)
         ]
     )

@@ -588,8 +588,8 @@ def test_a_warp_step_that_raises_the_objective_is_reverted_and_logged(monkeypatc
     original = registration._levenberg_marquardt
     solved = []  # the subject solves' offsets, then the group's
 
-    def worse_group_offsets(residuals, u0, max_evals):
-        u, f, converged, f0, evals = original(residuals, u0, max_evals)
+    def worse_group_offsets(residuals, u0, first, max_evals):
+        u, f, converged, f0, evals = original(residuals, u0, first, max_evals)
         if not isinstance(residuals, functools.partial):
             # the group solve ends on a feasible point far from its optimum
             u = u + np.array([0.08, -0.08])
@@ -636,10 +636,10 @@ def test_the_group_solve_has_the_exact_hessian_of_its_members_rows(monkeypatch):
     original = registration._levenberg_marquardt
     group_solves = []
 
-    def solve(residuals, u0, max_evals):
+    def solve(residuals, u0, first, max_evals):
         if not isinstance(residuals, functools.partial):
             group_solves.append(residuals)
-        return original(residuals, u0, max_evals)
+        return original(residuals, u0, first, max_evals)
 
     monkeypatch.setattr(registration, "_levenberg_marquardt", solve)
     fit_warps(panel, means, ctx, WarpState.identity(ANCHORS, {sid: 0 for sid in offsets}))
@@ -712,7 +712,7 @@ def test_warp_step_parts_are_built_once(monkeypatch):
     original_solve = registration._levenberg_marquardt
     solves = []  # per solve: the batch size and the residual calls of each round
 
-    def solve(residuals, u0, max_evals):
+    def solve(residuals, u0, first, max_evals):
         rounds = []
 
         def round_(u, members):
@@ -723,7 +723,7 @@ def test_warp_step_parts_are_built_once(monkeypatch):
 
         solving.append(1)
         try:
-            return original_solve(round_, u0, max_evals)
+            return original_solve(round_, u0, first, max_evals)
         finally:
             solving.pop()
             solves.append((len(u0), rounds))
@@ -736,11 +736,12 @@ def test_warp_step_parts_are_built_once(monkeypatch):
     calls["hermite_weights"] = calls["subject_warp_residuals"] = 0
     warps, _ = fit_warps(panel, means, ctx, WarpState.identity(ANCHORS, panel.group_of))
     assert calls["spline"] == 2 and calls["hermite_weights"] == 0
-    assert calls["subject_warp_residuals"] > 0 and calls["outside"] == 0
     # group 0 has s0, s2, s4 and group 1 s1, s3: a subject solve over the
-    # whole group, then the group solve, each round one residual call
+    # whole group, then the group solve, each round one residual call, and
+    # each solve's first evaluation made once by the step, before the solver
     assert [size for size, _ in solves] == [3, 1, 2, 1]
-    assert calls["subject_warp_residuals"] == sum(len(rounds) for _, rounds in solves)
+    assert calls["outside"] == len(solves)
+    assert calls["subject_warp_residuals"] == sum(len(rounds) for _, rounds in solves) + len(solves)
     assert all(rounds == [1] * len(rounds) for _, rounds in solves)
 
     build_linearization(panel, means, warps, basis, table)
@@ -1655,12 +1656,13 @@ def test_the_fit_counts_the_residual_evaluations_of_its_warp_solves(monkeypatch)
     original = registration._levenberg_marquardt
     evaluated = []
 
-    def solve(residuals, u0, max_evals):
+    def solve(residuals, u0, first, max_evals):
         def counted(u, members):
-            evaluated.append(len(members))
+            evaluated.append(len(u))
             return residuals(u, members)
 
-        return original(counted, u0, max_evals)
+        evaluated.append(len(u0))  # the first evaluation, which the caller makes
+        return original(counted, u0, first, max_evals)
 
     monkeypatch.setattr(registration, "_levenberg_marquardt", solve)
     cfg = RegistrationConfig(n_interior_knots=4, variance_maxiter=20, max_outer=3)

@@ -25,6 +25,7 @@ from warpclass.registration import (
     _grid_weights,
     _held_out_grid,
     _held_out_group,
+    _held_out_start,
     _levenberg_marquardt,
     _mean_splines,
     build_context,
@@ -267,6 +268,18 @@ def test_residual_norm_equals_the_subjects_objective_term():
     assert abs(r @ r - want) <= 1e-10 * abs(want)
 
 
+def _solve(residuals, u0, max_evals):
+    """``_levenberg_marquardt`` from ``u0``, with its first evaluation, at all
+    problems, made here as its callers make it."""
+    u0 = np.array(u0, dtype=float)
+    return _levenberg_marquardt(residuals, u0, residuals(u0, np.arange(len(u0))), max_evals)
+
+
+def _all(u, members):
+    """The problems a residual call evaluates: ``members``, or all of them where it is None."""
+    return np.arange(len(u)) if members is None else members
+
+
 def _rosenbrock(seen, bound=np.inf):
     """Rosenbrock's residuals with their second-order term; infeasible past u_0 = ``bound``."""
 
@@ -285,7 +298,7 @@ def _rosenbrock(seen, bound=np.inf):
 
 def test_levenberg_marquardt_descends_and_respects_infeasibility():
     seen = []
-    (u,), (f,), (converged,), (f0,), (evals,) = _levenberg_marquardt(
+    (u,), (f,), (converged,), (f0,), (evals,) = _solve(
         _rosenbrock(seen), [[-1.2, 1.0]], 200
     )
     assert converged and f < 1e-12 and np.allclose(u, 1.0, atol=1e-6)
@@ -295,9 +308,9 @@ def test_levenberg_marquardt_descends_and_respects_infeasibility():
 
     # past u_0 = 0.5 the residual is undefined: the solver stays feasible
     seen.clear()
-    (u,), (f,), _, _, _ = _levenberg_marquardt(_rosenbrock(seen, 0.5), [[-1.2, 1.0]], 200)
+    (u,), (f,), _, _, _ = _solve(_rosenbrock(seen, 0.5), [[-1.2, 1.0]], 200)
     assert u[0] <= 0.5 and f == min(seen) and f < 0.3
-    (u,), (f,), (converged,), (f0,), (evals,) = _levenberg_marquardt(
+    (u,), (f,), (converged,), (f0,), (evals,) = _solve(
         _rosenbrock(seen, -2.0), [[0.0, 0.0]], 5
     )
     assert f == np.inf and not converged
@@ -312,20 +325,20 @@ def test_levenberg_marquardt_where_the_newton_model_is_indefinite():
         # J'J + S has a negative eigenvalue at the start
         assert np.linalg.eigvalsh(jac[0].T @ jac[0] + second[0])[0] < 0
         seen.clear()
-        (u,), (f,), (converged,), (f0,), (evals,) = _levenberg_marquardt(residuals, [start], 200)
+        (u,), (f,), (converged,), (f0,), (evals,) = _solve(residuals, [start], 200)
         assert converged and f < 1e-12 and np.allclose(u, 1.0, atol=1e-6)
         assert f <= f0 and evals == len(seen)
         # never an ascent: stopped after any number of rounds, the solver
         # holds the best point it has evaluated
         for budget in range(1, evals + 1):
             seen.clear()
-            _, (f,), _, (f0,), _ = _levenberg_marquardt(residuals, [start], budget)
+            _, (f,), _, (f0,), _ = _solve(residuals, [start], budget)
             assert f == min(seen) <= f0
     # From (0, 0.02) the first damped Newton step is not a descent step of
     # the model: the damping rises without an evaluation, so a budget of
     # two rounds makes only the first evaluation and stays at the start.
     seen = []
-    (u,), (f,), (converged,), (f0,), (evals,) = _levenberg_marquardt(
+    (u,), (f,), (converged,), (f0,), (evals,) = _solve(
         _rosenbrock(seen), [[0.0, 0.02]], 2
     )
     assert len(seen) == evals == 1 and not converged
@@ -353,8 +366,8 @@ def _large_residual(curvature, newton=True):
 def test_newton_steps_need_fewer_evaluations_where_the_residual_stays_large():
     for curvature in (0.5, -0.5, 0.9):
         for x0 in (1.0, 3.0):
-            newton = _levenberg_marquardt(_large_residual(curvature), [[x0]], 200)
-            gauss = _levenberg_marquardt(_large_residual(curvature, False), [[x0]], 200)
+            newton = _solve(_large_residual(curvature), [[x0]], 200)
+            gauss = _solve(_large_residual(curvature, False), [[x0]], 200)
             for (u,), (f,), (converged,), _, _ in (newton, gauss):
                 assert converged and abs(u[0]) < 1e-4 and abs(f - 2.0) < 1e-9
             assert 2 * newton[4][0] <= gauss[4][0]
@@ -364,7 +377,7 @@ def _tiny_or_parabola(u, members):
     """Two one-offset problems: 0 has r = 1e8 u, infeasible below u = 1e-16; 1 is a parabola."""
     r, jac, ok = np.zeros((len(u), 2)), np.zeros((len(u), 2, 1)), np.ones(len(u), dtype=bool)
     second = np.zeros((len(u), 1, 1))
-    for row, ((x,), member) in enumerate(zip(u, members)):
+    for row, ((x,), member) in enumerate(zip(u, _all(u, members))):
         if member == 0:
             r[row, 0], jac[row, 0, 0], ok[row] = 1e8 * x, 1e8, x >= 1e-16
         else:
@@ -378,14 +391,14 @@ def test_a_rejected_step_promising_too_little_ends_the_solve_as_converged():
     # The first trial step lands below 1e-16 and is rejected, and its
     # predicted decrease (~1e-16) is below _FTOL: converged, nothing moved.
     counts = np.zeros(2, dtype=int)
-    u, f, converged, f0, evals = _levenberg_marquardt(
+    u, f, converged, f0, evals = _solve(
         _counted(_tiny_or_parabola, counts, []), np.array([[1e-16]]), 40
     )
     assert converged[0] and u[0, 0] == 1e-16 and f[0] == f0[0] == (1e8 * 1e-16) ** 2
     assert counts[0] == evals[0] == 2
     # the same next to a problem that takes several steps
     counts[:] = 0
-    u, f, converged, f0, evals = _levenberg_marquardt(
+    u, f, converged, f0, evals = _solve(
         _counted(_tiny_or_parabola, counts, []), np.array([[1e-16], [3.0]]), 40
     )
     assert converged.tolist() == [True, True] and counts[0] == 2 and counts[1] > 2
@@ -488,8 +501,8 @@ def _counted(residuals, counts, calls):
     """``residuals`` counting each problem's evaluations and recording each call's members."""
 
     def wrapped(u, members):
-        counts[members] += 1
-        calls.append(members.tolist())
+        counts[_all(u, members)] += 1
+        calls.append(_all(u, members).tolist())
         return residuals(u, members)
 
     return wrapped
@@ -506,7 +519,7 @@ def _singular(residuals, member):
 
     def wrapped(u, members):
         r, jac, ok, second = residuals(u, members)
-        at = members == member
+        at = _all(u, members) == member
         r[at], jac[at], second[at] = 0.0, 0.0, 0.0
         r[at, 0], jac[at, 0, 0] = 1e151, 1e-156
         return r, jac, ok, second
@@ -529,13 +542,13 @@ def test_lock_step_solve_equals_each_problem_solved_alone(size, seed, data):
 
     counts, calls = np.zeros(size, dtype=int), []
     residuals = _singular(partial(subject_warp_residuals, _problem(base, seed=seeds)), singular)
-    got = _levenberg_marquardt(_counted(residuals, counts, calls), u0, max_evals)
+    got = _solve(_counted(residuals, counts, calls), u0, max_evals)
     for i in range(size):
         alone = np.zeros(1, dtype=int)
         residuals = partial(subject_warp_residuals, _problem(base[i], seed=seeds[i]))
         if i == singular:
             residuals = _singular(residuals, 0)
-        want = _levenberg_marquardt(_counted(residuals, alone, []), u0[i : i + 1], max_evals)
+        want = _solve(_counted(residuals, alone, []), u0[i : i + 1], max_evals)
         for a, b in zip(got, want):
             assert np.allclose(a[i], b[0], rtol=1e-12, atol=0.0)
         assert counts[i] == alone[0]
@@ -616,10 +629,10 @@ def test_the_gradient_test_at_an_accepted_trial_changes_only_converged_at_the_ca
     )
     u0 = rng.normal(0, 0.05, (size, 2))
     residuals = partial(subject_warp_residuals, _problem(base, seed=rng.integers(0, 2**16, size)))
-    full = _levenberg_marquardt(residuals, u0, 40)
+    full = _solve(residuals, u0, 40)
     budgets = {1, 2, 3, 40, *full[4].tolist(), *(full[4] - 1).tolist()}
     for max_evals in sorted(b for b in budgets if b >= 1):
-        got = _levenberg_marquardt(residuals, u0, max_evals)
+        got = _solve(residuals, u0, max_evals)
         want = _lm_testing_the_gradient_each_round(residuals, u0, max_evals)
         for i in (0, 1, 3, 4):  # u, f, f0, evals
             assert got[i].tobytes() == want[i].tobytes()
@@ -635,13 +648,13 @@ def test_the_gradient_test_at_an_accepted_trial_changes_only_converged_at_the_ca
 def test_a_solve_whose_last_allowed_evaluation_has_a_small_gradient_has_converged():
     seen = []
     residuals = _rosenbrock(seen)
-    (u,), (f,), (converged,), _, (evals,) = _levenberg_marquardt(residuals, [[-1.2, 1.0]], 200)
+    (u,), (f,), (converged,), _, (evals,) = _solve(residuals, [[-1.2, 1.0]], 200)
     assert converged
     # the last evaluation met the gradient test, not the decrease test
-    _, (f_before,), _, _, _ = _levenberg_marquardt(residuals, [[-1.2, 1.0]], evals - 1)
+    _, (f_before,), _, _, _ = _solve(residuals, [[-1.2, 1.0]], evals - 1)
     assert f_before - f > registration._FTOL * max(f_before, 1.0)
     seen.clear()
-    capped = _levenberg_marquardt(residuals, [[-1.2, 1.0]], evals)
+    capped = _solve(residuals, [[-1.2, 1.0]], evals)
     assert capped[2][0] and capped[4][0] == evals == len(seen)
     assert not _lm_testing_the_gradient_each_round(residuals, [[-1.2, 1.0]], evals)[2][0]
 
@@ -678,6 +691,7 @@ def _fit(group_offsets):
 def _clear_held_out_caches():
     _held_out_grid.cache_clear()
     _held_out_group.cache_clear()
+    _held_out_start.cache_clear()
 
 
 def _subjects(fit, n_subjects, seed, jitter=0.0, n_obs=50):
@@ -741,13 +755,15 @@ def test_held_out_warp_solves_take_few_residual_evaluations(monkeypatch):
     train, _ = simulate_study2(Study2Config(scenario="A", seed=0, n_subjects=30, n_obs=60))
     test, _ = simulate_study2(Study2Config(scenario="A", seed=1000, n_subjects=20, n_obs=60))
     fit = fit_registration(train)
-    evaluated = []
+    evaluated = []  # each solve's evaluations, the cached start's included
+    original = registration._levenberg_marquardt
 
-    def counted(prob, u, members=None):
-        evaluated.append(len(u))
-        return subject_warp_residuals(prob, u, members)
+    def counted(residuals, u0, first, max_evals):
+        out = original(residuals, u0, first, max_evals)
+        evaluated.append(int(out[4].sum()))
+        return out
 
-    monkeypatch.setattr(registration, "subject_warp_residuals", counted)
+    monkeypatch.setattr(registration, "_levenberg_marquardt", counted)
     n_solves = 0
     for curve in test.curves:
         for label in (0, 1):
@@ -768,6 +784,61 @@ def test_fit_subject_warp_is_identical_with_a_cold_or_warm_factor_cache():
     warm = [_fit_one(curve, fit, label) for curve, label in subjects]
     for (a, ok_a), (b, ok_b) in zip(cold, warm):
         assert a.tobytes() == b.tobytes() and ok_a == ok_b
+
+
+def test_the_cached_start_gives_the_bytes_of_a_residual_call_at_zero_offsets(monkeypatch):
+    # the first evaluation of each held-out solve is whitened from the class
+    # warp's cached geometry; cold or warm, under either label, on a shared
+    # grid and on jittered ones (more than the cache keeps), it has the bytes
+    # of a residual call at zero offsets, and so do the solves that follow
+    fit = _fit({0: [0.03, -0.02], 1: [-0.05, 0.04]})
+    subjects = _subjects(fit, 6, seed=41) + _subjects(fit, 10, seed=43, jitter=0.004)
+    original = registration._levenberg_marquardt
+    firsts = []
+
+    def recorded(residuals, u0, first, max_evals):
+        firsts.append((first, residuals(u0, None)))
+        return original(residuals, u0, first, max_evals)
+
+    monkeypatch.setattr(registration, "_levenberg_marquardt", recorded)
+    runs = []
+    for clear in (True, False, False):
+        run = []
+        for curve, _ in subjects:
+            for label in (0, 1):
+                if clear:
+                    _clear_held_out_caches()
+                run.append(_fit_one(curve, fit, label))
+        runs.append(run)
+    assert _held_out_start.cache_info().hits > 0
+    for run in runs[1:]:
+        for (a, ok_a), (b, ok_b) in zip(runs[0], run):
+            assert a.tobytes() == b.tobytes() and ok_a == ok_b
+    n = len(runs[0])
+    assert len(firsts) == 3 * n
+    for i, (first, direct) in enumerate(firsts):
+        for got, want, again in zip(first, direct, firsts[i % n][0]):
+            assert got.tobytes() == want.tobytes() == again.tobytes()
+    # a panel on the shared grid starts from the cache, and one on several
+    # grids by one residual call: each subject gets the bytes it gets alone
+    for rows in (range(6), range(4, len(subjects))):
+        for label in (0, 1):
+            ords, ok = fit_subject_warp([subjects[i][0] for i in rows], fit, label)
+            alone = [runs[0][2 * i + label] for i in rows]
+            assert [(o.tobytes(), bool(k)) for o, k in zip(ords, ok)] == [
+                (a.tobytes(), bool(k)) for a, k in alone
+            ]
+
+
+def test_the_cached_start_follows_a_change_of_the_class_warp():
+    fit = _fit({0: [0.03, -0.02], 1: [-0.05, 0.04]})
+    (curve, label), = _subjects(fit, 1, seed=19)
+    _fit_one(curve, fit, label)
+    fit.warps.group_offsets[label][1:-1] += 0.01
+    warm, _ = _fit_one(curve, fit, label)
+    _clear_held_out_caches()
+    cold, _ = _fit_one(curve, fit, label)
+    assert warm.tobytes() == cold.tobytes()
 
 
 def test_factor_cache_follows_a_change_of_variance_parameters():
@@ -823,9 +894,10 @@ def test_prediction_leaves_the_artifact_alone_and_shares_the_cache_across_fits()
         cold.append(_fit_one(curve, second, label))
     for curve, label in subjects:
         _fit_one(curve, first, label)
-    misses = _held_out_grid.cache_info().misses, _held_out_group.cache_info().misses
+    caches = (_held_out_grid, _held_out_group, _held_out_start)
+    misses = [cache.cache_info().misses for cache in caches]
     warm = [_fit_one(curve, second, label) for curve, label in subjects]
-    assert (_held_out_grid.cache_info().misses, _held_out_group.cache_info().misses) == misses
+    assert [cache.cache_info().misses for cache in caches] == misses
     for (a, ok_a), (b, ok_b) in zip(cold, warm):
         assert a.tobytes() == b.tobytes() and ok_a == ok_b
     for fit in (first, second):
