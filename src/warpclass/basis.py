@@ -152,9 +152,9 @@ class MonotoneInterpolant:
     Slopes are limited so that the interpolant is monotone on every
     interval where the data is monotone; evaluation outside the anchor
     span raises.  ``values`` and ``slopes`` may be (..., m), several
-    interpolants on the same anchors evaluated together at the same times;
-    ``at_rows`` evaluates a stack (N, m) each at its own row of times, and
-    ``inverse`` takes one or a stack (N, m).
+    interpolants on the same anchors: a call evaluates them all at the same
+    times, or a stack (N, m) each at its own row of times; ``inverse``
+    takes one or a stack (N, m).
     """
 
     anchors: np.ndarray
@@ -162,23 +162,21 @@ class MonotoneInterpolant:
     slopes: np.ndarray
 
     def __call__(self, t) -> np.ndarray:
-        y, d = self.values, self.slopes
-        idx, h, (h00, h10, h01, h11) = _hermite_cells(self.anchors, t)
-        y0, y1 = y.take(idx, axis=-1), y.take(idx + 1, axis=-1)
-        d0, d1 = d.take(idx, axis=-1), d.take(idx + 1, axis=-1)
-        return y0 * h00 + h * d0 * h10 + y1 * h01 + h * d1 * h11
-
-    def at_rows(self, t) -> np.ndarray:
-        """A stack (N, m) of interpolants, row i at row i of the times ``t`` (N, n).
+        """Values at the times ``t`` (n,), shared by all interpolants, or, for a
+        stack (N, m), row i at row i of ``t`` (N, n).
 
         Each point's value has the bits it has when its interpolant is
-        called alone at its row.
+        called alone at its time.
         """
         y, d = self.values, self.slopes
         idx, h, (h00, h10, h01, h11) = _hermite_cells(self.anchors, t)
-        if y.ndim != 2 or idx.ndim != 2 or len(idx) != len(y):
-            raise DataError(f"{len(y)} interpolants cannot take times of shape {idx.shape} by row")
-        idx = idx + y.shape[1] * np.arange(len(y))[:, None]  # each row's cells in the flat stack
+        if idx.ndim < 2:
+            lead = np.arange(y.size // y.shape[-1]).reshape(y.shape[:-1] + (1,) * idx.ndim)
+        elif y.ndim == idx.ndim == 2 and len(idx) == len(y):
+            lead = np.arange(len(y))[:, None]
+        else:
+            raise DataError(f"interpolants {y.shape} cannot take times {idx.shape} row by row")
+        idx = idx + y.shape[-1] * lead  # each interpolant's cells in the flat stack
         y0, y1 = y.take(idx), y.take(idx + 1)
         d0, d1 = d.take(idx), d.take(idx + 1)
         return y0 * h00 + h * d0 * h10 + y1 * h01 + h * d1 * h11

@@ -31,13 +31,12 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basis import TruncatedPowerBasis, cross_gram, quad_weights
 from .codec import decode, encode
 from .curves import CurvePanel, SubjectCurve
 from .errors import DataError, NumericalError, check_format_version, check_shape
-from .gp import CholFactor
+from .gp import CholFactor, best_root
 from .registration import (
     RegistrationFit,
     align_curves,
@@ -353,16 +352,14 @@ def fit_glmm(
     V = D + theta'P theta + log|M| + n_pen log sigma_e^2, M = X'WX + P.
     At fixed weights its slope in log sigma_e^2 is edf_pen -
     ||e_pen||^2 / sigma_e^2, with edf_pen = n_pen - tr_pen(M^-1) / sigma_e^2:
-    a root is a fixed point of Schall's update.  It can have several
-    roots, so its sign is read at one point per decade of the interval,
-    solved in increasing order and each warm-started from the last theta
-    (the first from 0); brentq finds the root in each cell where it turns
-    from - to +, an end counts (exactly) where V falls towards it, and the
-    candidate of smallest V is returned.  ``deviance_trace`` holds one
-    ``_irls_pass`` trace per solve, in evaluation order, ``n_passes``
-    their count, and ``converged`` whether the returned solve stopped
-    before ``_irls_pass``'s ``max_newton``.  Without penalized columns the
-    fit is one solve and ``sigma_e`` is 0.
+    a root is a fixed point of Schall's update.  Its sign is read at one
+    point per decade of the interval, solved in increasing order and each
+    warm-started from the last theta (the first from 0), and ``best_root``
+    returns the best of its roots and the interval's ends.
+    ``deviance_trace`` holds one ``_irls_pass`` trace per solve, in
+    evaluation order, ``n_passes`` their count, and ``converged`` whether
+    the returned solve stopped before ``_irls_pass``'s ``max_newton``.
+    Without penalized columns the fit is one solve and ``sigma_e`` is 0.
     """
     scalar_design = np.asarray(scalar_design, dtype=float)
     y = np.asarray(labels, dtype=float).ravel()
@@ -412,14 +409,7 @@ def fit_glmm(
     if n_pen:
         grid = np.geomspace(_SIGMA_MIN, _SIGMA_MAX, 9)  # one point per decade
         signs = [score(s) for s in grid]
-        found = [
-            brentq(score, grid[i], grid[i + 1])
-            for i in range(len(grid) - 1)
-            if signs[i] < 0.0 <= signs[i + 1]
-        ]
-        found += [_SIGMA_MIN] if signs[0] >= 0.0 else []
-        found += [_SIGMA_MAX] if signs[-1] <= 0.0 else []
-        sigma_e = float(min(found, key=neg2_loglik))
+        sigma_e = best_root(score, grid, signs, (_SIGMA_MIN, _SIGMA_MAX), neg2_loglik)
         theta, _, _, converged = solve(sigma_e)
     else:
         sigma_e = 0.0

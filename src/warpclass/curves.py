@@ -2,19 +2,23 @@
 
 A panel joins per-subject sampled curves (two coordinates on a shared
 per-subject time grid) with one scalar record per subject: covariates
-plus an optional binary class label.  Grids are normalized to [0, 1] on
-load when the raw time axis falls outside that interval; grids already
-inside [0, 1] are kept bit-exact so simulator output round-trips.
+plus an optional binary class label.  When a file's times fall outside
+[0, 1], all of them are rescaled to [0, 1] on load by the file's min and
+max, with a warning; grids already inside [0, 1] are kept bit-exact so
+simulator output round-trips.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
+
+_log = logging.getLogger(__name__)
 
 CURVES_HEADER = ["subject_id", "t", "x1", "x2"]
 MIN_GRID_LEN = 4
@@ -149,8 +153,9 @@ def load_curves(path) -> list:
 
     Rows are grouped by subject and sorted by time.  Duplicate
     (subject_id, t) pairs and malformed values raise with the row number.
-    Time axes falling outside [0, 1] are affinely rescaled to [0, 1]
-    using the file-wide min and max.
+    When any time falls outside [0, 1], every time in the file is affinely
+    rescaled to [0, 1] by the file-wide min and max, with one warning
+    naming the file and the span rescaled.
     """
     rows = []
     try:
@@ -186,6 +191,7 @@ def load_curves(path) -> list:
     if tmin < -1e-12 or tmax > 1 + 1e-12:
         if tmax <= tmin:
             raise DataError("cannot normalize a time axis with zero span")
+        _log.warning("%s: times rescaled from [%g, %g] to [0, 1]", path, tmin, tmax)
         rows = [(sid, (t - tmin) / (tmax - tmin), a, b) for sid, t, a, b in rows]
 
     by_subject: dict = {}

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 from scipy.special import k0, k1, kv
 
@@ -437,3 +438,19 @@ def profile_loglik_parts(quad_sum: float, logdet_sum: float, n: int) -> tuple[fl
     sigma2 = max(quad_sum / n, 1e-12)
     loglik = -0.5 * (logdet_sum + n * math.log(sigma2) + n)
     return loglik, sigma2
+
+
+def best_root(score, grid, signs, ends: tuple, objective, scale=float) -> float:
+    """Of an objective's minima on an interval, the one of least ``objective``.
+
+    ``signs`` are ``score``, of the sign of the objective's slope, at the
+    increasing ``grid``: brentq finds the root in each cell where it turns
+    from - to +, and an end (``ends``, exact) counts where the objective
+    falls towards it.  Roots are mapped by ``scale``.
+    """
+    signs = np.asarray(signs)
+    cells = np.flatnonzero((signs[:-1] < 0.0) & (signs[1:] >= 0.0))
+    found = [scale(brentq(score, grid[i], grid[i + 1])) for i in cells]
+    found += [ends[0]] if signs[0] >= 0.0 else []
+    found += [ends[1]] if signs[-1] <= 0.0 else []
+    return float(min(found, key=objective))

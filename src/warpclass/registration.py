@@ -36,7 +36,9 @@ batch of problems in lock step, each deciding as if solved alone.
 A problem fixes, when it is built, how a call on all of its subjects runs
 (``WarpProblem.layout``), and a call is two steps: the warped mean curves,
 which depend on the ordinates and the grids only (``_warp_geometry``), then
-their whitening against the curves (``_whitened``).
+their whitening against the curves (``_whitened``).  The variance step's
+first-order expansion in the warp offsets is those warped mean curves and
+their slopes alone (``build_linearization``).
 Designs are warped the same way, one ``hyman_interp`` per length.  A warp
 step solves each group's subjects as one batch, then the group's offsets
 on all members at once; held-out subjects under one group are a batch too
@@ -72,7 +74,6 @@ import numpy as np
 from scipy.interpolate import BSpline
 # Unused here: perfbench/tracing.py wraps registration.minimize by name.
 from scipy.optimize import minimize  # noqa: F401
-from scipy.optimize import brentq
 
 from .basis import BSplineBasis, hermite_weights, hyman_interp, hyman_slopes
 from .codec import decode, encode
@@ -89,6 +90,7 @@ from .errors import (
 from .gp import (
     CholFactor,
     MaternParams,
+    best_root,
     chol_factors,
     matern_cov,
     profile_loglik_parts,
@@ -313,8 +315,8 @@ def warp_design(panel: CurvePanel, warps: WarpState, basis: BSplineBasis) -> dic
     """Per-subject B-spline design evaluated at the warped times g(t_ij).
 
     The subjects with one number of observation times are warped together:
-    one ``hyman_interp`` on their stacked ordinates, evaluated row by row at
-    their stacked times (``MonotoneInterpolant.at_rows``).
+    one ``hyman_interp`` on their stacked ordinates, each row called at its
+    own row of their stacked times.
     The designs of all warped times come from one design-matrix call, split
     back per subject.  Each design equals ``basis.design`` at its subject's
     warp values clipped to [0, 1].  Raises NumericalError naming the first
@@ -331,7 +333,7 @@ def warp_design(panel: CurvePanel, warps: WarpState, basis: BSplineBasis) -> dic
     warped, rows, start = [], {}, 0
     for idx in by_length.values():
         times = np.array([panel.curves[i].times for i in idx])
-        g = np.clip(hyman_interp(warps.anchors, ords[idx]).at_rows(times), 0.0, 1.0)
+        g = np.clip(hyman_interp(warps.anchors, ords[idx])(times), 0.0, 1.0)
         warped.append(g.ravel())
         n = g.shape[1]
         for i in idx:
@@ -409,13 +411,11 @@ def estimate_ridge(normals: dict, c_hat: np.ndarray, noise_sd: float) -> float:
     For the eigenpairs (s, V) of group k's normal matrix A_k, the entries of
     z_k = V'(b_k - A_k c_hat') are N(0, sigma^2 s + tau^2 s^2) with sigma =
     ``noise_sd``; null directions (s <= 1e-12 max s) hold only rounding and
-    are dropped.  In log lambda the likelihood's slope has the sign of
-    lambda ||d||^2 / sigma^2 - edf, edf = 2 sum s / (s + lambda) and
-    d = z / (s + lambda): Schall's (1991) fixed-point equation.  It can have
-    several roots, so its sign is read on ``_RIDGE_GRID`` points; brentq
-    finds each maximum inside a cell, an end counts (exactly) where the
-    likelihood rises towards it, and the best is returned.  The deviations
-    are uncentred: at a fixed point of ``estimate_c`` and ``estimate_d``,
+    are dropped.  In log lambda minus the log likelihood has a slope of the
+    sign of lambda ||d||^2 / sigma^2 - edf, edf = 2 sum s / (s + lambda) and
+    d = z / (s + lambda): Schall's (1991) fixed-point equation, read on
+    ``_RIDGE_GRID`` points for ``best_root``.  The deviations are
+    uncentred: at a fixed point of ``estimate_c`` and ``estimate_d``,
     (A_k + lambda I) d_k' = b_k - A_k c' and sum_k A_k (c' + d_k') =
     sum_k b_k give lambda sum_k d_k = 0, so centring matters only off it.
     """
@@ -435,12 +435,7 @@ def estimate_ridge(normals: dict, c_hat: np.ndarray, noise_sd: float) -> float:
         return float(np.sum(np.log1p(s / lam) + zz * lam / (2.0 * s * (lam + s))))
 
     grid = np.linspace(np.log(_RIDGE_MIN), np.log(_RIDGE_MAX), _RIDGE_GRID)
-    signs = score(grid)
-    cells = np.flatnonzero((signs[:-1] < 0.0) & (signs[1:] >= 0.0))
-    found = [float(np.exp(brentq(score, grid[i], grid[i + 1]))) for i in cells]
-    found += [_RIDGE_MIN] if signs[0] >= 0.0 else []
-    found += [_RIDGE_MAX] if signs[-1] <= 0.0 else []
-    return min(found, key=neg_loglik)
+    return best_root(score, grid, score(grid), (_RIDGE_MIN, _RIDGE_MAX), neg_loglik, np.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +448,8 @@ class WarpLength:
 
     ``weights`` (G, 2 n_w, n) stacks the grids' Hermite weights (W_y, W_d)
     (``_grid_weights``), each transposed to (2 n_w, n), ``factors`` holds
-    their factors of I + S (or None to leave the whitening out), and
+    their factors of I + S (None in ``build_linearization``'s problems,
+    which only ``_warp_geometry`` reads), and
     ``values`` (subjects, 2, n) the curves of all their subjects, one row
     per coordinate, grid by grid in the order the subjects first name the
     grids.  ``subject_warp_residuals`` evaluates all of a length's subjects
@@ -508,10 +504,11 @@ class WarpProblem:
         """The problem of the subjects observed at ``times`` with curves ``values``.
 
         ``base`` (S, n_w) are their fixed ordinates.  ``grid_parts(times)``
-        gives a grid's factor of I + S (or None) and its ``_grid_weights``,
-        and is called once per distinct grid; a length with one grid takes
-        a view of its weights.  ``splines`` is the group's ``_mean_splines``
-        triple.
+        gives a grid's factor of I + S and its ``_grid_weights``, and is
+        called once per distinct grid; a length with one grid takes a view
+        of its weights.  A None factor makes a problem that only
+        ``_warp_geometry`` reads (``build_linearization``).  ``splines`` is
+        the group's ``_mean_splines`` triple.
         """
         members: dict = {}
         for i, t in enumerate(times):
@@ -684,15 +681,12 @@ def _whitened(prob: WarpProblem, u: np.ndarray, layout, ok, geometry) -> tuple:
         cols = np.empty((kn, 2, 1 + m, n))
         np.subtract(values, mu, out=cols[:, :, 0])
         np.multiply(-dmu[:, :, None], dg[:, None], out=cols[:, :, 1:])
-        if blocks[0][2] is None:
-            weighted = cols[:, :, 0]
-        else:
-            # each grid's block solved in place: as (n, columns) it is Fortran-ordered
-            weighted = np.empty((kn, 2, n))
-            for a, b, factor in blocks:
-                factor.half_solve(cols[a:b].reshape(-1, n).T, overwrite=True)
-                weighted[a:b] = cols[a:b, :, 0]
-                factor.half_solve(weighted[a:b].reshape(-1, n).T, transposed=True, overwrite=True)
+        # each grid's block solved in place: as (n, columns) it is Fortran-ordered
+        weighted = np.empty((kn, 2, n))
+        for a, b, factor in blocks:
+            factor.half_solve(cols[a:b].reshape(-1, n).T, overwrite=True)
+            weighted[a:b] = cols[a:b, :, 0]
+            factor.half_solve(weighted[a:b].reshape(-1, n).T, transposed=True, overwrite=True)
         w = (weighted * ddmu).sum(axis=1)
         second[pos] = -((dg * w[:, None]) @ dg.transpose(0, 2, 1))
         r[pos, : 2 * n] = cols[:, :, 0].reshape(kn, 2 * n)
@@ -974,43 +968,40 @@ def build_linearization(
 ) -> tuple[dict, dict, dict]:
     """First-order expansion of the fitted curves in the random warp offsets.
 
-    Returns per-subject fitted values (n, 2), the Jacobian with respect to
-    the interior anchor offsets (2, n, n_int), and the current offsets.
-    Both come from ``subject_warp_residuals`` on zero data without
-    whitening, where the residual is minus the fitted curves: one call per
-    group, with the Hermite weights of the fit's ``table``.  The residuals'
-    second-order term is not used.
+    The variance step folds the random warps into the error through
+    mu(g(w)) ~ mu(g) + mu'(g) dg (w - w0), at each subject's current
+    interior anchor offsets w0.  Returns per subject the fitted values
+    mu(g) (n, 2), the Jacobian mu'(g) dg in the offsets as a C-ordered
+    (2, n, n_int) array, and w0: the warped mean curves of one
+    ``_warp_geometry`` call per group, on the Hermite weights of the fit's
+    ``table``.  Raises NumericalError naming the first subject, in panel
+    order, whose ordinates are not strictly increasing.
     """
     anchors = warps.anchors
-
-    def grid_parts(times):
-        return None, table.weights[times.tobytes()]
-
     by_group: dict = {}
     for curve in panel.curves:
         by_group.setdefault(warps.group_of[curve.subject_id], []).append(curve)
     out = {}
     for k, curves in by_group.items():
-        times = [c.times for c in curves]
+        base = np.tile(anchors + warps.group_offsets[k], (len(curves), 1))
+        splines = _mean_splines(basis, means.coefs(k))
         prob = WarpProblem.of(
-            anchors, np.tile(anchors + warps.group_offsets[k], (len(curves), 1)), times,
-            [np.zeros((len(t), 2)) for t in times], grid_parts,
-            _mean_splines(basis, means.coefs(k)),
+            anchors, base, [c.times for c in curves], [c.values for c in curves],
+            lambda t: (None, table.weights[t.tobytes()]), splines,
         )
         w0 = np.array([warps.subject_offsets[c.subject_id][1:-1] for c in curves])
-        r, dr, ok, _ = subject_warp_residuals(prob, w0)
-        for i, c in enumerate(curves):
-            out[c.subject_id] = (r[i], dr[i], w0[i], ok[i])
-    fitted, jac, offsets = {}, {}, {}
-    for curve in panel.curves:
-        sid = curve.subject_id
-        r, dr, offsets[sid], ok = out[sid]
-        if not ok:
-            raise NumericalError(f"non-monotone warp ordinates for subject {sid}")
-        n = len(curve.times)
-        fitted[sid] = -r[: 2 * n].reshape(2, n).T
-        jac[sid] = -dr[: 2 * n].reshape(2, n, -1)
-    return fitted, jac, offsets
+        ords = base.copy()
+        ords[:, 1:-1] += w0
+        ok, geometry = _warp_geometry(anchors, ords, splines, prob.layout)
+        for (pos, *_), (dg, mu, dmu, _) in zip(prob.layout, geometry):
+            jac = np.empty((*mu.shape, dg.shape[1]))  # (kn, 2, n, m)
+            np.multiply(dmu[..., None], dg.transpose(0, 2, 1)[:, None], out=jac)
+            for q, i in enumerate(np.arange(len(curves))[pos]):
+                out[curves[i].subject_id] = (mu[q].T, jac[q], w0[i], ok[i])
+    bad = [sid for sid in panel.subject_ids if not out[sid][3]]
+    if bad:
+        raise NumericalError(f"non-monotone warp ordinates for subject {bad[0]}")
+    return tuple({sid: out[sid][j] for sid in panel.subject_ids} for j in range(3))
 
 
 # Log-scale boxes for (curve amp, curve range, warp amp, warp range); outside
@@ -1105,10 +1096,7 @@ def _stack_sums(curve_cov, h_inv, h_grads, h_logdet, grids, cols):
     return quad, logdet, quads.size * n, inv_traces, outer_traces, warp_inv, warp_outer, ai, factors
 
 
-def _variance_negloglik(
-    log_params, smooth_curve, smooth_warp, grids, blocks, anchors, grad=None, ai=None,
-    factors=None,
-):
+def _variance_negloglik(log_params, smooth_curve, smooth_warp, grids, blocks, anchors) -> tuple:
     """Profiled negative Gaussian log likelihood of the linearized model.
 
     Block covariance per subject and coordinate is V = C + B H B' with
@@ -1151,19 +1139,14 @@ def _variance_negloglik(
     term reuses the gradient's a' dV a; ``_stack_sums`` forms the first.
     It is positive semidefinite and approximates the Hessian of the value.
 
-    Returns the value and the profiled noise variance, and writes the
-    gradient in the four log parameters into ``grad``, the AI matrix into
-    ``ai`` and each stack's factors of C, as ``spd_inverses`` gives them,
-    into the dict ``factors`` by stack when they are given.  Where a
-    factorization fails the value is ``_BIG``, the variance NaN, and the
-    gradient and AI matrix zero.
+    Returns (value, grad, ai, sigma2, factors): the value, its gradient in
+    the four log parameters, the AI matrix, the profiled noise variance and
+    each stack's factors of C, as ``spd_inverses`` gives them, by stack.
+    Where a factorization fails they are ``_BIG``, a zero gradient and AI
+    matrix, NaN and no factors.
     """
     amp_s, rg_s, amp_h, rg_h = np.exp(np.asarray(log_params, dtype=float))
-    if grad is not None:
-        grad[:] = 0.0
-    if ai is not None:
-        ai[:] = 0.0
-    failed = (_BIG, float("nan"))
+    failed = (_BIG, np.zeros(4), np.zeros((4, 4)), float("nan"), {})
     curve_cov = MaternParams(amp_s, rg_s, smooth_curve)
     h_kernels = matern_cov(MaternParams(amp_h, rg_h, smooth_warp), anchors[1:-1], slope=True)
     try:
@@ -1174,45 +1157,34 @@ def _variance_negloglik(
     h_grads = np.stack(h_kernels)
     h_inv = h_fac.solve(np.eye(m))
     h_logdet = h_fac.logdet()
-    quad_sum = 0.0
-    logdet_sum = 0.0
+    quad_sum = logdet_sum = 0.0
     n_tot = 0
     # Traces of the summed V^-1 and of the summed a a' against S and dS,
-    # and the m x m sums of B' V^-1 B and B' a a' B that the warp
-    # parameters trace against dH.
-    inv_traces = np.zeros(2)
-    outer_traces = np.zeros(2)
-    warp_inv = np.zeros((m, m))
-    warp_outer = np.zeros((m, m))
-    ai_sum = np.zeros((4, 4))
+    # the m x m sums of B' V^-1 B and B' a a' B that the warp parameters
+    # trace against dH, and the AI matrix's products.
+    totals = [np.zeros(2), np.zeros(2), np.zeros((m, m)), np.zeros((m, m)), np.zeros((4, 4))]
+    factors = {}
     for key, cols in blocks.items():
         sums = _stack_sums(curve_cov, h_inv, h_grads, h_logdet, grids[key], cols)
         if sums is None:
             return failed
-        quad, logdet, n_obs, inv, outer, w_inv, w_outer, ai_part, factored = sums
-        if factors is not None:
-            factors[key] = factored
+        quad, logdet, n_obs, *parts, factors[key] = sums
         quad_sum += quad
         logdet_sum += logdet
         n_tot += n_obs
-        inv_traces += inv
-        outer_traces += outer
-        warp_inv += w_inv
-        warp_outer += w_outer
-        ai_sum += ai_part
+        for total, part in zip(totals, parts):
+            total += part
+    inv_traces, outer_traces, warp_inv, warp_outer, ai_sum = totals
     loglik, sigma2 = profile_loglik_parts(quad_sum, logdet_sum, n_tot)
     if not np.isfinite(loglik):
         return failed
-    if grad is not None:
-        grad[:2] = 0.5 * (inv_traces - outer_traces / sigma2)
-        warp = 0.5 * (warp_inv - warp_outer / sigma2)
-        grad[2:] = np.einsum("ij,pij->p", warp, h_grads)
-    if ai is not None:
-        outer = np.concatenate([outer_traces, np.einsum("ij,pij->p", warp_outer, h_grads)])
-        ai[:] = (ai_sum + ai_sum.T) / (4.0 * sigma2) - np.outer(outer, outer) / (
-            2.0 * n_tot * sigma2**2
-        )
-    return -loglik, sigma2
+    warp = 0.5 * (warp_inv - warp_outer / sigma2)
+    grad = np.concatenate(
+        [0.5 * (inv_traces - outer_traces / sigma2), np.einsum("ij,pij->p", warp, h_grads)]
+    )
+    outer = np.concatenate([outer_traces, np.einsum("ij,pij->p", warp_outer, h_grads)])
+    ai = (ai_sum + ai_sum.T) / (4.0 * sigma2) - np.outer(outer, outer) / (2.0 * n_tot * sigma2**2)
+    return -loglik, grad, ai, sigma2, factors
 
 
 def _projected_newton(evaluate, x, point, maxiter: int) -> tuple:
@@ -1281,11 +1253,13 @@ def fit_variance(
     ``_variance_negloglik`` and its average-information matrix as the
     curvature, and at most ``maxiter`` iterations.  The two
     smoothness orders stay fixed and the noise variance is profiled out in
-    closed form.  The residuals and Jacobians are gathered once per call
-    into the stacks of the fit's ``table``, each grid's [r, B] blocks
-    (subjects x 2 coordinates) in panel order, on the table's anchors; an
-    evaluation makes one kernel evaluation (``matern_cov`` on the stack's
-    grids, with its slope) and one batched factorization per stack.  The
+    closed form.  The residuals r = x - mu(g) + B w0 and the Jacobians B of
+    ``build_linearization`` are gathered once per call into the stacks of
+    the fit's ``table``, each grid's [r, B] blocks (subjects x 2
+    coordinates) in panel order, on the table's anchors.  An evaluation is
+    one ``_variance_negloglik`` call, whose tuple ``_projected_newton``
+    reads, with one kernel evaluation (``matern_cov`` on the stack's grids,
+    with its slope) and one batched factorization per stack.  The
     start is data-driven and projected into the box.  Returns the updated
     parameters, the (initial, final) log likelihood, the number of
     likelihood evaluations, and each grid's factor of I + S under the
@@ -1323,12 +1297,7 @@ def fit_variance(
     x0 = np.clip(x0, _LOG_LO, _LOG_HI)
 
     def evaluate(log_params):
-        grad, ai, factors = np.empty(4), np.empty((4, 4)), {}
-        value, sigma2 = _variance_negloglik(
-            log_params, smooth_curve, smooth_warp, grids, blocks, table.anchors, grad,
-            ai=ai, factors=factors,
-        )
-        return value, grad, ai, sigma2, factors
+        return _variance_negloglik(log_params, smooth_curve, smooth_warp, grids, blocks, table.anchors)
 
     start = evaluate(x0)
     if start[0] >= _BIG:

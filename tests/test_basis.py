@@ -307,17 +307,18 @@ def test_each_row_of_a_stack_at_its_own_times_has_the_bytes_of_its_own_interpola
     times = np.sort(rng.uniform(0.0, 1.0, (5, 40)), axis=1)
     times[2] = times[0]  # a grid two rows share
     stack = hyman_interp(anchors, ords)
-    rows = stack.at_rows(times)
+    rows = stack(times)
     assert rows.shape == (5, 40)
     for y, t, row in zip(ords, times, rows):
         assert row.tobytes() == hyman_interp(anchors, y)(t).tobytes()
-    # a call evaluates every interpolant at all of the times, whatever their shape
-    assert stack(times).shape == (5, 5, 40)
+    # times shared by every interpolant of the stack
+    assert stack(times[0]).shape == (5, 40)
     assert stack(times[0])[2].tobytes() == rows[2].tobytes()
-    with pytest.raises(DataError, match=r"5 interpolants cannot take times of shape \(1, 40\)"):
-        stack.at_rows(times[:1])
-    with pytest.raises(DataError, match="by row"):
-        hyman_interp(anchors, ords[0]).at_rows(times[:1])
+    mismatch = r"interpolants \(5, 4\) cannot take times \(1, 40\) row by row"
+    with pytest.raises(DataError, match=mismatch):
+        stack(times[:1])
+    with pytest.raises(DataError, match="row by row"):
+        hyman_interp(anchors, ords[0])(times[:1])
 
 
 def test_interpolant_rejects_out_of_span():

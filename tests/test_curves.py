@@ -1,5 +1,7 @@
 """Curve panel data model and CSV round trips."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -223,12 +225,20 @@ def test_load_curves_missing_file(tmp_path):
         load_curves(str(tmp_path / "nope.csv"))
 
 
-def test_load_curves_normalizes_wide_time_axis(tmp_path):
+def test_load_curves_normalizes_wide_time_axis(tmp_path, caplog):
     rows = ["subject_id,t,x1,x2"]
     for t in (2.0, 4.0, 6.0, 8.0, 12.0):
         rows.append(f"a,{t},1.0,2.0")
-    curves = load_curves(_write(tmp_path / "c.csv", "\n".join(rows) + "\n"))
+    # a second subject inside [0, 1] moves with the file-wide span
+    rows += [f"b,{t},1.0,2.0" for t in (3.0, 4.5, 7.0, 9.5)]
+    path = _write(tmp_path / "c.csv", "\n".join(rows) + "\n")
+    with caplog.at_level(logging.WARNING, logger="warpclass.curves"):
+        curves = load_curves(path)
     assert np.allclose(curves[0].times, [0.0, 0.2, 0.4, 0.6, 1.0])
+    assert np.allclose(curves[1].times, [0.1, 0.25, 0.5, 0.75])
+    (record,) = caplog.records
+    assert record.levelname == "WARNING" and record.name == "warpclass.curves"
+    assert record.getMessage() == f"{path}: times rescaled from [2, 12] to [0, 1]"
 
 
 def test_load_curves_keeps_unit_interval_times_exact(tmp_path):

@@ -890,6 +890,60 @@ def test_linearization_jacobian_matches_composed_fd_oracle():
     assert np.max(np.abs(jac["s1"] - want)) < 1e-4 * scale
 
 
+@pytest.mark.parametrize("grids", ["shared", "jittered two-length"])
+def test_linearization_has_the_bytes_of_the_negated_residuals_of_zero_curves(grids):
+    # the warped mean curves mu(g) and their slopes mu'(g) dg in the offsets
+    # are minus the warp residuals of zero curves, under identity factors of
+    # I + S (which trtrs applies exactly) and with no prior rows
+    if grids == "shared":
+        panel, _ = simulate_study2(Study2Config(scenario="A", seed=3, n_subjects=12, n_obs=30))
+    else:
+        panel = _jittered_two_length_panel()
+    rng = np.random.default_rng(5)
+    basis = BSplineBasis.uniform(6, 4)
+    coef = np.vstack(
+        [
+            _coef_for(basis, lambda t: np.exp(np.cos(2 * np.pi * t))),
+            _coef_for(basis, lambda t: np.exp(np.sin(2 * np.pi * t))),
+        ]
+    )
+    means = MeanWeights(coef, {k: 0.1 * rng.standard_normal(coef.shape) for k in (0, 1)})
+    warps = WarpState.identity(ANCHORS, panel.group_of)
+    for offsets in [*warps.group_offsets.values(), *warps.subject_offsets.values()]:
+        offsets[1:-1] = rng.normal(0.0, 0.02, 2)
+    table = GridTable(panel, ANCHORS)
+    fitted, jac, w0 = build_linearization(panel, means, warps, basis, table)
+    assert list(fitted) == list(jac) == list(w0) == panel.subject_ids
+
+    def identity_parts(t):
+        return CholFactor(np.eye(len(t))), table.weights[t.tobytes()]
+
+    for k in (0, 1):
+        curves = [c for c in panel.curves if warps.group_of[c.subject_id] == k]
+        prob = registration.WarpProblem.of(
+            ANCHORS, np.tile(ANCHORS + warps.group_offsets[k], (len(curves), 1)),
+            [c.times for c in curves], [np.zeros((len(c.times), 2)) for c in curves],
+            identity_parts, registration._mean_splines(basis, means.coefs(k)),
+        )
+        u = np.array([warps.subject_offsets[c.subject_id][1:-1] for c in curves])
+        r, dr, ok, _ = registration.subject_warp_residuals(prob, u)
+        assert ok.all()
+        for i, c in enumerate(curves):
+            sid, n = c.subject_id, len(c.times)
+            assert fitted[sid].tobytes() == (-r[i, : 2 * n].reshape(2, n).T).tobytes()
+            assert jac[sid].shape == (2, n, 2) and jac[sid].flags.c_contiguous
+            assert jac[sid].tobytes() == (-dr[i, : 2 * n].reshape(2, n, 2)).tobytes()
+            assert w0[sid].tobytes() == u[i].tobytes()
+    # each subject's entries are those of its batch of one
+    for c, s in zip(panel.curves, panel.scalars):
+        alone = CurvePanel((c,), (s,))
+        one = build_linearization(alone, means, warps, basis, GridTable(alone, ANCHORS))
+        sid = c.subject_id
+        assert [part[sid].tobytes() for part in one] == [
+            part[sid].tobytes() for part in (fitted, jac, w0)
+        ]
+
+
 # ---------------------------------------------------------------------------
 # Variance step.
 
@@ -1020,7 +1074,7 @@ def test_variance_negloglik_is_the_dense_likelihood(monkeypatch, log_params):
     # the per-grid Woodbury evaluation against sigma^2 (I + S + B H B') per block
     panel, fitted, jac, w0 = _mixed_grid_panel(range(6))
     args = _likelihood_args(monkeypatch, panel, fitted, jac, w0)
-    value, sigma2 = registration._variance_negloglik(log_params, *args)
+    value, _, _, sigma2, _ = registration._variance_negloglik(log_params, *args)
     amp_s, rg_s, amp_h, rg_h = np.exp(log_params)
     h_mat = matern_cov(MaternParams(amp_h, rg_h, 1.5), ANCHORS[1:-1])
     quad = logdet = 0.0
@@ -1050,7 +1104,7 @@ def test_variance_negloglik_ignores_the_panel_order(monkeypatch):
         one = registration._variance_negloglik(log_params, *base)
         two = registration._variance_negloglik(log_params, *permuted)
         assert two[0] == pytest.approx(one[0], rel=1e-12)
-        assert two[1] == pytest.approx(one[1], rel=1e-12)
+        assert two[3] == pytest.approx(one[3], rel=1e-12)
 
 
 def _dense_negloglik(panel, fitted, jac, w0, log_params):
@@ -1081,7 +1135,7 @@ def test_stacked_variance_negloglik_is_the_dense_likelihood(monkeypatch, log_par
     assert {key: cols.shape[:2] for key, cols in args[3].items()} == {
         (24, 2, 0): (3, 2), (16, 2, 0): (1, 2), (16, 4, 0): (1, 4)
     }
-    value, sigma2 = registration._variance_negloglik(log_params, *args)
+    value, _, _, sigma2, _ = registration._variance_negloglik(log_params, *args)
     dense_value, dense_sigma2 = _dense_negloglik(panel, fitted, jac, w0, log_params)
     assert sigma2 == pytest.approx(dense_sigma2, rel=1e-10)
     assert value == pytest.approx(dense_value, rel=1e-10)
@@ -1094,12 +1148,11 @@ def test_stacked_variance_negloglik_ignores_the_panel_order(monkeypatch):
     assert list(permuted[2]) == [(16, 4, 0), (24, 2, 0), (16, 2, 0)]
     assert not np.array_equal(permuted[3][24, 2, 0], base[3][24, 2, 0])
     for log_params in _LOG_POINTS:
-        one_grad, two_grad = np.empty(4), np.empty(4)
-        one = registration._variance_negloglik(log_params, *base[:5], one_grad)
-        two = registration._variance_negloglik(log_params, *permuted[:5], two_grad)
+        one = registration._variance_negloglik(log_params, *base[:5])
+        two = registration._variance_negloglik(log_params, *permuted[:5])
         assert two[0] == pytest.approx(one[0], rel=1e-12)
-        assert two[1] == pytest.approx(one[1], rel=1e-12)
-        assert np.allclose(two_grad, one_grad, rtol=1e-9, atol=1e-9)
+        assert two[3] == pytest.approx(one[3], rel=1e-12)
+        assert np.allclose(two[1], one[1], rtol=1e-9, atol=1e-9)
 
 
 def test_a_long_stack_is_split_at_the_byte_budget(monkeypatch):
@@ -1111,11 +1164,10 @@ def test_a_long_stack_is_split_at_the_byte_budget(monkeypatch):
         (24, 2, 0): 2, (24, 2, 1): 1, (16, 2, 0): 1, (16, 4, 0): 1
     }
     for log_params in _LOG_POINTS:
-        one_grad, two_grad = np.empty(4), np.empty(4)
-        one = registration._variance_negloglik(log_params, *whole[:5], one_grad)
-        two = registration._variance_negloglik(log_params, *split[:5], two_grad)
-        assert two == pytest.approx(one, rel=1e-12)
-        assert np.allclose(two_grad, one_grad, rtol=1e-9, atol=1e-9)
+        one = registration._variance_negloglik(log_params, *whole[:5])
+        two = registration._variance_negloglik(log_params, *split[:5])
+        assert (two[0], two[3]) == pytest.approx((one[0], one[3]), rel=1e-12)
+        assert np.allclose(two[1], one[1], rtol=1e-9, atol=1e-9)
 
 
 def test_variance_negloglik_evaluates_each_stack_once(monkeypatch):
@@ -1146,8 +1198,7 @@ def test_variance_negloglik_evaluates_each_stack_once(monkeypatch):
             return original(self, rhs)
 
         monkeypatch.setattr(CholFactor, name, counted)
-    grad = np.empty(4)
-    value, _ = registration._variance_negloglik(_LOG_POINTS[0], *args[:5], grad)
+    value = registration._variance_negloglik(_LOG_POINTS[0], *args[:5])[0]
     assert value < registration._BIG
     # the warp kernel H on the interior anchors, then each stack's (grids, points)
     assert kernels == [(len(ANCHORS) - 2,), (3, 24), (1, 16), (1, 16)]
@@ -1253,10 +1304,10 @@ def test_an_unfactorable_stack_fails_the_likelihood(monkeypatch, broken):
         return original(mats)
 
     monkeypatch.setattr(registration, "spd_inverses", failing)
-    grad = np.ones(4)
-    value, sigma2 = registration._variance_negloglik(_LOG_POINTS[0], *args[:5], grad)
+    value, grad, ai, sigma2, factors = registration._variance_negloglik(_LOG_POINTS[0], *args[:5])
     assert value == registration._BIG and np.isnan(sigma2)
-    assert np.array_equal(grad, np.zeros(4))
+    assert np.array_equal(grad, np.zeros(4)) and np.array_equal(ai, np.zeros((4, 4)))
+    assert factors == {}
 
 
 @settings(max_examples=40, deadline=None)
@@ -1270,8 +1321,7 @@ def test_variance_negloglik_gradient_matches_central_differences(unit, smooth_cu
     args = _mixed_grid_args()
     args = (smooth_curve, smooth_warp, *args[2:5])
     log_params = _LOG_LO + np.array(unit) * (_LOG_HI - _LOG_LO)
-    grad = np.empty(4)
-    value, _ = registration._variance_negloglik(log_params, *args, grad)
+    value, grad = registration._variance_negloglik(log_params, *args)[:2]
     assert value < registration._BIG
     h = 1e-5
     for p, e in enumerate(np.eye(4)):
@@ -1292,8 +1342,8 @@ def test_stacked_variance_negloglik_gradient_matches_central_differences(
 ):
     args = (smooth_curve, smooth_warp, *_stacked_grid_args()[2:5])
     log_params = _LOG_LO + np.array(unit) * (_LOG_HI - _LOG_LO)
-    grad = np.empty(4)
-    assert registration._variance_negloglik(log_params, *args, grad)[0] < registration._BIG
+    value, grad = registration._variance_negloglik(log_params, *args)[:2]
+    assert value < registration._BIG
     h = 1e-5
     for p, e in enumerate(np.eye(4)):
         up, down = (
@@ -1343,8 +1393,8 @@ def _dense_average_information(panel, fitted, jac, w0, log_params):
 def test_average_information_is_the_dense_one(monkeypatch, panel_of, log_params):
     panel, fitted, jac, w0 = panel_of(range(6))
     args = _likelihood_args(monkeypatch, panel, fitted, jac, w0)
-    ai = np.empty((4, 4))
-    assert registration._variance_negloglik(log_params, *args[:5], ai=ai)[0] < registration._BIG
+    value, _, ai, _, _ = registration._variance_negloglik(log_params, *args[:5])
+    assert value < registration._BIG
     want = _dense_average_information(panel, fitted, jac, w0, log_params)
     assert np.max(np.abs(ai - want)) <= 1e-10 * np.max(np.abs(want))
     assert np.array_equal(ai, ai.T)
@@ -1372,7 +1422,7 @@ def _evaluated_points(monkeypatch) -> list:
 
     def recorded(log_params, *args, **kwargs):
         out = original(log_params, *args, **kwargs)
-        seen.append((np.array(log_params), out[0], args[5].copy()))
+        seen.append((np.array(log_params), out[0], out[1]))
         return out
 
     monkeypatch.setattr(registration, "_variance_negloglik", recorded)

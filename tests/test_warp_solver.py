@@ -436,19 +436,18 @@ def test_batched_residuals_equal_each_subjects_alone():
     assert second2.tobytes() == second[some].tobytes()
 
 
-def _grid_problem(base, times, values, whiten, prior):
+def _grid_problem(base, times, values, prior):
     """The problem of the subjects ``base`` observed at ``times`` with curves ``values``.
 
     Each distinct grid gets the factor of I + S under ``_var``'s curve
-    kernel where ``whiten`` is set, and the problem ``_var``'s warp-prior
-    rows where ``prior`` is.
+    kernel, and the problem ``_var``'s warp-prior rows where ``prior`` is
+    set.
     """
     basis = BSplineBasis.uniform(4, 4)
     var = _var()
 
     def grid_parts(t):
-        s_fac = CholFactor(np.eye(len(t)) + matern_cov(var.curve_cov, t)) if whiten else None
-        return s_fac, _grid_weights(ANCHORS, t)
+        return CholFactor(np.eye(len(t)) + matern_cov(var.curve_cov, t)), _grid_weights(ANCHORS, t)
 
     rows = registration._prior_rows(var.warp_cov, ANCHORS) if prior else None
     splines = _mean_splines(basis, _coefs(basis))
@@ -457,12 +456,9 @@ def _grid_problem(base, times, values, whiten, prior):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    seed=st.integers(0, 2**16), size=st.integers(2, 12), whiten=st.booleans(),
-    prior=st.booleans(), data=st.data(),
+    seed=st.integers(0, 2**16), size=st.integers(2, 12), prior=st.booleans(), data=st.data(),
 )
-def test_each_subjects_rows_equal_its_batch_of_one_in_any_subset_and_order(
-    seed, size, whiten, prior, data
-):
+def test_each_subjects_rows_equal_its_batch_of_one_in_any_subset_and_order(seed, size, prior, data):
     # 1-3 observation lengths of 1-4 grids each; with more subjects than
     # grids, some subjects share a grid
     rng = np.random.default_rng(seed)
@@ -475,7 +471,7 @@ def test_each_subjects_rows_equal_its_batch_of_one_in_any_subset_and_order(
     base = ANCHORS + np.column_stack(
         [np.zeros(size), rng.normal(0, 0.03, (size, 2)), np.zeros(size)]
     )
-    batch = _grid_problem(base, times, values, whiten, prior)
+    batch = _grid_problem(base, times, values, prior)
     n_grids = sum(len(length.factors) for length in batch.lengths)
     assert n_grids == len({t.tobytes() for t in times})
     assert len(batch.lengths) == len({len(t) for t in times})
@@ -487,7 +483,7 @@ def test_each_subjects_rows_equal_its_batch_of_one_in_any_subset_and_order(
     m = 2 if prior else 0
     assert r.shape == (len(members), 2 * max(len(t) for t in times) + m)
     for j, i in enumerate(members):
-        alone = _grid_problem(base[i : i + 1], [times[i]], [values[i]], whiten, prior)
+        alone = _grid_problem(base[i : i + 1], [times[i]], [values[i]], prior)
         r1, jac1, ok1, second1 = subject_warp_residuals(alone, u[j : j + 1])
         rows = 2 * len(times[i]) + m
         assert ok1[0] == ok[j]
